@@ -1,0 +1,457 @@
+//! The event calendar: one `(time, seq)`-ordered queue over three
+//! containers.
+//!
+//! Constant-delay timers (ping expiries and the periodic protocol /
+//! monitoring re-arms) ride FIFO timer lanes, short-horizon events
+//! (message deliveries, whose latency is bounded far below the wheel span)
+//! ride a hashed timing wheel, and the binary heap keeps construction-time
+//! schedules, stalled events of frozen nodes and rare odd-delay arms. All
+//! three merge on the same `(time, seq)` key and [`Calendar`] allocates
+//! every sequence number, so which container holds an event is invisible
+//! to the pop order — the property test below holds that against a plain
+//! binary heap.
+
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
+
+use avmon::{Behavior, DurMs, Message, NodeId, TimeMs, Timer};
+use avmon_churn::ChurnEventKind;
+
+use crate::scenario::Corruption;
+
+#[derive(Debug)]
+pub(crate) enum EventKind {
+    Churn {
+        node: NodeId,
+        kind: ChurnEventKind,
+    },
+    Deliver {
+        from: NodeId,
+        to: NodeId,
+        msg: Message,
+    },
+    Timer {
+        node: NodeId,
+        incarnation: u64,
+        timer: Timer,
+    },
+    /// Snapshot counters at the start of the measurement window so the
+    /// first sample doesn't absorb the whole warm-up.
+    Baseline,
+    Sample,
+    /// A [`Fault::Corrupt`](crate::Fault::Corrupt) injection: overwrite the
+    /// node's PS/TS with seed-deterministic garbage.
+    Corrupt {
+        node: NodeId,
+        pattern: Corruption,
+        seed: u64,
+    },
+    /// A scenario-scheduled behavior switch: attack campaigns flip the
+    /// coalition's behavior at the window edges.
+    SetBehavior {
+        node: NodeId,
+        behavior: Behavior,
+    },
+    /// An application-executor wakeup
+    /// ([`Simulation::schedule_app_wake`](crate::Simulation::schedule_app_wake)):
+    /// pauses `run_until_wake` at exactly this `(time, seq)` position so
+    /// async app tasks interleave deterministically with the protocol
+    /// calendar. Shared-state by construction — it always cuts a parallel
+    /// batch, so pause points are identical at any worker count.
+    AppWake {
+        token: u64,
+    },
+}
+
+impl EventKind {
+    /// The node a delivery or timer is addressed to (with the incarnation
+    /// that armed the timer); `None` for events that touch shared state.
+    pub(crate) fn addressee(&self) -> Option<(NodeId, Option<u64>)> {
+        match *self {
+            EventKind::Deliver { to, .. } => Some((to, None)),
+            EventKind::Timer {
+                node, incarnation, ..
+            } => Some((node, Some(incarnation))),
+            _ => None,
+        }
+    }
+}
+
+#[derive(Debug)]
+pub(crate) struct Event {
+    pub at: TimeMs,
+    seq: u64,
+    pub kind: EventKind,
+}
+
+impl PartialEq for Event {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl Eq for Event {}
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Event {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap: invert so the earliest (and, on ties,
+        // first-scheduled) event pops first. Determinism depends on this.
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+/// One constant-delay FIFO timer lane.
+///
+/// Every timer armed with exactly `delay` ahead of the arming instant
+/// lands here; because simulated time never decreases while draining,
+/// entries arrive in nondecreasing `(at, seq)` order and the lane pops
+/// from the front in O(1) — no heap sift. A monotonicity check at push
+/// time falls back to the wheel or heap, so the lane is an optimization
+/// that can never reorder events.
+#[derive(Debug)]
+struct TimerLane {
+    delay: DurMs,
+    queue: VecDeque<Event>,
+}
+
+/// The hashed timing wheel: one FIFO bucket per millisecond over a
+/// `WHEEL_SPAN`-ms window. Every accepted delay is strictly below the
+/// span and pushes carry globally increasing sequence numbers — so a
+/// bucket holds exactly one instant at a time and its FIFO order is
+/// sequence order, making wheel pops bit-compatible with heap pops.
+const WHEEL_SPAN: u64 = 1024;
+
+#[derive(Debug)]
+struct DeliveryWheel {
+    buckets: Vec<VecDeque<Event>>,
+    len: usize,
+    /// Lower bound on the earliest occupied bucket time (pulled back on
+    /// push, advanced monotonically by scans — amortizes peeks to O(1)).
+    cursor: TimeMs,
+}
+
+impl DeliveryWheel {
+    fn new() -> Self {
+        DeliveryWheel {
+            buckets: (0..WHEEL_SPAN).map(|_| VecDeque::new()).collect(),
+            len: 0,
+            cursor: 0,
+        }
+    }
+
+    fn push(&mut self, event: Event) {
+        self.cursor = self.cursor.min(event.at);
+        self.len += 1;
+        let bucket = &mut self.buckets[(event.at % WHEEL_SPAN) as usize];
+        debug_assert!(
+            bucket.back().is_none_or(|back| back.at == event.at),
+            "wheel bucket would hold two instants"
+        );
+        bucket.push_back(event);
+    }
+
+    /// The earliest event, advancing the cursor past empty buckets along
+    /// the way.
+    fn front(&mut self) -> Option<&Event> {
+        if self.len == 0 {
+            return None;
+        }
+        loop {
+            let bucket = &self.buckets[(self.cursor % WHEEL_SPAN) as usize];
+            if bucket.front().is_some_and(|e| e.at == self.cursor) {
+                return self.buckets[(self.cursor % WHEEL_SPAN) as usize].front();
+            }
+            self.cursor += 1;
+        }
+    }
+
+    fn pop(&mut self) -> Option<Event> {
+        self.front()?;
+        self.len -= 1;
+        self.buckets[(self.cursor % WHEEL_SPAN) as usize].pop_front()
+    }
+}
+
+/// Event-calendar traffic counters: how many events were popped from the
+/// binary heap vs the O(1) structures (timer lanes, delivery wheel), and
+/// how many lane-popped `Expire` timers were discarded dead (ping already
+/// answered) without touching the node. Not part of
+/// [`SimReport`](crate::SimReport).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CalendarStats {
+    /// Events popped from the binary-heap calendar.
+    pub heap_pops: u64,
+    /// Timers popped from the FIFO lanes.
+    pub lane_pops: u64,
+    /// Events popped from the timing wheel.
+    pub wheel_pops: u64,
+    /// Lane-popped `Expire` timers discarded dead in O(1).
+    pub expire_skips: u64,
+}
+
+/// Where the `(time, seq)`-least event currently sits.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    Heap,
+    Lane(usize),
+    Wheel,
+}
+
+#[derive(Debug)]
+pub(crate) struct Calendar {
+    heap: BinaryHeap<Event>,
+    /// One lane per distinct constant timer delay.
+    lanes: Vec<TimerLane>,
+    wheel: DeliveryWheel,
+    seq: u64,
+    stats: CalendarStats,
+}
+
+impl Calendar {
+    /// A calendar whose lanes carry the given constant timer delays
+    /// (duplicates share a lane), with heap room for `capacity` deferred
+    /// events.
+    pub(crate) fn new(mut lane_delays: Vec<DurMs>, capacity: usize) -> Self {
+        lane_delays.sort_unstable();
+        lane_delays.dedup();
+        let lane = |delay| TimerLane {
+            delay,
+            queue: VecDeque::new(),
+        };
+        Calendar {
+            heap: BinaryHeap::with_capacity(capacity),
+            lanes: lane_delays.into_iter().map(lane).collect(),
+            wheel: DeliveryWheel::new(),
+            seq: 0,
+            stats: CalendarStats::default(),
+        }
+    }
+
+    /// The one place sequence numbers come from: scheduling order *is*
+    /// tie-break order.
+    fn event(&mut self, at: TimeMs, kind: EventKind) -> Event {
+        let seq = self.seq;
+        self.seq += 1;
+        Event { at, seq, kind }
+    }
+
+    /// Schedules what a node handler produced at `now`: a timer exactly one
+    /// lane delay ahead joins that lane, anything else inside the wheel
+    /// span joins the wheel, the rest (or a lane push that would break the
+    /// lane's monotonicity) takes the heap.
+    pub(crate) fn schedule(&mut self, now: TimeMs, at: TimeMs, kind: EventKind) {
+        let fits = |lane: &TimerLane| {
+            now + lane.delay == at && lane.queue.back().is_none_or(|back| back.at <= at)
+        };
+        let lane = match kind {
+            EventKind::Timer { .. } => self.lanes.iter().position(fits),
+            _ => None,
+        };
+        let event = self.event(at, kind);
+        match lane {
+            Some(i) => self.lanes[i].queue.push_back(event),
+            None if at >= now && at - now < WHEEL_SPAN => self.wheel.push(event),
+            None => self.heap.push(event),
+        }
+    }
+
+    /// Parks `kind` on the heap: the construction-time schedule, app
+    /// wakes, and events stalled until a frozen node thaws (a thaw time
+    /// fits no lane, and a stalled timer must not gain the lane-only
+    /// discard on its way back).
+    pub(crate) fn defer(&mut self, at: TimeMs, kind: EventKind) {
+        let event = self.event(at, kind);
+        self.heap.push(event);
+    }
+
+    /// Lanes and wheel buckets are FIFO in `(time, seq)`, so inspecting
+    /// each front suffices; sequence numbers are unique, making the merge
+    /// a total order.
+    fn locate(&mut self) -> Option<(TimeMs, Source)> {
+        let heap = self.heap.peek().map(|e| (e.at, e.seq, Source::Heap));
+        let lanes = self.lanes.iter().enumerate().filter_map(|(i, lane)| {
+            let front = lane.queue.front()?;
+            Some((front.at, front.seq, Source::Lane(i)))
+        });
+        let wheel = self.wheel.front().map(|e| (e.at, e.seq, Source::Wheel));
+        let least = heap.into_iter().chain(lanes).chain(wheel);
+        let (at, _, source) = least.min_by_key(|&(at, seq, _)| (at, seq))?;
+        Some((at, source))
+    }
+
+    /// Time and kind of the `(time, seq)`-least event.
+    pub(crate) fn peek(&mut self) -> Option<(TimeMs, &EventKind)> {
+        let event = match self.locate()?.1 {
+            Source::Heap => self.heap.peek(),
+            Source::Lane(i) => self.lanes[i].queue.front(),
+            Source::Wheel => self.wheel.front(),
+        }?;
+        Some((event.at, &event.kind))
+    }
+
+    /// Pops the `(time, seq)`-least event unless it lies beyond `deadline`,
+    /// with whether it rode a lane: only lane-popped timers take the O(1)
+    /// dead-expiry discard, so [`CalendarStats::expire_skips`] counts the
+    /// same firings whichever engine loop dispatches them.
+    pub(crate) fn pop_due(&mut self, deadline: TimeMs) -> Option<(Event, bool)> {
+        let (at, source) = self.locate()?;
+        if at > deadline {
+            return None;
+        }
+        let event = match source {
+            Source::Heap => {
+                self.stats.heap_pops += 1;
+                self.heap.pop()
+            }
+            Source::Lane(i) => {
+                self.stats.lane_pops += 1;
+                self.lanes[i].queue.pop_front()
+            }
+            Source::Wheel => {
+                self.stats.wheel_pops += 1;
+                self.wheel.pop()
+            }
+        };
+        Some((event?, matches!(source, Source::Lane(_))))
+    }
+
+    /// Counts one lane-popped timer discarded dead.
+    pub(crate) fn note_expire_skip(&mut self) {
+        self.stats.expire_skips += 1;
+    }
+
+    pub(crate) fn stats(&self) -> CalendarStats {
+        self.stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::cmp::Reverse;
+
+    const LANES: [DurMs; 3] = [500, 5_000, 60_000];
+
+    /// An event tagged with the sequence number it is about to get.
+    fn tagged(cal: &Calendar, timer: bool) -> EventKind {
+        let (node, timer_kind) = (NodeId::from_index(1), Timer::Protocol);
+        if timer {
+            EventKind::Timer {
+                node,
+                incarnation: cal.seq,
+                timer: timer_kind,
+            }
+        } else {
+            EventKind::AppWake { token: cal.seq }
+        }
+    }
+
+    /// Pops the calendar and the reference heap together.
+    fn pop_both(
+        cal: &mut Calendar,
+        reference: &mut BinaryHeap<Reverse<(TimeMs, u64)>>,
+    ) -> (TimeMs, bool) {
+        let Reverse((at, seq)) = reference.pop().expect("reference non-empty");
+        assert_eq!(cal.peek().expect("calendar non-empty").0, at);
+        assert!(at == 0 || cal.pop_due(at - 1).is_none(), "popped early");
+        let (event, from_lane) = cal.pop_due(at).expect("due");
+        let tag = match event.kind {
+            EventKind::Timer { incarnation, .. } => incarnation,
+            EventKind::AppWake { token } => token,
+            ref other => unreachable!("{other:?}"),
+        };
+        assert_eq!((event.at, tag), (at, seq));
+        (event.at, from_lane)
+    }
+
+    /// Random interleavings of schedule / pop / thaw-style requeue pop in
+    /// exactly a plain binary heap's `(at, seq)` order, every pop is
+    /// counted once, and every container (and the lane fallback) is hit.
+    #[test]
+    fn pops_match_a_reference_heap_over_random_interleavings() {
+        let mut delays = vec![0, 1, WHEEL_SPAN - 1, WHEEL_SPAN, avmon::HOUR];
+        delays.extend(LANES);
+        let (mut totals, mut fallbacks) = (CalendarStats::default(), 0);
+        for seed in 0..32u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut cal = Calendar::new(LANES.to_vec(), 0);
+            let mut reference = BinaryHeap::new();
+            let (mut now, mut pops) = (0, 0u64);
+            for _ in 0..2_000 {
+                let delay = delays[rng.gen_range(0..delays.len())];
+                match rng.gen_range(0..10) {
+                    // Same-instant reschedules come from `delay == 0`.
+                    0..=4 => {
+                        reference.push(Reverse((now + delay, cal.seq)));
+                        let kind = tagged(&cal, rng.gen_bool(0.5));
+                        cal.schedule(now, now + delay, kind);
+                    }
+                    // A replayed batch output: armed from an instant the
+                    // lane's tail may already have passed.
+                    5 if now >= 7 => {
+                        let lane = rng.gen_range(0..LANES.len());
+                        let (at, before) = (now - 7 + LANES[lane], cal.lanes[lane].queue.len());
+                        let breaks = cal.lanes[lane].queue.back().is_some_and(|b| b.at > at);
+                        reference.push(Reverse((at, cal.seq)));
+                        let kind = tagged(&cal, true);
+                        cal.schedule(now - 7, at, kind);
+                        assert_eq!(cal.lanes[lane].queue.len(), before + usize::from(!breaks));
+                        fallbacks += u32::from(breaks);
+                    }
+                    // Thaw-style requeue: the popped event stalls on the
+                    // heap with a fresh sequence number.
+                    6 if !reference.is_empty() => {
+                        let (at, from_lane) = pop_both(&mut cal, &mut reference);
+                        (now, pops) = (at, pops + 1);
+                        reference.push(Reverse((now + delay, cal.seq)));
+                        let kind = tagged(&cal, from_lane);
+                        cal.defer(now + delay, kind);
+                    }
+                    _ if !reference.is_empty() => {
+                        (now, pops) = (pop_both(&mut cal, &mut reference).0, pops + 1);
+                    }
+                    _ => {}
+                }
+            }
+            while !reference.is_empty() {
+                pop_both(&mut cal, &mut reference);
+                pops += 1;
+            }
+            assert!(cal.peek().is_none() && cal.pop_due(TimeMs::MAX).is_none());
+            let stats = cal.stats();
+            assert_eq!(stats.heap_pops + stats.lane_pops + stats.wheel_pops, pops);
+            totals.heap_pops += stats.heap_pops;
+            totals.lane_pops += stats.lane_pops;
+            totals.wheel_pops += stats.wheel_pops;
+        }
+        assert!(totals.heap_pops > 0 && totals.lane_pops > 0 && totals.wheel_pops > 0);
+        assert!(fallbacks > 0, "no push ever broke a lane's monotonicity");
+    }
+
+    /// Both sides of the wheel boundary, and the lane match is exact.
+    #[test]
+    fn container_choice_follows_the_delay() {
+        let mut cal = Calendar::new(LANES.to_vec(), 0);
+        let sizes = |cal: &Calendar| (cal.lanes[1].queue.len(), cal.wheel.len, cal.heap.len());
+        cal.schedule(10, 10 + WHEEL_SPAN - 1, EventKind::Sample);
+        assert_eq!(sizes(&cal), (0, 1, 0));
+        cal.schedule(10, 10 + WHEEL_SPAN, EventKind::Sample);
+        assert_eq!(sizes(&cal), (0, 1, 1));
+        // Only timers ride lanes, and only at exactly the lane's delay.
+        cal.schedule(10, 10 + LANES[1], EventKind::Sample);
+        assert_eq!(sizes(&cal), (0, 1, 2));
+        let timer = tagged(&cal, true);
+        cal.schedule(10, 10 + LANES[1], timer);
+        assert_eq!(sizes(&cal), (1, 1, 2));
+        let timer = tagged(&cal, true);
+        cal.schedule(10, 11 + LANES[1], timer);
+        assert_eq!(sizes(&cal), (1, 1, 3));
+        cal.defer(10, EventKind::Sample);
+        assert_eq!((sizes(&cal), cal.seq), ((1, 1, 4), 6));
+    }
+}

@@ -9,7 +9,7 @@
 //!
 //! The engine is a consumer of the shared poll-based driver interface:
 //! after every input it drains the node's output queues directly into its
-//! event calendar ([`Simulation::drain_node`]) — no per-input `Vec` of
+//! event calendar ([`Simulation::apply_outputs`]) — no per-input `Vec` of
 //! actions is ever allocated.
 
 // Every hash-collection here carries a per-site `detlint::allow` proving
@@ -17,27 +17,26 @@
 // coarser clippy mirror is silenced module-wide.
 #![allow(clippy::disallowed_types)]
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
-use std::sync::mpsc;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
+use avmon::driver::{drain, DriverEnv};
 use avmon::{
-    AppEvent, Behavior, Config, Destination, HashSelector, HasherKind, HistoryStore, JoinKind,
-    Message, Node, NodeId, NodeStats, PersistentState, SharedSelector, TargetRecord, TimeMs, Timer,
-    Transmit,
+    AppEvent, Behavior, Config, Destination, DurMs, HashSelector, HasherKind, HistoryStore,
+    JoinKind, Message, Node, NodeId, NodeStats, PersistentState, SharedSelector, TargetRecord,
+    TimeMs, Timer, Transmit,
 };
 use avmon_churn::{ChurnEventKind, Trace};
 use avmon_hash::fast64::mix64;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::calendar::{Calendar, CalendarStats, EventKind};
 use crate::invariants::{InvariantChecker, InvariantConfig};
-use crate::metrics::{
-    AvailabilityMeasure, DetectionDistribution, DiscoveryLog, EclipseScore, EstimateIndex, FdQos,
-    NodeSeries, SimReport,
-};
+use crate::metrics::{DiscoveryLog, NodeSeries, SimReport};
 use crate::network::{LatencyModel, NetworkModel, NetworkState, Route};
+use crate::qos::QosAccumulator;
 use crate::scenario::{Attack, Corruption, Fault, Scenario};
+use crate::shard::ItemOutput;
 
 /// Simulation options beyond the protocol [`Config`].
 #[derive(Debug, Clone)]
@@ -60,7 +59,7 @@ pub struct SimOptions {
     /// Master seed; every node RNG and the network RNG derive from it.
     pub seed: u64,
     /// Metric sampling interval (default: one protocol period).
-    pub sample_interval: avmon::DurMs,
+    pub sample_interval: DurMs,
     /// History-store prototype installed on every node, if overridden.
     pub history_template: Option<HistoryStore>,
     /// Per-node behavior assignments (attack experiments).
@@ -72,22 +71,6 @@ pub struct SimOptions {
     /// [`Simulation::take_app_events`] (off by default: long runs would
     /// accumulate unbounded buffers).
     pub collect_app_events: bool,
-    /// O(1) calendar fast paths (default `true`): constant-delay timers
-    /// (ping expiries and the periodic protocol/monitoring re-arms) ride
-    /// FIFO *timer lanes*, and short-horizon events (message deliveries,
-    /// whose latency is bounded far below the wheel span) ride a hashed
-    /// *timing wheel* with millisecond buckets — leaving the binary-heap
-    /// calendar only construction-time schedules and rare odd-delay
-    /// events. Lanes are valid because those timers are armed in
-    /// nondecreasing deadline order; wheel buckets are valid because
-    /// timestamps are integer milliseconds, so one bucket holds one
-    /// instant and FIFO order *is* sequence order. Expiries of
-    /// already-answered pings are discarded at the lane head without ever
-    /// touching the node. Event *order* is unchanged (heap, lanes and
-    /// wheel merge on the same `(time, seq)` key), so same-seed reports
-    /// are byte-identical with the fast paths on or off;
-    /// `tests/equivalence.rs` holds that equivalence.
-    pub fast_calendar: bool,
     /// Overrides every node's consistency-condition pair-memo size
     /// (`Some(0)` disables memoization, `None` keeps the
     /// [`Node::set_point_memo_slots`] default policy). Purely an evaluation
@@ -96,14 +79,11 @@ pub struct SimOptions {
     /// Worker threads for node event processing (default `1` =
     /// single-threaded; `0` = one per available core). With more than one
     /// worker the engine batches independent node events inside a
-    /// conservative safe-horizon window (the minimum of the network's
-    /// smallest delivery delay and every periodic timer delay), fans the
-    /// node handlers out across the pool, and replays their outputs
-    /// sequentially in the original `(time, seq)` pop order — so RNG
-    /// draws, sequence allocation, metric folds, and invariant epochs
-    /// happen in exactly the single-threaded order and same-seed reports
-    /// are **byte-identical at any worker count**
-    /// (`tests/equivalence.rs` holds this across scenario families).
+    /// conservative safe-horizon window, fans the node handlers out across
+    /// the pool, and replays their outputs in the original `(time, seq)`
+    /// pop order (see `shard.rs`) — same-seed reports are **byte-identical
+    /// at any worker count** (`tests/equivalence.rs` holds this across
+    /// scenario families).
     pub workers: usize,
 }
 
@@ -124,7 +104,6 @@ impl SimOptions {
             behaviors: Vec::new(),
             track_all_discovery: false,
             collect_app_events: false,
-            fast_calendar: true,
             node_memo: None,
             workers: 1,
         }
@@ -135,14 +114,6 @@ impl SimOptions {
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Enables or disables the timer lanes + delivery wheel (see
-    /// [`SimOptions::fast_calendar`]).
-    #[must_use]
-    pub fn fast_calendar(mut self, enabled: bool) -> Self {
-        self.fast_calendar = enabled;
         self
     }
 
@@ -203,13 +174,20 @@ impl SimOptions {
         self
     }
 
-    /// Checks network model and scenario parameters.
+    /// Checks the sampling interval, network model and scenario
+    /// parameters.
     ///
     /// # Errors
     ///
-    /// Returns [`avmon::Error::InvalidConfig`] for inverted latency
-    /// ranges, out-of-range probabilities, or malformed scenario faults.
+    /// Returns [`avmon::Error::InvalidConfig`] for a zero sampling
+    /// interval, inverted latency ranges, out-of-range probabilities, or
+    /// malformed scenario faults.
     pub fn validate(&self) -> Result<(), avmon::Error> {
+        if self.sample_interval == 0 {
+            return Err(avmon::Error::InvalidConfig(
+                "sample_interval must be positive".into(),
+            ));
+        }
         self.network.validate()?;
         if let Some(scenario) = &self.scenario {
             scenario.validate()?;
@@ -218,376 +196,29 @@ impl SimOptions {
     }
 }
 
-#[derive(Debug)]
-enum EventKind {
-    Churn {
-        node: NodeId,
-        kind: ChurnEventKind,
-    },
-    Deliver {
-        from: NodeId,
-        to: NodeId,
-        msg: Message,
-    },
-    Timer {
-        node: NodeId,
-        incarnation: u64,
-        timer: Timer,
-    },
-    /// Snapshot counters at the start of the measurement window so the
-    /// first sample doesn't absorb the whole warm-up.
-    Baseline,
-    Sample,
-    /// A [`Fault::Corrupt`] injection: overwrite the node's PS/TS with
-    /// seed-deterministic garbage (see [`Simulation::on_corrupt`]).
-    Corrupt {
-        node: NodeId,
-        pattern: Corruption,
-        seed: u64,
-    },
-    /// A scenario-scheduled behavior switch: attack campaigns flip the
-    /// coalition's behavior at the window edges.
-    SetBehavior {
-        node: NodeId,
-        behavior: Behavior,
-    },
-    /// An application-executor wakeup ([`Simulation::schedule_app_wake`]):
-    /// pauses [`Simulation::run_until_wake`] at exactly this `(time, seq)`
-    /// position so async app tasks interleave deterministically with the
-    /// protocol calendar. Shared-state by construction — it always cuts a
-    /// parallel batch, so pause points are identical at any worker count.
-    AppWake {
-        token: u64,
-    },
-}
-
-#[derive(Debug)]
-struct Event {
-    at: TimeMs,
-    seq: u64,
-    kind: EventKind,
-}
-
-/// One constant-delay FIFO timer lane (see [`SimOptions::fast_calendar`]).
-///
-/// Every timer armed with exactly `delay` ahead of the arming instant
-/// lands here; because simulated time never decreases while draining,
-/// entries arrive in nondecreasing `(at, seq)` order and the lane pops
-/// from the front in O(1) — no heap sift. A defensive monotonicity check
-/// at push time falls back to the heap, so the lane is an optimization
-/// that can never reorder events.
-#[derive(Debug)]
-struct TimerLane {
-    delay: avmon::DurMs,
-    queue: std::collections::VecDeque<LaneTimer>,
-}
-
-#[derive(Debug)]
-struct LaneTimer {
-    at: TimeMs,
-    seq: u64,
-    node: NodeId,
-    incarnation: u64,
-    timer: Timer,
-}
-
-/// Where the next event in `(time, seq)` order currently sits.
-#[derive(Debug, Clone, Copy)]
-enum NextEvent {
-    Heap,
-    Lane(usize),
-    Wheel,
-}
-
-/// The hashed timing wheel for short-horizon events (deliveries): one
-/// FIFO bucket per millisecond over a `WHEEL_SPAN`-ms window. Timestamps
-/// are integer milliseconds, every routed delay is strictly below the
-/// span, and pushes carry globally increasing sequence numbers — so a
-/// bucket holds exactly one instant at a time and its FIFO order is
-/// sequence order, making wheel pops bit-compatible with heap pops.
-/// Events at or beyond the span (periodic timers miss the wheel but ride
-/// the lanes; freeze-thaw requeues are rare) fall back to the heap.
-const WHEEL_SPAN: u64 = 1024;
-
-#[derive(Debug)]
-struct DeliveryWheel {
-    buckets: Vec<std::collections::VecDeque<Event>>,
-    len: usize,
-    /// Lower bound on the earliest occupied bucket time (pulled back on
-    /// push, advanced monotonically by scans — amortizes peeks to O(1)).
-    cursor: TimeMs,
-}
-
-impl DeliveryWheel {
-    fn new() -> Self {
-        DeliveryWheel {
-            buckets: (0..WHEEL_SPAN)
-                .map(|_| std::collections::VecDeque::new())
-                .collect(),
-            len: 0,
-            cursor: 0,
-        }
-    }
-
-    #[inline]
-    fn accepts(&self, now: TimeMs, at: TimeMs) -> bool {
-        at >= now && at - now < WHEEL_SPAN
-    }
-
-    fn push(&mut self, event: Event) {
-        self.cursor = self.cursor.min(event.at);
-        self.len += 1;
-        self.buckets[(event.at % WHEEL_SPAN) as usize].push_back(event);
-    }
-
-    /// `(at, seq)` of the earliest event, advancing the cursor past empty
-    /// buckets along the way.
-    fn peek(&mut self) -> Option<(TimeMs, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            if let Some(front) = self.buckets[(self.cursor % WHEEL_SPAN) as usize].front() {
-                if front.at == self.cursor {
-                    return Some((front.at, front.seq));
-                }
-            }
-            self.cursor += 1;
-        }
-    }
-
-    fn pop(&mut self) -> Event {
-        let event = self.buckets[(self.cursor % WHEEL_SPAN) as usize]
-            .pop_front()
-            .expect("peek found this bucket occupied");
-        self.len -= 1;
-        event
-    }
-
-    /// The earliest event itself (not just its key) — what batch
-    /// collection classifies on before deciding whether to pop.
-    fn front(&mut self) -> Option<&Event> {
-        self.peek()?;
-        self.buckets[(self.cursor % WHEEL_SPAN) as usize].front()
-    }
-}
-
-/// Event-calendar traffic counters: how many events were popped from the
-/// binary heap vs the O(1) structures (timer lanes, delivery wheel), and
-/// how many lane-popped expiries were discarded dead (ping already
-/// answered) without touching the node. Not part of [`SimReport`] — the
-/// counters differ across equivalent configurations whose reports are
-/// byte-identical.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CalendarStats {
-    /// Events popped from the binary-heap calendar.
-    pub heap_pops: u64,
-    /// Timers popped from the FIFO lanes (zero with the fast calendar
-    /// disabled).
-    pub lane_pops: u64,
-    /// Deliveries popped from the timing wheel (zero with the fast
-    /// calendar disabled).
-    pub wheel_pops: u64,
-    /// Lane-popped `Expire` timers discarded dead in O(1).
-    pub expire_skips: u64,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so the earliest (and, on ties,
-        // first-scheduled) event pops first. Determinism depends on this.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-#[derive(Debug)]
-struct SimNode {
-    proto: Option<Node>,
-    incarnation: u64,
-    persistent: PersistentState,
-    behavior: Behavior,
-    born_at: Option<TimeMs>,
+#[derive(Debug, Default)]
+pub(crate) struct SimNode {
+    pub(crate) proto: Option<Node>,
+    pub(crate) incarnation: u64,
+    pub(crate) persistent: PersistentState,
+    pub(crate) behavior: Behavior,
+    pub(crate) born_at: Option<TimeMs>,
     left_at: Option<TimeMs>,
     last_stats: NodeStats,
     /// Streaming per-node metric accumulators: updated in place at every
     /// sampling tick (and counter fold), so report assembly never walks or
     /// clones a side map of per-node state.
-    series: NodeSeries,
+    pub(crate) series: NodeSeries,
     /// Whether `series` was ever written — only touched nodes appear in
     /// [`SimReport::series`].
-    series_touched: bool,
+    pub(crate) series_touched: bool,
 }
 
 impl SimNode {
-    fn new(behavior: Behavior) -> Self {
-        SimNode {
-            proto: None,
-            incarnation: 0,
-            persistent: PersistentState::default(),
-            behavior,
-            born_at: None,
-            left_at: None,
-            last_stats: NodeStats::default(),
-            series: NodeSeries::default(),
-            series_touched: false,
-        }
-    }
-
     fn series_mut(&mut self) -> &mut NodeSeries {
         self.series_touched = true;
         &mut self.series
     }
-}
-
-/// Streaming failure-detector QoS accumulators (the integer half of
-/// [`FdQos`]): suspicion transitions fold into episode counters as the
-/// nodes emit them, so report assembly never replays the run. Everything
-/// here is integer bookkeeping over a deterministic event order —
-/// serialized QoS is byte-identical across same-seed runs.
-#[derive(Debug, Default)]
-struct QosAccumulator {
-    /// Open wrongful-suspicion episodes, keyed by `(monitor, target)` with
-    /// the suspicion start time. Only iterated for commutative sums, so
-    /// hash order never leaks into the report.
-    // detlint::allow(banned-collection): iterated only for commutative sums
-    open_mistakes: HashMap<(NodeId, NodeId), TimeMs>,
-    /// Wrongful-suspicion episodes opened inside the measurement window.
-    episodes: u64,
-    /// Total time spent in (closed) mistake episodes.
-    mistake_time: avmon::DurMs,
-    /// True-failure detection latencies, from the target's actual death.
-    detection: DetectionDistribution,
-}
-
-/// One input to a node's handler inside a parallel batch, in that node's
-/// pop order. Lane-origin timers are distinguished so the O(1) dead-expiry
-/// discard (and its `expire_skips` accounting) happens exactly where the
-/// sequential engine does it; heap- and wheel-origin timers are always
-/// delivered (a dead firing is a no-op inside the node).
-#[derive(Debug)]
-enum ShardInput {
-    Msg { from: NodeId, msg: Message },
-    LaneTimer(Timer),
-    HeapTimer(Timer),
-}
-
-/// Everything one batched input made a node produce, drained node-locally
-/// by a worker and replayed by the main thread in the original pop order
-/// — the replay is where all sequence numbers are allocated and all
-/// network RNG draws happen, so they occur in exactly the sequential
-/// engine's order.
-#[derive(Debug, Default)]
-struct ItemOutput {
-    transmits: Vec<Transmit>,
-    timers: Vec<(Timer, TimeMs)>,
-    events: Vec<AppEvent>,
-    /// Lane-origin timer discarded dead without touching the handler.
-    expire_skip: bool,
-}
-
-/// One node's share of a batch: its protocol state moved out of the
-/// engine plus its inputs in pop order. Owning the `Node` is what makes
-/// the fan-out safe without locks — nothing borrows the engine.
-#[derive(Debug)]
-struct ShardJob {
-    index: usize,
-    node: NodeId,
-    incarnation: u64,
-    proto: Node,
-    items: Vec<(TimeMs, ShardInput)>,
-}
-
-/// A completed [`ShardJob`]: the node comes home with per-item outputs.
-#[derive(Debug)]
-struct ShardDone {
-    index: usize,
-    node: NodeId,
-    incarnation: u64,
-    proto: Node,
-    outputs: Vec<ItemOutput>,
-}
-
-/// Phase 1 of a batch for one node: apply each input at its own
-/// timestamp and capture the outputs. Pure node-local computation — the
-/// node's own state and RNG, nothing shared — so any number of these run
-/// concurrently with no observable ordering. The detlint region below
-/// machine-checks the purity claim: no engine RNG, no seq allocation,
-/// no process streams may appear between the markers.
-// detlint::region(worker-context)
-fn run_shard(job: ShardJob) -> ShardDone {
-    let ShardJob {
-        index,
-        node,
-        incarnation,
-        mut proto,
-        items,
-    } = job;
-    let mut outputs = Vec::with_capacity(items.len());
-    for (at, input) in items {
-        let mut out = ItemOutput::default();
-        match input {
-            ShardInput::Msg { from, msg } => proto.handle_message(at, from, msg),
-            ShardInput::LaneTimer(timer) => {
-                // Evaluated *here*, after this node's earlier batch inputs
-                // — an earlier pong in the same window may have retired
-                // the request, exactly as in the sequential engine.
-                if proto.timer_live(timer, at) {
-                    proto.handle_timer(at, timer);
-                } else {
-                    out.expire_skip = true;
-                    outputs.push(out);
-                    continue;
-                }
-            }
-            ShardInput::HeapTimer(timer) => proto.handle_timer(at, timer),
-        }
-        while let Some(transmit) = proto.poll_transmit() {
-            out.transmits.push(transmit);
-        }
-        while let Some(timer) = proto.poll_timer() {
-            out.timers.push(timer);
-        }
-        while let Some(event) = proto.poll_event() {
-            out.events.push(event);
-        }
-        outputs.push(out);
-    }
-    ShardDone {
-        index,
-        node,
-        incarnation,
-        proto,
-        outputs,
-    }
-}
-// detlint::endregion(worker-context)
-
-/// How batch collection treats the calendar head (see
-/// [`Simulation::classify_head`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HeadClass {
-    /// Ends the batch *before* this event; it then runs sequentially.
-    /// Anything that touches shared state (churn, sampling, corruption,
-    /// behavior switches) or needs a pop-time requeue (frozen nodes).
-    Cut,
-    /// Node-local processing for a live node: joins the batch.
-    Batch,
-    /// Guaranteed not to touch any live node (dead/unknown destination,
-    /// stale incarnation): dispatched on the spot during collection —
-    /// the sequential dispatch path already reduces to the right side
-    /// effects (useless-ping accounting, silent drops).
-    Inline,
 }
 
 /// The discrete-event simulator.
@@ -609,22 +240,22 @@ enum HeadClass {
 /// ```
 #[derive(Debug)]
 pub struct Simulation {
-    trace: Trace,
-    opts: SimOptions,
+    pub(crate) trace: Trace,
+    pub(crate) opts: SimOptions,
     selector: SharedSelector,
     // detlint::allow(banned-collection): iterated only for commutative merges; report rows sort before emission
-    nodes: HashMap<NodeId, SimNode>,
-    alive: Vec<NodeId>,
+    pub(crate) nodes: HashMap<NodeId, SimNode>,
+    pub(crate) alive: Vec<NodeId>,
     // detlint::allow(banned-collection): per-key O(1) swap-remove positions; never iterated
     alive_index: HashMap<NodeId, usize>,
-    queue: BinaryHeap<Event>,
-    now: TimeMs,
-    seq: u64,
-    rng: SmallRng,
+    /// Every pending event, in `(time, seq)` order.
+    pub(crate) calendar: Calendar,
+    pub(crate) now: TimeMs,
+    pub(crate) rng: SmallRng,
     // detlint::allow(banned-collection): membership probes only; never iterated
     tracked: HashSet<NodeId>,
-    discovery: BTreeMap<NodeId, DiscoveryLog>,
-    graveyard_stats: NodeStats,
+    pub(crate) discovery: BTreeMap<NodeId, DiscoveryLog>,
+    pub(crate) graveyard_stats: NodeStats,
     initial_cohort: Vec<NodeId>,
     /// Position of each initial-cohort member in `initial_cohort`, so
     /// bootstrap view seeding can exclude the joiner in O(1).
@@ -636,44 +267,36 @@ pub struct Simulation {
     /// a parallel batch, so every subscribed event is dispatched at its
     /// own sequential calendar position regardless of worker count.
     // detlint::allow(banned-collection): membership probes only; never iterated
-    app_subscribed: HashSet<NodeId>,
+    pub(crate) app_subscribed: HashSet<NodeId>,
     /// Wake tokens fired since the last [`Simulation::take_wakes`] drain.
     pending_wakes: Vec<u64>,
     /// Words drawn by the application executor's registered `app` RNG
     /// stream, pushed in via [`Simulation::set_app_draws`] so the
-    /// [`RngLedger`] covers app tasks too.
-    app_draws: u64,
+    /// [`RngLedger`](crate::RngLedger) covers app tasks too.
+    pub(crate) app_draws: u64,
     net: NetworkState,
     /// Per-node freeze windows from the scenario, indexed by node so the
     /// delivery/timer hot path pays O(1) for the (overwhelmingly common)
     /// unfrozen case.
     // detlint::allow(banned-collection): per-key window lookups; never iterated
     freezes: HashMap<NodeId, Vec<(TimeMs, TimeMs)>>,
-    /// FIFO lanes for the constant-delay timers, one per distinct delay
-    /// (ping timeout, protocol period, monitoring period); empty when
-    /// [`SimOptions::fast_calendar`] is off.
-    lanes: Vec<TimerLane>,
-    /// Hashed timing wheel for short-horizon events (idle when
-    /// [`SimOptions::fast_calendar`] is off).
-    wheel: DeliveryWheel,
-    pops: CalendarStats,
-    checker: InvariantChecker,
+    pub(crate) checker: InvariantChecker,
     /// Streaming FD QoS counters (see [`QosAccumulator`]).
-    qos: QosAccumulator,
+    pub(crate) qos: QosAccumulator,
     finished: bool,
     /// Resolved worker-thread count (≥ 1; see [`SimOptions::workers`]).
-    workers: usize,
+    pub(crate) workers: usize,
     /// 64-bit words drawn by the (already consumed and dropped) per-event
     /// corruption RNG streams — the `corruption` entry of the
-    /// [`RngLedger`]. Each `Fault::Corrupt` event derives a throwaway
-    /// stream from the master seed; its draw count is folded in here the
-    /// moment the stream dies.
-    corruption_draws: u64,
+    /// [`RngLedger`](crate::RngLedger). Each `Fault::Corrupt` event derives
+    /// a throwaway stream from the master seed; its draw count is folded
+    /// in here the moment the stream dies.
+    pub(crate) corruption_draws: u64,
     /// Protocol-RNG words drawn by incarnations that already left the
     /// simulation (their `Node` state is dropped at churn time); summed
     /// with the live nodes' counts at report assembly to form the `node`
-    /// stream of the [`RngLedger`].
-    graveyard_rng_draws: u64,
+    /// stream of the [`RngLedger`](crate::RngLedger).
+    pub(crate) graveyard_rng_draws: u64,
     /// The conservative safe-horizon window width for parallel batching:
     /// the minimum of the network's smallest delivery delay and every
     /// handler-armed timer delay (ping timeout, protocol period,
@@ -681,7 +304,7 @@ pub struct Simulation {
     /// inside a window `[t0, t0 + lookahead)` can schedule work before
     /// the window's end — except at the exact same instant with a larger
     /// sequence number, which the `(time, seq)` order already puts last.
-    lookahead: avmon::DurMs,
+    pub(crate) lookahead: DurMs,
 }
 
 impl Simulation {
@@ -697,49 +320,39 @@ impl Simulation {
     }
 
     /// Builds a simulation over `trace` with `opts`, validating the
-    /// network model and scenario at construction time.
+    /// options at construction time.
     ///
     /// # Errors
     ///
-    /// Returns [`avmon::Error::InvalidConfig`] for invalid network or
-    /// scenario parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty.
+    /// Returns [`avmon::Error::InvalidConfig`] for an empty trace or
+    /// invalid sampling, network or scenario parameters.
     pub fn try_new(trace: Trace, opts: SimOptions) -> Result<Self, avmon::Error> {
-        assert!(!trace.events.is_empty(), "cannot simulate an empty trace");
+        if trace.events.is_empty() {
+            return Err(avmon::Error::InvalidConfig(
+                "cannot simulate an empty trace".into(),
+            ));
+        }
         opts.validate()?;
         let selector = HashSelector::from_config_with_kind(&opts.config, opts.hasher);
-        let mut queue = BinaryHeap::with_capacity(trace.events.len() * 2);
-        let mut seq = 0u64;
+        // The three constant delays handlers arm timers with: each gets a
+        // calendar lane, and none may undercut the batching lookahead.
+        let timer_delays = [
+            opts.config.ping_timeout,
+            opts.config.protocol_period,
+            opts.config.monitoring_period,
+        ];
+        // Construction-time schedules all park on the heap.
+        let mut calendar = Calendar::new(timer_delays.to_vec(), trace.events.len() * 2);
         for e in &trace.events {
-            queue.push(Event {
-                at: e.at,
-                seq,
-                kind: EventKind::Churn {
-                    node: e.node,
-                    kind: e.kind,
-                },
-            });
-            seq += 1;
+            let (node, kind) = (e.node, e.kind);
+            calendar.defer(e.at, EventKind::Churn { node, kind });
         }
         // Sampling ticks cover the measurement window; the baseline tick
         // zeroes the counters at its start.
-        queue.push(Event {
-            at: trace.measure_from,
-            seq,
-            kind: EventKind::Baseline,
-        });
-        seq += 1;
+        calendar.defer(trace.measure_from, EventKind::Baseline);
         let mut t = trace.measure_from + opts.sample_interval;
         while t <= trace.horizon {
-            queue.push(Event {
-                at: t,
-                seq,
-                kind: EventKind::Sample,
-            });
-            seq += 1;
+            calendar.defer(t, EventKind::Sample);
             t += opts.sample_interval;
         }
         // detlint::allow(banned-collection): membership probes only; never iterated
@@ -769,19 +382,15 @@ impl Simulation {
                 if let Fault::Corrupt {
                     node,
                     pattern,
-                    seed: fault_seed,
+                    seed,
                 } = e.fault
                 {
-                    queue.push(Event {
-                        at: e.at,
-                        seq,
-                        kind: EventKind::Corrupt {
-                            node,
-                            pattern,
-                            seed: fault_seed,
-                        },
-                    });
-                    seq += 1;
+                    let kind = EventKind::Corrupt {
+                        node,
+                        pattern,
+                        seed,
+                    };
+                    calendar.defer(e.at, kind);
                 }
             }
             // Attack campaigns compile to paired behavior switches: every
@@ -794,28 +403,14 @@ impl Simulation {
                     victims,
                     duration,
                 } = &e.attack;
-                for &member in coalition {
-                    queue.push(Event {
-                        at: e.at,
-                        seq,
-                        kind: EventKind::SetBehavior {
-                            node: member,
-                            behavior: Behavior::EclipseCoalition {
-                                coalition: coalition.clone(),
-                                victims: victims.clone(),
-                            },
-                        },
-                    });
-                    seq += 1;
-                    queue.push(Event {
-                        at: e.at + duration,
-                        seq,
-                        kind: EventKind::SetBehavior {
-                            node: member,
-                            behavior: behaviors.get(&member).cloned().unwrap_or_default(),
-                        },
-                    });
-                    seq += 1;
+                for &node in coalition {
+                    let behavior = Behavior::EclipseCoalition {
+                        coalition: coalition.clone(),
+                        victims: victims.clone(),
+                    };
+                    calendar.defer(e.at, EventKind::SetBehavior { node, behavior });
+                    let behavior = behaviors.get(&node).cloned().unwrap_or_default();
+                    calendar.defer(e.at + duration, EventKind::SetBehavior { node, behavior });
                 }
             }
         }
@@ -823,7 +418,11 @@ impl Simulation {
         let mut nodes = HashMap::with_capacity(trace.identities().len());
         for id in trace.identities() {
             let behavior = behaviors.get(&id).cloned().unwrap_or_default();
-            nodes.insert(id, SimNode::new(behavior));
+            let node = SimNode {
+                behavior,
+                ..SimNode::default()
+            };
+            nodes.insert(id, node);
         }
         let rng = SmallRng::seed_from_u64(opts.seed ^ 0xdead_beef_cafe_f00d);
         let net = NetworkState::compile(opts.network.clone(), opts.scenario.as_ref());
@@ -863,24 +462,6 @@ impl Simulation {
             );
         }
         checker.set_memo_policy(memo_policy);
-        let lanes = if opts.fast_calendar {
-            let mut delays = vec![
-                opts.config.ping_timeout,
-                opts.config.protocol_period,
-                opts.config.monitoring_period,
-            ];
-            delays.sort_unstable();
-            delays.dedup();
-            delays
-                .into_iter()
-                .map(|delay| TimerLane {
-                    delay,
-                    queue: std::collections::VecDeque::new(),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         let workers = match opts.workers {
             0 => std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -890,16 +471,10 @@ impl Simulation {
         // Safe-horizon width: handlers only ever schedule at least this
         // far ahead (deliveries pay the network's minimum latency plus
         // only-additive jitter; handler-armed timers use the three
-        // constant protocol delays — the random short phases of `start`
-        // happen exclusively at churn events, which cut batches).
-        let lookahead = opts
-            .network
-            .latency
-            .min_delay()
-            .min(opts.config.ping_timeout)
-            .min(opts.config.protocol_period)
-            .min(opts.config.monitoring_period)
-            .max(1);
+        // constant delays — the random short phases of `start` happen
+        // exclusively at churn events, which cut batches).
+        let min_delay = opts.network.latency.min_delay();
+        let lookahead = timer_delays.into_iter().fold(min_delay, DurMs::min).max(1);
         Ok(Simulation {
             trace,
             opts,
@@ -908,9 +483,8 @@ impl Simulation {
             alive: Vec::new(),
             // detlint::allow(banned-collection): see the field declaration
             alive_index: HashMap::new(),
-            queue,
+            calendar,
             now: 0,
-            seq,
             rng,
             tracked,
             discovery: BTreeMap::new(),
@@ -924,9 +498,6 @@ impl Simulation {
             app_draws: 0,
             net,
             freezes,
-            lanes,
-            wheel: DeliveryWheel::new(),
-            pops: CalendarStats::default(),
             checker,
             qos: QosAccumulator::default(),
             finished: false,
@@ -997,7 +568,7 @@ impl Simulation {
     /// [`Simulation::run_until_wake`] pauses at the wake instant.
     pub fn schedule_app_wake(&mut self, at: TimeMs, token: u64) {
         let at = at.max(self.now);
-        self.requeue(at, EventKind::AppWake { token });
+        self.calendar.defer(at, EventKind::AppWake { token });
     }
 
     /// Drains the wake tokens fired since the last call.
@@ -1006,7 +577,7 @@ impl Simulation {
     }
 
     /// Records the application executor's RNG draw count — the `app`
-    /// stream of the [`RngLedger`] (`crate::invariants::RngLedger`).
+    /// stream of the [`RngLedger`](crate::RngLedger).
     pub fn set_app_draws(&mut self, draws: u64) {
         self.app_draws = draws;
     }
@@ -1017,7 +588,7 @@ impl Simulation {
     pub fn send_app(&mut self, from: NodeId, to: NodeId, payload: Vec<u8>) {
         if let Some(node) = self.nodes.get_mut(&from).and_then(|n| n.proto.as_mut()) {
             node.send_app(to, payload);
-            self.drain_node(from);
+            self.apply_outputs(from, None);
         }
     }
 
@@ -1028,7 +599,7 @@ impl Simulation {
         let now = self.now;
         if let Some(node) = self.nodes.get_mut(&from).and_then(|n| n.proto.as_mut()) {
             node.request_report(now, target, count);
-            self.drain_node(from);
+            self.apply_outputs(from, None);
         }
     }
 
@@ -1038,7 +609,7 @@ impl Simulation {
         let now = self.now;
         if let Some(node) = self.nodes.get_mut(&from).and_then(|n| n.proto.as_mut()) {
             node.request_history(now, monitor, target);
-            self.drain_node(from);
+            self.apply_outputs(from, None);
         }
     }
 
@@ -1051,8 +622,8 @@ impl Simulation {
     /// Advances simulated time to `deadline` (capped at the horizon).
     ///
     /// With [`SimOptions::workers`] > 1 this routes through the batched
-    /// parallel path ([`Simulation::run_window_batches`]); the event
-    /// outcome — and the serialized report — is byte-identical either way.
+    /// parallel loop (`shard.rs`); the event outcome — and the serialized
+    /// report — is byte-identical either way.
     pub fn run_until(&mut self, deadline: TimeMs) {
         self.run_until_inner(deadline, false);
     }
@@ -1074,22 +645,14 @@ impl Simulation {
 
     fn run_until_inner(&mut self, deadline: TimeMs, stop_on_wake: bool) -> bool {
         let deadline = deadline.min(self.trace.horizon);
-        let paused = if self.workers > 1 {
-            self.run_window_batches(deadline, stop_on_wake)
+        let mut paused = false;
+        if self.workers > 1 {
+            paused = self.run_window_batches(deadline, stop_on_wake);
         } else {
-            let mut paused = false;
-            while let Some((at, _, src)) = self.peek_next() {
-                if at > deadline {
-                    break;
-                }
-                self.pop_and_dispatch(src);
-                if stop_on_wake && self.wake_pending() {
-                    paused = true;
-                    break;
-                }
+            while !paused && self.step(deadline) {
+                paused = stop_on_wake && self.wake_pending();
             }
-            paused
-        };
+        }
         if !paused {
             self.now = deadline;
             self.finish_if_horizon(deadline);
@@ -1099,51 +662,27 @@ impl Simulation {
 
     /// Whether a paused executor has something to process: a fired wake
     /// or an undrained application event.
-    fn wake_pending(&self) -> bool {
+    pub(crate) fn wake_pending(&self) -> bool {
         !self.pending_wakes.is_empty() || !self.app_events.is_empty()
     }
 
-    /// Pops the event `peek_next` found at `src` and dispatches it
-    /// sequentially (the single-step primitive both engine paths share).
-    fn pop_and_dispatch(&mut self, src: NextEvent) {
-        match src {
-            NextEvent::Heap => {
-                let event = self.queue.pop().expect("peeked");
-                self.pops.heap_pops += 1;
-                self.now = event.at;
-                self.dispatch(event.kind);
-            }
-            NextEvent::Lane(i) => {
-                let lane_timer = self.lanes[i].queue.pop_front().expect("peeked");
-                self.pops.lane_pops += 1;
-                self.now = lane_timer.at;
-                self.dispatch_lane_timer(lane_timer);
-            }
-            NextEvent::Wheel => {
-                let event = self.wheel.pop();
-                self.pops.wheel_pops += 1;
-                self.now = event.at;
-                self.dispatch(event.kind);
-            }
-        }
+    /// Pops the next event due by `deadline` and dispatches it
+    /// sequentially (the single-step primitive both engine loops share);
+    /// `false` when nothing is due.
+    pub(crate) fn step(&mut self, deadline: TimeMs) -> bool {
+        let Some((event, from_lane)) = self.calendar.pop_due(deadline) else {
+            return false;
+        };
+        self.now = event.at;
+        self.dispatch(event.kind, from_lane);
+        true
     }
 
     /// End-of-run bookkeeping, once, when the horizon is reached.
     fn finish_if_horizon(&mut self, deadline: TimeMs) {
         if deadline == self.trace.horizon && !self.finished {
             self.finished = true;
-            // Close every still-open mistake episode at the horizon so the
-            // QoS totals cover the whole measurement window. (HashMap drain
-            // order only feeds a commutative integer sum.)
-            let now = self.now;
-            let QosAccumulator {
-                open_mistakes,
-                mistake_time,
-                ..
-            } = &mut self.qos;
-            for (_, start) in open_mistakes.drain() {
-                *mistake_time += now.saturating_sub(start);
-            }
+            self.qos.close_all(self.now);
             // End-of-run invariant sweep (Theorem 1 liveness, convergence).
             let Simulation {
                 checker,
@@ -1161,537 +700,14 @@ impl Simulation {
         }
     }
 
-    /// The `(time, seq)`-least upcoming event across the binary heap,
-    /// every timer lane, and the delivery wheel. Lanes and wheel buckets
-    /// are FIFO in `(time, seq)`, so inspecting each front suffices;
-    /// sequence numbers are globally unique, making the merge a total
-    /// order — the pop sequence is *identical* to the all-heap calendar's.
-    fn peek_next(&mut self) -> Option<(TimeMs, u64, NextEvent)> {
-        let mut best = self.queue.peek().map(|e| (e.at, e.seq, NextEvent::Heap));
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if let Some(front) = lane.queue.front() {
-                if best.is_none_or(|(at, seq, _)| (front.at, front.seq) < (at, seq)) {
-                    best = Some((front.at, front.seq, NextEvent::Lane(i)));
-                }
-            }
-        }
-        if let Some((at, seq)) = self.wheel.peek() {
-            if best.is_none_or(|(bat, bseq, _)| (at, seq) < (bat, bseq)) {
-                best = Some((at, seq, NextEvent::Wheel));
-            }
-        }
-        best
-    }
-
-    /// The parallel engine loop (active when [`SimOptions::workers`] > 1).
-    ///
-    /// Repeatedly carves a conservative window `[t0, t0 + lookahead)` off
-    /// the calendar head, classifies each event in pop order —
-    /// shared-state events **cut** the batch and run sequentially,
-    /// no-op-on-live-nodes events run **inline**, and live-node
-    /// deliveries/timers **batch** — then executes the batch in two
-    /// phases: workers apply the node-local handlers concurrently on
-    /// nodes moved out of the engine (phase 1), and the main thread
-    /// replays every captured output in the original pop order (phase 2),
-    /// which is where all sequence numbers are allocated and all shared
-    /// RNG draws happen. The pop/replay sequence is therefore *identical*
-    /// to the sequential engine's, making same-seed reports byte-identical
-    /// at any worker count.
-    fn run_window_batches(&mut self, deadline: TimeMs, stop_on_wake: bool) -> bool {
-        let mut paused = false;
-        let (res_tx, res_rx) = mpsc::channel::<Vec<ShardDone>>();
-        std::thread::scope(|scope| {
-            // One job channel per worker, spawned once for the whole call;
-            // jobs own their nodes, so the workers borrow nothing.
-            let mut job_txs: Vec<mpsc::Sender<Vec<ShardJob>>> = Vec::with_capacity(self.workers);
-            for _ in 0..self.workers {
-                let (job_tx, job_rx) = mpsc::channel::<Vec<ShardJob>>();
-                job_txs.push(job_tx);
-                let res_tx = res_tx.clone();
-                scope.spawn(move || {
-                    while let Ok(jobs) = job_rx.recv() {
-                        let done: Vec<ShardDone> = jobs.into_iter().map(run_shard).collect();
-                        if res_tx.send(done).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            while let Some((t0, _, _)) = self.peek_next() {
-                if t0 > deadline {
-                    break;
-                }
-                let window_end = t0.saturating_add(self.lookahead);
-                let (order, groups, cut) = self.collect_batch(window_end, deadline);
-                if !groups.is_empty() {
-                    self.execute_batch(order, groups, window_end, &job_txs, &res_rx);
-                }
-                if cut {
-                    // The cut event is still the calendar head: everything
-                    // scheduled by the batch lands at or beyond the window
-                    // end, or at the same instant with a larger sequence.
-                    if let Some((at, _, src)) = self.peek_next() {
-                        if at <= deadline {
-                            self.pop_and_dispatch(src);
-                            // Wakes and subscribed-node events only ever
-                            // arise from cut dispatches (they classify as
-                            // Cut), so this is the only pause check the
-                            // parallel loop needs.
-                            if stop_on_wake && self.wake_pending() {
-                                paused = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            // Hang up the job channels so the workers drain and exit.
-            drop(job_txs);
-        });
-        paused
-    }
-
-    /// Collects one batch in pop order, consuming batchable and inline
-    /// heads and stopping at the window end or the first cut event.
-    /// Returns the replay order as `(group, time)` pairs, the per-node
-    /// jobs (each owning its `Node`), and whether a cut event is pending.
-    fn collect_batch(
-        &mut self,
-        window_end: TimeMs,
-        deadline: TimeMs,
-    ) -> (Vec<(usize, TimeMs)>, Vec<ShardJob>, bool) {
-        let mut order: Vec<(usize, TimeMs)> = Vec::new();
-        let mut groups: Vec<ShardJob> = Vec::new();
-        // detlint::allow(banned-collection): per-key job grouping; batch order comes from pop order
-        let mut index: HashMap<NodeId, usize> = HashMap::new();
-        let mut cut = false;
-        while let Some((at, _, src)) = self.peek_next() {
-            if at >= window_end || at > deadline {
-                break;
-            }
-            match self.classify_head(src, at, &index) {
-                HeadClass::Cut => {
-                    cut = true;
-                    break;
-                }
-                // Inline events never touch a live node, so the ordinary
-                // dispatch path is exact: dead-destination deliveries do
-                // their useless-ping accounting, stale timers fall
-                // through the incarnation check, nothing else happens.
-                HeadClass::Inline => self.pop_and_dispatch(src),
-                HeadClass::Batch => {
-                    let (node, input) = self.pop_batchable(src);
-                    let gi = match index.get(&node) {
-                        Some(&gi) => gi,
-                        None => {
-                            let sim_node = self.nodes.get_mut(&node).expect("classified live");
-                            let gi = groups.len();
-                            groups.push(ShardJob {
-                                index: gi,
-                                node,
-                                incarnation: sim_node.incarnation,
-                                proto: sim_node.proto.take().expect("classified live"),
-                                items: Vec::new(),
-                            });
-                            index.insert(node, gi);
-                            gi
-                        }
-                    };
-                    groups[gi].items.push((at, input));
-                    order.push((gi, at));
-                }
-            }
-        }
-        (order, groups, cut)
-    }
-
-    /// Classifies the calendar head for batch collection. `batched` maps
-    /// nodes already in this batch (whose `proto` is temporarily moved
-    /// out) — they are still live, their liveness just isn't visible in
-    /// `self.nodes` right now.
-    fn classify_head(
-        &mut self,
-        src: NextEvent,
-        at: TimeMs,
-        // detlint::allow(banned-collection): probe-only membership parameter
-        batched: &HashMap<NodeId, usize>,
-    ) -> HeadClass {
-        // Summarize the head by value first: the wheel's front needs
-        // `&mut self`, which must end before the `&self` lookups below.
-        enum HeadView {
-            Shared,
-            Deliver { to: NodeId },
-            Timer { node: NodeId, incarnation: u64 },
-        }
-        let view = |event: &Event| match event.kind {
-            EventKind::Deliver { to, .. } => HeadView::Deliver { to },
-            EventKind::Timer {
-                node, incarnation, ..
-            } => HeadView::Timer { node, incarnation },
-            _ => HeadView::Shared,
-        };
-        let head = match src {
-            NextEvent::Heap => view(self.queue.peek().expect("peeked")),
-            NextEvent::Lane(i) => {
-                let front = self.lanes[i].queue.front().expect("peeked");
-                HeadView::Timer {
-                    node: front.node,
-                    incarnation: front.incarnation,
-                }
-            }
-            NextEvent::Wheel => view(self.wheel.front().expect("peeked")),
-        };
-        match head {
-            HeadView::Shared => HeadClass::Cut,
-            HeadView::Deliver { to } => {
-                if self.frozen_at(to, at).is_some() || self.app_subscribed.contains(&to) {
-                    // Frozen destinations requeue at pop time with a fresh
-                    // sequence number — that allocation must happen at the
-                    // sequential position, so the event cuts the batch.
-                    // App-subscribed destinations cut too: their events
-                    // must pause `run_until_wake` at the exact sequential
-                    // calendar position, independent of worker count.
-                    HeadClass::Cut
-                } else if batched.contains_key(&to)
-                    || self.nodes.get(&to).is_some_and(|n| n.proto.is_some())
-                {
-                    HeadClass::Batch
-                } else {
-                    HeadClass::Inline
-                }
-            }
-            HeadView::Timer { node, incarnation } => {
-                if self.frozen_at(node, at).is_some() || self.app_subscribed.contains(&node) {
-                    HeadClass::Cut
-                } else if self.nodes.get(&node).is_some_and(|n| {
-                    n.incarnation == incarnation
-                        && (n.proto.is_some() || batched.contains_key(&node))
-                }) {
-                    HeadClass::Batch
-                } else {
-                    HeadClass::Inline
-                }
-            }
-        }
-    }
-
-    /// Pops a batch-classified head and converts it to a shard input.
-    fn pop_batchable(&mut self, src: NextEvent) -> (NodeId, ShardInput) {
-        fn input_of(kind: EventKind) -> (NodeId, ShardInput) {
-            match kind {
-                EventKind::Deliver { from, to, msg } => (to, ShardInput::Msg { from, msg }),
-                EventKind::Timer { node, timer, .. } => (node, ShardInput::HeapTimer(timer)),
-                other => unreachable!("unbatchable event classified as batch: {other:?}"),
-            }
-        }
-        match src {
-            NextEvent::Heap => {
-                let event = self.queue.pop().expect("peeked");
-                self.pops.heap_pops += 1;
-                self.now = event.at;
-                input_of(event.kind)
-            }
-            NextEvent::Lane(i) => {
-                let lane_timer = self.lanes[i].queue.pop_front().expect("peeked");
-                self.pops.lane_pops += 1;
-                self.now = lane_timer.at;
-                (lane_timer.node, ShardInput::LaneTimer(lane_timer.timer))
-            }
-            NextEvent::Wheel => {
-                let event = self.wheel.pop();
-                self.pops.wheel_pops += 1;
-                self.now = event.at;
-                input_of(event.kind)
-            }
-        }
-    }
-
-    /// Executes a collected batch: phase 1 fans the per-node jobs out to
-    /// the worker pool (inline for tiny batches, where the channel
-    /// round-trip would dominate), phase 2 restores the nodes and replays
-    /// every output strictly in the original pop order.
-    fn execute_batch(
-        &mut self,
-        order: Vec<(usize, TimeMs)>,
-        groups: Vec<ShardJob>,
-        window_end: TimeMs,
-        job_txs: &[mpsc::Sender<Vec<ShardJob>>],
-        res_rx: &mpsc::Receiver<Vec<ShardDone>>,
-    ) {
-        let n_groups = groups.len();
-        let mut slots: Vec<Option<ShardDone>> = (0..n_groups).map(|_| None).collect();
-        if n_groups < 2 || order.len() < 16 {
-            for job in groups {
-                let gi = job.index;
-                slots[gi] = Some(run_shard(job));
-            }
-        } else {
-            let mut per_worker: Vec<Vec<ShardJob>> =
-                (0..job_txs.len()).map(|_| Vec::new()).collect();
-            for job in groups {
-                per_worker[job.index % job_txs.len()].push(job);
-            }
-            let mut outstanding = 0;
-            for (tx, jobs) in job_txs.iter().zip(per_worker) {
-                if !jobs.is_empty() {
-                    tx.send(jobs).expect("worker alive");
-                    outstanding += 1;
-                }
-            }
-            for _ in 0..outstanding {
-                for done in res_rx.recv().expect("worker alive") {
-                    let gi = done.index;
-                    slots[gi] = Some(done);
-                }
-            }
-        }
-        // Bring every node home before replaying: replay routes messages
-        // and folds metrics but never touches protocol state.
-        let mut meta: Vec<(NodeId, u64)> = Vec::with_capacity(n_groups);
-        let mut outputs: Vec<std::vec::IntoIter<ItemOutput>> = Vec::with_capacity(n_groups);
-        for slot in slots {
-            let done = slot.expect("every group completes");
-            let sim_node = self.nodes.get_mut(&done.node).expect("known node");
-            debug_assert_eq!(sim_node.incarnation, done.incarnation);
-            sim_node.proto = Some(done.proto);
-            meta.push((done.node, done.incarnation));
-            outputs.push(done.outputs.into_iter());
-        }
-        // With a window wider than one instant, nothing a handler did may
-        // schedule inside the window; width-1 windows may schedule at the
-        // same instant, which the fresh (larger) sequence numbers order
-        // correctly.
-        let barrier = if self.lookahead > 1 { window_end } else { 0 };
-        for (gi, at) in order {
-            let out = outputs[gi].next().expect("one output per item");
-            self.now = at;
-            if out.expire_skip {
-                self.pops.expire_skips += 1;
-                continue;
-            }
-            let (node, incarnation) = meta[gi];
-            self.replay_output(node, incarnation, out, barrier);
-        }
-    }
-
-    /// Phase 2 for one batched input: routes its transmits, schedules its
-    /// timers, and folds its app events — a line-for-line mirror of
-    /// [`Simulation::drain_node`]'s post-handler logic, operating on the
-    /// captured outputs instead of polling the node. `tests/equivalence.rs`
-    /// holds the two paths byte-identical.
-    fn replay_output(&mut self, id: NodeId, incarnation: u64, out: ItemOutput, barrier: TimeMs) {
-        let Simulation {
-            nodes,
-            alive,
-            alive_index,
-            queue,
-            lanes,
-            wheel,
-            now,
-            seq,
-            rng,
-            opts,
-            net,
-            discovery,
-            app_events,
-            app_subscribed,
-            trace,
-            qos,
-            ..
-        } = self;
-        let now = *now;
-        let fast = opts.fast_calendar;
-        let push_event =
-            |queue: &mut BinaryHeap<Event>, wheel: &mut DeliveryWheel, event: Event| {
-                debug_assert!(
-                    event.at >= barrier,
-                    "phase-2 output scheduled inside the safe-horizon window"
-                );
-                if fast && wheel.accepts(now, event.at) {
-                    wheel.push(event);
-                } else {
-                    queue.push(event);
-                }
-            };
-        let route_to = |queue: &mut BinaryHeap<Event>,
-                        wheel: &mut DeliveryWheel,
-                        rng: &mut SmallRng,
-                        seq: &mut u64,
-                        to: NodeId,
-                        msg: Message| {
-            match net.route(rng, now, id, to) {
-                Route::Drop => {}
-                Route::Deliver {
-                    delay,
-                    duplicate_delay,
-                } => {
-                    if let Some(dup) = duplicate_delay {
-                        push_event(
-                            queue,
-                            wheel,
-                            Event {
-                                at: now + dup,
-                                seq: *seq,
-                                kind: EventKind::Deliver {
-                                    from: id,
-                                    to,
-                                    msg: msg.clone(),
-                                },
-                            },
-                        );
-                        *seq += 1;
-                    }
-                    push_event(
-                        queue,
-                        wheel,
-                        Event {
-                            at: now + delay,
-                            seq: *seq,
-                            kind: EventKind::Deliver { from: id, to, msg },
-                        },
-                    );
-                    *seq += 1;
-                }
-            }
-        };
-        for transmit in out.transmits {
-            match transmit.to {
-                Destination::Node(to) => {
-                    route_to(queue, wheel, rng, seq, to, transmit.msg);
-                }
-                Destination::AllNodes => {
-                    for &to in alive.iter() {
-                        if to == id {
-                            continue;
-                        }
-                        route_to(queue, wheel, rng, seq, to, transmit.msg.clone());
-                    }
-                }
-            }
-        }
-        for (timer, at) in out.timers {
-            let at = at.max(now);
-            debug_assert!(
-                at >= barrier,
-                "phase-2 timer armed inside the safe-horizon window"
-            );
-            let lane = lanes
-                .iter_mut()
-                .find(|lane| now + lane.delay == at)
-                .filter(|lane| lane.queue.back().is_none_or(|back| back.at <= at));
-            match lane {
-                Some(lane) => lane.queue.push_back(LaneTimer {
-                    at,
-                    seq: *seq,
-                    node: id,
-                    incarnation,
-                    timer,
-                }),
-                None => push_event(
-                    queue,
-                    wheel,
-                    Event {
-                        at,
-                        seq: *seq,
-                        kind: EventKind::Timer {
-                            node: id,
-                            incarnation,
-                            timer,
-                        },
-                    },
-                ),
-            }
-            *seq += 1;
-        }
-        let mut suspicions: Vec<(bool, NodeId)> = Vec::new();
-        for event in out.events {
-            match &event {
-                AppEvent::MonitorDiscovered { .. } => {
-                    if let Some(log) = discovery.get_mut(&id) {
-                        log.monitor_times.push(now);
-                    }
-                }
-                AppEvent::TargetUnresponsive { target } => suspicions.push((true, *target)),
-                AppEvent::TargetResponsive { target } => suspicions.push((false, *target)),
-                _ => {}
-            }
-            if opts.collect_app_events || app_subscribed.contains(&id) {
-                app_events.push((now, id, event));
-            }
-        }
-        for (down, target) in suspicions {
-            if down {
-                if alive_index.contains_key(&target) {
-                    if now >= trace.measure_from {
-                        qos.episodes += 1;
-                        qos.open_mistakes.insert((id, target), now);
-                    }
-                } else if now >= trace.measure_from {
-                    if let Some(left) = nodes.get(&target).and_then(|n| n.left_at) {
-                        qos.detection.record(now.saturating_sub(left));
-                    }
-                }
-            } else if let Some(start) = qos.open_mistakes.remove(&(id, target)) {
-                qos.mistake_time += now.saturating_sub(start);
-            }
-        }
-    }
-
-    /// Dispatches a lane-popped timer: same semantics as a heap
-    /// [`EventKind::Timer`], plus the O(1) dead-expiry discard — a firing
-    /// [`Node::timer_live`] rejects would be a guaranteed no-op inside the
-    /// node, so it is dropped here without the `handle_timer` round-trip.
-    fn dispatch_lane_timer(&mut self, lane_timer: LaneTimer) {
-        let LaneTimer {
-            node,
-            incarnation,
-            timer,
-            ..
-        } = lane_timer;
-        if let Some(thaw) = self.frozen_until(node) {
-            // Frozen: stall on the heap exactly like a heap-popped timer
-            // (the lane's monotonicity no longer holds for a thaw time).
-            self.requeue(
-                thaw,
-                EventKind::Timer {
-                    node,
-                    incarnation,
-                    timer,
-                },
-            );
-            return;
-        }
-        let Some(sim_node) = self.nodes.get_mut(&node) else {
-            return;
-        };
-        if sim_node.incarnation != incarnation {
-            return; // stale timer from a previous incarnation
-        }
-        let now = self.now;
-        let Some(proto) = sim_node.proto.as_mut() else {
-            return;
-        };
-        if !proto.timer_live(timer, now) {
-            self.pops.expire_skips += 1;
-            return;
-        }
-        proto.handle_timer(now, timer);
-        self.drain_node(node);
-    }
-
     /// Event-calendar traffic counters for this run so far.
     #[must_use]
     pub fn calendar_stats(&self) -> CalendarStats {
-        self.pops
-    }
-
-    /// The thaw time if `node` is inside a freeze window at `self.now`.
-    fn frozen_until(&self, node: NodeId) -> Option<TimeMs> {
-        self.frozen_at(node, self.now)
+        self.calendar.stats()
     }
 
     /// The thaw time if `node` is inside a freeze window at `at`.
-    fn frozen_at(&self, node: NodeId, at: TimeMs) -> Option<TimeMs> {
+    pub(crate) fn frozen_at(&self, node: NodeId, at: TimeMs) -> Option<TimeMs> {
         let windows = self.freezes.get(&node)?;
         windows
             .iter()
@@ -1699,57 +715,22 @@ impl Simulation {
             .map(|&(_, until)| until)
     }
 
-    /// Re-queues `kind` to fire at `at` (used to stall events of frozen
-    /// nodes; original relative order is preserved by the fresh `seq`).
-    fn requeue(&mut self, at: TimeMs, kind: EventKind) {
-        self.queue.push(Event {
-            at,
-            seq: self.seq,
-            kind,
-        });
-        self.seq += 1;
-    }
-
-    fn dispatch(&mut self, kind: EventKind) {
+    fn dispatch(&mut self, kind: EventKind, from_lane: bool) {
+        // A frozen node stops processing: its deliveries and timers stall
+        // on the heap, in order, until the freeze thaws.
+        let addressee = kind.addressee().map(|(node, _)| node);
+        if let Some(thaw) = addressee.and_then(|node| self.frozen_at(node, self.now)) {
+            self.calendar.defer(thaw, kind);
+            return;
+        }
         match kind {
             EventKind::Churn { node, kind } => self.on_churn(node, kind),
-            EventKind::Deliver { from, to, msg } => {
-                // A frozen destination stops processing: its deliveries
-                // stall, in order, until the freeze thaws.
-                if let Some(thaw) = self.frozen_until(to) {
-                    self.requeue(thaw, EventKind::Deliver { from, to, msg });
-                    return;
-                }
-                self.on_deliver(from, to, msg);
-            }
+            EventKind::Deliver { from, to, msg } => self.on_deliver(from, to, msg),
             EventKind::Timer {
                 node,
                 incarnation,
                 timer,
-            } => {
-                if let Some(thaw) = self.frozen_until(node) {
-                    self.requeue(
-                        thaw,
-                        EventKind::Timer {
-                            node,
-                            incarnation,
-                            timer,
-                        },
-                    );
-                    return;
-                }
-                let Some(sim_node) = self.nodes.get_mut(&node) else {
-                    return;
-                };
-                if sim_node.incarnation != incarnation {
-                    return; // stale timer from a previous incarnation
-                }
-                let now = self.now;
-                if let Some(proto) = sim_node.proto.as_mut() {
-                    proto.handle_timer(now, timer);
-                    self.drain_node(node);
-                }
-            }
+            } => self.on_timer(node, incarnation, timer, from_lane),
             EventKind::Baseline => {
                 for &id in &self.alive {
                     let sim_node = self.nodes.get_mut(&id).expect("alive implies known");
@@ -1770,6 +751,30 @@ impl Simulation {
             EventKind::SetBehavior { node, behavior } => self.on_set_behavior(node, behavior),
             EventKind::AppWake { token } => self.pending_wakes.push(token),
         }
+    }
+
+    /// Fires `timer` on `node` if that incarnation is still up. A firing
+    /// that rode a lane and that [`Node::timer_live`] rejects would be a
+    /// guaranteed no-op inside the node, so it is dropped here without the
+    /// `handle_timer` round-trip; heap- and wheel-origin firings are always
+    /// delivered.
+    fn on_timer(&mut self, node: NodeId, incarnation: u64, timer: Timer, from_lane: bool) {
+        let now = self.now;
+        let Some(sim_node) = self.nodes.get_mut(&node) else {
+            return;
+        };
+        if sim_node.incarnation != incarnation {
+            return; // stale timer from a previous incarnation
+        }
+        let Some(proto) = sim_node.proto.as_mut() else {
+            return;
+        };
+        if from_lane && !proto.timer_live(timer, now) {
+            self.calendar.note_expire_skip();
+            return;
+        }
+        proto.handle_timer(now, timer);
+        self.apply_outputs(node, None);
     }
 
     /// Applies a scenario-scheduled behavior switch to both the engine's
@@ -1872,7 +877,7 @@ impl Simulation {
                 // — detection (and the window's `detected_after_ms`) must be
                 // pinned to the injection, not race the self-repair.
                 self.checker.on_sample(self.now, std::iter::once(&*proto));
-                self.drain_node(node);
+                self.apply_outputs(node, None);
             }
             None => sim_node.persistent = state,
         }
@@ -1960,14 +965,11 @@ impl Simulation {
                 }
                 self.alive_insert(id);
                 self.checker.node_up(id, now);
-                self.drain_node(id);
+                self.apply_outputs(id, None);
             }
             ChurnEventKind::Leave | ChurnEventKind::Death => {
                 self.checker.node_down(id);
-                // A departing monitor's open mistakes end here; so do open
-                // mistakes *about* it — suspecting a node that just died
-                // stops being a mistake at the instant of death.
-                self.close_open_mistakes(id);
+                self.qos.close_involving(self.now, id);
                 let sim_node = self.nodes.get_mut(&id).expect("identity known");
                 if let Some(proto) = sim_node.proto.take() {
                     // Fold the unsampled tail of this incarnation's counters.
@@ -1997,7 +999,7 @@ impl Simulation {
         match sim_node.proto.as_mut() {
             Some(proto) => {
                 proto.handle_message(now, from, msg);
-                self.drain_node(to);
+                self.apply_outputs(to, None);
             }
             None => {
                 // Destination has departed: the message is lost. Monitoring
@@ -2048,25 +1050,23 @@ impl Simulation {
         );
     }
 
-    /// Drains `node`'s queued outputs straight into the event calendar —
-    /// the simulator's instantiation of the shared drain loop. Split
-    /// borrows keep this allocation-free: transmits become `Deliver`
-    /// events (latency-sampled), timers become incarnation-stamped `Timer`
-    /// events, and app events feed the discovery log / event buffer.
-    fn drain_node(&mut self, id: NodeId) {
+    /// Applies everything `id`'s last input made it produce — polled
+    /// straight off the live node (allocation-free), or replayed from the
+    /// `captured` output of a sharded batch together with the window's
+    /// scheduling barrier. The one place a node's outputs enter the
+    /// simulation: transmits become `Deliver` events (latency-sampled),
+    /// timers become incarnation-stamped `Timer` events, and app events
+    /// feed the discovery log, the QoS fold and the event buffer.
+    pub(crate) fn apply_outputs(&mut self, id: NodeId, captured: Option<(ItemOutput, TimeMs)>) {
         let Simulation {
             nodes,
             alive,
             alive_index,
-            queue,
-            lanes,
-            wheel,
+            calendar,
             now,
-            seq,
             rng,
             opts,
             net,
-            tracked: _,
             discovery,
             app_events,
             app_subscribed,
@@ -2074,184 +1074,40 @@ impl Simulation {
             qos,
             ..
         } = self;
+        let now = *now;
         let Some(sim_node) = nodes.get_mut(&id) else {
             return;
         };
-        let incarnation = sim_node.incarnation;
-        let Some(proto) = sim_node.proto.as_mut() else {
-            return;
+        let mut sink = OutputSink {
+            incarnation: sim_node.incarnation,
+            now,
+            barrier: captured.as_ref().map_or(0, |&(_, barrier)| barrier),
+            calendar,
+            net,
+            rng,
+            alive,
+            discovery,
+            app_events: (opts.collect_app_events || app_subscribed.contains(&id))
+                .then_some(app_events),
+            suspicions: Vec::new(),
         };
-        let now = *now;
-
-        // Fast-calendar routing: short-horizon events land in the wheel,
-        // everything else in the heap. Sequence numbers are assigned in
-        // the same order either way, so pop order is container-agnostic.
-        let fast = opts.fast_calendar;
-        let push_event =
-            |queue: &mut BinaryHeap<Event>, wheel: &mut DeliveryWheel, event: Event| {
-                if fast && wheel.accepts(now, event.at) {
-                    wheel.push(event);
-                } else {
-                    queue.push(event);
-                }
-            };
-
-        // Routes one unicast through the network model: lost, delivered,
-        // or delivered twice (duplication), each copy independently
-        // delayed. Takes the message by value so the fault-free unicast
-        // path stays clone-free, exactly like the pre-fault engine.
-        let route_to = |queue: &mut BinaryHeap<Event>,
-                        wheel: &mut DeliveryWheel,
-                        rng: &mut SmallRng,
-                        seq: &mut u64,
-                        to: NodeId,
-                        msg: Message| {
-            match net.route(rng, now, id, to) {
-                Route::Drop => {}
-                Route::Deliver {
-                    delay,
-                    duplicate_delay,
-                } => {
-                    if let Some(dup) = duplicate_delay {
-                        push_event(
-                            queue,
-                            wheel,
-                            Event {
-                                at: now + dup,
-                                seq: *seq,
-                                kind: EventKind::Deliver {
-                                    from: id,
-                                    to,
-                                    msg: msg.clone(),
-                                },
-                            },
-                        );
-                        *seq += 1;
-                    }
-                    push_event(
-                        queue,
-                        wheel,
-                        Event {
-                            at: now + delay,
-                            seq: *seq,
-                            kind: EventKind::Deliver { from: id, to, msg },
-                        },
-                    );
-                    *seq += 1;
-                }
-            }
-        };
-
-        while let Some(transmit) = proto.poll_transmit() {
-            match transmit.to {
-                Destination::Node(to) => {
-                    route_to(queue, wheel, rng, seq, to, transmit.msg);
-                }
-                Destination::AllNodes => {
-                    for &to in alive.iter() {
-                        if to == id {
-                            continue;
-                        }
-                        route_to(queue, wheel, rng, seq, to, transmit.msg.clone());
-                    }
-                }
+        match captured {
+            Some((out, _)) => out.replay(id, &mut sink),
+            None => {
+                let Some(proto) = sim_node.proto.as_mut() else {
+                    return;
+                };
+                drain(proto, &mut sink);
             }
         }
-        while let Some((timer, at)) = proto.poll_timer() {
-            let at = at.max(now);
-            // Constant-delay timers ride a FIFO lane; short odd-delay
-            // arms (e.g. the random initial phases under a minute) may
-            // still fit the wheel; everything else (or a push that would
-            // break a lane's monotonicity) takes the heap. The timer
-            // keeps its sequence number either way, so the global pop
-            // order is exactly the all-heap order.
-            let lane = lanes
-                .iter_mut()
-                .find(|lane| now + lane.delay == at)
-                .filter(|lane| lane.queue.back().is_none_or(|back| back.at <= at));
-            match lane {
-                Some(lane) => lane.queue.push_back(LaneTimer {
-                    at,
-                    seq: *seq,
-                    node: id,
-                    incarnation,
-                    timer,
-                }),
-                None => push_event(
-                    queue,
-                    wheel,
-                    Event {
-                        at,
-                        seq: *seq,
-                        kind: EventKind::Timer {
-                            node: id,
-                            incarnation,
-                            timer,
-                        },
-                    },
-                ),
-            }
-            *seq += 1;
+        // Folded only now that the node borrow is released: classifying a
+        // suspicion as wrongful or true needs to look up the *target*.
+        let measuring = now >= trace.measure_from;
+        for (down, target) in sink.suspicions {
+            let left_at = nodes.get(&target).and_then(|n| n.left_at);
+            let alive = alive_index.contains_key(&target);
+            qos.fold_suspicion(now, measuring, (id, target), down, alive, left_at);
         }
-        // Suspicion transitions are buffered and folded into the QoS
-        // accumulators after the drain loop releases the node borrow (the
-        // wrongful/true classification needs to look up the *target*).
-        let mut suspicions: Vec<(bool, NodeId)> = Vec::new();
-        while let Some(event) = proto.poll_event() {
-            match &event {
-                AppEvent::MonitorDiscovered { .. } => {
-                    if let Some(log) = discovery.get_mut(&id) {
-                        log.monitor_times.push(now);
-                    }
-                }
-                AppEvent::TargetUnresponsive { target } => suspicions.push((true, *target)),
-                AppEvent::TargetResponsive { target } => suspicions.push((false, *target)),
-                _ => {}
-            }
-            if opts.collect_app_events || app_subscribed.contains(&id) {
-                app_events.push((now, id, event));
-            }
-        }
-        for (down, target) in suspicions {
-            if down {
-                if alive_index.contains_key(&target) {
-                    // Wrongful suspicion: the target is alive right now.
-                    if now >= trace.measure_from {
-                        qos.episodes += 1;
-                        qos.open_mistakes.insert((id, target), now);
-                    }
-                } else if now >= trace.measure_from {
-                    // True detection: latency from the target's departure.
-                    // (Ghost targets that never existed have no departure
-                    // time and score nowhere.)
-                    if let Some(left) = nodes.get(&target).and_then(|n| n.left_at) {
-                        qos.detection.record(now.saturating_sub(left));
-                    }
-                }
-            } else if let Some(start) = qos.open_mistakes.remove(&(id, target)) {
-                qos.mistake_time += now.saturating_sub(start);
-            }
-        }
-    }
-
-    /// Closes every open mistake episode that `node` participates in (as
-    /// suspecting monitor or as suspected target), folding the elapsed
-    /// wrongful-suspicion time into the QoS totals.
-    fn close_open_mistakes(&mut self, node: NodeId) {
-        let now = self.now;
-        let QosAccumulator {
-            open_mistakes,
-            mistake_time,
-            ..
-        } = &mut self.qos;
-        open_mistakes.retain(|&(monitor, target), start| {
-            if monitor == node || target == node {
-                *mistake_time += now.saturating_sub(*start);
-                false
-            } else {
-                true
-            }
-        });
     }
 
     /// Picks a uniformly random live contact for `joiner`, in O(1) and
@@ -2300,246 +1156,93 @@ impl Simulation {
             }
         }
     }
+}
 
-    /// Whether `monitor`'s inflated report for `target` actually takes
-    /// effect. [`Behavior::Colluding`] declares friendship one-sidedly, so
-    /// wherever the simulator scores reports it re-verifies the pair
-    /// symmetrically: an asymmetric "coalition" (A lists B, B does not
-    /// list A) lies for nobody. Coalition behaviors that forge regardless
-    /// of reciprocity ([`Behavior::FakeMonitor`],
-    /// [`Behavior::EclipseCoalition`]) pass through unchanged.
-    fn misreport_in_effect(&self, monitor: NodeId, behavior: &Behavior, target: NodeId) -> bool {
-        if !behavior.misreports(target) {
-            return false;
-        }
-        if matches!(behavior, Behavior::Colluding { .. }) {
-            return self
-                .nodes
-                .get(&target)
-                .is_some_and(|t| t.behavior.colludes_with(monitor));
-        }
-        true
+/// Where one node's outputs go (see [`Simulation::apply_outputs`]): the
+/// engine state a drain needs, split-borrowed so the node itself can stay
+/// mutably borrowed while it is polled.
+struct OutputSink<'a> {
+    incarnation: u64,
+    now: TimeMs,
+    /// Nothing may be scheduled before this instant: the end of the
+    /// safe-horizon window while replaying a batch, 0 otherwise.
+    barrier: TimeMs,
+    calendar: &'a mut Calendar,
+    net: &'a mut NetworkState,
+    rng: &'a mut SmallRng,
+    alive: &'a [NodeId],
+    discovery: &'a mut BTreeMap<NodeId, DiscoveryLog>,
+    /// The event buffer, when anyone listens to this node.
+    app_events: Option<&'a mut Vec<(TimeMs, NodeId, AppEvent)>>,
+    /// Suspicion transitions `(down, target)`, for the QoS fold.
+    suspicions: Vec<(bool, NodeId)>,
+}
+
+impl OutputSink<'_> {
+    fn schedule(&mut self, at: TimeMs, kind: EventKind) {
+        debug_assert!(
+            at >= self.barrier,
+            "phase-2 output scheduled inside the safe-horizon window"
+        );
+        self.calendar.schedule(self.now, at, kind);
     }
 
-    /// Collects every monitor's availability estimate for `target`,
-    /// applying each monitor's (possibly adversarial) reporting behavior —
-    /// i.e. the values `target`'s pinging set would report if queried.
-    #[must_use]
-    pub fn monitor_estimates(&self, target: NodeId) -> Vec<f64> {
-        let mut estimates = Vec::new();
-        for (&mid, sim_node) in &self.nodes {
-            if mid == target {
-                continue;
-            }
-            let record = match sim_node.proto.as_ref() {
-                Some(proto) => proto.target_record(target).cloned(),
-                None => sim_node
-                    .persistent
-                    .targets
-                    .iter()
-                    .find(|(t, _)| *t == target)
-                    .map(|(_, rec)| rec.clone()),
-            };
-            let Some(record) = record else { continue };
-            if record.pings_sent == 0 {
-                continue;
-            }
-            if self.misreport_in_effect(mid, &sim_node.behavior, target) {
-                estimates.push(1.0);
-            } else if let Some(est) = record.availability_estimate() {
-                estimates.push(est);
+    /// Routes one unicast through the network model: lost, delivered, or
+    /// delivered twice (duplication), each copy independently delayed.
+    /// Takes the message by value so the fault-free unicast path stays
+    /// clone-free.
+    fn route(&mut self, from: NodeId, to: NodeId, msg: Message) {
+        match self.net.route(self.rng, self.now, from, to) {
+            Route::Drop => {}
+            Route::Deliver {
+                delay,
+                duplicate_delay,
+            } => {
+                if let Some(dup) = duplicate_delay {
+                    let msg = msg.clone();
+                    self.schedule(self.now + dup, EventKind::Deliver { from, to, msg });
+                }
+                self.schedule(self.now + delay, EventKind::Deliver { from, to, msg });
             }
         }
-        // The monitor map iterates in hash order; sort so that downstream
-        // float reductions are bit-reproducible across runs.
-        estimates.sort_by(|a, b| a.partial_cmp(b).expect("estimates are never NaN"));
-        estimates
     }
+}
 
-    /// Builds the final [`SimReport`].
-    ///
-    /// Assembly is `O(N·K)`: one pass over every node's target records
-    /// feeds a per-target estimate index (instead of the old `O(N²)`
-    /// [`Simulation::monitor_estimates`] probe per measured node), and the
-    /// per-node series stream straight out of the engine's accumulators.
-    #[must_use]
-    pub fn report(&self) -> SimReport {
-        self.assemble_report(self.discovery.clone(), self.checker.summary().clone())
-    }
-
-    /// Like [`Simulation::report`], but consumes the simulation and moves
-    /// the per-node discovery logs into the report instead of cloning
-    /// them — preferred once the run is over.
-    #[must_use]
-    pub fn into_report(mut self) -> SimReport {
-        let discovery = std::mem::take(&mut self.discovery);
-        let invariants = self.checker.summary().clone();
-        self.assemble_report(discovery, invariants)
-    }
-
-    fn assemble_report(
-        &self,
-        discovery: BTreeMap<NodeId, DiscoveryLog>,
-        mut invariants: crate::invariants::InvariantSummary,
-    ) -> SimReport {
-        let mut totals = self.graveyard_stats;
-        let mut node_draws = self.graveyard_rng_draws;
-        for sim_node in self.nodes.values() {
-            if let Some(proto) = sim_node.proto.as_ref() {
-                totals.merge(proto.stats());
-                node_draws += proto.rng_draws();
+impl DriverEnv for OutputSink<'_> {
+    fn transmit(&mut self, from: NodeId, transmit: Transmit) {
+        match transmit.to {
+            Destination::Node(to) => self.route(from, to, transmit.msg),
+            Destination::AllNodes => {
+                let alive = self.alive;
+                for &to in alive.iter().filter(|&&to| to != from) {
+                    self.route(from, to, transmit.msg.clone());
+                }
             }
         }
-        // The dynamic half of the determinism discipline: per-stream draw
-        // counts. Engine draws happen only on the main thread (workers
-        // never touch `self.rng`), node draws ride inside each `Node`,
-        // and corruption draws are per-event local streams — so the
-        // ledger is identical at any worker count, and a seed-equal run
-        // that diverges pinpoints *which* stream drifted.
-        invariants.rng_ledger = crate::invariants::RngLedger {
-            engine_draws: self.rng.draw_count(),
-            node_draws,
-            corruption_draws: self.corruption_draws,
-            app_draws: self.app_draws,
+    }
+
+    fn arm_timer(&mut self, node: NodeId, timer: Timer, at: TimeMs) {
+        let kind = EventKind::Timer {
+            node,
+            incarnation: self.incarnation,
+            timer,
         };
-        // One pass over every monitor's target records builds the
-        // per-target estimate index (O(total TS entries) = O(N·K)).
-        let mut estimate_index = EstimateIndex::new();
-        for (&mid, sim_node) in &self.nodes {
-            let mut push = |target: NodeId, rec: &TargetRecord| {
-                if target == mid || rec.pings_sent == 0 {
-                    return;
-                }
-                let estimate = if self.misreport_in_effect(mid, &sim_node.behavior, target) {
-                    Some(1.0)
-                } else {
-                    rec.availability_estimate()
-                };
-                if let Some(est) = estimate {
-                    estimate_index.push(target, est);
-                }
-            };
-            match sim_node.proto.as_ref() {
-                Some(proto) => {
-                    for (target, rec) in proto.target_records() {
-                        push(target, rec);
-                    }
-                }
-                None => {
-                    for (target, rec) in &sim_node.persistent.targets {
-                        push(*target, rec);
-                    }
+        self.schedule(at.max(self.now), kind);
+    }
+
+    fn handle_event(&mut self, node: NodeId, event: AppEvent) {
+        match event {
+            AppEvent::MonitorDiscovered { .. } => {
+                if let Some(log) = self.discovery.get_mut(&node) {
+                    log.monitor_times.push(self.now);
                 }
             }
+            AppEvent::TargetUnresponsive { target } => self.suspicions.push((true, target)),
+            AppEvent::TargetResponsive { target } => self.suspicions.push((false, target)),
+            _ => {}
         }
-        let mut availability = Vec::new();
-        // detlint::allow(banned-collection): membership probes only; never iterated
-        let control: HashSet<NodeId> = self.trace.control_group.iter().copied().collect();
-        // One pass over the trace builds every node's up-intervals;
-        // Trace::availability_of would rebuild this map per queried node
-        // (O(N · E) over a report — minutes at N = 50k).
-        let up_intervals = self.trace.up_intervals();
-        for (&id, sim_node) in &self.nodes {
-            let Some(born) = sim_node.born_at else {
-                continue;
-            };
-            let Some(estimates) = estimate_index.take_sorted(id) else {
-                continue;
-            };
-            let from = born.max(self.trace.measure_from);
-            if from >= self.trace.horizon {
-                continue;
-            }
-            let to = self.trace.horizon;
-            let up: avmon::DurMs = up_intervals
-                .get(&id)
-                .map(|ups| {
-                    ups.iter()
-                        .map(|&(s, e)| e.min(to).saturating_sub(s.max(from)))
-                        .sum()
-                })
-                .unwrap_or(0);
-            let actual = up as f64 / (to - from) as f64;
-            availability.push(AvailabilityMeasure {
-                node: id,
-                estimated: crate::metrics::mean(&estimates),
-                actual,
-                control: control.contains(&id),
-                monitors: estimates.len(),
-            });
-        }
-        availability.sort_by_key(|m| m.node);
-        // FD QoS assembly: the streaming integer accumulators plus the
-        // checker's per-window stabilization verdicts and the end-of-run
-        // eclipse capture census. Derived floats come from deterministic
-        // integers, so serialized QoS stays byte-identical across runs.
-        let mut qos = FdQos {
-            detection: self.qos.detection.clone(),
-            mistake_episodes: self.qos.episodes,
-            mistake_time_ms: self.qos.mistake_time,
-            mistake_rate_per_hour: 0.0,
-            mistake_duration_ms: 0.0,
-            windows: self.checker.stabilization(),
-            eclipse: Vec::new(),
-        };
-        let window_ms = self.trace.horizon.saturating_sub(self.trace.measure_from);
-        if window_ms > 0 {
-            qos.mistake_rate_per_hour =
-                qos.mistake_episodes as f64 * avmon::HOUR as f64 / window_ms as f64;
-        }
-        if qos.mistake_episodes > 0 {
-            qos.mistake_duration_ms = qos.mistake_time_ms as f64 / qos.mistake_episodes as f64;
-        }
-        if let Some(scenario) = &self.opts.scenario {
-            // detlint::allow(banned-collection): membership probes only; victims are sorted separately
-            let mut coalition_union: HashSet<NodeId> = HashSet::new();
-            let mut victims: Vec<NodeId> = Vec::new();
-            for event in &scenario.attacks {
-                let Attack::Eclipse {
-                    coalition,
-                    victims: v,
-                    ..
-                } = &event.attack;
-                coalition_union.extend(coalition.iter().copied());
-                victims.extend(v.iter().copied());
-            }
-            victims.sort_unstable();
-            victims.dedup();
-            for victim in victims {
-                let Some(sim_node) = self.nodes.get(&victim) else {
-                    continue;
-                };
-                let ps: Vec<NodeId> = match sim_node.proto.as_ref() {
-                    Some(proto) => proto.pinging_set().collect(),
-                    None => sim_node.persistent.ps.clone(),
-                };
-                let captured = ps.iter().filter(|m| coalition_union.contains(m)).count();
-                qos.eclipse.push(EclipseScore {
-                    victim,
-                    captured,
-                    slots: ps.len(),
-                });
-            }
-        }
-        let mut series = BTreeMap::new();
-        for (&id, sim_node) in &self.nodes {
-            if sim_node.series_touched {
-                series.insert(id, sim_node.series.clone());
-            }
-        }
-        SimReport {
-            model: self.trace.name.clone(),
-            n: self.trace.stable_size,
-            cvs: self.opts.config.cvs,
-            k: self.opts.config.k,
-            sample_interval: self.opts.sample_interval,
-            discovery,
-            series,
-            availability,
-            totals,
-            alive_at_end: self.alive.len(),
-            invariants,
-            qos,
+        if let Some(buffer) = &mut self.app_events {
+            buffer.push((self.now, node, event));
         }
     }
 }

@@ -102,21 +102,13 @@ pub struct InvariantConfig {
     /// Caps the end-of-run eventual-agreement sweep at roughly this many
     /// ordered pairs by deterministic stride sampling (the sweep is
     /// `O(eligible²)`, which at `N = 100k` is 10¹⁰ pairs). `None` (default)
-    /// checks every pair — exactly, via the staged candidate index when
-    /// [`InvariantConfig::exact_sweep`] is on. The cap remains the
-    /// fallback for populations where even the staged full enumeration is
-    /// too slow.
-    pub max_agreement_pairs: Option<u64>,
-    /// Run the uncapped agreement sweep through the hash-inverted
-    /// candidate index (default `true`): candidate `(monitor, target)`
-    /// pairs are enumerated with
+    /// checks every pair exactly, through the hash-inverted candidate
+    /// index: candidate `(monitor, target)` pairs are enumerated with
     /// [`MonitorSelector::accepted_pairs`](avmon::MonitorSelector::accepted_pairs),
-    /// whose staged prefix-sharing makes the full `O(eligible²)` condition
-    /// scan several times cheaper than per-pair `is_monitor` calls — the
-    /// sweep is *exact again* at large `N` instead of stride-sampled.
-    /// `false` keeps the legacy per-pair enumeration (the equivalence
-    /// baseline: identical violations, warnings and check counts).
-    pub exact_sweep: bool,
+    /// whose staged prefix-sharing makes the full condition scan several
+    /// times cheaper than per-pair `is_monitor` calls. The cap remains the
+    /// fallback for populations where even that is too slow.
+    pub max_agreement_pairs: Option<u64>,
     /// How long both endpoints must be continuously up — *and* the network
     /// quiescent — before eventual-agreement is owed. `None` derives a
     /// discovery-scaled default: `max(20, ⌈(ln(N·K) + 2) · N/cvs²⌉)`
@@ -145,7 +137,6 @@ impl Default for InvariantConfig {
             mode: InvariantMode::default(),
             strategy: CheckStrategy::default(),
             max_agreement_pairs: None,
-            exact_sweep: true,
             grace: None,
             check_agreement: true,
             convergence_band: (0.2, 3.0),
@@ -185,14 +176,6 @@ impl InvariantConfig {
     #[must_use]
     pub fn agreement_pair_cap(mut self, cap: u64) -> Self {
         self.max_agreement_pairs = Some(cap);
-        self
-    }
-
-    /// Enables/disables the candidate-index sweep (see
-    /// [`InvariantConfig::exact_sweep`]).
-    #[must_use]
-    pub fn exact_sweep(mut self, enabled: bool) -> Self {
-        self.exact_sweep = enabled;
         self
     }
 }
@@ -895,9 +878,9 @@ impl InvariantChecker {
         // ordered pairs, enumerated directly (pair index k ↦ lexicographic
         // (monitor, target) with the diagonal removed) so a capped sweep
         // costs O(cap) work, never O(eligible²) iteration. Uncapped, the
-        // default exact path builds a hash-inverted candidate index via
-        // the selector's staged batch enumeration — same pairs, same
-        // order, same check count, several times cheaper per pair — and
+        // sweep builds a hash-inverted candidate index via the selector's
+        // staged batch enumeration — the stride loop's pairs, order and
+        // check count at stride 1, several times cheaper per pair — and
         // only the O(eligible·K) candidates reach the agreement test. The
         // per-sample memo is deliberately bypassed either way: these pairs
         // are mostly cold, and inserting N² entries would thrash it.
@@ -907,7 +890,7 @@ impl InvariantChecker {
             Some(cap) if cap > 0 && total_pairs > cap => total_pairs.div_ceil(cap),
             _ => 1,
         };
-        if stride == 1 && self.config.exact_sweep && len > 1 {
+        if stride == 1 && len > 1 {
             self.summary.checks += total_pairs;
             let ids: Vec<NodeId> = eligible.iter().map(|n| n.id()).collect();
             let mut candidates: Vec<(u32, u32)> = Vec::new();

@@ -91,14 +91,27 @@
 //! failure-detector QoS scores ([`SimReport::qos`]): detection-time
 //! distribution, mistake rate and duration, per-window stabilization
 //! verdicts, and eclipse-resistance.
+//!
+//! # Module map
+//!
+//! * [`engine`] — options, event loop, churn/corruption handlers, output path
+//! * `calendar` — heap + timer lanes + delivery wheel as one `(time, seq)` queue
+//! * `shard` — the batched multi-worker loop over the same calendar
+//! * `qos` — streaming failure-detector QoS accumulators
+//! * `report` — [`SimReport`] assembly
 
+mod calendar;
 pub mod engine;
 pub mod invariants;
 pub mod metrics;
 pub mod network;
+mod qos;
+mod report;
 pub mod scenario;
+mod shard;
 
-pub use engine::{CalendarStats, SimOptions, Simulation};
+pub use calendar::CalendarStats;
+pub use engine::{SimOptions, Simulation};
 pub use invariants::{
     AdversaryWindow, CheckStrategy, InvariantChecker, InvariantConfig, InvariantMode,
     InvariantSummary, InvariantViolation, RngLedger, WindowOutcome,

@@ -1,0 +1,244 @@
+//! Report assembly: everything [`Simulation`] measured, folded into one
+//! [`SimReport`].
+
+// Every hash-collection here carries a per-site `detlint::allow` proving
+// iteration order never leaks; detlint is the precise layer, so the
+// coarser clippy mirror is silenced module-wide.
+#![allow(clippy::disallowed_types)]
+
+use std::collections::{BTreeMap, HashSet};
+
+use avmon::{Behavior, NodeId, TargetRecord};
+
+use crate::engine::Simulation;
+use crate::invariants::{InvariantSummary, RngLedger};
+use crate::metrics::{AvailabilityMeasure, DiscoveryLog, EclipseScore, EstimateIndex, SimReport};
+use crate::scenario::Attack;
+
+impl Simulation {
+    /// Whether `monitor`'s inflated report for `target` actually takes
+    /// effect. [`Behavior::Colluding`] declares friendship one-sidedly, so
+    /// wherever the simulator scores reports it re-verifies the pair
+    /// symmetrically: an asymmetric "coalition" (A lists B, B does not
+    /// list A) lies for nobody. Coalition behaviors that forge regardless
+    /// of reciprocity ([`Behavior::FakeMonitor`],
+    /// [`Behavior::EclipseCoalition`]) pass through unchanged.
+    fn misreport_in_effect(&self, monitor: NodeId, behavior: &Behavior, target: NodeId) -> bool {
+        if !behavior.misreports(target) {
+            return false;
+        }
+        if matches!(behavior, Behavior::Colluding { .. }) {
+            return self
+                .nodes
+                .get(&target)
+                .is_some_and(|t| t.behavior.colludes_with(monitor));
+        }
+        true
+    }
+
+    /// Collects every monitor's availability estimate for `target`,
+    /// applying each monitor's (possibly adversarial) reporting behavior —
+    /// i.e. the values `target`'s pinging set would report if queried.
+    #[must_use]
+    pub fn monitor_estimates(&self, target: NodeId) -> Vec<f64> {
+        let mut estimates = Vec::new();
+        for (&mid, sim_node) in &self.nodes {
+            if mid == target {
+                continue;
+            }
+            let record = match sim_node.proto.as_ref() {
+                Some(proto) => proto.target_record(target).cloned(),
+                None => sim_node
+                    .persistent
+                    .targets
+                    .iter()
+                    .find(|(t, _)| *t == target)
+                    .map(|(_, rec)| rec.clone()),
+            };
+            let Some(record) = record else { continue };
+            if record.pings_sent == 0 {
+                continue;
+            }
+            if self.misreport_in_effect(mid, &sim_node.behavior, target) {
+                estimates.push(1.0);
+            } else if let Some(est) = record.availability_estimate() {
+                estimates.push(est);
+            }
+        }
+        // The monitor map iterates in hash order; sort so that downstream
+        // float reductions are bit-reproducible across runs.
+        estimates.sort_by(|a, b| a.partial_cmp(b).expect("estimates are never NaN"));
+        estimates
+    }
+
+    /// Builds the final [`SimReport`].
+    ///
+    /// Assembly is `O(N·K)`: one pass over every node's target records
+    /// feeds a per-target estimate index (instead of the old `O(N²)`
+    /// [`Simulation::monitor_estimates`] probe per measured node), and the
+    /// per-node series stream straight out of the engine's accumulators.
+    #[must_use]
+    pub fn report(&self) -> SimReport {
+        self.assemble_report(self.discovery.clone(), self.checker.summary().clone())
+    }
+
+    /// Like [`Simulation::report`], but consumes the simulation and moves
+    /// the per-node discovery logs into the report instead of cloning
+    /// them — preferred once the run is over.
+    #[must_use]
+    pub fn into_report(mut self) -> SimReport {
+        let discovery = std::mem::take(&mut self.discovery);
+        let invariants = self.checker.summary().clone();
+        self.assemble_report(discovery, invariants)
+    }
+
+    fn assemble_report(
+        &self,
+        discovery: BTreeMap<NodeId, DiscoveryLog>,
+        mut invariants: InvariantSummary,
+    ) -> SimReport {
+        let mut totals = self.graveyard_stats;
+        let mut node_draws = self.graveyard_rng_draws;
+        for sim_node in self.nodes.values() {
+            if let Some(proto) = sim_node.proto.as_ref() {
+                totals.merge(proto.stats());
+                node_draws += proto.rng_draws();
+            }
+        }
+        // The dynamic half of the determinism discipline: per-stream draw
+        // counts. Engine draws happen only on the main thread (workers
+        // never touch `self.rng`), node draws ride inside each `Node`,
+        // and corruption draws are per-event local streams — so the
+        // ledger is identical at any worker count, and a seed-equal run
+        // that diverges pinpoints *which* stream drifted.
+        invariants.rng_ledger = RngLedger {
+            engine_draws: self.rng.draw_count(),
+            node_draws,
+            corruption_draws: self.corruption_draws,
+            app_draws: self.app_draws,
+        };
+        // One pass over every monitor's target records builds the
+        // per-target estimate index (O(total TS entries) = O(N·K)).
+        let mut estimate_index = EstimateIndex::new();
+        for (&mid, sim_node) in &self.nodes {
+            let mut push = |target: NodeId, rec: &TargetRecord| {
+                if target == mid || rec.pings_sent == 0 {
+                    return;
+                }
+                let estimate = if self.misreport_in_effect(mid, &sim_node.behavior, target) {
+                    Some(1.0)
+                } else {
+                    rec.availability_estimate()
+                };
+                if let Some(est) = estimate {
+                    estimate_index.push(target, est);
+                }
+            };
+            match sim_node.proto.as_ref() {
+                Some(proto) => {
+                    for (target, rec) in proto.target_records() {
+                        push(target, rec);
+                    }
+                }
+                None => {
+                    for (target, rec) in &sim_node.persistent.targets {
+                        push(*target, rec);
+                    }
+                }
+            }
+        }
+        let mut availability = Vec::new();
+        // detlint::allow(banned-collection): membership probes only; never iterated
+        let control: HashSet<NodeId> = self.trace.control_group.iter().copied().collect();
+        // One pass over the trace builds every node's up-intervals;
+        // Trace::availability_of would rebuild this map per queried node
+        // (O(N · E) over a report — minutes at N = 50k).
+        let up_intervals = self.trace.up_intervals();
+        for (&id, sim_node) in &self.nodes {
+            let Some(born) = sim_node.born_at else {
+                continue;
+            };
+            let Some(estimates) = estimate_index.take_sorted(id) else {
+                continue;
+            };
+            let from = born.max(self.trace.measure_from);
+            if from >= self.trace.horizon {
+                continue;
+            }
+            let to = self.trace.horizon;
+            let up: avmon::DurMs = up_intervals
+                .get(&id)
+                .map(|ups| {
+                    ups.iter()
+                        .map(|&(s, e)| e.min(to).saturating_sub(s.max(from)))
+                        .sum()
+                })
+                .unwrap_or(0);
+            let actual = up as f64 / (to - from) as f64;
+            availability.push(AvailabilityMeasure {
+                node: id,
+                estimated: crate::metrics::mean(&estimates),
+                actual,
+                control: control.contains(&id),
+                monitors: estimates.len(),
+            });
+        }
+        availability.sort_by_key(|m| m.node);
+        // FD QoS assembly: the streaming integer accumulators plus the
+        // checker's per-window stabilization verdicts and the end-of-run
+        // eclipse capture census.
+        let window_ms = self.trace.horizon.saturating_sub(self.trace.measure_from);
+        let mut qos = self.qos.score(window_ms, self.checker.stabilization());
+        if let Some(scenario) = &self.opts.scenario {
+            // detlint::allow(banned-collection): membership probes only; victims are sorted separately
+            let mut coalition_union: HashSet<NodeId> = HashSet::new();
+            let mut victims: Vec<NodeId> = Vec::new();
+            for event in &scenario.attacks {
+                let Attack::Eclipse {
+                    coalition,
+                    victims: v,
+                    ..
+                } = &event.attack;
+                coalition_union.extend(coalition.iter().copied());
+                victims.extend(v.iter().copied());
+            }
+            victims.sort_unstable();
+            victims.dedup();
+            for victim in victims {
+                let Some(sim_node) = self.nodes.get(&victim) else {
+                    continue;
+                };
+                let ps: Vec<NodeId> = match sim_node.proto.as_ref() {
+                    Some(proto) => proto.pinging_set().collect(),
+                    None => sim_node.persistent.ps.clone(),
+                };
+                let captured = ps.iter().filter(|m| coalition_union.contains(m)).count();
+                qos.eclipse.push(EclipseScore {
+                    victim,
+                    captured,
+                    slots: ps.len(),
+                });
+            }
+        }
+        let mut series = BTreeMap::new();
+        for (&id, sim_node) in &self.nodes {
+            if sim_node.series_touched {
+                series.insert(id, sim_node.series.clone());
+            }
+        }
+        SimReport {
+            model: self.trace.name.clone(),
+            n: self.trace.stable_size,
+            cvs: self.opts.config.cvs,
+            k: self.opts.config.k,
+            sample_interval: self.opts.sample_interval,
+            discovery,
+            series,
+            availability,
+            totals,
+            alive_at_end: self.alive.len(),
+            invariants,
+            qos,
+        }
+    }
+}

@@ -156,7 +156,6 @@ fn same_seed_bit_identical_with_optimizations_under_lossy_partition() {
         let mut opts = SimOptions::new(Config::builder(n).build().unwrap())
             .seed(17)
             .scenario(scenario.clone())
-            .fast_calendar(true)
             // Explicit slot count: the memo engages even where the
             // default large-N policy would switch it off.
             .node_memo(Some(4096));
@@ -267,7 +266,6 @@ fn sharded_engine_is_bit_identical_across_worker_counts() {
         let mut opts = SimOptions::new(Config::builder(n).build().unwrap())
             .seed(17)
             .scenario(scenario.clone())
-            .fast_calendar(true)
             .workers(workers);
         opts.network.faults = LinkFaults {
             loss: 0.10,

@@ -1,45 +1,46 @@
-//! The differential rig for PR 5's hot-path optimizations: machine-proven
-//! behavioral equivalence, not asserted equivalence.
+//! The equivalence rig: behaviour held by pinned bytes.
 //!
-//! Two optimizations claim to change *nothing* about a simulated run:
+//! Each scenario family below carries the MD5 of the serialized
+//! [`SimReport`] that the *legacy* engine produced for it at the commit
+//! that deleted that engine — all-heap calendar, node memo off, one
+//! worker, and (for the attacker family) the per-pair agreement sweep.
+//! Today's engine must reproduce those bytes — every counter, discovery
+//! timestamp, float estimate, violation and warning — with the per-node
+//! pair-point memo off and on (`SimOptions::node_memo`, a pure-hash
+//! evaluation cache) and under the sharded loop at 2 and 8 workers, and
+//! every configuration must land on the same per-stream RNG draw counts.
+//! Scenarios cover the fault machinery (loss + duplication + jitter +
+//! partitions, freezes), a protocol-level attacker and the paper's MD5
+//! hasher, not just the happy path.
 //!
-//! * the node-level pair-point memo behind the Fig. 2 view cross-check
-//!   (`SimOptions::node_memo` — a pure-hash evaluation cache), and
-//! * the fast calendar — FIFO timer lanes, the hashed delivery wheel and
-//!   the lazy `Timer::Expire` discard (`SimOptions::fast_calendar` — a
-//!   scheduling-order-preserving container swap).
-//!
-//! This harness runs the *same* `(trace, scenario, seed)` under every
-//! combination of the two switches and asserts the serialized
-//! [`SimReport`]s are **byte-identical** — every counter, discovery
-//! timestamp, float estimate, violation and warning. Any RNG draw, any
-//! reordered event, any decision influenced by either optimization fails
-//! here with a one-bit diff. Scenarios cover the fault machinery from
-//! PR 2 (loss + duplication + jitter + partitions, freezes) and a
-//! protocol-level attacker, not just the happy path.
-//!
-//! A second rig does the same for the end-of-run agreement sweep: the
-//! hash-inverted candidate index (`InvariantConfig::exact_sweep`) must
-//! reproduce the legacy exhaustive enumeration bit for bit, while the
-//! stride cap stays available as the large-`N` fallback.
+//! The digests are for the vendored `rand` / `serde_json` stubs (see the
+//! workspace `Cargo.toml`): swapping in the crates.io versions changes
+//! RNG streams and map encoding, and with them every pin.
 
-use avmon::{Behavior, Config, NodeId, MINUTE};
+use avmon::{Behavior, Config, HasherKind, NodeId, MINUTE};
 use avmon_churn::{stat, synthetic, SynthParams, Trace};
-use avmon_sim::{
-    CalendarStats, InvariantConfig, LinkFaults, RngLedger, Scenario, SimOptions, Simulation,
-};
+use avmon_sim::{InvariantConfig, LinkFaults, RngLedger, Scenario, SimOptions, Simulation};
 
-/// Runs `(trace, opts)` to the horizon; returns the serialized report,
-/// the calendar counters and the per-stream RNG draw ledger.
-fn run(trace: Trace, opts: SimOptions) -> (String, CalendarStats, RngLedger) {
+/// Runs `(trace, opts)` to the horizon; returns the serialized report and
+/// the per-stream RNG draw ledger, after checking that all three calendar
+/// containers and the O(1) dead-expiry discard carried traffic.
+fn run(trace: Trace, opts: SimOptions, label: &str) -> (String, RngLedger) {
     let mut sim = Simulation::new(trace, opts);
     let horizon = sim.trace().horizon;
     sim.run_until(horizon);
     let stats = sim.calendar_stats();
+    assert!(
+        stats.heap_pops > 0 && stats.lane_pops > 0 && stats.wheel_pops > 0,
+        "{label}: a calendar container sat idle: {stats:?}"
+    );
+    assert!(
+        stats.expire_skips > 0,
+        "{label}: no ponged-ping expiry was ever discarded in O(1)"
+    );
     let report = sim.into_report();
     let ledger = report.invariants.rng_ledger;
     let json = serde_json::to_string(&report).expect("reports serialize");
-    (json, stats, ledger)
+    (json, ledger)
 }
 
 /// Drops the `memo_policy` record from a serialized report. The policy
@@ -70,93 +71,71 @@ fn without_memo_policy(json: &str) -> String {
     serde_json::to_string(&value).expect("values serialize")
 }
 
-/// Asserts all optimization combinations serialize identically, and that
-/// the optimized run actually moved work off the heap. On top of the four
-/// `fast_calendar` × `node_memo` switch combinations, the rig re-runs the
-/// fully-optimized configuration under the sharded engine at 2 and 8
-/// workers: the safe-horizon batching must be invisible too. Returns the
-/// baseline report for scenario-specific assertions.
-fn assert_equivalent(mut make: impl FnMut() -> (Trace, SimOptions), label: &str) -> String {
-    let configs: [(&str, bool, Option<usize>, usize); 6] = [
-        ("legacy", false, Some(0), 1),
-        ("calendar-only", true, Some(0), 1),
-        ("memo-only", false, None, 1),
-        ("both", true, None, 1),
-        ("sharded-2", true, None, 2),
-        ("sharded-8", true, None, 8),
+/// Hex MD5 of a serialized report with its memo policy stripped — what
+/// the pins hold.
+fn digest(json: &str) -> String {
+    let stripped = without_memo_policy(json);
+    let hex = avmon_hash::md5(stripped.as_bytes()).map(|b| format!("{b:02x}"));
+    hex.concat()
+}
+
+/// Asserts that memo off / memo on / 2 workers / 8 workers all reproduce
+/// the pinned legacy digest and agree on the RNG ledger. Returns the
+/// first report for scenario-specific assertions.
+fn assert_pinned(mut make: impl FnMut() -> (Trace, SimOptions), label: &str, pin: &str) -> String {
+    let configs: [(&str, Option<usize>, usize); 4] = [
+        ("memo-off", Some(0), 1),
+        ("memo-on", None, 1),
+        ("sharded-2", None, 2),
+        ("sharded-8", None, 8),
     ];
-    let mut baseline: Option<(String, RngLedger)> = None;
-    for (name, fast, memo, workers) in configs {
+    let mut first: Option<(String, RngLedger)> = None;
+    for (name, memo, workers) in configs {
         let (trace, opts) = make();
-        let (report, stats, ledger) = run(
-            trace,
-            opts.fast_calendar(fast).node_memo(memo).workers(workers),
+        let label = format!("{label}/{name}");
+        let (report, ledger) = run(trace, opts.node_memo(memo).workers(workers), &label);
+        // Ledger first: a draw-count mismatch names the stream that
+        // moved, which is a far better diagnostic than a digest mismatch.
+        match &first {
+            Some((_, first_ledger)) => assert_eq!(
+                first_ledger, &ledger,
+                "{label}: per-stream RNG draw counts diverged"
+            ),
+            None => assert!(
+                ledger.engine_draws > 0 && ledger.node_draws > 0,
+                "{label}: the RNG ledger recorded no draws"
+            ),
+        }
+        assert_eq!(
+            digest(&report),
+            pin,
+            "{label}: report left the pinned bytes"
         );
-        let report = without_memo_policy(&report);
-        match &baseline {
-            None => {
-                assert_eq!(
-                    (stats.lane_pops, stats.wheel_pops),
-                    (0, 0),
-                    "{label}: legacy config used the fast calendar"
-                );
-                assert!(
-                    ledger.engine_draws > 0 && ledger.node_draws > 0,
-                    "{label}: the RNG ledger recorded no draws"
-                );
-                baseline = Some((report, ledger));
-            }
-            Some((base, base_ledger)) => {
-                // Ledger first: a draw-count mismatch names the stream
-                // that moved, which is a far better diagnostic than the
-                // full-report byte diff below.
-                assert_eq!(
-                    base_ledger, &ledger,
-                    "{label}/{name}: per-stream RNG draw counts diverged"
-                );
-                assert_eq!(
-                    base, &report,
-                    "{label}/{name}: optimized report is not byte-identical"
-                );
-            }
-        }
-        if fast {
-            assert!(
-                stats.lane_pops > 0,
-                "{label}/{name}: timer lanes enabled but never popped"
-            );
-            assert!(
-                stats.wheel_pops > 0,
-                "{label}/{name}: delivery wheel enabled but never popped"
-            );
-            assert!(
-                stats.expire_skips > 0,
-                "{label}/{name}: no ponged-ping expiry was ever discarded in O(1)"
-            );
-        }
+        first.get_or_insert((report, ledger));
     }
-    baseline.expect("at least one config ran").0
+    first.expect("at least one config ran").0
 }
 
 /// Fault-free churny baseline: births, deaths, rejoins.
 #[test]
-fn optimizations_are_invisible_on_churny_trace() {
-    assert_equivalent(
+fn churny_trace_reproduces_the_legacy_engine() {
+    assert_pinned(
         || {
             let trace = synthetic(SynthParams::synth_bd(90).duration(40 * MINUTE).seed(29));
             let opts = SimOptions::new(Config::builder(90).build().unwrap()).seed(12);
             (trace, opts)
         },
         "churn",
+        "0e14ec614d222db2779e029967118729",
     );
 }
 
-/// The PR 2 fault machinery: base-link loss + duplication + jitter, a
-/// healed partition, a loss burst, and a node freeze (the freeze forces
+/// The fault machinery: base-link loss + duplication + jitter, a healed
+/// partition, a loss burst, and a node freeze (the freeze forces
 /// lane-popped timers through the requeue-on-thaw path).
 #[test]
-fn optimizations_are_invisible_under_faults() {
-    assert_equivalent(
+fn faults_and_freezes_reproduce_the_legacy_engine() {
+    assert_pinned(
         || {
             let n = 80;
             let trace = stat(n, 40 * MINUTE, 0.1, 23);
@@ -184,48 +163,54 @@ fn optimizations_are_invisible_under_faults() {
             (trace, opts)
         },
         "faults",
+        "43a10609df9caa8aa44dec244cbcbd3b",
     );
 }
 
-/// A lying monitor (`Behavior::FakeMonitor`) corrupting its target set:
-/// the optimizations must neither mask nor alter the checker's verdict.
-#[test]
-fn optimizations_are_invisible_with_seeded_attacker() {
+/// A lying monitor (`Behavior::FakeMonitor`) corrupting its target set,
+/// under the given checker configuration.
+fn attacker(invariants: InvariantConfig) -> (Trace, SimOptions) {
     let n = 60;
     let config = Config::builder(n).build().unwrap();
     let liar = NodeId::from_index(0);
-    let selector = avmon::HashSelector::from_config_with_kind(&config, avmon::HasherKind::Fast64);
+    let selector = avmon::HashSelector::from_config_with_kind(&config, HasherKind::Fast64);
     let forged: Vec<NodeId> = (1..n as u32)
         .map(NodeId::from_index)
         .filter(|&t| !selector.is_monitor(liar, t))
         .take(3)
         .collect();
     assert!(!forged.is_empty());
-    let report = assert_equivalent(
-        || {
-            let trace = stat(n, 30 * MINUTE, 0.1, 3);
-            let opts = SimOptions::new(config.clone()).seed(3).behavior(
-                liar,
-                Behavior::FakeMonitor {
-                    targets: forged.clone(),
-                },
-            );
-            (trace, opts)
-        },
-        "attacker",
-    );
+    let opts = SimOptions::new(config)
+        .seed(3)
+        .invariants(invariants)
+        .behavior(liar, Behavior::FakeMonitor { targets: forged });
+    (stat(n, 30 * MINUTE, 0.1, 3), opts)
+}
+
+/// Taken twice at the parent, from the legacy engine and from the
+/// default engine with the per-pair agreement sweep: one digest.
+const ATTACKER_PIN: &str = "630a06a991aa54e0558e737df8fd591a";
+
+/// The engine must neither mask nor alter the checker's verdict.
+#[test]
+fn seeded_attacker_reproduces_the_legacy_engine() {
+    let make = || attacker(InvariantConfig::default());
+    let report = assert_pinned(make, "attacker", ATTACKER_PIN);
     assert!(
         report.contains("GhostTarget"),
         "the seeded corruption must still be caught in every configuration"
     );
 }
 
-/// Fuzzed fault timelines: three seed-replayable random scenarios through
-/// the full 4-way differential.
+/// Fuzzed fault timelines: three seed-replayable random scenarios.
 #[test]
-fn optimizations_are_invisible_on_random_scenarios() {
-    for fuzz_seed in [5u64, 41, 97] {
-        assert_equivalent(
+fn random_scenarios_reproduce_the_legacy_engine() {
+    for (fuzz_seed, pin) in [
+        (5u64, "ab317830ad83cbde5bb9b6285f76d50b"),
+        (41, "1f4a19cf7fd28e5dd89c6576de5ee723"),
+        (97, "e6de764e948dfcb8fe5c6ae4dc98d6b6"),
+    ] {
+        assert_pinned(
             || {
                 let trace = synthetic(SynthParams::synth_bd(70).duration(35 * MINUTE).seed(13));
                 let ids: Vec<NodeId> = trace.identities().into_iter().collect();
@@ -241,44 +226,41 @@ fn optimizations_are_invisible_on_random_scenarios() {
                 (trace, opts)
             },
             "fuzz",
+            pin,
         );
     }
 }
 
-/// The agreement-sweep index (satellite of ROADMAP bottleneck 3): on the
-/// FakeMonitor scenario, the exact hash-inverted candidate sweep must be
-/// byte-identical to the legacy exhaustive enumeration — same violations,
-/// same warnings, same check counts — and the stride-capped fallback must
-/// agree wherever it samples (identical everything except the agreement
-/// portion it deliberately thins).
+/// The paper's MD5 hasher, where the node memo actually earns its keep.
 #[test]
-fn exact_and_legacy_agreement_sweeps_agree_on_fake_monitor_scenario() {
-    let n = 60;
-    let config = Config::builder(n).build().unwrap();
-    let liar = NodeId::from_index(0);
-    let selector = avmon::HashSelector::from_config_with_kind(&config, avmon::HasherKind::Fast64);
-    let forged: Vec<NodeId> = (1..n as u32)
-        .map(NodeId::from_index)
-        .filter(|&t| !selector.is_monitor(liar, t))
-        .take(3)
-        .collect();
+fn md5_hasher_reproduces_the_legacy_engine() {
+    assert_pinned(
+        || {
+            let opts = SimOptions::new(Config::builder(50).build().unwrap())
+                .seed(9)
+                .hasher(HasherKind::Md5);
+            (stat(50, 30 * MINUTE, 0.1, 5), opts)
+        },
+        "md5",
+        "8aa5309b9004beb90219941a3b1598d9",
+    );
+}
+
+/// The end-of-run agreement sweep on the FakeMonitor scenario: the
+/// hash-inverted candidate index reproduces the per-pair enumeration it
+/// replaced (the pin — same violations, warnings and check counts), and
+/// the stride-capped fallback agrees wherever it samples (identical
+/// everything except the agreement portion it deliberately thins).
+#[test]
+fn agreement_sweep_matches_per_pair_enumeration_on_fake_monitor_scenario() {
     let make = |invariants: InvariantConfig| {
-        let trace = stat(n, 30 * MINUTE, 0.1, 3);
-        let opts = SimOptions::new(config.clone())
-            .seed(3)
-            .invariants(invariants)
-            .behavior(
-                liar,
-                Behavior::FakeMonitor {
-                    targets: forged.clone(),
-                },
-            );
-        run(trace, opts).0
+        let (trace, opts) = attacker(invariants);
+        run(trace, opts, "sweep").0
     };
     let exact = make(InvariantConfig::default());
-    let legacy = make(InvariantConfig::default().exact_sweep(false));
     assert_eq!(
-        exact, legacy,
+        digest(&exact),
+        ATTACKER_PIN,
         "the candidate-index sweep diverged from exhaustive enumeration"
     );
     // The capped fallback still flags the seeded per-sample corruption

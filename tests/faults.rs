@@ -218,12 +218,24 @@ fn churn_plus_faults_compose() {
     assert_clean(&report);
 }
 
-/// Invalid options are rejected at construction, not mid-run: inverted
-/// latency ranges, bad probabilities, malformed scenarios.
+/// Invalid options are rejected at construction, not mid-run: a zero
+/// sampling interval, an empty trace, inverted latency ranges, bad
+/// probabilities, malformed scenarios.
 #[test]
 fn invalid_options_rejected_at_construction() {
     let trace = stat(20, 10 * MINUTE, 0.1, 1);
     let config = Config::builder(20).build().unwrap();
+
+    // Would otherwise schedule sampling ticks at one instant forever.
+    let mut opts = SimOptions::new(config.clone());
+    opts.sample_interval = 0;
+    let err = Simulation::try_new(trace.clone(), opts).unwrap_err();
+    assert!(err.to_string().contains("sample_interval"), "{err}");
+
+    // An error from the fallible constructor, not a panic.
+    let empty = Trace::new("EMPTY", 0, MINUTE, 0, vec![], vec![]);
+    let err = Simulation::try_new(empty, SimOptions::new(config.clone())).unwrap_err();
+    assert!(err.to_string().contains("empty trace"), "{err}");
 
     let mut opts = SimOptions::new(config.clone());
     opts.network.latency = LatencyModel::Uniform { min: 50, max: 10 };
@@ -262,6 +274,15 @@ fn invalid_options_rejected_at_construction() {
         }],
     });
     assert!(Simulation::try_new(trace, opts).is_err());
+}
+
+/// `Simulation::new` keeps its documented panic for what `try_new`
+/// reports as an error.
+#[test]
+#[should_panic(expected = "cannot simulate an empty trace")]
+fn infallible_constructor_panics_on_empty_trace() {
+    let empty = Trace::new("EMPTY", 0, MINUTE, 0, vec![], vec![]);
+    let _ = Simulation::new(empty, SimOptions::new(Config::builder(20).build().unwrap()));
 }
 
 /// One row of the sweep's QoS artifact: which seed, which generated
