@@ -134,19 +134,14 @@ pub fn collect_actions(node: &mut Node) -> Vec<Action> {
 /// arming the same timers produce the same firing order.
 ///
 /// Almost every [`Timer::Expire`] dies unfired — the ping it guards is
-/// answered — so the queue supports two ways to keep dead timers out of
-/// the node's way: an explicit lazy [`TimerQueue::cancel`], and
-/// [`TimerQueue::pop_due_where`], which discards due timers a
-/// caller-supplied predicate (typically [`Node::timer_live`]) rejects.
+/// answered. The one mechanism that keeps dead timers out of the node's
+/// way is [`TimerQueue::pop_due_where`], which discards due timers a
+/// caller-supplied predicate (typically [`Node::timer_live`]) rejects;
+/// there is no cancellation.
 #[derive(Debug, Default)]
 pub struct TimerQueue {
     heap: BinaryHeap<Reverse<(TimeMs, u64, Timer)>>,
     seq: u64,
-    /// Lazily-deleted timers: `cancel` counts them here, and pops silently
-    /// drop matching entries instead of returning them.
-    #[allow(clippy::disallowed_types)]
-    // detlint::allow(banned-collection): per-key tombstone counts; never iterated
-    cancelled: std::collections::HashMap<Timer, u32>,
 }
 
 impl TimerQueue {
@@ -162,26 +157,15 @@ impl TimerQueue {
         self.seq += 1;
     }
 
-    /// Cancels one pending instance of `timer` lazily: the entry stays in
-    /// the heap but is silently dropped when it surfaces, in O(1) — the
-    /// heap's ordering is never disturbed. Cancelling a timer that is not
-    /// pending poisons the *next* arming of an equal timer, so only cancel
-    /// what was actually armed (nonce-carrying [`Timer::Expire`] values
-    /// make the match exact in practice).
-    pub fn cancel(&mut self, timer: Timer) {
-        *self.cancelled.entry(timer).or_insert(0) += 1;
-    }
-
     /// Pops the next timer due at or before `now`, if any.
     pub fn pop_due(&mut self, now: TimeMs) -> Option<Timer> {
         self.pop_due_where(now, |_| true)
     }
 
     /// Pops the next *live* timer due at or before `now`: due entries that
-    /// were [`cancelled`](TimerQueue::cancel) or that `live` rejects are
-    /// discarded without being returned. Pass [`Node::timer_live`] to let
-    /// ponged-ping expiries die in the queue instead of round-tripping
-    /// through the node.
+    /// `live` rejects are discarded without being returned. Pass
+    /// [`Node::timer_live`] to let ponged-ping expiries die in the queue
+    /// instead of round-tripping through the node.
     pub fn pop_due_where(
         &mut self,
         now: TimeMs,
@@ -193,17 +177,6 @@ impl TimerQueue {
                 return None;
             }
             let Reverse((_, _, timer)) = self.heap.pop().expect("peeked");
-            // The emptiness check keeps the common no-cancellations case
-            // free of a per-pop hash lookup.
-            if !self.cancelled.is_empty() {
-                if let Some(count) = self.cancelled.get_mut(&timer) {
-                    *count -= 1;
-                    if *count == 0 {
-                        self.cancelled.remove(&timer);
-                    }
-                    continue;
-                }
-            }
             if live(&timer) {
                 return Some(timer);
             }
@@ -231,7 +204,6 @@ impl TimerQueue {
     /// Drops all pending timers (driver restart hygiene).
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.cancelled.clear();
     }
 }
 
@@ -358,26 +330,9 @@ mod tests {
     fn timer_queue_clear() {
         let mut q = TimerQueue::new();
         q.arm(Timer::Protocol, 5);
-        q.cancel(Timer::Protocol);
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.pop_due(u64::MAX), None);
-        // The cancellation died with the clear: a re-armed timer fires.
-        q.arm(Timer::Protocol, 6);
-        assert_eq!(q.pop_due(10), Some(Timer::Protocol));
-    }
-
-    #[test]
-    fn timer_queue_cancel_drops_one_instance_lazily() {
-        let mut q = TimerQueue::new();
-        q.arm(Timer::Expire(Nonce(1)), 10);
-        q.arm(Timer::Expire(Nonce(2)), 11);
-        q.arm(Timer::Expire(Nonce(1)), 12);
-        q.cancel(Timer::Expire(Nonce(1)));
-        // The first Nonce(1) entry dies in the queue; the second survives.
-        assert_eq!(q.pop_due(100), Some(Timer::Expire(Nonce(2))));
-        assert_eq!(q.pop_due(100), Some(Timer::Expire(Nonce(1))));
-        assert_eq!(q.pop_due(100), None);
     }
 
     #[test]

@@ -273,7 +273,9 @@ pub struct TargetRecord {
 }
 
 impl TargetRecord {
-    fn new(now: TimeMs, history: HistoryStore) -> Self {
+    /// A fresh record for a target discovered at `now`: no pings yet.
+    #[must_use]
+    pub fn new(now: TimeMs, history: HistoryStore) -> Self {
         TargetRecord {
             discovered_at: now,
             pings_sent: 0,

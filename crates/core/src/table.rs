@@ -282,6 +282,16 @@ impl<K: TableKey> FlatSet<K> {
     }
 }
 
+impl<K: TableKey> FromIterator<K> for FlatSet<K> {
+    fn from_iter<I: IntoIterator<Item = K>>(keys: I) -> Self {
+        let mut set = FlatSet::new();
+        for key in keys {
+            set.insert(key);
+        }
+        set
+    }
+}
+
 #[allow(clippy::disallowed_types, clippy::disallowed_methods)] // tests are exempt from the determinism lints
 #[cfg(test)]
 mod tests {

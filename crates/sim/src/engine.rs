@@ -12,18 +12,11 @@
 //! event calendar ([`Simulation::apply_outputs`]) — no per-input `Vec` of
 //! actions is ever allocated.
 
-// Every hash-collection here carries a per-site `detlint::allow` proving
-// iteration order never leaks; detlint is the precise layer, so the
-// coarser clippy mirror is silenced module-wide.
-#![allow(clippy::disallowed_types)]
-
-use std::collections::{BTreeMap, HashMap, HashSet};
-
 use avmon::driver::{drain, DriverEnv};
 use avmon::{
-    AppEvent, Behavior, Config, Destination, DurMs, HashSelector, HasherKind, HistoryStore,
-    JoinKind, Message, Node, NodeId, NodeStats, PersistentState, SharedSelector, TargetRecord,
-    TimeMs, Timer, Transmit,
+    AppEvent, Behavior, Config, Destination, DurMs, FlatMap, HashSelector, HasherKind,
+    HistoryStore, JoinKind, Message, Node, NodeId, NodeStats, PersistentState, SharedSelector,
+    TargetRecord, TimeMs, Timer, Transmit,
 };
 use avmon_churn::{ChurnEventKind, Trace};
 use avmon_hash::fast64::mix64;
@@ -64,9 +57,6 @@ pub struct SimOptions {
     pub history_template: Option<HistoryStore>,
     /// Per-node behavior assignments (attack experiments).
     pub behaviors: Vec<(NodeId, Behavior)>,
-    /// Track discovery logs for every identity rather than only the
-    /// trace's control group.
-    pub track_all_discovery: bool,
     /// Buffer application events for retrieval via
     /// [`Simulation::take_app_events`] (off by default: long runs would
     /// accumulate unbounded buffers).
@@ -102,7 +92,6 @@ impl SimOptions {
             sample_interval,
             history_template: None,
             behaviors: Vec::new(),
-            track_all_discovery: false,
             collect_app_events: false,
             node_memo: None,
             workers: 1,
@@ -196,8 +185,11 @@ impl SimOptions {
     }
 }
 
+/// Everything the engine knows about one trace identity, in one row of
+/// [`Simulation::nodes`] (DESIGN.md §5).
 #[derive(Debug, Default)]
 pub(crate) struct SimNode {
+    pub(crate) id: NodeId,
     pub(crate) proto: Option<Node>,
     pub(crate) incarnation: u64,
     pub(crate) persistent: PersistentState,
@@ -212,12 +204,37 @@ pub(crate) struct SimNode {
     /// Whether `series` was ever written — only touched nodes appear in
     /// [`SimReport::series`].
     pub(crate) series_touched: bool,
+    /// Position in [`Simulation::alive`] while up (patched on swap-remove).
+    alive_pos: Option<usize>,
+    /// Position in the initial cohort: bootstrap excludes the joiner in O(1).
+    cohort_pos: Option<usize>,
+    /// Member of the trace's control group: its discovery times are logged.
+    pub(crate) control: bool,
+    /// The discovery log, opened at a control node's first birth.
+    pub(crate) discovery: Option<DiscoveryLog>,
+    /// The application executor listens to this node
+    /// ([`Simulation::subscribe_app`]): its deliveries/timers always cut a
+    /// parallel batch and dispatch at their sequential calendar position.
+    pub(crate) app_subscribed: bool,
+    /// The scenario's `[from, until)` freeze windows for this node.
+    freezes: Vec<(TimeMs, TimeMs)>,
+    /// Index of this node's job in the batch being collected or executed:
+    /// `proto` is moved out into that job, yet the node is still live.
+    pub(crate) batch_group: Option<usize>,
 }
 
 impl SimNode {
     fn series_mut(&mut self) -> &mut NodeSeries {
         self.series_touched = true;
         &mut self.series
+    }
+
+    /// The thaw time if this node is inside a freeze window at `at`.
+    pub(crate) fn frozen_at(&self, at: TimeMs) -> Option<TimeMs> {
+        self.freezes
+            .iter()
+            .find(|&&(from, until)| at >= from && at < until)
+            .map(|&(_, until)| until)
     }
 }
 
@@ -243,31 +260,20 @@ pub struct Simulation {
     pub(crate) trace: Trace,
     pub(crate) opts: SimOptions,
     selector: SharedSelector,
-    // detlint::allow(banned-collection): iterated only for commutative merges; report rows sort before emission
-    pub(crate) nodes: HashMap<NodeId, SimNode>,
+    /// One row per trace identity, in ascending `NodeId` order.
+    pub(crate) nodes: Vec<SimNode>,
+    /// The one identity lookup: `NodeId` → index into `nodes`. Identities
+    /// absent from the trace (corruption ghosts, stray app-API arguments)
+    /// resolve to no slot and are inert.
+    slot_of: FlatMap<NodeId, u32>,
     pub(crate) alive: Vec<NodeId>,
-    // detlint::allow(banned-collection): per-key O(1) swap-remove positions; never iterated
-    alive_index: HashMap<NodeId, usize>,
     /// Every pending event, in `(time, seq)` order.
     pub(crate) calendar: Calendar,
     pub(crate) now: TimeMs,
     pub(crate) rng: SmallRng,
-    // detlint::allow(banned-collection): membership probes only; never iterated
-    tracked: HashSet<NodeId>,
-    pub(crate) discovery: BTreeMap<NodeId, DiscoveryLog>,
     pub(crate) graveyard_stats: NodeStats,
     initial_cohort: Vec<NodeId>,
-    /// Position of each initial-cohort member in `initial_cohort`, so
-    /// bootstrap view seeding can exclude the joiner in O(1).
-    // detlint::allow(banned-collection): per-key position lookups; never iterated
-    initial_cohort_index: HashMap<NodeId, usize>,
     app_events: Vec<(TimeMs, NodeId, AppEvent)>,
-    /// Nodes whose application events feed a paused async executor
-    /// ([`Simulation::subscribe_app`]). Their deliveries/timers always cut
-    /// a parallel batch, so every subscribed event is dispatched at its
-    /// own sequential calendar position regardless of worker count.
-    // detlint::allow(banned-collection): membership probes only; never iterated
-    pub(crate) app_subscribed: HashSet<NodeId>,
     /// Wake tokens fired since the last [`Simulation::take_wakes`] drain.
     pending_wakes: Vec<u64>,
     /// Words drawn by the application executor's registered `app` RNG
@@ -275,11 +281,6 @@ pub struct Simulation {
     /// [`RngLedger`](crate::RngLedger) covers app tasks too.
     pub(crate) app_draws: u64,
     net: NetworkState,
-    /// Per-node freeze windows from the scenario, indexed by node so the
-    /// delivery/timer hot path pays O(1) for the (overwhelmingly common)
-    /// unfrozen case.
-    // detlint::allow(banned-collection): per-key window lookups; never iterated
-    freezes: HashMap<NodeId, Vec<(TimeMs, TimeMs)>>,
     pub(crate) checker: InvariantChecker,
     /// Streaming FD QoS counters (see [`QosAccumulator`]).
     pub(crate) qos: QosAccumulator,
@@ -355,27 +356,47 @@ impl Simulation {
             calendar.defer(t, EventKind::Sample);
             t += opts.sample_interval;
         }
-        // detlint::allow(banned-collection): membership probes only; never iterated
-        let tracked: HashSet<NodeId> = if opts.track_all_discovery {
-            trace.identities().into_iter().collect()
-        } else {
-            trace.control_group.iter().copied().collect()
-        };
+        // One row per identity, slots in ascending `NodeId` order; what the
+        // trace, options and scenario say about an identity lands in its row.
+        let ids = trace.identities();
+        let mut nodes: Vec<SimNode> = Vec::with_capacity(ids.len());
+        let mut slot_of: FlatMap<NodeId, u32> = FlatMap::new();
+        for id in ids {
+            let slot = u32::try_from(nodes.len()).expect("under 2^32 identities");
+            slot_of.insert(id, slot);
+            nodes.push(SimNode {
+                id,
+                ..SimNode::default()
+            });
+        }
+        let slot = |id: NodeId| slot_of.get(&id).map(|&s| s as usize);
+        for &id in &trace.control_group {
+            if let Some(s) = slot(id) {
+                nodes[s].control = true;
+            }
+        }
         let initial_cohort: Vec<NodeId> = trace
             .events
             .iter()
             .filter(|e| e.at == 0 && e.kind == ChurnEventKind::Birth)
             .map(|e| e.node)
             .collect();
-        // detlint::allow(banned-collection): per-key position lookups; never iterated
-        let initial_cohort_index: HashMap<NodeId, usize> = initial_cohort
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
-        // detlint::allow(banned-collection): per-key behavior lookups; never iterated
-        let behaviors: HashMap<NodeId, Behavior> = opts.behaviors.iter().cloned().collect();
+        for (pos, &id) in initial_cohort.iter().enumerate() {
+            if let Some(s) = slot(id) {
+                nodes[s].cohort_pos = Some(pos);
+            }
+        }
+        for (id, behavior) in &opts.behaviors {
+            if let Some(s) = slot(*id) {
+                nodes[s].behavior = behavior.clone();
+            }
+        }
         if let Some(scenario) = &opts.scenario {
+            for (id, from, until) in scenario.freeze_windows() {
+                if let Some(s) = slot(id) {
+                    nodes[s].freezes.push((from, until));
+                }
+            }
             // Corruption injections are ordinary calendar events (after
             // same-instant churn, by sequence number).
             for e in &scenario.events {
@@ -409,28 +430,15 @@ impl Simulation {
                         victims: victims.clone(),
                     };
                     calendar.defer(e.at, EventKind::SetBehavior { node, behavior });
-                    let behavior = behaviors.get(&node).cloned().unwrap_or_default();
+                    let behavior = slot(node)
+                        .map(|s| nodes[s].behavior.clone())
+                        .unwrap_or_default();
                     calendar.defer(e.at + duration, EventKind::SetBehavior { node, behavior });
                 }
             }
         }
-        // detlint::allow(banned-collection): see the `nodes` field — no order-dependent iteration
-        let mut nodes = HashMap::with_capacity(trace.identities().len());
-        for id in trace.identities() {
-            let behavior = behaviors.get(&id).cloned().unwrap_or_default();
-            let node = SimNode {
-                behavior,
-                ..SimNode::default()
-            };
-            nodes.insert(id, node);
-        }
         let rng = SmallRng::seed_from_u64(opts.seed ^ 0xdead_beef_cafe_f00d);
         let net = NetworkState::compile(opts.network.clone(), opts.scenario.as_ref());
-        let freezes = opts
-            .scenario
-            .as_ref()
-            .map(Scenario::freeze_index)
-            .unwrap_or_default();
         let quiescent_from = opts
             .scenario
             .as_ref()
@@ -480,24 +488,17 @@ impl Simulation {
             opts,
             selector,
             nodes,
+            slot_of,
             alive: Vec::new(),
-            // detlint::allow(banned-collection): see the field declaration
-            alive_index: HashMap::new(),
             calendar,
             now: 0,
             rng,
-            tracked,
-            discovery: BTreeMap::new(),
             graveyard_stats: NodeStats::default(),
             initial_cohort,
-            initial_cohort_index,
             app_events: Vec::new(),
-            // detlint::allow(banned-collection): see the field declaration
-            app_subscribed: HashSet::new(),
             pending_wakes: Vec::new(),
             app_draws: 0,
             net,
-            freezes,
             checker,
             qos: QosAccumulator::default(),
             finished: false,
@@ -506,6 +507,24 @@ impl Simulation {
             graveyard_rng_draws: 0,
             lookahead,
         })
+    }
+
+    /// The row of `id`, if the trace knows the identity.
+    pub(crate) fn slot(&self, id: NodeId) -> Option<usize> {
+        self.slot_of.get(&id).map(|&s| s as usize)
+    }
+
+    /// Runs `f` on `id`'s live protocol state and applies whatever it
+    /// produced; a dead or unknown identity is left alone.
+    fn with_live(&mut self, id: NodeId, f: impl FnOnce(&mut Node, TimeMs)) {
+        let Some(slot) = self.slot(id) else {
+            return;
+        };
+        let now = self.now;
+        if let Some(proto) = self.nodes[slot].proto.as_mut() {
+            f(proto, now);
+            self.apply_outputs(slot, None);
+        }
     }
 
     /// The invariant-checker observations so far (complete once the run
@@ -535,7 +554,7 @@ impl Simulation {
     /// Read access to a live node's protocol state.
     #[must_use]
     pub fn node(&self, id: NodeId) -> Option<&Node> {
-        self.nodes.get(&id).and_then(|n| n.proto.as_ref())
+        self.nodes[self.slot(id)?].proto.as_ref()
     }
 
     /// Drains buffered application events (requires
@@ -560,7 +579,9 @@ impl Simulation {
     /// timers always cut a parallel batch, so the pause points — and the
     /// engine state at each pause — are byte-identical at any worker count.
     pub fn subscribe_app(&mut self, id: NodeId) {
-        self.app_subscribed.insert(id);
+        if let Some(slot) = self.slot(id) {
+            self.nodes[slot].app_subscribed = true;
+        }
     }
 
     /// Schedules an application wakeup at `at` (clamped to now). The token
@@ -586,31 +607,20 @@ impl Simulation {
     /// simulated overlay ([`avmon::Message::AppData`]); it surfaces at the
     /// receiver as a buffered [`AppEvent::AppData`].
     pub fn send_app(&mut self, from: NodeId, to: NodeId, payload: Vec<u8>) {
-        if let Some(node) = self.nodes.get_mut(&from).and_then(|n| n.proto.as_mut()) {
-            node.send_app(to, payload);
-            self.apply_outputs(from, None);
-        }
+        self.with_live(from, |node, _| node.send_app(to, payload));
     }
 
     /// Issues a verifiable monitor-report request from `from` to `target`
     /// (the "l out of K" client side); outcomes arrive as buffered
     /// [`AppEvent::ReportOutcome`] events.
     pub fn request_report(&mut self, from: NodeId, target: NodeId, count: u8) {
-        let now = self.now;
-        if let Some(node) = self.nodes.get_mut(&from).and_then(|n| n.proto.as_mut()) {
-            node.request_report(now, target, count);
-            self.apply_outputs(from, None);
-        }
+        self.with_live(from, |node, now| node.request_report(now, target, count));
     }
 
     /// Asks monitor `monitor` for `target`'s availability from node `from`;
     /// outcomes arrive as buffered [`AppEvent::HistoryOutcome`] events.
     pub fn request_history(&mut self, from: NodeId, monitor: NodeId, target: NodeId) {
-        let now = self.now;
-        if let Some(node) = self.nodes.get_mut(&from).and_then(|n| n.proto.as_mut()) {
-            node.request_history(now, monitor, target);
-            self.apply_outputs(from, None);
-        }
+        self.with_live(from, |node, now| node.request_history(now, monitor, target));
     }
 
     /// Runs to the trace horizon and produces the report.
@@ -684,19 +694,8 @@ impl Simulation {
             self.finished = true;
             self.qos.close_all(self.now);
             // End-of-run invariant sweep (Theorem 1 liveness, convergence).
-            let Simulation {
-                checker,
-                nodes,
-                alive,
-                now,
-                ..
-            } = self;
-            checker.finalize(
-                *now,
-                alive
-                    .iter()
-                    .filter_map(|id| nodes.get(id).and_then(|n| n.proto.as_ref())),
-            );
+            let live = live_protos(&self.nodes, &self.slot_of, &self.alive);
+            self.checker.finalize(self.now, live);
         }
     }
 
@@ -706,34 +705,32 @@ impl Simulation {
         self.calendar.stats()
     }
 
-    /// The thaw time if `node` is inside a freeze window at `at`.
-    pub(crate) fn frozen_at(&self, node: NodeId, at: TimeMs) -> Option<TimeMs> {
-        let windows = self.freezes.get(&node)?;
-        windows
-            .iter()
-            .find(|&&(from, until)| at >= from && at < until)
-            .map(|&(_, until)| until)
-    }
-
     fn dispatch(&mut self, kind: EventKind, from_lane: bool) {
+        // The one identity probe a delivery or timer pays. An addressee the
+        // trace never named has no row: the event evaporates below.
+        let slot = kind.addressee().and_then(|(node, _)| self.slot(node));
         // A frozen node stops processing: its deliveries and timers stall
         // on the heap, in order, until the freeze thaws.
-        let addressee = kind.addressee().map(|(node, _)| node);
-        if let Some(thaw) = addressee.and_then(|node| self.frozen_at(node, self.now)) {
+        if let Some(thaw) = slot.and_then(|s| self.nodes[s].frozen_at(self.now)) {
             self.calendar.defer(thaw, kind);
             return;
         }
         match kind {
             EventKind::Churn { node, kind } => self.on_churn(node, kind),
-            EventKind::Deliver { from, to, msg } => self.on_deliver(from, to, msg),
+            EventKind::Deliver { from, msg, .. } => {
+                if let Some(slot) = slot {
+                    self.on_deliver(slot, from, msg);
+                }
+            }
             EventKind::Timer {
-                node,
-                incarnation,
-                timer,
-            } => self.on_timer(node, incarnation, timer, from_lane),
+                incarnation, timer, ..
+            } => {
+                if let Some(slot) = slot {
+                    self.on_timer(slot, incarnation, timer, from_lane);
+                }
+            }
             EventKind::Baseline => {
-                for &id in &self.alive {
-                    let sim_node = self.nodes.get_mut(&id).expect("alive implies known");
+                for sim_node in &mut self.nodes {
                     if let Some(proto) = sim_node.proto.as_ref() {
                         sim_node.last_stats = *proto.stats();
                     }
@@ -753,16 +750,14 @@ impl Simulation {
         }
     }
 
-    /// Fires `timer` on `node` if that incarnation is still up. A firing
-    /// that rode a lane and that [`Node::timer_live`] rejects would be a
-    /// guaranteed no-op inside the node, so it is dropped here without the
-    /// `handle_timer` round-trip; heap- and wheel-origin firings are always
-    /// delivered.
-    fn on_timer(&mut self, node: NodeId, incarnation: u64, timer: Timer, from_lane: bool) {
+    /// Fires `timer` on the node at `slot` if that incarnation is still up.
+    /// A firing that rode a lane and that [`Node::timer_live`] rejects would
+    /// be a guaranteed no-op inside the node, so it is dropped here without
+    /// the `handle_timer` round-trip; heap- and wheel-origin firings are
+    /// always delivered.
+    fn on_timer(&mut self, slot: usize, incarnation: u64, timer: Timer, from_lane: bool) {
         let now = self.now;
-        let Some(sim_node) = self.nodes.get_mut(&node) else {
-            return;
-        };
+        let sim_node = &mut self.nodes[slot];
         if sim_node.incarnation != incarnation {
             return; // stale timer from a previous incarnation
         }
@@ -774,15 +769,16 @@ impl Simulation {
             return;
         }
         proto.handle_timer(now, timer);
-        self.apply_outputs(node, None);
+        self.apply_outputs(slot, None);
     }
 
     /// Applies a scenario-scheduled behavior switch to both the engine's
     /// record (governs future incarnations) and the live node, if any.
     fn on_set_behavior(&mut self, node: NodeId, behavior: Behavior) {
-        let Some(sim_node) = self.nodes.get_mut(&node) else {
+        let Some(slot) = self.slot(node) else {
             return;
         };
+        let sim_node = &mut self.nodes[slot];
         sim_node.behavior = behavior.clone();
         if let Some(proto) = sim_node.proto.as_mut() {
             proto.set_behavior(behavior);
@@ -800,9 +796,10 @@ impl Simulation {
     fn on_corrupt(&mut self, node: NodeId, pattern: Corruption, seed: u64) {
         let mut rng =
             SmallRng::seed_from_u64(mix64(self.opts.seed ^ mix64(seed) ^ 0xc0de_dead_5eed_0bad));
-        let Some(sim_node) = self.nodes.get_mut(&node) else {
+        let Some(slot) = self.slot(node) else {
             return;
         };
+        let sim_node = &mut self.nodes[slot];
         let mut state = match sim_node.proto.as_ref() {
             Some(proto) => proto.snapshot_persistent(),
             None => std::mem::take(&mut sim_node.persistent),
@@ -851,23 +848,13 @@ impl Simulation {
             for _ in 0..rng.gen_range(1..=3) {
                 let g = draw_ghost(&mut rng, false);
                 if !state.targets.iter().any(|(t, _)| *t == g) {
-                    state.targets.push((
-                        g,
-                        TargetRecord {
-                            discovered_at: self.now,
-                            pings_sent: 0,
-                            pongs_received: 0,
-                            last_pong: None,
-                            session_start: None,
-                            last_session: 0,
-                            unresponsive_since: None,
-                            history: history.clone(),
-                        },
-                    ));
+                    state
+                        .targets
+                        .push((g, TargetRecord::new(self.now, history.clone())));
                 }
             }
         }
-        let sim_node = self.nodes.get_mut(&node).expect("checked above");
+        let sim_node = &mut self.nodes[slot];
         match sim_node.proto.as_mut() {
             Some(proto) => {
                 proto.restore_persistent(state);
@@ -877,7 +864,7 @@ impl Simulation {
                 // — detection (and the window's `detected_after_ms`) must be
                 // pinned to the injection, not race the self-repair.
                 self.checker.on_sample(self.now, std::iter::once(&*proto));
-                self.apply_outputs(node, None);
+                self.apply_outputs(slot, None);
             }
             None => sim_node.persistent = state,
         }
@@ -885,10 +872,11 @@ impl Simulation {
     }
 
     fn on_churn(&mut self, id: NodeId, kind: ChurnEventKind) {
+        let slot = self.slot(id).expect("churn events name trace identities");
         match kind {
             ChurnEventKind::Birth | ChurnEventKind::Join => {
                 let contact = self.pick_contact(id);
-                let sim_node = self.nodes.get_mut(&id).expect("identity known");
+                let sim_node = &mut self.nodes[slot];
                 debug_assert!(sim_node.proto.is_none(), "churn: {id} already up");
                 let join_kind = match kind {
                     ChurnEventKind::Birth => {
@@ -899,14 +887,8 @@ impl Simulation {
                         down_duration: self.now.saturating_sub(sim_node.left_at.unwrap_or(0)),
                     },
                 };
-                let node_seed = mix64(
-                    self.opts.seed
-                        ^ mix64(u64::from_be_bytes({
-                            let b = id.to_bytes();
-                            [0, 0, b[0], b[1], b[2], b[3], b[4], b[5]]
-                        }))
-                        ^ mix64(sim_node.incarnation),
-                );
+                let node_seed =
+                    mix64(self.opts.seed ^ mix64(id.to_u64()) ^ mix64(sim_node.incarnation));
                 let mut proto = Node::new(
                     id,
                     self.opts.config.clone(),
@@ -929,8 +911,7 @@ impl Simulation {
                     // time zero there is no overlay yet to join through.
                     // Sample WITHOUT replacement (Floyd's algorithm) over
                     // the cohort minus the joiner, so the initial view is
-                    // always min(cvs, cohort − 1) distinct peers — the old
-                    // with-replacement loop could under-fill small cohorts.
+                    // always min(cvs, cohort − 1) distinct peers.
                     // Exactly k RNG draws; the Vec membership probe makes
                     // bootstrap O(cvs²) comparisons per node, fine at
                     // cvs ≤ a few hundred (switch to a bitset before
@@ -938,11 +919,7 @@ impl Simulation {
                     let cohort = self.initial_cohort.len();
                     let pool = cohort - 1;
                     let k = self.opts.config.cvs.min(pool);
-                    let skip = self
-                        .initial_cohort_index
-                        .get(&id)
-                        .copied()
-                        .unwrap_or(cohort);
+                    let skip = sim_node.cohort_pos.unwrap_or(cohort);
                     let mut picks: Vec<usize> = Vec::with_capacity(k);
                     for j in (pool - k)..pool {
                         let t = self.rng.gen_range(0..j + 1);
@@ -957,20 +934,20 @@ impl Simulation {
                 let now = self.now;
                 proto.start(now, join_kind, contact);
                 sim_node.proto = Some(proto);
-                if self.tracked.contains(&id) {
-                    self.discovery.entry(id).or_insert_with(|| DiscoveryLog {
+                if sim_node.control {
+                    sim_node.discovery.get_or_insert_with(|| DiscoveryLog {
                         born_at: now,
                         monitor_times: vec![],
                     });
                 }
-                self.alive_insert(id);
+                self.alive_insert(slot);
                 self.checker.node_up(id, now);
-                self.apply_outputs(id, None);
+                self.apply_outputs(slot, None);
             }
             ChurnEventKind::Leave | ChurnEventKind::Death => {
                 self.checker.node_down(id);
                 self.qos.close_involving(self.now, id);
-                let sim_node = self.nodes.get_mut(&id).expect("identity known");
+                let sim_node = &mut self.nodes[slot];
                 if let Some(proto) = sim_node.proto.take() {
                     // Fold the unsampled tail of this incarnation's counters.
                     let delta = proto.stats().delta(&sim_node.last_stats);
@@ -986,27 +963,24 @@ impl Simulation {
                 }
                 sim_node.incarnation += 1;
                 sim_node.left_at = Some(self.now);
-                self.alive_remove(id);
+                self.alive_remove(slot);
             }
         }
     }
 
-    fn on_deliver(&mut self, from: NodeId, to: NodeId, msg: Message) {
-        let Some(sim_node) = self.nodes.get_mut(&to) else {
-            return;
-        };
+    fn on_deliver(&mut self, slot: usize, from: NodeId, msg: Message) {
         let now = self.now;
-        match sim_node.proto.as_mut() {
+        match self.nodes[slot].proto.as_mut() {
             Some(proto) => {
                 proto.handle_message(now, from, msg);
-                self.apply_outputs(to, None);
+                self.apply_outputs(slot, None);
             }
             None => {
                 // Destination has departed: the message is lost. Monitoring
                 // pings to absent nodes are the "useless pings" of Fig. 18.
                 if msg.is_monitoring_ping() && now >= self.trace.measure_from {
-                    if let Some(sender) = self.nodes.get_mut(&from) {
-                        sender.series_mut().useless_pings += 1;
+                    if let Some(sender) = self.slot(from) {
+                        self.nodes[sender].series_mut().useless_pings += 1;
                     }
                 }
             }
@@ -1017,8 +991,8 @@ impl Simulation {
         if self.now < self.trace.measure_from {
             return;
         }
-        for &id in &self.alive {
-            let sim_node = self.nodes.get_mut(&id).expect("alive implies known");
+        // Per-row accumulators, so row order serves as well as `alive` order.
+        for sim_node in &mut self.nodes {
             let Some(proto) = sim_node.proto.as_ref() else {
                 continue;
             };
@@ -1035,60 +1009,33 @@ impl Simulation {
             series.memory_entries_max = series.memory_entries_max.max(mem);
         }
         // Always-on invariant sweep over the live population.
-        let Simulation {
-            checker,
-            nodes,
-            alive,
-            now,
-            ..
-        } = self;
-        checker.on_sample(
-            *now,
-            alive
-                .iter()
-                .filter_map(|id| nodes.get(id).and_then(|n| n.proto.as_ref())),
-        );
+        let live = live_protos(&self.nodes, &self.slot_of, &self.alive);
+        self.checker.on_sample(self.now, live);
     }
 
-    /// Applies everything `id`'s last input made it produce — polled
-    /// straight off the live node (allocation-free), or replayed from the
-    /// `captured` output of a sharded batch together with the window's
-    /// scheduling barrier. The one place a node's outputs enter the
-    /// simulation: transmits become `Deliver` events (latency-sampled),
-    /// timers become incarnation-stamped `Timer` events, and app events
-    /// feed the discovery log, the QoS fold and the event buffer.
-    pub(crate) fn apply_outputs(&mut self, id: NodeId, captured: Option<(ItemOutput, TimeMs)>) {
-        let Simulation {
-            nodes,
-            alive,
-            alive_index,
-            calendar,
-            now,
-            rng,
-            opts,
-            net,
-            discovery,
-            app_events,
-            app_subscribed,
-            trace,
-            qos,
-            ..
-        } = self;
-        let now = *now;
-        let Some(sim_node) = nodes.get_mut(&id) else {
-            return;
-        };
+    /// Applies everything the last input of the node at `slot` made it
+    /// produce — polled straight off the live node (allocation-free), or
+    /// replayed from the `captured` output of a sharded batch together
+    /// with the window's scheduling barrier. The one place a node's
+    /// outputs enter the simulation: transmits become `Deliver` events
+    /// (latency-sampled), timers become incarnation-stamped `Timer`
+    /// events, and app events feed the discovery log, the QoS fold and
+    /// the event buffer.
+    pub(crate) fn apply_outputs(&mut self, slot: usize, captured: Option<(ItemOutput, TimeMs)>) {
+        let now = self.now;
+        let sim_node = &mut self.nodes[slot];
+        let id = sim_node.id;
+        let listened = self.opts.collect_app_events || sim_node.app_subscribed;
         let mut sink = OutputSink {
             incarnation: sim_node.incarnation,
             now,
             barrier: captured.as_ref().map_or(0, |&(_, barrier)| barrier),
-            calendar,
-            net,
-            rng,
-            alive,
-            discovery,
-            app_events: (opts.collect_app_events || app_subscribed.contains(&id))
-                .then_some(app_events),
+            calendar: &mut self.calendar,
+            net: &mut self.net,
+            rng: &mut self.rng,
+            alive: &self.alive,
+            discovery: sim_node.discovery.as_mut(),
+            app_events: listened.then_some(&mut self.app_events),
             suspicions: Vec::new(),
         };
         match captured {
@@ -1102,24 +1049,24 @@ impl Simulation {
         }
         // Folded only now that the node borrow is released: classifying a
         // suspicion as wrongful or true needs to look up the *target*.
-        let measuring = now >= trace.measure_from;
+        let measuring = now >= self.trace.measure_from;
         for (down, target) in sink.suspicions {
-            let left_at = nodes.get(&target).and_then(|n| n.left_at);
-            let alive = alive_index.contains_key(&target);
-            qos.fold_suspicion(now, measuring, (id, target), down, alive, left_at);
+            let target_node = self.slot_of.get(&target).map(|&s| &self.nodes[s as usize]);
+            let left_at = target_node.and_then(|n| n.left_at);
+            let alive = target_node.is_some_and(|n| n.alive_pos.is_some());
+            self.qos
+                .fold_suspicion(now, measuring, (id, target), down, alive, left_at);
         }
     }
 
     /// Picks a uniformly random live contact for `joiner`, in O(1) and
     /// with exactly one RNG draw whenever a valid contact exists.
     ///
-    /// Returns `None` only when no other node is alive. (The previous
-    /// implementation gave up after 8 rejection-sampling draws and could
-    /// spuriously isolate a joiner — a (1/2)^8 chance per join with two
-    /// alive nodes. The joiner is normally not yet in `alive` when this
-    /// runs; the index exclusion below keeps the guarantee even if it is.)
+    /// Returns `None` only when no other node is alive. The joiner is
+    /// normally not yet in `alive` when this runs; the index exclusion
+    /// below keeps the guarantee even if it is.
     fn pick_contact(&mut self, joiner: NodeId) -> Option<NodeId> {
-        match self.alive_index.get(&joiner).copied() {
+        match self.slot(joiner).and_then(|s| self.nodes[s].alive_pos) {
             None => {
                 if self.alive.is_empty() {
                     return None;
@@ -1138,24 +1085,35 @@ impl Simulation {
         }
     }
 
-    fn alive_insert(&mut self, id: NodeId) {
-        if self.alive_index.contains_key(&id) {
-            return;
+    fn alive_insert(&mut self, slot: usize) {
+        let sim_node = &mut self.nodes[slot];
+        if sim_node.alive_pos.is_none() {
+            sim_node.alive_pos = Some(self.alive.len());
+            self.alive.push(sim_node.id);
         }
-        self.alive_index.insert(id, self.alive.len());
-        self.alive.push(id);
     }
 
-    fn alive_remove(&mut self, id: NodeId) {
-        if let Some(idx) = self.alive_index.remove(&id) {
-            let last = self.alive.len() - 1;
+    fn alive_remove(&mut self, slot: usize) {
+        if let Some(idx) = self.nodes[slot].alive_pos.take() {
             self.alive.swap_remove(idx);
-            if idx != last {
-                let moved = self.alive[idx];
-                self.alive_index.insert(moved, idx);
+            if let Some(&moved) = self.alive.get(idx) {
+                let moved = self.slot(moved).expect("alive implies known");
+                self.nodes[moved].alive_pos = Some(idx);
             }
         }
     }
+}
+
+/// The live nodes' protocol state, in `alive` order (the order the
+/// checker records its observations in).
+fn live_protos<'a>(
+    nodes: &'a [SimNode],
+    slot_of: &'a FlatMap<NodeId, u32>,
+    alive: &'a [NodeId],
+) -> impl Iterator<Item = &'a Node> {
+    alive
+        .iter()
+        .filter_map(|id| nodes[*slot_of.get(id)? as usize].proto.as_ref())
 }
 
 /// Where one node's outputs go (see [`Simulation::apply_outputs`]): the
@@ -1171,7 +1129,8 @@ struct OutputSink<'a> {
     net: &'a mut NetworkState,
     rng: &'a mut SmallRng,
     alive: &'a [NodeId],
-    discovery: &'a mut BTreeMap<NodeId, DiscoveryLog>,
+    /// The node's discovery log, if it keeps one.
+    discovery: Option<&'a mut DiscoveryLog>,
     /// The event buffer, when anyone listens to this node.
     app_events: Option<&'a mut Vec<(TimeMs, NodeId, AppEvent)>>,
     /// Suspicion transitions `(down, target)`, for the QoS fold.
@@ -1233,7 +1192,7 @@ impl DriverEnv for OutputSink<'_> {
     fn handle_event(&mut self, node: NodeId, event: AppEvent) {
         match event {
             AppEvent::MonitorDiscovered { .. } => {
-                if let Some(log) = self.discovery.get_mut(&node) {
+                if let Some(log) = &mut self.discovery {
                     log.monitor_times.push(self.now);
                 }
             }
@@ -1250,7 +1209,7 @@ impl DriverEnv for OutputSink<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avmon_churn::ChurnEvent;
+    use avmon_churn::{synthetic, ChurnEvent, SynthParams};
 
     /// A minimal trace: `n` births at t = 0, nothing else.
     fn cohort_trace(n: u32, horizon: TimeMs) -> Trace {
@@ -1355,6 +1314,45 @@ mod tests {
         );
         lonely.run_until(1);
         assert_eq!(lonely.pick_contact(NodeId::from_index(0)), None);
+    }
+
+    /// Under seeded random churn `alive` and the rows' `alive_pos` stay
+    /// mutual inverses (a swap-remove that forgets to patch the moved row
+    /// fails here), and `pick_contact` costs exactly one engine RNG word.
+    #[test]
+    fn alive_positions_survive_random_churn() {
+        for seed in 0..6u64 {
+            let trace = synthetic(SynthParams {
+                churn_per_hour: 6.0,
+                birth_death_per_day: 24.0,
+                warmup: 10 * avmon::MINUTE,
+                ..SynthParams::synth(30)
+                    .duration(30 * avmon::MINUTE)
+                    .seed(seed)
+            });
+            let horizon = trace.horizon;
+            let config = Config::builder(30).build().unwrap();
+            let mut sim = Simulation::new(trace, SimOptions::new(config).seed(seed));
+            for t in (0..=horizon).step_by(20_000) {
+                sim.run_until(t);
+                let mut live = 0;
+                for node in &sim.nodes {
+                    assert_eq!(node.alive_pos.is_some(), node.proto.is_some(), "t={t}");
+                    if let Some(pos) = node.alive_pos {
+                        assert_eq!(sim.alive[pos], node.id, "seed {seed}, t={t}");
+                        live += 1;
+                    }
+                }
+                // Every live row owns its own position: no duplicates.
+                assert_eq!(live, sim.alive.len(), "seed {seed}, t={t}");
+                if live >= 2 {
+                    let joiner = sim.nodes[t as usize % sim.nodes.len()].id;
+                    let before = sim.rng.draw_count();
+                    assert!(sim.pick_contact(joiner).is_some());
+                    assert_eq!(sim.rng.draw_count(), before + 1);
+                }
+            }
+        }
     }
 
     /// The bootstrap under-fill regression: warm-view seeding now samples

@@ -55,14 +55,15 @@
 //! *same* violations at the same simulated times (`tests/incremental.rs`
 //! proves it), they only differ in how much work they skip.
 
-// Every hash-collection here carries a per-site `detlint::allow` proving
-// iteration order never leaks; detlint is the precise layer, so the
-// coarser clippy mirror is silenced module-wide.
+// The one `std` hash set left here (`reported`, which needs `retain`)
+// carries a per-site `detlint::allow` proving iteration order never leaks;
+// detlint is the precise layer, so the coarser clippy mirror is silenced
+// module-wide.
 #![allow(clippy::disallowed_types)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use avmon::{Config, DurMs, MemoPolicy, Node, NodeId, SharedSelector, TimeMs};
+use avmon::{Config, DurMs, FlatMap, FlatSet, MemoPolicy, Node, NodeId, SharedSelector, TimeMs};
 use avmon_hash::{PointMemo, Threshold};
 use serde::{Deserialize, Serialize};
 
@@ -93,7 +94,7 @@ pub enum CheckStrategy {
 }
 
 /// Invariant-checker configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct InvariantConfig {
     /// Violation handling.
     pub mode: InvariantMode,
@@ -109,40 +110,6 @@ pub struct InvariantConfig {
     /// times cheaper than per-pair `is_monitor` calls. The cap remains the
     /// fallback for populations where even that is too slow.
     pub max_agreement_pairs: Option<u64>,
-    /// How long both endpoints must be continuously up — *and* the network
-    /// quiescent — before eventual-agreement is owed. `None` derives a
-    /// discovery-scaled default: `max(20, ⌈(ln(N·K) + 2) · N/cvs²⌉)`
-    /// protocol periods. The floor of 20 periods covers the notified-cache
-    /// aging cadence and forgetful-pinging re-adoption after heal; the
-    /// `N/cvs²` factor is the paper's expected discovery time (§4), and
-    /// the `ln(N·K)` factor covers the geometric tail over all condition
-    /// pairs — demanding *every* pair agreed much earlier than that is
-    /// statistically wrong at large `N` (a 40-period 50k-node run would
-    /// flag hundreds of perfectly healthy pairs).
-    pub grace: Option<DurMs>,
-    /// Whether to run the `O(pairs)` eventual-agreement and convergence
-    /// checks at the end of the run.
-    pub check_agreement: bool,
-    /// Accepted band for mean `|PS|` of long-lived nodes, as multiples of
-    /// the configured `K` (checked only when ≥ 8 nodes are eligible).
-    pub convergence_band: (f64, f64),
-    /// A node continuously up (and quiescent) for this many protocol
-    /// periods with an empty pinging set earns a slow-discovery warning.
-    pub slow_discovery_periods: u32,
-}
-
-impl Default for InvariantConfig {
-    fn default() -> Self {
-        InvariantConfig {
-            mode: InvariantMode::default(),
-            strategy: CheckStrategy::default(),
-            max_agreement_pairs: None,
-            grace: None,
-            check_agreement: true,
-            convergence_band: (0.2, 3.0),
-            slow_discovery_periods: 10,
-        }
-    }
 }
 
 impl InvariantConfig {
@@ -437,24 +404,22 @@ pub struct InvariantChecker {
     protocol_period: DurMs,
     k: u32,
     view_cap: usize,
-    /// The derived grace default in protocol periods (discovery-scaled;
-    /// used when the config does not pin an explicit grace).
-    derived_grace_periods: u64,
+    /// The grace window in protocol periods (see [`Self::grace`]).
+    grace_periods: u64,
     /// First instant with every scenario fault healed.
     quiescent_from: TimeMs,
     /// Whether the base network drops messages for the whole run — if so,
     /// eventual agreement is owed only statistically (warnings, not
     /// violations).
     lossy_base: bool,
-    // detlint::allow(banned-collection): per-key uptime lookups; never iterated
-    up_since: HashMap<NodeId, TimeMs>,
-    // detlint::allow(banned-collection): membership probes only; never iterated
-    warned_slow: HashSet<NodeId>,
+    /// When each currently-live node came up.
+    up_since: FlatMap<NodeId, TimeMs>,
+    /// Nodes already warned about slow discovery this incarnation.
+    warned_slow: FlatSet<NodeId>,
     /// Change epochs `(sets_epoch, view_version)` at which each node was
     /// last verified; nodes whose epochs are unchanged are skipped under
     /// [`CheckStrategy::Incremental`]. Cleared per incarnation.
-    // detlint::allow(banned-collection): per-key epoch lookups; never iterated
-    verified_at: HashMap<NodeId, (u64, u64)>,
+    verified_at: FlatMap<NodeId, (u64, u64)>,
     /// Pair-point memo backing the consistency-condition checks when the
     /// selector is a pure pair hash ([`threshold`](Self::threshold) is
     /// `Some`); per-identity invalidated on incarnation bump.
@@ -576,25 +541,25 @@ impl InvariantChecker {
     ) -> Self {
         let enabled = config.mode != InvariantMode::Off;
         let threshold = selector.selection_threshold();
-        // Discovery-scaled grace default (see `InvariantConfig::grace`).
+        // Discovery-scaled grace (see `InvariantChecker::grace`).
         let pairs = (protocol.system_size as f64) * f64::from(protocol.k);
         let discovery_periods =
             (protocol.system_size as f64 / ((protocol.cvs * protocol.cvs).max(1) as f64)).max(1.0);
-        let derived_grace_periods = ((pairs.max(2.0).ln() + 2.0) * discovery_periods)
+        let grace_periods = ((pairs.max(2.0).ln() + 2.0) * discovery_periods)
             .ceil()
             .max(20.0) as u64;
         InvariantChecker {
             config,
             selector: Some(selector),
-            derived_grace_periods,
+            grace_periods,
             protocol_period: protocol.protocol_period,
             k: protocol.k,
             view_cap: protocol.cvs,
             quiescent_from,
             lossy_base,
-            up_since: HashMap::new(), // detlint::allow(banned-collection): see field
-            warned_slow: HashSet::new(), // detlint::allow(banned-collection): see field
-            verified_at: HashMap::new(), // detlint::allow(banned-collection): see field
+            up_since: FlatMap::new(),
+            warned_slow: FlatSet::new(),
+            verified_at: FlatMap::new(),
             // ~4M pairs comfortably covers the live PS∪TS pairs of a
             // 100k-node run (≈ 2·K·N); beyond that the memo clears
             // wholesale rather than growing unboundedly.
@@ -705,13 +670,20 @@ impl InvariantChecker {
         self.config.mode != InvariantMode::Off && self.selector.is_some()
     }
 
-    /// The grace window in effect (explicit config, or the
-    /// discovery-scaled default — see [`InvariantConfig::grace`]).
+    /// How long both endpoints must be continuously up — *and* the network
+    /// quiescent — before eventual-agreement is owed; also the bound a
+    /// declared adversary window gets to re-converge in. Discovery-scaled:
+    /// `max(20, ⌈(ln(N·K) + 2) · N/cvs²⌉)` protocol periods. The floor of
+    /// 20 periods covers the notified-cache aging cadence and
+    /// forgetful-pinging re-adoption after heal; the `N/cvs²` factor is the
+    /// paper's expected discovery time (§4), and the `ln(N·K)` factor
+    /// covers the geometric tail over all condition pairs — demanding
+    /// *every* pair agreed much earlier than that is statistically wrong at
+    /// large `N` (a 40-period 50k-node run would flag hundreds of perfectly
+    /// healthy pairs).
     #[must_use]
     pub fn grace(&self) -> DurMs {
-        self.config
-            .grace
-            .unwrap_or(self.derived_grace_periods.max(20) * self.protocol_period.max(1))
+        self.grace_periods.max(20) * self.protocol_period.max(1)
     }
 
     /// Observations so far.
@@ -819,7 +791,11 @@ impl InvariantChecker {
             // Discovery-bound degradation: warn (once per incarnation) for
             // nodes waiting far beyond the expected ~1 period. Always
             // evaluated — an empty pinging set never bumps an epoch.
-            let bound = DurMs::from(self.config.slow_discovery_periods) * self.protocol_period;
+            /// A node continuously up (and quiescent) for this many protocol
+            /// periods with an empty pinging set earns a slow-discovery
+            /// warning.
+            const SLOW_DISCOVERY_PERIODS: u32 = 10;
+            let bound = DurMs::from(SLOW_DISCOVERY_PERIODS) * self.protocol_period;
             if node.pinging_set_len() == 0 {
                 if let Some(&since) = self.up_since.get(&id) {
                     let waiting_from = since.max(self.quiescent_from);
@@ -852,9 +828,6 @@ impl InvariantChecker {
         // falling between the last sample and the run end still closes
         // (windows of still-dead nodes stay open: unproven, not failed).
         self.expire_windows(now);
-        if !self.config.check_agreement {
-            return;
-        }
         let Some(selector) = self.selector.clone() else {
             return;
         };
@@ -915,6 +888,9 @@ impl InvariantChecker {
             }
         }
 
+        /// Accepted band for mean `|PS|` of long-lived nodes, as multiples
+        /// of the configured `K` (checked only when ≥ 8 nodes are eligible).
+        const CONVERGENCE_BAND: (f64, f64) = (0.2, 3.0);
         if eligible.len() >= 8 {
             self.summary.checks += 1;
             let mean = eligible
@@ -922,7 +898,7 @@ impl InvariantChecker {
                 .map(|n| n.pinging_set_len() as f64)
                 .sum::<f64>()
                 / eligible.len() as f64;
-            let (lo, hi) = self.config.convergence_band;
+            let (lo, hi) = CONVERGENCE_BAND;
             let k = f64::from(self.k);
             if mean < lo * k || mean > hi * k {
                 self.record(

@@ -94,11 +94,17 @@
 //!
 //! # Module map
 //!
-//! * [`engine`] — options, event loop, churn/corruption handlers, output path
+//! * [`engine`] — options, the node table (`Vec<SimNode>` in ascending
+//!   identity order behind one `NodeId → slot` lookup; DESIGN.md §5), event
+//!   loop, churn/corruption handlers, output path
 //! * `calendar` — heap + timer lanes + delivery wheel as one `(time, seq)` queue
 //! * `shard` — the batched multi-worker loop over the same calendar
+//! * [`network`] — latency model, link faults, compiled partition windows
+//! * [`scenario`] — declarative fault and attack timelines
+//! * [`invariants`] — the always-on protocol invariant checker
+//! * [`metrics`] — the report types the paper's figures are plotted from
 //! * `qos` — streaming failure-detector QoS accumulators
-//! * `report` — [`SimReport`] assembly
+//! * `report` — [`SimReport`] assembly, in slot order
 
 mod calendar;
 pub mod engine;

@@ -9,60 +9,12 @@
 //! outgoing bandwidth (Fig. 19), useless pings (Fig. 18), and availability
 //! estimation accuracy (Figs. 17, 20).
 
-#[allow(clippy::disallowed_types)] // detlint carries the per-site proofs below
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use avmon::{DurMs, NodeId, NodeStats, TimeMs};
 use serde::{Deserialize, Serialize};
 
 use crate::invariants::{InvariantSummary, WindowOutcome};
-
-/// Streaming per-target aggregation of availability estimates.
-///
-/// Report assembly pushes every monitor's estimate for every target in a
-/// single pass over the population's target records (`O(N·K)` total), then
-/// drains each target's estimates sorted — replacing the old per-target
-/// `O(N)` probe of every node (`O(N²)` over a report).
-#[derive(Debug, Default)]
-pub struct EstimateIndex {
-    #[allow(clippy::disallowed_types)]
-    // detlint::allow(banned-collection): drained per key; each bucket sorts before use
-    by_target: HashMap<NodeId, Vec<f64>>,
-}
-
-impl EstimateIndex {
-    /// An empty index.
-    #[must_use]
-    pub fn new() -> Self {
-        EstimateIndex::default()
-    }
-
-    /// Streams one monitor's estimate for `target` into the index.
-    pub fn push(&mut self, target: NodeId, estimate: f64) {
-        self.by_target.entry(target).or_default().push(estimate);
-    }
-
-    /// Removes and returns `target`'s estimates, sorted ascending so
-    /// downstream float reductions are bit-reproducible regardless of the
-    /// (hash-ordered) push order. `None` if no estimate was pushed.
-    pub fn take_sorted(&mut self, target: NodeId) -> Option<Vec<f64>> {
-        let mut estimates = self.by_target.remove(&target)?;
-        estimates.sort_by(|a, b| a.partial_cmp(b).expect("estimates are never NaN"));
-        Some(estimates)
-    }
-
-    /// Number of targets with at least one estimate.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.by_target.len()
-    }
-
-    /// Whether no estimates were pushed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.by_target.is_empty()
-    }
-}
 
 /// Running per-node accumulators, updated once per sampling interval.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]

@@ -17,11 +17,9 @@
 //! knobs at zero, the RNG stream is *identical* to the fault-free engine:
 //! exactly one latency sample is drawn per unicast message.
 
-use avmon::{DurMs, NodeId, TimeMs};
+use avmon::{DurMs, FlatSet, NodeId, TimeMs};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-#[allow(clippy::disallowed_types)] // detlint carries the per-site proofs below
-use std::collections::HashSet;
 
 use crate::scenario::{Fault, Scenario};
 
@@ -248,12 +246,8 @@ impl NetworkModel {
 struct LinkWindow {
     from: TimeMs,
     until: TimeMs,
-    #[allow(clippy::disallowed_types)]
-    // detlint::allow(banned-collection): membership probes only; never iterated
-    a: HashSet<NodeId>,
-    #[allow(clippy::disallowed_types)]
-    // detlint::allow(banned-collection): membership probes only; never iterated
-    b: HashSet<NodeId>,
+    a: FlatSet<NodeId>,
+    b: FlatSet<NodeId>,
     symmetric: bool,
     loss: f64,
 }

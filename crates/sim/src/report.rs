@@ -1,19 +1,21 @@
 //! Report assembly: everything [`Simulation`] measured, folded into one
 //! [`SimReport`].
 
-// Every hash-collection here carries a per-site `detlint::allow` proving
-// iteration order never leaks; detlint is the precise layer, so the
-// coarser clippy mirror is silenced module-wide.
-#![allow(clippy::disallowed_types)]
+use std::collections::BTreeMap;
 
-use std::collections::{BTreeMap, HashSet};
-
-use avmon::{Behavior, NodeId, TargetRecord};
+use avmon::{Behavior, FlatSet, NodeId, TargetRecord};
 
 use crate::engine::Simulation;
 use crate::invariants::{InvariantSummary, RngLedger};
-use crate::metrics::{AvailabilityMeasure, DiscoveryLog, EclipseScore, EstimateIndex, SimReport};
+use crate::metrics::{AvailabilityMeasure, DiscoveryLog, EclipseScore, SimReport};
 use crate::scenario::Attack;
+
+/// Sorts a target's estimates ascending before any float reduction, so the
+/// result is bit-reproducible regardless of which monitor pushed first (the
+/// order the pinned report digests were produced from).
+fn sort_estimates(estimates: &mut [f64]) {
+    estimates.sort_by(|a, b| a.partial_cmp(b).expect("estimates are never NaN"));
+}
 
 impl Simulation {
     /// Whether `monitor`'s inflated report for `target` actually takes
@@ -29,9 +31,8 @@ impl Simulation {
         }
         if matches!(behavior, Behavior::Colluding { .. }) {
             return self
-                .nodes
-                .get(&target)
-                .is_some_and(|t| t.behavior.colludes_with(monitor));
+                .slot(target)
+                .is_some_and(|t| self.nodes[t].behavior.colludes_with(monitor));
         }
         true
     }
@@ -42,7 +43,8 @@ impl Simulation {
     #[must_use]
     pub fn monitor_estimates(&self, target: NodeId) -> Vec<f64> {
         let mut estimates = Vec::new();
-        for (&mid, sim_node) in &self.nodes {
+        for sim_node in &self.nodes {
+            let mid = sim_node.id;
             if mid == target {
                 continue;
             }
@@ -65,21 +67,24 @@ impl Simulation {
                 estimates.push(est);
             }
         }
-        // The monitor map iterates in hash order; sort so that downstream
-        // float reductions are bit-reproducible across runs.
-        estimates.sort_by(|a, b| a.partial_cmp(b).expect("estimates are never NaN"));
+        sort_estimates(&mut estimates);
         estimates
     }
 
     /// Builds the final [`SimReport`].
     ///
     /// Assembly is `O(N·K)`: one pass over every node's target records
-    /// feeds a per-target estimate index (instead of the old `O(N²)`
+    /// buckets the estimates per target slot (instead of an `O(N²)`
     /// [`Simulation::monitor_estimates`] probe per measured node), and the
     /// per-node series stream straight out of the engine's accumulators.
     #[must_use]
     pub fn report(&self) -> SimReport {
-        self.assemble_report(self.discovery.clone(), self.checker.summary().clone())
+        let discovery = self
+            .nodes
+            .iter()
+            .filter_map(|n| Some((n.id, n.discovery.clone()?)))
+            .collect();
+        self.assemble_report(discovery, self.checker.summary().clone())
     }
 
     /// Like [`Simulation::report`], but consumes the simulation and moves
@@ -87,7 +92,11 @@ impl Simulation {
     /// them — preferred once the run is over.
     #[must_use]
     pub fn into_report(mut self) -> SimReport {
-        let discovery = std::mem::take(&mut self.discovery);
+        let discovery = self
+            .nodes
+            .iter_mut()
+            .filter_map(|n| Some((n.id, n.discovery.take()?)))
+            .collect();
         let invariants = self.checker.summary().clone();
         self.assemble_report(discovery, invariants)
     }
@@ -99,7 +108,7 @@ impl Simulation {
     ) -> SimReport {
         let mut totals = self.graveyard_stats;
         let mut node_draws = self.graveyard_rng_draws;
-        for sim_node in self.nodes.values() {
+        for sim_node in &self.nodes {
             if let Some(proto) = sim_node.proto.as_ref() {
                 totals.merge(proto.stats());
                 node_draws += proto.rng_draws();
@@ -117,10 +126,12 @@ impl Simulation {
             corruption_draws: self.corruption_draws,
             app_draws: self.app_draws,
         };
-        // One pass over every monitor's target records builds the
-        // per-target estimate index (O(total TS entries) = O(N·K)).
-        let mut estimate_index = EstimateIndex::new();
-        for (&mid, sim_node) in &self.nodes {
+        // One pass over every monitor's target records buckets the
+        // estimates by target slot (O(total TS entries) = O(N·K)); targets
+        // the trace never named (corruption ghosts) have no bucket.
+        let mut estimates_of: Vec<Vec<f64>> = vec![Vec::new(); self.nodes.len()];
+        for sim_node in &self.nodes {
+            let mid = sim_node.id;
             let mut push = |target: NodeId, rec: &TargetRecord| {
                 if target == mid || rec.pings_sent == 0 {
                     return;
@@ -130,8 +141,8 @@ impl Simulation {
                 } else {
                     rec.availability_estimate()
                 };
-                if let Some(est) = estimate {
-                    estimate_index.push(target, est);
+                if let (Some(est), Some(slot)) = (estimate, self.slot(target)) {
+                    estimates_of[slot].push(est);
                 }
             };
             match sim_node.proto.as_ref() {
@@ -147,20 +158,21 @@ impl Simulation {
                 }
             }
         }
+        // Rows come out in slot order, which is ascending `NodeId` order.
         let mut availability = Vec::new();
-        // detlint::allow(banned-collection): membership probes only; never iterated
-        let control: HashSet<NodeId> = self.trace.control_group.iter().copied().collect();
         // One pass over the trace builds every node's up-intervals;
         // Trace::availability_of would rebuild this map per queried node
         // (O(N · E) over a report — minutes at N = 50k).
         let up_intervals = self.trace.up_intervals();
-        for (&id, sim_node) in &self.nodes {
+        for (sim_node, mut estimates) in self.nodes.iter().zip(estimates_of) {
+            let id = sim_node.id;
             let Some(born) = sim_node.born_at else {
                 continue;
             };
-            let Some(estimates) = estimate_index.take_sorted(id) else {
+            if estimates.is_empty() {
                 continue;
-            };
+            }
+            sort_estimates(&mut estimates);
             let from = born.max(self.trace.measure_from);
             if from >= self.trace.horizon {
                 continue;
@@ -179,19 +191,17 @@ impl Simulation {
                 node: id,
                 estimated: crate::metrics::mean(&estimates),
                 actual,
-                control: control.contains(&id),
+                control: sim_node.control,
                 monitors: estimates.len(),
             });
         }
-        availability.sort_by_key(|m| m.node);
         // FD QoS assembly: the streaming integer accumulators plus the
         // checker's per-window stabilization verdicts and the end-of-run
         // eclipse capture census.
         let window_ms = self.trace.horizon.saturating_sub(self.trace.measure_from);
         let mut qos = self.qos.score(window_ms, self.checker.stabilization());
         if let Some(scenario) = &self.opts.scenario {
-            // detlint::allow(banned-collection): membership probes only; victims are sorted separately
-            let mut coalition_union: HashSet<NodeId> = HashSet::new();
+            let mut coalition_union: FlatSet<NodeId> = FlatSet::new();
             let mut victims: Vec<NodeId> = Vec::new();
             for event in &scenario.attacks {
                 let Attack::Eclipse {
@@ -199,15 +209,18 @@ impl Simulation {
                     victims: v,
                     ..
                 } = &event.attack;
-                coalition_union.extend(coalition.iter().copied());
+                for &member in coalition {
+                    coalition_union.insert(member);
+                }
                 victims.extend(v.iter().copied());
             }
             victims.sort_unstable();
             victims.dedup();
             for victim in victims {
-                let Some(sim_node) = self.nodes.get(&victim) else {
+                let Some(slot) = self.slot(victim) else {
                     continue;
                 };
+                let sim_node = &self.nodes[slot];
                 let ps: Vec<NodeId> = match sim_node.proto.as_ref() {
                     Some(proto) => proto.pinging_set().collect(),
                     None => sim_node.persistent.ps.clone(),
@@ -220,12 +233,12 @@ impl Simulation {
                 });
             }
         }
-        let mut series = BTreeMap::new();
-        for (&id, sim_node) in &self.nodes {
-            if sim_node.series_touched {
-                series.insert(id, sim_node.series.clone());
-            }
-        }
+        let series = self
+            .nodes
+            .iter()
+            .filter(|n| n.series_touched)
+            .map(|n| (n.id, n.series.clone()))
+            .collect();
         SimReport {
             model: self.trace.name.clone(),
             n: self.trace.stable_size,

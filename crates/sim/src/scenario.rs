@@ -331,7 +331,8 @@ impl Scenario {
         windows
     }
 
-    /// Freeze windows per node, for the engine.
+    /// Every `(node, from, until)` freeze window, for the engine to file
+    /// under the node's row.
     pub(crate) fn freeze_windows(&self) -> Vec<(NodeId, TimeMs, TimeMs)> {
         self.events
             .iter()
@@ -340,20 +341,6 @@ impl Scenario {
                 _ => None,
             })
             .collect()
-    }
-
-    /// The freeze windows indexed per node, for O(1) per-event lookup in
-    /// the engine's delivery/timer hot path (a flat window list would be
-    /// rescanned for *every* message of a large run).
-    #[allow(clippy::disallowed_types)]
-    // detlint::allow(banned-collection): consumed per key by the engine; never iterated
-    pub(crate) fn freeze_index(&self) -> std::collections::HashMap<NodeId, Vec<(TimeMs, TimeMs)>> {
-        let mut index: std::collections::HashMap<NodeId, Vec<(TimeMs, TimeMs)>> = // detlint::allow(banned-collection): see fn
-            std::collections::HashMap::new(); // detlint::allow(banned-collection): see fn
-        for (node, from, until) in self.freeze_windows() {
-            index.entry(node).or_default().push((from, until));
-        }
-        index
     }
 
     /// Generates a random scenario for fuzz-style sweeps: 1–4 faults drawn

@@ -14,11 +14,6 @@
 //!
 //! [`SimOptions::workers`]: crate::SimOptions::workers
 
-// The one hash map here carries a per-site `detlint::allow`; detlint is
-// the precise layer, so the coarser clippy mirror is silenced.
-#![allow(clippy::disallowed_types)]
-
-use std::collections::HashMap;
 use std::sync::mpsc;
 
 use avmon::driver::{drain, DriverEnv};
@@ -73,7 +68,8 @@ impl ItemOutput {
 #[derive(Debug)]
 struct ShardJob {
     index: usize,
-    node: NodeId,
+    /// The node's row in `Simulation::nodes`.
+    slot: usize,
     proto: Node,
     /// Popped events, each with whether it rode a timer lane.
     inputs: Vec<(Event, bool)>,
@@ -119,8 +115,9 @@ enum HeadClass {
     /// Anything that touches shared state (churn, sampling, corruption,
     /// behavior switches) or needs a pop-time requeue (frozen nodes).
     Cut,
-    /// Node-local processing for a live node: joins the batch.
-    Batch,
+    /// Node-local processing for the live node at this slot: joins the
+    /// batch.
+    Batch(usize),
     /// Guaranteed not to touch any live node (dead/unknown destination,
     /// stale incarnation): dispatched on the spot during collection —
     /// the sequential dispatch path already reduces to the right side
@@ -188,14 +185,12 @@ impl Simulation {
     ) -> (Vec<(usize, TimeMs)>, Vec<ShardJob>, bool) {
         let mut order: Vec<(usize, TimeMs)> = Vec::new();
         let mut groups: Vec<ShardJob> = Vec::new();
-        // detlint::allow(banned-collection): per-key job grouping; batch order comes from pop order
-        let mut index: HashMap<NodeId, usize> = HashMap::new();
         while let Some((at, kind)) = self.calendar.peek() {
             let addressee = kind.addressee();
             if at >= window_end || at > deadline {
                 break;
             }
-            match self.classify_head(addressee, at, &index) {
+            match self.classify_head(addressee, at) {
                 HeadClass::Cut => return (order, groups, true),
                 // Inline events never touch a live node, so the ordinary
                 // dispatch path is exact: dead-destination deliveries do
@@ -204,15 +199,14 @@ impl Simulation {
                 HeadClass::Inline => {
                     self.step(at);
                 }
-                HeadClass::Batch => {
+                HeadClass::Batch(slot) => {
                     let input = self.calendar.pop_due(at).expect("peeked");
                     self.now = at;
-                    let (node, _) = addressee.expect("classified batchable");
-                    let gi = *index.entry(node).or_insert_with(|| {
-                        let sim_node = self.nodes.get_mut(&node).expect("classified live");
+                    let sim_node = &mut self.nodes[slot];
+                    let gi = *sim_node.batch_group.get_or_insert_with(|| {
                         groups.push(ShardJob {
                             index: groups.len(),
-                            node,
+                            slot,
                             proto: sim_node.proto.take().expect("classified live"),
                             inputs: Vec::new(),
                             outputs: Vec::new(),
@@ -227,21 +221,18 @@ impl Simulation {
         (order, groups, false)
     }
 
-    /// Classifies the calendar head for batch collection. `batched` maps
-    /// nodes already in this batch (whose `proto` is temporarily moved
-    /// out) — they are still live, their liveness just isn't visible in
-    /// `self.nodes` right now.
-    fn classify_head(
-        &self,
-        addressee: Option<(NodeId, Option<u64>)>,
-        at: TimeMs,
-        // detlint::allow(banned-collection): probe-only membership parameter
-        batched: &HashMap<NodeId, usize>,
-    ) -> HeadClass {
+    /// Classifies the calendar head for batch collection. A node already
+    /// in this batch has its `proto` moved out into its job — it is still
+    /// live, which its `batch_group` says.
+    fn classify_head(&self, addressee: Option<(NodeId, Option<u64>)>, at: TimeMs) -> HeadClass {
         let Some((node, incarnation)) = addressee else {
             return HeadClass::Cut;
         };
-        if self.frozen_at(node, at).is_some() || self.app_subscribed.contains(&node) {
+        let Some(slot) = self.slot(node) else {
+            return HeadClass::Inline;
+        };
+        let n = &self.nodes[slot];
+        if n.frozen_at(at).is_some() || n.app_subscribed {
             // Frozen nodes requeue at pop time with a fresh sequence
             // number — that allocation must happen at the sequential
             // position, so the event cuts the batch. App-subscribed nodes
@@ -249,11 +240,10 @@ impl Simulation {
             // exact sequential calendar position, independent of worker
             // count.
             HeadClass::Cut
-        } else if self.nodes.get(&node).is_some_and(|n| {
-            incarnation.is_none_or(|i| i == n.incarnation)
-                && (n.proto.is_some() || batched.contains_key(&node))
-        }) {
-            HeadClass::Batch
+        } else if incarnation.is_none_or(|i| i == n.incarnation)
+            && (n.proto.is_some() || n.batch_group.is_some())
+        {
+            HeadClass::Batch(slot)
         } else {
             HeadClass::Inline
         }
@@ -272,11 +262,11 @@ impl Simulation {
         res_rx: &mpsc::Receiver<Vec<ShardJob>>,
     ) {
         let n_groups = groups.len();
-        let mut slots: Vec<Option<ShardJob>> = (0..n_groups).map(|_| None).collect();
+        let mut done_jobs: Vec<Option<ShardJob>> = (0..n_groups).map(|_| None).collect();
         if n_groups < 2 || order.len() < 16 {
             for job in groups {
                 let gi = job.index;
-                slots[gi] = Some(run_shard(job));
+                done_jobs[gi] = Some(run_shard(job));
             }
         } else {
             let mut per_worker: Vec<Vec<ShardJob>> =
@@ -294,18 +284,20 @@ impl Simulation {
             for _ in 0..outstanding {
                 for done in res_rx.recv().expect("worker alive") {
                     let gi = done.index;
-                    slots[gi] = Some(done);
+                    done_jobs[gi] = Some(done);
                 }
             }
         }
         // Bring every node home before replaying: replay routes messages
         // and folds metrics but never touches protocol state.
-        let mut nodes: Vec<NodeId> = Vec::with_capacity(n_groups);
+        let mut slots: Vec<usize> = Vec::with_capacity(n_groups);
         let mut outputs: Vec<std::vec::IntoIter<ItemOutput>> = Vec::with_capacity(n_groups);
-        for slot in slots {
-            let done = slot.expect("every group completes");
-            self.nodes.get_mut(&done.node).expect("known node").proto = Some(done.proto);
-            nodes.push(done.node);
+        for done in done_jobs {
+            let done = done.expect("every group completes");
+            let sim_node = &mut self.nodes[done.slot];
+            sim_node.proto = Some(done.proto);
+            sim_node.batch_group = None;
+            slots.push(done.slot);
             outputs.push(done.outputs.into_iter());
         }
         // With a window wider than one instant, nothing a handler did may
@@ -319,7 +311,7 @@ impl Simulation {
             if out.expire_skip {
                 self.calendar.note_expire_skip();
             } else {
-                self.apply_outputs(nodes[gi], Some((out, barrier)));
+                self.apply_outputs(slots[gi], Some((out, barrier)));
             }
         }
     }

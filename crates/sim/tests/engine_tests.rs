@@ -1,8 +1,8 @@
 //! End-to-end simulator tests on small overlays.
 
-use avmon::{Behavior, Config, DiscoveryMode, MINUTE};
+use avmon::{Behavior, Config, DiscoveryMode, NodeId, MINUTE};
 use avmon_churn::{stat, synthetic, SynthParams};
-use avmon_sim::{metrics, SimOptions, Simulation};
+use avmon_sim::{metrics, Corruption, Scenario, SimOptions, Simulation};
 
 fn small_config(n: usize) -> Config {
     Config::builder(n).build().unwrap()
@@ -246,4 +246,165 @@ fn alive_count_tracks_trace() {
     let mut sim = Simulation::new(trace, SimOptions::new(small_config(100)).seed(3));
     let report = sim.run();
     assert_eq!(report.alive_at_end, expected);
+}
+
+/// Identities are whatever `<IP, port>` pairs the trace names: nothing may
+/// assume the dense 10/8 images of `NodeId::from_index`. Forty scattered
+/// addresses, listed in an order that is sorted neither by identity nor by
+/// time, run to the horizon and report in ascending `NodeId` order.
+#[test]
+fn arbitrary_identities_run_and_report_in_ascending_order() {
+    let n = 40u32;
+    let addr = |i: u32| {
+        let (a, b) = (i * 37 % 223 + 1, i * 91 % 256);
+        format!(
+            "{a}.{b}.{}.{}:{}",
+            i * 53 % 256,
+            i * 29 % 256,
+            1024 + i * 7919 % 60_000
+        )
+    };
+    let mut text = format!("#avmon-trace SPARSE {n} {} {}\n", 50 * MINUTE, 10 * MINUTE);
+    text += &format!("#control {} {}\n", addr(n), addr(n + 1));
+    // The control pair joins at the start of the measurement window, one
+    // node leaves and rejoins, one dies — all listed before the births.
+    text += &format!(
+        "{} birth {}\n{} birth {}\n",
+        10 * MINUTE,
+        addr(n + 1),
+        10 * MINUTE,
+        addr(n)
+    );
+    text += &format!(
+        "{} join {}\n{} leave {}\n",
+        30 * MINUTE,
+        addr(3),
+        20 * MINUTE,
+        addr(3)
+    );
+    text += &format!("{} death {}\n", 25 * MINUTE, addr(7));
+    for i in (0..n).rev() {
+        text += &format!("0 birth {}\n", addr(i));
+    }
+    let trace = avmon_churn::io::from_text(&text).unwrap();
+    let ids: Vec<NodeId> = trace.identities().into_iter().collect();
+    assert_eq!(ids.len(), n as usize + 2);
+    assert!(ids
+        .iter()
+        .all(|id| id.ip().octets()[0] != 10 || id.port() != 4000));
+
+    let mut sim = Simulation::new(trace, SimOptions::new(small_config(n as usize)).seed(5));
+    let report = sim.run();
+    assert_eq!(sim.now(), 50 * MINUTE);
+    assert_eq!(report.alive_at_end, n as usize + 1);
+    assert_eq!(report.discovery.len(), 2, "both control nodes are logged");
+    let measured: Vec<NodeId> = report.availability.iter().map(|m| m.node).collect();
+    assert!(measured.len() >= n as usize, "{} rows", measured.len());
+    assert!(measured.windows(2).all(|w| w[0] < w[1]), "{measured:?}");
+    // Every identity was up inside the measurement window, so every one
+    // has a series row, in identity order.
+    assert_eq!(report.series.keys().copied().collect::<Vec<_>>(), ids);
+}
+
+/// Identities the trace never names are inert wherever they turn up — a
+/// static behavior, a frozen or corrupted scenario node, every app-API
+/// entry point: no panic, and the report is the one the same run produces
+/// without them (bar the declared corruption window itself, which is
+/// scored as never proven because its node never comes up).
+#[test]
+fn unknown_identities_are_inert() {
+    let n = 60;
+    let trace = stat(n, 40 * MINUTE, 0.1, 29);
+    let known: Vec<NodeId> = trace.identities().into_iter().collect();
+    let ghost = NodeId::new([198, 51, 100, 7], 9);
+    assert!(!known.contains(&ghost));
+    let scenario = |with_ghost: bool| {
+        let mut b = Scenario::builder("inert")
+            .freeze(70 * MINUTE, 4 * MINUTE, known[1])
+            .corrupt(80 * MINUTE, known[2], Corruption::Full, 3);
+        if with_ghost {
+            b = b.freeze(65 * MINUTE, 2 * MINUTE, ghost).corrupt(
+                66 * MINUTE,
+                ghost,
+                Corruption::Full,
+                4,
+            );
+        }
+        b.build().unwrap()
+    };
+    let run = |with_ghost: bool| {
+        let mut opts = SimOptions::new(small_config(n))
+            .seed(29)
+            .scenario(scenario(with_ghost));
+        if with_ghost {
+            opts = opts.behavior(ghost, Behavior::OverreportAll);
+        }
+        let mut sim = Simulation::new(trace.clone(), opts);
+        sim.run_until(68 * MINUTE);
+        if with_ghost {
+            sim.subscribe_app(ghost);
+            sim.send_app(ghost, known[0], vec![1, 2, 3]);
+            sim.request_report(ghost, known[0], 3);
+            sim.request_history(ghost, known[0], known[3]);
+            assert!(sim.node(ghost).is_none());
+            assert!(sim.take_app_events().is_empty());
+        }
+        sim.run()
+    };
+    let plain = run(false);
+    let mut haunted = run(true);
+    let window = haunted
+        .qos
+        .windows
+        .iter()
+        .position(|w| w.node == ghost)
+        .expect("the declared window is scored");
+    let window = haunted.qos.windows.remove(window);
+    assert!(!window.proven && !window.failed);
+    assert_eq!(
+        serde_json::to_string(&plain).unwrap(),
+        serde_json::to_string(&haunted).unwrap()
+    );
+}
+
+/// A frozen node and an app-subscribed node both cut the parallel batch:
+/// the frozen node's events requeue at their sequential calendar position
+/// and the subscribed node's events pause `run_until_wake` there, so the
+/// pause log, the calendar traffic and the report are those of the
+/// sequential engine. The run covers the bootstrap minutes, when every
+/// node is busy discovering and the two keep landing in windows shared
+/// with the other sixty.
+#[test]
+fn frozen_and_subscribed_nodes_cut_the_batch_at_two_workers() {
+    let n = 60;
+    let trace = stat(n, 20 * MINUTE, 0.1, 31);
+    let ids: Vec<NodeId> = trace.identities().into_iter().collect();
+    let (frozen, subscribed) = (ids[4], ids[5]);
+    let scenario = Scenario::builder("cut-twice")
+        .freeze(2 * MINUTE, 3 * MINUTE, frozen)
+        .build()
+        .unwrap();
+    let run = |workers: usize| {
+        let opts = SimOptions::new(small_config(n))
+            .seed(31)
+            .scenario(scenario.clone())
+            .workers(workers);
+        let mut sim = Simulation::new(trace.clone(), opts);
+        sim.subscribe_app(subscribed);
+        let mut pauses = Vec::new();
+        while sim.run_until_wake(10 * MINUTE) {
+            pauses.push((sim.now(), sim.take_app_events_timed()));
+        }
+        let stats = sim.calendar_stats();
+        (pauses, stats, serde_json::to_string(&sim.run()).unwrap())
+    };
+    let (pauses, stats, report) = run(1);
+    assert!(pauses.len() > 10, "only {} pauses", pauses.len());
+    assert!(pauses
+        .iter()
+        .all(|(at, events)| events.iter().all(|(t, id, _)| t == at && *id == subscribed)));
+    let (pauses2, stats2, report2) = run(2);
+    assert_eq!(pauses, pauses2);
+    assert_eq!(stats, stats2);
+    assert_eq!(report, report2);
 }
