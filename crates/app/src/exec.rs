@@ -1,9 +1,13 @@
-//! The deterministic sim executor: async app tasks interleaved with the
-//! discrete-event calendar.
+//! The executors: async app tasks over a world of AVMON nodes.
 //!
-//! The interleaving protocol with [`Simulation`]:
+//! [`Core`] is everything the two executors share — the task list, the
+//! state behind the handles, and the round that polls every task and
+//! then hands the commands they queued to the world. [`SimExecutor`]
+//! wraps it around a [`Simulation`]; `live.rs` wraps it around a cluster.
 //!
-//! 1. poll every task (spawn order); flush queued app sends into the sim;
+//! The sim executor's interleaving protocol with [`Simulation`]:
+//!
+//! 1. poll every task (spawn order); apply the queued commands to the sim;
 //! 2. schedule the earliest registered sleep deadline as an `AppWake`
 //!    calendar event (deduplicated — one wake per distinct instant);
 //! 3. [`Simulation::run_until_wake`] — the engine runs until the wake
@@ -13,7 +17,7 @@
 //!    executor time to the pause instant, and repeat.
 //!
 //! Because pause points are cut points of the sharded engine, the whole
-//! cycle — task poll order, RNG draws, app sends entering the calendar —
+//! cycle — task poll order, RNG draws, commands entering the calendar —
 //! is byte-identical at any worker count.
 
 use std::cell::RefCell;
@@ -21,36 +25,97 @@ use std::collections::BTreeSet;
 use std::future::Future;
 use std::rc::Rc;
 
-use avmon::{NodeId, TimeMs};
-use avmon_runtime::Command;
+use avmon::{AppEvent, NodeId, TimeMs};
 use avmon_sim::{SimReport, Simulation};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::app_stream_seed;
 use crate::decision::DecisionLog;
-use crate::handle::{poll_tasks, AvmonHandle, Backend, Shared, Task};
+use crate::handle::{poll_tasks, AvmonHandle, Shared, Task, World};
 
-/// Flushes queued app sends into whichever backend is attached, in the
-/// order the tasks recorded them.
-pub(crate) fn flush_outbox(shared: &Rc<RefCell<Shared>>) {
-    let mut sh = shared.borrow_mut();
-    if sh.outbox.is_empty() {
-        return;
+/// The executor body both worlds share: tasks, the state behind their
+/// handles, and the statically typed end of the world cell.
+pub(crate) struct Core<W> {
+    pub(crate) world: Rc<RefCell<W>>,
+    pub(crate) shared: Rc<RefCell<Shared>>,
+    tasks: Vec<Task>,
+}
+
+impl<W: World + 'static> Core<W> {
+    /// Wraps `world` at executor time `now`; the `app` RNG stream is
+    /// seeded [`app_stream_seed`]`(master_seed)` in either world, so a
+    /// task's draw *sequence* depends only on the seed and its draw order.
+    pub(crate) fn new(world: W, now: TimeMs, master_seed: u64) -> Self {
+        let world = Rc::new(RefCell::new(world));
+        let rng = SmallRng::seed_from_u64(app_stream_seed(master_seed));
+        let shared = Shared::new(Rc::clone(&world) as Rc<RefCell<dyn World>>, now, rng);
+        Core {
+            world,
+            shared: Rc::new(RefCell::new(shared)),
+            tasks: Vec::new(),
+        }
     }
-    let outbox = std::mem::take(&mut sh.outbox);
-    match &mut sh.backend {
-        Backend::Sim(sim) => {
-            for (from, to, payload) in outbox {
-                sim.send_app(from, to, payload);
+
+    /// Spawns a task bound to `node` and opens the node's inbox.
+    pub(crate) fn spawn<F, Fut>(&mut self, node: NodeId, f: F)
+    where
+        F: FnOnce(AvmonHandle) -> Fut,
+        Fut: Future<Output = ()> + 'static,
+    {
+        self.shared.borrow_mut().inboxes.entry(node).or_default();
+        let handle = AvmonHandle::new(node, Rc::clone(&self.shared));
+        self.tasks.push(Task {
+            fut: Box::pin(f(handle)),
+            done: false,
+        });
+    }
+
+    /// One scheduling round: polls every task, then applies the commands
+    /// they queued to the world, in the order the tasks recorded them.
+    pub(crate) fn poll(&mut self) {
+        poll_tasks(&mut self.tasks);
+        let outbox = std::mem::take(&mut self.shared.borrow_mut().outbox);
+        let mut world = self.world.borrow_mut();
+        for (from, command) in outbox {
+            world.command(from, command);
+        }
+    }
+
+    /// Moves executor time to `now` and files `events` in the inboxes of
+    /// the nodes that have tasks.
+    pub(crate) fn advance(
+        &self,
+        now: TimeMs,
+        events: impl IntoIterator<Item = (TimeMs, NodeId, AppEvent)>,
+    ) {
+        let mut shared = self.shared.borrow_mut();
+        shared.now = now;
+        for (at, id, event) in events {
+            if let Some(inbox) = shared.inboxes.get_mut(&id) {
+                inbox.push_back((at, event));
             }
         }
-        Backend::Live(cluster) => {
-            for (from, to, payload) in outbox {
-                cluster.command(from, Command::SendApp { to, payload });
-            }
-        }
     }
+
+    /// A copy of the decision log recorded so far.
+    pub(crate) fn log(&self) -> DecisionLog {
+        self.shared.borrow().log.clone()
+    }
+
+    /// Drops the tasks and returns the world plus the decision log.
+    pub(crate) fn into_parts(self) -> (W, DecisionLog) {
+        drop(self.tasks);
+        let log = sole_owner(self.shared).log;
+        (sole_owner(self.world), log)
+    }
+}
+
+/// Unwraps a cell every task-held clone of which is gone.
+fn sole_owner<T>(cell: Rc<RefCell<T>>) -> T {
+    Rc::try_unwrap(cell)
+        .unwrap_or_else(|_| panic!("a task leaked its handle past executor teardown"))
+        .into_inner()
 }
 
 /// Runs async application tasks deterministically inside a
@@ -58,8 +123,7 @@ pub(crate) fn flush_outbox(shared: &Rc<RefCell<Shared>>) {
 /// their exact emission instants, and the `app` RNG stream is recorded
 /// in the report's `RngLedger`.
 pub struct SimExecutor {
-    shared: Rc<RefCell<Shared>>,
-    tasks: Vec<Task>,
+    core: Core<Simulation>,
     /// Wake instants already sitting in the calendar (token == instant),
     /// so repeated pauses before a far deadline don't re-schedule it.
     scheduled: BTreeSet<u64>,
@@ -72,10 +136,8 @@ impl SimExecutor {
     #[must_use]
     pub fn new(sim: Simulation, master_seed: u64) -> Self {
         let now = sim.now();
-        let rng = SmallRng::seed_from_u64(app_stream_seed(master_seed));
         SimExecutor {
-            shared: Rc::new(RefCell::new(Shared::new(Backend::Sim(sim), now, rng))),
-            tasks: Vec::new(),
+            core: Core::new(sim, now, master_seed),
             scheduled: BTreeSet::new(),
         }
     }
@@ -88,31 +150,23 @@ impl SimExecutor {
         F: FnOnce(AvmonHandle) -> Fut,
         Fut: Future<Output = ()> + 'static,
     {
-        {
-            let mut sh = self.shared.borrow_mut();
-            let Backend::Sim(sim) = &mut sh.backend else {
-                unreachable!("SimExecutor owns a sim backend");
-            };
-            sim.subscribe_app(node);
-        }
-        let handle = AvmonHandle::new(node, Rc::clone(&self.shared));
-        self.tasks.push(Task {
-            fut: Box::pin(f(handle)),
-            done: false,
-        });
+        self.core.world.borrow_mut().subscribe_app(node);
+        self.core.spawn(node, f);
+    }
+
+    /// Read access to the wrapped simulation (clock, trace, alive set,
+    /// node state — anything [`Simulation`] exposes immutably).
+    pub fn sim<R>(&self, f: impl FnOnce(&Simulation) -> R) -> R {
+        f(&self.core.world.borrow())
     }
 
     /// Advances the simulation (and every task) to `deadline`.
     pub fn run_until(&mut self, deadline: TimeMs) {
         loop {
-            poll_tasks(&mut self.tasks);
-            flush_outbox(&self.shared);
+            self.core.poll();
+            let next = self.core.shared.borrow().next_deadline();
             let (paused, now, events, wakes) = {
-                let mut sh = self.shared.borrow_mut();
-                let next = sh.next_deadline();
-                let Backend::Sim(sim) = &mut sh.backend else {
-                    unreachable!("SimExecutor owns a sim backend");
-                };
+                let mut sim = self.core.world.borrow_mut();
                 if let Some(at) = next {
                     if at <= deadline && self.scheduled.insert(at) {
                         sim.schedule_app_wake(at, at);
@@ -126,19 +180,12 @@ impl SimExecutor {
                     sim.take_wakes(),
                 )
             };
-            {
-                let mut sh = self.shared.borrow_mut();
-                sh.now = now;
-                for (at, id, event) in events {
-                    sh.inboxes.entry(id).or_default().push_back((at, event));
-                }
-            }
+            self.core.advance(now, events);
             for wake in wakes {
                 self.scheduled.remove(&wake);
             }
             if !paused {
-                poll_tasks(&mut self.tasks);
-                flush_outbox(&self.shared);
+                self.core.poll();
                 break;
             }
         }
@@ -147,43 +194,27 @@ impl SimExecutor {
 
     /// Runs to the trace horizon.
     pub fn run(&mut self) {
-        let horizon = {
-            let sh = self.shared.borrow();
-            let Backend::Sim(sim) = &sh.backend else {
-                unreachable!("SimExecutor owns a sim backend");
-            };
-            sim.trace().horizon
-        };
+        let horizon = self.sim(|sim| sim.trace().horizon);
         self.run_until(horizon);
     }
 
     /// Pushes the app stream's draw count into the simulation's ledger.
     fn sync_app_draws(&mut self) {
-        let mut sh = self.shared.borrow_mut();
-        let draws = sh.rng.draw_count();
-        let Backend::Sim(sim) = &mut sh.backend else {
-            unreachable!("SimExecutor owns a sim backend");
-        };
-        sim.set_app_draws(draws);
+        let draws = self.core.shared.borrow().rng.draw_count();
+        self.core.world.borrow_mut().set_app_draws(draws);
     }
 
     /// A copy of the decision log recorded so far.
     #[must_use]
     pub fn log(&self) -> DecisionLog {
-        self.shared.borrow().log.clone()
+        self.core.log()
     }
 
     /// Finishes the run: the simulation's report plus the decision log.
     #[must_use]
     pub fn into_report(mut self) -> (SimReport, DecisionLog) {
         self.sync_app_draws();
-        self.tasks.clear();
-        let shared = Rc::try_unwrap(self.shared)
-            .unwrap_or_else(|_| panic!("a task leaked its handle past executor teardown"))
-            .into_inner();
-        let Backend::Sim(sim) = shared.backend else {
-            unreachable!("SimExecutor owns a sim backend");
-        };
-        (sim.into_report(), shared.log)
+        let (sim, log) = self.core.into_parts();
+        (sim.into_report(), log)
     }
 }

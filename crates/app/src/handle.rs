@@ -5,6 +5,13 @@
 //! executor, so handle calls are synchronous borrows — no channels, no
 //! wakers with payloads, and (under the sim executor) no source of
 //! nondeterminism: the single RNG here is the registered `app` stream.
+//!
+//! **One inbox per node.** Events are queued per *node*, not per task:
+//! tasks spawned on the same node pop from the same queue, and whichever
+//! polls first takes the event. A task that awaits specific answers
+//! ([`crate::apps::query_availability`]) and one that drains everything
+//! (a [`AvmonHandle::drain_events`] watchdog) must therefore not share a
+//! node — each would eat what the other is waiting for.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -13,7 +20,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
-use avmon::driver::NodeSnapshot;
+use avmon::driver::{Command, NodeSnapshot};
 use avmon::{AppEvent, DurMs, NodeId, TimeMs};
 use avmon_runtime::Cluster;
 use avmon_sim::Simulation;
@@ -22,18 +29,49 @@ use rand::Rng;
 
 use crate::decision::{Decision, DecisionLog};
 
-/// Which world the executor is driving.
-#[allow(clippy::large_enum_variant)] // one Backend per executor, never collected
-pub(crate) enum Backend {
-    /// The discrete-event simulator (deterministic).
-    Sim(Simulation),
-    /// A live cluster of node threads (in-memory channels or UDP).
-    Live(Cluster),
+/// The seam between the app layer and the world its nodes live in: the
+/// one way in (a control [`Command`]) and the one synchronous way out (a
+/// [`NodeSnapshot`]). Events, the other way out, are pushed by the
+/// executor, which knows its world statically.
+pub(crate) trait World {
+    /// Applies `command` to node `id`; a down or unknown node ignores it.
+    fn command(&mut self, id: NodeId, command: Command);
+    /// `id`'s protocol state, `None` while the node is down.
+    fn snapshot(&self, id: NodeId) -> Option<NodeSnapshot>;
+}
+
+impl World for Simulation {
+    fn command(&mut self, id: NodeId, command: Command) {
+        Simulation::command(self, id, command);
+    }
+
+    fn snapshot(&self, id: NodeId) -> Option<NodeSnapshot> {
+        self.node(id).map(NodeSnapshot::capture)
+    }
+}
+
+impl World for Cluster {
+    fn command(&mut self, id: NodeId, command: Command) {
+        Cluster::command(self, id, command);
+    }
+
+    /// The latest published board entry — of a *running* node only:
+    /// `Cluster::kill` leaves the entry behind for `restart` to restore
+    /// from, and a down node has no state to show (as in sim).
+    fn snapshot(&self, id: NodeId) -> Option<NodeSnapshot> {
+        if self.running_ids().any(|running| running == id) {
+            Cluster::snapshot(self, id)
+        } else {
+            None
+        }
+    }
 }
 
 /// Executor state shared with every handle.
 pub(crate) struct Shared {
-    pub(crate) backend: Backend,
+    /// The executor's world, for [`AvmonHandle::snapshot`] (the executor
+    /// keeps the statically typed end of the same cell).
+    world: Rc<RefCell<dyn World>>,
     /// The executor's current time: sim time, or epoch-relative wall
     /// milliseconds under the live executor.
     pub(crate) now: TimeMs,
@@ -43,18 +81,20 @@ pub(crate) struct Shared {
     /// Registered sleep deadlines, keyed by registration id.
     pub(crate) sleeps: BTreeMap<u64, TimeMs>,
     pub(crate) next_sleep_id: u64,
-    /// Per-node event inboxes fed by the executor.
+    /// Per-node event inboxes fed by the executor; a node has one from
+    /// its first spawned task on, and events of other nodes are dropped.
     pub(crate) inboxes: BTreeMap<NodeId, VecDeque<(TimeMs, AppEvent)>>,
-    /// Outgoing app messages `(from, to, payload)`, flushed by the
-    /// executor after each poll round (in record order).
-    pub(crate) outbox: Vec<(NodeId, NodeId, Vec<u8>)>,
+    /// Commands `(issuing node, command)` queued by the handles, applied
+    /// to the world by the executor after each poll round, in record
+    /// order.
+    pub(crate) outbox: Vec<(NodeId, Command)>,
     pub(crate) log: DecisionLog,
 }
 
 impl Shared {
-    pub(crate) fn new(backend: Backend, now: TimeMs, rng: SmallRng) -> Self {
+    pub(crate) fn new(world: Rc<RefCell<dyn World>>, now: TimeMs, rng: SmallRng) -> Self {
         Shared {
-            backend,
+            world,
             now,
             rng,
             sleeps: BTreeMap::new(),
@@ -134,20 +174,34 @@ impl AvmonHandle {
     /// (or, live, before its first publish).
     #[must_use]
     pub fn snapshot(&self) -> Option<NodeSnapshot> {
-        let shared = self.shared.borrow();
-        match &shared.backend {
-            Backend::Sim(sim) => sim.node(self.node).map(NodeSnapshot::capture),
-            Backend::Live(cluster) => cluster.snapshot(self.node),
-        }
+        self.shared.borrow().world.borrow().snapshot(self.node)
+    }
+
+    /// Queues `command` for this node; the executor applies it once the
+    /// current poll round ends.
+    fn command(&self, command: Command) {
+        self.shared.borrow_mut().outbox.push((self.node, command));
     }
 
     /// Sends an opaque payload to `to` over the overlay; it arrives at
     /// `to`'s handle as an [`AppEvent::AppData`] event.
     pub fn send_app(&self, to: NodeId, payload: Vec<u8>) {
-        self.shared
-            .borrow_mut()
-            .outbox
-            .push((self.node, to, payload));
+        self.command(Command::SendApp { to, payload });
+    }
+
+    /// Asks `target` to report `count` of its monitors (§3.3, "l out of
+    /// K"). The node re-hashes every claim; the result arrives as
+    /// [`AppEvent::ReportOutcome`], or [`AppEvent::RequestTimedOut`] if
+    /// `target` never answers.
+    pub fn request_report(&self, target: NodeId, count: u8) {
+        self.command(Command::RequestReport { target, count });
+    }
+
+    /// Asks `monitor` for its measured availability of `target`; the
+    /// answer arrives as [`AppEvent::HistoryOutcome`], or
+    /// [`AppEvent::RequestTimedOut`] if `monitor` never answers.
+    pub fn request_history(&self, monitor: NodeId, target: NodeId) {
+        self.command(Command::RequestHistory { monitor, target });
     }
 
     /// Draws 64 bits from the registered `app` stream (the only

@@ -2,9 +2,13 @@
 //!
 //! Application code — replica selection, churn watchdogs, multicast parent
 //! choice — is written **once** as async tasks against an [`AvmonHandle`]
-//! (query PS/TS snapshots, await availability events, sleep, send and
-//! receive opaque app messages, draw from a registered `app` RNG stream),
-//! then executed by either of two executors without changing a line:
+//! (query PS/TS snapshots, await availability events, sleep, request
+//! monitor reports and histories, send and receive opaque app messages,
+//! draw from a registered `app` RNG stream), then executed by either of
+//! two executors without changing a line. This crate is the only way
+//! applications reach the overlay: the paper's §3.3 client is
+//! [`apps::query_availability`], and every example that acts on an
+//! availability figure obtains it there.
 //!
 //! * [`SimExecutor`] — single-threaded, driven by the discrete-event
 //!   calendar of [`avmon_sim::Simulation`]. Task sleeps become

@@ -3,28 +3,23 @@
 //!
 //! Sleeps resolve on the wall clock (epoch-relative milliseconds, so app
 //! code sees the same `TimeMs` arithmetic as in sim), cluster events are
-//! pumped into the same per-node inboxes, and app sends go out as
-//! [`avmon_runtime::Command::SendApp`] control commands. Everything here
+//! pumped into the same per-node inboxes, and the handles' verbs go out
+//! as [`avmon_runtime::Command`]s to the node threads. Everything here
 //! is deliberately wall-clock land — the portability claim is that the
 //! *task source* is unchanged, not that live runs are replayable.
 
 // Wall clocks are this module's whole job (see detlint allows below).
 #![allow(clippy::disallowed_methods)]
 
-use std::cell::RefCell;
 use std::future::Future;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use avmon::{NodeId, TimeMs};
 use avmon_runtime::Cluster;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
-use crate::app_stream_seed;
 use crate::decision::DecisionLog;
-use crate::exec::flush_outbox;
-use crate::handle::{poll_tasks, AvmonHandle, Backend, Shared, Task};
+use crate::exec::Core;
+use crate::handle::AvmonHandle;
 
 /// How often the live executor ticks: polls tasks, pumps cluster events,
 /// and re-checks sleep deadlines.
@@ -32,23 +27,18 @@ const TICK: Duration = Duration::from_millis(10);
 
 /// Runs async application tasks against a live [`Cluster`].
 pub struct LiveExecutor {
-    shared: Rc<RefCell<Shared>>,
-    tasks: Vec<Task>,
-    task_nodes: Vec<NodeId>,
+    core: Core<Cluster>,
     epoch: Instant,
 }
 
 impl LiveExecutor {
     /// Wraps a running cluster. The `app` RNG stream is seeded exactly as
-    /// in sim ([`app_stream_seed`]), so a task's draw *sequence* matches
-    /// a sim run with the same master seed and draw order.
+    /// in sim ([`crate::app_stream_seed`]), so a task's draw *sequence*
+    /// matches a sim run with the same master seed and draw order.
     #[must_use]
     pub fn new(cluster: Cluster, master_seed: u64) -> Self {
-        let rng = SmallRng::seed_from_u64(app_stream_seed(master_seed));
         LiveExecutor {
-            shared: Rc::new(RefCell::new(Shared::new(Backend::Live(cluster), 0, rng))),
-            tasks: Vec::new(),
-            task_nodes: Vec::new(),
+            core: Core::new(cluster, 0, master_seed),
             epoch: Instant::now(), // detlint::allow(banned-clock): the live executor's epoch is wall-clock by design
         }
     }
@@ -60,31 +50,18 @@ impl LiveExecutor {
         F: FnOnce(AvmonHandle) -> Fut,
         Fut: Future<Output = ()> + 'static,
     {
-        let handle = AvmonHandle::new(node, Rc::clone(&self.shared));
-        self.task_nodes.push(node);
-        self.tasks.push(Task {
-            fut: Box::pin(f(handle)),
-            done: false,
-        });
+        self.core.spawn(node, f);
     }
 
-    /// Read access to the wrapped cluster (kill/restart churn injection,
-    /// snapshots — anything [`Cluster`] exposes immutably).
+    /// Read access to the wrapped cluster (snapshots, membership —
+    /// anything [`Cluster`] exposes immutably).
     pub fn cluster<R>(&self, f: impl FnOnce(&Cluster) -> R) -> R {
-        let sh = self.shared.borrow();
-        let Backend::Live(cluster) = &sh.backend else {
-            unreachable!("LiveExecutor owns a live backend");
-        };
-        f(cluster)
+        f(&self.core.world.borrow())
     }
 
     /// Mutable access to the wrapped cluster (kill / restart).
     pub fn cluster_mut<R>(&mut self, f: impl FnOnce(&mut Cluster) -> R) -> R {
-        let mut sh = self.shared.borrow_mut();
-        let Backend::Live(cluster) = &mut sh.backend else {
-            unreachable!("LiveExecutor owns a live backend");
-        };
-        f(cluster)
+        f(&mut self.core.world.borrow_mut())
     }
 
     /// Drives the tasks for `duration` of wall time.
@@ -93,21 +70,12 @@ impl LiveExecutor {
         let end = Instant::now() + duration;
         loop {
             let now_ms = self.epoch.elapsed().as_millis() as TimeMs;
-            {
-                let mut sh = self.shared.borrow_mut();
-                sh.now = now_ms;
-                let Backend::Live(cluster) = &mut sh.backend else {
-                    unreachable!("LiveExecutor owns a live backend");
-                };
-                let events = cluster.drain_events();
-                for (id, event) in events {
-                    if self.task_nodes.contains(&id) {
-                        sh.inboxes.entry(id).or_default().push_back((now_ms, event));
-                    }
-                }
-            }
-            poll_tasks(&mut self.tasks);
-            flush_outbox(&self.shared);
+            let events = self.core.world.borrow().drain_events();
+            self.core.advance(
+                now_ms,
+                events.into_iter().map(|(id, event)| (now_ms, id, event)),
+            );
+            self.core.poll();
             // detlint::allow(banned-clock): wall-clock loop condition on a live cluster
             if Instant::now() >= end {
                 break;
@@ -119,20 +87,13 @@ impl LiveExecutor {
     /// A copy of the decision log recorded so far.
     #[must_use]
     pub fn log(&self) -> DecisionLog {
-        self.shared.borrow().log.clone()
+        self.core.log()
     }
 
     /// Tears the executor down: the cluster (still running — shut it
     /// down) plus the decision log.
     #[must_use]
-    pub fn into_parts(mut self) -> (Cluster, DecisionLog) {
-        self.tasks.clear();
-        let shared = Rc::try_unwrap(self.shared)
-            .unwrap_or_else(|_| panic!("a task leaked its handle past executor teardown"))
-            .into_inner();
-        let Backend::Live(cluster) = shared.backend else {
-            unreachable!("LiveExecutor owns a live backend");
-        };
-        (cluster, shared.log)
+    pub fn into_parts(self) -> (Cluster, DecisionLog) {
+        self.core.into_parts()
     }
 }

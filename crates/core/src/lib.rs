@@ -86,7 +86,6 @@ pub mod history;
 pub mod id;
 pub mod message;
 pub mod node;
-pub mod query;
 pub mod selector;
 pub mod stats;
 pub mod table;
@@ -104,7 +103,6 @@ pub use node::{
     Action, AppEvent, Destination, JoinKind, MemoPolicy, Node, PersistentState, TargetRecord,
     Timer, Transmit,
 };
-pub use query::{AvailabilityQuery, QueryOutcome};
 pub use selector::{
     verify_report, CentralSelector, DhtRingSelector, HashSelector, MonitorSelector,
     ReportVerification, SelfReportSelector, SharedSelector,

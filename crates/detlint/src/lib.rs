@@ -18,7 +18,7 @@
 //!
 //! | rule | scope | fires on |
 //! |------|-------|----------|
-//! | `banned-collection` | `crates/{core,sim,churn,hash}` | `HashMap` / `HashSet` idents outside `use` declarations |
+//! | `banned-collection` | `crates/{core,sim,churn,hash,app}` | `HashMap` / `HashSet` idents outside `use` declarations |
 //! | `banned-clock` | everywhere scanned | `Instant::now`, `SystemTime::now` |
 //! | `banned-rng-source` | everywhere scanned | `thread_rng`, `rand::random` |
 //! | `rng-stream` | everywhere scanned | `.gen()`-family draws in a file not registered in `detlint-owners.txt` |
@@ -51,12 +51,14 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Crates whose in-simulation code must never iterate a randomized-order
-/// collection: hash order would leak straight into event order.
-const PROTOCOL_PREFIXES: [&str; 4] = [
+/// collection: hash order would leak straight into event order (or, from
+/// `crates/app`, into the order of a task's commands and decisions).
+const PROTOCOL_PREFIXES: [&str; 5] = [
     "crates/core/",
     "crates/sim/",
     "crates/churn/",
     "crates/hash/",
+    "crates/app/",
 ];
 
 /// Method names that draw from an RNG. `.draw()`-style calls through

@@ -12,7 +12,7 @@
 //! event calendar ([`Simulation::apply_outputs`]) — no per-input `Vec` of
 //! actions is ever allocated.
 
-use avmon::driver::{drain, DriverEnv};
+use avmon::driver::{apply_command, drain, Command, DriverEnv};
 use avmon::{
     AppEvent, Behavior, Config, Destination, DurMs, FlatMap, HashSelector, HasherKind,
     HistoryStore, JoinKind, Message, Node, NodeId, NodeStats, PersistentState, SharedSelector,
@@ -514,19 +514,6 @@ impl Simulation {
         self.slot_of.get(&id).map(|&s| s as usize)
     }
 
-    /// Runs `f` on `id`'s live protocol state and applies whatever it
-    /// produced; a dead or unknown identity is left alone.
-    fn with_live(&mut self, id: NodeId, f: impl FnOnce(&mut Node, TimeMs)) {
-        let Some(slot) = self.slot(id) else {
-            return;
-        };
-        let now = self.now;
-        if let Some(proto) = self.nodes[slot].proto.as_mut() {
-            f(proto, now);
-            self.apply_outputs(slot, None);
-        }
-    }
-
     /// The invariant-checker observations so far (complete once the run
     /// reached the horizon; also available via [`SimReport::invariants`]).
     #[must_use]
@@ -603,24 +590,22 @@ impl Simulation {
         self.app_draws = draws;
     }
 
-    /// Sends an opaque application payload from `from` to `to` over the
-    /// simulated overlay ([`avmon::Message::AppData`]); it surfaces at the
-    /// receiver as a buffered [`AppEvent::AppData`].
-    pub fn send_app(&mut self, from: NodeId, to: NodeId, payload: Vec<u8>) {
-        self.with_live(from, |node, _| node.send_app(to, payload));
-    }
-
-    /// Issues a verifiable monitor-report request from `from` to `target`
-    /// (the "l out of K" client side); outcomes arrive as buffered
-    /// [`AppEvent::ReportOutcome`] events.
-    pub fn request_report(&mut self, from: NodeId, target: NodeId, count: u8) {
-        self.with_live(from, |node, now| node.request_report(now, target, count));
-    }
-
-    /// Asks monitor `monitor` for `target`'s availability from node `from`;
-    /// outcomes arrive as buffered [`AppEvent::HistoryOutcome`] events.
-    pub fn request_history(&mut self, from: NodeId, monitor: NodeId, target: NodeId) {
-        self.with_live(from, |node, now| node.request_history(now, monitor, target));
+    /// Applies a control command to `id` at the current instant — the
+    /// simulator's [`apply_command`], mirroring `Cluster::command` — and
+    /// routes whatever the node queued. Outcomes surface as application
+    /// events ([`AppEvent::ReportOutcome`], [`AppEvent::HistoryOutcome`],
+    /// the receiver's [`AppEvent::AppData`]). A dead or unknown identity
+    /// ignores the command, and [`Command::Stop`] does nothing here: a
+    /// simulated node's lifetime belongs to the trace (DESIGN.md §6).
+    pub fn command(&mut self, id: NodeId, command: Command) {
+        let Some(slot) = self.slot(id) else {
+            return;
+        };
+        let now = self.now;
+        if let Some(proto) = self.nodes[slot].proto.as_mut() {
+            apply_command(proto, now, command);
+            self.apply_outputs(slot, None);
+        }
     }
 
     /// Runs to the trace horizon and produces the report.

@@ -75,11 +75,6 @@ impl LatencyModel {
         }
     }
 
-    /// Samples one delay. Never panics: an (unvalidated) inverted uniform
-    /// range degrades to its lower bound — but every path into the
-    /// simulator validates at construction, so this is unreachable there.
-    /// Valid models (including `min == max`) always draw exactly one
-    /// value, keeping RNG streams seed-stable.
     /// The smallest delay this model can ever produce — the network half
     /// of the parallel engine's conservative lookahead: no message sent
     /// at `t` can be delivered before `t + min_delay()` (jitter and
@@ -92,6 +87,11 @@ impl LatencyModel {
         }
     }
 
+    /// Samples one delay. Never panics: an (unvalidated) inverted uniform
+    /// range degrades to its lower bound — but every path into the
+    /// simulator validates at construction, so this is unreachable there.
+    /// Valid models (including `min == max`) always draw exactly one
+    /// value, keeping RNG streams seed-stable.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> DurMs {
         match *self {
             LatencyModel::Constant(d) => d,

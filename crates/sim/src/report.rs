@@ -37,46 +37,11 @@ impl Simulation {
         true
     }
 
-    /// Collects every monitor's availability estimate for `target`,
-    /// applying each monitor's (possibly adversarial) reporting behavior —
-    /// i.e. the values `target`'s pinging set would report if queried.
-    #[must_use]
-    pub fn monitor_estimates(&self, target: NodeId) -> Vec<f64> {
-        let mut estimates = Vec::new();
-        for sim_node in &self.nodes {
-            let mid = sim_node.id;
-            if mid == target {
-                continue;
-            }
-            let record = match sim_node.proto.as_ref() {
-                Some(proto) => proto.target_record(target).cloned(),
-                None => sim_node
-                    .persistent
-                    .targets
-                    .iter()
-                    .find(|(t, _)| *t == target)
-                    .map(|(_, rec)| rec.clone()),
-            };
-            let Some(record) = record else { continue };
-            if record.pings_sent == 0 {
-                continue;
-            }
-            if self.misreport_in_effect(mid, &sim_node.behavior, target) {
-                estimates.push(1.0);
-            } else if let Some(est) = record.availability_estimate() {
-                estimates.push(est);
-            }
-        }
-        sort_estimates(&mut estimates);
-        estimates
-    }
-
     /// Builds the final [`SimReport`].
     ///
     /// Assembly is `O(N·K)`: one pass over every node's target records
-    /// buckets the estimates per target slot (instead of an `O(N²)`
-    /// [`Simulation::monitor_estimates`] probe per measured node), and the
-    /// per-node series stream straight out of the engine's accumulators.
+    /// buckets the estimates per target slot, and the per-node series
+    /// stream straight out of the engine's accumulators.
     #[must_use]
     pub fn report(&self) -> SimReport {
         let discovery = self

@@ -1,6 +1,6 @@
 //! End-to-end simulator tests on small overlays.
 
-use avmon::{Behavior, Config, DiscoveryMode, NodeId, MINUTE};
+use avmon::{Behavior, Command, Config, DiscoveryMode, NodeId, MINUTE};
 use avmon_churn::{stat, synthetic, SynthParams};
 use avmon_sim::{metrics, Corruption, Scenario, SimOptions, Simulation};
 
@@ -151,7 +151,7 @@ fn report_and_history_requests_flow_through_sim() {
         .find(|&id| sim.node(id).is_some_and(|n| n.pinging_set_len() > 0))
         .expect("someone has monitors by now");
     let asker = sim.alive().find(|&id| id != target).unwrap();
-    sim.request_report(asker, target, 3);
+    sim.command(asker, Command::RequestReport { target, count: 3 });
     sim.run_until(21 * MINUTE);
     let events = sim.take_app_events();
     let outcome = events.iter().find_map(|(node, e)| match e {
@@ -170,7 +170,7 @@ fn report_and_history_requests_flow_through_sim() {
 
     // Ask the first verified monitor for history.
     let monitor = verification.verified[0];
-    sim.request_history(asker, monitor, target);
+    sim.command(asker, Command::RequestHistory { monitor, target });
     sim.run_until(22 * MINUTE);
     let events = sim.take_app_events();
     assert!(events.iter().any(|(node, e)| {
@@ -308,9 +308,10 @@ fn arbitrary_identities_run_and_report_in_ascending_order() {
 
 /// Identities the trace never names are inert wherever they turn up — a
 /// static behavior, a frozen or corrupted scenario node, every app-API
-/// entry point: no panic, and the report is the one the same run produces
-/// without them (bar the declared corruption window itself, which is
-/// scored as never proven because its node never comes up).
+/// entry point — and so are commands to a known node that is down and
+/// `Command::Stop` to anyone: no panic, and the report is the one the same
+/// run produces without them (bar the declared corruption window itself,
+/// which is scored as never proven because its node never comes up).
 #[test]
 fn unknown_identities_are_inert() {
     let n = 60;
@@ -340,13 +341,24 @@ fn unknown_identities_are_inert() {
             opts = opts.behavior(ghost, Behavior::OverreportAll);
         }
         let mut sim = Simulation::new(trace.clone(), opts);
-        sim.run_until(68 * MINUTE);
+        // Before the control group's births: its nodes are known but down.
+        sim.run_until(50 * MINUTE);
         if with_ghost {
+            let unborn = trace.control_group[0];
+            assert!(sim.node(ghost).is_none() && sim.node(unborn).is_none());
             sim.subscribe_app(ghost);
-            sim.send_app(ghost, known[0], vec![1, 2, 3]);
-            sim.request_report(ghost, known[0], 3);
-            sim.request_history(ghost, known[0], known[3]);
-            assert!(sim.node(ghost).is_none());
+            for id in [ghost, unborn] {
+                let (to, target, monitor) = (known[0], known[3], known[0]);
+                let payload = vec![1, 2, 3];
+                sim.command(id, Command::SendApp { to, payload });
+                sim.command(id, Command::RequestReport { target, count: 3 });
+                sim.command(id, Command::RequestHistory { monitor, target });
+                sim.command(id, Command::Stop);
+            }
+            // `Stop` is a live driver's verb; a simulated node's lifetime
+            // belongs to the trace.
+            sim.command(known[0], Command::Stop);
+            assert!(sim.node(known[0]).is_some());
             assert!(sim.take_app_events().is_empty());
         }
         sim.run()

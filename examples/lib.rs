@@ -5,7 +5,11 @@
 //! multicast parent selection [11], plus operational tooling (a churn
 //! dashboard) and a real UDP deployment.
 
-use avmon::{AppEvent, NodeId};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use avmon::{DurMs, NodeId};
+use avmon_app::{apps::query_availability, SimExecutor};
 use avmon_sim::Simulation;
 
 /// Pretty-prints a `(label, value)` listing with aligned labels.
@@ -84,70 +88,45 @@ pub fn parse_large_scale_args(
     })
 }
 
-/// Collects the verified availability of `target` as seen through the
-/// "l out of K" protocol: ask `target` for `l` monitors, verify each
-/// claim, then query every verified monitor for its measured history and
-/// average the answers.
-///
-/// Returns `(availability, verified_monitor_count)` or `None` if nothing
-/// could be verified.
-pub fn verified_availability(
-    sim: &mut Simulation,
-    asker: NodeId,
-    target: NodeId,
+/// Scores `candidates` by verified availability, the way a deployment
+/// would: the `clients` (alive nodes, at least two) split the list, and
+/// each runs one §3.3 query after another — `l` monitors reported by the
+/// candidate, every claim re-hashed, the verified monitors' histories
+/// averaged — from a task on its own node. Runs the simulation for
+/// `budget` and returns `(candidate, availability)` for every query that
+/// produced an answer by then, best first (ties: more monitoring pings
+/// behind the figure first, then identity).
+pub fn score_by_query(
+    exec: &mut SimExecutor,
+    clients: &[NodeId],
+    candidates: &[NodeId],
     l: u8,
-) -> Option<(f64, usize)> {
-    use avmon::MINUTE;
-    sim.request_report(asker, target, l);
-    let deadline = sim.now() + MINUTE;
-    sim.run_until(deadline);
-    let mut monitors = Vec::new();
-    for (node, event) in sim.take_app_events() {
-        if node != asker {
-            continue;
-        }
-        if let AppEvent::ReportOutcome {
-            target: t,
-            verification,
-        } = event
-        {
-            if t == target {
-                monitors = verification.verified;
+    budget: DurMs,
+) -> Vec<(NodeId, f64)> {
+    let mut shares = vec![Vec::new(); clients.len()];
+    for (i, &candidate) in candidates.iter().enumerate() {
+        // Nobody vouches for itself: a client's own turn goes next door.
+        let own_turn = clients[i % clients.len()] == candidate;
+        shares[(i + usize::from(own_turn)) % clients.len()].push(candidate);
+    }
+    let scores = Rc::new(RefCell::new(Vec::new()));
+    for (&client, share) in clients.iter().zip(shares) {
+        let scores = Rc::clone(&scores);
+        exec.spawn(client, move |h| async move {
+            for candidate in share {
+                let outcome = query_availability(&h, candidate, l).await;
+                if let Some(availability) = outcome.availability {
+                    let samples: u64 = outcome.answers.iter().map(|a| a.2).sum();
+                    scores.borrow_mut().push((candidate, availability, samples));
+                }
             }
-        }
+        });
     }
-    if monitors.is_empty() {
-        return None;
-    }
-    for &m in &monitors {
-        sim.request_history(asker, m, target);
-    }
-    let deadline = sim.now() + MINUTE;
-    sim.run_until(deadline);
-    let mut estimates = Vec::new();
-    for (node, event) in sim.take_app_events() {
-        if node != asker {
-            continue;
-        }
-        if let AppEvent::HistoryOutcome {
-            target: t,
-            availability: Some(a),
-            ..
-        } = event
-        {
-            if t == target {
-                estimates.push(a);
-            }
-        }
-    }
-    if estimates.is_empty() {
-        None
-    } else {
-        Some((
-            estimates.iter().sum::<f64>() / estimates.len() as f64,
-            monitors.len(),
-        ))
-    }
+    let deadline = exec.sim(Simulation::now) + budget;
+    exec.run_until(deadline);
+    let mut scores = scores.take();
+    scores.sort_by(|a, b| b.1.total_cmp(&a.1).then(b.2.cmp(&a.2)).then(a.0.cmp(&b.0)));
+    scores.into_iter().map(|(id, a, _)| (id, a)).collect()
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 //! cargo run -p avmon-examples --release --bin multicast_reliability
 //! ```
 
-use avmon::{Config, NodeId, HOUR};
+use avmon::{Config, NodeId, HOUR, MINUTE};
+use avmon_app::SimExecutor;
 use avmon_churn::{planetlab_like, PLANETLAB_N};
 use avmon_sim::{SimOptions, Simulation};
 use rand::rngs::SmallRng;
@@ -30,23 +31,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = SmallRng::seed_from_u64(5);
 
     println!("availability-aware multicast parents (N={n}, PL-like trace)");
-    let mut sim = Simulation::new(trace, SimOptions::new(config).seed(23));
-    sim.run_until(16 * HOUR);
+    let sim = Simulation::new(trace.clone(), SimOptions::new(config).seed(23));
+    let mut exec = SimExecutor::new(sim, 23);
+    exec.run_until(16 * HOUR);
 
     // The multicast source plus candidate interior nodes.
-    let alive: Vec<NodeId> = sim.alive().collect();
+    let alive: Vec<NodeId> = exec.sim(|sim| sim.alive().collect());
     let source = alive[0];
 
-    // Score prospective parents by their AVMON-monitored availability.
-    let mut parent_scores: Vec<(NodeId, f64)> = alive
-        .iter()
-        .skip(1)
-        .filter_map(|&id| {
-            let est = sim.monitor_estimates(id);
-            (!est.is_empty()).then(|| (id, est.iter().sum::<f64>() / est.len() as f64))
-        })
-        .collect();
-    parent_scores.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN"));
+    // Eight prospective children score the candidate parents by verified
+    // AVMON availability (l = K: every monitor a candidate can name).
+    let parent_scores =
+        avmon_examples::score_by_query(&mut exec, &alive[1..9], &alive[1..], 8, 5 * MINUTE);
     let fanout = 8usize;
     let smart_parents: Vec<NodeId> = parent_scores
         .iter()
@@ -66,9 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .copied()
         .filter(|id| !smart_parents.contains(id) && !random_parents.contains(id))
         .collect();
-    let audit_from = sim.now();
-    sim.run_until(horizon);
-    let trace = sim.trace();
+    let audit_from = exec.sim(Simulation::now);
+    exec.run();
 
     let reliability = |parents: &[NodeId]| {
         let mut delivered = 0.0;

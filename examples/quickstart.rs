@@ -5,7 +5,11 @@
 //! cargo run -p avmon-examples --release --bin quickstart
 //! ```
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use avmon::{Config, HOUR, MINUTE};
+use avmon_app::{apps::query_availability, SimExecutor};
 use avmon_churn::stat;
 use avmon_sim::{metrics, SimOptions, Simulation};
 
@@ -23,11 +27,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    joining after the 1-hour warm-up (the paper's Fig. 3 setup).
     let trace = stat(n, 30 * MINUTE, 0.1, 7);
 
-    // 3. Run the overlay.
-    let mut sim = Simulation::new(trace, SimOptions::new(config.clone()).seed(7));
-    let report = sim.run();
+    // 3. Run the overlay, with one application on board: five minutes
+    //    before the end a long-lived node asks a control-group node for
+    //    three of its monitors, checks the consistency condition on each
+    //    claim, and asks the verified ones what they measured (the
+    //    "l out of K" policy, §3.3).
+    let id = *trace.control_group.first().expect("control group");
+    let asker = trace.identities().into_iter().next().expect("a node");
+    let ask_at = trace.horizon - 5 * MINUTE;
+    let sim = Simulation::new(trace, SimOptions::new(config.clone()).seed(7));
+    let mut exec = SimExecutor::new(sim, 7);
+    let answer = Rc::new(RefCell::new(None));
+    let slot = Rc::clone(&answer);
+    exec.spawn(asker, move |h| async move {
+        h.sleep(ask_at).await;
+        *slot.borrow_mut() = Some(query_availability(&h, id, 3).await);
+    });
+    exec.run();
 
     // 4. Discovery: how quickly did the joiners find their monitors?
+    let report = exec.sim(Simulation::report);
     let latencies: Vec<f64> = report
         .discovery_latencies(1)
         .iter()
@@ -52,8 +71,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]);
 
     // 5. Inspect one node's sets.
-    let id = *sim.trace().control_group.first().expect("control group");
-    let node = sim.node(id).expect("alive");
     println!("\nnode {id}:");
     let show = |ids: Vec<avmon::NodeId>| {
         ids.iter()
@@ -61,20 +78,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Vec<_>>()
             .join(", ")
     };
-    avmon_examples::print_kv(&[
-        ("pinging set PS(x)", show(node.pinging_set().collect())),
-        ("target set TS(x)", show(node.target_set().collect())),
-        ("coarse view size", node.view().len().to_string()),
-        ("memory entries", node.memory_entries().to_string()),
-    ]);
+    exec.sim(|sim| {
+        let node = sim.node(id).expect("alive");
+        avmon_examples::print_kv(&[
+            ("pinging set PS(x)", show(node.pinging_set().collect())),
+            ("target set TS(x)", show(node.target_set().collect())),
+            ("coarse view size", node.view().len().to_string()),
+            ("memory entries", node.memory_entries().to_string()),
+        ]);
+    });
 
-    // 6. Verified monitor lookup: ask the node for its monitors and check
-    //    the consistency condition on each claim (the "l out of K" policy).
-    let asker = sim.alive().find(|&a| a != id).expect("another node");
-    if let Some((availability, monitors)) =
-        avmon_examples::verified_availability(&mut sim, asker, id, 3)
-    {
-        println!("\nverified availability of {id} via {monitors} monitor(s): {availability:.3}");
+    // 6. The verified availability the application obtained.
+    if let Some(outcome) = answer.take() {
+        if let Some(availability) = outcome.availability {
+            println!(
+                "\nverified availability of {id} via {} monitor(s): {availability:.3}",
+                outcome.verified.len()
+            );
+        }
     }
 
     // 7. Overhead: what did the overlay cost per node?

@@ -11,7 +11,8 @@
 //! cargo run -p avmon-examples --release --bin replica_selection
 //! ```
 
-use avmon::{Config, NodeId, HOUR};
+use avmon::{Config, NodeId, HOUR, MINUTE};
+use avmon_app::SimExecutor;
 use avmon_churn::{planetlab_like, PLANETLAB_N};
 use avmon_sim::{SimOptions, Simulation};
 use rand::rngs::SmallRng;
@@ -35,25 +36,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = SmallRng::seed_from_u64(99);
 
     println!("replica selection over AVMON histories (N={n}, PL-like trace)");
-    let mut sim = Simulation::new(trace, SimOptions::new(config).seed(11));
+    let sim = Simulation::new(trace.clone(), SimOptions::new(config).seed(11));
+    let mut exec = SimExecutor::new(sim, 11);
 
     // Let the overlay monitor for 16 hours of simulated time.
-    sim.run_until(16 * HOUR);
+    exec.run_until(16 * HOUR);
 
-    // Gather availability estimates for every alive node through AVMON's
-    // monitor estimates (what a client could obtain with l-out-of-K
-    // verified queries).
-    let candidates: Vec<NodeId> = sim.alive().collect();
-    let mut scored: Vec<(NodeId, f64)> = candidates
-        .iter()
-        .filter_map(|&id| {
-            let estimates = sim.monitor_estimates(id);
-            (!estimates.is_empty())
-                .then(|| (id, estimates.iter().sum::<f64>() / estimates.len() as f64))
-        })
-        .collect();
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN estimates"));
-    println!("scored {} candidate nodes via AVMON monitors", scored.len());
+    // Score every alive node through AVMON's l-out-of-K verified queries,
+    // issued by eight placement clients over the next five minutes.
+    let candidates: Vec<NodeId> = exec.sim(|sim| sim.alive().collect());
+    let scored = avmon_examples::score_by_query(
+        &mut exec,
+        &candidates[..8],
+        &candidates,
+        8, // l = K: every monitor the candidate can name
+        5 * MINUTE,
+    );
+    println!(
+        "scored {} of {} candidate nodes via verified AVMON queries",
+        scored.len(),
+        candidates.len()
+    );
 
     // Placement strategies.
     let smart_pool: Vec<NodeId> = scored.iter().take(n / 4).map(|&(id, _)| id).collect();
@@ -76,9 +79,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Run the remaining simulated time, then audit replica availability
     // against the ground-truth trace over that future window.
-    let audit_from = sim.now();
-    sim.run_until(horizon);
-    let trace = sim.trace();
+    let audit_from = exec.sim(Simulation::now);
+    exec.run();
     let audit = |sets: &[Vec<NodeId>]| {
         let mut object_availability = 0.0;
         let mut quorum_ok = 0usize;

@@ -7,21 +7,24 @@
 // Test target: the live half is wall-clock land by design.
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::time::Duration;
+use std::rc::Rc;
+use std::time::{Duration, Instant};
 
-use avmon::{AppEvent, Config, NodeId, MINUTE};
+use avmon::{AppEvent, Config, HashSelector, MonitorSelector, NodeId, TimeMs, MINUTE};
 use avmon_app::{
-    apps::{echo_listener, watchdog_selector},
-    Decision, DecisionLog, SimExecutor,
+    apps::{echo_listener, query_availability, watchdog_selector},
+    AvmonHandle, Decision, DecisionLog, LiveExecutor, SimExecutor,
 };
 use avmon_churn::{stat, ChurnEvent, ChurnEventKind, Trace};
 use avmon_runtime::{Cluster, ClusterTransport};
 use avmon_sim::{LatencyModel, RngLedger, SimOptions, Simulation};
 
-/// One sim run with the example app attached to the first four nodes:
-/// returns the serialized decision log, the serialized report, and the
-/// RNG ledger.
+/// One sim run with the example app attached to the first four nodes and
+/// the §3.3 client asking from a fifth, ten minutes before the end, about
+/// a sixth: returns the serialized decision log followed by the query's
+/// outcome, the serialized report, and the RNG ledger.
 fn sim_app_run(seed: u64, workers: usize) -> (String, String, RngLedger) {
     let n = 40;
     let trace = stat(n, 20 * MINUTE, 0.2, seed);
@@ -33,11 +36,18 @@ fn sim_app_run(seed: u64, workers: usize) -> (String, String, RngLedger) {
     for &id in &ids[..4] {
         exec.spawn(id, |h| watchdog_selector(h, 2 * MINUTE, 3));
     }
+    let outcome = Rc::new(RefCell::new(None));
+    let slot = Rc::clone(&outcome);
+    let target = ids[5];
+    exec.spawn(ids[4], move |h| async move {
+        h.sleep(70 * MINUTE).await;
+        *slot.borrow_mut() = Some(query_availability(&h, target, 3).await);
+    });
     exec.run();
     let (report, log) = exec.into_report();
     let ledger = report.invariants.rng_ledger;
     (
-        log.to_json(),
+        format!("{}\n{:?}", log.to_json(), outcome.take()),
         serde_json::to_string(&report).expect("reports serialize"),
         ledger,
     )
@@ -58,6 +68,10 @@ fn sim_app_runs_are_byte_identical_across_seeds_and_worker_counts() {
         assert!(
             log1.contains("Select"),
             "the app never decided anything (seed {seed})"
+        );
+        assert!(
+            log1.contains("availability: Some"),
+            "the query learnt nothing (seed {seed}): {log1}"
         );
         // Replay identity: a second sequential run is byte-identical.
         let (log1b, report1b, _) = sim_app_run(seed, 1);
@@ -133,6 +147,27 @@ fn app_data_round_trips_through_the_sim_overlay() {
     assert!(report.invariants.passed(), "{:?}", report.invariants);
 }
 
+/// The quickstart's step 6, as the binary runs it (STAT N = 200, seed 7,
+/// three monitors of the first control node, asked five minutes before
+/// the end): the query must come back with verified monitors and a
+/// figure. The helper it replaced ran after the horizon with nobody
+/// listening and never printed a thing.
+#[test]
+fn quickstart_scenario_yields_a_verified_availability() {
+    let n = 200;
+    let trace = stat(n, 30 * MINUTE, 0.1, 7);
+    let target = trace.control_group[0];
+    let asker = trace.identities().into_iter().next().unwrap();
+    let (ask_at, horizon) = (trace.horizon - 5 * MINUTE, trace.horizon);
+    let opts = SimOptions::new(Config::builder(n).build().unwrap()).seed(7);
+    let mut exec = SimExecutor::new(Simulation::new(trace, opts), 7);
+    exec.run_until(ask_at);
+    let outcome = avmon_tests::query_once(&mut exec, asker, target, 3, horizon)
+        .expect("the query finishes inside the run");
+    assert!(outcome.availability.is_some(), "{outcome:?}");
+    assert!(!outcome.verified.is_empty() && !outcome.target_lied());
+}
+
 fn fast_config(n: usize) -> Config {
     Config::builder(n)
         .k((2 * n / 3) as u32)
@@ -141,6 +176,42 @@ fn fast_config(n: usize) -> Config {
         .ping_timeout(60)
         .build()
         .unwrap()
+}
+
+/// A live UDP cluster in which every node has a monitor and a target.
+///
+/// The monitor relation is a pure function of the identities, and an
+/// `n`-node cluster draws `n` ephemeral ports — at `n` = 3 a triple where
+/// some node has no monitor or no target (so discovery can never complete
+/// and a differential would be vacuous) comes up with probability ≈ 1/3.
+/// Respawn until the drawn ports give everyone both.
+fn covered_udp_cluster(config: &Config, n: usize, seed: u64) -> Cluster {
+    let selector = HashSelector::from_config(config);
+    let cluster = (0..50)
+        .find_map(|_| {
+            let cluster = Cluster::builder(config.clone(), n)
+                .transport(ClusterTransport::Udp)
+                .seed(seed)
+                .spawn()
+                .expect("cluster spawns");
+            let ids = cluster.ids().to_vec();
+            let covered = ids.iter().all(|&s| {
+                ids.iter().any(|&m| m != s && selector.is_monitor(m, s))
+                    && ids.iter().any(|&t| t != s && selector.is_monitor(s, t))
+            });
+            if covered {
+                Some(cluster)
+            } else {
+                cluster.shutdown();
+                None
+            }
+        })
+        .expect("covered ports within 50 draws");
+    assert!(
+        cluster.wait_for_discovery(1, Duration::from_secs(45)),
+        "discovery stalled"
+    );
+    cluster
 }
 
 /// Distills the timing-robust observables from a decision log: for each
@@ -166,11 +237,45 @@ fn observables(
         .collect()
 }
 
+/// `(when, snapshot present?)` samples of one node, taken by a task on it.
+type Probe = Rc<RefCell<Vec<(TimeMs, bool)>>>;
+
+/// Samples whether the handle's node shows a snapshot, every 100 ms.
+async fn snapshot_probe(h: AvmonHandle, samples: Probe) {
+    loop {
+        h.sleep(100).await;
+        samples.borrow_mut().push((h.now(), h.snapshot().is_some()));
+    }
+}
+
+/// Once the victim is down its handle shows no snapshot — live, the board
+/// still holds the entry `restart` restores from — so its watchdog, which
+/// selects from the snapshot, goes quiet.
+fn assert_victim_silent_after(
+    killed_at: TimeMs,
+    victim: NodeId,
+    log: &DecisionLog,
+    probe: &Probe,
+    world: &str,
+) {
+    let late = log.decisions.iter().find(
+        |d| matches!(d, Decision::Select { at, node, .. } if *node == victim && *at > killed_at),
+    );
+    assert_eq!(late, None, "{world}: the dead victim selected");
+    let probe = probe.borrow();
+    let after: Vec<_> = probe.iter().filter(|(at, _)| *at > killed_at).collect();
+    assert!(
+        !after.is_empty() && after.iter().all(|(_, present)| !present),
+        "{world}: a snapshot of the dead victim after {killed_at}: {after:?}"
+    );
+}
+
 /// The live half of the headline claim: the *same* `watchdog_selector`
 /// source drives a real 3-node UDP cluster; a node is killed mid-run,
 /// and the observable decisions (final selection membership per
 /// survivor, victim-least-available ordering, victim alarms) match a sim
-/// run replaying the same membership trace over the same identities.
+/// run replaying the same membership trace over the same identities. In
+/// both worlds the victim's own handle goes dark at the kill.
 #[test]
 fn live_udp_cluster_matches_sim_on_the_same_trace() {
     let n = 3;
@@ -180,51 +285,27 @@ fn live_udp_cluster_matches_sim_on_the_same_trace() {
     let k = 2;
 
     // Live run: spawn, discover, attach the app, kill a node mid-run.
-    //
-    // The monitor relation is a pure function of the identities, and a
-    // 3-node cluster draws 3 ephemeral ports — a triple where some node
-    // has no monitor or no target (so discovery can never complete and
-    // the differential would be vacuous) comes up with probability ≈ 1/3.
-    // Respawn until the drawn triple gives everyone both.
-    use avmon::MonitorSelector as _;
-    let selector = avmon::HashSelector::from_config(&config);
-    let cluster = (0..50)
-        .find_map(|_| {
-            let cluster = Cluster::builder(config.clone(), n)
-                .transport(ClusterTransport::Udp)
-                .seed(seed)
-                .spawn()
-                .expect("cluster spawns");
-            let ids = cluster.ids().to_vec();
-            let covered = ids.iter().all(|&s| {
-                ids.iter().any(|&m| m != s && selector.is_monitor(m, s))
-                    && ids.iter().any(|&t| t != s && selector.is_monitor(s, t))
-            });
-            if covered {
-                Some(cluster)
-            } else {
-                cluster.shutdown();
-                None
-            }
-        })
-        .expect("a covered port triple within 50 draws");
-    assert!(
-        cluster.wait_for_discovery(1, Duration::from_secs(45)),
-        "discovery stalled"
-    );
+    let cluster = covered_udp_cluster(&config, n, seed);
     let mut ids = cluster.ids().to_vec();
     ids.sort();
     let victim = ids[n - 1];
     let survivors: Vec<NodeId> = ids[..n - 1].to_vec();
-    let mut exec = avmon_app::LiveExecutor::new(cluster, seed);
+    // Started before the executor's epoch, so a wall instant reads no
+    // earlier on this clock than on the executor's.
+    let clock = Instant::now();
+    let mut exec = LiveExecutor::new(cluster, seed);
     for &id in &ids {
         exec.spawn(id, |h| watchdog_selector(h, period, k));
     }
+    let live_probe = Probe::default();
+    exec.spawn(victim, |h| snapshot_probe(h, Rc::clone(&live_probe)));
     exec.run_for(Duration::from_secs(2));
     exec.cluster_mut(|c| c.kill(victim));
+    let killed_at = clock.elapsed().as_millis() as TimeMs;
     exec.run_for(Duration::from_secs(3));
     let (cluster, live_log) = exec.into_parts();
     cluster.shutdown();
+    assert_victim_silent_after(killed_at, victim, &live_log, &live_probe, "live");
 
     // Sim run: replay the same membership trace — the same identities,
     // everyone up from t=0, the victim leaving at the same offset — with
@@ -253,8 +334,11 @@ fn live_udp_cluster_matches_sim_on_the_same_trace() {
     for &id in &ids {
         exec.spawn(id, |h| watchdog_selector(h, period, k));
     }
+    let sim_probe = Probe::default();
+    exec.spawn(victim, |h| snapshot_probe(h, Rc::clone(&sim_probe)));
     exec.run();
     let (_, sim_log) = exec.into_report();
+    assert_victim_silent_after(2_000, victim, &sim_log, &sim_probe, "sim");
 
     let live = observables(&live_log, &survivors, victim);
     let sim = observables(&sim_log, &survivors, victim);
@@ -270,4 +354,34 @@ fn live_udp_cluster_matches_sim_on_the_same_trace() {
             "survivor {s} never selected anything: {sim_log:?}"
         );
     }
+}
+
+/// The §3.3 client on real sockets: the same `query_availability` source
+/// asks a live UDP node for its monitors and gets back only claims that
+/// satisfy the hash condition, with a measured figure behind them.
+#[test]
+fn live_udp_query_verifies_monitors_by_the_hash_condition() {
+    let n = 3;
+    let config = fast_config(n);
+    let selector = HashSelector::from_config(&config);
+    let cluster = covered_udp_cluster(&config, n, 5);
+    let (asker, target) = (cluster.ids()[0], cluster.ids()[1]);
+    let mut exec = LiveExecutor::new(cluster, 5);
+    let outcome = Rc::new(RefCell::new(None));
+    let slot = Rc::clone(&outcome);
+    exec.spawn(asker, move |h| async move {
+        h.sleep(1_000).await; // a few monitoring periods of history first
+        *slot.borrow_mut() = Some(query_availability(&h, target, u8::MAX).await);
+    });
+    exec.run_for(Duration::from_secs(3));
+    let (cluster, _) = exec.into_parts();
+    cluster.shutdown();
+
+    let outcome = outcome.take().expect("the query finishes in time");
+    assert!(!outcome.target_lied(), "{outcome:?}");
+    assert!(!outcome.verified.is_empty(), "{outcome:?}");
+    for &m in &outcome.verified {
+        assert!(selector.is_monitor(m, target), "{m} verified for {target}");
+    }
+    assert!(outcome.availability.is_some(), "{outcome:?}");
 }

@@ -6,6 +6,7 @@
 use std::collections::BTreeSet;
 
 use avmon::{verify_report, Behavior, Config, HashSelector, MonitorSelector, NodeId, MINUTE};
+use avmon_app::SimExecutor;
 use avmon_churn::{stat, synthetic, ChurnEvent, ChurnEventKind, SynthParams, Trace};
 use avmon_sim::{
     Corruption, InvariantConfig, InvariantViolation, Scenario, SimOptions, Simulation,
@@ -46,34 +47,24 @@ fn selfish_advertiser_cannot_fake_monitors_end_to_end() {
         .take(3)
         .collect();
     assert_eq!(fakes.len(), 3);
-    let mut opts = SimOptions::new(config).seed(3);
-    opts.collect_app_events = true;
-    opts = opts.behavior(
+    let opts = SimOptions::new(config).seed(3).behavior(
         liar,
         Behavior::SelfishAdvertiser {
             fake_monitors: fakes.clone(),
         },
     );
-    let mut sim = Simulation::new(trace, opts);
-    sim.run_until(20 * MINUTE);
-    let _ = sim.take_app_events();
+    let mut exec = SimExecutor::new(Simulation::new(trace, opts), 3);
+    exec.run_until(20 * MINUTE);
 
-    let asker = sim.alive().find(|&id| id != liar).unwrap();
-    sim.request_report(asker, liar, 3);
-    sim.run_until(21 * MINUTE);
-    let outcome = sim
-        .take_app_events()
-        .into_iter()
-        .find_map(|(node, e)| match e {
-            avmon::AppEvent::ReportOutcome {
-                target,
-                verification,
-            } if node == asker && target == liar => Some(verification),
-            _ => None,
-        })
-        .expect("report outcome");
+    let asker = exec
+        .sim(|sim| sim.alive().find(|&id| id != liar))
+        .expect("someone else is up");
+    let outcome = avmon_tests::query_once(&mut exec, asker, liar, 3, 21 * MINUTE)
+        .expect("the query completes");
+    assert!(outcome.target_lied());
     assert!(outcome.verified.is_empty(), "no fake monitor may verify");
     assert_eq!(outcome.rejected, fakes, "all lies detected by re-hashing");
+    assert_eq!(outcome.availability, None, "nothing to ask, nothing learnt");
 }
 
 #[test]
