@@ -88,6 +88,14 @@ impl NodeId {
         u64::from_be_bytes([0, 0, b[0], b[1], b[2], b[3], b[4], b[5]])
     }
 
+    /// The wire encoding read as a little-endian 48-bit word (byte `i` of
+    /// [`NodeId::to_bytes`] in bits `8i..8i+8`), computed without going
+    /// through memory.
+    #[inline]
+    fn to_le48(self) -> u64 {
+        u64::from(u32::from_le_bytes(self.ip)) | u64::from(self.port.swap_bytes()) << 32
+    }
+
     /// Decodes a 6-byte wire encoding.
     #[must_use]
     pub fn from_bytes(bytes: [u8; 6]) -> Self {
@@ -111,6 +119,21 @@ impl NodeId {
             m[0], m[1], m[2], m[3], m[4], m[5], //
             t[0], t[1], t[2], t[3], t[4], t[5],
         ]
+    }
+
+    /// [`NodeId::pair_bytes`] as the two little-endian words
+    /// [`avmon_hash::PairHasher::point12`] takes — bytes `0..8` and
+    /// `8..12` — assembled from the identities' integers in registers.
+    ///
+    /// Building the `[u8; 12]` from two `[u8; 6]` and reading it back as
+    /// words makes every consistency check wait on store-to-load
+    /// forwarding of differently sized accesses; this is the same value
+    /// without the round trip through the stack.
+    #[inline]
+    #[must_use]
+    pub fn pair_words(monitor: NodeId, target: NodeId) -> (u64, u32) {
+        let t = target.to_le48();
+        (monitor.to_le48() | t << 48, (t >> 16) as u32)
     }
 }
 
@@ -193,6 +216,24 @@ mod tests {
         let b = NodeId::from_index(2);
         assert_ne!(NodeId::pair_bytes(a, b), NodeId::pair_bytes(b, a));
         assert_eq!(NodeId::pair_bytes(a, b).len(), 12);
+    }
+
+    #[test]
+    fn pair_words_are_pair_bytes_read_little_endian() {
+        // Twelve distinct byte values, ports that are neither 4000 nor
+        // byte-symmetric: any byte in the wrong lane changes a word.
+        let m = NodeId::new([0x11, 0x22, 0x33, 0x44], 0x5566);
+        let t = NodeId::new([0x77, 0x88, 0x99, 0xaa], 0xbbcc);
+        assert_eq!(
+            NodeId::pair_words(m, t),
+            (0x8877_6655_4433_2211, 0xccbb_aa99)
+        );
+        for (m, t) in [(m, t), (t, m), (m, m), (NodeId::default(), t)] {
+            assert_eq!(
+                NodeId::pair_words(m, t),
+                avmon_hash::pair12_words(&NodeId::pair_bytes(m, t))
+            );
+        }
     }
 
     #[test]

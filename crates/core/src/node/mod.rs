@@ -898,12 +898,7 @@ impl Node {
                 }) = self.pending.remove(&nonce)
                 {
                     if target == from {
-                        self.stats.hash_checks += monitors.len() as u64;
-                        let verification = self.verify_report_memoized(target, &monitors);
-                        self.emit(AppEvent::ReportOutcome {
-                            target,
-                            verification,
-                        });
+                        self.conclude_report(target, &monitors);
                     }
                 }
             }
@@ -978,14 +973,46 @@ impl Node {
 
     /// Issues a monitor-report request to `target` (the "l out of K" client
     /// side, §3.3). The reply surfaces as [`AppEvent::ReportOutcome`].
+    ///
+    /// A node asked for its own report answers at once from its own
+    /// pinging set — same verification, same event, but no message, no
+    /// pending entry and no timeout (nodes never message themselves).
     pub fn request_report(&mut self, now: TimeMs, target: NodeId, count: u8) {
+        if target == self.id {
+            let monitors = self.report_answer(count);
+            self.conclude_report(target, &monitors);
+            return;
+        }
         let nonce = self.begin_request(now, Pending::Report { target });
         self.send(target, Message::ReportRequest { nonce, count });
     }
 
+    /// Verifies `target`'s claimed monitors and surfaces the outcome.
+    fn conclude_report(&mut self, target: NodeId, monitors: &[NodeId]) {
+        self.stats.hash_checks += monitors.len() as u64;
+        let verification = self.verify_report_memoized(target, monitors);
+        self.emit(AppEvent::ReportOutcome {
+            target,
+            verification,
+        });
+    }
+
     /// Asks `monitor` for its measured availability of `target`. The reply
     /// surfaces as [`AppEvent::HistoryOutcome`].
+    ///
+    /// A node naming itself as the monitor answers at once from its own
+    /// records, like [`Node::request_report`].
     pub fn request_history(&mut self, now: TimeMs, monitor: NodeId, target: NodeId) {
+        if monitor == self.id {
+            let (availability, samples) = self.history_answer(now, target);
+            self.emit(AppEvent::HistoryOutcome {
+                monitor,
+                target,
+                availability,
+                samples,
+            });
+            return;
+        }
         let nonce = self.begin_request(now, Pending::History { monitor, target });
         self.send(monitor, Message::HistoryRequest { nonce, target });
     }

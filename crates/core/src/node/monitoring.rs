@@ -97,7 +97,14 @@ impl Node {
     /// the requisite number of its monitoring nodes". A selfish advertiser
     /// substitutes its fake list — which verification then rejects.
     pub(super) fn serve_report(&mut self, from: NodeId, nonce: Nonce, count: u8) {
-        let monitors: Vec<NodeId> = match self.behavior.fake_report() {
+        let monitors = self.report_answer(count);
+        self.send(from, Message::ReportReply { nonce, monitors });
+    }
+
+    /// The monitor list this node gives a report request for `count`
+    /// monitors.
+    pub(super) fn report_answer(&mut self, count: u8) -> Vec<NodeId> {
+        match self.behavior.fake_report() {
             Some(fakes) => fakes.iter().copied().take(usize::from(count)).collect(),
             None => {
                 // Any `l` of PS(x) will do; sample without replacement.
@@ -110,8 +117,7 @@ impl Node {
                 candidates.truncate(take);
                 candidates
             }
-        };
-        self.send(from, Message::ReportReply { nonce, monitors });
+        }
     }
 
     /// Availability-history service: answers with the measured estimate, or
@@ -123,7 +129,22 @@ impl Node {
         nonce: Nonce,
         target: NodeId,
     ) {
-        let (availability, samples) = if self.behavior.misreports(target) {
+        let (availability, samples) = self.history_answer(now, target);
+        self.send(
+            from,
+            Message::HistoryReply {
+                nonce,
+                target,
+                availability,
+                samples,
+            },
+        );
+    }
+
+    /// The `(availability, samples)` this node gives a history request
+    /// about `target`.
+    pub(super) fn history_answer(&self, now: TimeMs, target: NodeId) -> (Option<f64>, u64) {
+        if self.behavior.misreports(target) {
             let samples = self.targets.get(&target).map_or(0, |r| r.pings_sent);
             (Some(1.0), samples)
         } else {
@@ -139,15 +160,6 @@ impl Node {
                 }
                 None => (None, 0),
             }
-        };
-        self.send(
-            from,
-            Message::HistoryReply {
-                nonce,
-                target,
-                availability,
-                samples,
-            },
-        );
+        }
     }
 }

@@ -1045,6 +1045,75 @@ fn report_timeout_surfaces_event() {
     assert!(events(&drain(&mut n)).contains(&AppEvent::RequestTimedOut { peer: id(2) }));
 }
 
+/// A raw `Command::RequestReport` naming the node itself is answered from
+/// its own pinging set: the same verified outcome a remote answer gives,
+/// with no datagram to itself, no pending entry and no timer.
+#[test]
+fn self_addressed_report_command_is_answered_locally() {
+    use crate::driver::{apply_command, Command};
+
+    let mut n = mk_node(1, config(100), TestSelector::with_pairs(&[(id(2), id(1))]));
+    n.handle_message(
+        0,
+        id(9),
+        Message::Notify {
+            monitor: id(2),
+            target: id(1),
+        },
+    );
+    let _ = drain(&mut n);
+    let checks_before = n.stats().hash_checks;
+
+    let command = Command::RequestReport {
+        target: id(1),
+        count: 3,
+    };
+    assert!(apply_command(&mut n, 5, command));
+    let actions = drain(&mut n);
+    assert!(sends(&actions).is_empty() && timers(&actions).is_empty());
+    assert!(n.pending.is_empty());
+    assert_eq!(
+        events(&actions),
+        vec![AppEvent::ReportOutcome {
+            target: id(1),
+            verification: ReportVerification {
+                target: id(1),
+                verified: vec![id(2)],
+                rejected: vec![],
+            },
+        }]
+    );
+    assert_eq!(n.stats().hash_checks, checks_before + 1);
+}
+
+/// Same for `Command::RequestHistory` with the node as its own monitor:
+/// the answer `serve_history` would send, surfaced directly.
+#[test]
+fn self_addressed_history_command_is_answered_locally() {
+    use crate::driver::{apply_command, Command};
+
+    let mut n = node_with_target(2, 5);
+    run_monitoring_round(&mut n, MINUTE, true);
+
+    let command = Command::RequestHistory {
+        monitor: id(2),
+        target: id(5),
+    };
+    assert!(apply_command(&mut n, 2 * MINUTE, command));
+    let actions = drain(&mut n);
+    assert!(sends(&actions).is_empty() && timers(&actions).is_empty());
+    assert!(n.pending.is_empty());
+    let evs = events(&actions);
+    assert!(
+        matches!(
+            evs[..],
+            [AppEvent::HistoryOutcome { monitor, target, availability: Some(a), samples: 1 }]
+                if monitor == id(2) && target == id(5) && (a - 1.0).abs() < 1e-9
+        ),
+        "got {evs:?}"
+    );
+}
+
 // ---------------------------------------------------------------- PR2
 
 #[test]

@@ -13,7 +13,9 @@ use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::sync::Arc;
 
-use avmon_hash::{Fast64PairHasher, HashPoint, HasherKind, PairHasher, Threshold};
+use avmon_hash::{
+    Fast64PairHasher, HashPoint, HasherKind, Md5PairHasher, PairHasher, Sha1PairHasher, Threshold,
+};
 
 use crate::{Config, NodeId};
 
@@ -116,11 +118,19 @@ impl HashSelector<Fast64PairHasher> {
         HashSelector::new(Fast64PairHasher::new(), k, n)
     }
 
-    /// Builds a boxed selector for `config` with a runtime-chosen hasher.
+    /// Builds a shared selector for `config` with a runtime-chosen hasher.
+    ///
+    /// The kind is matched once, here, into a selector monomorphic in its
+    /// hasher: behind the `dyn MonitorSelector` call the hash is inlined,
+    /// not a second virtual call into a `Box<dyn PairHasher>`.
     #[must_use]
     pub fn from_config_with_kind(config: &Config, kind: HasherKind) -> SharedSelector {
         let (k, n) = config.threshold_ratio();
-        Arc::new(HashSelector::new(kind.build(), k, n))
+        match kind {
+            HasherKind::Md5 => Arc::new(HashSelector::new(Md5PairHasher::new(), k, n)),
+            HasherKind::Sha1 => Arc::new(HashSelector::new(Sha1PairHasher::new(), k, n)),
+            HasherKind::Fast64 => Arc::new(HashSelector::new(Fast64PairHasher::new(), k, n)),
+        }
     }
 }
 
@@ -145,12 +155,20 @@ impl<H: PairHasher> HashSelector<H> {
     pub fn hasher(&self) -> &H {
         &self.hasher
     }
+
+    /// `H(monitor ‖ target)`: the hasher's fixed-length pair kernel over
+    /// the pair assembled in registers — bit-identical to
+    /// `hasher.point(&NodeId::pair_bytes(monitor, target))`.
+    #[inline]
+    fn point(&self, monitor: NodeId, target: NodeId) -> HashPoint {
+        let (head, tail) = NodeId::pair_words(monitor, target);
+        self.hasher.point12(head, tail)
+    }
 }
 
 impl<H: PairHasher> MonitorSelector for HashSelector<H> {
     fn is_monitor(&self, monitor: NodeId, target: NodeId) -> bool {
-        let point = self.hasher.point(&NodeId::pair_bytes(monitor, target));
-        self.threshold.accepts(point)
+        self.threshold.accepts(self.point(monitor, target))
     }
 
     fn name(&self) -> &'static str {
@@ -158,7 +176,7 @@ impl<H: PairHasher> MonitorSelector for HashSelector<H> {
     }
 
     fn hash_point(&self, monitor: NodeId, target: NodeId) -> Option<HashPoint> {
-        Some(self.hasher.point(&NodeId::pair_bytes(monitor, target)))
+        Some(self.point(monitor, target))
     }
 
     fn selection_threshold(&self) -> Option<Threshold> {

@@ -5,7 +5,10 @@
 
 use avmon::bytes::{self, BufMut};
 use avmon::codec::{decode, decode_from, encode, encode_into, encoded_len};
-use avmon::{CoarseView, Config, CvsPolicy, HashSelector, Message, MonitorSelector, NodeId, Nonce};
+use avmon::{
+    CoarseView, Config, CvsPolicy, HashSelector, HasherKind, Message, MonitorSelector, NodeId,
+    Nonce, Threshold,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -182,6 +185,51 @@ proptest! {
         let s2 = HashSelector::from_config(&cfg);
         prop_assert_eq!(s1.is_monitor(a, b), s2.is_monitor(a, b));
         prop_assert_eq!(s1.is_monitor(a, b), s1.is_monitor(a, b));
+    }
+
+    /// The selector every caller gets (`from_config_with_kind`: monomorphic
+    /// hasher, pair assembled in registers, fixed-length kernel) against the
+    /// reference route it replaced — `HasherKind::build()` hashing the
+    /// serialized `NodeId::pair_bytes` — on `is_monitor`, `hash_point` and
+    /// `accepted_pairs`, for arbitrary identities (any port, and
+    /// `monitor == target` on the diagonal) at a dense and a sparse
+    /// threshold. `hash_point` is compared bit for bit, so one byte in the
+    /// wrong lane fails here even where the sparse threshold rejects both.
+    #[test]
+    fn kernel_selector_matches_the_pair_bytes_reference(
+        ids in proptest::collection::vec(arb_node_id(), 2..10),
+        dense in any::<bool>(),
+    ) {
+        let config = if dense {
+            Config::builder(64).k(32).build().unwrap()
+        } else {
+            Config::builder(10_000).build().unwrap()
+        };
+        let (k, n) = config.threshold_ratio();
+        let threshold = Threshold::from_ratio(k, n);
+        for kind in [HasherKind::Fast64, HasherKind::Md5, HasherKind::Sha1] {
+            let kernel = HashSelector::from_config_with_kind(&config, kind);
+            let hasher = kind.build();
+            let reference = HashSelector::new(kind.build(), k, n);
+            let mut expected_pairs = Vec::new();
+            for (mi, &m) in ids.iter().enumerate() {
+                for (ti, &t) in ids.iter().enumerate() {
+                    let point = hasher.point(&NodeId::pair_bytes(m, t));
+                    prop_assert_eq!(kernel.hash_point(m, t), Some(point), "{} {} {}", kind, m, t);
+                    prop_assert_eq!(reference.hash_point(m, t), Some(point));
+                    prop_assert_eq!(kernel.is_monitor(m, t), threshold.accepts(point));
+                    prop_assert_eq!(reference.is_monitor(m, t), threshold.accepts(point));
+                    if m != t && threshold.accepts(point) {
+                        expected_pairs.push((mi, ti));
+                    }
+                }
+            }
+            for selector in [&*kernel, &reference as &dyn MonitorSelector] {
+                let mut got = Vec::new();
+                selector.accepted_pairs(&ids, &ids, &mut |mi, ti| got.push((mi, ti)));
+                prop_assert_eq!(&got, &expected_pairs, "{} accepted_pairs", kind);
+            }
+        }
     }
 
     /// CvsPolicy outputs are monotone in N and at least 2.

@@ -13,7 +13,7 @@ use crate::{HashPoint, PairHasher};
 /// The 64-bit finalizer from SplitMix64 / MurmurHash3's `fmix64`.
 #[inline]
 #[must_use]
-pub fn mix64(mut z: u64) -> u64 {
+pub const fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
@@ -66,6 +66,21 @@ impl Fast64PairHasher {
     pub fn seed(&self) -> u64 {
         self.seed
     }
+
+    /// State after the length mix and the first (and only full) 8-byte
+    /// word of a 12-byte input.
+    #[inline]
+    fn absorb12_head(&self, head: u64) -> u64 {
+        const LEN_MIX: u64 = mix64(12);
+        mix64(self.seed ^ LEN_MIX ^ head)
+    }
+
+    /// Absorbs the zero-padded 4-byte tail of a 12-byte input and
+    /// finalizes.
+    #[inline]
+    fn finish12(state: u64, tail: u32) -> HashPoint {
+        HashPoint::from_bits(mix64(mix64(state ^ u64::from(tail))))
+    }
 }
 
 impl PairHasher for Fast64PairHasher {
@@ -91,18 +106,23 @@ impl PairHasher for Fast64PairHasher {
         "fast64"
     }
 
+    /// [`PairHasher::point`]'s chunk loop unrolled for exactly one 8-byte
+    /// word plus one zero-padded 4-byte tail, with the length mix a
+    /// constant.
+    #[inline]
+    fn point12(&self, head: u64, tail: u32) -> HashPoint {
+        Self::finish12(self.absorb12_head(head), tail)
+    }
+
     /// Fast64 absorbs a 12-byte input as one 8-byte chunk plus a
     /// zero-padded 4-byte tail, so the state after the first chunk is a
     /// reusable prefix — see the trait docs.
     fn point12_prefix(&self, prefix: &[u8; 8]) -> Option<u64> {
-        let state = self.seed ^ mix64(12);
-        Some(mix64(state ^ u64::from_le_bytes(*prefix)))
+        Some(self.absorb12_head(u64::from_le_bytes(*prefix)))
     }
 
     fn point12_resume(&self, state: u64, tail: &[u8; 4]) -> HashPoint {
-        let mut t = [0u8; 8];
-        t[..4].copy_from_slice(tail);
-        HashPoint::from_bits(mix64(mix64(state ^ u64::from_le_bytes(t))))
+        Self::finish12(state, u32::from_le_bytes(*tail))
     }
 }
 
@@ -161,6 +181,12 @@ mod tests {
                     hasher.point12_resume(state, &tail),
                     hasher.point(&input),
                     "staged hash diverged on input {input:?}"
+                );
+                let (head, tail_word) = crate::pair12_words(&input);
+                assert_eq!(
+                    hasher.point12_resume(state, &tail),
+                    hasher.point12(head, tail_word),
+                    "staged hash diverged from point12 on input {input:?}"
                 );
             }
         }

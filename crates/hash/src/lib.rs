@@ -24,6 +24,21 @@
 //! map to the same [`HashPoint`], on every node, forever — which is what
 //! makes the monitor relationship *consistent* and *verifiable*.
 //!
+//! # The pair kernel
+//!
+//! The protocol only ever hashes one shape of input on its hot path: the
+//! 12-byte `monitor ‖ target` pair encoding, `2·(cvs+2)²` times per node
+//! per period. [`PairHasher::point12`] is the fixed-length entry point for
+//! exactly that shape. It takes the 12 bytes as two little-endian words
+//! (see [`pair12_words`]) so a caller that already holds the identities as
+//! integers never writes them to memory, and every built-in hasher
+//! overrides it with the general routine specialised for the known length
+//! — one unrolled word + tail for [`Fast64PairHasher`], one compression of
+//! the single padded block for MD5 / SHA-1. It is **the same function of
+//! the same bytes**: `point12(pair12_words(&b)) == point(&b)` for every
+//! `b`, held by `tests/proptests.rs`. [`PairHasher::point`] stays the
+//! definition; `point12` is only ever a faster way to evaluate it.
+//!
 //! # Example
 //!
 //! ```
@@ -66,6 +81,18 @@ pub trait PairHasher: Debug + Send + Sync {
     /// A short stable identifier (used in experiment output and logs).
     fn name(&self) -> &'static str;
 
+    /// Hashes a 12-byte pair encoding given as two little-endian words:
+    /// `head` is bytes `0..8`, `tail` bytes `8..12` (see [`pair12_words`]).
+    ///
+    /// Must equal [`PairHasher::point`] over those 12 bytes, bit for bit —
+    /// the default *is* that call. Implementations override it only to
+    /// drop work the fixed length makes redundant (chunk loop, length mix,
+    /// padding, buffering); callers use it to keep a pair they assembled
+    /// from integers in registers instead of serializing it first.
+    fn point12(&self, head: u64, tail: u32) -> HashPoint {
+        self.point(&pair12_bytes(head, tail))
+    }
+
     /// Optional two-stage hashing of a 12-byte pair encoding, split as an
     /// 8-byte prefix plus a 4-byte tail.
     ///
@@ -106,6 +133,10 @@ impl<T: PairHasher + ?Sized> PairHasher for &T {
         (**self).name()
     }
 
+    fn point12(&self, head: u64, tail: u32) -> HashPoint {
+        (**self).point12(head, tail)
+    }
+
     fn point12_prefix(&self, prefix: &[u8; 8]) -> Option<u64> {
         (**self).point12_prefix(prefix)
     }
@@ -124,6 +155,10 @@ impl<T: PairHasher + ?Sized> PairHasher for Box<T> {
         (**self).name()
     }
 
+    fn point12(&self, head: u64, tail: u32) -> HashPoint {
+        (**self).point12(head, tail)
+    }
+
     fn point12_prefix(&self, prefix: &[u8; 8]) -> Option<u64> {
         (**self).point12_prefix(prefix)
     }
@@ -131,6 +166,24 @@ impl<T: PairHasher + ?Sized> PairHasher for Box<T> {
     fn point12_resume(&self, state: u64, tail: &[u8; 4]) -> HashPoint {
         (**self).point12_resume(state, tail)
     }
+}
+
+/// Splits a 12-byte pair encoding into the two little-endian words
+/// [`PairHasher::point12`] takes: bytes `0..8` and bytes `8..12`.
+#[must_use]
+pub fn pair12_words(bytes: &[u8; 12]) -> (u64, u32) {
+    let [b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11] = *bytes;
+    (
+        u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]),
+        u32::from_le_bytes([b8, b9, b10, b11]),
+    )
+}
+
+/// Inverse of [`pair12_words`]: the 12 bytes the two words stand for.
+fn pair12_bytes(head: u64, tail: u32) -> [u8; 12] {
+    let [b0, b1, b2, b3, b4, b5, b6, b7] = head.to_le_bytes();
+    let [b8, b9, b10, b11] = tail.to_le_bytes();
+    [b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11]
 }
 
 /// Enumeration of the built-in hashers, for configuration files and CLIs.

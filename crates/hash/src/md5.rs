@@ -29,6 +29,9 @@ const T: [u32; 64] = [
     0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, 0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391,
 ];
 
+/// The RFC 1321 initial chaining value.
+const INIT: [u32; 4] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476];
+
 /// Incremental MD5 hasher.
 ///
 /// # Example
@@ -65,7 +68,7 @@ impl Md5 {
     #[must_use]
     pub fn new() -> Self {
         Md5 {
-            state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476],
+            state: INIT,
             len: 0,
             buf: [0u8; 64],
             buf_len: 0,
@@ -127,32 +130,41 @@ impl Md5 {
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             m[i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
-
-        let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(T[i])
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i]),
-            );
-            a = tmp;
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
+        compress_words(&mut self.state, &m);
     }
+}
+
+/// The RFC 1321 compression function over one block already decoded into
+/// its sixteen little-endian words.
+// Forced inline: left to the heuristic it stays out of line from both
+// callers and the streaming digest of a 12-byte input measures 1.2-1.7x
+// slower than before the split.
+#[inline(always)]
+fn compress_words(state: &mut [u32; 4], m: &[u32; 16]) {
+    let [mut a, mut b, mut c, mut d] = *state;
+    for i in 0..64 {
+        let (f, g) = match i / 16 {
+            0 => ((b & c) | (!b & d), i),
+            1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
+            2 => (b ^ c ^ d, (3 * i + 5) % 16),
+            _ => (c ^ (b | !d), (7 * i) % 16),
+        };
+        let tmp = d;
+        d = c;
+        c = b;
+        b = b.wrapping_add(
+            a.wrapping_add(f)
+                .wrapping_add(T[i])
+                .wrapping_add(m[g])
+                .rotate_left(S[i]),
+        );
+        a = tmp;
+    }
+
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
 }
 
 /// One-shot MD5 of `data`.
@@ -202,6 +214,25 @@ impl PairHasher for Md5PairHasher {
 
     fn name(&self) -> &'static str {
         "md5"
+    }
+
+    /// Twelve bytes pad into a single block, so the digest is one
+    /// compression of the initial state: no buffer, no byte-at-a-time
+    /// padding, no second block.
+    fn point12(&self, head: u64, tail: u32) -> HashPoint {
+        let mut m = [0u32; 16];
+        m[0] = head as u32;
+        m[1] = (head >> 32) as u32;
+        m[2] = tail;
+        m[3] = 0x80; // the pad byte right after the message
+        m[14] = 96; // message length in bits, low word
+        let mut state = INIT;
+        compress_words(&mut state, &m);
+        // The digest is the state words little-endian; its first 8 bytes
+        // read big-endian are the first two words byte-swapped.
+        HashPoint::from_bits(
+            u64::from(state[0].swap_bytes()) << 32 | u64::from(state[1].swap_bytes()),
+        )
     }
 }
 

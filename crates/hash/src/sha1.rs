@@ -6,6 +6,9 @@
 
 use crate::{HashPoint, PairHasher};
 
+/// The FIPS 180-1 initial chaining value.
+const INIT: [u32; 5] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0];
+
 /// Incremental SHA-1 hasher.
 ///
 /// # Example
@@ -38,7 +41,7 @@ impl Sha1 {
     #[must_use]
     pub fn new() -> Self {
         Sha1 {
-            state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0],
+            state: INIT,
             len: 0,
             buf: [0u8; 64],
             buf_len: 0,
@@ -94,41 +97,53 @@ impl Sha1 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
+        let mut m = [0u32; 16];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+            m[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i / 20 {
-                0 => ((b & c) | (!b & d), 0x5a827999),
-                1 => (b ^ c ^ d, 0x6ed9eba1),
-                2 => ((b & c) | (b & d) | (c & d), 0x8f1bbcdc),
-                _ => (b ^ c ^ d, 0xca62c1d6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        compress_words(&mut self.state, &m);
     }
+}
+
+/// The FIPS 180-1 compression function over one block already decoded into
+/// its sixteen big-endian words.
+// Forced inline: left to the heuristic it stays out of line from both
+// callers and the streaming digest of a 12-byte input measures 1.2-1.7x
+// slower than before the split.
+#[inline(always)]
+fn compress_words(state: &mut [u32; 5], m: &[u32; 16]) {
+    let mut w = [0u32; 80];
+    w[..16].copy_from_slice(m);
+    for i in 16..80 {
+        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e] = *state;
+    for (i, &wi) in w.iter().enumerate() {
+        let (f, k) = match i / 20 {
+            0 => ((b & c) | (!b & d), 0x5a827999),
+            1 => (b ^ c ^ d, 0x6ed9eba1),
+            2 => ((b & c) | (b & d) | (c & d), 0x8f1bbcdc),
+            _ => (b ^ c ^ d, 0xca62c1d6),
+        };
+        let tmp = a
+            .rotate_left(5)
+            .wrapping_add(f)
+            .wrapping_add(e)
+            .wrapping_add(k)
+            .wrapping_add(wi);
+        e = d;
+        d = c;
+        c = b.rotate_left(30);
+        b = a;
+        a = tmp;
+    }
+
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
 }
 
 /// One-shot SHA-1 of `data`.
@@ -177,6 +192,24 @@ impl PairHasher for Sha1PairHasher {
 
     fn name(&self) -> &'static str {
         "sha1"
+    }
+
+    /// Twelve bytes pad into a single block, so the digest is one
+    /// compression of the initial state.
+    fn point12(&self, head: u64, tail: u32) -> HashPoint {
+        let mut m = [0u32; 16];
+        // SHA-1 reads its words big-endian; `head`/`tail` hold the bytes
+        // little-endian.
+        m[0] = (head as u32).swap_bytes();
+        m[1] = ((head >> 32) as u32).swap_bytes();
+        m[2] = tail.swap_bytes();
+        m[3] = 0x8000_0000; // the pad byte right after the message
+        m[15] = 96; // message length in bits, low word
+        let mut state = INIT;
+        compress_words(&mut state, &m);
+        // The digest is the state words big-endian, so its first 64 bits
+        // are the first two words as they stand.
+        HashPoint::from_bits(u64::from(state[0]) << 32 | u64::from(state[1]))
     }
 }
 

@@ -1,7 +1,65 @@
 //! Property-based tests for the hashing substrate.
 
-use avmon_hash::{Fast64PairHasher, HashPoint, Md5, PairHasher, Sha1, Threshold};
+use avmon_hash::{
+    md5, pair12_words, sha1, Fast64PairHasher, HashPoint, HasherKind, Md5, Md5PairHasher,
+    PairHasher, Sha1, Sha1PairHasher, Threshold,
+};
 use proptest::prelude::*;
+
+/// A hasher that implements only the required methods, so its `point12`
+/// is the trait's default.
+#[derive(Debug)]
+struct PointOnly(Sha1PairHasher);
+
+impl PairHasher for PointOnly {
+    fn point(&self, input: &[u8]) -> HashPoint {
+        self.0.point(input)
+    }
+
+    fn name(&self) -> &'static str {
+        "point-only"
+    }
+}
+
+/// Fixed 12-byte vectors through the pair kernel: the MD5 / SHA-1 answers
+/// are the first 64 digest bits an independent implementation (Python's
+/// `hashlib`) gives, and must also be what the streaming `md5()` / `sha1()`
+/// here produce; the Fast64 answers are the generic chunk loop's. All
+/// twelve bytes of the second vector differ, so a byte in the wrong lane
+/// of `head` / `tail` or of the padded block changes every answer.
+#[test]
+fn point12_known_answers() {
+    let first64 = |digest: &[u8]| u64::from_be_bytes(digest[..8].try_into().unwrap());
+    let cases: [(&[u8; 12], u64, u64, u64); 2] = [
+        (
+            b"hello world!",
+            0xfc3f_f98e_8c6a_0d30,
+            0x430c_e34d_0207_24ed,
+            0x0f1f_1c04_3584_01f5,
+        ),
+        (
+            &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+            0xd2bc_225f_9724_ea69,
+            0x26d9_256e_7015_d2dd,
+            0x0860_337a_c7f3_e8f7,
+        ),
+    ];
+    for (bytes, md5_bits, sha1_bits, fast64_bits) in cases {
+        let (head, tail) = pair12_words(bytes);
+        assert_eq!(first64(&md5(bytes)), md5_bits);
+        assert_eq!(first64(&sha1(bytes)), sha1_bits);
+        assert_eq!(Md5PairHasher::new().point12(head, tail).to_bits(), md5_bits);
+        assert_eq!(
+            Sha1PairHasher::new().point12(head, tail).to_bits(),
+            sha1_bits
+        );
+        assert_eq!(
+            Fast64PairHasher::new().point12(head, tail).to_bits(),
+            fast64_bits
+        );
+        assert_eq!(Fast64PairHasher::new().point(bytes).to_bits(), fast64_bits);
+    }
+}
 
 proptest! {
     /// Incremental hashing must match one-shot hashing for any split.
@@ -59,6 +117,33 @@ proptest! {
         }
     }
 
+    /// The fixed-length pair kernel is the same function of the same bytes:
+    /// `point12` over the two words equals `point` over the 12 bytes they
+    /// stand for, on every built-in hasher (Fast64 under the default and an
+    /// arbitrary seed) — concretely typed, through the `Box<dyn>` / `&`
+    /// forwarders `HasherKind::build()` hands out, and for a hasher that
+    /// leaves `point12` to the trait's default.
+    #[test]
+    fn point12_equals_point_over_the_same_bytes(bytes in any::<[u8; 12]>(), seed in any::<u64>()) {
+        let (head, tail) = pair12_words(&bytes);
+        let plain = PointOnly(Sha1PairHasher::new());
+        prop_assert_eq!(plain.point12(head, tail), plain.point(&bytes));
+        let seeded = Fast64PairHasher::with_seed(seed);
+        prop_assert_eq!(seeded.point12(head, tail), seeded.point(&bytes), "seed {}", seed);
+        prop_assert_eq!(Fast64PairHasher::new().point12(head, tail), Fast64PairHasher::new().point(&bytes));
+        prop_assert_eq!(Md5PairHasher::new().point12(head, tail), Md5PairHasher::new().point(&bytes));
+        prop_assert_eq!(Sha1PairHasher::new().point12(head, tail), Sha1PairHasher::new().point(&bytes));
+        // `H = &Box<dyn PairHasher>`: the `&T` forwarder over the `Box<T>` one.
+        fn by_value<H: PairHasher>(hasher: H, head: u64, tail: u32) -> HashPoint {
+            hasher.point12(head, tail)
+        }
+        for kind in [HasherKind::Fast64, HasherKind::Md5, HasherKind::Sha1] {
+            let boxed = kind.build();
+            prop_assert_eq!(boxed.point12(head, tail), boxed.point(&bytes), "boxed {}", kind);
+            prop_assert_eq!(by_value(&boxed, head, tail), boxed.point(&bytes), "&boxed {}", kind);
+        }
+    }
+
     /// The staged 12-byte decomposition (`point12_prefix` +
     /// `point12_resume`) is exactly the one-shot hash for any split input
     /// and any seed — the contract the agreement-sweep candidate index
@@ -75,6 +160,9 @@ proptest! {
         input[..8].copy_from_slice(&prefix);
         input[8..].copy_from_slice(&tail);
         prop_assert_eq!(hasher.point12_resume(state, &tail), hasher.point(&input));
+        // ... and the one-call kernel, which shares its two halves.
+        let (head, tail_word) = pair12_words(&input);
+        prop_assert_eq!(hasher.point12_resume(state, &tail), hasher.point12(head, tail_word));
     }
 
     /// `PointMemo` under arbitrary interleavings of lookups and

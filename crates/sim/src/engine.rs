@@ -66,8 +66,8 @@ pub struct SimOptions {
     /// [`Node::set_point_memo_slots`] default policy). Purely an evaluation
     /// cache — reports are byte-identical across settings.
     pub node_memo: Option<usize>,
-    /// Worker threads for node event processing (default `1` =
-    /// single-threaded; `0` = one per available core). With more than one
+    /// Threads that run node handlers, the calling one included (default
+    /// `1` = single-threaded; `0` = one per available core). With more than one
     /// worker the engine batches independent node events inside a
     /// conservative safe-horizon window, fans the node handlers out across
     /// the pool, and replays their outputs in the original `(time, seq)`

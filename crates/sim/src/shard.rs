@@ -12,6 +12,12 @@
 //! sequence is therefore *identical* to the sequential loop's, making
 //! same-seed reports byte-identical at any worker count.
 //!
+//! The workers are the main thread and `workers - 1` spawned ones. A
+//! window is a few hundred microseconds of work, so a thread that waits
+//! for the next hand-off polls before it sleeps ([`recv_polling`]): a
+//! sleeping thread's wake-up was 40 % of a sharded run and the part that
+//! differed most from one run to the next.
+//!
 //! [`SimOptions::workers`]: crate::SimOptions::workers
 
 use std::sync::mpsc;
@@ -107,6 +113,33 @@ fn run_shard(mut job: ShardJob) -> ShardJob {
 }
 // detlint::endregion(worker-context)
 
+/// `try_recv` attempts, a `yield_now` apart, before [`recv_polling`] falls
+/// back to a blocking `recv`, when every worker can have a core of its
+/// own. A batch follows the last within a few hundred microseconds
+/// (`stat_10k_w2`: ~430 attempts per wait on average, 97 of 54 000 waits
+/// ran out), so between batches nobody sleeps; across a cut event that
+/// takes milliseconds the threads park.
+const POLLS_BEFORE_BLOCKING: u32 = 4096;
+
+/// `rx.recv()` that polls up to `polls` times before it sleeps. One
+/// hand-off per window is the sharded loop's whole overhead, and a
+/// sleeping thread's wake-up is its slow and unsteady part (on a virtual
+/// machine an idle core's wake is a trip through the hypervisor: ~150 us
+/// to reach a worker and ~115 us back on the 2-core box, 7 of
+/// `stat_10k_w2`'s 18 s, and several times that when the host is busy).
+/// The budget is a number of attempts, not a duration: the simulator
+/// reads no wall clock (detlint `banned-clock`).
+fn recv_polling<T>(rx: &mpsc::Receiver<T>, polls: u32) -> Result<T, mpsc::RecvError> {
+    for _ in 0..polls {
+        match rx.try_recv() {
+            Ok(value) => return Ok(value),
+            Err(mpsc::TryRecvError::Disconnected) => return Err(mpsc::RecvError),
+            Err(mpsc::TryRecvError::Empty) => std::thread::yield_now(),
+        }
+    }
+    rx.recv()
+}
+
 /// How batch collection treats the calendar head (see
 /// [`Simulation::classify_head`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,16 +164,27 @@ impl Simulation {
     pub(crate) fn run_window_batches(&mut self, deadline: TimeMs, stop_on_wake: bool) -> bool {
         let mut paused = false;
         let (res_tx, res_rx) = mpsc::channel::<Vec<ShardJob>>();
+        // With more workers than cores a polling thread only takes time
+        // from one that has work, so there a wait sleeps at once.
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let polls = if self.workers <= cores {
+            POLLS_BEFORE_BLOCKING
+        } else {
+            0
+        };
         std::thread::scope(|scope| {
-            // One job channel per worker, spawned once for the whole call;
-            // jobs own their nodes, so the workers borrow nothing.
-            let mut job_txs: Vec<mpsc::Sender<Vec<ShardJob>>> = Vec::with_capacity(self.workers);
-            for _ in 0..self.workers {
+            // The calling thread is one of the workers (it runs the last
+            // share of every batch itself), so `workers - 1` threads are
+            // spawned, once for the whole call, each with its own job
+            // channel; jobs own their nodes, so the threads borrow nothing.
+            let mut job_txs: Vec<mpsc::Sender<Vec<ShardJob>>> =
+                Vec::with_capacity(self.workers - 1);
+            for _ in 1..self.workers {
                 let (job_tx, job_rx) = mpsc::channel::<Vec<ShardJob>>();
                 job_txs.push(job_tx);
                 let res_tx = res_tx.clone();
                 scope.spawn(move || {
-                    while let Ok(jobs) = job_rx.recv() {
+                    while let Ok(jobs) = recv_polling(&job_rx, polls) {
                         let done: Vec<ShardJob> = jobs.into_iter().map(run_shard).collect();
                         if res_tx.send(done).is_err() {
                             break;
@@ -155,7 +199,7 @@ impl Simulation {
                 let window_end = t0.saturating_add(self.lookahead);
                 let (order, groups, cut) = self.collect_batch(window_end, deadline);
                 if !groups.is_empty() {
-                    self.execute_batch(order, groups, window_end, &job_txs, &res_rx);
+                    self.execute_batch(order, groups, window_end, &job_txs, &res_rx, polls);
                 }
                 // The cut event is still the calendar head: everything
                 // scheduled by the batch lands at or beyond the window
@@ -249,10 +293,11 @@ impl Simulation {
         }
     }
 
-    /// Executes a collected batch: phase 1 fans the per-node jobs out to
-    /// the worker pool (inline for tiny batches, where the channel
-    /// round-trip would dominate), phase 2 restores the nodes and replays
-    /// every output strictly in the original pop order.
+    /// Executes a collected batch: phase 1 deals the per-node jobs into
+    /// one share per worker, hands all but the last to the spawned threads
+    /// and runs the last on this thread (everything inline for tiny
+    /// batches, where the hand-off would dominate), phase 2 restores the
+    /// nodes and replays every output strictly in the original pop order.
     fn execute_batch(
         &mut self,
         order: Vec<(usize, TimeMs)>,
@@ -260,6 +305,7 @@ impl Simulation {
         window_end: TimeMs,
         job_txs: &[mpsc::Sender<Vec<ShardJob>>],
         res_rx: &mpsc::Receiver<Vec<ShardJob>>,
+        polls: u32,
     ) {
         let n_groups = groups.len();
         let mut done_jobs: Vec<Option<ShardJob>> = (0..n_groups).map(|_| None).collect();
@@ -269,11 +315,12 @@ impl Simulation {
                 done_jobs[gi] = Some(run_shard(job));
             }
         } else {
-            let mut per_worker: Vec<Vec<ShardJob>> =
-                (0..job_txs.len()).map(|_| Vec::new()).collect();
+            let shares = job_txs.len() + 1;
+            let mut per_worker: Vec<Vec<ShardJob>> = (0..shares).map(|_| Vec::new()).collect();
             for job in groups {
-                per_worker[job.index % job_txs.len()].push(job);
+                per_worker[job.index % shares].push(job);
             }
+            let own = per_worker.pop().expect("shares >= 1");
             let mut outstanding = 0;
             for (tx, jobs) in job_txs.iter().zip(per_worker) {
                 if !jobs.is_empty() {
@@ -281,8 +328,12 @@ impl Simulation {
                     outstanding += 1;
                 }
             }
+            for job in own {
+                let gi = job.index;
+                done_jobs[gi] = Some(run_shard(job));
+            }
             for _ in 0..outstanding {
-                for done in res_rx.recv().expect("worker alive") {
+                for done in recv_polling(res_rx, polls).expect("worker alive") {
                     let gi = done.index;
                     done_jobs[gi] = Some(done);
                 }
