@@ -209,25 +209,28 @@ fn hash_check_selector(hasher: HasherKind, kernel: bool) -> SharedSelector {
     })
 }
 
+/// (min, median) of `reps` samples of `sample`, after 8 discarded warm-up
+/// calls. The criterion stub reports a mean only, so the spread the record
+/// needs is taken here.
+fn min_median(reps: usize, mut sample: impl FnMut() -> f64) -> (f64, f64) {
+    let mut samples: Vec<f64> = (0..reps + 8).map(|_| sample()).skip(8).collect();
+    samples.sort_by(f64::total_cmp);
+    (samples[0], samples[samples.len() / 2])
+}
+
 /// Nanoseconds per `is_monitor` through `SharedSelector`, as (min, median)
-/// over `reps` timed repetitions of [`fig2_nested_loop`]. The criterion
-/// stub reports a mean only, so the spread the record needs is taken here.
+/// over `reps` timed repetitions of [`fig2_nested_loop`].
 fn hash_check_ns(selector: &SharedSelector, reps: usize) -> (f64, f64) {
     let (a, b) = fig2_sides();
-    let mut per_check: Vec<f64> = (0..reps + 8)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(fig2_nested_loop(
-                black_box(&**selector),
-                black_box(&a),
-                black_box(&b),
-            ));
-            start.elapsed().as_nanos() as f64 / FIG2_CHECKS as f64
-        })
-        .skip(8) // warm-up
-        .collect();
-    per_check.sort_by(f64::total_cmp);
-    (per_check[0], per_check[per_check.len() / 2])
+    min_median(reps, || {
+        let start = Instant::now();
+        black_box(fig2_nested_loop(
+            black_box(&**selector),
+            black_box(&a),
+            black_box(&b),
+        ));
+        start.elapsed().as_nanos() as f64 / FIG2_CHECKS as f64
+    })
 }
 
 fn hash_check(c: &mut Criterion) {
@@ -246,8 +249,9 @@ fn hash_check(c: &mut Criterion) {
 /// One period of the Fig. 2 view cross-check, measured end to end through
 /// the public API: fire the protocol timer, answer the `ViewFetch`, and
 /// let `process_fetched_view` run its `O((cvs+2)²)` condition scan.
-/// Returns wall-clock nanoseconds per period.
-fn crosscheck_period_ns(hasher: HasherKind, memo_slots: usize, iters: u64) -> f64 {
+/// Returns wall-clock nanoseconds per period as (min, median) over `iters`
+/// timed periods.
+fn crosscheck_period_ns(hasher: HasherKind, iters: usize) -> (f64, f64) {
     // cvs pinned at 60 — the ROADMAP's measured large-N operating point
     // (~7.7k hash evaluations per fetched view).
     let config = Config::builder(50_000)
@@ -256,7 +260,6 @@ fn crosscheck_period_ns(hasher: HasherKind, memo_slots: usize, iters: u64) -> f6
         .expect("valid config");
     let selector = HashSelector::from_config_with_kind(&config, hasher);
     let mut node = Node::new(NodeId::from_index(1), config, selector, 7);
-    node.set_point_memo_slots(memo_slots);
     let peers: Vec<NodeId> = (2..64).map(NodeId::from_index).collect();
     node.seed_view(&peers);
     let mut run_period = |now: u64| {
@@ -282,20 +285,15 @@ fn crosscheck_period_ns(hasher: HasherKind, memo_slots: usize, iters: u64) -> f6
         while node.poll_timer().is_some() {}
         while node.poll_event().is_some() {}
     };
-    // Warm up (fills the memo where enabled).
     let mut now = 0u64;
-    for _ in 0..8 {
+    let spread = min_median(iters, || {
         now += MINUTE;
+        let start = Instant::now();
         run_period(now);
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        now += MINUTE;
-        run_period(now);
-    }
-    let per_period = start.elapsed().as_nanos() as f64 / iters as f64;
+        start.elapsed().as_nanos() as f64
+    });
     black_box(node.stats().hash_checks);
-    per_period
+    spread
 }
 
 /// End-to-end N = 10k smoke: the CI-sized large-N run (short measurement
@@ -360,18 +358,11 @@ fn record_trajectory() {
     let (sha1_check_min, sha1_check_med) = check_ns(HasherKind::Sha1, true, 200);
     let (sha1_bytes_min, sha1_bytes_med) = check_ns(HasherKind::Sha1, false, 200);
 
-    // The view cross-check per period, memo off and on. Recorded, not
-    // asserted: the memoized leg replays a *static* view, which no run
-    // has (Fig. 2 reshuffles CV(x) and fetches a different CV(w) every
-    // period), so its ratio says what a hit is worth, not what runs gain.
-    // 65 536 direct-mapped slots: the ~8k-pair working set then sees few
-    // slot collisions, so the steady state is almost all hits.
-    let md5_plain_ns = crosscheck_period_ns(HasherKind::Md5, 0, 60);
-    let md5_memo_ns = crosscheck_period_ns(HasherKind::Md5, 65_536, 60);
-    let md5_speedup = md5_plain_ns / md5_memo_ns.max(1.0);
-    let fast_plain_ns = crosscheck_period_ns(HasherKind::Fast64, 0, 400);
-    let fast_memo_ns = crosscheck_period_ns(HasherKind::Fast64, 65_536, 400);
-    let fast_speedup = fast_plain_ns / fast_memo_ns.max(1.0);
+    // The view cross-check one node runs per period, per hasher: the
+    // kernel above times the condition; this times the scan around it too.
+    let (md5_period_min, md5_period_med) = crosscheck_period_ns(HasherKind::Md5, 60);
+    let (fast_period_min, fast_period_med) = crosscheck_period_ns(HasherKind::Fast64, 400);
+    let (sha1_period_min, sha1_period_med) = crosscheck_period_ns(HasherKind::Sha1, 60);
 
     // PR 5 guard 2 — calendar pressure at N = 10k: the timer lanes and
     // the delivery wheel must carry at least 99% of the pops (the heap
@@ -382,9 +373,8 @@ fn record_trajectory() {
 
     // The sharded engine at N = 10k: same run at 2 and 8 workers (the
     // equivalence rig proves the reports byte-identical, so only the
-    // wall changes). Recorded per worker count with the core count, so
-    // the CI gate can require the >=2x win only where the cores exist —
-    // on a 1-core box these land at rough parity by design.
+    // wall changes). Recorded per worker count with the core count; CI
+    // prints the three walls and gates none of them.
     let (w2_ms, _, _) = smoke_10k(2);
     let (w8_ms, _, _) = smoke_10k(8);
     let sharded_speedup = smoke_ms / smoke_ms.min(w2_ms).min(w8_ms).max(1.0);
@@ -395,7 +385,7 @@ fn record_trajectory() {
     let (scale_50k_ms, scale_50k_checks, _) = smoke_run(50_000, 10, 5, 0);
 
     let json = format!(
-        "{{\n  \"bench\": \"sim_large\",\n  \"checker_per_sample\": {{\n    \"n\": {BENCH_N},\n    \"full_rescan_ns\": {full_ns:.0},\n    \"incremental_ns\": {incremental_ns:.0},\n    \"speedup\": {speedup:.1}\n  }},\n  \"hash_check_ns\": {{\n    \"cores\": {cores},\n    \"loop\": \"Fig. 2 nested loop, two 42-entry sides, is_monitor through SharedSelector\",\n    \"fast64_min\": {fast_check_min:.1},\n    \"fast64_median\": {fast_check_med:.1},\n    \"fast64_pair_bytes_min\": {fast_bytes_min:.1},\n    \"fast64_pair_bytes_median\": {fast_bytes_med:.1},\n    \"md5_min\": {md5_check_min:.1},\n    \"md5_median\": {md5_check_med:.1},\n    \"md5_pair_bytes_min\": {md5_bytes_min:.1},\n    \"md5_pair_bytes_median\": {md5_bytes_med:.1},\n    \"sha1_min\": {sha1_check_min:.1},\n    \"sha1_median\": {sha1_check_med:.1},\n    \"sha1_pair_bytes_min\": {sha1_bytes_min:.1},\n    \"sha1_pair_bytes_median\": {sha1_bytes_med:.1}\n  }},\n  \"view_crosscheck_per_period\": {{\n    \"cvs\": 60,\n    \"md5_unmemoized_ns\": {md5_plain_ns:.0},\n    \"md5_memoized_ns\": {md5_memo_ns:.0},\n    \"md5_speedup\": {md5_speedup:.1},\n    \"fast64_unmemoized_ns\": {fast_plain_ns:.0},\n    \"fast64_memoized_ns\": {fast_memo_ns:.0},\n    \"fast64_speedup\": {fast_speedup:.2}\n  }},\n  \"calendar_10k\": {{\n    \"heap_pops\": {},\n    \"lane_pops\": {},\n    \"wheel_pops\": {},\n    \"expire_skips\": {},\n    \"heap_pop_share\": {heap_pop_share:.4},\n    \"wall_ms\": {smoke_ms:.0}\n  }},\n  \"sharded_10k\": {{\n    \"cores\": {cores},\n    \"wall_ms_workers_1\": {smoke_ms:.0},\n    \"wall_ms_workers_2\": {w2_ms:.0},\n    \"wall_ms_workers_8\": {w8_ms:.0},\n    \"best_speedup\": {sharded_speedup:.2}\n  }},\n  \"scale_50k\": {{\n    \"n\": 50000,\n    \"simulated_minutes\": 15,\n    \"workers\": \"all-cores\",\n    \"wall_ms\": {scale_50k_ms:.0},\n    \"checker_checks\": {scale_50k_checks}\n  }},\n  \"smoke_end_to_end\": {{\n    \"n\": 10000,\n    \"simulated_minutes\": 15,\n    \"wall_ms\": {smoke_ms:.0},\n    \"checker_checks\": {smoke_checks}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"sim_large\",\n  \"checker_per_sample\": {{\n    \"n\": {BENCH_N},\n    \"full_rescan_ns\": {full_ns:.0},\n    \"incremental_ns\": {incremental_ns:.0},\n    \"speedup\": {speedup:.1}\n  }},\n  \"hash_check_ns\": {{\n    \"cores\": {cores},\n    \"loop\": \"Fig. 2 nested loop, two 42-entry sides, is_monitor through SharedSelector\",\n    \"fast64_min\": {fast_check_min:.1},\n    \"fast64_median\": {fast_check_med:.1},\n    \"fast64_pair_bytes_min\": {fast_bytes_min:.1},\n    \"fast64_pair_bytes_median\": {fast_bytes_med:.1},\n    \"md5_min\": {md5_check_min:.1},\n    \"md5_median\": {md5_check_med:.1},\n    \"md5_pair_bytes_min\": {md5_bytes_min:.1},\n    \"md5_pair_bytes_median\": {md5_bytes_med:.1},\n    \"sha1_min\": {sha1_check_min:.1},\n    \"sha1_median\": {sha1_check_med:.1},\n    \"sha1_pair_bytes_min\": {sha1_bytes_min:.1},\n    \"sha1_pair_bytes_median\": {sha1_bytes_med:.1}\n  }},\n  \"view_crosscheck_per_period\": {{\n    \"cores\": {cores},\n    \"cvs\": 60,\n    \"fast64_ns_min\": {fast_period_min:.0},\n    \"fast64_ns_median\": {fast_period_med:.0},\n    \"md5_ns_min\": {md5_period_min:.0},\n    \"md5_ns_median\": {md5_period_med:.0},\n    \"sha1_ns_min\": {sha1_period_min:.0},\n    \"sha1_ns_median\": {sha1_period_med:.0}\n  }},\n  \"calendar_10k\": {{\n    \"heap_pops\": {},\n    \"lane_pops\": {},\n    \"wheel_pops\": {},\n    \"expire_skips\": {},\n    \"heap_pop_share\": {heap_pop_share:.4},\n    \"wall_ms\": {smoke_ms:.0}\n  }},\n  \"sharded_10k\": {{\n    \"cores\": {cores},\n    \"wall_ms_workers_1\": {smoke_ms:.0},\n    \"wall_ms_workers_2\": {w2_ms:.0},\n    \"wall_ms_workers_8\": {w8_ms:.0},\n    \"best_speedup\": {sharded_speedup:.2}\n  }},\n  \"scale_50k\": {{\n    \"n\": 50000,\n    \"simulated_minutes\": 15,\n    \"workers\": \"all-cores\",\n    \"wall_ms\": {scale_50k_ms:.0},\n    \"checker_checks\": {scale_50k_checks}\n  }},\n  \"smoke_end_to_end\": {{\n    \"n\": 10000,\n    \"simulated_minutes\": 15,\n    \"wall_ms\": {smoke_ms:.0},\n    \"checker_checks\": {smoke_checks}\n  }}\n}}\n",
         stats.heap_pops,
         stats.lane_pops,
         stats.wheel_pops,

@@ -36,14 +36,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use avmon_hash::{PointMemo, Threshold};
-
 use crate::behavior::Behavior;
 use crate::codec;
 use crate::config::{Config, DiscoveryMode};
 use crate::history::HistoryStore;
 use crate::message::{Message, Nonce};
-use crate::selector::{ReportVerification, SharedSelector};
+use crate::selector::{verify_report, ReportVerification, SharedSelector};
 use crate::stats::NodeStats;
 use crate::time::{DurMs, TimeMs};
 use crate::view::CoarseView;
@@ -345,17 +343,6 @@ pub struct Node {
     ps: BTreeSet<NodeId>,
     targets: BTreeMap<NodeId, TargetRecord>,
     pending: FlatMap<Nonce, PendingEntry>,
-    /// Pair-point memo serving repeat consistency-condition checks in O(1)
-    /// when the selector is a pure pair hash (`memo_threshold` is `Some`).
-    /// Purely an evaluation cache: it changes no protocol decision and
-    /// draws no randomness — `process_fetched_view` re-scans mostly the
-    /// same pairs every period (Fig. 2), and with an expensive hasher
-    /// (the paper's MD5) the re-hashing dominates the whole period cost.
-    memo: PointMemo,
-    /// The cached acceptance threshold; `None` disables memoization and
-    /// routes every check through `MonitorSelector::is_monitor` (always the
-    /// case for membership-dependent selectors, whose answers may change).
-    memo_threshold: Option<Threshold>,
     /// Pairs this node has already NOTIFY-ed, so that rediscovering the
     /// same match every period (Fig. 2 re-scans all pairs) does not
     /// retransmit. Bounded: cleared wholesale when it reaches capacity, so
@@ -403,21 +390,30 @@ pub struct Node {
     eventbox: VecDeque<AppEvent>,
 }
 
-/// The effective pair-point memo policy in force for a run: how many
-/// slots each node's memo gets, whether memoization actually engages,
-/// and a human-readable reason — computed by [`Node::memo_policy`] and
-/// surfaced by drivers (the simulator embeds it in its invariant
-/// summary) so a disabled memo is a reported fact, not a silent
-/// performance cliff.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+/// Shim for the frozen `benchmark/` crate, which prints this record: the
+/// per-node pair memo it described is gone (every node evaluates the
+/// condition through its selector), so the one value there is, is the
+/// [`Default`]. The `[benchmark]` PR that drops `hash.memo_hit_share`
+/// deletes this type, `InvariantSummary::memo_policy` and
+/// [`Node::point_memo_stats`] (ROADMAP item 1).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemoPolicy {
-    /// Slots per node's memo (0 = disabled).
+    /// Always 0.
     pub slots: usize,
-    /// Whether memoization engages (slots > 0 *and* the selector is a
-    /// pure pair hash).
+    /// Always `false`.
     pub enabled: bool,
-    /// Why this policy is in force.
+    /// Always `"per-node memo removed"`.
     pub reason: String,
+}
+
+impl Default for MemoPolicy {
+    fn default() -> Self {
+        MemoPolicy {
+            slots: 0,
+            enabled: false,
+            reason: "per-node memo removed".to_string(),
+        }
+    }
 }
 
 impl Node {
@@ -426,12 +422,6 @@ impl Node {
     #[must_use]
     pub fn new(id: NodeId, config: Config, selector: SharedSelector, seed: u64) -> Self {
         let cvs = config.cvs;
-        let memo_slots = Node::default_memo_slots(&config);
-        let memo_threshold = if memo_slots > 0 {
-            selector.selection_threshold()
-        } else {
-            None
-        };
         Node {
             id,
             config,
@@ -442,8 +432,6 @@ impl Node {
             ps: BTreeSet::new(),
             targets: BTreeMap::new(),
             pending: FlatMap::new(),
-            memo: PointMemo::new(memo_slots),
-            memo_threshold,
             notified: FlatSet::new(),
             notified_cap: (8 * cvs * cvs).max(1024),
             notified_cleared_at: 0,
@@ -461,88 +449,12 @@ impl Node {
         }
     }
 
-    /// Default pair-point memo size: enough slots for the Fig. 2 view
-    /// cross-check working set (`2·(cvs+2)²` ordered pairs) at small and
-    /// medium deployments, and **zero** above 8 192 nodes — per-node pair
-    /// caches cannot scale memory-wise to very large simulated populations,
-    /// and there the cheap default hasher makes them a wash anyway. Large
-    /// deployments that pay for an expensive hasher (the paper's MD5)
-    /// should opt back in via [`Node::set_point_memo_slots`].
-    fn default_memo_slots(config: &Config) -> usize {
-        Node::memo_policy(config, None, true).slots
-    }
-
-    /// The effective pair-point memo policy for a deployment — the one
-    /// place the sizing rule lives, so drivers can *report* it instead of
-    /// leaving large-N `hash_checks` cliffs unexplained (the default
-    /// silently disables the memo above 8 192 nodes). `override_slots` is
-    /// a driver-level override (the simulator's `node_memo` option);
-    /// `memoizable` is whether the selector is a pure pair hash
-    /// ([`crate::MonitorSelector::selection_threshold`] is `Some`) —
-    /// membership-dependent selectors can never engage the memo no matter
-    /// how many slots it has.
-    #[must_use]
-    pub fn memo_policy(
-        config: &Config,
-        override_slots: Option<usize>,
-        memoizable: bool,
-    ) -> MemoPolicy {
-        let (slots, reason) = match override_slots {
-            Some(0) => (0, "explicitly disabled (node_memo = 0)".to_string()),
-            Some(slots) => (slots, format!("explicit override (node_memo = {slots})")),
-            None if config.system_size > 8192 => (
-                0,
-                format!(
-                    "default policy disables the memo above 8192 nodes \
-                     (system_size = {}); opt in via node_memo / set_point_memo_slots",
-                    config.system_size
-                ),
-            ),
-            None => (
-                (2 * (config.cvs + 2) * (config.cvs + 2)).clamp(1024, 16384),
-                format!(
-                    "default working-set sizing 2*(cvs+2)^2 for cvs = {}, \
-                     clamped to [1024, 16384]",
-                    config.cvs
-                ),
-            ),
-        };
-        if !memoizable && slots > 0 {
-            return MemoPolicy {
-                slots,
-                enabled: false,
-                reason: "selector is not a pure pair hash; every check calls is_monitor directly"
-                    .to_string(),
-            };
-        }
-        MemoPolicy {
-            slots,
-            enabled: slots > 0,
-            reason,
-        }
-    }
-
-    /// Resizes (or, with `0`, disables) the consistency-condition pair
-    /// memo, dropping everything cached. Memoization only ever engages for
-    /// pure-hash selectors ([`MonitorSelector::selection_threshold`] is
-    /// `Some`); it is an evaluation cache with no observable effect on
-    /// protocol decisions, emitted messages, timers, or RNG draws — the
-    /// differential harness in `tests/equivalence.rs` holds same-seed runs
-    /// byte-identical with the memo on and off.
-    pub fn set_point_memo_slots(&mut self, slots: usize) {
-        self.memo = PointMemo::new(slots);
-        self.memo_threshold = if slots > 0 {
-            self.selector.selection_threshold()
-        } else {
-            None
-        };
-    }
-
-    /// `(hits, misses)` of the consistency-condition pair memo (both zero
-    /// when memoization is disabled or the selector is not a pure hash).
+    /// Shim for the frozen `benchmark/` crate: always `(0, 0)` — nodes keep
+    /// no pair memo. Deleted with [`MemoPolicy`] by the `[benchmark]` PR
+    /// that drops `hash.memo_hit_share` (ROADMAP item 1).
     #[must_use]
     pub fn point_memo_stats(&self) -> (u64, u64) {
-        (self.memo.hits(), self.memo.misses())
+        (0, 0)
     }
 
     /// Sets the node's behavior (attack model); defaults to honest.
@@ -990,7 +902,7 @@ impl Node {
     /// Verifies `target`'s claimed monitors and surfaces the outcome.
     fn conclude_report(&mut self, target: NodeId, monitors: &[NodeId]) {
         self.stats.hash_checks += monitors.len() as u64;
-        let verification = self.verify_report_memoized(target, monitors);
+        let verification = verify_report(&*self.selector, target, monitors);
         self.emit(AppEvent::ReportOutcome {
             target,
             verification,
@@ -1021,7 +933,18 @@ impl Node {
     /// ([`Message::AppData`]). Fire-and-forget: no pending entry, no
     /// timeout — delivery semantics are whatever the transport provides.
     /// Surfaces at the receiver as [`AppEvent::AppData`].
+    ///
+    /// A payload addressed to the node itself surfaces at once as its own
+    /// [`AppEvent::AppData`] — no message, no send accounting (nodes never
+    /// message themselves).
     pub fn send_app(&mut self, to: NodeId, payload: Vec<u8>) {
+        if to == self.id {
+            self.emit(AppEvent::AppData {
+                from: self.id,
+                payload,
+            });
+            return;
+        }
         self.send(to, Message::AppData { payload });
     }
 
@@ -1050,54 +973,17 @@ impl Node {
         }
     }
 
-    /// Evaluates the consistency condition, counting the hash computation.
-    ///
-    /// `hash_checks` counts condition *evaluations* (the paper's
-    /// computation metric), not raw hash invocations — a memo hit still
-    /// counts, so the counter is identical with memoization on and off.
+    /// Evaluates the consistency condition, counting the evaluation in
+    /// `hash_checks` (the paper's computation metric).
     fn check(&mut self, monitor: NodeId, target: NodeId) -> bool {
         self.stats.hash_checks += 1;
         self.condition(monitor, target)
     }
 
-    /// The consistency condition without the counter bump: served from the
-    /// pair-point memo when the selector is a pure hash, otherwise straight
-    /// from the selector. Pure-hash points never change, so the memoized
-    /// and direct answers are always identical.
-    fn condition(&mut self, monitor: NodeId, target: NodeId) -> bool {
-        match self.memo_threshold {
-            Some(threshold) => {
-                let selector = &self.selector;
-                let point = self.memo.point_with(monitor.to_u64(), target.to_u64(), || {
-                    selector
-                        .hash_point(monitor, target)
-                        .expect("selection_threshold() implies hash_point()")
-                });
-                threshold.accepts(point)
-            }
-            None => self.selector.is_monitor(monitor, target),
-        }
-    }
-
-    /// [`crate::selector::verify_report`] with the condition served
-    /// through the node's pair-point memo: same partition, same order, same
-    /// rejection of self-claims — the caller accounts `hash_checks` for the
-    /// whole claim list exactly as the unmemoized path did.
-    fn verify_report_memoized(&mut self, target: NodeId, claimed: &[NodeId]) -> ReportVerification {
-        let mut verified = Vec::new();
-        let mut rejected = Vec::new();
-        for &m in claimed {
-            if m != target && self.condition(m, target) {
-                verified.push(m);
-            } else {
-                rejected.push(m);
-            }
-        }
-        ReportVerification {
-            target,
-            verified,
-            rejected,
-        }
+    /// The consistency condition without the counter bump: the selector's
+    /// stateless pair hash, for every node — nothing is cached per node.
+    fn condition(&self, monitor: NodeId, target: NodeId) -> bool {
+        self.selector.is_monitor(monitor, target)
     }
 
     /// Queues `msg` to `to`, maintaining send-side accounting.

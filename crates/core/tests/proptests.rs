@@ -244,16 +244,14 @@ proptest! {
     }
 }
 
-/// One step of the PR 5 memo-in-the-node property: what the node's
-/// memoized consistency check decides must always equal a fresh
-/// `hash_point` evaluation.
+/// One input to the node in the consistency-condition property below.
 #[derive(Debug, Clone)]
-enum MemoOp {
-    /// Deliver `Notify { monitor, target }` (drives the memoized check in
-    /// both directions against the node's own identity).
+enum CheckOp {
+    /// Deliver `Notify { monitor, target }` (drives the check in both
+    /// directions against the node's own identity).
     Notify(u8, u8),
     /// Leave + rejoin: snapshot persistent state into a fresh incarnation
-    /// of the same identity (fresh memo, restored PS/TS).
+    /// of the same identity (restored PS/TS).
     Rejoin,
     /// In-place incarnation bump of the durable state (restore without a
     /// fresh node — exercises `restore_persistent` mid-life).
@@ -262,38 +260,62 @@ enum MemoOp {
     Fetch(Vec<u8>),
 }
 
-fn arb_memo_op() -> impl Strategy<Value = MemoOp> {
+fn arb_check_op() -> impl Strategy<Value = CheckOp> {
     prop_oneof![
-        (any::<u8>(), any::<u8>()).prop_map(|(m, t)| MemoOp::Notify(m, t)),
-        (any::<u8>(), any::<u8>()).prop_map(|(m, t)| MemoOp::Notify(m, t)),
-        Just(MemoOp::Rejoin),
-        Just(MemoOp::RestoreInPlace),
-        proptest::collection::vec(any::<u8>(), 0..24).prop_map(MemoOp::Fetch),
+        (any::<u8>(), any::<u8>()).prop_map(|(m, t)| CheckOp::Notify(m, t)),
+        (any::<u8>(), any::<u8>()).prop_map(|(m, t)| CheckOp::Notify(m, t)),
+        Just(CheckOp::Rejoin),
+        Just(CheckOp::RestoreInPlace),
+        proptest::collection::vec(any::<u8>(), 0..24).prop_map(CheckOp::Fetch),
     ]
 }
 
+/// The hash selector with a call counter: what the node evaluates, and
+/// how often.
+#[derive(Debug)]
+struct CountingSelector {
+    inner: HashSelector,
+    calls: std::sync::atomic::AtomicU64,
+}
+
+impl MonitorSelector for CountingSelector {
+    fn is_monitor(&self, monitor: NodeId, target: NodeId) -> bool {
+        self.calls
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.is_monitor(monitor, target)
+    }
+
+    fn name(&self) -> &'static str {
+        "counting"
+    }
+}
+
 proptest! {
-    /// Arbitrary interleavings of joins/leaves/incarnation bumps and
-    /// check-heavy protocol inputs never yield a memoized hash decision
-    /// that disagrees with a fresh `hash_point` computation: every entry
-    /// the node admits into `PS`/`TS` satisfies the condition computed
-    /// from scratch, and every offered pair that satisfies it is admitted.
+    /// Under arbitrary interleavings of joins/leaves/incarnation bumps and
+    /// check-heavy protocol inputs, every PS/TS decision the node makes is
+    /// `selector.is_monitor` on that pair — every entry admitted satisfies
+    /// the condition, every offered pair that satisfies it is admitted —
+    /// and `stats().hash_checks` is exactly the number of evaluations the
+    /// node asked its selector for (the per-period self-audit of
+    /// `|PS| + |TS|` entries aside, which is deliberately uncounted).
     #[test]
-    fn node_memo_never_disagrees_with_fresh_hash(
+    fn node_decisions_are_the_selector_and_hash_checks_counts_them(
         seed in any::<u64>(),
-        ops in proptest::collection::vec(arb_memo_op(), 1..60),
+        ops in proptest::collection::vec(arb_check_op(), 1..60),
     ) {
+        use std::sync::atomic::Ordering;
         use std::sync::Arc;
         let config = Config::builder(256).k(24).build().unwrap();
         let fresh = HashSelector::from_config(&config);
+        let selector = Arc::new(CountingSelector {
+            inner: HashSelector::from_config(&config),
+            calls: 0.into(),
+        });
         let me = NodeId::from_index(1);
-        let mut node = avmon::Node::new(
-            me,
-            config.clone(),
-            Arc::new(HashSelector::from_config(&config)),
-            seed,
-        );
+        let mut node = avmon::Node::new(me, config.clone(), selector.clone(), seed);
         let mut offered: Vec<(NodeId, NodeId)> = Vec::new();
+        // `hash_checks` of retired incarnations, and audit evaluations.
+        let (mut counted_before, mut audited) = (0u64, 0u64);
         let drain = |node: &mut avmon::Node| {
             while node.poll_transmit().is_some() {}
             while node.poll_timer().is_some() {}
@@ -302,7 +324,7 @@ proptest! {
         for (step, op) in ops.iter().enumerate() {
             let now = (step as u64 + 1) * 1000;
             match op {
-                MemoOp::Notify(m, t) => {
+                CheckOp::Notify(m, t) => {
                     let (monitor, target) = (
                         NodeId::from_index(u32::from(*m)),
                         NodeId::from_index(u32::from(*t)),
@@ -314,30 +336,32 @@ proptest! {
                     );
                     offered.push((monitor, target));
                 }
-                MemoOp::Rejoin => {
+                CheckOp::Rejoin => {
                     let persistent = node.snapshot_persistent();
+                    counted_before += node.stats().hash_checks;
                     node = avmon::Node::new(
                         me,
                         config.clone(),
-                        Arc::new(HashSelector::from_config(&config)),
+                        selector.clone(),
                         seed ^ (step as u64 + 1),
                     );
                     node.restore_persistent(persistent);
                 }
-                MemoOp::RestoreInPlace => {
+                CheckOp::RestoreInPlace => {
                     let persistent = node.snapshot_persistent();
                     node.restore_persistent(persistent);
                 }
-                MemoOp::Fetch(raw) => {
+                CheckOp::Fetch(raw) => {
                     // A real Fig. 2 round: seed the view, run a protocol
                     // period, answer its ViewFetch with the raw id list —
-                    // the (cvs+2)² memoized cross-check runs on delivery.
+                    // the (cvs+2)² cross-check runs on delivery.
                     let view: Vec<NodeId> = raw
                         .iter()
                         .map(|&i| NodeId::from_index(u32::from(i)))
                         .filter(|&v| v != me)
                         .collect();
                     node.seed_view(&view);
+                    audited += (node.pinging_set().count() + node.target_set().count()) as u64;
                     node.handle_timer(now, avmon::Timer::Protocol);
                     let mut fetch: Option<(NodeId, Nonce)> = None;
                     while let Some(t) = node.poll_transmit() {
@@ -362,15 +386,20 @@ proptest! {
             for monitor in node.pinging_set() {
                 prop_assert!(
                     fresh.is_monitor(monitor, me),
-                    "memoized check admitted ghost monitor {monitor}"
+                    "admitted ghost monitor {monitor}"
                 );
             }
             for target in node.target_set() {
                 prop_assert!(
                     fresh.is_monitor(me, target),
-                    "memoized check admitted ghost target {target}"
+                    "admitted ghost target {target}"
                 );
             }
+            prop_assert_eq!(
+                counted_before + node.stats().hash_checks,
+                selector.calls.load(Ordering::Relaxed) - audited,
+                "hash_checks left the evaluation count at step {}", step
+            );
         }
         // Completeness: every offered pair involving this node that the
         // fresh hash accepts was admitted (Notify re-verification admits
@@ -379,13 +408,13 @@ proptest! {
             if target == me && monitor != me && fresh.is_monitor(monitor, me) {
                 prop_assert!(
                     node.pinging_set().any(|p| p == monitor),
-                    "memoized check rejected true monitor {monitor}"
+                    "rejected true monitor {monitor}"
                 );
             }
             if monitor == me && target != me && fresh.is_monitor(me, target) {
                 prop_assert!(
                     node.target_set().any(|t| t == target),
-                    "memoized check rejected true target {target}"
+                    "rejected true target {target}"
                 );
             }
         }

@@ -158,12 +158,11 @@ impl fmt::Display for Threshold {
 /// two-slot set of a power-of-two table, a colliding insert evicts the
 /// least-recently-used way, and a lookup is one mix plus two adjacent
 /// slot compares — no probing, no rehashing, no per-entry allocation.
-/// That keeps the hit path cheaper than recomputing even a fast
-/// non-cryptographic pair hash, bounds memory at exactly `capacity`
+/// That keeps the hit path short and bounds memory at exactly `capacity`
 /// slots (grown lazily up to the bound, so small runs never pay for a
-/// large cap), and makes per-`Node` memos affordable at large `N`. The
-/// price is that a set conflict evicts silently — a memo never promises
-/// to *hold* a pair, only that whatever it returns equals the fresh hash.
+/// large cap). The price is that a set conflict evicts silently — a memo
+/// never promises to *hold* a pair, only that whatever it returns equals
+/// the fresh hash.
 ///
 /// Because the underlying hash is pure, invalidation is never required for
 /// *correctness*; it exists as a memory-hygiene lever. [`PointMemo::forget`]

@@ -61,11 +61,6 @@ pub struct SimOptions {
     /// [`Simulation::take_app_events`] (off by default: long runs would
     /// accumulate unbounded buffers).
     pub collect_app_events: bool,
-    /// Overrides every node's consistency-condition pair-memo size
-    /// (`Some(0)` disables memoization, `None` keeps the
-    /// [`Node::set_point_memo_slots`] default policy). Purely an evaluation
-    /// cache — reports are byte-identical across settings.
-    pub node_memo: Option<usize>,
     /// Threads that run node handlers, the calling one included (default
     /// `1` = single-threaded; `0` = one per available core). With more than one
     /// worker the engine batches independent node events inside a
@@ -93,7 +88,6 @@ impl SimOptions {
             history_template: None,
             behaviors: Vec::new(),
             collect_app_events: false,
-            node_memo: None,
             workers: 1,
         }
     }
@@ -103,14 +97,6 @@ impl SimOptions {
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Overrides the per-node pair-memo size (see
-    /// [`SimOptions::node_memo`]).
-    #[must_use]
-    pub fn node_memo(mut self, slots: Option<usize>) -> Self {
-        self.node_memo = slots;
         self
     }
 
@@ -454,22 +440,6 @@ impl Simulation {
         if let Some(scenario) = &opts.scenario {
             checker.set_adversary_windows(&scenario.adversary_windows());
         }
-        // Pin the effective node memo policy into the report, and say so
-        // up front when the default large-N policy switched the memo off —
-        // otherwise that decision surfaces only as an unexplained
-        // `hash_checks` cliff.
-        let memo_policy = Node::memo_policy(
-            &opts.config,
-            opts.node_memo,
-            selector.selection_threshold().is_some(),
-        );
-        if !memo_policy.enabled && opts.node_memo.is_none() {
-            eprintln!(
-                "avmon-sim: pair-point memo disabled for this run: {}",
-                memo_policy.reason
-            );
-        }
-        checker.set_memo_policy(memo_policy);
         let workers = match opts.workers {
             0 => std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -880,9 +850,6 @@ impl Simulation {
                     self.selector.clone(),
                     node_seed,
                 );
-                if let Some(slots) = self.opts.node_memo {
-                    proto.set_point_memo_slots(slots);
-                }
                 proto.set_behavior(sim_node.behavior.clone());
                 if let Some(template) = &self.opts.history_template {
                     proto.set_history_template(template.clone());
@@ -1206,47 +1173,6 @@ mod tests {
             })
             .collect();
         Trace::new("COHORT", n as usize, horizon, 0, vec![], events)
-    }
-
-    /// The effective memo policy is pinned into the report: enabled with
-    /// the working-set sizing at small N, disabled-with-reason when the
-    /// large-N default kicks in, and honoring an explicit override.
-    #[test]
-    fn memo_policy_is_surfaced_in_the_report() {
-        let run = |config: Config, memo: Option<usize>| {
-            let mut sim = Simulation::new(
-                cohort_trace(8, avmon::MINUTE),
-                SimOptions::new(config).node_memo(memo),
-            );
-            sim.run_until(avmon::MINUTE);
-            sim.report().invariants.memo_policy.clone()
-        };
-
-        let small = run(Config::builder(100).build().unwrap(), None);
-        assert!(small.enabled);
-        assert!(small.slots >= 1024);
-        assert!(small.reason.contains("default working-set sizing"));
-
-        let large = run(Config::builder(20_000).build().unwrap(), None);
-        assert!(!large.enabled);
-        assert_eq!(large.slots, 0);
-        assert!(large.reason.contains("above 8192 nodes"));
-        assert!(large.reason.contains("20000"));
-
-        let pinned = run(Config::builder(20_000).build().unwrap(), Some(4096));
-        assert!(pinned.enabled);
-        assert_eq!(pinned.slots, 4096);
-        assert!(pinned.reason.contains("explicit override"));
-
-        // And the policy is part of the serialized report bytes.
-        let mut sim = Simulation::new(
-            cohort_trace(8, avmon::MINUTE),
-            SimOptions::new(Config::builder(100).build().unwrap()),
-        );
-        sim.run_until(avmon::MINUTE);
-        let json = serde_json::to_string(&sim.report()).unwrap();
-        assert!(json.contains("memo_policy"));
-        assert!(json.contains("default working-set sizing"));
     }
 
     /// The starvation regression: with ≥ 2 alive nodes, `pick_contact`

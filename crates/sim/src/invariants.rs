@@ -370,11 +370,11 @@ pub struct InvariantSummary {
     pub expected_violations: Vec<RecordedViolation>,
     /// Soft degradations worth looking at.
     pub warnings: Vec<RecordedWarning>,
-    /// The pair-point memo policy the run's nodes were built under
-    /// ([`avmon::Node::memo_policy`]): slots, whether memoization
-    /// engaged, and why. Surfaced because the default policy silently
-    /// disables the memo above 8 192 nodes, which otherwise shows up
-    /// only as an unexplained `hash_checks` cliff in large-N runs.
+    /// Shim for the frozen `benchmark/` crate, which prints it: always
+    /// [`MemoPolicy::default`] ("per-node memo removed"). The `[benchmark]`
+    /// PR that drops `hash.memo_hit_share` deletes the field (ROADMAP
+    /// item 1); until then `tests/equivalence.rs` strips it before
+    /// digesting a report.
     pub memo_policy: MemoPolicy,
     /// Per-stream RNG draw counts at report time (see [`RngLedger`]): the
     /// engine fills this in when the report is assembled, so a same-seed
@@ -524,12 +524,6 @@ struct StabState {
 }
 
 impl InvariantChecker {
-    /// Records the node memo policy in force for the run (reported in
-    /// the summary; see [`InvariantSummary::memo_policy`]).
-    pub fn set_memo_policy(&mut self, policy: MemoPolicy) {
-        self.summary.memo_policy = policy;
-    }
-
     /// Builds a checker for one run.
     #[must_use]
     pub fn new(
@@ -1203,11 +1197,7 @@ mod tests {
             checks: 7,
             set_scans_skipped: 2,
             memo_hits: 3,
-            memo_policy: avmon::Node::memo_policy(
-                &Config::builder(100).build().unwrap(),
-                None,
-                true,
-            ),
+            memo_policy: MemoPolicy::default(),
             violations: vec![RecordedViolation {
                 at: 42,
                 violation: InvariantViolation::MonitorConvergence {

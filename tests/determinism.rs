@@ -123,20 +123,15 @@ fn same_seed_bit_identical_report_with_faults() {
     assert_ne!(a, c);
 }
 
-/// PR 5's hot-path optimizations — the node-level pair-point memo and the
-/// FIFO timer lanes with lazy `Expire` discard — explicitly enabled, under
-/// the lossy-partition scenario: two same-seed runs must still serialize
-/// byte-identically.
+/// The FIFO timer lanes with lazy `Expire` discard, under the
+/// lossy-partition scenario with duplicating links: two same-seed runs
+/// must still serialize byte-identically.
 ///
-/// Why no fixture re-pin was needed this time (unlike PR 3): both
-/// optimizations leave every RNG stream untouched. The memo is a pure
-/// evaluation cache keyed by identity pairs (a hash point is recalled, not
-/// redrawn — `hash_checks` counts evaluations, so even the counters match),
-/// and the lanes only swap the *container* holding timer events while
+/// The lanes only swap the *container* holding timer events while
 /// preserving the global `(time, seq)` pop order, so message routing
 /// consumes the network RNG in exactly the legacy order. The equivalence
 /// harness (`tests/equivalence.rs`) proves optimized ≡ legacy byte-for-byte;
-/// this test pins that the optimized configuration is itself reproducible.
+/// this test pins that the configuration is itself reproducible.
 #[test]
 fn same_seed_bit_identical_with_optimizations_under_lossy_partition() {
     let n = 80;
@@ -155,10 +150,7 @@ fn same_seed_bit_identical_with_optimizations_under_lossy_partition() {
     let run = || {
         let mut opts = SimOptions::new(Config::builder(n).build().unwrap())
             .seed(17)
-            .scenario(scenario.clone())
-            // Explicit slot count: the memo engages even where the
-            // default large-N policy would switch it off.
-            .node_memo(Some(4096));
+            .scenario(scenario.clone());
         opts.network.faults = LinkFaults {
             loss: 0.10,
             duplicate: 0.05,

@@ -1,0 +1,144 @@
+//! The paper's memory claim as an assertion: a node holds `O(cvs + K)`
+//! state (§4, Figs. 9–10), so its heap must stop growing once the view is
+//! full and stay in the tens of kilobytes — whatever it evaluates the
+//! consistency condition on, it may not keep per pair.
+//!
+//! A counting `#[global_allocator]` needs the whole process, so this is a
+//! test binary of its own; the count is per thread, so the harness's other
+//! threads cannot disturb it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use avmon::{Config, HashSelector, Message, Node, NodeId, Nonce, Timer, MINUTE};
+
+thread_local! {
+    /// Bytes this thread has allocated and not yet freed.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+fn count(delta: isize) {
+    // A thread being torn down has no counter left; nothing measures there.
+    let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+}
+
+fn live_bytes() -> isize {
+    LIVE.with(Cell::get)
+}
+
+struct CountingAllocator;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a `const`-initialized thread-local
+// `Cell` without a destructor, so touching it allocates nothing and cannot
+// re-enter the allocator.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size() as isize);
+        // SAFETY: the caller's `layout` is passed through as given.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(-(layout.size() as isize));
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size as isize - layout.size() as isize);
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`, and
+        // the caller guarantees `new_size` is valid for its alignment.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// System size of `churn_faults_4k`; the default policy gives `cvs` = 32.
+const N: usize = 4_000;
+
+/// Measured at this commit: 6 966 B after period 20, 7 862 B after period
+/// 60. The bound is three times that; the per-node pair memo this test
+/// keeps from coming back made the same node 170 806 B by period 20.
+const NODE_HEAP_BOUND: isize = 24_000;
+
+/// Slack between the two readings: `PS` and `TS` are still filling towards
+/// `K` = 12 entries each (1 + 1 at period 20, 6 + 6 at period 60 — the
+/// 896 B measured), and the `notified` cache sits at a different point of
+/// its bounded cycle.
+const STEADY_SLACK: isize = 2_048;
+
+/// A deterministic 32-entry view for `period`, drawn from the population.
+fn fetched_view(period: u64, cvs: usize) -> Vec<NodeId> {
+    (0..cvs as u64)
+        .map(|i| {
+            let draw = (period * 0x9e37_79b9 + i * 0x85eb_ca6b) % (N as u64 - 2);
+            NodeId::from_index(2 + draw as u32)
+        })
+        .collect()
+}
+
+/// One Fig. 2 period: the protocol timer fires, the view ping is ponged
+/// and the view fetch answered with a fresh 32-entry view.
+fn run_period(node: &mut Node, period: u64) {
+    let now = period * MINUTE;
+    node.handle_timer(now, Timer::Protocol);
+    let mut ping: Option<(NodeId, Nonce)> = None;
+    let mut fetch: Option<(NodeId, Nonce)> = None;
+    while let Some(transmit) = node.poll_transmit() {
+        match (transmit.unicast_to(), &transmit.msg) {
+            (Some(to), Message::ViewPing { nonce }) => ping = Some((to, *nonce)),
+            (Some(to), Message::ViewFetch { nonce }) => fetch = Some((to, *nonce)),
+            _ => {}
+        }
+    }
+    if let Some((peer, nonce)) = ping {
+        node.handle_message(now + 1, peer, Message::ViewPong { nonce });
+    }
+    let (peer, nonce) = fetch.expect("a full view always fetches");
+    let view = fetched_view(period, node.config().cvs);
+    node.handle_message(now + 2, peer, Message::ViewFetchReply { nonce, view });
+    while node.poll_transmit().is_some() {}
+    while node.poll_timer().is_some() {}
+    while node.poll_event().is_some() {}
+}
+
+#[test]
+fn node_heap_is_bounded_and_steady_over_sixty_periods() {
+    let config = Config::builder(N).build().expect("valid config");
+    assert_eq!(config.cvs, 32);
+    let selector = Arc::new(HashSelector::from_config(&config));
+
+    let before = live_bytes();
+    let mut node = Node::new(NodeId::from_index(1), config.clone(), selector, 7);
+    node.seed_view(&fetched_view(0, config.cvs));
+    assert_eq!(node.view().len(), config.cvs, "the seeded view is full");
+
+    let mut after = [0isize; 2];
+    for period in 1..=60 {
+        run_period(&mut node, period);
+        match period {
+            20 => after[0] = live_bytes() - before,
+            60 => after[1] = live_bytes() - before,
+            _ => {}
+        }
+    }
+    let [at_20, at_60] = after;
+    println!("node heap: {at_20} B after period 20, {at_60} B after period 60");
+    assert!(
+        node.stats().hash_checks > 60 * 2 * (config.cvs as u64).pow(2) / 2,
+        "the cross-check ran every period: {} checks",
+        node.stats().hash_checks
+    );
+    assert!(
+        (at_60 - at_20).abs() <= STEADY_SLACK,
+        "node heap moved between period 20 ({at_20} B) and period 60 ({at_60} B)"
+    );
+    assert!(
+        at_20 > 0 && at_60 <= NODE_HEAP_BOUND,
+        "node heap {at_60} B is over the {NODE_HEAP_BOUND} B bound (period 20: {at_20} B)"
+    );
+}
