@@ -40,7 +40,7 @@ pub struct DecisionLog {
 
 impl DecisionLog {
     /// Serializes the log (the byte string the determinism suite
-    /// compares across seeds and worker counts).
+    /// compares across same-seed runs).
     #[must_use]
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("decision logs serialize")

@@ -16,9 +16,9 @@
 //! 4. ingest the timestamped events into the per-node inboxes, advance
 //!    executor time to the pause instant, and repeat.
 //!
-//! Because pause points are cut points of the sharded engine, the whole
-//! cycle — task poll order, RNG draws, commands entering the calendar —
-//! is byte-identical at any worker count.
+//! Every step is a function of the seed, so the whole cycle — task poll
+//! order, RNG draws, commands entering the calendar — repeats byte for
+//! byte.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -66,6 +66,7 @@ impl<W: World + 'static> Core<W> {
         self.shared.borrow_mut().inboxes.entry(node).or_default();
         let handle = AvmonHandle::new(node, Rc::clone(&self.shared));
         self.tasks.push(Task {
+            node,
             fut: Box::pin(f(handle)),
             done: false,
         });
@@ -73,13 +74,23 @@ impl<W: World + 'static> Core<W> {
 
     /// One scheduling round: polls every task, then applies the commands
     /// they queued to the world, in the order the tasks recorded them.
-    pub(crate) fn poll(&mut self) {
-        poll_tasks(&mut self.tasks);
-        let outbox = std::mem::take(&mut self.shared.borrow_mut().outbox);
+    /// Returns the nodes whose last task completed this round; their
+    /// inboxes are dropped, so nothing buffers events nobody will read.
+    pub(crate) fn poll(&mut self) -> Vec<NodeId> {
+        let mut idle = poll_tasks(&mut self.tasks);
+        let outbox = {
+            let mut shared = self.shared.borrow_mut();
+            idle.retain(|&node| {
+                self.tasks.iter().all(|t| t.done || t.node != node)
+                    && shared.inboxes.remove(&node).is_some()
+            });
+            std::mem::take(&mut shared.outbox)
+        };
         let mut world = self.world.borrow_mut();
         for (from, command) in outbox {
             world.command(from, command);
         }
+        idle
     }
 
     /// Moves executor time to `now` and files `events` in the inboxes of
@@ -143,8 +154,8 @@ impl SimExecutor {
     }
 
     /// Spawns an app task bound to `node` and subscribes the node's
-    /// events. Spawn order is poll order — part of the deterministic
-    /// contract, so spawn in a fixed order.
+    /// events until its last task completes. Spawn order is poll order —
+    /// part of the deterministic contract, so spawn in a fixed order.
     pub fn spawn<F, Fut>(&mut self, node: NodeId, f: F)
     where
         F: FnOnce(AvmonHandle) -> Fut,
@@ -160,10 +171,20 @@ impl SimExecutor {
         f(&self.core.world.borrow())
     }
 
+    /// One [`Core::poll`] round; a node whose last task completed stops
+    /// pausing the engine and filling its event buffer.
+    fn poll(&mut self) {
+        let idle = self.core.poll();
+        let mut sim = self.core.world.borrow_mut();
+        for node in idle {
+            sim.unsubscribe_app(node);
+        }
+    }
+
     /// Advances the simulation (and every task) to `deadline`.
     pub fn run_until(&mut self, deadline: TimeMs) {
         loop {
-            self.core.poll();
+            self.poll();
             let next = self.core.shared.borrow().next_deadline();
             let (paused, now, events, wakes) = {
                 let mut sim = self.core.world.borrow_mut();
@@ -185,7 +206,7 @@ impl SimExecutor {
                 self.scheduled.remove(&wake);
             }
             if !paused {
-                self.core.poll();
+                self.poll();
                 break;
             }
         }
@@ -210,11 +231,18 @@ impl SimExecutor {
         self.core.log()
     }
 
+    /// Tears the executor down (as `LiveExecutor::into_parts` does): the
+    /// simulation, wherever it stands, plus the decision log.
+    #[must_use]
+    pub fn into_parts(mut self) -> (Simulation, DecisionLog) {
+        self.sync_app_draws();
+        self.core.into_parts()
+    }
+
     /// Finishes the run: the simulation's report plus the decision log.
     #[must_use]
-    pub fn into_report(mut self) -> (SimReport, DecisionLog) {
-        self.sync_app_draws();
-        let (sim, log) = self.core.into_parts();
+    pub fn into_report(self) -> (SimReport, DecisionLog) {
+        let (sim, log) = self.into_parts();
         (sim.into_report(), log)
     }
 }

@@ -81,8 +81,8 @@ pub(crate) struct Shared {
     /// Registered sleep deadlines, keyed by registration id.
     pub(crate) sleeps: BTreeMap<u64, TimeMs>,
     pub(crate) next_sleep_id: u64,
-    /// Per-node event inboxes fed by the executor; a node has one from
-    /// its first spawned task on, and events of other nodes are dropped.
+    /// Per-node event inboxes fed by the executor; a node has one while
+    /// it has an unfinished task, and events of other nodes are dropped.
     pub(crate) inboxes: BTreeMap<NodeId, VecDeque<(TimeMs, AppEvent)>>,
     /// Commands `(issuing node, command)` queued by the handles, applied
     /// to the world by the executor after each poll round, in record
@@ -278,23 +278,28 @@ impl Future for EventWait {
 
 /// One spawned task: the node it serves and its pinned future.
 pub(crate) struct Task {
+    pub(crate) node: NodeId,
     pub(crate) fut: Pin<Box<dyn Future<Output = ()>>>,
     pub(crate) done: bool,
 }
 
 /// Polls every live task once, in spawn order — the executors' shared
-/// scheduling rule. Futures here only return `Pending` when genuinely
-/// blocked on a future deadline or an empty inbox, and nothing a task
-/// does synchronously unblocks *another* task (app messages travel
-/// through the backend), so one round per cycle is complete.
-pub(crate) fn poll_tasks(tasks: &mut [Task]) {
+/// scheduling rule — and returns the nodes of the tasks that completed.
+/// Futures here only return `Pending` when genuinely blocked on a future
+/// deadline or an empty inbox, and nothing a task does synchronously
+/// unblocks *another* task (app messages travel through the backend), so
+/// one round per cycle is complete.
+pub(crate) fn poll_tasks(tasks: &mut [Task]) -> Vec<NodeId> {
     let waker = noop_waker();
     let mut cx = Context::from_waker(&waker);
+    let mut finished = Vec::new();
     for task in tasks.iter_mut().filter(|t| !t.done) {
         if task.fut.as_mut().poll(&mut cx).is_ready() {
             task.done = true;
+            finished.push(task.node);
         }
     }
+    finished
 }
 
 /// A waker that does nothing: scheduling is the executor's outer loop,

@@ -12,11 +12,10 @@
 //!
 //! * [`SimExecutor`] — single-threaded, driven by the discrete-event
 //!   calendar of [`avmon_sim::Simulation`]. Task sleeps become
-//!   `AppWake` calendar events, every pause point lands at an exact
-//!   `(time, seq)` calendar position, and subscribed nodes' events always
-//!   cut the sharded engine's batches — so same-seed runs produce
-//!   **byte-identical** decision logs at any worker count, and the app
-//!   stream's draw count lands in the report's `RngLedger` (`app_draws`).
+//!   `AppWake` calendar events and every pause point lands at an exact
+//!   `(time, seq)` calendar position — so same-seed runs produce
+//!   **byte-identical** decision logs, and the app stream's draw count
+//!   lands in the report's `RngLedger` (`app_draws`).
 //! * [`LiveExecutor`] — drives the same tasks against a real
 //!   [`avmon_runtime::Cluster`] (threads + UDP or in-memory transport),
 //!   resolving sleeps on the wall clock and pumping cluster events into

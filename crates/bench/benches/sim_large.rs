@@ -2,9 +2,7 @@
 //! vs incremental), the protocol hot paths — the cost of one consistency
 //! check through `SharedSelector` per hasher, the Fig. 2 view cross-check
 //! per period and the calendar's lane/wheel traffic split — an
-//! end-to-end N = 10k smoke run under the sequential engine and the
-//! sharded engine at 2/8 workers, and the N = 50k scale run the sharding
-//! targets (all cores, checker on).
+//! end-to-end N = 10k smoke run, and the N = 50k scale run (checker on).
 //!
 //! Besides the criterion output, the binary records its measurements in
 //! `BENCH_sim_large.json` at the workspace root — the large-N perf
@@ -296,21 +294,9 @@ fn crosscheck_period_ns(hasher: HasherKind, iters: usize) -> (f64, f64) {
     spread
 }
 
-/// End-to-end N = 10k smoke: the CI-sized large-N run (short measurement
-/// window, checker in Record mode) at the given sharded-engine worker
-/// count (1 = sequential engine).
-fn smoke_10k(workers: usize) -> (f64, u64, CalendarStats) {
-    smoke_run(10_000, 10, 5, workers)
-}
-
-/// One end-to-end run at arbitrary scale; returns (wall ms, checker
-/// checks, calendar counters).
-fn smoke_run(
-    n: usize,
-    warmup_min: u64,
-    duration_min: u64,
-    workers: usize,
-) -> (f64, u64, CalendarStats) {
+/// One end-to-end run at arbitrary scale (checker in Record mode);
+/// returns (wall ms, checker checks, calendar counters).
+fn smoke_run(n: usize, warmup_min: u64, duration_min: u64) -> (f64, u64, CalendarStats) {
     let params = SynthParams {
         n,
         churn_per_hour: 0.0,
@@ -322,7 +308,7 @@ fn smoke_run(
     };
     let trace = synthetic(params);
     let config = Config::builder(n).build().expect("valid config");
-    let opts = SimOptions::new(config).seed(7).workers(workers);
+    let opts = SimOptions::new(config).seed(7);
     let start = Instant::now();
     let mut sim = Simulation::new(trace, opts);
     let horizon = sim.trace().horizon;
@@ -367,25 +353,16 @@ fn record_trajectory() {
     // PR 5 guard 2 — calendar pressure at N = 10k: the timer lanes and
     // the delivery wheel must carry at least 99% of the pops (the heap
     // retains only the construction-time schedule and odd-delay arms).
-    let (smoke_ms, smoke_checks, stats) = smoke_10k(1);
+    // The CI-sized large-N run: short measurement window.
+    let (smoke_ms, smoke_checks, stats) = smoke_run(10_000, 10, 5);
     let all_pops = stats.heap_pops + stats.lane_pops + stats.wheel_pops;
     let heap_pop_share = stats.heap_pops as f64 / all_pops as f64;
 
-    // The sharded engine at N = 10k: same run at 2 and 8 workers (the
-    // equivalence rig proves the reports byte-identical, so only the
-    // wall changes). Recorded per worker count with the core count; CI
-    // prints the three walls and gates none of them.
-    let (w2_ms, _, _) = smoke_10k(2);
-    let (w8_ms, _, _) = smoke_10k(8);
-    let sharded_speedup = smoke_ms / smoke_ms.min(w2_ms).min(w8_ms).max(1.0);
-
-    // The scale trajectory the sharding targets: N = 50k end-to-end with
-    // the checker on, all cores (ROADMAP item 1 tracked this at 9.1 min
-    // before the trace interval index and the flat node tables).
-    let (scale_50k_ms, scale_50k_checks, _) = smoke_run(50_000, 10, 5, 0);
+    // The scale trajectory: N = 50k end-to-end with the checker on.
+    let (scale_50k_ms, scale_50k_checks, _) = smoke_run(50_000, 10, 5);
 
     let json = format!(
-        "{{\n  \"bench\": \"sim_large\",\n  \"checker_per_sample\": {{\n    \"n\": {BENCH_N},\n    \"full_rescan_ns\": {full_ns:.0},\n    \"incremental_ns\": {incremental_ns:.0},\n    \"speedup\": {speedup:.1}\n  }},\n  \"hash_check_ns\": {{\n    \"cores\": {cores},\n    \"loop\": \"Fig. 2 nested loop, two 42-entry sides, is_monitor through SharedSelector\",\n    \"fast64_min\": {fast_check_min:.1},\n    \"fast64_median\": {fast_check_med:.1},\n    \"fast64_pair_bytes_min\": {fast_bytes_min:.1},\n    \"fast64_pair_bytes_median\": {fast_bytes_med:.1},\n    \"md5_min\": {md5_check_min:.1},\n    \"md5_median\": {md5_check_med:.1},\n    \"md5_pair_bytes_min\": {md5_bytes_min:.1},\n    \"md5_pair_bytes_median\": {md5_bytes_med:.1},\n    \"sha1_min\": {sha1_check_min:.1},\n    \"sha1_median\": {sha1_check_med:.1},\n    \"sha1_pair_bytes_min\": {sha1_bytes_min:.1},\n    \"sha1_pair_bytes_median\": {sha1_bytes_med:.1}\n  }},\n  \"view_crosscheck_per_period\": {{\n    \"cores\": {cores},\n    \"cvs\": 60,\n    \"fast64_ns_min\": {fast_period_min:.0},\n    \"fast64_ns_median\": {fast_period_med:.0},\n    \"md5_ns_min\": {md5_period_min:.0},\n    \"md5_ns_median\": {md5_period_med:.0},\n    \"sha1_ns_min\": {sha1_period_min:.0},\n    \"sha1_ns_median\": {sha1_period_med:.0}\n  }},\n  \"calendar_10k\": {{\n    \"heap_pops\": {},\n    \"lane_pops\": {},\n    \"wheel_pops\": {},\n    \"expire_skips\": {},\n    \"heap_pop_share\": {heap_pop_share:.4},\n    \"wall_ms\": {smoke_ms:.0}\n  }},\n  \"sharded_10k\": {{\n    \"cores\": {cores},\n    \"wall_ms_workers_1\": {smoke_ms:.0},\n    \"wall_ms_workers_2\": {w2_ms:.0},\n    \"wall_ms_workers_8\": {w8_ms:.0},\n    \"best_speedup\": {sharded_speedup:.2}\n  }},\n  \"scale_50k\": {{\n    \"n\": 50000,\n    \"simulated_minutes\": 15,\n    \"workers\": \"all-cores\",\n    \"wall_ms\": {scale_50k_ms:.0},\n    \"checker_checks\": {scale_50k_checks}\n  }},\n  \"smoke_end_to_end\": {{\n    \"n\": 10000,\n    \"simulated_minutes\": 15,\n    \"wall_ms\": {smoke_ms:.0},\n    \"checker_checks\": {smoke_checks}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"sim_large\",\n  \"checker_per_sample\": {{\n    \"n\": {BENCH_N},\n    \"full_rescan_ns\": {full_ns:.0},\n    \"incremental_ns\": {incremental_ns:.0},\n    \"speedup\": {speedup:.1}\n  }},\n  \"hash_check_ns\": {{\n    \"cores\": {cores},\n    \"loop\": \"Fig. 2 nested loop, two 42-entry sides, is_monitor through SharedSelector\",\n    \"fast64_min\": {fast_check_min:.1},\n    \"fast64_median\": {fast_check_med:.1},\n    \"fast64_pair_bytes_min\": {fast_bytes_min:.1},\n    \"fast64_pair_bytes_median\": {fast_bytes_med:.1},\n    \"md5_min\": {md5_check_min:.1},\n    \"md5_median\": {md5_check_med:.1},\n    \"md5_pair_bytes_min\": {md5_bytes_min:.1},\n    \"md5_pair_bytes_median\": {md5_bytes_med:.1},\n    \"sha1_min\": {sha1_check_min:.1},\n    \"sha1_median\": {sha1_check_med:.1},\n    \"sha1_pair_bytes_min\": {sha1_bytes_min:.1},\n    \"sha1_pair_bytes_median\": {sha1_bytes_med:.1}\n  }},\n  \"view_crosscheck_per_period\": {{\n    \"cores\": {cores},\n    \"cvs\": 60,\n    \"fast64_ns_min\": {fast_period_min:.0},\n    \"fast64_ns_median\": {fast_period_med:.0},\n    \"md5_ns_min\": {md5_period_min:.0},\n    \"md5_ns_median\": {md5_period_med:.0},\n    \"sha1_ns_min\": {sha1_period_min:.0},\n    \"sha1_ns_median\": {sha1_period_med:.0}\n  }},\n  \"calendar_10k\": {{\n    \"heap_pops\": {},\n    \"lane_pops\": {},\n    \"wheel_pops\": {},\n    \"expire_skips\": {},\n    \"heap_pop_share\": {heap_pop_share:.4},\n    \"wall_ms\": {smoke_ms:.0}\n  }},\n  \"scale_50k\": {{\n    \"n\": 50000,\n    \"simulated_minutes\": 15,\n    \"cores\": {cores},\n    \"wall_ms\": {scale_50k_ms:.0},\n    \"checker_checks\": {scale_50k_checks}\n  }},\n  \"smoke_end_to_end\": {{\n    \"n\": 10000,\n    \"simulated_minutes\": 15,\n    \"wall_ms\": {smoke_ms:.0},\n    \"checker_checks\": {smoke_checks}\n  }}\n}}\n",
         stats.heap_pops,
         stats.lane_pops,
         stats.wheel_pops,

@@ -139,9 +139,12 @@ pub fn ext_join(ctx: &ExpContext) -> Vec<ResultTable> {
         let trace = Model::Stat.trace(n, ctx.duration(1.0), ctx.seed);
         let config = Config::builder(n).build().expect("config");
         let cvs = config.cvs;
-        let mut opts = SimOptions::new(config).seed(ctx.seed).hasher(ctx.hasher);
-        opts.collect_app_events = true;
+        let opts = SimOptions::new(config).seed(ctx.seed).hasher(ctx.hasher);
         let mut sim = Simulation::new(trace.clone(), opts);
+        // Any node may absorb a joiner's JOIN: listen to all of them.
+        for id in trace.identities() {
+            sim.subscribe_app(id);
+        }
         sim.run_until(trace.horizon);
         // Collect JOIN absorption events for the control group.
         let control: std::collections::HashSet<NodeId> =

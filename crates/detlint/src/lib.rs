@@ -1,12 +1,11 @@
 //! # detlint — the workspace determinism auditor
 //!
 //! Every PR since the seed has hand-defended the same invariant —
-//! byte-identical seed-deterministic `SimReport`s at any worker count —
-//! against the same four hazards: unordered `std` hash-map iteration,
-//! wall-clock reads, undisciplined RNG draws, and shared-state touches
-//! from the sharded engine's worker context. This crate turns that
-//! reviewer discipline into a static pass that fails CI before a
-//! nondeterminism bug ever reaches the byte-equivalence rig.
+//! byte-identical seed-deterministic `SimReport`s — against the same
+//! three hazards: unordered `std` hash-map iteration, wall-clock reads,
+//! and undisciplined RNG draws. This crate turns that reviewer discipline
+//! into a static pass that fails CI before a nondeterminism bug ever
+//! reaches the byte-equivalence rig.
 //!
 //! It is deliberately dependency-free: a hand-rolled Rust lexer (strings,
 //! raw strings, char-vs-lifetime, nested block comments) feeds a handful
@@ -22,24 +21,19 @@
 //! | `banned-clock` | everywhere scanned | `Instant::now`, `SystemTime::now` |
 //! | `banned-rng-source` | everywhere scanned | `thread_rng`, `rand::random` |
 //! | `rng-stream` | everywhere scanned | `.gen()`-family draws in a file not registered in `detlint-owners.txt` |
-//! | `worker-purity` | `region(worker-context)` spans | `rng` / `seq` / `stdout` / `stderr` idents, print-family macros |
 //! | `unused-allow` | — | an allow whose covered line has no matching finding |
-//! | `bad-directive` | — | malformed directives, unmatched region markers |
+//! | `bad-directive` | — | malformed directives |
 //! | `owners-registry` | — | malformed or stale `detlint-owners.txt` entries |
 //!
 //! ## Directives
 //!
 //! A directive is a line comment whose text *starts with* `detlint::`
-//! (prose mentions mid-comment are ignored). Three forms exist:
-//!
-//! * an allow — `detlint::allow(<rule>): <reason>` — suppresses findings
-//!   of `<rule>` on the same line (when the comment trails code) or on
-//!   the nearest following line that has code. The reason is mandatory,
-//!   and an allow that suppresses nothing is itself an error, so stale
-//!   escapes cannot accumulate.
-//! * `detlint::region(worker-context)` / `detlint::endregion(worker-context)`
-//!   bracket the sharded engine's worker-side batch path, where the
-//!   purity rule applies.
+//! (prose mentions mid-comment are ignored). The one form is the allow —
+//! `detlint::allow(<rule>): <reason>` — which suppresses findings of
+//! `<rule>` on the same line (when the comment trails code) or on the
+//! nearest following line that has code. The reason is mandatory, and an
+//! allow that suppresses nothing is itself an error, so stale escapes
+//! cannot accumulate.
 //!
 //! `#[cfg(test)] mod` bodies, `tests/`, `benches/`, `fixtures/`,
 //! `crates/vendor/`, and files named `tests.rs` are not audited: tests
@@ -76,14 +70,6 @@ const DRAW_METHODS: [&str; 10] = [
     "next_u64",
 ];
 
-/// Identifiers that must not appear inside a `worker-context` region:
-/// the engine's shared RNG and sequence counter, and the process streams.
-const WORKER_BANNED_IDENTS: [&str; 4] = ["rng", "seq", "stdout", "stderr"];
-
-/// Macros that must not appear (with `!`) inside a `worker-context`
-/// region: concurrent workers interleave process-stream writes.
-const WORKER_BANNED_MACROS: [&str; 5] = ["println", "eprintln", "print", "eprint", "dbg"];
-
 /// Directory names never descended into.
 const SKIP_DIRS: [&str; 6] = ["vendor", "target", "tests", "benches", "fixtures", ".git"];
 
@@ -101,11 +87,9 @@ pub enum Rule {
     BannedRngSource,
     /// RNG draw outside a registered stream owner.
     RngStream,
-    /// Shared-state or process-stream touch inside a worker region.
-    WorkerPurity,
     /// An allow that suppressed nothing.
     UnusedAllow,
-    /// A malformed directive or unmatched region marker.
+    /// A malformed directive.
     BadDirective,
     /// A malformed or stale owners-registry entry.
     OwnersRegistry,
@@ -120,7 +104,6 @@ impl Rule {
             Rule::BannedClock => "banned-clock",
             Rule::BannedRngSource => "banned-rng-source",
             Rule::RngStream => "rng-stream",
-            Rule::WorkerPurity => "worker-purity",
             Rule::UnusedAllow => "unused-allow",
             Rule::BadDirective => "bad-directive",
             Rule::OwnersRegistry => "owners-registry",
@@ -134,7 +117,6 @@ impl Rule {
             "banned-clock" => Some(Rule::BannedClock),
             "banned-rng-source" => Some(Rule::BannedRngSource),
             "rng-stream" => Some(Rule::RngStream),
-            "worker-purity" => Some(Rule::WorkerPurity),
             _ => None,
         }
     }
@@ -411,18 +393,18 @@ fn raw_string_end(b: &[char], start: usize) -> Option<usize> {
 // Directives
 // ---------------------------------------------------------------------------
 
+/// One well-formed `detlint::allow(<rule>): <reason>`.
 #[derive(Debug)]
-enum Directive {
-    Allow { line: usize, rule: Rule },
-    RegionStart(usize),
-    RegionEnd(usize),
+struct Allow {
+    line: usize,
+    rule: Rule,
 }
 
-/// Parses directives out of a file's line comments. A comment is a
+/// Parses the allows out of a file's line comments. A comment is a
 /// directive iff its trimmed text *starts with* `detlint::` — prose that
 /// merely mentions the syntax mid-sentence (or doc comments, whose text
 /// starts with an extra `/`) never triggers.
-fn parse_directives(lexed: &Lexed, file: &str, findings: &mut BTreeSet<Finding>) -> Vec<Directive> {
+fn parse_directives(lexed: &Lexed, file: &str, findings: &mut BTreeSet<Finding>) -> Vec<Allow> {
     let mut directives = Vec::new();
     for (line, text) in &lexed.line_comments {
         let text = text.trim();
@@ -463,15 +445,11 @@ fn parse_directives(lexed: &Lexed, file: &str, findings: &mut BTreeSet<Finding>)
                 );
                 continue;
             }
-            directives.push(Directive::Allow { line: *line, rule });
-        } else if rest.trim() == "region(worker-context)" {
-            directives.push(Directive::RegionStart(*line));
-        } else if rest.trim() == "endregion(worker-context)" {
-            directives.push(Directive::RegionEnd(*line));
+            directives.push(Allow { line: *line, rule });
         } else {
             bad(
                 findings,
-                "unrecognized directive: expected allow(<rule>): <reason>, region(worker-context), or endregion(worker-context)",
+                "unrecognized directive: expected allow(<rule>): <reason>",
             );
         }
     }
@@ -479,7 +457,7 @@ fn parse_directives(lexed: &Lexed, file: &str, findings: &mut BTreeSet<Finding>)
 }
 
 // ---------------------------------------------------------------------------
-// Span computation (test mods, use declarations, worker regions)
+// Span computation (test mods, use declarations)
 // ---------------------------------------------------------------------------
 
 /// Inclusive line spans of `#[cfg(test)] mod … { … }` bodies, which are
@@ -597,45 +575,6 @@ fn check_file(ctx: &FileContext<'_>, lexed: &Lexed, findings: &mut BTreeSet<Find
     let uses = use_spans(lexed);
     let directives = parse_directives(lexed, ctx.rel, findings);
 
-    // Pair region markers in order; an unmatched marker is an error
-    // (a silently open region would exempt the rest of the file).
-    let mut regions: Vec<(usize, usize)> = Vec::new();
-    let mut open: Option<usize> = None;
-    for d in &directives {
-        match d {
-            Directive::RegionStart(line) => {
-                if let Some(prev) = open.replace(*line) {
-                    findings.insert(Finding {
-                        file: ctx.rel.to_owned(),
-                        line: prev,
-                        rule: Rule::BadDirective,
-                        message: "region(worker-context) opened again before endregion".to_owned(),
-                    });
-                }
-            }
-            Directive::RegionEnd(line) => match open.take() {
-                Some(start) => regions.push((start, *line)),
-                None => {
-                    findings.insert(Finding {
-                        file: ctx.rel.to_owned(),
-                        line: *line,
-                        rule: Rule::BadDirective,
-                        message: "endregion(worker-context) without a matching region".to_owned(),
-                    });
-                }
-            },
-            Directive::Allow { .. } => {}
-        }
-    }
-    if let Some(start) = open {
-        findings.insert(Finding {
-            file: ctx.rel.to_owned(),
-            line: start,
-            rule: Rule::BadDirective,
-            message: "unclosed region(worker-context)".to_owned(),
-        });
-    }
-
     let mut raw: BTreeSet<(usize, Rule, String)> = BTreeSet::new();
     let t = &lexed.tokens;
     let punct =
@@ -707,43 +646,26 @@ fn check_file(ctx: &FileContext<'_>, lexed: &Lexed, findings: &mut BTreeSet<Find
             }
             _ => {}
         }
-        if in_line_spans(&regions, line) {
-            if WORKER_BANNED_IDENTS.contains(&word.as_str()) {
-                raw.insert((
-                    line,
-                    Rule::WorkerPurity,
-                    format!("`{word}` referenced inside the worker-context region; workers must stay node-local"),
-                ));
-            } else if WORKER_BANNED_MACROS.contains(&word.as_str()) && punct(i + 1, '!') {
-                raw.insert((
-                    line,
-                    Rule::WorkerPurity,
-                    format!("{word}! inside the worker-context region interleaves process streams across workers"),
-                ));
-            }
-        }
     }
 
     // Attach allows: a trailing allow covers its own line; an allow on a
     // comment-only line covers the nearest following line with code.
     let mut allows: Vec<(usize, Rule, usize, bool)> = Vec::new(); // (target, rule, at, used)
-    for d in &directives {
-        if let Directive::Allow { line, rule } = d {
-            if in_line_spans(&test_spans, *line) {
-                continue;
-            }
-            let target = if lexed.code_lines.contains(line) {
-                *line
-            } else {
-                lexed
-                    .code_lines
-                    .range(line + 1..)
-                    .next()
-                    .copied()
-                    .unwrap_or(0)
-            };
-            allows.push((target, *rule, *line, false));
+    for Allow { line, rule } in &directives {
+        if in_line_spans(&test_spans, *line) {
+            continue;
         }
+        let target = if lexed.code_lines.contains(line) {
+            *line
+        } else {
+            lexed
+                .code_lines
+                .range(line + 1..)
+                .next()
+                .copied()
+                .unwrap_or(0)
+        };
+        allows.push((target, *rule, *line, false));
     }
     for (line, rule, message) in raw {
         let allowed = allows

@@ -1,5 +1,5 @@
 //! Bad fixture: directive misuse — an allow with no reason, an allow on
-//! an unknown rule, an unused allow, and an unclosed region.
+//! an unknown rule, an unused allow, and a directive that is not an allow.
 
 // detlint::allow(banned-clock)
 pub fn reasonless() -> u64 {
@@ -16,7 +16,7 @@ pub fn unused_allow() -> u64 {
     3
 }
 
-// detlint::region(worker-context)
-pub fn never_closed(items: &[u64]) -> u64 {
+// detlint::deny(banned-clock): only allows exist
+pub fn not_a_directive(items: &[u64]) -> u64 {
     items.iter().sum()
 }

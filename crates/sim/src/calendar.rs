@@ -56,22 +56,19 @@ pub(crate) enum EventKind {
     /// ([`Simulation::schedule_app_wake`](crate::Simulation::schedule_app_wake)):
     /// pauses `run_until_wake` at exactly this `(time, seq)` position so
     /// async app tasks interleave deterministically with the protocol
-    /// calendar. Shared-state by construction — it always cuts a parallel
-    /// batch, so pause points are identical at any worker count.
+    /// calendar.
     AppWake {
         token: u64,
     },
 }
 
 impl EventKind {
-    /// The node a delivery or timer is addressed to (with the incarnation
-    /// that armed the timer); `None` for events that touch shared state.
-    pub(crate) fn addressee(&self) -> Option<(NodeId, Option<u64>)> {
+    /// The node a delivery or timer is addressed to; `None` for events
+    /// that touch shared state.
+    pub(crate) fn addressee(&self) -> Option<NodeId> {
         match *self {
-            EventKind::Deliver { to, .. } => Some((to, None)),
-            EventKind::Timer {
-                node, incarnation, ..
-            } => Some((node, Some(incarnation))),
+            EventKind::Deliver { to, .. } => Some(to),
+            EventKind::Timer { node, .. } => Some(node),
             _ => None,
         }
     }
@@ -282,20 +279,9 @@ impl Calendar {
         Some((at, source))
     }
 
-    /// Time and kind of the `(time, seq)`-least event.
-    pub(crate) fn peek(&mut self) -> Option<(TimeMs, &EventKind)> {
-        let event = match self.locate()?.1 {
-            Source::Heap => self.heap.peek(),
-            Source::Lane(i) => self.lanes[i].queue.front(),
-            Source::Wheel => self.wheel.front(),
-        }?;
-        Some((event.at, &event.kind))
-    }
-
     /// Pops the `(time, seq)`-least event unless it lies beyond `deadline`,
     /// with whether it rode a lane: only lane-popped timers take the O(1)
-    /// dead-expiry discard, so [`CalendarStats::expire_skips`] counts the
-    /// same firings whichever engine loop dispatches them.
+    /// dead-expiry discard.
     pub(crate) fn pop_due(&mut self, deadline: TimeMs) -> Option<(Event, bool)> {
         let (at, source) = self.locate()?;
         if at > deadline {
@@ -357,7 +343,6 @@ mod tests {
         reference: &mut BinaryHeap<Reverse<(TimeMs, u64)>>,
     ) -> (TimeMs, bool) {
         let Reverse((at, seq)) = reference.pop().expect("reference non-empty");
-        assert_eq!(cal.peek().expect("calendar non-empty").0, at);
         assert!(at == 0 || cal.pop_due(at - 1).is_none(), "popped early");
         let (event, from_lane) = cal.pop_due(at).expect("due");
         let tag = match event.kind {
@@ -391,8 +376,8 @@ mod tests {
                         let kind = tagged(&cal, rng.gen_bool(0.5));
                         cal.schedule(now, now + delay, kind);
                     }
-                    // A replayed batch output: armed from an instant the
-                    // lane's tail may already have passed.
+                    // Armed from an earlier instant than the lane's tail
+                    // may hold: the monotonicity fallback.
                     5 if now >= 7 => {
                         let lane = rng.gen_range(0..LANES.len());
                         let (at, before) = (now - 7 + LANES[lane], cal.lanes[lane].queue.len());
@@ -422,7 +407,7 @@ mod tests {
                 pop_both(&mut cal, &mut reference);
                 pops += 1;
             }
-            assert!(cal.peek().is_none() && cal.pop_due(TimeMs::MAX).is_none());
+            assert!(cal.pop_due(TimeMs::MAX).is_none());
             let stats = cal.stats();
             assert_eq!(stats.heap_pops + stats.lane_pops + stats.wheel_pops, pops);
             totals.heap_pops += stats.heap_pops;

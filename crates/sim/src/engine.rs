@@ -29,7 +29,6 @@ use crate::metrics::{DiscoveryLog, NodeSeries, SimReport};
 use crate::network::{LatencyModel, NetworkModel, NetworkState, Route};
 use crate::qos::QosAccumulator;
 use crate::scenario::{Attack, Corruption, Fault, Scenario};
-use crate::shard::ItemOutput;
 
 /// Simulation options beyond the protocol [`Config`].
 #[derive(Debug, Clone)]
@@ -57,19 +56,6 @@ pub struct SimOptions {
     pub history_template: Option<HistoryStore>,
     /// Per-node behavior assignments (attack experiments).
     pub behaviors: Vec<(NodeId, Behavior)>,
-    /// Buffer application events for retrieval via
-    /// [`Simulation::take_app_events`] (off by default: long runs would
-    /// accumulate unbounded buffers).
-    pub collect_app_events: bool,
-    /// Threads that run node handlers, the calling one included (default
-    /// `1` = single-threaded; `0` = one per available core). With more than one
-    /// worker the engine batches independent node events inside a
-    /// conservative safe-horizon window, fans the node handlers out across
-    /// the pool, and replays their outputs in the original `(time, seq)`
-    /// pop order (see `shard.rs`) — same-seed reports are **byte-identical
-    /// at any worker count** (`tests/equivalence.rs` holds this across
-    /// scenario families).
-    pub workers: usize,
 }
 
 impl SimOptions {
@@ -87,16 +73,15 @@ impl SimOptions {
             sample_interval,
             history_template: None,
             behaviors: Vec::new(),
-            collect_app_events: false,
-            workers: 1,
         }
     }
 
-    /// Sets the worker-thread count (see [`SimOptions::workers`]; `0`
-    /// means one per available core).
+    /// No-op: there is one engine loop. Kept only because the frozen
+    /// `benchmark/` crate calls it; leaves with ROADMAP item 1's
+    /// `[benchmark]` PR.
+    #[doc(hidden)]
     #[must_use]
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+    pub fn workers(self, _: usize) -> Self {
         self
     }
 
@@ -198,15 +183,11 @@ pub(crate) struct SimNode {
     pub(crate) control: bool,
     /// The discovery log, opened at a control node's first birth.
     pub(crate) discovery: Option<DiscoveryLog>,
-    /// The application executor listens to this node
-    /// ([`Simulation::subscribe_app`]): its deliveries/timers always cut a
-    /// parallel batch and dispatch at their sequential calendar position.
+    /// Someone listens to this node ([`Simulation::subscribe_app`]): its
+    /// application events are buffered and pause `run_until_wake`.
     pub(crate) app_subscribed: bool,
     /// The scenario's `[from, until)` freeze windows for this node.
     freezes: Vec<(TimeMs, TimeMs)>,
-    /// Index of this node's job in the batch being collected or executed:
-    /// `proto` is moved out into that job, yet the node is still live.
-    pub(crate) batch_group: Option<usize>,
 }
 
 impl SimNode {
@@ -271,8 +252,6 @@ pub struct Simulation {
     /// Streaming FD QoS counters (see [`QosAccumulator`]).
     pub(crate) qos: QosAccumulator,
     finished: bool,
-    /// Resolved worker-thread count (≥ 1; see [`SimOptions::workers`]).
-    pub(crate) workers: usize,
     /// 64-bit words drawn by the (already consumed and dropped) per-event
     /// corruption RNG streams — the `corruption` entry of the
     /// [`RngLedger`](crate::RngLedger). Each `Fault::Corrupt` event derives
@@ -284,14 +263,6 @@ pub struct Simulation {
     /// with the live nodes' counts at report assembly to form the `node`
     /// stream of the [`RngLedger`](crate::RngLedger).
     pub(crate) graveyard_rng_draws: u64,
-    /// The conservative safe-horizon window width for parallel batching:
-    /// the minimum of the network's smallest delivery delay and every
-    /// handler-armed timer delay (ping timeout, protocol period,
-    /// monitoring period), floored at 1 ms. Nothing a node handler does
-    /// inside a window `[t0, t0 + lookahead)` can schedule work before
-    /// the window's end — except at the exact same instant with a larger
-    /// sequence number, which the `(time, seq)` order already puts last.
-    pub(crate) lookahead: DurMs,
 }
 
 impl Simulation {
@@ -322,14 +293,14 @@ impl Simulation {
         opts.validate()?;
         let selector = HashSelector::from_config_with_kind(&opts.config, opts.hasher);
         // The three constant delays handlers arm timers with: each gets a
-        // calendar lane, and none may undercut the batching lookahead.
-        let timer_delays = [
+        // calendar lane.
+        let timer_delays = vec![
             opts.config.ping_timeout,
             opts.config.protocol_period,
             opts.config.monitoring_period,
         ];
         // Construction-time schedules all park on the heap.
-        let mut calendar = Calendar::new(timer_delays.to_vec(), trace.events.len() * 2);
+        let mut calendar = Calendar::new(timer_delays, trace.events.len() * 2);
         for e in &trace.events {
             let (node, kind) = (e.node, e.kind);
             calendar.defer(e.at, EventKind::Churn { node, kind });
@@ -440,19 +411,6 @@ impl Simulation {
         if let Some(scenario) = &opts.scenario {
             checker.set_adversary_windows(&scenario.adversary_windows());
         }
-        let workers = match opts.workers {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            n => n,
-        };
-        // Safe-horizon width: handlers only ever schedule at least this
-        // far ahead (deliveries pay the network's minimum latency plus
-        // only-additive jitter; handler-armed timers use the three
-        // constant delays — the random short phases of `start` happen
-        // exclusively at churn events, which cut batches).
-        let min_delay = opts.network.latency.min_delay();
-        let lookahead = timer_delays.into_iter().fold(min_delay, DurMs::min).max(1);
         Ok(Simulation {
             trace,
             opts,
@@ -472,10 +430,8 @@ impl Simulation {
             checker,
             qos: QosAccumulator::default(),
             finished: false,
-            workers,
             corruption_draws: 0,
             graveyard_rng_draws: 0,
-            lookahead,
         })
     }
 
@@ -514,9 +470,8 @@ impl Simulation {
         self.nodes[self.slot(id)?].proto.as_ref()
     }
 
-    /// Drains buffered application events (requires
-    /// [`SimOptions::collect_app_events`] or a [`Simulation::subscribe_app`]
-    /// subscription).
+    /// Drains the buffered application events of the nodes subscribed via
+    /// [`Simulation::subscribe_app`].
     pub fn take_app_events(&mut self) -> Vec<(NodeId, AppEvent)> {
         std::mem::take(&mut self.app_events)
             .into_iter()
@@ -530,14 +485,23 @@ impl Simulation {
         std::mem::take(&mut self.app_events)
     }
 
-    /// Subscribes the application executor to `id`'s events: they are
+    /// Subscribes a listener to `id`'s application events: they are
     /// buffered (timestamped) and any of them pauses
-    /// [`Simulation::run_until_wake`]. Subscribed nodes' deliveries and
-    /// timers always cut a parallel batch, so the pause points — and the
-    /// engine state at each pause — are byte-identical at any worker count.
+    /// [`Simulation::run_until_wake`]. Nobody listens by default — a long
+    /// run would accumulate an unbounded buffer. An identity the trace
+    /// never named is ignored.
     pub fn subscribe_app(&mut self, id: NodeId) {
         if let Some(slot) = self.slot(id) {
             self.nodes[slot].app_subscribed = true;
+        }
+    }
+
+    /// Ends `id`'s subscription: its later events are dropped, not
+    /// buffered (already buffered ones stay until drained). Ignored for an
+    /// identity the trace never named.
+    pub fn unsubscribe_app(&mut self, id: NodeId) {
+        if let Some(slot) = self.slot(id) {
+            self.nodes[slot].app_subscribed = false;
         }
     }
 
@@ -574,7 +538,7 @@ impl Simulation {
         let now = self.now;
         if let Some(proto) = self.nodes[slot].proto.as_mut() {
             apply_command(proto, now, command);
-            self.apply_outputs(slot, None);
+            self.apply_outputs(slot);
         }
     }
 
@@ -585,10 +549,6 @@ impl Simulation {
     }
 
     /// Advances simulated time to `deadline` (capped at the horizon).
-    ///
-    /// With [`SimOptions::workers`] > 1 this routes through the batched
-    /// parallel loop (`shard.rs`); the event outcome — and the serialized
-    /// report — is byte-identical either way.
     pub fn run_until(&mut self, deadline: TimeMs) {
         self.run_until_inner(deadline, false);
     }
@@ -600,47 +560,26 @@ impl Simulation {
     /// Returns `true` when paused before the deadline (events/wakes are
     /// waiting in [`Simulation::take_app_events_timed`] /
     /// [`Simulation::take_wakes`]), `false` when the deadline was reached.
-    /// Pause points are identical at any worker count: wakes and
-    /// subscribed-node events only ever dispatch sequentially at batch
-    /// cuts, where engine state matches the sequential engine's at the
-    /// same pop-order prefix.
     pub fn run_until_wake(&mut self, deadline: TimeMs) -> bool {
         self.run_until_inner(deadline, true)
     }
 
+    /// The engine loop: pops and dispatches every event due by `deadline`,
+    /// in `(time, seq)` order.
     fn run_until_inner(&mut self, deadline: TimeMs, stop_on_wake: bool) -> bool {
         let deadline = deadline.min(self.trace.horizon);
-        let mut paused = false;
-        if self.workers > 1 {
-            paused = self.run_window_batches(deadline, stop_on_wake);
-        } else {
-            while !paused && self.step(deadline) {
-                paused = stop_on_wake && self.wake_pending();
+        while let Some((event, from_lane)) = self.calendar.pop_due(deadline) {
+            self.now = event.at;
+            self.dispatch(event.kind, from_lane);
+            // A paused executor has something to process: a fired wake or
+            // an undrained application event.
+            if stop_on_wake && !(self.pending_wakes.is_empty() && self.app_events.is_empty()) {
+                return true;
             }
         }
-        if !paused {
-            self.now = deadline;
-            self.finish_if_horizon(deadline);
-        }
-        paused
-    }
-
-    /// Whether a paused executor has something to process: a fired wake
-    /// or an undrained application event.
-    pub(crate) fn wake_pending(&self) -> bool {
-        !self.pending_wakes.is_empty() || !self.app_events.is_empty()
-    }
-
-    /// Pops the next event due by `deadline` and dispatches it
-    /// sequentially (the single-step primitive both engine loops share);
-    /// `false` when nothing is due.
-    pub(crate) fn step(&mut self, deadline: TimeMs) -> bool {
-        let Some((event, from_lane)) = self.calendar.pop_due(deadline) else {
-            return false;
-        };
-        self.now = event.at;
-        self.dispatch(event.kind, from_lane);
-        true
+        self.now = deadline;
+        self.finish_if_horizon(deadline);
+        false
     }
 
     /// End-of-run bookkeeping, once, when the horizon is reached.
@@ -663,7 +602,7 @@ impl Simulation {
     fn dispatch(&mut self, kind: EventKind, from_lane: bool) {
         // The one identity probe a delivery or timer pays. An addressee the
         // trace never named has no row: the event evaporates below.
-        let slot = kind.addressee().and_then(|(node, _)| self.slot(node));
+        let slot = kind.addressee().and_then(|node| self.slot(node));
         // A frozen node stops processing: its deliveries and timers stall
         // on the heap, in order, until the freeze thaws.
         if let Some(thaw) = slot.and_then(|s| self.nodes[s].frozen_at(self.now)) {
@@ -724,7 +663,7 @@ impl Simulation {
             return;
         }
         proto.handle_timer(now, timer);
-        self.apply_outputs(slot, None);
+        self.apply_outputs(slot);
     }
 
     /// Applies a scenario-scheduled behavior switch to both the engine's
@@ -819,7 +758,7 @@ impl Simulation {
                 // — detection (and the window's `detected_after_ms`) must be
                 // pinned to the injection, not race the self-repair.
                 self.checker.on_sample(self.now, std::iter::once(&*proto));
-                self.apply_outputs(slot, None);
+                self.apply_outputs(slot);
             }
             None => sim_node.persistent = state,
         }
@@ -894,7 +833,7 @@ impl Simulation {
                 }
                 self.alive_insert(slot);
                 self.checker.node_up(id, now);
-                self.apply_outputs(slot, None);
+                self.apply_outputs(slot);
             }
             ChurnEventKind::Leave | ChurnEventKind::Death => {
                 self.checker.node_down(id);
@@ -925,7 +864,7 @@ impl Simulation {
         match self.nodes[slot].proto.as_mut() {
             Some(proto) => {
                 proto.handle_message(now, from, msg);
-                self.apply_outputs(slot, None);
+                self.apply_outputs(slot);
             }
             None => {
                 // Destination has departed: the message is lost. Monitoring
@@ -966,39 +905,30 @@ impl Simulation {
     }
 
     /// Applies everything the last input of the node at `slot` made it
-    /// produce — polled straight off the live node (allocation-free), or
-    /// replayed from the `captured` output of a sharded batch together
-    /// with the window's scheduling barrier. The one place a node's
-    /// outputs enter the simulation: transmits become `Deliver` events
-    /// (latency-sampled), timers become incarnation-stamped `Timer`
-    /// events, and app events feed the discovery log, the QoS fold and
-    /// the event buffer.
-    pub(crate) fn apply_outputs(&mut self, slot: usize, captured: Option<(ItemOutput, TimeMs)>) {
+    /// produce, polled straight off the live node (allocation-free). The
+    /// one place a node's outputs enter the simulation: transmits become
+    /// `Deliver` events (latency-sampled), timers become
+    /// incarnation-stamped `Timer` events, and app events feed the
+    /// discovery log, the QoS fold and the event buffer.
+    fn apply_outputs(&mut self, slot: usize) {
         let now = self.now;
         let sim_node = &mut self.nodes[slot];
         let id = sim_node.id;
-        let listened = self.opts.collect_app_events || sim_node.app_subscribed;
+        let Some(proto) = sim_node.proto.as_mut() else {
+            return;
+        };
         let mut sink = OutputSink {
             incarnation: sim_node.incarnation,
             now,
-            barrier: captured.as_ref().map_or(0, |&(_, barrier)| barrier),
             calendar: &mut self.calendar,
             net: &mut self.net,
             rng: &mut self.rng,
             alive: &self.alive,
             discovery: sim_node.discovery.as_mut(),
-            app_events: listened.then_some(&mut self.app_events),
+            app_events: sim_node.app_subscribed.then_some(&mut self.app_events),
             suspicions: Vec::new(),
         };
-        match captured {
-            Some((out, _)) => out.replay(id, &mut sink),
-            None => {
-                let Some(proto) = sim_node.proto.as_mut() else {
-                    return;
-                };
-                drain(proto, &mut sink);
-            }
-        }
+        drain(proto, &mut sink);
         // Folded only now that the node borrow is released: classifying a
         // suspicion as wrongful or true needs to look up the *target*.
         let measuring = now >= self.trace.measure_from;
@@ -1074,9 +1004,6 @@ fn live_protos<'a>(
 struct OutputSink<'a> {
     incarnation: u64,
     now: TimeMs,
-    /// Nothing may be scheduled before this instant: the end of the
-    /// safe-horizon window while replaying a batch, 0 otherwise.
-    barrier: TimeMs,
     calendar: &'a mut Calendar,
     net: &'a mut NetworkState,
     rng: &'a mut SmallRng,
@@ -1090,14 +1017,6 @@ struct OutputSink<'a> {
 }
 
 impl OutputSink<'_> {
-    fn schedule(&mut self, at: TimeMs, kind: EventKind) {
-        debug_assert!(
-            at >= self.barrier,
-            "phase-2 output scheduled inside the safe-horizon window"
-        );
-        self.calendar.schedule(self.now, at, kind);
-    }
-
     /// Routes one unicast through the network model: lost, delivered, or
     /// delivered twice (duplication), each copy independently delayed.
     /// Takes the message by value so the fault-free unicast path stays
@@ -1111,9 +1030,11 @@ impl OutputSink<'_> {
             } => {
                 if let Some(dup) = duplicate_delay {
                     let msg = msg.clone();
-                    self.schedule(self.now + dup, EventKind::Deliver { from, to, msg });
+                    let kind = EventKind::Deliver { from, to, msg };
+                    self.calendar.schedule(self.now, self.now + dup, kind);
                 }
-                self.schedule(self.now + delay, EventKind::Deliver { from, to, msg });
+                let kind = EventKind::Deliver { from, to, msg };
+                self.calendar.schedule(self.now, self.now + delay, kind);
             }
         }
     }
@@ -1138,7 +1059,7 @@ impl DriverEnv for OutputSink<'_> {
             incarnation: self.incarnation,
             timer,
         };
-        self.schedule(at.max(self.now), kind);
+        self.calendar.schedule(self.now, at.max(self.now), kind);
     }
 
     fn handle_event(&mut self, node: NodeId, event: AppEvent) {

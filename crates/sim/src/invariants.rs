@@ -307,15 +307,13 @@ pub struct RecordedWarning {
 /// a legitimate protocol change that perturbs randomness (the PR 3
 /// situation: re-pinned fixtures) shows up here as "*this* stream moved by
 /// *this many* draws" instead of an opaque byte mismatch between reports.
-/// Same-seed runs must agree on every counter at any worker count —
-/// `tests/determinism.rs` and `tests/equivalence.rs` hold that equality.
+/// Same-seed runs must agree on every counter — `tests/determinism.rs`
+/// and `tests/equivalence.rs` hold that equality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct RngLedger {
     /// Draws on the engine's master stream: message routing through the
     /// network model (loss/duplication/jitter/latency), join-contact
-    /// selection, and bootstrap view seeding. In the sharded engine every
-    /// one of these draws happens on the main thread in sequential replay
-    /// order, which is exactly why this counter is worker-count-invariant.
+    /// selection, and bootstrap view seeding.
     pub engine_draws: u64,
     /// Sum of per-node protocol streams (periodic phases, view eviction,
     /// nonces, forwarding coins) across every incarnation, dead or alive —

@@ -98,7 +98,6 @@
 //!   identity order behind one `NodeId → slot` lookup; DESIGN.md §5), event
 //!   loop, churn/corruption handlers, output path
 //! * `calendar` — heap + timer lanes + delivery wheel as one `(time, seq)` queue
-//! * `shard` — the batched multi-worker loop over the same calendar
 //! * [`network`] — latency model, link faults, compiled partition windows
 //! * [`scenario`] — declarative fault and attack timelines
 //! * [`invariants`] — the always-on protocol invariant checker
@@ -114,7 +113,6 @@ pub mod network;
 mod qos;
 mod report;
 pub mod scenario;
-mod shard;
 
 pub use calendar::CalendarStats;
 pub use engine::{SimOptions, Simulation};

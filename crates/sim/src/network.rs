@@ -75,18 +75,6 @@ impl LatencyModel {
         }
     }
 
-    /// The smallest delay this model can ever produce — the network half
-    /// of the parallel engine's conservative lookahead: no message sent
-    /// at `t` can be delivered before `t + min_delay()` (jitter and
-    /// duplication only ever *add* delay on top of a fresh sample).
-    #[must_use]
-    pub fn min_delay(&self) -> DurMs {
-        match *self {
-            LatencyModel::Constant(d) => d,
-            LatencyModel::Uniform { min, .. } => min,
-        }
-    }
-
     /// Samples one delay. Never panics: an (unvalidated) inverted uniform
     /// range degrades to its lower bound — but every path into the
     /// simulator validates at construction, so this is unreachable there.

@@ -80,11 +80,10 @@ impl Simulation {
             }
         }
         // The dynamic half of the determinism discipline: per-stream draw
-        // counts. Engine draws happen only on the main thread (workers
-        // never touch `self.rng`), node draws ride inside each `Node`,
-        // and corruption draws are per-event local streams — so the
-        // ledger is identical at any worker count, and a seed-equal run
-        // that diverges pinpoints *which* stream drifted.
+        // counts. Engine draws come off `self.rng`, node draws ride inside
+        // each `Node`, and corruption draws are per-event local streams —
+        // so a seed-equal run that diverges pinpoints *which* stream
+        // drifted.
         invariants.rng_ledger = RngLedger {
             engine_draws: self.rng.draw_count(),
             node_draws,

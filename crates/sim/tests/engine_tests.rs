@@ -8,6 +8,13 @@ fn small_config(n: usize) -> Config {
     Config::builder(n).build().unwrap()
 }
 
+/// Listens to every identity of the trace.
+fn subscribe_all(sim: &mut Simulation) {
+    for id in sim.trace().identities() {
+        sim.subscribe_app(id);
+    }
+}
+
 #[test]
 fn stat_control_group_discovers_first_monitors_fast() {
     let trace = stat(100, 30 * MINUTE, 0.1, 11);
@@ -139,9 +146,8 @@ fn useless_pings_counted_for_departed_targets() {
 fn report_and_history_requests_flow_through_sim() {
     let n = 80;
     let trace = stat(n, 30 * MINUTE, 0.0, 13);
-    let mut opts = SimOptions::new(small_config(n)).seed(13);
-    opts.collect_app_events = true;
-    let mut sim = Simulation::new(trace, opts);
+    let mut sim = Simulation::new(trace, SimOptions::new(small_config(n)).seed(13));
+    subscribe_all(&mut sim);
     sim.run_until(20 * MINUTE);
     let _ = sim.take_app_events(); // discard discovery chatter
 
@@ -180,23 +186,23 @@ fn report_and_history_requests_flow_through_sim() {
     }));
 }
 
-/// Regression: `collect_app_events` buffers when on, and drops (not
-/// leaks) when off — a long run with the flag off must not accumulate an
-/// unbounded event buffer.
+/// Regression: a subscription buffers a node's events, and an
+/// unsubscribed node's events are dropped (not leaked) — a long run
+/// nobody listens to must not accumulate an unbounded event buffer.
 #[test]
 fn app_events_buffered_when_on_dropped_when_off() {
     let n = 80;
     let trace = || stat(n, 60 * MINUTE, 0.1, 17);
+    let opts = || SimOptions::new(small_config(n)).seed(17);
 
     // On: a busy hour of protocol activity surfaces plenty of events.
-    let mut opts = SimOptions::new(small_config(n)).seed(17);
-    opts.collect_app_events = true;
-    let mut sim = Simulation::new(trace(), opts);
+    let mut sim = Simulation::new(trace(), opts());
+    subscribe_all(&mut sim);
     sim.run_until(30 * MINUTE);
     let first_half = sim.take_app_events();
     assert!(
         !first_half.is_empty(),
-        "discovery chatter must be buffered when collection is on"
+        "discovery chatter must be buffered for subscribed nodes"
     );
     // take_app_events drains: an immediate second take is empty.
     assert!(sim.take_app_events().is_empty());
@@ -208,14 +214,27 @@ fn app_events_buffered_when_on_dropped_when_off() {
         "buffering continues after a drain"
     );
 
+    // One listener: only that node's events are kept, and none once its
+    // subscription ends.
+    let heard = first_half[0].0;
+    let mut sim = Simulation::new(trace(), opts());
+    sim.subscribe_app(heard);
+    sim.run_until(30 * MINUTE);
+    let events = sim.take_app_events();
+    assert!(!events.is_empty() && events.iter().all(|(id, _)| *id == heard));
+    sim.unsubscribe_app(heard);
+    let _ = sim.run();
+    assert!(
+        sim.take_app_events().is_empty(),
+        "unsubscribed, yet buffered"
+    );
+
     // Off: the same long run buffers nothing at any point.
-    let mut opts = SimOptions::new(small_config(n)).seed(17);
-    opts.collect_app_events = false;
-    let mut sim = Simulation::new(trace(), opts);
+    let mut sim = Simulation::new(trace(), opts());
     sim.run_until(30 * MINUTE);
     assert!(
         sim.take_app_events().is_empty(),
-        "events must be dropped, not accumulated, when collection is off"
+        "events must be dropped, not accumulated, when nobody listens"
     );
     let _ = sim.run();
     assert!(
@@ -379,44 +398,45 @@ fn unknown_identities_are_inert() {
     );
 }
 
-/// A frozen node and an app-subscribed node both cut the parallel batch:
-/// the frozen node's events requeue at their sequential calendar position
-/// and the subscribed node's events pause `run_until_wake` there, so the
-/// pause log, the calendar traffic and the report are those of the
-/// sequential engine. The run covers the bootstrap minutes, when every
-/// node is busy discovering and the two keep landing in windows shared
-/// with the other sixty.
+/// A subscribed node's events pause `run_until_wake` at the instant they
+/// are emitted, and a frozen node's deliveries and timers requeue until
+/// the thaw instead of being processed or lost. The run covers the
+/// bootstrap minutes, when every node is busy discovering.
 #[test]
-fn frozen_and_subscribed_nodes_cut_the_batch_at_two_workers() {
+fn subscribed_node_pauses_the_run_and_frozen_node_requeues() {
     let n = 60;
     let trace = stat(n, 20 * MINUTE, 0.1, 31);
     let ids: Vec<NodeId> = trace.identities().into_iter().collect();
     let (frozen, subscribed) = (ids[4], ids[5]);
-    let scenario = Scenario::builder("cut-twice")
-        .freeze(2 * MINUTE, 3 * MINUTE, frozen)
+    let (from, until) = (2 * MINUTE, 5 * MINUTE);
+    let scenario = Scenario::builder("freeze-and-listen")
+        .freeze(from, until - from, frozen)
         .build()
         .unwrap();
-    let run = |workers: usize| {
-        let opts = SimOptions::new(small_config(n))
-            .seed(31)
-            .scenario(scenario.clone())
-            .workers(workers);
-        let mut sim = Simulation::new(trace.clone(), opts);
-        sim.subscribe_app(subscribed);
-        let mut pauses = Vec::new();
-        while sim.run_until_wake(10 * MINUTE) {
+    let opts = SimOptions::new(small_config(n)).seed(31).scenario(scenario);
+    let mut sim = Simulation::new(trace, opts);
+    sim.subscribe_app(subscribed);
+    let received = |sim: &Simulation| sim.node(frozen).unwrap().stats().messages_received;
+    let mut pauses = Vec::new();
+    // What the frozen node has received as its window opens, as it
+    // closes, and five minutes after the thaw.
+    let mut checkpoints = Vec::new();
+    for deadline in [from, until - 1, 10 * MINUTE] {
+        while sim.run_until_wake(deadline) {
             pauses.push((sim.now(), sim.take_app_events_timed()));
         }
-        let stats = sim.calendar_stats();
-        (pauses, stats, serde_json::to_string(&sim.run()).unwrap())
-    };
-    let (pauses, stats, report) = run(1);
+        checkpoints.push(received(&sim));
+    }
     assert!(pauses.len() > 10, "only {} pauses", pauses.len());
     assert!(pauses
         .iter()
         .all(|(at, events)| events.iter().all(|(t, id, _)| t == at && *id == subscribed)));
-    let (pauses2, stats2, report2) = run(2);
-    assert_eq!(pauses, pauses2);
-    assert_eq!(stats, stats2);
-    assert_eq!(report, report2);
+    assert_eq!(
+        checkpoints[0], checkpoints[1],
+        "a frozen node processed a delivery"
+    );
+    assert!(
+        checkpoints[2] > checkpoints[1],
+        "the stalled deliveries never came back after the thaw"
+    );
 }

@@ -33,7 +33,6 @@ fn main() {
         warmup_min,
         duration_min,
         pair_cap,
-        workers,
     } = match parse_large_scale_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(message) => {
@@ -78,13 +77,7 @@ fn main() {
         Some(cap) => InvariantConfig::default().agreement_pair_cap(cap),
         None => InvariantConfig::default(),
     };
-    // 5th arg: worker threads for the sharded engine (0 = one per core;
-    // default 0). Reports are byte-identical at any worker count, so this
-    // only trades wall-clock for cores.
-    let opts = SimOptions::new(config)
-        .seed(7)
-        .invariants(invariants)
-        .workers(workers);
+    let opts = SimOptions::new(config).seed(7).invariants(invariants);
 
     let sim_start = Instant::now(); // detlint::allow(banned-clock): measuring real sim throughput
     let mut sim = Simulation::new(trace, opts);

@@ -31,9 +31,6 @@ pub struct LargeScaleArgs {
     pub duration_min: u64,
     /// Eventual-agreement pair-scan cap (arg 4, default uncapped).
     pub pair_cap: Option<u64>,
-    /// Worker threads for the sharded engine (arg 5, default 0 = one per
-    /// core).
-    pub workers: usize,
 }
 
 impl Default for LargeScaleArgs {
@@ -43,14 +40,12 @@ impl Default for LargeScaleArgs {
             warmup_min: 30,
             duration_min: 10,
             pair_cap: None,
-            workers: 0,
         }
     }
 }
 
 /// Usage text printed when `large_scale` rejects its command line.
-pub const LARGE_SCALE_USAGE: &str =
-    "usage: large_scale [N] [WARMUP_MIN] [DURATION_MIN] [PAIR_CAP] [WORKERS]";
+pub const LARGE_SCALE_USAGE: &str = "usage: large_scale [N] [WARMUP_MIN] [DURATION_MIN] [PAIR_CAP]";
 
 /// Parses the positional arguments of the `large_scale` example.
 ///
@@ -71,9 +66,9 @@ pub fn parse_large_scale_args(
         }
     }
     let args: Vec<String> = args.collect();
-    if args.len() > 5 {
+    if args.len() > 4 {
         return Err(format!(
-            "large_scale: expected at most 5 arguments, got {}\n{LARGE_SCALE_USAGE}",
+            "large_scale: expected at most 4 arguments, got {}\n{LARGE_SCALE_USAGE}",
             args.len()
         ));
     }
@@ -84,7 +79,6 @@ pub fn parse_large_scale_args(
         warmup_min: field(arg(1), "WARMUP_MIN")?.unwrap_or(defaults.warmup_min),
         duration_min: field(arg(2), "DURATION_MIN")?.unwrap_or(defaults.duration_min),
         pair_cap: field(arg(3), "PAIR_CAP")?,
-        workers: field(arg(4), "WORKERS")?.unwrap_or(defaults.workers),
     })
 }
 
@@ -145,13 +139,12 @@ mod tests {
     #[test]
     fn all_args_parse_positionally() {
         assert_eq!(
-            parse(&["10000", "10", "5", "20000000", "4"]).unwrap(),
+            parse(&["10000", "10", "5", "20000000"]).unwrap(),
             LargeScaleArgs {
                 n: 10_000,
                 warmup_min: 10,
                 duration_min: 5,
                 pair_cap: Some(20_000_000),
-                workers: 4,
             }
         );
     }
@@ -162,7 +155,6 @@ mod tests {
         assert_eq!(parsed.n, 10_000);
         assert_eq!(parsed.warmup_min, 30);
         assert_eq!(parsed.pair_cap, None);
-        assert_eq!(parsed.workers, 0);
     }
 
     #[test]
@@ -172,7 +164,6 @@ mod tests {
             (&["10000", "ten"][..], "WARMUP_MIN"),
             (&["10000", "10", "5.5"][..], "DURATION_MIN"),
             (&["10000", "10", "5", "-1"][..], "PAIR_CAP"),
-            (&["10000", "10", "5", "1000", "many"][..], "WORKERS"),
         ] {
             let err = parse(args).unwrap_err();
             assert!(err.contains(name), "error {err:?} must name {name}");
@@ -182,8 +173,8 @@ mod tests {
 
     #[test]
     fn excess_args_are_rejected() {
-        let err = parse(&["1", "2", "3", "4", "5", "6"]).unwrap_err();
-        assert!(err.contains("at most 5"));
+        let err = parse(&["1", "2", "3", "4", "5"]).unwrap_err();
+        assert!(err.contains("at most 4"));
         assert!(err.contains("usage:"));
     }
 }

@@ -2,12 +2,10 @@
 //!
 //! Each scenario family below carries the MD5 of the serialized
 //! [`SimReport`] that the *legacy* engine produced for it at the commit
-//! that deleted that engine — all-heap calendar, node memo off, one
-//! worker, and (for the attacker family) the per-pair agreement sweep.
+//! that deleted that engine — all-heap calendar, node memo off, and (for
+//! the attacker family) the per-pair agreement sweep.
 //! Today's engine must reproduce those bytes — every counter, discovery
-//! timestamp, float estimate, violation and warning — sequentially and
-//! under the sharded loop at 2 and 8 workers, and every configuration
-//! must land on the same per-stream RNG draw counts.
+//! timestamp, float estimate, violation and warning.
 //! Scenarios cover the fault machinery (loss + duplication + jitter +
 //! partitions, freezes), a protocol-level attacker and the paper's MD5
 //! hasher, not just the happy path.
@@ -84,36 +82,22 @@ fn digest(json: &str) -> String {
     hex.concat()
 }
 
-/// Asserts that 1, 2 and 8 workers all reproduce the pinned legacy
-/// digest and agree on the RNG ledger. Returns the first report for
+/// Asserts that the run `make` describes reproduces the pinned legacy
+/// digest and that its RNG ledger recorded draws. Returns the report for
 /// scenario-specific assertions.
-fn assert_pinned(mut make: impl FnMut() -> (Trace, SimOptions), label: &str, pin: &str) -> String {
-    let configs: [(&str, usize); 3] = [("sequential", 1), ("sharded-2", 2), ("sharded-8", 8)];
-    let mut first: Option<(String, RngLedger)> = None;
-    for (name, workers) in configs {
-        let (trace, opts) = make();
-        let label = format!("{label}/{name}");
-        let (report, ledger) = run(trace, opts.workers(workers), &label);
-        // Ledger first: a draw-count mismatch names the stream that
-        // moved, which is a far better diagnostic than a digest mismatch.
-        match &first {
-            Some((_, first_ledger)) => assert_eq!(
-                first_ledger, &ledger,
-                "{label}: per-stream RNG draw counts diverged"
-            ),
-            None => assert!(
-                ledger.engine_draws > 0 && ledger.node_draws > 0,
-                "{label}: the RNG ledger recorded no draws"
-            ),
-        }
-        assert_eq!(
-            digest(&report),
-            pin,
-            "{label}: report left the pinned bytes"
-        );
-        first.get_or_insert((report, ledger));
-    }
-    first.expect("at least one config ran").0
+fn assert_pinned(make: impl FnOnce() -> (Trace, SimOptions), label: &str, pin: &str) -> String {
+    let (trace, opts) = make();
+    let (report, ledger) = run(trace, opts, label);
+    assert!(
+        ledger.engine_draws > 0 && ledger.node_draws > 0,
+        "{label}: the RNG ledger recorded no draws"
+    );
+    assert_eq!(
+        digest(&report),
+        pin,
+        "{label}: report left the pinned bytes"
+    );
+    report
 }
 
 /// Fault-free churny baseline: births, deaths, rejoins.
@@ -198,7 +182,7 @@ fn seeded_attacker_reproduces_the_legacy_engine() {
     let report = assert_pinned(make, "attacker", ATTACKER_PIN);
     assert!(
         report.contains("GhostTarget"),
-        "the seeded corruption must still be caught in every configuration"
+        "the seeded corruption must still be caught"
     );
 }
 

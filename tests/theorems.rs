@@ -156,9 +156,11 @@ fn join_spread_reaches_cvs_nodes() {
     let config = Config::builder(n).build().unwrap();
     let cvs = config.cvs;
     let trace = stat(n, 30 * MINUTE, 0.05, 10);
-    let mut opts = SimOptions::new(config).seed(10);
-    opts.collect_app_events = true;
-    let mut sim = Simulation::new(trace.clone(), opts);
+    let mut sim = Simulation::new(trace.clone(), SimOptions::new(config).seed(10));
+    // Any node may absorb a joiner's JOIN: listen to all of them.
+    for id in trace.identities() {
+        sim.subscribe_app(id);
+    }
     sim.run_until(trace.measure_from + MINUTE);
     let mut absorbed = std::collections::HashMap::new();
     for (_, event) in sim.take_app_events() {
