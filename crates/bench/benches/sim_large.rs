@@ -1,15 +1,18 @@
 //! Large-N benchmarks: the invariant-checker sampling sweep (full-rescan
 //! vs incremental), the protocol hot paths — the cost of one consistency
-//! check through `SharedSelector` per hasher, the Fig. 2 view cross-check
-//! per period and the calendar's lane/wheel traffic split — an
-//! end-to-end N = 10k smoke run, and the N = 50k scale run (checker on).
+//! check through `SharedSelector` per hasher, one at a time and batched
+//! through `accepted_pairs`, the Fig. 2 view cross-check per period and
+//! the calendar's lane/wheel traffic split — an end-to-end N = 10k smoke
+//! run, and the N = 50k scale run (checker on).
 //!
 //! Besides the criterion output, the binary records its measurements in
 //! `BENCH_sim_large.json` at the workspace root — the large-N perf
 //! trajectory CI tracks across PRs — and asserts the wins hold:
 //! incremental checking ≥ 10× per sample, a fast64 consistency check
 //! ≤ 12 ns and an MD5 one no dearer than before the fixed-length pair
-//! kernel, and at most 1% of calendar pops on the binary heap at N = 10k.
+//! kernel, a batched MD5 check at most a third of a single one (the
+//! 16-lane kernel still vectorized), and at most 1% of calendar pops on
+//! the binary heap at N = 10k.
 
 // Bench target: outside the determinism boundary.
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
@@ -152,7 +155,8 @@ fn checker_per_sample(c: &mut Criterion) {
 /// the node itself and the fetched peer.
 const FIG2_SIDE: u32 = 42;
 
-/// `is_monitor` calls in one [`fig2_nested_loop`].
+/// Pairs in one scan of the two sides, both orders (the sides are
+/// disjoint, so no pair is on the diagonal).
 const FIG2_CHECKS: u64 = 2 * (FIG2_SIDE as u64) * (FIG2_SIDE as u64);
 
 /// The route every check took before the fixed-length pair kernel, kept
@@ -193,6 +197,16 @@ fn fig2_nested_loop(selector: &dyn MonitorSelector, a: &[NodeId], b: &[NodeId]) 
     hits
 }
 
+/// The condition scan of `process_fetched_view` as a node runs it: one
+/// `accepted_pairs` call per order over the same two sides as
+/// [`fig2_nested_loop`], which a hashing selector batches.
+fn fig2_batched(selector: &dyn MonitorSelector, a: &[NodeId], b: &[NodeId]) -> u32 {
+    let mut hits = 0u32;
+    selector.accepted_pairs(a, b, &mut |_, _| hits += 1);
+    selector.accepted_pairs(b, a, &mut |_, _| hits += 1);
+    hits
+}
+
 /// The selector under test for `hasher`, or — `kernel == false` — the
 /// [`PairBytesSelector`] yardstick with the same hasher and threshold.
 fn hash_check_selector(hasher: HasherKind, kernel: bool) -> SharedSelector {
@@ -211,24 +225,44 @@ fn hash_check_selector(hasher: HasherKind, kernel: bool) -> SharedSelector {
 /// calls. The criterion stub reports a mean only, so the spread the record
 /// needs is taken here.
 fn min_median(reps: usize, mut sample: impl FnMut() -> f64) -> (f64, f64) {
-    let mut samples: Vec<f64> = (0..reps + 8).map(|_| sample()).skip(8).collect();
+    spread((0..reps + 8).map(|_| sample()).skip(8).collect())
+}
+
+/// (min, median) of `samples`.
+fn spread(mut samples: Vec<f64>) -> (f64, f64) {
     samples.sort_by(f64::total_cmp);
     (samples[0], samples[samples.len() / 2])
 }
 
-/// Nanoseconds per `is_monitor` through `SharedSelector`, as (min, median)
-/// over `reps` timed repetitions of [`fig2_nested_loop`].
-fn hash_check_ns(selector: &SharedSelector, reps: usize) -> (f64, f64) {
+/// A condition scan over the two Fig. 2 sides: [`fig2_nested_loop`] or
+/// [`fig2_batched`].
+type Fig2Scan = fn(&dyn MonitorSelector, &[NodeId], &[NodeId]) -> u32;
+
+/// Nanoseconds per pair through `SharedSelector` for `hasher`, as
+/// (min, median) over `reps` timed scans of each route: the kernel one
+/// `is_monitor` at a time, the [`PairBytesSelector`] yardstick, and the
+/// kernel batched through `accepted_pairs`. The routes take turns, one
+/// scan each, after 8 discarded warm-up rounds, so a change in host speed
+/// during the measurement moves all three alike and their ratios hold.
+fn hash_check_ns(hasher: HasherKind, reps: usize) -> [(f64, f64); 3] {
     let (a, b) = fig2_sides();
-    min_median(reps, || {
-        let start = Instant::now();
-        black_box(fig2_nested_loop(
-            black_box(&**selector),
-            black_box(&a),
-            black_box(&b),
-        ));
-        start.elapsed().as_nanos() as f64 / FIG2_CHECKS as f64
-    })
+    let kernel = hash_check_selector(hasher, true);
+    let routes: [(SharedSelector, Fig2Scan); 3] = [
+        (kernel.clone(), fig2_nested_loop),
+        (hash_check_selector(hasher, false), fig2_nested_loop),
+        (kernel, fig2_batched),
+    ];
+    let mut samples: [Vec<f64>; 3] = Default::default();
+    for round in 0..reps + 8 {
+        for ((selector, scan), samples) in routes.iter().zip(&mut samples) {
+            let start = Instant::now();
+            black_box(scan(black_box(&**selector), black_box(&a), black_box(&b)));
+            if round >= 8 {
+                samples.push(start.elapsed().as_nanos() as f64 / FIG2_CHECKS as f64);
+            }
+        }
+    }
+    samples.map(spread)
 }
 
 fn hash_check(c: &mut Criterion) {
@@ -331,18 +365,18 @@ fn record_trajectory() {
     let incremental_ns = measure_per_sample(CheckStrategy::Incremental, &nodes, &config);
     let speedup = full_ns / incremental_ns.max(1.0);
 
-    // Hash guard — what one consistency check costs through the call a
-    // node makes, per hasher, beside the serialize-then-`dyn point` route
-    // it replaced (same loop, same run, so the comparison holds on any
-    // hardware).
+    // Hash guard — what one consistency check costs per hasher: one
+    // `is_monitor` at a time, beside the serialize-then-`dyn point` route
+    // that replaced, and batched through `accepted_pairs` as the Fig. 2
+    // cross-check now runs it (same grid, same run, so the ratios hold on
+    // any hardware).
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let check_ns = |hasher, kernel, reps| hash_check_ns(&hash_check_selector(hasher, kernel), reps);
-    let (fast_check_min, fast_check_med) = check_ns(HasherKind::Fast64, true, 2_000);
-    let (fast_bytes_min, fast_bytes_med) = check_ns(HasherKind::Fast64, false, 2_000);
-    let (md5_check_min, md5_check_med) = check_ns(HasherKind::Md5, true, 200);
-    let (md5_bytes_min, md5_bytes_med) = check_ns(HasherKind::Md5, false, 200);
-    let (sha1_check_min, sha1_check_med) = check_ns(HasherKind::Sha1, true, 200);
-    let (sha1_bytes_min, sha1_bytes_med) = check_ns(HasherKind::Sha1, false, 200);
+    let [(fast_check_min, fast_check_med), (fast_bytes_min, fast_bytes_med), (fast_batch_min, fast_batch_med)] =
+        hash_check_ns(HasherKind::Fast64, 2_000);
+    let [(md5_check_min, md5_check_med), (md5_bytes_min, md5_bytes_med), (md5_batch_min, md5_batch_med)] =
+        hash_check_ns(HasherKind::Md5, 200);
+    let [(sha1_check_min, sha1_check_med), (sha1_bytes_min, sha1_bytes_med), (sha1_batch_min, sha1_batch_med)] =
+        hash_check_ns(HasherKind::Sha1, 200);
 
     // The view cross-check one node runs per period, per hasher: the
     // kernel above times the condition; this times the scan around it too.
@@ -362,7 +396,7 @@ fn record_trajectory() {
     let (scale_50k_ms, scale_50k_checks, _) = smoke_run(50_000, 10, 5);
 
     let json = format!(
-        "{{\n  \"bench\": \"sim_large\",\n  \"checker_per_sample\": {{\n    \"n\": {BENCH_N},\n    \"full_rescan_ns\": {full_ns:.0},\n    \"incremental_ns\": {incremental_ns:.0},\n    \"speedup\": {speedup:.1}\n  }},\n  \"hash_check_ns\": {{\n    \"cores\": {cores},\n    \"loop\": \"Fig. 2 nested loop, two 42-entry sides, is_monitor through SharedSelector\",\n    \"fast64_min\": {fast_check_min:.1},\n    \"fast64_median\": {fast_check_med:.1},\n    \"fast64_pair_bytes_min\": {fast_bytes_min:.1},\n    \"fast64_pair_bytes_median\": {fast_bytes_med:.1},\n    \"md5_min\": {md5_check_min:.1},\n    \"md5_median\": {md5_check_med:.1},\n    \"md5_pair_bytes_min\": {md5_bytes_min:.1},\n    \"md5_pair_bytes_median\": {md5_bytes_med:.1},\n    \"sha1_min\": {sha1_check_min:.1},\n    \"sha1_median\": {sha1_check_med:.1},\n    \"sha1_pair_bytes_min\": {sha1_bytes_min:.1},\n    \"sha1_pair_bytes_median\": {sha1_bytes_med:.1}\n  }},\n  \"view_crosscheck_per_period\": {{\n    \"cores\": {cores},\n    \"cvs\": 60,\n    \"fast64_ns_min\": {fast_period_min:.0},\n    \"fast64_ns_median\": {fast_period_med:.0},\n    \"md5_ns_min\": {md5_period_min:.0},\n    \"md5_ns_median\": {md5_period_med:.0},\n    \"sha1_ns_min\": {sha1_period_min:.0},\n    \"sha1_ns_median\": {sha1_period_med:.0}\n  }},\n  \"calendar_10k\": {{\n    \"heap_pops\": {},\n    \"lane_pops\": {},\n    \"wheel_pops\": {},\n    \"expire_skips\": {},\n    \"heap_pop_share\": {heap_pop_share:.4},\n    \"wall_ms\": {smoke_ms:.0}\n  }},\n  \"scale_50k\": {{\n    \"n\": 50000,\n    \"simulated_minutes\": 15,\n    \"cores\": {cores},\n    \"wall_ms\": {scale_50k_ms:.0},\n    \"checker_checks\": {scale_50k_checks}\n  }},\n  \"smoke_end_to_end\": {{\n    \"n\": 10000,\n    \"simulated_minutes\": 15,\n    \"wall_ms\": {smoke_ms:.0},\n    \"checker_checks\": {smoke_checks}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"sim_large\",\n  \"checker_per_sample\": {{\n    \"n\": {BENCH_N},\n    \"full_rescan_ns\": {full_ns:.0},\n    \"incremental_ns\": {incremental_ns:.0},\n    \"speedup\": {speedup:.1}\n  }},\n  \"hash_check_ns\": {{\n    \"cores\": {cores},\n    \"loop\": \"Fig. 2 grid, two 42-entry sides, both orders, through SharedSelector: is_monitor per pair (fast64/md5/sha1), the same over serialized pair bytes (*_pair_bytes), one accepted_pairs call per order (*_batch)\",\n    \"fast64_min\": {fast_check_min:.1},\n    \"fast64_median\": {fast_check_med:.1},\n    \"fast64_pair_bytes_min\": {fast_bytes_min:.1},\n    \"fast64_pair_bytes_median\": {fast_bytes_med:.1},\n    \"fast64_batch_min\": {fast_batch_min:.1},\n    \"fast64_batch_median\": {fast_batch_med:.1},\n    \"md5_min\": {md5_check_min:.1},\n    \"md5_median\": {md5_check_med:.1},\n    \"md5_pair_bytes_min\": {md5_bytes_min:.1},\n    \"md5_pair_bytes_median\": {md5_bytes_med:.1},\n    \"md5_batch_min\": {md5_batch_min:.1},\n    \"md5_batch_median\": {md5_batch_med:.1},\n    \"sha1_min\": {sha1_check_min:.1},\n    \"sha1_median\": {sha1_check_med:.1},\n    \"sha1_pair_bytes_min\": {sha1_bytes_min:.1},\n    \"sha1_pair_bytes_median\": {sha1_bytes_med:.1},\n    \"sha1_batch_min\": {sha1_batch_min:.1},\n    \"sha1_batch_median\": {sha1_batch_med:.1}\n  }},\n  \"view_crosscheck_per_period\": {{\n    \"cores\": {cores},\n    \"cvs\": 60,\n    \"fast64_ns_min\": {fast_period_min:.0},\n    \"fast64_ns_median\": {fast_period_med:.0},\n    \"md5_ns_min\": {md5_period_min:.0},\n    \"md5_ns_median\": {md5_period_med:.0},\n    \"sha1_ns_min\": {sha1_period_min:.0},\n    \"sha1_ns_median\": {sha1_period_med:.0}\n  }},\n  \"calendar_10k\": {{\n    \"heap_pops\": {},\n    \"lane_pops\": {},\n    \"wheel_pops\": {},\n    \"expire_skips\": {},\n    \"heap_pop_share\": {heap_pop_share:.4},\n    \"wall_ms\": {smoke_ms:.0}\n  }},\n  \"scale_50k\": {{\n    \"n\": 50000,\n    \"simulated_minutes\": 15,\n    \"cores\": {cores},\n    \"wall_ms\": {scale_50k_ms:.0},\n    \"checker_checks\": {scale_50k_checks}\n  }},\n  \"smoke_end_to_end\": {{\n    \"n\": 10000,\n    \"simulated_minutes\": 15,\n    \"wall_ms\": {smoke_ms:.0},\n    \"checker_checks\": {smoke_checks}\n  }}\n}}\n",
         stats.heap_pops,
         stats.lane_pops,
         stats.wheel_pops,
@@ -387,6 +421,11 @@ fn record_trajectory() {
         md5_check_med <= md5_bytes_med,
         "an MD5 consistency check must not cost more than the serialize-then-`dyn point` \
          route it replaced ({md5_bytes_med:.1} ns), got {md5_check_med:.1}"
+    );
+    assert!(
+        md5_batch_med * 3.0 <= md5_check_med,
+        "a batched MD5 check must cost at most a third of a single one ({md5_check_med:.1} ns) \
+         — has the 16-lane kernel stopped vectorizing? got {md5_batch_med:.1}"
     );
     assert!(
         heap_pop_share <= 0.01 && stats.expire_skips > 0,

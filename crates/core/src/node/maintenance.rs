@@ -209,49 +209,76 @@ impl Node {
     /// Fig. 2 core: on receiving `CV(w)`, cross-check the consistency
     /// condition over `({CV(x)∪{x,w}} × {CV(w)∪{x,w}})` in both orders,
     /// `NOTIFY` both endpoints of each match, then shuffle the view.
+    ///
+    /// The condition is evaluated by two `accepted_pairs` calls, one per
+    /// order, not per pair: a hashing selector batches them (DESIGN.md §7).
     pub(super) fn process_fetched_view(&mut self, now: TimeMs, w: NodeId, fetched: &[NodeId]) {
-        // A = CV(x) ∪ {x, w}
+        let (side_a, side_b) = self.fig2_sides(w, fetched);
+
+        // The condition over every off-diagonal pair in both orders, from
+        // the selector's batch enumeration: `(a, b, false)` stands for
+        // `(A[a], B[b])` and `(a, b, true)` for `(B[b], A[a])`. Sorted, the
+        // matches are in the order of the loop "for u in A, for v in B,
+        // (u, v) then (v, u)", which the NOTIFY walk below depends on
+        // through `mark_notified`.
+        let mut matches: Vec<(usize, usize, bool)> = Vec::new();
+        self.selector
+            .accepted_pairs(&side_a, &side_b, &mut |a, b| matches.push((a, b, false)));
+        self.selector
+            .accepted_pairs(&side_b, &side_a, &mut |b, a| matches.push((a, b, true)));
+        matches.sort_unstable();
+
+        // `hash_checks` counts the cross-check's evaluations as the paper
+        // does: both orders of every off-diagonal pair — except the pairs
+        // an eclipse member suppresses, dropping honest NOTIFYs that would
+        // help a victim (re)discover non-coalition monitors unevaluated.
+        let diagonal = side_a.iter().filter(|u| side_b.contains(u)).count();
+        let mut evaluated = 2 * (side_a.len() * side_b.len() - diagonal);
+        if self.behavior.eclipse_flood().is_some() {
+            for &u in &side_a {
+                for &v in side_b.iter().filter(|&&v| v != u) {
+                    evaluated -= usize::from(self.behavior.suppresses_notify(u, v))
+                        + usize::from(self.behavior.suppresses_notify(v, u));
+                }
+            }
+        }
+        self.stats.hash_checks += evaluated as u64;
+
+        for (a, b, reversed) in matches {
+            let (monitor, target) = if reversed {
+                (side_b[b], side_a[a])
+            } else {
+                (side_a[a], side_b[b])
+            };
+            if !self.behavior.suppresses_notify(monitor, target)
+                && self.mark_notified(monitor, target)
+            {
+                self.notify_pair(now, monitor, target);
+            }
+        }
+
+        // Shuffle: CV(x) := cvs random entries of CV(x) ∪ CV(w) ∪ {w}.
+        self.view.shuffle_merge(w, fetched, &mut self.rng);
+    }
+
+    /// The two sides of the Fig. 2 cross-check, each duplicate-free and in
+    /// first-seen order: `A = CV(x) ∪ {x, w}` and `B = CV(w) ∪ {x, w}`.
+    pub(super) fn fig2_sides(&self, w: NodeId, fetched: &[NodeId]) -> (Vec<NodeId>, Vec<NodeId>) {
         let mut side_a: Vec<NodeId> = self.view.iter().collect();
-        if !side_a.contains(&self.id) {
-            side_a.push(self.id);
-        }
-        if !side_a.contains(&w) {
-            side_a.push(w);
-        }
-        // B = CV(w) ∪ {x, w}
         let mut side_b: Vec<NodeId> = Vec::with_capacity(fetched.len() + 2);
         for &v in fetched {
             if !side_b.contains(&v) {
                 side_b.push(v);
             }
         }
-        if !side_b.contains(&self.id) {
-            side_b.push(self.id);
-        }
-        if !side_b.contains(&w) {
-            side_b.push(w);
-        }
-
-        for &u in &side_a {
-            for &v in &side_b {
-                if u == v {
-                    continue;
-                }
-                for (monitor, target) in [(u, v), (v, u)] {
-                    // Eclipse members drop honest NOTIFYs that would help
-                    // a victim (re)discover non-coalition monitors.
-                    if self.behavior.suppresses_notify(monitor, target) {
-                        continue;
-                    }
-                    if self.check(monitor, target) && self.mark_notified(monitor, target) {
-                        self.notify_pair(now, monitor, target);
-                    }
+        for side in [&mut side_a, &mut side_b] {
+            for end in [self.id, w] {
+                if !side.contains(&end) {
+                    side.push(end);
                 }
             }
         }
-
-        // Shuffle: CV(x) := cvs random entries of CV(x) ∪ CV(w) ∪ {w}.
-        self.view.shuffle_merge(w, fetched, &mut self.rng);
+        (side_a, side_b)
     }
 
     /// [`crate::Behavior::FakeMonitor`]: force the forged targets into
@@ -279,7 +306,7 @@ impl Node {
     /// Records that `(monitor, target)` has been notified; returns whether
     /// it is new. The cache is cleared when full, so retransmission is
     /// merely delayed, never suppressed forever.
-    fn mark_notified(&mut self, monitor: NodeId, target: NodeId) -> bool {
+    pub(super) fn mark_notified(&mut self, monitor: NodeId, target: NodeId) -> bool {
         if self.notified.len() >= self.notified_cap {
             self.notified.clear();
         }
@@ -288,7 +315,7 @@ impl Node {
 
     /// Sends `NOTIFY(monitor, target)` to both endpoints, handling the case
     /// where one endpoint is this node itself.
-    fn notify_pair(&mut self, now: TimeMs, monitor: NodeId, target: NodeId) {
+    pub(super) fn notify_pair(&mut self, now: TimeMs, monitor: NodeId, target: NodeId) {
         for endpoint in [monitor, target] {
             if endpoint == self.id {
                 self.handle_notify(now, monitor, target);

@@ -1432,3 +1432,103 @@ fn periodic_timers_are_always_live() {
     // An unknown nonce is dead at any time.
     assert!(!n.timer_live(Timer::Expire(Nonce(12345)), TimeMs::MAX));
 }
+
+// ---------------------------------------------------- batched cross-check
+
+/// `process_fetched_view` as a per-pair loop: one counted `check` per
+/// off-diagonal pair and order, each match notified as it is found.
+fn per_pair_fetched_view(n: &mut Node, now: TimeMs, w: NodeId, fetched: &[NodeId]) {
+    let (side_a, side_b) = n.fig2_sides(w, fetched);
+    for &u in &side_a {
+        for &v in &side_b {
+            if u == v {
+                continue;
+            }
+            for (monitor, target) in [(u, v), (v, u)] {
+                if n.behavior.suppresses_notify(monitor, target) {
+                    continue;
+                }
+                if n.check(monitor, target) && n.mark_notified(monitor, target) {
+                    n.notify_pair(now, monitor, target);
+                }
+            }
+        }
+    }
+    n.view.shuffle_merge(w, fetched, &mut n.rng);
+}
+
+/// The batched cross-check (two `accepted_pairs` calls, matches merged
+/// back into loop order) against the per-pair loop, round after round on
+/// twin nodes: the same outputs in the same order, the same `hash_checks`,
+/// the same sets and view. Staged, 16-lane and default-path selectors;
+/// an honest node and an eclipse-coalition member whose suppression
+/// drops pairs from both the walk and the count; fetched views that
+/// contain `x`, `w` and duplicates, with sides that do and do not fill a
+/// 16-lane block.
+#[test]
+fn batched_cross_check_matches_the_per_pair_loop() {
+    use crate::selector::HashSelector;
+    use avmon_hash::{Fast64PairHasher, Md5PairHasher, Sha1PairHasher};
+
+    let cfg = Config::builder(1000).cvs(40).build().unwrap();
+    let programmed: Vec<(NodeId, NodeId)> = (0..70)
+        .flat_map(|m| (0..70).map(move |t| (m, t)))
+        .filter(|&(m, t)| (7 * m + t) % 5 == 0)
+        .map(|(m, t)| (id(m), id(t)))
+        .collect();
+    let selectors: Vec<SharedSelector> = vec![
+        Arc::new(HashSelector::new(Fast64PairHasher::new(), 300.0, 1000.0)),
+        Arc::new(HashSelector::new(Md5PairHasher::new(), 300.0, 1000.0)),
+        Arc::new(HashSelector::new(Sha1PairHasher::new(), 300.0, 1000.0)),
+        TestSelector::with_pairs(&programmed),
+    ];
+    let eclipse = Behavior::EclipseCoalition {
+        coalition: vec![id(1), id(3), id(20)],
+        victims: vec![id(5), id(33), id(47)],
+    };
+    let w = id(2);
+    let view_x: Vec<NodeId> = (2..40).map(id).collect();
+    let fetched_views: Vec<Vec<NodeId>> = vec![
+        (25..60).chain(25..30).chain([1, 2]).map(id).collect(),
+        Vec::new(),
+        vec![id(1)],
+        vec![w, id(1), w],
+        (50..67).map(id).collect(),
+        (40..56).chain([47, 47, 1]).map(id).collect(),
+    ];
+
+    for selector in &selectors {
+        let mut checks = Vec::new();
+        for behavior in [Behavior::Honest, eclipse.clone()] {
+            let twin = || {
+                let mut n = Node::new(id(1), cfg.clone(), selector.clone(), 7);
+                n.seed_view(&view_x);
+                n.set_behavior(behavior.clone());
+                n
+            };
+            let (mut batched, mut reference) = (twin(), twin());
+            for (round, fetched) in fetched_views.iter().enumerate() {
+                let now = MINUTE * (round as u64 + 1);
+                batched.process_fetched_view(now, w, fetched);
+                per_pair_fetched_view(&mut reference, now, w, fetched);
+                let label = format!("{selector:?} {behavior:?} round {round}");
+                assert_eq!(drain(&mut batched), drain(&mut reference), "{label}");
+                assert_eq!(
+                    batched.stats().hash_checks,
+                    reference.stats().hash_checks,
+                    "{label}"
+                );
+                assert_eq!(batched.stats(), reference.stats(), "{label}");
+                assert_eq!(batched.view().as_slice(), reference.view().as_slice());
+                assert!(batched.pinging_set().eq(reference.pinging_set()));
+                assert!(batched.target_set().eq(reference.target_set()));
+            }
+            assert!(reference.stats().notifies_sent > 0, "no match to walk");
+            checks.push(reference.stats().hash_checks);
+        }
+        assert!(
+            checks[1] < checks[0],
+            "the eclipse member must suppress some pairs: {checks:?}"
+        );
+    }
+}

@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use avmon_hash::{
     Fast64PairHasher, HashPoint, HasherKind, Md5PairHasher, PairHasher, Sha1PairHasher, Threshold,
+    PAIR_LANES,
 };
 
 use crate::{Config, NodeId};
@@ -57,12 +58,14 @@ pub trait MonitorSelector: Debug + Send + Sync {
     /// targets[ti])`, in lexicographic `(mi, ti)` order.
     ///
     /// Semantically identical to the obvious double loop (which is the
-    /// default implementation); pure-hash selectors override it with a
+    /// default implementation); [`HashSelector`] overrides it with a
     /// staged enumeration that shares the hash prefix across every pair
-    /// whose target identities agree on their leading bytes — the basis of
-    /// the invariant checker's exact agreement-sweep candidate index.
-    /// Sorting `targets` by identity maximizes prefix sharing but is not
-    /// required for correctness.
+    /// whose target identities agree on their leading bytes, or with
+    /// [`PAIR_LANES`]-pair batches for a hasher without one. It is how a
+    /// node evaluates the Fig. 2 cross-check and how the invariant checker
+    /// builds its exact agreement-sweep candidate index. Sorting `targets`
+    /// by identity maximizes prefix sharing but is not required for
+    /// correctness.
     fn accepted_pairs(
         &self,
         monitors: &[NodeId],
@@ -183,57 +186,119 @@ impl<H: PairHasher> MonitorSelector for HashSelector<H> {
         Some(self.threshold)
     }
 
-    /// Staged enumeration: the 12-byte pair encoding is the monitor's 6
-    /// bytes followed by the target's 6, so its 8-byte hash prefix covers
-    /// the monitor plus the target's leading 2 bytes. For each monitor the
-    /// prefix state is recomputed only when that 2-byte run changes
-    /// (identity-sorted targets make runs maximal), and each pair pays only
-    /// the 4-byte tail resumption — measurably cheaper than packing and
-    /// hashing 12 bytes per pair. Falls back to the default double loop
-    /// when the hasher has no staged form (e.g. MD5).
+    /// Two batch forms, picked once per call by whether the hasher stages
+    /// a 12-byte input (its `point12_prefix`):
+    ///
+    /// * **Staged** (Fast64). The pair's first 8 bytes — its `head` word:
+    ///   the monitor plus the target's leading 2 bytes — are absorbed once
+    ///   per run of targets sharing them (identity-sorted targets make runs
+    ///   maximal), and each pair pays only the 4-byte tail resumption.
+    /// * **Lanes** (MD5, SHA-1, any hasher without a staged form). The
+    ///   off-diagonal pairs, in order, are packed [`PAIR_LANES`] at a time
+    ///   into one `point12_lanes` call, so a hasher with a lane kernel runs
+    ///   the pairs side by side. The last block's unused lanes repeat
+    ///   earlier pairs and are ignored.
+    ///
+    /// Both hash every pair with `pair_words`' bytes, so both report
+    /// exactly `is_monitor`'s pairs, in the default's order.
     fn accepted_pairs(
         &self,
         monitors: &[NodeId],
         targets: &[NodeId],
         out: &mut dyn FnMut(usize, usize),
     ) {
-        if self.hasher.point12_prefix(&[0; 8]).is_none() {
-            for (mi, &m) in monitors.iter().enumerate() {
-                for (ti, &t) in targets.iter().enumerate() {
-                    if m != t && self.is_monitor(m, t) {
-                        out(mi, ti);
-                    }
-                }
-            }
-            return;
+        match self.hasher.point12_prefix(&[0; 8]) {
+            Some(_) => self.staged_pairs(monitors, targets, out),
+            None => self.lane_pairs(monitors, targets, out),
         }
-        let target_bytes: Vec<[u8; 6]> = targets.iter().map(|t| t.to_bytes()).collect();
+    }
+}
+
+impl<H: PairHasher> HashSelector<H> {
+    /// The staged form of [`MonitorSelector::accepted_pairs`]. A run whose
+    /// prefix the hasher does not stage is hashed whole by `point12`.
+    fn staged_pairs(
+        &self,
+        monitors: &[NodeId],
+        targets: &[NodeId],
+        out: &mut dyn FnMut(usize, usize),
+    ) {
         for (mi, &m) in monitors.iter().enumerate() {
-            let mb = m.to_bytes();
-            let mut prefix = [0u8; 8];
-            prefix[..6].copy_from_slice(&mb);
-            let mut run: Option<[u8; 2]> = None;
-            let mut state = 0u64;
-            for (ti, tb) in target_bytes.iter().enumerate() {
-                let lead = [tb[0], tb[1]];
-                if run != Some(lead) {
-                    prefix[6] = tb[0];
-                    prefix[7] = tb[1];
-                    state = self
-                        .hasher
-                        .point12_prefix(&prefix)
-                        .expect("staged support probed above");
-                    run = Some(lead);
+            // The head word of the current run, and the hasher's state
+            // after absorbing it.
+            let (mut run_head, mut state) = (None, None);
+            for (ti, &t) in targets.iter().enumerate() {
+                let (head, tail) = NodeId::pair_words(m, t);
+                if run_head != Some(head) {
+                    run_head = Some(head);
+                    state = self.hasher.point12_prefix(&head.to_le_bytes());
                 }
-                let point = self
-                    .hasher
-                    .point12_resume(state, &[tb[2], tb[3], tb[4], tb[5]]);
-                if self.threshold.accepts(point) && m != targets[ti] {
+                let point = match state {
+                    Some(state) => self.hasher.point12_resume(state, &tail.to_le_bytes()),
+                    None => self.hasher.point12(head, tail),
+                };
+                if m != t && self.threshold.accepts(point) {
                     out(mi, ti);
                 }
             }
         }
     }
+
+    /// The lane form of [`MonitorSelector::accepted_pairs`].
+    fn lane_pairs(
+        &self,
+        monitors: &[NodeId],
+        targets: &[NodeId],
+        out: &mut dyn FnMut(usize, usize),
+    ) {
+        let mut block = LaneBlock {
+            heads: [0; PAIR_LANES],
+            tails: [0; PAIR_LANES],
+            at: [(0, 0); PAIR_LANES],
+            len: 0,
+        };
+        for (mi, &m) in monitors.iter().enumerate() {
+            for (ti, &t) in targets.iter().enumerate() {
+                if m == t {
+                    continue;
+                }
+                let lane = block.len;
+                (block.heads[lane], block.tails[lane]) = NodeId::pair_words(m, t);
+                block.at[lane] = (mi, ti);
+                block.len += 1;
+                if block.len == PAIR_LANES {
+                    self.emit_lanes(&mut block, out);
+                }
+            }
+        }
+        self.emit_lanes(&mut block, out);
+    }
+
+    /// Hashes the first `block.len` lanes, reports the accepted ones in
+    /// lane order and empties the block.
+    fn emit_lanes(&self, block: &mut LaneBlock, out: &mut dyn FnMut(usize, usize)) {
+        if block.len == 0 {
+            return;
+        }
+        let mut points = [0u64; PAIR_LANES];
+        self.hasher
+            .point12_lanes(&block.heads, &block.tails, &mut points);
+        for (&point, &(mi, ti)) in points.iter().zip(&block.at).take(block.len) {
+            if self.threshold.accepts(HashPoint::from_bits(point)) {
+                out(mi, ti);
+            }
+        }
+        block.len = 0;
+    }
+}
+
+/// Pairs gathered for one [`PairHasher::point12_lanes`] call: their words,
+/// their `(monitor, target)` indices, and how many lanes are filled.
+struct LaneBlock {
+    heads: [u64; PAIR_LANES],
+    tails: [u32; PAIR_LANES],
+    at: [(usize, usize); PAIR_LANES],
+    len: usize,
 }
 
 /// Strawman 1 (§1): self-reporting — `PS(x) = {x}`.
@@ -700,10 +765,13 @@ mod tests {
         );
     }
 
-    /// The staged batch enumeration must agree pair-for-pair, in order,
-    /// with the naive double loop over `is_monitor` — for the staged
-    /// fast64 hasher, the non-staged MD5 fallback, and a membership-based
-    /// selector using the trait default.
+    /// The batch enumeration must agree pair-for-pair, in order, with the
+    /// naive double loop over `is_monitor` — for the staged fast64 hasher,
+    /// MD5's 16-lane kernel, SHA-1 on the default lane loop, and a
+    /// membership-based selector using the trait default — on side lengths
+    /// that leave a 16-lane block empty, partial, exactly full and full
+    /// plus one, on both sides, with overlapping sides so the skipped
+    /// diagonal shifts the lanes.
     #[test]
     fn accepted_pairs_matches_naive_loop() {
         let nodes: Vec<NodeId> = (0..120)
@@ -717,11 +785,8 @@ mod tests {
             .collect();
         let selectors: Vec<Box<dyn MonitorSelector>> = vec![
             Box::new(HashSelector::new(Fast64PairHasher::new(), 9.0, 120.0)),
-            Box::new(HashSelector::new(
-                avmon_hash::Md5PairHasher::new(),
-                9.0,
-                120.0,
-            )),
+            Box::new(HashSelector::new(Md5PairHasher::new(), 9.0, 120.0)),
+            Box::new(HashSelector::new(Sha1PairHasher::new(), 9.0, 120.0)),
             Box::new({
                 let mut ring = DhtRingSelector::new(5);
                 for &id in &nodes[..40] {
@@ -730,18 +795,41 @@ mod tests {
                 ring
             }),
         ];
-        for selector in &selectors {
-            let mut naive = Vec::new();
-            for (mi, &m) in nodes.iter().enumerate() {
-                for (ti, &t) in nodes.iter().enumerate() {
-                    if m != t && selector.is_monitor(m, t) {
-                        naive.push((mi, ti));
+        let naive_pairs =
+            |selector: &dyn MonitorSelector, monitors: &[NodeId], targets: &[NodeId]| {
+                let mut naive = Vec::new();
+                for (mi, &m) in monitors.iter().enumerate() {
+                    for (ti, &t) in targets.iter().enumerate() {
+                        if m != t && selector.is_monitor(m, t) {
+                            naive.push((mi, ti));
+                        }
                     }
                 }
-            }
+                naive
+            };
+        let lengths = [0, 1, 15, 16, 17, 41, 42];
+        for selector in &selectors {
             let mut batched = Vec::new();
             selector.accepted_pairs(&nodes, &nodes, &mut |mi, ti| batched.push((mi, ti)));
+            let naive = naive_pairs(&**selector, &nodes, &nodes);
+            assert!(!naive.is_empty());
             assert_eq!(batched, naive, "selector {} diverged", selector.name());
+            for m_len in lengths {
+                for t_len in lengths {
+                    // Targets start 7 nodes in, so the sides overlap.
+                    let (monitors, targets) = (&nodes[..m_len], &nodes[7..7 + t_len]);
+                    let mut batched = Vec::new();
+                    selector.accepted_pairs(monitors, targets, &mut |mi, ti| {
+                        batched.push((mi, ti));
+                    });
+                    assert_eq!(
+                        batched,
+                        naive_pairs(&**selector, monitors, targets),
+                        "selector {} diverged at {m_len} x {t_len}",
+                        selector.name()
+                    );
+                }
+            }
         }
     }
 

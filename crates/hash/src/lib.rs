@@ -16,9 +16,11 @@
 //!   first 64 digest bits interpreted big-endian. This is the paper's hash.
 //! * [`Sha1PairHasher`] — SHA-1 (FIPS 180-1), same truncation rule. The paper
 //!   notes MD-5 *or* SHA-1 could be used.
-//! * [`Fast64PairHasher`] — a SplitMix64-style mixer. Two orders of
-//!   magnitude faster than MD5 and still uniform; the experiment harness uses
-//!   it by default so that multi-billion-pair simulations finish quickly.
+//! * [`Fast64PairHasher`] — a SplitMix64-style mixer, uniform and much
+//!   cheaper than MD5: per pair about 30× one pair at a time and about 9×
+//!   batched (`BENCH_sim_large.json` → `hash_check_ns` has the recorded
+//!   numbers). The experiment harness uses it by default so that
+//!   multi-billion-pair simulations finish quickly.
 //!
 //! All hashers are deterministic pure functions: the same input bytes always
 //! map to the same [`HashPoint`], on every node, forever — which is what
@@ -38,6 +40,12 @@
 //! the same bytes**: `point12(pair12_words(&b)) == point(&b)` for every
 //! `b`, held by `tests/proptests.rs`. [`PairHasher::point`] stays the
 //! definition; `point12` is only ever a faster way to evaluate it.
+//!
+//! [`PairHasher::point12_lanes`] evaluates [`PAIR_LANES`] such pairs in one
+//! call. Its default is the per-lane `point12` loop; MD5 overrides it with
+//! one single-block compression over lane arrays, which the compiler
+//! turns into vector code on the baseline target: the sixteen
+//! compressions run side by side instead of one after another.
 //!
 //! # Example
 //!
@@ -93,6 +101,24 @@ pub trait PairHasher: Debug + Send + Sync {
         self.point(&pair12_bytes(head, tail))
     }
 
+    /// [`PairHasher::point12`] over [`PAIR_LANES`] independent pairs:
+    /// `out[i] = point12(heads[i], tails[i]).to_bits()` for every lane.
+    ///
+    /// The default is exactly that loop. A block hasher overrides it to
+    /// run the lanes' compressions side by side in vector code instead of
+    /// one dependent chain per pair (MD5 does). Callers fill unused lanes
+    /// with any pair and ignore their outputs.
+    fn point12_lanes(
+        &self,
+        heads: &[u64; PAIR_LANES],
+        tails: &[u32; PAIR_LANES],
+        out: &mut [u64; PAIR_LANES],
+    ) {
+        for ((point, &head), &tail) in out.iter_mut().zip(heads).zip(tails) {
+            *point = self.point12(head, tail).to_bits();
+        }
+    }
+
     /// Optional two-stage hashing of a 12-byte pair encoding, split as an
     /// 8-byte prefix plus a 4-byte tail.
     ///
@@ -137,6 +163,15 @@ impl<T: PairHasher + ?Sized> PairHasher for &T {
         (**self).point12(head, tail)
     }
 
+    fn point12_lanes(
+        &self,
+        heads: &[u64; PAIR_LANES],
+        tails: &[u32; PAIR_LANES],
+        out: &mut [u64; PAIR_LANES],
+    ) {
+        (**self).point12_lanes(heads, tails, out);
+    }
+
     fn point12_prefix(&self, prefix: &[u8; 8]) -> Option<u64> {
         (**self).point12_prefix(prefix)
     }
@@ -159,6 +194,15 @@ impl<T: PairHasher + ?Sized> PairHasher for Box<T> {
         (**self).point12(head, tail)
     }
 
+    fn point12_lanes(
+        &self,
+        heads: &[u64; PAIR_LANES],
+        tails: &[u32; PAIR_LANES],
+        out: &mut [u64; PAIR_LANES],
+    ) {
+        (**self).point12_lanes(heads, tails, out);
+    }
+
     fn point12_prefix(&self, prefix: &[u8; 8]) -> Option<u64> {
         (**self).point12_prefix(prefix)
     }
@@ -167,6 +211,12 @@ impl<T: PairHasher + ?Sized> PairHasher for Box<T> {
         (**self).point12_resume(state, tail)
     }
 }
+
+/// Pairs per [`PairHasher::point12_lanes`] call: four 128-bit vectors per
+/// MD5 state word on baseline x86-64, enough independent chains per step
+/// for its lane kernel to run steadily at about a fifth of the scalar cost
+/// (DESIGN.md §7 has the widths measured).
+pub const PAIR_LANES: usize = 16;
 
 /// Splits a 12-byte pair encoding into the two little-endian words
 /// [`PairHasher::point12`] takes: bytes `0..8` and bytes `8..12`.

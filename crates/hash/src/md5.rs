@@ -7,7 +7,7 @@
 //! paper exactly requires real MD5, so here it is, validated against the
 //! RFC 1321 test suite.
 
-use crate::{HashPoint, PairHasher};
+use crate::{HashPoint, PairHasher, PAIR_LANES};
 
 /// Per-round left-rotate amounts (RFC 1321 §3.4).
 const S: [u32; 64] = [
@@ -143,28 +143,100 @@ impl Md5 {
 fn compress_words(state: &mut [u32; 4], m: &[u32; 16]) {
     let [mut a, mut b, mut c, mut d] = *state;
     for i in 0..64 {
-        let (f, g) = match i / 16 {
-            0 => ((b & c) | (!b & d), i),
-            1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-            2 => (b ^ c ^ d, (3 * i + 5) % 16),
-            _ => (c ^ (b | !d), (7 * i) % 16),
-        };
-        let tmp = d;
-        d = c;
-        c = b;
-        b = b.wrapping_add(
-            a.wrapping_add(f)
-                .wrapping_add(T[i])
-                .wrapping_add(m[g])
-                .rotate_left(S[i]),
-        );
-        a = tmp;
+        (a, b, c, d) = (d, step(i, a, b, c, d, m[message_index(i)]), b, c);
     }
 
     state[0] = state[0].wrapping_add(a);
     state[1] = state[1].wrapping_add(b);
     state[2] = state[2].wrapping_add(c);
     state[3] = state[3].wrapping_add(d);
+}
+
+/// MD5 step `i` (RFC 1321 §3.4): the new value of `b`,
+/// `b + ((a + f(b, c, d) + T[i] + x) <<< S[i])`, for the step's round
+/// function `f` and message word `x`.
+#[inline(always)]
+fn step(i: usize, a: u32, b: u32, c: u32, d: u32, x: u32) -> u32 {
+    let f = match i / 16 {
+        0 => (b & c) | (!b & d),
+        1 => (d & b) | (!d & c),
+        2 => b ^ c ^ d,
+        _ => c ^ (b | !d),
+    };
+    b.wrapping_add(
+        a.wrapping_add(f)
+            .wrapping_add(T[i])
+            .wrapping_add(x)
+            .rotate_left(S[i]),
+    )
+}
+
+/// The index of the message word step `i` adds.
+const fn message_index(i: usize) -> usize {
+    match i / 16 {
+        0 => i,
+        1 => (5 * i + 1) % 16,
+        2 => (3 * i + 5) % 16,
+        _ => (7 * i) % 16,
+    }
+}
+
+/// One `u32` per lane of a [`PairHasher::point12_lanes`] call.
+type Lanes = [u32; PAIR_LANES];
+
+const ZERO: Lanes = [0; PAIR_LANES];
+
+/// The point behind a digest whose first two state words are `a`, `b`:
+/// the digest is the state little-endian, so its first 8 bytes read
+/// big-endian are those two words byte-swapped.
+#[inline]
+fn first64(a: u32, b: u32) -> u64 {
+    u64::from(a.swap_bytes()) << 32 | u64::from(b.swap_bytes())
+}
+
+/// [`step`] `I` on every lane, the new `b` written over `a`.
+///
+/// Out of line on purpose, one instance per step. Alone, the lane loop
+/// ends in sixteen adjacent stores, and the compiler turns it into vector
+/// code: four independent 4-lane chains per step. Inlined into one
+/// function, the 64 steps become one long scalar expression per lane that
+/// it leaves scalar. Measured on 1 M random pairs, 2-core x86-64 host:
+/// 105–135 ns per pair inlined, 26–32 ns out of line, 105–190 ns for
+/// `point12`.
+#[inline(never)]
+fn lane_step<const I: usize>(a: &mut Lanes, b: &Lanes, c: &Lanes, d: &Lanes, x: &Lanes) {
+    for l in 0..PAIR_LANES {
+        a[l] = step(I, a[l], b[l], c[l], d[l], x[l]);
+    }
+}
+
+/// The 64 [`lane_step`]s of one compression, unrolled: each step is its
+/// own instance, with its round function, shift, constant and message
+/// word fixed at compile time.
+macro_rules! lane_steps {
+    ($words:ident, $a:ident, $b:ident, $c:ident, $d:ident) => {
+        lane_steps!(@round 0, $words, $a, $b, $c, $d);
+        lane_steps!(@round 16, $words, $a, $b, $c, $d);
+        lane_steps!(@round 32, $words, $a, $b, $c, $d);
+        lane_steps!(@round 48, $words, $a, $b, $c, $d);
+    };
+    (@round $base:expr, $words:ident, $a:ident, $b:ident, $c:ident, $d:ident) => {
+        lane_steps!(@quad $base, $words, $a, $b, $c, $d);
+        lane_steps!(@quad $base + 4, $words, $a, $b, $c, $d);
+        lane_steps!(@quad $base + 8, $words, $a, $b, $c, $d);
+        lane_steps!(@quad $base + 12, $words, $a, $b, $c, $d);
+    };
+    // Four steps rotate the roles of the state words back to the start,
+    // replacing `compress_words`' per-step shuffle of `a`, `b`, `c`, `d`.
+    (@quad $i:expr, $words:ident, $a:ident, $b:ident, $c:ident, $d:ident) => {
+        lane_steps!(@step $i, $words, $a, $b, $c, $d);
+        lane_steps!(@step $i + 1, $words, $d, $a, $b, $c);
+        lane_steps!(@step $i + 2, $words, $c, $d, $a, $b);
+        lane_steps!(@step $i + 3, $words, $b, $c, $d, $a);
+    };
+    (@step $i:expr, $words:ident, $a:ident, $b:ident, $c:ident, $d:ident) => {
+        lane_step::<{ $i }>(&mut $a, &$b, &$c, &$d, $words[const { message_index($i) }]);
+    };
 }
 
 /// One-shot MD5 of `data`.
@@ -228,11 +300,33 @@ impl PairHasher for Md5PairHasher {
         m[14] = 96; // message length in bits, low word
         let mut state = INIT;
         compress_words(&mut state, &m);
-        // The digest is the state words little-endian; its first 8 bytes
-        // read big-endian are the first two words byte-swapped.
-        HashPoint::from_bits(
-            u64::from(state[0].swap_bytes()) << 32 | u64::from(state[1].swap_bytes()),
-        )
+        HashPoint::from_bits(first64(state[0], state[1]))
+    }
+
+    /// [`Md5PairHasher::point12`]'s single-block compression on sixteen
+    /// pairs at once: each state word is a lane array and each step one
+    /// vectorized pass over it (see [`lane_step`]), so the sixteen
+    /// independent chains overlap instead of running one after another.
+    fn point12_lanes(
+        &self,
+        heads: &[u64; PAIR_LANES],
+        tails: &[u32; PAIR_LANES],
+        out: &mut [u64; PAIR_LANES],
+    ) {
+        let lo: Lanes = core::array::from_fn(|l| heads[l] as u32);
+        let hi: Lanes = core::array::from_fn(|l| (heads[l] >> 32) as u32);
+        // The padded block of `point12`'s `m`, one lane array per word.
+        let mut words = [&ZERO; 16];
+        words[0] = &lo;
+        words[1] = &hi;
+        words[2] = tails;
+        words[3] = &[0x80; PAIR_LANES];
+        words[14] = &[96; PAIR_LANES];
+        let [mut a, mut b, mut c, mut d] = INIT.map(|word| [word; PAIR_LANES]);
+        lane_steps!(words, a, b, c, d);
+        for (l, point) in out.iter_mut().enumerate() {
+            *point = first64(INIT[0].wrapping_add(a[l]), INIT[1].wrapping_add(b[l]));
+        }
     }
 }
 

@@ -2,7 +2,7 @@
 
 use avmon_hash::{
     md5, pair12_words, sha1, Fast64PairHasher, HashPoint, HasherKind, Md5, Md5PairHasher,
-    PairHasher, Sha1, Sha1PairHasher, Threshold,
+    PairHasher, Sha1, Sha1PairHasher, Threshold, PAIR_LANES,
 };
 use proptest::prelude::*;
 
@@ -141,6 +141,40 @@ proptest! {
             let boxed = kind.build();
             prop_assert_eq!(boxed.point12(head, tail), boxed.point(&bytes), "boxed {}", kind);
             prop_assert_eq!(by_value(&boxed, head, tail), boxed.point(&bytes), "&boxed {}", kind);
+        }
+    }
+
+    /// The lane entry is `point12` on every lane: for MD5's lane kernel,
+    /// for SHA-1, Fast64 (default and arbitrary seed) and a `point`-only
+    /// hasher on the trait default, and through the `Box<dyn>` /
+    /// `&Box<dyn>` forwarders `HasherKind::build()` hands out.
+    #[test]
+    fn point12_lanes_equals_per_lane_point12(
+        heads in any::<[u64; PAIR_LANES]>(),
+        tails in any::<[u32; PAIR_LANES]>(),
+        seed in any::<u64>(),
+    ) {
+        fn check<H: PairHasher>(hasher: H, heads: &[u64; PAIR_LANES], tails: &[u32; PAIR_LANES]) -> Result<(), TestCaseError> {
+            let mut lanes = [0u64; PAIR_LANES];
+            hasher.point12_lanes(heads, tails, &mut lanes);
+            for lane in 0..PAIR_LANES {
+                prop_assert_eq!(
+                    lanes[lane],
+                    hasher.point12(heads[lane], tails[lane]).to_bits(),
+                    "{} lane {}", hasher.name(), lane
+                );
+            }
+            Ok(())
+        }
+        check(Md5PairHasher::new(), &heads, &tails)?;
+        check(Sha1PairHasher::new(), &heads, &tails)?;
+        check(Fast64PairHasher::new(), &heads, &tails)?;
+        check(Fast64PairHasher::with_seed(seed), &heads, &tails)?;
+        check(PointOnly(Sha1PairHasher::new()), &heads, &tails)?;
+        for kind in [HasherKind::Fast64, HasherKind::Md5, HasherKind::Sha1] {
+            let boxed = kind.build();
+            check(&boxed, &heads, &tails)?;
+            check(boxed, &heads, &tails)?;
         }
     }
 

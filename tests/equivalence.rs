@@ -8,7 +8,8 @@
 //! timestamp, float estimate, violation and warning.
 //! Scenarios cover the fault machinery (loss + duplication + jitter +
 //! partitions, freezes), a protocol-level attacker and the paper's MD5
-//! hasher, not just the happy path.
+//! hasher, not just the happy path. The eclipse-coalition family came
+//! later and is pinned from the per-pair cross-check it guards instead.
 //!
 //! The digests are for the vendored `rand` / `serde_json` stubs (see the
 //! workspace `Cargo.toml`): swapping in the crates.io versions changes
@@ -227,6 +228,38 @@ fn md5_hasher_reproduces_the_legacy_engine() {
         },
         "md5",
         "8aa5309b9004beb90219941a3b1598d9",
+    );
+}
+
+/// An eclipse campaign (`Behavior::EclipseCoalition`: forged NOTIFY
+/// floods, JOIN and NOTIFY suppression) inside a small overlay whose
+/// coarse views hold most of the coalition and both victims — so the
+/// Fig. 2 cross-check drops suppressed pairs from its NOTIFY walk and its
+/// `hash_checks` count every period. Pinned from the per-pair cross-check
+/// that `accepted_pairs` replaced, not from the legacy engine.
+#[test]
+fn eclipse_coalition_reproduces_the_per_pair_cross_check() {
+    assert_pinned(
+        || {
+            let n = 60;
+            let trace = stat(n, 30 * MINUTE, 0.1, 19);
+            let ids: Vec<NodeId> = trace.identities().into_iter().collect();
+            let scenario = Scenario::builder("equivalence-eclipse")
+                .eclipse(
+                    20 * MINUTE,
+                    30 * MINUTE,
+                    ids[..4].to_vec(),
+                    vec![ids[10], ids[11]],
+                )
+                .build()
+                .unwrap();
+            let opts = SimOptions::new(Config::builder(n).build().unwrap())
+                .seed(21)
+                .scenario(scenario);
+            (trace, opts)
+        },
+        "eclipse",
+        "e454209cf7909882fb706b80d266291b",
     );
 }
 
