@@ -11,8 +11,9 @@
 //! incremental checking ≥ 10× per sample, a fast64 consistency check
 //! ≤ 12 ns and an MD5 one no dearer than before the fixed-length pair
 //! kernel, a batched MD5 check at most a third of a single one (the
-//! 16-lane kernel still vectorized), and at most 1% of calendar pops on
-//! the binary heap at N = 10k.
+//! 16-lane kernel still vectorized) and at most a tenth where the host
+//! runs the AVX-512F kernel (recorded as `md5_lanes`), and at most 1% of
+//! calendar pops on the binary heap at N = 10k.
 
 // Bench target: outside the determinism boundary.
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
@@ -21,8 +22,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use avmon::{
-    Config, HashSelector, HasherKind, JoinKind, Message, MonitorSelector, Node, NodeId, PairHasher,
-    PersistentState, SharedSelector, TargetRecord, Threshold, Timer, MINUTE,
+    Config, HashSelector, HasherKind, JoinKind, Md5PairHasher, Message, MonitorSelector, Node,
+    NodeId, PairHasher, PersistentState, SharedSelector, TargetRecord, Threshold, Timer, MINUTE,
 };
 use avmon_churn::{synthetic, SynthParams};
 use avmon_sim::{
@@ -371,6 +372,7 @@ fn record_trajectory() {
     // cross-check now runs it (same grid, same run, so the ratios hold on
     // any hardware).
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let md5_lanes = Md5PairHasher::lane_kernel();
     let [(fast_check_min, fast_check_med), (fast_bytes_min, fast_bytes_med), (fast_batch_min, fast_batch_med)] =
         hash_check_ns(HasherKind::Fast64, 2_000);
     let [(md5_check_min, md5_check_med), (md5_bytes_min, md5_bytes_med), (md5_batch_min, md5_batch_med)] =
@@ -396,7 +398,7 @@ fn record_trajectory() {
     let (scale_50k_ms, scale_50k_checks, _) = smoke_run(50_000, 10, 5);
 
     let json = format!(
-        "{{\n  \"bench\": \"sim_large\",\n  \"checker_per_sample\": {{\n    \"n\": {BENCH_N},\n    \"full_rescan_ns\": {full_ns:.0},\n    \"incremental_ns\": {incremental_ns:.0},\n    \"speedup\": {speedup:.1}\n  }},\n  \"hash_check_ns\": {{\n    \"cores\": {cores},\n    \"loop\": \"Fig. 2 grid, two 42-entry sides, both orders, through SharedSelector: is_monitor per pair (fast64/md5/sha1), the same over serialized pair bytes (*_pair_bytes), one accepted_pairs call per order (*_batch)\",\n    \"fast64_min\": {fast_check_min:.1},\n    \"fast64_median\": {fast_check_med:.1},\n    \"fast64_pair_bytes_min\": {fast_bytes_min:.1},\n    \"fast64_pair_bytes_median\": {fast_bytes_med:.1},\n    \"fast64_batch_min\": {fast_batch_min:.1},\n    \"fast64_batch_median\": {fast_batch_med:.1},\n    \"md5_min\": {md5_check_min:.1},\n    \"md5_median\": {md5_check_med:.1},\n    \"md5_pair_bytes_min\": {md5_bytes_min:.1},\n    \"md5_pair_bytes_median\": {md5_bytes_med:.1},\n    \"md5_batch_min\": {md5_batch_min:.1},\n    \"md5_batch_median\": {md5_batch_med:.1},\n    \"sha1_min\": {sha1_check_min:.1},\n    \"sha1_median\": {sha1_check_med:.1},\n    \"sha1_pair_bytes_min\": {sha1_bytes_min:.1},\n    \"sha1_pair_bytes_median\": {sha1_bytes_med:.1},\n    \"sha1_batch_min\": {sha1_batch_min:.1},\n    \"sha1_batch_median\": {sha1_batch_med:.1}\n  }},\n  \"view_crosscheck_per_period\": {{\n    \"cores\": {cores},\n    \"cvs\": 60,\n    \"fast64_ns_min\": {fast_period_min:.0},\n    \"fast64_ns_median\": {fast_period_med:.0},\n    \"md5_ns_min\": {md5_period_min:.0},\n    \"md5_ns_median\": {md5_period_med:.0},\n    \"sha1_ns_min\": {sha1_period_min:.0},\n    \"sha1_ns_median\": {sha1_period_med:.0}\n  }},\n  \"calendar_10k\": {{\n    \"heap_pops\": {},\n    \"lane_pops\": {},\n    \"wheel_pops\": {},\n    \"expire_skips\": {},\n    \"heap_pop_share\": {heap_pop_share:.4},\n    \"wall_ms\": {smoke_ms:.0}\n  }},\n  \"scale_50k\": {{\n    \"n\": 50000,\n    \"simulated_minutes\": 15,\n    \"cores\": {cores},\n    \"wall_ms\": {scale_50k_ms:.0},\n    \"checker_checks\": {scale_50k_checks}\n  }},\n  \"smoke_end_to_end\": {{\n    \"n\": 10000,\n    \"simulated_minutes\": 15,\n    \"wall_ms\": {smoke_ms:.0},\n    \"checker_checks\": {smoke_checks}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"sim_large\",\n  \"checker_per_sample\": {{\n    \"n\": {BENCH_N},\n    \"full_rescan_ns\": {full_ns:.0},\n    \"incremental_ns\": {incremental_ns:.0},\n    \"speedup\": {speedup:.1}\n  }},\n  \"hash_check_ns\": {{\n    \"cores\": {cores},\n    \"md5_lanes\": \"{md5_lanes}\",\n    \"loop\": \"Fig. 2 grid, two 42-entry sides, both orders, through SharedSelector: is_monitor per pair (fast64/md5/sha1), the same over serialized pair bytes (*_pair_bytes), one accepted_pairs call per order (*_batch)\",\n    \"fast64_min\": {fast_check_min:.1},\n    \"fast64_median\": {fast_check_med:.1},\n    \"fast64_pair_bytes_min\": {fast_bytes_min:.1},\n    \"fast64_pair_bytes_median\": {fast_bytes_med:.1},\n    \"fast64_batch_min\": {fast_batch_min:.1},\n    \"fast64_batch_median\": {fast_batch_med:.1},\n    \"md5_min\": {md5_check_min:.1},\n    \"md5_median\": {md5_check_med:.1},\n    \"md5_pair_bytes_min\": {md5_bytes_min:.1},\n    \"md5_pair_bytes_median\": {md5_bytes_med:.1},\n    \"md5_batch_min\": {md5_batch_min:.1},\n    \"md5_batch_median\": {md5_batch_med:.1},\n    \"sha1_min\": {sha1_check_min:.1},\n    \"sha1_median\": {sha1_check_med:.1},\n    \"sha1_pair_bytes_min\": {sha1_bytes_min:.1},\n    \"sha1_pair_bytes_median\": {sha1_bytes_med:.1},\n    \"sha1_batch_min\": {sha1_batch_min:.1},\n    \"sha1_batch_median\": {sha1_batch_med:.1}\n  }},\n  \"view_crosscheck_per_period\": {{\n    \"cores\": {cores},\n    \"cvs\": 60,\n    \"fast64_ns_min\": {fast_period_min:.0},\n    \"fast64_ns_median\": {fast_period_med:.0},\n    \"md5_ns_min\": {md5_period_min:.0},\n    \"md5_ns_median\": {md5_period_med:.0},\n    \"sha1_ns_min\": {sha1_period_min:.0},\n    \"sha1_ns_median\": {sha1_period_med:.0}\n  }},\n  \"calendar_10k\": {{\n    \"heap_pops\": {},\n    \"lane_pops\": {},\n    \"wheel_pops\": {},\n    \"expire_skips\": {},\n    \"heap_pop_share\": {heap_pop_share:.4},\n    \"wall_ms\": {smoke_ms:.0}\n  }},\n  \"scale_50k\": {{\n    \"n\": 50000,\n    \"simulated_minutes\": 15,\n    \"cores\": {cores},\n    \"wall_ms\": {scale_50k_ms:.0},\n    \"checker_checks\": {scale_50k_checks}\n  }},\n  \"smoke_end_to_end\": {{\n    \"n\": 10000,\n    \"simulated_minutes\": 15,\n    \"wall_ms\": {smoke_ms:.0},\n    \"checker_checks\": {smoke_checks}\n  }}\n}}\n",
         stats.heap_pops,
         stats.lane_pops,
         stats.wheel_pops,
@@ -426,6 +428,11 @@ fn record_trajectory() {
         md5_batch_med * 3.0 <= md5_check_med,
         "a batched MD5 check must cost at most a third of a single one ({md5_check_med:.1} ns) \
          — has the 16-lane kernel stopped vectorizing? got {md5_batch_med:.1}"
+    );
+    assert!(
+        md5_lanes != "avx512f" || md5_batch_med * 10.0 <= md5_check_med,
+        "a batched MD5 check on the AVX-512F kernel must cost at most a tenth of a single one \
+         ({md5_check_med:.1} ns), got {md5_batch_med:.1}"
     );
     assert!(
         heap_pop_share <= 0.01 && stats.expire_skips > 0,

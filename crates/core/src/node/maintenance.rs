@@ -122,21 +122,30 @@ impl Node {
     }
 
     /// Purges every PS/TS entry the consistency condition does not
-    /// actually select — the honest node's self-stabilization step. Uses
-    /// the non-counting [`Node::condition`] so `hash_checks` (and with it
-    /// report byte-identity on clean runs) is unaffected.
-    fn audit_sets(&mut self) {
+    /// actually select — the honest node's self-stabilization step. The
+    /// entries kept are the selector's batch matches of `PS × {x}` and
+    /// `{x} × TS`, whose diagonal is never reported, so a self entry is
+    /// purged too. Nothing is added to `hash_checks` (and with it report
+    /// byte-identity on clean runs is unaffected).
+    pub(super) fn audit_sets(&mut self) {
+        let me = [self.id];
         let monitors: Vec<NodeId> = self.ps.iter().copied().collect();
-        for m in monitors {
-            if m == self.id || !self.condition(m, self.id) {
-                self.ps.remove(&m);
+        let mut legit = vec![false; monitors.len()];
+        self.selector
+            .accepted_pairs(&monitors, &me, &mut |mi, _| legit[mi] = true);
+        for (m, legit) in monitors.iter().zip(legit) {
+            if !legit {
+                self.ps.remove(m);
                 self.sets_epoch += 1;
             }
         }
         let targets: Vec<NodeId> = self.targets.keys().copied().collect();
-        for t in targets {
-            if t == self.id || !self.condition(self.id, t) {
-                self.targets.remove(&t);
+        let mut legit = vec![false; targets.len()];
+        self.selector
+            .accepted_pairs(&me, &targets, &mut |_, ti| legit[ti] = true);
+        for (t, legit) in targets.iter().zip(legit) {
+            if !legit {
+                self.targets.remove(t);
                 self.sets_epoch += 1;
             }
         }

@@ -872,11 +872,12 @@ impl Node {
                 // request, or a stale firing from an earlier arming of a
                 // reused nonce — is discarded in O(1), so a re-armed nonce
                 // can never be expired early by its predecessor's timer.
-                if self.timer_live(Timer::Expire(nonce), now) {
-                    let entry = self
-                        .pending
-                        .remove(&nonce)
-                        .expect("timer_live implies a pending entry");
+                // The test is `timer_live`'s, made on the one probe that
+                // also takes the entry out.
+                if let Some(entry) = self
+                    .pending
+                    .remove_if(&nonce, |entry| now >= entry.deadline)
+                {
                     self.handle_expiry(now, entry.state);
                 }
             }
@@ -973,16 +974,11 @@ impl Node {
         }
     }
 
-    /// Evaluates the consistency condition, counting the evaluation in
-    /// `hash_checks` (the paper's computation metric).
+    /// Evaluates the consistency condition — the selector's stateless pair
+    /// hash, for every node; nothing is cached per node — counting the
+    /// evaluation in `hash_checks` (the paper's computation metric).
     fn check(&mut self, monitor: NodeId, target: NodeId) -> bool {
         self.stats.hash_checks += 1;
-        self.condition(monitor, target)
-    }
-
-    /// The consistency condition without the counter bump: the selector's
-    /// stateless pair hash, for every node — nothing is cached per node.
-    fn condition(&self, monitor: NodeId, target: NodeId) -> bool {
         self.selector.is_monitor(monitor, target)
     }
 

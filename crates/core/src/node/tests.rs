@@ -1532,3 +1532,113 @@ fn batched_cross_check_matches_the_per_pair_loop() {
         );
     }
 }
+
+// -------------------------------------------------------------- set audit
+
+/// `audit_sets` as the per-entry loop: every entry that is the node itself
+/// or fails the condition is dropped, one `sets_epoch` bump per drop.
+fn per_entry_audit(n: &mut Node) {
+    let monitors: Vec<NodeId> = n.ps.iter().copied().collect();
+    for m in monitors {
+        if m == n.id || !n.selector.is_monitor(m, n.id) {
+            n.ps.remove(&m);
+            n.sets_epoch += 1;
+        }
+    }
+    let targets: Vec<NodeId> = n.targets.keys().copied().collect();
+    for t in targets {
+        if t == n.id || !n.selector.is_monitor(n.id, t) {
+            n.targets.remove(&t);
+            n.sets_epoch += 1;
+        }
+    }
+}
+
+/// The batched audit (the selector's matches of `PS × {x}` and `{x} × TS`)
+/// against the per-entry loop, on twin nodes whose sets were corrupted
+/// with ghosts, the node's own id and dropped legitimate entries: the
+/// same sets, the same `sets_epoch`, no output and no `hash_checks`.
+/// Staged, 16-lane and default-path selectors, sets that do and do not
+/// fill a 16-lane block, and a selector that accepts the diagonal, whose
+/// self entries must still be purged.
+#[test]
+fn batched_audit_matches_the_per_entry_loop() {
+    use crate::selector::{HashSelector, SelfReportSelector};
+    use avmon_hash::{Fast64PairHasher, Md5PairHasher, Sha1PairHasher};
+
+    let cfg = Config::builder(1000).cvs(40).build().unwrap();
+    let me = id(1);
+    let programmed: Vec<(NodeId, NodeId)> = (0..70)
+        .flat_map(|m| (0..70).map(move |t| (m, t)))
+        .filter(|&(m, t)| (7 * m + t) % 3 == 0)
+        .map(|(m, t)| (id(m), id(t)))
+        .collect();
+    let selectors: Vec<SharedSelector> = vec![
+        Arc::new(HashSelector::new(Fast64PairHasher::new(), 300.0, 1000.0)),
+        Arc::new(HashSelector::new(Md5PairHasher::new(), 300.0, 1000.0)),
+        Arc::new(HashSelector::new(Sha1PairHasher::new(), 300.0, 1000.0)),
+        TestSelector::with_pairs(&programmed),
+        Arc::new(SelfReportSelector::new()),
+    ];
+    let peers: Vec<NodeId> = (2..70).map(id).collect();
+    let ghosts: Vec<NodeId> = (0..9).map(|g| id((1 << 20) + g)).collect();
+
+    for selector in &selectors {
+        let legit_ps: Vec<NodeId> = peers
+            .iter()
+            .copied()
+            .filter(|&m| selector.is_monitor(m, me))
+            .collect();
+        let legit_ts: Vec<NodeId> = peers
+            .iter()
+            .copied()
+            .filter(|&t| selector.is_monitor(me, t))
+            .collect();
+        let every_other = |set: &[NodeId]| set.iter().copied().step_by(2).collect::<Vec<_>>();
+        // (label, PS, TS): the legitimate sets, then corruptions of them.
+        let states: Vec<(&str, Vec<NodeId>, Vec<NodeId>)> = vec![
+            ("legit", legit_ps.clone(), legit_ts.clone()),
+            ("empty", Vec::new(), Vec::new()),
+            ("every peer", peers.clone(), peers.clone()),
+            ("ghosts", ghosts.clone(), ghosts.clone()),
+            (
+                "self",
+                [&legit_ps[..], &[me]].concat(),
+                [&legit_ts[..], &[me]].concat(),
+            ),
+            ("drops", every_other(&legit_ps), every_other(&legit_ts)),
+            (
+                "all at once",
+                [&every_other(&legit_ps)[..], &ghosts, &[me], &peers[..5]].concat(),
+                [&every_other(&legit_ts)[..], &ghosts[..3], &[me]].concat(),
+            ),
+        ];
+        let mut purged = 0;
+        for (label, ps, ts) in states {
+            let state = PersistentState {
+                ps,
+                targets: ts
+                    .into_iter()
+                    .map(|t| (t, TargetRecord::new(0, HistoryStore::default())))
+                    .collect(),
+            };
+            let twin = || {
+                let mut n = Node::new(me, cfg.clone(), selector.clone(), 7);
+                n.restore_persistent(state.clone());
+                n
+            };
+            let (mut batched, mut reference) = (twin(), twin());
+            batched.audit_sets();
+            per_entry_audit(&mut reference);
+            let label = format!("{selector:?} {label}");
+            assert!(batched.pinging_set().eq(reference.pinging_set()), "{label}");
+            assert!(batched.target_set().eq(reference.target_set()), "{label}");
+            assert_eq!(batched.sets_epoch(), reference.sets_epoch(), "{label}");
+            assert_eq!(batched.stats(), reference.stats(), "{label}");
+            assert_eq!(batched.stats().hash_checks, 0, "{label}");
+            assert!(!batched.has_pending_output(), "{label}");
+            purged += batched.sets_epoch() - twin().sets_epoch();
+        }
+        assert!(purged > 0, "{selector:?}: no corruption was purged");
+    }
+}

@@ -204,6 +204,20 @@ impl<K: TableKey, V: Copy> FlatMap<K, V> {
         }
     }
 
+    /// Removes `key` if `pred` holds for its value, returning that value:
+    /// a [`FlatMap::get`] test and a [`FlatMap::remove`] on one probe.
+    pub fn remove_if(&mut self, key: &K, pred: impl FnOnce(&V) -> bool) -> Option<V> {
+        let i = self.find(key)?;
+        match self.slots[i] {
+            Slot::Full(_, v) if pred(&v) => {
+                self.slots[i] = Slot::Tomb;
+                self.len -= 1;
+                Some(v)
+            }
+            _ => None,
+        }
+    }
+
     /// Doubles capacity (or allocates the initial table) and re-places
     /// every live entry, dropping tombstones.
     fn grow(&mut self) {
@@ -314,6 +328,11 @@ mod tests {
         assert_eq!(t.len(), 1);
         *t.get_mut(&9).unwrap() += 1;
         assert_eq!(t.get(&9), Some(&91));
+        assert_eq!(t.remove_if(&9, |&v| v > 91), None);
+        assert_eq!(t.remove_if(&8, |_| true), None);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.remove_if(&9, |&v| v == 91), Some(91));
+        assert!(t.is_empty() && !t.contains_key(&9));
     }
 
     #[test]

@@ -43,9 +43,13 @@
 //!
 //! [`PairHasher::point12_lanes`] evaluates [`PAIR_LANES`] such pairs in one
 //! call. Its default is the per-lane `point12` loop; MD5 overrides it with
-//! one single-block compression over lane arrays, which the compiler
-//! turns into vector code on the baseline target: the sixteen
-//! compressions run side by side instead of one after another.
+//! one single-block compression over the sixteen lanes, so the
+//! compressions run side by side instead of one after another. On a CPU
+//! with AVX-512F that is an intrinsics kernel holding all sixteen lanes in
+//! one 512-bit vector per state word, picked at run time; anywhere else it
+//! is plain Rust over lane arrays that the compiler vectorizes on the
+//! baseline target ([`Md5PairHasher::lane_kernel`] names the one in use).
+//! Both return the same bits: the host picks the path, never the points.
 //!
 //! # Example
 //!
@@ -60,6 +64,8 @@
 //! // The relationship is a pure function of the input bytes:
 //! assert_eq!(monitors, threshold.accepts(hasher.point(b"example-pair-encoding")));
 //! ```
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod fast64;
 pub mod md5;
@@ -212,10 +218,11 @@ impl<T: PairHasher + ?Sized> PairHasher for Box<T> {
     }
 }
 
-/// Pairs per [`PairHasher::point12_lanes`] call: four 128-bit vectors per
-/// MD5 state word on baseline x86-64, enough independent chains per step
-/// for its lane kernel to run steadily at about a fifth of the scalar cost
-/// (DESIGN.md §7 has the widths measured).
+/// Pairs per [`PairHasher::point12_lanes`] call: one 512-bit vector per MD5
+/// state word on AVX-512F, about a twentieth of the scalar cost per pair;
+/// four 128-bit vectors on baseline x86-64, enough independent chains per
+/// step for the portable kernel to run steadily at about a fifth (DESIGN.md
+/// §7 has the kernels and widths measured).
 pub const PAIR_LANES: usize = 16;
 
 /// Splits a 12-byte pair encoding into the two little-endian words

@@ -210,33 +210,157 @@ fn lane_step<const I: usize>(a: &mut Lanes, b: &Lanes, c: &Lanes, d: &Lanes, x: 
     }
 }
 
-/// The 64 [`lane_step`]s of one compression, unrolled: each step is its
-/// own instance, with its round function, shift, constant and message
-/// word fixed at compile time.
+/// The 64 steps of one single-block compression over lane state, unrolled
+/// so that each step's round function, shift, constant and message word
+/// are fixed at compile time. `$step!(i, x, a, b, c, d)` is the kernel's
+/// step `i`: it writes the new `b` over `a`, `x` being the step's word of
+/// `$words`.
 macro_rules! lane_steps {
-    ($words:ident, $a:ident, $b:ident, $c:ident, $d:ident) => {
-        lane_steps!(@round 0, $words, $a, $b, $c, $d);
-        lane_steps!(@round 16, $words, $a, $b, $c, $d);
-        lane_steps!(@round 32, $words, $a, $b, $c, $d);
-        lane_steps!(@round 48, $words, $a, $b, $c, $d);
+    ($step:ident, $words:ident, $a:ident, $b:ident, $c:ident, $d:ident) => {
+        lane_steps!(@round $step, 0, $words, $a, $b, $c, $d);
+        lane_steps!(@round $step, 16, $words, $a, $b, $c, $d);
+        lane_steps!(@round $step, 32, $words, $a, $b, $c, $d);
+        lane_steps!(@round $step, 48, $words, $a, $b, $c, $d);
     };
-    (@round $base:expr, $words:ident, $a:ident, $b:ident, $c:ident, $d:ident) => {
-        lane_steps!(@quad $base, $words, $a, $b, $c, $d);
-        lane_steps!(@quad $base + 4, $words, $a, $b, $c, $d);
-        lane_steps!(@quad $base + 8, $words, $a, $b, $c, $d);
-        lane_steps!(@quad $base + 12, $words, $a, $b, $c, $d);
+    (@round $step:ident, $base:expr, $words:ident, $a:ident, $b:ident, $c:ident, $d:ident) => {
+        lane_steps!(@quad $step, $base, $words, $a, $b, $c, $d);
+        lane_steps!(@quad $step, $base + 4, $words, $a, $b, $c, $d);
+        lane_steps!(@quad $step, $base + 8, $words, $a, $b, $c, $d);
+        lane_steps!(@quad $step, $base + 12, $words, $a, $b, $c, $d);
     };
     // Four steps rotate the roles of the state words back to the start,
     // replacing `compress_words`' per-step shuffle of `a`, `b`, `c`, `d`.
-    (@quad $i:expr, $words:ident, $a:ident, $b:ident, $c:ident, $d:ident) => {
-        lane_steps!(@step $i, $words, $a, $b, $c, $d);
-        lane_steps!(@step $i + 1, $words, $d, $a, $b, $c);
-        lane_steps!(@step $i + 2, $words, $c, $d, $a, $b);
-        lane_steps!(@step $i + 3, $words, $b, $c, $d, $a);
+    (@quad $step:ident, $i:expr, $words:ident, $a:ident, $b:ident, $c:ident, $d:ident) => {
+        $step!($i, $words[const { message_index($i) }], $a, $b, $c, $d);
+        $step!($i + 1, $words[const { message_index($i + 1) }], $d, $a, $b, $c);
+        $step!($i + 2, $words[const { message_index($i + 2) }], $c, $d, $a, $b);
+        $step!($i + 3, $words[const { message_index($i + 3) }], $b, $c, $d, $a);
     };
-    (@step $i:expr, $words:ident, $a:ident, $b:ident, $c:ident, $d:ident) => {
-        lane_step::<{ $i }>(&mut $a, &$b, &$c, &$d, $words[const { message_index($i) }]);
+}
+
+/// The portable kernel's step for [`lane_steps!`]: one [`lane_step`]
+/// instance.
+macro_rules! portable_step {
+    ($i:expr, $x:expr, $a:ident, $b:ident, $c:ident, $d:ident) => {
+        lane_step::<{ $i }>(&mut $a, &$b, &$c, &$d, $x)
     };
+}
+
+/// [`PairHasher::point12_lanes`] for MD5 in plain Rust, the kernel of
+/// every host without AVX-512F and the reference for the one with it:
+/// [`Md5PairHasher::point12`]'s single-block compression with each state
+/// word a lane array and each step one vectorized pass over it (see
+/// [`lane_step`]), so the sixteen independent chains overlap instead of
+/// running one after another.
+fn portable_lanes(
+    heads: &[u64; PAIR_LANES],
+    tails: &[u32; PAIR_LANES],
+    out: &mut [u64; PAIR_LANES],
+) {
+    let lo: Lanes = core::array::from_fn(|l| heads[l] as u32);
+    let hi: Lanes = core::array::from_fn(|l| (heads[l] >> 32) as u32);
+    // The padded block of `point12`'s `m`, one lane array per word.
+    let mut words = [&ZERO; 16];
+    words[0] = &lo;
+    words[1] = &hi;
+    words[2] = tails;
+    words[3] = &[0x80; PAIR_LANES];
+    words[14] = &[96; PAIR_LANES];
+    let [mut a, mut b, mut c, mut d] = INIT.map(|word| [word; PAIR_LANES]);
+    lane_steps!(portable_step, words, a, b, c, d);
+    for (l, point) in out.iter_mut().enumerate() {
+        *point = first64(INIT[0].wrapping_add(a[l]), INIT[1].wrapping_add(b[l]));
+    }
+}
+
+/// The AVX-512F lane kernel: the same compression as [`portable_lanes`]
+/// with one `__m512i` per state word, so all [`PAIR_LANES`] lanes fill
+/// exactly one vector and every step stays in registers.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use core::arch::x86_64::{
+        __m512i, _mm512_add_epi32, _mm512_loadu_si512, _mm512_permutex2var_epi32, _mm512_rol_epi32,
+        _mm512_ror_epi32, _mm512_set1_epi32, _mm512_setr_epi32, _mm512_setzero_si512,
+        _mm512_storeu_si512, _mm512_ternarylogic_epi32,
+    };
+
+    use super::{message_index, INIT, S, T};
+    use crate::PAIR_LANES;
+
+    /// The four round functions as `vpternlogd` truth tables over
+    /// `(b, c, d)`: F = `b ? c : d`, G = `d ? b : c`, H = `b ^ c ^ d`,
+    /// I = `c ^ (b | !d)`.
+    const ROUND_FN: [i32; 4] = [0xca, 0xe4, 0x96, 0x39];
+
+    /// The kernel's step for [`lane_steps!`]: [`super::step`] on all
+    /// sixteen lanes, with one ternary-logic op for the round function and
+    /// one immediate rotate.
+    macro_rules! avx512_step {
+        ($i:expr, $x:expr, $a:ident, $b:ident, $c:ident, $d:ident) => {
+            let f = _mm512_ternarylogic_epi32::<{ ROUND_FN[$i / 16] }>($b, $c, $d);
+            let sum = _mm512_add_epi32(
+                _mm512_add_epi32($a, f),
+                _mm512_add_epi32(_mm512_set1_epi32(T[$i] as i32), $x),
+            );
+            $a = _mm512_add_epi32($b, _mm512_rol_epi32::<{ S[$i] as i32 }>(sum));
+        };
+    }
+
+    /// [`super::portable_lanes`] on AVX-512F, bit for bit.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn point12_lanes(
+        heads: &[u64; PAIR_LANES],
+        tails: &[u32; PAIR_LANES],
+        out: &mut [u64; PAIR_LANES],
+    ) {
+        // SAFETY: `heads` is 128 readable bytes and `tails` 64: two
+        // unaligned 64-byte loads from the first and one from the second.
+        let (front, back, tails) = unsafe {
+            (
+                _mm512_loadu_si512(heads.as_ptr().cast()),
+                _mm512_loadu_si512(heads[8..].as_ptr().cast()),
+                _mm512_loadu_si512(tails.as_ptr().cast()),
+            )
+        };
+        // Head `l` is `u32`s `2l` (message word 0) and `2l + 1` (word 1) of
+        // `front` and `back` together; index bit 4 picks `back`.
+        let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+        let odd = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31);
+        // The padded block of `point12`'s `m`, one vector per word.
+        let mut words = [_mm512_setzero_si512(); 16];
+        words[0] = _mm512_permutex2var_epi32(front, even, back);
+        words[1] = _mm512_permutex2var_epi32(front, odd, back);
+        words[2] = tails;
+        words[3] = _mm512_set1_epi32(0x80);
+        words[14] = _mm512_set1_epi32(96);
+        let mut a = _mm512_set1_epi32(INIT[0] as i32);
+        let mut b = _mm512_set1_epi32(INIT[1] as i32);
+        let mut c = _mm512_set1_epi32(INIT[2] as i32);
+        let mut d = _mm512_set1_epi32(INIT[3] as i32);
+        lane_steps!(avx512_step, words, a, b, c, d);
+        // `first64` on every lane: point `l` is `u32`s `2l` (the swapped
+        // `b`) and `2l + 1` (the swapped `a`) of `front` and `back`
+        // together; index bit 4 picks `a`.
+        let a = swap_bytes(_mm512_add_epi32(a, _mm512_set1_epi32(INIT[0] as i32)));
+        let b = swap_bytes(_mm512_add_epi32(b, _mm512_set1_epi32(INIT[1] as i32)));
+        let low = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+        let high = _mm512_setr_epi32(8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31);
+        let front = _mm512_permutex2var_epi32(b, low, a);
+        let back = _mm512_permutex2var_epi32(b, high, a);
+        // SAFETY: `out` is 128 writable bytes: two unaligned 64-byte stores.
+        unsafe {
+            _mm512_storeu_si512(out.as_mut_ptr().cast(), front);
+            _mm512_storeu_si512(out[8..].as_mut_ptr().cast(), back);
+        }
+    }
+
+    /// `u32::swap_bytes` on every lane. AVX-512F has no byte shuffle, so:
+    /// bytes 3 and 1 of `x >>> 8` and bytes 2 and 0 of `x <<< 8`.
+    #[target_feature(enable = "avx512f")]
+    fn swap_bytes(x: __m512i) -> __m512i {
+        let high = _mm512_set1_epi32(0xff00_ff00_u32 as i32);
+        _mm512_ternarylogic_epi32::<0xca>(high, _mm512_ror_epi32::<8>(x), _mm512_rol_epi32::<8>(x))
+    }
 }
 
 /// One-shot MD5 of `data`.
@@ -274,6 +398,18 @@ impl Md5PairHasher {
     pub fn new() -> Self {
         Md5PairHasher
     }
+
+    /// The kernel [`PairHasher::point12_lanes`] runs on this host:
+    /// `"avx512f"` where the CPU has AVX-512F, `"portable"` otherwise.
+    /// Both give the same points; only the speed differs.
+    #[must_use]
+    pub fn lane_kernel() -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return "avx512f";
+        }
+        "portable"
+    }
 }
 
 impl PairHasher for Md5PairHasher {
@@ -304,29 +440,22 @@ impl PairHasher for Md5PairHasher {
     }
 
     /// [`Md5PairHasher::point12`]'s single-block compression on sixteen
-    /// pairs at once: each state word is a lane array and each step one
-    /// vectorized pass over it (see [`lane_step`]), so the sixteen
-    /// independent chains overlap instead of running one after another.
+    /// pairs at once, by the kernel [`Md5PairHasher::lane_kernel`] names:
+    /// the AVX-512F one where the CPU has it, [`portable_lanes`] anywhere
+    /// else. The host picks the path, never the bits.
     fn point12_lanes(
         &self,
         heads: &[u64; PAIR_LANES],
         tails: &[u32; PAIR_LANES],
         out: &mut [u64; PAIR_LANES],
     ) {
-        let lo: Lanes = core::array::from_fn(|l| heads[l] as u32);
-        let hi: Lanes = core::array::from_fn(|l| (heads[l] >> 32) as u32);
-        // The padded block of `point12`'s `m`, one lane array per word.
-        let mut words = [&ZERO; 16];
-        words[0] = &lo;
-        words[1] = &hi;
-        words[2] = tails;
-        words[3] = &[0x80; PAIR_LANES];
-        words[14] = &[96; PAIR_LANES];
-        let [mut a, mut b, mut c, mut d] = INIT.map(|word| [word; PAIR_LANES]);
-        lane_steps!(words, a, b, c, d);
-        for (l, point) in out.iter_mut().enumerate() {
-            *point = first64(INIT[0].wrapping_add(a[l]), INIT[1].wrapping_add(b[l]));
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the CPU has AVX-512F, the one feature the kernel
+            // enables.
+            return unsafe { avx512::point12_lanes(heads, tails, out) };
         }
+        portable_lanes(heads, tails, out);
     }
 }
 
@@ -401,6 +530,89 @@ mod tests {
         let mut first = [0u8; 8];
         first.copy_from_slice(&digest[..8]);
         assert_eq!(h.point(b"xyz").to_bits(), u64::from_be_bytes(first));
+    }
+
+    /// The pairs the lane kernels are held on: edge words, the pairs of
+    /// `md5_2k`'s 2 000 node identities, and 4 096 seeded random pairs,
+    /// as `(head, tail)` words.
+    fn lane_test_pairs() -> Vec<(u64, u32)> {
+        let mut pairs = Vec::new();
+        for head in [0, u64::MAX, 0x8080_8080_8080_8080] {
+            for tail in [0, u32::MAX, 0x8080_8080] {
+                pairs.push((head, tail));
+            }
+        }
+        // `NodeId::from_index(i)`'s wire bytes: 10.b.c.d, port 4000.
+        let identity = |i: u32| {
+            let [_, b, c, d] = i.to_be_bytes();
+            [10, b, c, d, 0x0f, 0xa0]
+        };
+        for i in 0..2_000u32 {
+            for j in [i, (7 * i + 1) % 2_000] {
+                let mut bytes = [0u8; 12];
+                bytes[..6].copy_from_slice(&identity(i));
+                bytes[6..].copy_from_slice(&identity(j));
+                pairs.push(crate::pair12_words(&bytes));
+            }
+        }
+        // SplitMix64, seeded.
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..4_096 {
+            pairs.push((next(), next() as u32));
+        }
+        pairs
+    }
+
+    /// Both lane kernels against `point12` and `point` over the pair's 12
+    /// bytes, sixteen lanes at a time. The AVX-512F kernel is run where
+    /// the CPU has the feature; elsewhere the test says it went untested.
+    #[test]
+    fn lane_kernels_equal_point12_and_point() {
+        let h = Md5PairHasher::new();
+        #[cfg(target_arch = "x86_64")]
+        let avx512 = std::arch::is_x86_feature_detected!("avx512f");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx512 = false;
+        if !avx512 {
+            println!("no AVX-512F on this host: the AVX-512F lane kernel went untested");
+        }
+        let pairs = lane_test_pairs();
+        assert!(pairs.len() >= 4_096 + 4_000);
+        for block in pairs.chunks(PAIR_LANES) {
+            // A short last block repeats its first pair in the spare lanes.
+            let lane = |l: usize| block.get(l).unwrap_or(&block[0]);
+            let heads: [u64; PAIR_LANES] = core::array::from_fn(|l| lane(l).0);
+            let tails: [u32; PAIR_LANES] = core::array::from_fn(|l| lane(l).1);
+            let mut portable = [0u64; PAIR_LANES];
+            portable_lanes(&heads, &tails, &mut portable);
+            for l in 0..PAIR_LANES {
+                let (head, tail) = (heads[l], tails[l]);
+                let point12 = h.point12(head, tail).to_bits();
+                let point = h.point(&crate::pair12_bytes(head, tail)).to_bits();
+                assert_eq!(point12, point, "point12 vs point, pair {head:#x} {tail:#x}");
+                assert_eq!(
+                    portable[l], point12,
+                    "portable lanes, pair {head:#x} {tail:#x}"
+                );
+            }
+            #[cfg(target_arch = "x86_64")]
+            if avx512 {
+                let mut vector = [0u64; PAIR_LANES];
+                // SAFETY: the CPU has AVX-512F, the one feature the kernel
+                // enables.
+                unsafe { avx512::point12_lanes(&heads, &tails, &mut vector) };
+                assert_eq!(
+                    vector, portable,
+                    "AVX-512F lanes, heads {heads:x?} tails {tails:x?}"
+                );
+            }
+        }
     }
 
     #[test]
