@@ -3,7 +3,9 @@
 //! check through `SharedSelector` per hasher, one at a time and batched
 //! through `accepted_pairs`, the Fig. 2 view cross-check per period and
 //! the calendar's lane/wheel traffic split — an end-to-end N = 10k smoke
-//! run, and the N = 50k scale run (checker on).
+//! run with how its cross-checks were evaluated (handed to the helper
+//! core and replayed, or hashed inline), and the N = 50k scale run
+//! (checker on).
 //!
 //! Besides the criterion output, the binary records its measurements in
 //! `BENCH_sim_large.json` at the workspace root — the large-N perf
@@ -13,7 +15,9 @@
 //! kernel, a batched MD5 check at most a third of a single one (the
 //! 16-lane kernel still vectorized) and at most a tenth where the host
 //! runs the AVX-512F kernel (recorded as `md5_lanes`), and at most 1% of
-//! calendar pops on the binary heap at N = 10k.
+//! calendar pops on the binary heap at N = 10k. CI asserts from the JSON
+//! that, on two cores or more, the helper's results were replayed for at
+//! least 90% of the cross-checks it was handed.
 
 // Bench target: outside the determinism boundary.
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
@@ -27,7 +31,8 @@ use avmon::{
 };
 use avmon_churn::{synthetic, SynthParams};
 use avmon_sim::{
-    CalendarStats, CheckStrategy, InvariantChecker, InvariantConfig, SimOptions, Simulation,
+    CalendarStats, CheckStrategy, CrossCheckStats, InvariantChecker, InvariantConfig, SimOptions,
+    Simulation,
 };
 use criterion::{black_box, criterion_group, Criterion, Throughput};
 
@@ -329,9 +334,16 @@ fn crosscheck_period_ns(hasher: HasherKind, iters: usize) -> (f64, f64) {
     spread
 }
 
-/// One end-to-end run at arbitrary scale (checker in Record mode);
-/// returns (wall ms, checker checks, calendar counters).
-fn smoke_run(n: usize, warmup_min: u64, duration_min: u64) -> (f64, u64, CalendarStats) {
+/// What one end-to-end run measured.
+struct Smoke {
+    wall_ms: f64,
+    checker_checks: u64,
+    calendar: CalendarStats,
+    crosscheck: CrossCheckStats,
+}
+
+/// One end-to-end run at arbitrary scale (checker in Record mode).
+fn smoke_run(n: usize, warmup_min: u64, duration_min: u64) -> Smoke {
     let params = SynthParams {
         n,
         churn_per_hour: 0.0,
@@ -348,14 +360,19 @@ fn smoke_run(n: usize, warmup_min: u64, duration_min: u64) -> (f64, u64, Calenda
     let mut sim = Simulation::new(trace, opts);
     let horizon = sim.trace().horizon;
     sim.run_until(horizon);
-    let stats = sim.calendar_stats();
+    let (calendar, crosscheck) = (sim.calendar_stats(), sim.crosscheck_stats());
     let report = sim.into_report();
-    let wall = start.elapsed().as_secs_f64() * 1_000.0;
+    let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;
     assert!(
         report.invariants.passed(),
         "{n}-node smoke violated invariants"
     );
-    (wall, report.invariants.checks, stats)
+    Smoke {
+        wall_ms,
+        checker_checks: report.invariants.checks,
+        calendar,
+        crosscheck,
+    }
 }
 
 /// Records the perf trajectory to `BENCH_sim_large.json` at the workspace
@@ -390,15 +407,24 @@ fn record_trajectory() {
     // the delivery wheel must carry at least 99% of the pops (the heap
     // retains only the construction-time schedule and odd-delay arms).
     // The CI-sized large-N run: short measurement window.
-    let (smoke_ms, smoke_checks, stats) = smoke_run(10_000, 10, 5);
+    let smoke = smoke_run(10_000, 10, 5);
+    let (smoke_ms, smoke_checks, stats) = (smoke.wall_ms, smoke.checker_checks, smoke.calendar);
     let all_pops = stats.heap_pops + stats.lane_pops + stats.wheel_pops;
     let heap_pop_share = stats.heap_pops as f64 / all_pops as f64;
+    // The same run's cross-checks: with a second core, the helper hashes
+    // them one hop ahead and the nodes replay the results.
+    let CrossCheckStats {
+        submitted,
+        replayed,
+        hashed_inline,
+    } = smoke.crosscheck;
 
     // The scale trajectory: N = 50k end-to-end with the checker on.
-    let (scale_50k_ms, scale_50k_checks, _) = smoke_run(50_000, 10, 5);
+    let scale = smoke_run(50_000, 10, 5);
+    let (scale_50k_ms, scale_50k_checks) = (scale.wall_ms, scale.checker_checks);
 
     let json = format!(
-        "{{\n  \"bench\": \"sim_large\",\n  \"checker_per_sample\": {{\n    \"n\": {BENCH_N},\n    \"full_rescan_ns\": {full_ns:.0},\n    \"incremental_ns\": {incremental_ns:.0},\n    \"speedup\": {speedup:.1}\n  }},\n  \"hash_check_ns\": {{\n    \"cores\": {cores},\n    \"md5_lanes\": \"{md5_lanes}\",\n    \"loop\": \"Fig. 2 grid, two 42-entry sides, both orders, through SharedSelector: is_monitor per pair (fast64/md5/sha1), the same over serialized pair bytes (*_pair_bytes), one accepted_pairs call per order (*_batch)\",\n    \"fast64_min\": {fast_check_min:.1},\n    \"fast64_median\": {fast_check_med:.1},\n    \"fast64_pair_bytes_min\": {fast_bytes_min:.1},\n    \"fast64_pair_bytes_median\": {fast_bytes_med:.1},\n    \"fast64_batch_min\": {fast_batch_min:.1},\n    \"fast64_batch_median\": {fast_batch_med:.1},\n    \"md5_min\": {md5_check_min:.1},\n    \"md5_median\": {md5_check_med:.1},\n    \"md5_pair_bytes_min\": {md5_bytes_min:.1},\n    \"md5_pair_bytes_median\": {md5_bytes_med:.1},\n    \"md5_batch_min\": {md5_batch_min:.1},\n    \"md5_batch_median\": {md5_batch_med:.1},\n    \"sha1_min\": {sha1_check_min:.1},\n    \"sha1_median\": {sha1_check_med:.1},\n    \"sha1_pair_bytes_min\": {sha1_bytes_min:.1},\n    \"sha1_pair_bytes_median\": {sha1_bytes_med:.1},\n    \"sha1_batch_min\": {sha1_batch_min:.1},\n    \"sha1_batch_median\": {sha1_batch_med:.1}\n  }},\n  \"view_crosscheck_per_period\": {{\n    \"cores\": {cores},\n    \"cvs\": 60,\n    \"fast64_ns_min\": {fast_period_min:.0},\n    \"fast64_ns_median\": {fast_period_med:.0},\n    \"md5_ns_min\": {md5_period_min:.0},\n    \"md5_ns_median\": {md5_period_med:.0},\n    \"sha1_ns_min\": {sha1_period_min:.0},\n    \"sha1_ns_median\": {sha1_period_med:.0}\n  }},\n  \"calendar_10k\": {{\n    \"heap_pops\": {},\n    \"lane_pops\": {},\n    \"wheel_pops\": {},\n    \"expire_skips\": {},\n    \"heap_pop_share\": {heap_pop_share:.4},\n    \"wall_ms\": {smoke_ms:.0}\n  }},\n  \"scale_50k\": {{\n    \"n\": 50000,\n    \"simulated_minutes\": 15,\n    \"cores\": {cores},\n    \"wall_ms\": {scale_50k_ms:.0},\n    \"checker_checks\": {scale_50k_checks}\n  }},\n  \"smoke_end_to_end\": {{\n    \"n\": 10000,\n    \"simulated_minutes\": 15,\n    \"wall_ms\": {smoke_ms:.0},\n    \"checker_checks\": {smoke_checks}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"sim_large\",\n  \"checker_per_sample\": {{\n    \"n\": {BENCH_N},\n    \"full_rescan_ns\": {full_ns:.0},\n    \"incremental_ns\": {incremental_ns:.0},\n    \"speedup\": {speedup:.1}\n  }},\n  \"hash_check_ns\": {{\n    \"cores\": {cores},\n    \"md5_lanes\": \"{md5_lanes}\",\n    \"loop\": \"Fig. 2 grid, two 42-entry sides, both orders, through SharedSelector: is_monitor per pair (fast64/md5/sha1), the same over serialized pair bytes (*_pair_bytes), one accepted_pairs call per order (*_batch)\",\n    \"fast64_min\": {fast_check_min:.1},\n    \"fast64_median\": {fast_check_med:.1},\n    \"fast64_pair_bytes_min\": {fast_bytes_min:.1},\n    \"fast64_pair_bytes_median\": {fast_bytes_med:.1},\n    \"fast64_batch_min\": {fast_batch_min:.1},\n    \"fast64_batch_median\": {fast_batch_med:.1},\n    \"md5_min\": {md5_check_min:.1},\n    \"md5_median\": {md5_check_med:.1},\n    \"md5_pair_bytes_min\": {md5_bytes_min:.1},\n    \"md5_pair_bytes_median\": {md5_bytes_med:.1},\n    \"md5_batch_min\": {md5_batch_min:.1},\n    \"md5_batch_median\": {md5_batch_med:.1},\n    \"sha1_min\": {sha1_check_min:.1},\n    \"sha1_median\": {sha1_check_med:.1},\n    \"sha1_pair_bytes_min\": {sha1_bytes_min:.1},\n    \"sha1_pair_bytes_median\": {sha1_bytes_med:.1},\n    \"sha1_batch_min\": {sha1_batch_min:.1},\n    \"sha1_batch_median\": {sha1_batch_med:.1}\n  }},\n  \"view_crosscheck_per_period\": {{\n    \"cores\": {cores},\n    \"cvs\": 60,\n    \"fast64_ns_min\": {fast_period_min:.0},\n    \"fast64_ns_median\": {fast_period_med:.0},\n    \"md5_ns_min\": {md5_period_min:.0},\n    \"md5_ns_median\": {md5_period_med:.0},\n    \"sha1_ns_min\": {sha1_period_min:.0},\n    \"sha1_ns_median\": {sha1_period_med:.0}\n  }},\n  \"calendar_10k\": {{\n    \"heap_pops\": {},\n    \"lane_pops\": {},\n    \"wheel_pops\": {},\n    \"expire_skips\": {},\n    \"heap_pop_share\": {heap_pop_share:.4},\n    \"wall_ms\": {smoke_ms:.0}\n  }},\n  \"crosscheck_ahead_10k\": {{\n    \"cores\": {cores},\n    \"submitted\": {submitted},\n    \"replayed\": {replayed},\n    \"hashed_inline\": {hashed_inline},\n    \"wall_ms\": {smoke_ms:.0}\n  }},\n  \"scale_50k\": {{\n    \"n\": 50000,\n    \"simulated_minutes\": 15,\n    \"cores\": {cores},\n    \"wall_ms\": {scale_50k_ms:.0},\n    \"checker_checks\": {scale_50k_checks}\n  }},\n  \"smoke_end_to_end\": {{\n    \"n\": 10000,\n    \"simulated_minutes\": 15,\n    \"wall_ms\": {smoke_ms:.0},\n    \"checker_checks\": {smoke_checks}\n  }}\n}}\n",
         stats.heap_pops,
         stats.lane_pops,
         stats.wheel_pops,

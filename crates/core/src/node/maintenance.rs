@@ -271,8 +271,17 @@ impl Node {
     }
 
     /// The two sides of the Fig. 2 cross-check, each duplicate-free and in
-    /// first-seen order: `A = CV(x) ∪ {x, w}` and `B = CV(w) ∪ {x, w}`.
-    pub(super) fn fig2_sides(&self, w: NodeId, fetched: &[NodeId]) -> (Vec<NodeId>, Vec<NodeId>) {
+    /// first-seen order: `A = CV(x) ∪ {x, w}` and `B = CV(w) ∪ {x, w}`,
+    /// where `x` is this node and `fetched` is `CV(w)` as `w` sent it.
+    ///
+    /// Receiving `w`'s `ViewFetchReply` evaluates exactly
+    /// `accepted_pairs(A, B)` and then `accepted_pairs(B, A)` over these
+    /// sides, taken from the node's view as it stands at that moment. A
+    /// driver that can guess `CV(w)` earlier — the simulator reads it when
+    /// it routes the `ViewFetch` — can therefore hash the cross-check ahead
+    /// of time and check its guess by comparing sides.
+    #[must_use]
+    pub fn fig2_sides(&self, w: NodeId, fetched: &[NodeId]) -> (Vec<NodeId>, Vec<NodeId>) {
         let mut side_a: Vec<NodeId> = self.view.iter().collect();
         let mut side_b: Vec<NodeId> = Vec::with_capacity(fetched.len() + 2);
         for &v in fetched {

@@ -1533,6 +1533,77 @@ fn batched_cross_check_matches_the_per_pair_loop() {
     }
 }
 
+/// Records the sides of every batch call, then answers as `inner`.
+#[derive(Debug)]
+struct RecordingSelector {
+    inner: SharedSelector,
+    calls: std::sync::Mutex<Vec<(Vec<NodeId>, Vec<NodeId>)>>,
+}
+
+impl MonitorSelector for RecordingSelector {
+    fn is_monitor(&self, monitor: NodeId, target: NodeId) -> bool {
+        self.inner.is_monitor(monitor, target)
+    }
+
+    fn name(&self) -> &'static str {
+        "recording"
+    }
+
+    fn accepted_pairs(
+        &self,
+        monitors: &[NodeId],
+        targets: &[NodeId],
+        out: &mut dyn FnMut(usize, usize),
+    ) {
+        let sides = (monitors.to_vec(), targets.to_vec());
+        self.calls.lock().unwrap().push(sides);
+        self.inner.accepted_pairs(monitors, targets, out);
+    }
+}
+
+/// `fig2_sides(w, view)`, taken just before `w`'s `ViewFetchReply`
+/// arrives, names exactly the sides the reply's cross-check evaluates:
+/// `accepted_pairs(A, B)`, then `accepted_pairs(B, A)`, and nothing else —
+/// what lets a driver prepare the cross-check ahead and check its guess by
+/// comparing sides. Fetched views with and without `x`, `w` and
+/// duplicates, over several periods of a shuffling view.
+#[test]
+fn fig2_sides_are_the_sides_the_reply_evaluates() {
+    use crate::selector::HashSelector;
+
+    let cfg = Config::builder(1000).cvs(12).build().unwrap();
+    let recording = Arc::new(RecordingSelector {
+        inner: Arc::new(HashSelector::from_config(&cfg)),
+        calls: std::sync::Mutex::new(Vec::new()),
+    });
+    let mut n = Node::new(id(1), cfg, recording.clone(), 7);
+    n.seed_view(&(2..14).map(id).collect::<Vec<_>>());
+    let mut now = 0;
+    for round in 0..12u32 {
+        now += MINUTE;
+        n.handle_timer(now, Timer::Protocol);
+        let (w, nonce) = sends(&drain(&mut n))
+            .into_iter()
+            .find_map(|(to, m)| match m {
+                Message::ViewFetch { nonce } => Some((to, nonce)),
+                _ => None,
+            })
+            .expect("a non-empty view fetches every period");
+        let base = 100 + 10 * round;
+        let view: Vec<NodeId> = match round % 3 {
+            0 => (base..base + 9).map(id).collect(),
+            1 => [id(base), id(1), w, id(base), id(base + 1)].to_vec(),
+            _ => (2..9).map(id).collect(),
+        };
+        let (a, b) = n.fig2_sides(w, &view);
+        recording.calls.lock().unwrap().clear();
+        n.handle_message(now + 1, w, Message::ViewFetchReply { nonce, view });
+        let calls = std::mem::take(&mut *recording.calls.lock().unwrap());
+        assert_eq!(calls, vec![(a.clone(), b.clone()), (b, a)], "round {round}");
+        let _ = drain(&mut n);
+    }
+}
+
 // -------------------------------------------------------------- set audit
 
 /// `audit_sets` as the per-entry loop: every entry that is the node itself

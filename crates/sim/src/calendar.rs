@@ -21,8 +21,9 @@ use crate::scenario::Corruption;
 
 #[derive(Debug)]
 pub(crate) enum EventKind {
+    /// A trace lifecycle event, addressed by the slot `try_new` resolved.
     Churn {
-        node: NodeId,
+        slot: u32,
         kind: ChurnEventKind,
     },
     Deliver {

@@ -15,8 +15,8 @@
 use avmon::driver::{apply_command, drain, Command, DriverEnv};
 use avmon::{
     AppEvent, Behavior, Config, Destination, DurMs, FlatMap, HashSelector, HasherKind,
-    HistoryStore, JoinKind, Message, Node, NodeId, NodeStats, PersistentState, SharedSelector,
-    TargetRecord, TimeMs, Timer, Transmit,
+    HistoryStore, JoinKind, Message, Node, NodeId, NodeStats, Nonce, PersistentState,
+    SharedSelector, TargetRecord, TimeMs, Timer, Transmit,
 };
 use avmon_churn::{ChurnEventKind, Trace};
 use avmon_hash::fast64::mix64;
@@ -24,6 +24,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::calendar::{Calendar, CalendarStats, EventKind};
+use crate::crosscheck::{CrossCheckAhead, CrossCheckStats};
 use crate::invariants::{InvariantChecker, InvariantConfig};
 use crate::metrics::{DiscoveryLog, NodeSeries, SimReport};
 use crate::network::{LatencyModel, NetworkModel, NetworkState, Route};
@@ -263,6 +264,9 @@ pub struct Simulation {
     /// with the live nodes' counts at report assembly to form the `node`
     /// stream of the [`RngLedger`](crate::RngLedger).
     pub(crate) graveyard_rng_draws: u64,
+    /// The Fig. 2 cross-check hashed ahead on a second core (DESIGN.md §5,
+    /// "One loop, one helper"); inert on one core.
+    crosscheck: CrossCheckAhead,
 }
 
 impl Simulation {
@@ -282,8 +286,9 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns [`avmon::Error::InvalidConfig`] for an empty trace or
-    /// invalid sampling, network or scenario parameters.
+    /// Returns [`avmon::Error::InvalidConfig`] for an empty trace, one
+    /// naming 2^32 identities or more, or invalid sampling, network or
+    /// scenario parameters.
     pub fn try_new(trace: Trace, opts: SimOptions) -> Result<Self, avmon::Error> {
         if trace.events.is_empty() {
             return Err(avmon::Error::InvalidConfig(
@@ -299,11 +304,30 @@ impl Simulation {
             opts.config.protocol_period,
             opts.config.monitoring_period,
         ];
-        // Construction-time schedules all park on the heap.
+        // One row per identity, slots in ascending `NodeId` order; what the
+        // trace, options and scenario say about an identity lands in its row.
+        let ids = trace.identities();
+        if u32::try_from(ids.len()).is_err() {
+            return Err(avmon::Error::InvalidConfig(
+                "a trace may name at most 2^32 identities".into(),
+            ));
+        }
+        let mut nodes: Vec<SimNode> = Vec::with_capacity(ids.len());
+        let mut slot_of: FlatMap<NodeId, u32> = FlatMap::new();
+        for (slot, id) in (0u32..).zip(ids) {
+            slot_of.insert(id, slot);
+            nodes.push(SimNode {
+                id,
+                ..SimNode::default()
+            });
+        }
+        // Construction-time schedules all park on the heap. Every churn
+        // event names a trace identity, so each carries its slot.
         let mut calendar = Calendar::new(timer_delays, trace.events.len() * 2);
         for e in &trace.events {
-            let (node, kind) = (e.node, e.kind);
-            calendar.defer(e.at, EventKind::Churn { node, kind });
+            if let Some(&slot) = slot_of.get(&e.node) {
+                calendar.defer(e.at, EventKind::Churn { slot, kind: e.kind });
+            }
         }
         // Sampling ticks cover the measurement window; the baseline tick
         // zeroes the counters at its start.
@@ -312,19 +336,6 @@ impl Simulation {
         while t <= trace.horizon {
             calendar.defer(t, EventKind::Sample);
             t += opts.sample_interval;
-        }
-        // One row per identity, slots in ascending `NodeId` order; what the
-        // trace, options and scenario say about an identity lands in its row.
-        let ids = trace.identities();
-        let mut nodes: Vec<SimNode> = Vec::with_capacity(ids.len());
-        let mut slot_of: FlatMap<NodeId, u32> = FlatMap::new();
-        for id in ids {
-            let slot = u32::try_from(nodes.len()).expect("under 2^32 identities");
-            slot_of.insert(id, slot);
-            nodes.push(SimNode {
-                id,
-                ..SimNode::default()
-            });
         }
         let slot = |id: NodeId| slot_of.get(&id).map(|&s| s as usize);
         for &id in &trace.control_group {
@@ -432,6 +443,7 @@ impl Simulation {
             finished: false,
             corruption_draws: 0,
             graveyard_rng_draws: 0,
+            crosscheck: CrossCheckAhead::default(),
         })
     }
 
@@ -599,6 +611,17 @@ impl Simulation {
         self.calendar.stats()
     }
 
+    /// How the Fig. 2 cross-checks of this run so far were evaluated:
+    /// handed to the helper core, replayed from it, or hashed inline. On
+    /// one core, or with a selector that is not a pure pair hash, nothing
+    /// is submitted and every cross-check is hashed inline. Like
+    /// [`Simulation::calendar_stats`], not part of the report, which is the
+    /// same either way.
+    #[must_use]
+    pub fn crosscheck_stats(&self) -> CrossCheckStats {
+        self.crosscheck.stats()
+    }
+
     fn dispatch(&mut self, kind: EventKind, from_lane: bool) {
         // The one identity probe a delivery or timer pays. An addressee the
         // trace never named has no row: the event evaporates below.
@@ -610,7 +633,7 @@ impl Simulation {
             return;
         }
         match kind {
-            EventKind::Churn { node, kind } => self.on_churn(node, kind),
+            EventKind::Churn { slot, kind } => self.on_churn(slot as usize, kind),
             EventKind::Deliver { from, msg, .. } => {
                 if let Some(slot) = slot {
                     self.on_deliver(slot, from, msg);
@@ -765,8 +788,8 @@ impl Simulation {
         self.corruption_draws += rng.draw_count();
     }
 
-    fn on_churn(&mut self, id: NodeId, kind: ChurnEventKind) {
-        let slot = self.slot(id).expect("churn events name trace identities");
+    fn on_churn(&mut self, slot: usize, kind: ChurnEventKind) {
+        let id = self.nodes[slot].id;
         match kind {
             ChurnEventKind::Birth | ChurnEventKind::Join => {
                 let contact = self.pick_contact(id);
@@ -786,7 +809,7 @@ impl Simulation {
                 let mut proto = Node::new(
                     id,
                     self.opts.config.clone(),
-                    self.selector.clone(),
+                    self.crosscheck.node_selector(&self.selector),
                     node_seed,
                 );
                 proto.set_behavior(sim_node.behavior.clone());
@@ -863,7 +886,18 @@ impl Simulation {
         let now = self.now;
         match self.nodes[slot].proto.as_mut() {
             Some(proto) => {
-                proto.handle_message(now, from, msg);
+                match msg {
+                    // The one input that runs the Fig. 2 cross-check: lend
+                    // the node its prepared result, if the helper finished
+                    // one, and count how the check was evaluated.
+                    Message::ViewFetchReply { nonce, .. } => {
+                        self.crosscheck.lend(slot, nonce);
+                        let checks = proto.stats().hash_checks;
+                        proto.handle_message(now, from, msg);
+                        self.crosscheck.settle(proto.stats().hash_checks != checks);
+                    }
+                    _ => proto.handle_message(now, from, msg),
+                }
                 self.apply_outputs(slot);
             }
             None => {
@@ -927,8 +961,10 @@ impl Simulation {
             discovery: sim_node.discovery.as_mut(),
             app_events: sim_node.app_subscribed.then_some(&mut self.app_events),
             suspicions: Vec::new(),
+            fetch: None,
         };
         drain(proto, &mut sink);
+        let fetch = sink.fetch;
         // Folded only now that the node borrow is released: classifying a
         // suspicion as wrongful or true needs to look up the *target*.
         let measuring = now >= self.trace.measure_from;
@@ -939,6 +975,25 @@ impl Simulation {
             self.qos
                 .fold_suspicion(now, measuring, (id, target), down, alive, left_at);
         }
+        if let Some((w, nonce)) = fetch {
+            self.prepare_crosscheck(slot, w, nonce);
+        }
+    }
+
+    /// Hands the cross-check that `w`'s reply to the node at `slot` will
+    /// run to the helper, over the sides it would have if no view changed
+    /// in flight: the node's own view and `w`'s as it stands now.
+    fn prepare_crosscheck(&mut self, slot: usize, w: NodeId, nonce: Nonce) {
+        let timeout = self.opts.config.ping_timeout;
+        if !self.crosscheck.has_room(self.now, timeout) {
+            return;
+        }
+        let fetched = self.slot(w).and_then(|s| self.nodes[s].proto.as_ref());
+        let (Some(x), Some(fetched)) = (self.nodes[slot].proto.as_ref(), fetched) else {
+            return;
+        };
+        let sides = x.fig2_sides(w, fetched.view().as_slice());
+        self.crosscheck.submit(slot, nonce, self.now, sides);
     }
 
     /// Picks a uniformly random live contact for `joiner`, in O(1) and
@@ -1014,6 +1069,10 @@ struct OutputSink<'a> {
     app_events: Option<&'a mut Vec<(TimeMs, NodeId, AppEvent)>>,
     /// Suspicion transitions `(down, target)`, for the QoS fold.
     suspicions: Vec<(bool, NodeId)>,
+    /// The `(peer, nonce)` of a `ViewFetch` the network did not drop — at
+    /// most one per input (Fig. 2 fetches once per period) — for the
+    /// cross-check helper.
+    fetch: Option<(NodeId, Nonce)>,
 }
 
 impl OutputSink<'_> {
@@ -1028,6 +1087,9 @@ impl OutputSink<'_> {
                 delay,
                 duplicate_delay,
             } => {
+                if let Message::ViewFetch { nonce } = msg {
+                    self.fetch = Some((to, nonce));
+                }
                 if let Some(dup) = duplicate_delay {
                     let msg = msg.clone();
                     let kind = EventKind::Deliver { from, to, msg };

@@ -98,6 +98,8 @@
 //!   identity order behind one `NodeId → slot` lookup; DESIGN.md §5), event
 //!   loop, churn/corruption handlers, output path
 //! * `calendar` — heap + timer lanes + delivery wheel as one `(time, seq)` queue
+//! * `crosscheck` — the Fig. 2 cross-check hashed one hop ahead on a second
+//!   core, replayed only onto bit-equal sides ([`CrossCheckStats`])
 //! * [`network`] — latency model, link faults, compiled partition windows
 //! * [`scenario`] — declarative fault and attack timelines
 //! * [`invariants`] — the always-on protocol invariant checker
@@ -106,6 +108,7 @@
 //! * `report` — [`SimReport`] assembly, in slot order
 
 mod calendar;
+mod crosscheck;
 pub mod engine;
 pub mod invariants;
 pub mod metrics;
@@ -115,6 +118,7 @@ mod report;
 pub mod scenario;
 
 pub use calendar::CalendarStats;
+pub use crosscheck::CrossCheckStats;
 pub use engine::{SimOptions, Simulation};
 pub use invariants::{
     AdversaryWindow, CheckStrategy, InvariantChecker, InvariantConfig, InvariantMode,

@@ -17,14 +17,39 @@
 
 use avmon::{Behavior, Config, HasherKind, NodeId, MINUTE};
 use avmon_churn::{stat, synthetic, SynthParams, Trace};
-use avmon_sim::{InvariantConfig, LinkFaults, RngLedger, Scenario, SimOptions, Simulation};
+use avmon_sim::{
+    CrossCheckStats, InvariantConfig, LinkFaults, RngLedger, Scenario, SimOptions, Simulation,
+};
 
-/// Runs `(trace, opts)` to the horizon; returns the serialized report and
-/// the per-stream RNG draw ledger, after checking that all three calendar
-/// containers and the O(1) dead-expiry discard carried traffic.
-fn run(trace: Trace, opts: SimOptions, label: &str) -> (String, RngLedger) {
+/// What a run leaves besides its report bytes.
+struct Run {
+    json: String,
+    ledger: RngLedger,
+    crosscheck: CrossCheckStats,
+}
+
+/// Runs `(trace, opts)` to the horizon; returns the serialized report, the
+/// per-stream RNG draw ledger and how the cross-checks were evaluated,
+/// after checking that all three calendar containers and the O(1)
+/// dead-expiry discard carried traffic.
+fn run(trace: Trace, opts: SimOptions, label: &str) -> Run {
+    run_in_steps(trace, opts, label, None)
+}
+
+/// [`run`], advancing `step` simulated ms at a time with half a millisecond
+/// of wall clock between steps when `step` is given. The report cannot tell:
+/// `run_until` is the same loop however time is sliced. The cross-check
+/// helper can: a `ViewFetch` routed before a pause and answered after it
+/// finds its result ready, however busy the host is.
+fn run_in_steps(trace: Trace, opts: SimOptions, label: &str, step: Option<u64>) -> Run {
     let mut sim = Simulation::new(trace, opts);
     let horizon = sim.trace().horizon;
+    if let Some(step) = step {
+        for t in (step..horizon).step_by(step as usize) {
+            sim.run_until(t);
+            std::thread::sleep(std::time::Duration::from_micros(500));
+        }
+    }
     sim.run_until(horizon);
     let stats = sim.calendar_stats();
     assert!(
@@ -35,10 +60,15 @@ fn run(trace: Trace, opts: SimOptions, label: &str) -> (String, RngLedger) {
         stats.expire_skips > 0,
         "{label}: no ponged-ping expiry was ever discarded in O(1)"
     );
+    let crosscheck = sim.crosscheck_stats();
     let report = sim.into_report();
     let ledger = report.invariants.rng_ledger;
     let json = serde_json::to_string(&report).expect("reports serialize");
-    (json, ledger)
+    Run {
+        json,
+        ledger,
+        crosscheck,
+    }
 }
 
 /// Drops the `memo_policy` record from a serialized report, after
@@ -84,27 +114,43 @@ fn digest(json: &str) -> String {
 }
 
 /// Asserts that the run `make` describes reproduces the pinned legacy
-/// digest and that its RNG ledger recorded draws. Returns the report for
+/// digest and that its RNG ledger recorded draws. Returns the run for
 /// scenario-specific assertions.
-fn assert_pinned(make: impl FnOnce() -> (Trace, SimOptions), label: &str, pin: &str) -> String {
+fn assert_pinned(make: impl FnOnce() -> (Trace, SimOptions), label: &str, pin: &str) -> Run {
+    assert_pinned_in_steps(make, label, pin, None)
+}
+
+/// [`assert_pinned`] over [`run_in_steps`].
+fn assert_pinned_in_steps(
+    make: impl FnOnce() -> (Trace, SimOptions),
+    label: &str,
+    pin: &str,
+    step: Option<u64>,
+) -> Run {
     let (trace, opts) = make();
-    let (report, ledger) = run(trace, opts, label);
+    let run = run_in_steps(trace, opts, label, step);
     assert!(
-        ledger.engine_draws > 0 && ledger.node_draws > 0,
+        run.ledger.engine_draws > 0 && run.ledger.node_draws > 0,
         "{label}: the RNG ledger recorded no draws"
     );
     assert_eq!(
-        digest(&report),
+        digest(&run.json),
         pin,
         "{label}: report left the pinned bytes"
     );
-    report
+    run
 }
 
-/// Fault-free churny baseline: births, deaths, rejoins.
+/// Fault-free churny baseline: births, deaths, rejoins. It also holds the
+/// cross-check helper to the pin: with two cores or more, some received
+/// views replay the helper's matches and some are hashed inline (views
+/// change in flight under churn), and the bytes are the pinned ones; on
+/// one core nothing is handed over and every cross-check is hashed inline.
+/// The run advances half a simulated second at a time, so the helper gets
+/// wall-clock time to finish however busy the test host is.
 #[test]
 fn churny_trace_reproduces_the_legacy_engine() {
-    assert_pinned(
+    let run = assert_pinned_in_steps(
         || {
             let trace = synthetic(SynthParams::synth_bd(90).duration(40 * MINUTE).seed(29));
             let opts = SimOptions::new(Config::builder(90).build().unwrap()).seed(12);
@@ -112,7 +158,20 @@ fn churny_trace_reproduces_the_legacy_engine() {
         },
         "churn",
         "0e14ec614d222db2779e029967118729",
+        Some(500),
     );
+    let stats = run.crosscheck;
+    assert!(stats.hashed_inline > 0, "churn: {stats:?}");
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    if cores >= 2 {
+        assert!(stats.replayed > 0, "churn on {cores} cores: {stats:?}");
+    } else {
+        assert_eq!(
+            (stats.submitted, stats.replayed),
+            (0, 0),
+            "churn on one core"
+        );
+    }
 }
 
 /// The fault machinery: base-link loss + duplication + jitter, a healed
@@ -180,9 +239,9 @@ const ATTACKER_PIN: &str = "630a06a991aa54e0558e737df8fd591a";
 #[test]
 fn seeded_attacker_reproduces_the_legacy_engine() {
     let make = || attacker(InvariantConfig::default());
-    let report = assert_pinned(make, "attacker", ATTACKER_PIN);
+    let run = assert_pinned(make, "attacker", ATTACKER_PIN);
     assert!(
-        report.contains("GhostTarget"),
+        run.json.contains("GhostTarget"),
         "the seeded corruption must still be caught"
     );
 }
@@ -272,7 +331,7 @@ fn eclipse_coalition_reproduces_the_per_pair_cross_check() {
 fn agreement_sweep_matches_per_pair_enumeration_on_fake_monitor_scenario() {
     let make = |invariants: InvariantConfig| {
         let (trace, opts) = attacker(invariants);
-        run(trace, opts, "sweep").0
+        run(trace, opts, "sweep").json
     };
     let exact = make(InvariantConfig::default());
     assert_eq!(
