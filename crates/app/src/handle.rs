@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
+use std::task::{Context, Poll, Waker};
 
 use avmon::driver::{Command, NodeSnapshot};
 use avmon::{AppEvent, DurMs, NodeId, TimeMs};
@@ -290,8 +290,9 @@ pub(crate) struct Task {
 /// unblocks *another* task (app messages travel through the backend), so
 /// one round per cycle is complete.
 pub(crate) fn poll_tasks(tasks: &mut [Task]) -> Vec<NodeId> {
-    let waker = noop_waker();
-    let mut cx = Context::from_waker(&waker);
+    // Scheduling is the executor's outer loop, driven by the calendar (sim)
+    // or the wall clock (live), so the waker does nothing.
+    let mut cx = Context::from_waker(Waker::noop());
     let mut finished = Vec::new();
     for task in tasks.iter_mut().filter(|t| !t.done) {
         if task.fut.as_mut().poll(&mut cx).is_ready() {
@@ -300,17 +301,4 @@ pub(crate) fn poll_tasks(tasks: &mut [Task]) -> Vec<NodeId> {
         }
     }
     finished
-}
-
-/// A waker that does nothing: scheduling is the executor's outer loop,
-/// driven by the calendar (sim) or the wall clock (live).
-fn noop_waker() -> Waker {
-    fn clone(_: *const ()) -> RawWaker {
-        RawWaker::new(std::ptr::null(), &VTABLE)
-    }
-    fn noop(_: *const ()) {}
-    static VTABLE: RawWakerVTable = RawWakerVTable::new(clone, noop, noop, noop);
-    // SAFETY: every vtable entry is a no-op (or builds another no-op
-    // waker), so the contract on RawWaker is trivially upheld.
-    unsafe { Waker::from_raw(RawWaker::new(std::ptr::null(), &VTABLE)) }
 }

@@ -27,8 +27,6 @@
 //! touch wall clocks, OS randomness, or iteration-order-unstable
 //! collections in decision paths.
 
-#![deny(clippy::undocumented_unsafe_blocks)]
-
 pub mod apps;
 mod decision;
 mod exec;

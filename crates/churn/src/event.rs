@@ -6,7 +6,6 @@
 //! the metadata the experiments need (stable size, control group, horizon).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
 
 use avmon::{DurMs, NodeId, TimeMs};
 use serde::{Deserialize, Serialize};
@@ -56,7 +55,7 @@ pub struct ChurnEvent {
 /// let stats = trace.stats();
 /// assert_eq!(stats.births, 110); // 100 initial + 10 control-group joiners
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     /// Human-readable model name (`STAT`, `SYNTH`, `OV`, …).
     pub name: String,
@@ -70,88 +69,6 @@ pub struct Trace {
     pub control_group: Vec<NodeId>,
     /// Lifecycle events, sorted by time.
     pub events: Vec<ChurnEvent>,
-    /// Lazily built per-node up-interval index shared by
-    /// [`Trace::up_intervals`], [`Trace::availability_of`] and
-    /// [`Trace::stats`]. Guarded by an `(events.len(), horizon)` stamp:
-    /// growing the trace (via [`Trace::append`] or a direct push into the
-    /// public `events` field) invalidates the cache on the next query, so
-    /// repeated per-node availability lookups cost one `O(E)` build total
-    /// instead of one per call. Interior mutability keeps the query methods
-    /// `&self`; the mutex is uncontended in practice (queries come from the
-    /// sequential report-assembly path).
-    index: Mutex<Option<UpIndex>>,
-}
-
-/// The cached up-interval index plus the trace shape it was built from.
-#[derive(Debug, Clone)]
-struct UpIndex {
-    /// `(events.len(), horizon)` at build time.
-    stamp: (usize, TimeMs),
-    intervals: Arc<BTreeMap<NodeId, Vec<(TimeMs, TimeMs)>>>,
-}
-
-// Hand-written (rather than derived) because the cache field must not
-// participate: the vendored serde derive has no `#[serde(skip)]`, and
-// `Mutex` is neither `Clone` nor comparable. Equality and the wire format
-// cover exactly the six public fields, matching what the derives produced
-// before the cache existed.
-impl Clone for Trace {
-    fn clone(&self) -> Self {
-        Trace {
-            name: self.name.clone(),
-            stable_size: self.stable_size,
-            horizon: self.horizon,
-            measure_from: self.measure_from,
-            control_group: self.control_group.clone(),
-            events: self.events.clone(),
-            // Carry a built index along: it is a cheap `Arc` clone and
-            // stays valid because the events it stamps are cloned with it.
-            index: Mutex::new(self.index.lock().map_or(None, |g| (*g).clone())),
-        }
-    }
-}
-
-impl PartialEq for Trace {
-    fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.stable_size == other.stable_size
-            && self.horizon == other.horizon
-            && self.measure_from == other.measure_from
-            && self.control_group == other.control_group
-            && self.events == other.events
-    }
-}
-
-impl Serialize for Trace {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::record(vec![
-            ("name", self.name.to_value()),
-            ("stable_size", self.stable_size.to_value()),
-            ("horizon", self.horizon.to_value()),
-            ("measure_from", self.measure_from.to_value()),
-            ("control_group", self.control_group.to_value()),
-            ("events", self.events.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Trace {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| serde::DeError(format!("missing field {name} of Trace")))
-        };
-        Ok(Trace {
-            name: Deserialize::from_value(field("name")?)?,
-            stable_size: Deserialize::from_value(field("stable_size")?)?,
-            horizon: Deserialize::from_value(field("horizon")?)?,
-            measure_from: Deserialize::from_value(field("measure_from")?)?,
-            control_group: Deserialize::from_value(field("control_group")?)?,
-            events: Deserialize::from_value(field("events")?)?,
-            index: Mutex::new(None),
-        })
-    }
 }
 
 impl Trace {
@@ -180,41 +97,9 @@ impl Trace {
             measure_from,
             control_group,
             events,
-            index: Mutex::new(None),
         };
         trace.validate();
         trace
-    }
-
-    /// Appends one more event to the trace, keeping the sort order and
-    /// invalidating the cached up-interval index. Per-node alternation
-    /// stays the caller's contract (exactly as with a direct push into the
-    /// public `events` field); ordering and the horizon bound are checked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `event` is at or beyond the horizon, or sorts before the
-    /// current last event.
-    pub fn append(&mut self, event: ChurnEvent) {
-        assert!(
-            event.at < self.horizon,
-            "event at {} beyond horizon {}",
-            event.at,
-            self.horizon
-        );
-        if let Some(last) = self.events.last() {
-            assert!(
-                (last.at, last.node) <= (event.at, event.node),
-                "append out of order: {:?} after {:?}",
-                event,
-                last
-            );
-        }
-        self.events.push(event);
-        *self
-            .index
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
     }
 
     fn validate(&self) {
@@ -260,34 +145,10 @@ impl Trace {
         self.events.iter().map(|e| e.node).collect()
     }
 
-    /// Per-node up-intervals `[start, end)` clipped to the horizon —
-    /// served from the cached index (built on first call, shared via
-    /// `Arc`, invalidated when the trace grows).
+    /// Per-node up-intervals `[start, end)` clipped to the horizon, built
+    /// in one `O(E)` pass.
     #[must_use]
-    pub fn up_intervals(&self) -> Arc<BTreeMap<NodeId, Vec<(TimeMs, TimeMs)>>> {
-        let stamp = (self.events.len(), self.horizon);
-        let mut slot = self
-            .index
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(cached) = slot.as_ref() {
-            if cached.stamp == stamp {
-                return Arc::clone(&cached.intervals);
-            }
-        }
-        let intervals = Arc::new(self.up_intervals_uncached());
-        *slot = Some(UpIndex {
-            stamp,
-            intervals: Arc::clone(&intervals),
-        });
-        intervals
-    }
-
-    /// Per-node up-intervals rebuilt from scratch in one `O(E)` pass — the
-    /// reference path the cached [`Trace::up_intervals`] must agree with
-    /// (a regression test holds them identical).
-    #[must_use]
-    pub fn up_intervals_uncached(&self) -> BTreeMap<NodeId, Vec<(TimeMs, TimeMs)>> {
+    pub fn up_intervals(&self) -> BTreeMap<NodeId, Vec<(TimeMs, TimeMs)>> {
         let mut open: BTreeMap<NodeId, TimeMs> = BTreeMap::new();
         let mut out: BTreeMap<NodeId, Vec<(TimeMs, TimeMs)>> = BTreeMap::new();
         for e in &self.events {
@@ -326,25 +187,24 @@ impl Trace {
 
     /// The fraction of `[from, to)` during which `node` was up.
     ///
-    /// Served from the cached up-interval index: the first query after a
-    /// trace change pays one `O(E)` build, every following query is an
-    /// `O(log N)` tree lookup plus the node's own intervals — the old code
-    /// rebuilt the whole index on *every* call, which made per-node
-    /// availability sweeps `O(N·E)`.
+    /// One walk over the events that builds no map, under the same interval
+    /// rules as [`Trace::up_intervals`]; a sweep over many nodes should read
+    /// `up_intervals()` once instead.
     #[must_use]
     pub fn availability_of(&self, node: NodeId, from: TimeMs, to: TimeMs) -> f64 {
         assert!(to > from, "empty window");
-        let intervals = self.up_intervals();
-        let Some(ups) = intervals.get(&node) else {
-            return 0.0;
-        };
+        let overlap = |s: TimeMs, e: TimeMs| e.min(to).saturating_sub(s.max(from));
         let mut up: DurMs = 0;
-        for &(s, e) in ups {
-            let s = s.max(from);
-            let e = e.min(to);
-            if e > s {
-                up += e - s;
+        let mut open = None;
+        for e in self.events.iter().filter(|e| e.node == node) {
+            if e.kind.is_up_transition() {
+                open = Some(e.at);
+            } else if let Some(start) = open.take() {
+                up += overlap(start, e.at);
             }
+        }
+        if let Some(start) = open {
+            up += overlap(start, self.horizon);
         }
         up as f64 / (to - from) as f64
     }
@@ -558,12 +418,12 @@ mod tests {
         assert!(t.events.windows(2).all(|w| w[0].at <= w[1].at));
     }
 
-    /// The cached up-interval index must agree with the naive rebuild on
-    /// every node and every window — and keep agreeing after the trace
-    /// grows through [`Trace::append`] (the invalidation path).
+    /// `availability_of` walks one node's events; it must agree with the
+    /// `up_intervals()` map on every node — including one with no events —
+    /// and every window.
     #[test]
-    fn cached_index_matches_naive_path() {
-        let mut t = Trace::new(
+    fn availability_of_matches_up_intervals() {
+        let t = Trace::new(
             "test",
             3,
             10 * HOUR,
@@ -578,74 +438,55 @@ mod tests {
                 ev(5 * HOUR, 3, ChurnEventKind::Birth),
             ],
         );
-        assert_eq!(*t.up_intervals(), t.up_intervals_uncached());
-        // Repeated queries reuse the same build (Arc identity).
-        assert!(Arc::ptr_eq(&t.up_intervals(), &t.up_intervals()));
+        let intervals = t.up_intervals();
         for node in [id(1), id(2), id(3), id(9)] {
             for (from, to) in [(0, 10 * HOUR), (HOUR, 2 * HOUR), (3 * HOUR, 7 * HOUR)] {
-                let naive = {
-                    let intervals = t.up_intervals_uncached();
-                    let up: DurMs = intervals.get(&node).map_or(0, |ups| {
-                        ups.iter()
-                            .map(|&(s, e)| e.min(to).saturating_sub(s.max(from)))
-                            .sum()
-                    });
-                    up as f64 / (to - from) as f64
-                };
-                assert!(
-                    (t.availability_of(node, from, to) - naive).abs() < 1e-12,
-                    "cached availability diverged for {node} on [{from}, {to})"
+                let up: DurMs = intervals.get(&node).map_or(0, |ups| {
+                    ups.iter()
+                        .map(|&(s, e)| e.min(to).saturating_sub(s.max(from)))
+                        .sum()
+                });
+                assert_eq!(
+                    t.availability_of(node, from, to).to_bits(),
+                    (up as f64 / (to - from) as f64).to_bits(),
+                    "availability of {node} on [{from}, {to})"
                 );
             }
         }
-        // Growing the trace invalidates the cache...
-        let before = t.up_intervals();
-        t.append(ev(6 * HOUR, 1, ChurnEventKind::Leave));
-        let after = t.up_intervals();
-        assert!(!Arc::ptr_eq(&before, &after));
-        // ...and the fresh index again matches the naive path.
-        assert_eq!(*after, t.up_intervals_uncached());
-        assert_eq!(after[&id(1)], vec![(0, 2 * HOUR), (4 * HOUR, 6 * HOUR)]);
     }
 
-    /// Out-of-order and beyond-horizon appends are rejected.
+    /// A clone equals its source, and the derived wire format is the one
+    /// the six-field hand-written impl produced (the string below is that
+    /// impl's output) and round-trips.
     #[test]
-    #[should_panic(expected = "append out of order")]
-    fn append_rejects_out_of_order() {
-        let mut t = Trace::new(
-            "test",
-            1,
-            HOUR,
-            0,
-            vec![id(1)],
-            vec![ev(30, 1, ChurnEventKind::Birth)],
-        );
-        t.append(ev(10, 2, ChurnEventKind::Birth));
-    }
-
-    /// A clone equals its source and serialization round-trips without the
-    /// cache leaking into the wire format.
-    #[test]
-    fn clone_equality_and_serde_ignore_the_cache() {
+    fn clone_equality_and_serde_wire_format() {
         let t = Trace::new(
-            "test",
-            2,
+            "pin",
+            3,
+            10 * HOUR,
             HOUR,
-            0,
-            vec![id(1)],
+            vec![id(2)],
             vec![
                 ev(0, 1, ChurnEventKind::Birth),
-                ev(10, 2, ChurnEventKind::Birth),
+                ev(2 * HOUR, 1, ChurnEventKind::Leave),
+                ev(4 * HOUR, 1, ChurnEventKind::Join),
+                ev(HOUR, 2, ChurnEventKind::Birth),
+                ev(3 * HOUR, 2, ChurnEventKind::Death),
             ],
         );
-        // Populate the cache on one side only: equality must not care.
-        let _ = t.up_intervals();
-        let cloned = t.clone();
-        assert_eq!(t, cloned);
+        assert_eq!(t, t.clone());
         let json = serde_json::to_string(&t).expect("traces serialize");
-        assert!(
-            !json.contains("index"),
-            "cache leaked into the wire: {json}"
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"name":"pin","stable_size":3,"horizon":36000000,"measure_from":3600000,"#,
+                r#""control_group":[{"ip":[10,0,0,2],"port":4000}],"events":["#,
+                r#"{"at":0,"node":{"ip":[10,0,0,1],"port":4000},"kind":"Birth"},"#,
+                r#"{"at":3600000,"node":{"ip":[10,0,0,2],"port":4000},"kind":"Birth"},"#,
+                r#"{"at":7200000,"node":{"ip":[10,0,0,1],"port":4000},"kind":"Leave"},"#,
+                r#"{"at":10800000,"node":{"ip":[10,0,0,2],"port":4000},"kind":"Death"},"#,
+                r#"{"at":14400000,"node":{"ip":[10,0,0,1],"port":4000},"kind":"Join"}]}"#,
+            )
         );
         let back: Trace = serde_json::from_str(&json).expect("traces deserialize");
         assert_eq!(t, back);

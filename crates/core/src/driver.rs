@@ -63,6 +63,7 @@
 //! same drain loop.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use crate::node::{Action, AppEvent, Destination, Node, Timer, Transmit};
@@ -172,11 +173,12 @@ impl TimerQueue {
         mut live: impl FnMut(&Timer) -> bool,
     ) -> Option<Timer> {
         loop {
-            let &Reverse((at, _, _)) = self.heap.peek()?;
+            let top = self.heap.peek_mut()?;
+            let Reverse((at, _, _)) = *top;
             if at > now {
                 return None;
             }
-            let Reverse((_, _, timer)) = self.heap.pop().expect("peeked");
+            let Reverse((_, _, timer)) = PeekMut::pop(top);
             if live(&timer) {
                 return Some(timer);
             }

@@ -175,8 +175,8 @@ impl DeliveryWheel {
 
 /// Event-calendar traffic counters: how many events were popped from the
 /// binary heap vs the O(1) structures (timer lanes, delivery wheel), and
-/// how many lane-popped `Expire` timers were discarded dead (ping already
-/// answered) without touching the node. Not part of
+/// how many `Expire` timers were discarded dead (ping already answered)
+/// without touching the node. Not part of
 /// [`SimReport`](crate::SimReport).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CalendarStats {
@@ -186,7 +186,7 @@ pub struct CalendarStats {
     pub lane_pops: u64,
     /// Events popped from the timing wheel.
     pub wheel_pops: u64,
-    /// Lane-popped `Expire` timers discarded dead in O(1).
+    /// `Expire` timers discarded dead in O(1).
     pub expire_skips: u64,
 }
 
@@ -258,8 +258,7 @@ impl Calendar {
 
     /// Parks `kind` on the heap: the construction-time schedule, app
     /// wakes, and events stalled until a frozen node thaws (a thaw time
-    /// fits no lane, and a stalled timer must not gain the lane-only
-    /// discard on its way back).
+    /// fits no lane).
     pub(crate) fn defer(&mut self, at: TimeMs, kind: EventKind) {
         let event = self.event(at, kind);
         self.heap.push(event);
@@ -280,15 +279,13 @@ impl Calendar {
         Some((at, source))
     }
 
-    /// Pops the `(time, seq)`-least event unless it lies beyond `deadline`,
-    /// with whether it rode a lane: only lane-popped timers take the O(1)
-    /// dead-expiry discard.
-    pub(crate) fn pop_due(&mut self, deadline: TimeMs) -> Option<(Event, bool)> {
+    /// Pops the `(time, seq)`-least event unless it lies beyond `deadline`.
+    pub(crate) fn pop_due(&mut self, deadline: TimeMs) -> Option<Event> {
         let (at, source) = self.locate()?;
         if at > deadline {
             return None;
         }
-        let event = match source {
+        match source {
             Source::Heap => {
                 self.stats.heap_pops += 1;
                 self.heap.pop()
@@ -301,11 +298,10 @@ impl Calendar {
                 self.stats.wheel_pops += 1;
                 self.wheel.pop()
             }
-        };
-        Some((event?, matches!(source, Source::Lane(_))))
+        }
     }
 
-    /// Counts one lane-popped timer discarded dead.
+    /// Counts one timer discarded dead.
     pub(crate) fn note_expire_skip(&mut self) {
         self.stats.expire_skips += 1;
     }
@@ -338,21 +334,22 @@ mod tests {
         }
     }
 
-    /// Pops the calendar and the reference heap together.
+    /// Pops the calendar and the reference heap together; returns the
+    /// popped instant and whether the event was a timer.
     fn pop_both(
         cal: &mut Calendar,
         reference: &mut BinaryHeap<Reverse<(TimeMs, u64)>>,
     ) -> (TimeMs, bool) {
         let Reverse((at, seq)) = reference.pop().expect("reference non-empty");
         assert!(at == 0 || cal.pop_due(at - 1).is_none(), "popped early");
-        let (event, from_lane) = cal.pop_due(at).expect("due");
-        let tag = match event.kind {
-            EventKind::Timer { incarnation, .. } => incarnation,
-            EventKind::AppWake { token } => token,
+        let event = cal.pop_due(at).expect("due");
+        let (tag, timer) = match event.kind {
+            EventKind::Timer { incarnation, .. } => (incarnation, true),
+            EventKind::AppWake { token } => (token, false),
             ref other => unreachable!("{other:?}"),
         };
         assert_eq!((event.at, tag), (at, seq));
-        (event.at, from_lane)
+        (event.at, timer)
     }
 
     /// Random interleavings of schedule / pop / thaw-style requeue pop in
@@ -392,10 +389,10 @@ mod tests {
                     // Thaw-style requeue: the popped event stalls on the
                     // heap with a fresh sequence number.
                     6 if !reference.is_empty() => {
-                        let (at, from_lane) = pop_both(&mut cal, &mut reference);
+                        let (at, timer) = pop_both(&mut cal, &mut reference);
                         (now, pops) = (at, pops + 1);
                         reference.push(Reverse((now + delay, cal.seq)));
-                        let kind = tagged(&cal, from_lane);
+                        let kind = tagged(&cal, timer);
                         cal.defer(now + delay, kind);
                     }
                     _ if !reference.is_empty() => {

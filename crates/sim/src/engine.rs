@@ -580,9 +580,9 @@ impl Simulation {
     /// in `(time, seq)` order.
     fn run_until_inner(&mut self, deadline: TimeMs, stop_on_wake: bool) -> bool {
         let deadline = deadline.min(self.trace.horizon);
-        while let Some((event, from_lane)) = self.calendar.pop_due(deadline) {
+        while let Some(event) = self.calendar.pop_due(deadline) {
             self.now = event.at;
-            self.dispatch(event.kind, from_lane);
+            self.dispatch(event.kind);
             // A paused executor has something to process: a fired wake or
             // an undrained application event.
             if stop_on_wake && !(self.pending_wakes.is_empty() && self.app_events.is_empty()) {
@@ -622,7 +622,7 @@ impl Simulation {
         self.crosscheck.stats()
     }
 
-    fn dispatch(&mut self, kind: EventKind, from_lane: bool) {
+    fn dispatch(&mut self, kind: EventKind) {
         // The one identity probe a delivery or timer pays. An addressee the
         // trace never named has no row: the event evaporates below.
         let slot = kind.addressee().and_then(|node| self.slot(node));
@@ -643,7 +643,7 @@ impl Simulation {
                 incarnation, timer, ..
             } => {
                 if let Some(slot) = slot {
-                    self.on_timer(slot, incarnation, timer, from_lane);
+                    self.on_timer(slot, incarnation, timer);
                 }
             }
             EventKind::Baseline => {
@@ -668,11 +668,10 @@ impl Simulation {
     }
 
     /// Fires `timer` on the node at `slot` if that incarnation is still up.
-    /// A firing that rode a lane and that [`Node::timer_live`] rejects would
-    /// be a guaranteed no-op inside the node, so it is dropped here without
-    /// the `handle_timer` round-trip; heap- and wheel-origin firings are
-    /// always delivered.
-    fn on_timer(&mut self, slot: usize, incarnation: u64, timer: Timer, from_lane: bool) {
+    /// A firing that [`Node::timer_live`] rejects would be a guaranteed
+    /// no-op inside the node, so it is dropped here without the
+    /// `handle_timer` round-trip, whichever container it came from.
+    fn on_timer(&mut self, slot: usize, incarnation: u64, timer: Timer) {
         let now = self.now;
         let sim_node = &mut self.nodes[slot];
         if sim_node.incarnation != incarnation {
@@ -681,7 +680,7 @@ impl Simulation {
         let Some(proto) = sim_node.proto.as_mut() else {
             return;
         };
-        if from_lane && !proto.timer_live(timer, now) {
+        if !proto.timer_live(timer, now) {
             self.calendar.note_expire_skip();
             return;
         }

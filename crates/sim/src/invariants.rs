@@ -55,13 +55,7 @@
 //! *same* violations at the same simulated times (`tests/incremental.rs`
 //! proves it), they only differ in how much work they skip.
 
-// The one `std` hash set left here (`reported`, which needs `retain`)
-// carries a per-site `detlint::allow` proving iteration order never leaks;
-// detlint is the precise layer, so the coarser clippy mirror is silenced
-// module-wide.
-#![allow(clippy::disallowed_types)]
-
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use avmon::{Config, DurMs, FlatMap, FlatSet, MemoPolicy, Node, NodeId, SharedSelector, TimeMs};
 use avmon_hash::{PointMemo, Threshold};
@@ -100,16 +94,6 @@ pub struct InvariantConfig {
     pub mode: InvariantMode,
     /// Per-sample sweep strategy (default [`CheckStrategy::Incremental`]).
     pub strategy: CheckStrategy,
-    /// Caps the end-of-run eventual-agreement sweep at roughly this many
-    /// ordered pairs by deterministic stride sampling (the sweep is
-    /// `O(eligible²)`, which at `N = 100k` is 10¹⁰ pairs). `None` (default)
-    /// checks every pair exactly, through the hash-inverted candidate
-    /// index: candidate `(monitor, target)` pairs are enumerated with
-    /// [`MonitorSelector::accepted_pairs`](avmon::MonitorSelector::accepted_pairs),
-    /// whose staged prefix-sharing makes the full condition scan several
-    /// times cheaper than per-pair `is_monitor` calls. The cap remains the
-    /// fallback for populations where even that is too slow.
-    pub max_agreement_pairs: Option<u64>,
 }
 
 impl InvariantConfig {
@@ -135,14 +119,6 @@ impl InvariantConfig {
     #[must_use]
     pub fn strategy(mut self, strategy: CheckStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Caps the end-of-run agreement sweep (see
-    /// [`InvariantConfig::max_agreement_pairs`]).
-    #[must_use]
-    pub fn agreement_pair_cap(mut self, cap: u64) -> Self {
-        self.max_agreement_pairs = Some(cap);
         self
     }
 }
@@ -429,8 +405,7 @@ pub struct InvariantChecker {
     /// `(kind, node, other)`: persistent corruption is recorded once per
     /// incarnation, not once per sampling tick, so long runs don't bloat
     /// the report while the first-corruption timestamp stays sharp.
-    // detlint::allow(banned-collection): dedup membership probes only; never iterated
-    reported: HashSet<(u8, NodeId, NodeId)>,
+    reported: BTreeSet<(u8, NodeId, NodeId)>,
     /// Declared adversary windows (attacks, corruptions) under
     /// stabilization tracking. Tiny in practice (a handful per scenario),
     /// so linear scans beat an index.
@@ -557,7 +532,7 @@ impl InvariantChecker {
             // wholesale rather than growing unboundedly.
             memo: PointMemo::new(1 << 22),
             threshold,
-            reported: HashSet::new(), // detlint::allow(banned-collection): see field
+            reported: BTreeSet::new(),
             stab: Vec::new(),
             summary: InvariantSummary {
                 enabled,
@@ -838,25 +813,18 @@ impl InvariantChecker {
             .collect();
         eligible.sort_by_key(|n| n.id());
 
-        // The agreement sweep is O(eligible²) condition evaluations; an
-        // optional cap thins it to a deterministic stride sample of the
-        // ordered pairs, enumerated directly (pair index k ↦ lexicographic
-        // (monitor, target) with the diagonal removed) so a capped sweep
-        // costs O(cap) work, never O(eligible²) iteration. Uncapped, the
-        // sweep builds a hash-inverted candidate index via the selector's
-        // staged batch enumeration — the stride loop's pairs, order and
-        // check count at stride 1, several times cheaper per pair — and
-        // only the O(eligible·K) candidates reach the agreement test. The
-        // per-sample memo is deliberately bypassed either way: these pairs
-        // are mostly cold, and inserting N² entries would thrash it.
+        // The agreement sweep covers all O(eligible²) ordered pairs: the
+        // selector's batch enumeration finds the condition-satisfying
+        // ones, and only those O(eligible·K) candidates reach the agreement
+        // test. It runs after a grace of (ln(N·K) + 2)·N/cvs² periods, in
+        // which every node's Fig. 2 cross-check has made about 2·cvs² pair
+        // evaluations per period — so the sweep is at most about
+        // 1/(2(ln(N·K) + 2)) of the run's own hashing. The per-sample memo
+        // is deliberately bypassed: these pairs are mostly cold, and
+        // inserting N² entries would thrash it.
         let len = eligible.len() as u64;
-        let total_pairs = len.saturating_mul(len.saturating_sub(1));
-        let stride = match self.config.max_agreement_pairs {
-            Some(cap) if cap > 0 && total_pairs > cap => total_pairs.div_ceil(cap),
-            _ => 1,
-        };
-        if stride == 1 && len > 1 {
-            self.summary.checks += total_pairs;
+        if len > 1 {
+            self.summary.checks += len * (len - 1);
             let ids: Vec<NodeId> = eligible.iter().map(|n| n.id()).collect();
             let mut candidates: Vec<(u32, u32)> = Vec::new();
             selector.accepted_pairs(&ids, &ids, &mut |mi, ti| {
@@ -864,19 +832,6 @@ impl InvariantChecker {
             });
             for (mi, ti) in candidates {
                 self.agreement_pair(now, eligible[mi as usize], eligible[ti as usize]);
-            }
-        } else {
-            let mut k = 0u64;
-            while k < total_pairs {
-                let mi = (k / (len - 1)) as usize;
-                let rem = (k % (len - 1)) as usize;
-                let ti = rem + usize::from(rem >= mi);
-                k += stride;
-                let (m, t) = (eligible[mi], eligible[ti]);
-                self.summary.checks += 1;
-                if selector.is_monitor(m.id(), t.id()) {
-                    self.agreement_pair(now, m, t);
-                }
             }
         }
 

@@ -296,14 +296,16 @@ pub fn stddev(values: &[f64]) -> f64 {
 }
 
 /// Empirical CDF of `values` evaluated at each point of `grid`: the
-/// fraction of samples `≤ x`.
+/// fraction of samples `≤ x`. Samples are never NaN, so `total_cmp`
+/// differs from `partial_cmp` only by ordering −0.0 before 0.0, which no
+/// count can see.
 #[must_use]
 pub fn cdf(values: &[f64], grid: &[f64]) -> Vec<f64> {
     if values.is_empty() {
         return vec![0.0; grid.len()];
     }
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in metric samples"));
+    sorted.sort_by(f64::total_cmp);
     grid.iter()
         .map(|&x| {
             let count = sorted.partition_point(|&v| v <= x);

@@ -4,11 +4,7 @@
 //! here is integer bookkeeping over a deterministic event order —
 //! serialized QoS is byte-identical across same-seed runs.
 
-// The one hash map here carries a per-site `detlint::allow`; detlint is
-// the precise layer, so the coarser clippy mirror is silenced.
-#![allow(clippy::disallowed_types)]
-
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use avmon::{DurMs, NodeId, TimeMs};
 
@@ -18,10 +14,8 @@ use crate::metrics::{DetectionDistribution, FdQos};
 #[derive(Debug, Default)]
 pub(crate) struct QosAccumulator {
     /// Open wrongful-suspicion episodes, keyed by `(monitor, target)` with
-    /// the suspicion start time. Only iterated for commutative sums, so
-    /// hash order never leaks into the report.
-    // detlint::allow(banned-collection): iterated only for commutative sums
-    open_mistakes: HashMap<(NodeId, NodeId), TimeMs>,
+    /// the suspicion start time.
+    open_mistakes: BTreeMap<(NodeId, NodeId), TimeMs>,
     /// Wrongful-suspicion episodes opened inside the measurement window.
     episodes: u64,
     /// Total time spent in (closed) mistake episodes.
@@ -83,7 +77,7 @@ impl QosAccumulator {
     /// Closes every still-open episode at the horizon so the totals cover
     /// the whole measurement window.
     pub(crate) fn close_all(&mut self, now: TimeMs) {
-        for (_, start) in self.open_mistakes.drain() {
+        for start in std::mem::take(&mut self.open_mistakes).into_values() {
             self.mistake_time += now.saturating_sub(start);
         }
     }

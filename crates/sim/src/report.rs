@@ -12,9 +12,10 @@ use crate::scenario::Attack;
 
 /// Sorts a target's estimates ascending before any float reduction, so the
 /// result is bit-reproducible regardless of which monitor pushed first (the
-/// order the pinned report digests were produced from).
+/// order the pinned report digests were produced from). Estimates are
+/// never NaN nor −0.0, so `total_cmp` orders them as `partial_cmp` would.
 fn sort_estimates(estimates: &mut [f64]) {
-    estimates.sort_by(|a, b| a.partial_cmp(b).expect("estimates are never NaN"));
+    estimates.sort_by(f64::total_cmp);
 }
 
 impl Simulation {
@@ -125,8 +126,8 @@ impl Simulation {
         // Rows come out in slot order, which is ascending `NodeId` order.
         let mut availability = Vec::new();
         // One pass over the trace builds every node's up-intervals;
-        // Trace::availability_of would rebuild this map per queried node
-        // (O(N · E) over a report — minutes at N = 50k).
+        // Trace::availability_of walks the whole event list per queried
+        // node (O(N · E) over a report — minutes at N = 50k).
         let up_intervals = self.trace.up_intervals();
         for (sim_node, mut estimates) in self.nodes.iter().zip(estimates_of) {
             let id = sim_node.id;

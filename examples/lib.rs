@@ -29,8 +29,6 @@ pub struct LargeScaleArgs {
     pub warmup_min: u64,
     /// Measured minutes (arg 3, default 10).
     pub duration_min: u64,
-    /// Eventual-agreement pair-scan cap (arg 4, default uncapped).
-    pub pair_cap: Option<u64>,
 }
 
 impl Default for LargeScaleArgs {
@@ -39,13 +37,12 @@ impl Default for LargeScaleArgs {
             n: 50_000,
             warmup_min: 30,
             duration_min: 10,
-            pair_cap: None,
         }
     }
 }
 
 /// Usage text printed when `large_scale` rejects its command line.
-pub const LARGE_SCALE_USAGE: &str = "usage: large_scale [N] [WARMUP_MIN] [DURATION_MIN] [PAIR_CAP]";
+pub const LARGE_SCALE_USAGE: &str = "usage: large_scale [N] [WARMUP_MIN] [DURATION_MIN]";
 
 /// Parses the positional arguments of the `large_scale` example.
 ///
@@ -66,9 +63,9 @@ pub fn parse_large_scale_args(
         }
     }
     let args: Vec<String> = args.collect();
-    if args.len() > 4 {
+    if args.len() > 3 {
         return Err(format!(
-            "large_scale: expected at most 4 arguments, got {}\n{LARGE_SCALE_USAGE}",
+            "large_scale: expected at most 3 arguments, got {}\n{LARGE_SCALE_USAGE}",
             args.len()
         ));
     }
@@ -78,7 +75,6 @@ pub fn parse_large_scale_args(
         n: field(arg(0), "N")?.unwrap_or(defaults.n),
         warmup_min: field(arg(1), "WARMUP_MIN")?.unwrap_or(defaults.warmup_min),
         duration_min: field(arg(2), "DURATION_MIN")?.unwrap_or(defaults.duration_min),
-        pair_cap: field(arg(3), "PAIR_CAP")?,
     })
 }
 
@@ -139,12 +135,11 @@ mod tests {
     #[test]
     fn all_args_parse_positionally() {
         assert_eq!(
-            parse(&["10000", "10", "5", "20000000"]).unwrap(),
+            parse(&["10000", "10", "5"]).unwrap(),
             LargeScaleArgs {
                 n: 10_000,
                 warmup_min: 10,
                 duration_min: 5,
-                pair_cap: Some(20_000_000),
             }
         );
     }
@@ -154,7 +149,7 @@ mod tests {
         let parsed = parse(&["10000"]).unwrap();
         assert_eq!(parsed.n, 10_000);
         assert_eq!(parsed.warmup_min, 30);
-        assert_eq!(parsed.pair_cap, None);
+        assert_eq!(parsed.duration_min, 10);
     }
 
     #[test]
@@ -163,7 +158,6 @@ mod tests {
             (&["50k"][..], "N"),
             (&["10000", "ten"][..], "WARMUP_MIN"),
             (&["10000", "10", "5.5"][..], "DURATION_MIN"),
-            (&["10000", "10", "5", "-1"][..], "PAIR_CAP"),
         ] {
             let err = parse(args).unwrap_err();
             assert!(err.contains(name), "error {err:?} must name {name}");
@@ -173,8 +167,8 @@ mod tests {
 
     #[test]
     fn excess_args_are_rejected() {
-        let err = parse(&["1", "2", "3", "4", "5"]).unwrap_err();
-        assert!(err.contains("at most 4"));
+        let err = parse(&["1", "2", "3", "4"]).unwrap_err();
+        assert!(err.contains("at most 3"));
         assert!(err.contains("usage:"));
     }
 }

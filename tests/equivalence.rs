@@ -17,9 +17,7 @@
 
 use avmon::{Behavior, Config, HasherKind, NodeId, MINUTE};
 use avmon_churn::{stat, synthetic, SynthParams, Trace};
-use avmon_sim::{
-    CrossCheckStats, InvariantConfig, LinkFaults, RngLedger, Scenario, SimOptions, Simulation,
-};
+use avmon_sim::{CrossCheckStats, LinkFaults, RngLedger, Scenario, SimOptions, Simulation};
 
 /// What a run leaves besides its report bytes.
 struct Run {
@@ -32,12 +30,9 @@ struct Run {
 /// per-stream RNG draw ledger and how the cross-checks were evaluated,
 /// after checking that all three calendar containers and the O(1)
 /// dead-expiry discard carried traffic.
-fn run(trace: Trace, opts: SimOptions, label: &str) -> Run {
-    run_in_steps(trace, opts, label, None)
-}
-
-/// [`run`], advancing `step` simulated ms at a time with half a millisecond
-/// of wall clock between steps when `step` is given. The report cannot tell:
+///
+/// With `step`, advances `step` simulated ms at a time with half a
+/// millisecond of wall clock between steps. The report cannot tell:
 /// `run_until` is the same loop however time is sliced. The cross-check
 /// helper can: a `ViewFetch` routed before a pause and answered after it
 /// finds its result ready, however busy the host is.
@@ -211,9 +206,8 @@ fn faults_and_freezes_reproduce_the_legacy_engine() {
     );
 }
 
-/// A lying monitor (`Behavior::FakeMonitor`) corrupting its target set,
-/// under the given checker configuration.
-fn attacker(invariants: InvariantConfig) -> (Trace, SimOptions) {
+/// A lying monitor (`Behavior::FakeMonitor`) corrupting its target set.
+fn attacker() -> (Trace, SimOptions) {
     let n = 60;
     let config = Config::builder(n).build().unwrap();
     let liar = NodeId::from_index(0);
@@ -226,7 +220,6 @@ fn attacker(invariants: InvariantConfig) -> (Trace, SimOptions) {
     assert!(!forged.is_empty());
     let opts = SimOptions::new(config)
         .seed(3)
-        .invariants(invariants)
         .behavior(liar, Behavior::FakeMonitor { targets: forged });
     (stat(n, 30 * MINUTE, 0.1, 3), opts)
 }
@@ -235,11 +228,12 @@ fn attacker(invariants: InvariantConfig) -> (Trace, SimOptions) {
 /// default engine with the per-pair agreement sweep: one digest.
 const ATTACKER_PIN: &str = "630a06a991aa54e0558e737df8fd591a";
 
-/// The engine must neither mask nor alter the checker's verdict.
+/// The engine must neither mask nor alter the checker's verdict, and the
+/// batched agreement sweep reproduces the per-pair enumeration it
+/// replaced.
 #[test]
 fn seeded_attacker_reproduces_the_legacy_engine() {
-    let make = || attacker(InvariantConfig::default());
-    let run = assert_pinned(make, "attacker", ATTACKER_PIN);
+    let run = assert_pinned(attacker, "attacker", ATTACKER_PIN);
     assert!(
         run.json.contains("GhostTarget"),
         "the seeded corruption must still be caught"
@@ -320,31 +314,4 @@ fn eclipse_coalition_reproduces_the_per_pair_cross_check() {
         "eclipse",
         "e454209cf7909882fb706b80d266291b",
     );
-}
-
-/// The end-of-run agreement sweep on the FakeMonitor scenario: the
-/// hash-inverted candidate index reproduces the per-pair enumeration it
-/// replaced (the pin — same violations, warnings and check counts), and
-/// the stride-capped fallback agrees wherever it samples (identical
-/// everything except the agreement portion it deliberately thins).
-#[test]
-fn agreement_sweep_matches_per_pair_enumeration_on_fake_monitor_scenario() {
-    let make = |invariants: InvariantConfig| {
-        let (trace, opts) = attacker(invariants);
-        run(trace, opts, "sweep").json
-    };
-    let exact = make(InvariantConfig::default());
-    assert_eq!(
-        digest(&exact),
-        ATTACKER_PIN,
-        "the candidate-index sweep diverged from exhaustive enumeration"
-    );
-    // The capped fallback still flags the seeded per-sample corruption
-    // (GhostTarget is found at sampling time, not by the agreement sweep).
-    let capped = make(InvariantConfig::default().agreement_pair_cap(64));
-    assert!(capped.contains("GhostTarget"));
-    // And a cap comfortably above the pair count degenerates to the same
-    // exact sweep.
-    let wide_cap = make(InvariantConfig::default().agreement_pair_cap(u64::MAX / 2));
-    assert_eq!(exact, wide_cap);
 }
