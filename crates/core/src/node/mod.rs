@@ -28,9 +28,9 @@ mod monitoring;
 #[cfg(test)]
 mod tests;
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
-use crate::table::{FlatMap, FlatSet};
+use crate::table::{FlatMap, FlatSet, SortedMap, SortedSet};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -340,8 +340,8 @@ pub struct Node {
     behavior: Behavior,
     rng: SmallRng,
     view: CoarseView,
-    ps: BTreeSet<NodeId>,
-    targets: BTreeMap<NodeId, TargetRecord>,
+    ps: SortedSet<NodeId>,
+    targets: SortedMap<NodeId, TargetRecord>,
     pending: FlatMap<Nonce, PendingEntry>,
     /// Pairs this node has already NOTIFY-ed, so that rediscovering the
     /// same match every period (Fig. 2 re-scans all pairs) does not
@@ -429,8 +429,8 @@ impl Node {
             behavior: Behavior::Honest,
             rng: SmallRng::seed_from_u64(seed),
             view: CoarseView::new(id, cvs),
-            ps: BTreeSet::new(),
-            targets: BTreeMap::new(),
+            ps: SortedSet::new(),
+            targets: SortedMap::new(),
             pending: FlatMap::new(),
             notified: FlatSet::new(),
             notified_cap: (8 * cvs * cvs).max(1024),

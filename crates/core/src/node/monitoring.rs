@@ -20,7 +20,7 @@ impl Node {
         // needs `&mut self`.)
         let mut to_ping: Vec<NodeId> = Vec::with_capacity(self.targets.len());
         let mut suppressed = 0u64;
-        for (&target, rec) in &self.targets {
+        for (&target, rec) in self.targets.iter() {
             let ping = match (self.config.forgetful, rec.unresponsive_since) {
                 (Some(f), Some(since)) if now.saturating_sub(since) > f.tau => {
                     // Forgetful pinging: probability c·ts/(ts+t). `ts` is

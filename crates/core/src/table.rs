@@ -1,4 +1,5 @@
-//! Open-addressed flat tables for the per-node hot maps.
+//! Per-node tables: open-addressed flat tables for the hot maps, sorted
+//! vectors for `PS` / `TS`.
 //!
 //! `Node` keeps two maps on its hottest paths: the pending-request table
 //! (`Nonce → PendingEntry`, touched by every request/response/expiry) and
@@ -16,6 +17,11 @@
 //! the honest ones: no SipHash per probe, one cache line per cluster,
 //! one allocation per table, and a deliberately *absent* iteration API
 //! so no future caller can make protocol behavior depend on slot order.
+//!
+//! `PS(x)` and `TS(x)` are the opposite case: walked in identity order
+//! every period and reported, but only about `K` entries each. They sit
+//! in [`SortedSet`] / [`SortedMap`], sorted `Vec`s with binary-search
+//! lookups whose iteration order is `BTreeSet`'s.
 
 use avmon_hash::fast64::mix64;
 
@@ -303,6 +309,188 @@ impl<K: TableKey> FromIterator<K> for FlatSet<K> {
             set.insert(key);
         }
         set
+    }
+}
+
+/// An ordered map over two parallel `Vec`s: keys ascending and
+/// duplicate-free, lookups by binary search, iteration in key order.
+///
+/// The node's `TS(x)` holds about `K` entries, where a `BTreeMap`'s
+/// 11-slot leaves cost several times the entries themselves; here the
+/// storage is the entries plus `Vec` slack. Inserts and removes shift
+/// the tail, which at `K`-sized maps is cheaper than a tree walk.
+#[derive(Debug, Clone)]
+pub struct SortedMap<K, V> {
+    keys: Vec<K>,
+    values: Vec<V>,
+}
+
+impl<K: Ord + Copy, V> Default for SortedMap<K, V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<K: Ord + Copy, V> SortedMap<K, V> {
+    /// Creates an empty map. Does not allocate until the first insert.
+    #[must_use]
+    pub fn new() -> Self {
+        SortedMap {
+            keys: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    #[must_use]
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.keys.binary_search(key).is_ok()
+    }
+
+    #[must_use]
+    pub fn get(&self, key: &K) -> Option<&V> {
+        let i = self.keys.binary_search(key).ok()?;
+        self.values.get(i)
+    }
+
+    #[must_use]
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        let i = self.keys.binary_search(key).ok()?;
+        self.values.get_mut(i)
+    }
+
+    /// Inserts `key → value`, returning the previous value if any.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        match self.keys.binary_search(&key) {
+            Ok(i) => Some(std::mem::replace(&mut self.values[i], value)),
+            Err(i) => {
+                self.keys.insert(i, key);
+                self.values.insert(i, value);
+                None
+            }
+        }
+    }
+
+    /// Removes `key`, returning its value if it was present.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        let i = self.keys.binary_search(key).ok()?;
+        self.keys.remove(i);
+        Some(self.values.remove(i))
+    }
+
+    /// The keys, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = &K> {
+        self.keys.iter()
+    }
+
+    /// The entries, in ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.keys.iter().zip(&self.values)
+    }
+}
+
+/// `BTreeMap::from_iter` semantics: entries sorted by key and, where a
+/// key repeats, the **last** value wins.
+impl<K: Ord + Copy, V> FromIterator<(K, V)> for SortedMap<K, V> {
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(entries: I) -> Self {
+        let mut entries: Vec<(K, V)> = entries.into_iter().collect();
+        // Stable: equal keys keep their input order, so the last one is
+        // the one left standing below.
+        entries.sort_by_key(|&(k, _)| k);
+        let mut map = SortedMap::new();
+        for (k, v) in entries {
+            match map.values.last_mut() {
+                Some(last) if map.keys.last() == Some(&k) => *last = v,
+                _ => {
+                    map.keys.push(k);
+                    map.values.push(v);
+                }
+            }
+        }
+        map
+    }
+}
+
+/// An ordered set over one `Vec`: ascending, duplicate-free, lookups by
+/// binary search. The node's `PS(x)` — see [`SortedMap`] for why not a
+/// `BTreeSet`.
+#[derive(Debug, Clone)]
+pub struct SortedSet<K> {
+    keys: Vec<K>,
+}
+
+impl<K: Ord + Copy> Default for SortedSet<K> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<K: Ord + Copy> SortedSet<K> {
+    /// Creates an empty set. Does not allocate until the first insert.
+    #[must_use]
+    pub fn new() -> Self {
+        SortedSet { keys: Vec::new() }
+    }
+
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    #[must_use]
+    pub fn contains(&self, key: &K) -> bool {
+        self.keys.binary_search(key).is_ok()
+    }
+
+    /// Inserts `key`; returns `true` if it was not already present
+    /// (mirroring `BTreeSet::insert`).
+    pub fn insert(&mut self, key: K) -> bool {
+        match self.keys.binary_search(&key) {
+            Ok(_) => false,
+            Err(i) => {
+                self.keys.insert(i, key);
+                true
+            }
+        }
+    }
+
+    /// Removes `key`; returns `true` if it was present.
+    pub fn remove(&mut self, key: &K) -> bool {
+        match self.keys.binary_search(key) {
+            Ok(i) => {
+                self.keys.remove(i);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// The members, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = &K> {
+        self.keys.iter()
+    }
+}
+
+impl<K: Ord + Copy> FromIterator<K> for SortedSet<K> {
+    fn from_iter<I: IntoIterator<Item = K>>(keys: I) -> Self {
+        let mut keys: Vec<K> = keys.into_iter().collect();
+        keys.sort_unstable();
+        keys.dedup();
+        SortedSet { keys }
     }
 }
 

@@ -580,3 +580,130 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// PS/TS storage: the sorted vectors behave as the `BTreeSet` / `BTreeMap`
+// they replace, iteration order and duplicate-input semantics included.
+
+use avmon::table::{SortedMap, SortedSet};
+use avmon::PersistentState;
+use std::collections::{BTreeMap, BTreeSet};
+
+#[derive(Debug, Clone)]
+enum SortedOp {
+    Insert(u8, u64),
+    Remove(u8),
+    Lookup(u8),
+}
+
+fn arb_sorted_ops() -> impl Strategy<Value = Vec<SortedOp>> {
+    // A 32-wide key universe, so keys are inserted, removed and
+    // reinserted many times over.
+    let op = (0..32u8, any::<u64>(), 0..4u8).prop_map(|(key, value, kind)| match kind {
+        0 | 1 => SortedOp::Insert(key, value),
+        2 => SortedOp::Remove(key),
+        _ => SortedOp::Lookup(key),
+    });
+    proptest::collection::vec(op, 1..400)
+}
+
+fn id(raw: u8) -> NodeId {
+    NodeId::from_index(u32::from(raw))
+}
+
+proptest! {
+    #[test]
+    fn sorted_map_agrees_with_btreemap(ops in arb_sorted_ops()) {
+        let mut sorted: SortedMap<NodeId, u64> = SortedMap::new();
+        let mut reference: BTreeMap<NodeId, u64> = BTreeMap::new();
+        for op in &ops {
+            match *op {
+                SortedOp::Insert(k, v) => {
+                    prop_assert_eq!(sorted.insert(id(k), v), reference.insert(id(k), v));
+                }
+                SortedOp::Remove(k) => {
+                    prop_assert_eq!(sorted.remove(&id(k)), reference.remove(&id(k)));
+                }
+                SortedOp::Lookup(k) => {
+                    prop_assert_eq!(sorted.get(&id(k)), reference.get(&id(k)));
+                    prop_assert_eq!(sorted.contains_key(&id(k)), reference.contains_key(&id(k)));
+                    if let (Some(v), Some(r)) = (sorted.get_mut(&id(k)), reference.get_mut(&id(k))) {
+                        *v = v.wrapping_add(1);
+                        *r = r.wrapping_add(1);
+                    }
+                }
+            }
+            prop_assert_eq!(sorted.len(), reference.len());
+            prop_assert!(sorted.iter().eq(reference.iter()));
+            prop_assert!(sorted.keys().eq(reference.keys()));
+        }
+    }
+
+    #[test]
+    fn sorted_set_agrees_with_btreeset(ops in arb_sorted_ops()) {
+        let mut sorted: SortedSet<NodeId> = SortedSet::new();
+        let mut reference: BTreeSet<NodeId> = BTreeSet::new();
+        for op in &ops {
+            match *op {
+                SortedOp::Insert(k, _) => {
+                    prop_assert_eq!(sorted.insert(id(k)), reference.insert(id(k)));
+                }
+                SortedOp::Remove(k) => {
+                    prop_assert_eq!(sorted.remove(&id(k)), reference.remove(&id(k)));
+                }
+                SortedOp::Lookup(k) => {
+                    prop_assert_eq!(sorted.contains(&id(k)), reference.contains(&id(k)));
+                }
+            }
+            prop_assert_eq!(sorted.len(), reference.len());
+            prop_assert!(sorted.iter().eq(reference.iter()));
+        }
+    }
+
+    /// `restore_persistent` from a state with repeated ids — what
+    /// `Corruption` feeds it — keeps `BTreeSet` / `BTreeMap` collect
+    /// semantics: one entry per id, ascending, and the last record of a
+    /// repeated target wins (with its session fields reset).
+    #[test]
+    fn restore_dedups_sorts_and_keeps_the_last_record(
+        seed in any::<u64>(),
+        ps in proptest::collection::vec(0..16u8, 0..24),
+        targets in proptest::collection::vec((0..16u8, any::<u64>()), 0..24),
+    ) {
+        use std::sync::Arc;
+        let config = Config::builder(256).k(24).build().unwrap();
+        let me = NodeId::from_index(1);
+        let mut node = avmon::Node::new(
+            me,
+            config.clone(),
+            Arc::new(HashSelector::from_config(&config)),
+            seed,
+        );
+        let record = |pings: u64| TargetRecord {
+            session_start: Some(pings),
+            unresponsive_since: Some(pings),
+            ..garbage_record(pings, pings, 0)
+        };
+        let state = PersistentState {
+            ps: ps.iter().map(|&p| id(p)).collect(),
+            targets: targets.iter().map(|&(t, pings)| (id(t), record(pings))).collect(),
+        };
+        let expected_ps: BTreeSet<NodeId> = state.ps.iter().copied().collect();
+        let expected_ts: BTreeMap<NodeId, TargetRecord> = targets
+            .iter()
+            .map(|&(t, pings)| (id(t), garbage_record(pings, pings, 0)))
+            .collect();
+        node.restore_persistent(state);
+        prop_assert!(node.pinging_set().eq(expected_ps.iter().copied()));
+        prop_assert!(node
+            .target_records()
+            .eq(expected_ts.iter().map(|(&t, rec)| (t, rec))));
+        for &(t, _) in &targets {
+            let last = targets.iter().rev().find(|&&(u, _)| u == t).map(|&(_, p)| p);
+            prop_assert_eq!(node.target_record(id(t)).map(|r| r.pings_sent), last);
+        }
+        let snapshot = node.snapshot_persistent();
+        prop_assert_eq!(snapshot.ps, expected_ps.into_iter().collect::<Vec<_>>());
+        prop_assert_eq!(snapshot.targets, expected_ts.into_iter().collect::<Vec<_>>());
+    }
+}

@@ -122,9 +122,29 @@ struct TimerLane {
 /// sequence order, making wheel pops bit-compatible with heap pops.
 const WHEEL_SPAN: u64 = 1024;
 
+/// The end of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: an event while queued, with the link to the next slot
+/// of its bucket; once popped, a free slot linked to the next free one.
+#[derive(Debug)]
+struct WheelSlot {
+    event: Option<Event>,
+    next: u32,
+}
+
+/// The wheel keeps every event in one slab, and each bucket is a FIFO
+/// list threaded through it as `(head, tail)`. A pop returns its slot to
+/// a LIFO free list and a push takes the most recently freed slot, so
+/// the slab holds the peak number of deliveries ever in flight at once
+/// (the start-up JOIN storm), not the sum of each bucket's own peak.
 #[derive(Debug)]
 struct DeliveryWheel {
-    buckets: Vec<VecDeque<Event>>,
+    slots: Vec<WheelSlot>,
+    /// Head of the free list.
+    free: u32,
+    /// `(head, tail)` slot of each bucket's list; `NIL` when empty.
+    buckets: Vec<(u32, u32)>,
     len: usize,
     /// Lower bound on the earliest occupied bucket time (pulled back on
     /// push, advanced monotonically by scans — amortizes peeks to O(1)).
@@ -134,42 +154,89 @@ struct DeliveryWheel {
 impl DeliveryWheel {
     fn new() -> Self {
         DeliveryWheel {
-            buckets: (0..WHEEL_SPAN).map(|_| VecDeque::new()).collect(),
+            slots: Vec::new(),
+            free: NIL,
+            buckets: vec![(NIL, NIL); WHEEL_SPAN as usize],
             len: 0,
             cursor: 0,
         }
     }
 
+    fn event(&self, slot: u32) -> Option<&Event> {
+        self.slots.get(slot as usize)?.event.as_ref()
+    }
+
     fn push(&mut self, event: Event) {
         self.cursor = self.cursor.min(event.at);
         self.len += 1;
-        let bucket = &mut self.buckets[(event.at % WHEEL_SPAN) as usize];
+        let b = (event.at % WHEEL_SPAN) as usize;
+        let tail = self.buckets[b].1;
         debug_assert!(
-            bucket.back().is_none_or(|back| back.at == event.at),
+            self.event(tail).is_none_or(|back| back.at == event.at),
             "wheel bucket would hold two instants"
         );
-        bucket.push_back(event);
+        let slot = WheelSlot {
+            event: Some(event),
+            next: NIL,
+        };
+        let i = match self.slots.get_mut(self.free as usize) {
+            Some(reused) => {
+                let i = self.free;
+                self.free = reused.next;
+                *reused = slot;
+                i
+            }
+            None => {
+                // Fits below `NIL`: 2^32 − 1 deliveries in flight would
+                // take over 340 GB of slots.
+                self.slots.push(slot);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        match self.slots.get_mut(tail as usize) {
+            Some(back) => back.next = i,
+            None => self.buckets[b].0 = i,
+        }
+        self.buckets[b].1 = i;
     }
 
-    /// The earliest event, advancing the cursor past empty buckets along
-    /// the way.
-    fn front(&mut self) -> Option<&Event> {
+    /// The bucket holding the earliest event, advancing the cursor past
+    /// empty buckets along the way.
+    fn front_bucket(&mut self) -> Option<usize> {
         if self.len == 0 {
             return None;
         }
         loop {
-            let bucket = &self.buckets[(self.cursor % WHEEL_SPAN) as usize];
-            if bucket.front().is_some_and(|e| e.at == self.cursor) {
-                return self.buckets[(self.cursor % WHEEL_SPAN) as usize].front();
+            let b = (self.cursor % WHEEL_SPAN) as usize;
+            if self
+                .event(self.buckets[b].0)
+                .is_some_and(|e| e.at == self.cursor)
+            {
+                return Some(b);
             }
             self.cursor += 1;
         }
     }
 
+    /// The earliest event.
+    fn front(&mut self) -> Option<&Event> {
+        let b = self.front_bucket()?;
+        self.event(self.buckets[b].0)
+    }
+
     fn pop(&mut self) -> Option<Event> {
-        self.front()?;
+        let b = self.front_bucket()?;
+        let head = self.buckets[b].0;
+        let slot = self.slots.get_mut(head as usize)?;
+        let event = slot.event.take();
+        self.buckets[b].0 = slot.next;
+        if slot.next == NIL {
+            self.buckets[b].1 = NIL;
+        }
+        slot.next = self.free;
+        self.free = head;
         self.len -= 1;
-        self.buckets[(self.cursor % WHEEL_SPAN) as usize].pop_front()
+        event
     }
 }
 
@@ -414,6 +481,46 @@ mod tests {
         }
         assert!(totals.heap_pops > 0 && totals.lane_pops > 0 && totals.wheel_pops > 0);
         assert!(fallbacks > 0, "no push ever broke a lane's monotonicity");
+    }
+
+    /// The wheel's memory is the peak number of deliveries in flight: a
+    /// 100 000-delivery storm sizes the slab, and ten spans of steady
+    /// traffic afterwards reuse its freed slots without allocating one.
+    #[test]
+    fn wheel_memory_is_the_in_flight_peak() {
+        const STORM: u64 = 100_000;
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut cal = Calendar::new(LANES.to_vec(), 0);
+        let mut reference = BinaryHeap::new();
+        for _ in 0..STORM {
+            let at = rng.gen_range(0..WHEEL_SPAN);
+            reference.push(Reverse((at, cal.seq)));
+            let kind = tagged(&cal, false);
+            cal.schedule(0, at, kind);
+        }
+        let peak = cal.wheel.slots.len();
+        assert_eq!(peak, STORM as usize);
+        let mut now = 0;
+        while !reference.is_empty() {
+            now = pop_both(&mut cal, &mut reference).0;
+            assert_eq!(cal.wheel.slots.len(), peak);
+        }
+        let (start, mut pops) = (now, STORM);
+        while now < start + 10 * WHEEL_SPAN {
+            if reference.len() < 64 && (reference.is_empty() || rng.gen_bool(0.5)) {
+                let at = now + rng.gen_range(0..WHEEL_SPAN);
+                reference.push(Reverse((at, cal.seq)));
+                let kind = tagged(&cal, false);
+                cal.schedule(now, at, kind);
+            } else {
+                (now, pops) = (pop_both(&mut cal, &mut reference).0, pops + 1);
+            }
+            assert_eq!(cal.wheel.slots.len(), peak, "steady phase grew the slab");
+        }
+        assert_eq!(cal.stats().wheel_pops, pops);
+        // Exactly the undelivered events hold a slot.
+        let live = cal.wheel.slots.iter().filter(|s| s.event.is_some()).count();
+        assert_eq!(live, reference.len());
     }
 
     /// Both sides of the wheel boundary, and the lane match is exact.

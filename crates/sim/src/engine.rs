@@ -234,7 +234,9 @@ pub struct Simulation {
     /// absent from the trace (corruption ghosts, stray app-API arguments)
     /// resolve to no slot and are inert.
     slot_of: FlatMap<NodeId, u32>,
-    pub(crate) alive: Vec<NodeId>,
+    /// The live nodes as `(identity, row)`, in join order patched by
+    /// swap-removes.
+    pub(crate) alive: Vec<(NodeId, usize)>,
     /// Every pending event, in `(time, seq)` order.
     pub(crate) calendar: Calendar,
     pub(crate) now: TimeMs,
@@ -473,7 +475,7 @@ impl Simulation {
 
     /// Identities currently alive.
     pub fn alive(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.alive.iter().copied()
+        self.alive.iter().map(|&(id, _)| id)
     }
 
     /// Read access to a live node's protocol state.
@@ -600,7 +602,7 @@ impl Simulation {
             self.finished = true;
             self.qos.close_all(self.now);
             // End-of-run invariant sweep (Theorem 1 liveness, convergence).
-            let live = live_protos(&self.nodes, &self.slot_of, &self.alive);
+            let live = live_protos(&self.nodes, &self.alive);
             self.checker.finalize(self.now, live);
         }
     }
@@ -933,7 +935,7 @@ impl Simulation {
             series.memory_entries_max = series.memory_entries_max.max(mem);
         }
         // Always-on invariant sweep over the live population.
-        let live = live_protos(&self.nodes, &self.slot_of, &self.alive);
+        let live = live_protos(&self.nodes, &self.alive);
         self.checker.on_sample(self.now, live);
     }
 
@@ -1007,7 +1009,7 @@ impl Simulation {
                 if self.alive.is_empty() {
                     return None;
                 }
-                Some(self.alive[self.rng.gen_range(0..self.alive.len())])
+                Some(self.alive[self.rng.gen_range(0..self.alive.len())].0)
             }
             Some(jidx) => {
                 if self.alive.len() < 2 {
@@ -1016,7 +1018,7 @@ impl Simulation {
                 // Draw over the n−1 non-joiner slots and skip past the
                 // joiner's own index.
                 let r = self.rng.gen_range(0..self.alive.len() - 1);
-                Some(self.alive[if r >= jidx { r + 1 } else { r }])
+                Some(self.alive[if r >= jidx { r + 1 } else { r }].0)
             }
         }
     }
@@ -1025,15 +1027,14 @@ impl Simulation {
         let sim_node = &mut self.nodes[slot];
         if sim_node.alive_pos.is_none() {
             sim_node.alive_pos = Some(self.alive.len());
-            self.alive.push(sim_node.id);
+            self.alive.push((sim_node.id, slot));
         }
     }
 
     fn alive_remove(&mut self, slot: usize) {
         if let Some(idx) = self.nodes[slot].alive_pos.take() {
             self.alive.swap_remove(idx);
-            if let Some(&moved) = self.alive.get(idx) {
-                let moved = self.slot(moved).expect("alive implies known");
+            if let Some(&(_, moved)) = self.alive.get(idx) {
                 self.nodes[moved].alive_pos = Some(idx);
             }
         }
@@ -1044,12 +1045,11 @@ impl Simulation {
 /// checker records its observations in).
 fn live_protos<'a>(
     nodes: &'a [SimNode],
-    slot_of: &'a FlatMap<NodeId, u32>,
-    alive: &'a [NodeId],
+    alive: &'a [(NodeId, usize)],
 ) -> impl Iterator<Item = &'a Node> {
     alive
         .iter()
-        .filter_map(|id| nodes[*slot_of.get(id)? as usize].proto.as_ref())
+        .filter_map(|&(_, slot)| nodes[slot].proto.as_ref())
 }
 
 /// Where one node's outputs go (see [`Simulation::apply_outputs`]): the
@@ -1061,7 +1061,7 @@ struct OutputSink<'a> {
     calendar: &'a mut Calendar,
     net: &'a mut NetworkState,
     rng: &'a mut SmallRng,
-    alive: &'a [NodeId],
+    alive: &'a [(NodeId, usize)],
     /// The node's discovery log, if it keeps one.
     discovery: Option<&'a mut DiscoveryLog>,
     /// The event buffer, when anyone listens to this node.
@@ -1107,7 +1107,7 @@ impl DriverEnv for OutputSink<'_> {
             Destination::Node(to) => self.route(from, to, transmit.msg),
             Destination::AllNodes => {
                 let alive = self.alive;
-                for &to in alive.iter().filter(|&&to| to != from) {
+                for &(to, _) in alive.iter().filter(|&&(to, _)| to != from) {
                     self.route(from, to, transmit.msg.clone());
                 }
             }
@@ -1229,10 +1229,10 @@ mod tests {
             for t in (0..=horizon).step_by(20_000) {
                 sim.run_until(t);
                 let mut live = 0;
-                for node in &sim.nodes {
+                for (row, node) in sim.nodes.iter().enumerate() {
                     assert_eq!(node.alive_pos.is_some(), node.proto.is_some(), "t={t}");
                     if let Some(pos) = node.alive_pos {
-                        assert_eq!(sim.alive[pos], node.id, "seed {seed}, t={t}");
+                        assert_eq!(sim.alive[pos], (node.id, row), "seed {seed}, t={t}");
                         live += 1;
                     }
                 }

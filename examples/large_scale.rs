@@ -7,7 +7,7 @@
 //! overlay (default 50k), keeps the always-on invariant checker in
 //! `Record` mode the whole run (incremental checking makes that
 //! affordable), and prints the paper's per-node metrics plus the checker's
-//! verdict and the wall-clock cost.
+//! verdict, the wall-clock cost and the process's peak resident set.
 //!
 //! ```text
 //! cargo run --release -p avmon-examples --bin large_scale               # N = 50 000
@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use avmon::{Config, MINUTE};
 use avmon_churn::{synthetic, SynthParams};
-use avmon_examples::{parse_large_scale_args, print_kv, LargeScaleArgs};
+use avmon_examples::{parse_large_scale_args, peak_rss_kb, print_kv, LargeScaleArgs};
 use avmon_sim::{metrics, SimOptions, Simulation};
 
 fn main() {
@@ -139,6 +139,12 @@ fn main() {
                 "{} heap pops, {} lane pops, {} wheel pops ({} dead expiries skipped)",
                 calendar.heap_pops, calendar.lane_pops, calendar.wheel_pops, calendar.expire_skips
             ),
+        ),
+        (
+            "peak RSS",
+            peak_rss_kb().map_or("n/a".to_string(), |kb| {
+                format!("{kb} kB ({:.1} MB)", kb as f64 / 1024.0)
+            }),
         ),
         (
             "verdict",

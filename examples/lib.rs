@@ -20,6 +20,17 @@ pub fn print_kv(pairs: &[(&str, String)]) {
     }
 }
 
+/// This process's peak resident set so far (`VmHWM` in
+/// `/proc/self/status`), in kB; `None` where the kernel does not report it.
+pub fn peak_rss_kb() -> Option<u64> {
+    vm_hwm_kb(&std::fs::read_to_string("/proc/self/status").ok()?)
+}
+
+fn vm_hwm_kb(status: &str) -> Option<u64> {
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
 /// Parsed command line of the `large_scale` example.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LargeScaleArgs {
@@ -163,6 +174,13 @@ mod tests {
             assert!(err.contains(name), "error {err:?} must name {name}");
             assert!(err.contains("usage:"), "error {err:?} must carry usage");
         }
+    }
+
+    #[test]
+    fn vm_hwm_is_read_from_its_own_line() {
+        let status = "Name:\tlarge_scale\nVmPeak:\t  900 kB\nVmHWM:\t  121344 kB\nVmRSS:\t 5 kB\n";
+        assert_eq!(vm_hwm_kb(status), Some(121_344));
+        assert_eq!(vm_hwm_kb("Name:\tx\nVmRSS:\t5 kB\n"), None);
     }
 
     #[test]

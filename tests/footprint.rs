@@ -60,15 +60,17 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// System size of `churn_faults_4k`; the default policy gives `cvs` = 32.
 const N: usize = 4_000;
 
-/// Measured at this commit: 6 966 B after period 20, 7 862 B after period
-/// 60. The bound is three times that; the per-node pair memo this test
-/// keeps from coming back made the same node 170 806 B by period 20.
-const NODE_HEAP_BOUND: isize = 24_000;
+/// Measured at this commit: 5 846 B after period 20, 7 366 B after period
+/// 60, with `PS` and `TS` in sorted vectors (B-tree leaves made them
+/// 6 966 / 7 862 B). The bound is three times the period-60 reading; the
+/// per-node pair memo this test keeps from coming back made the same node
+/// 170 806 B by period 20.
+const NODE_HEAP_BOUND: isize = 22_098;
 
 /// Slack between the two readings: `PS` and `TS` are still filling towards
-/// `K` = 12 entries each (1 + 1 at period 20, 6 + 6 at period 60 — the
-/// 896 B measured), and the `notified` cache sits at a different point of
-/// its bounded cycle.
+/// `K` = 12 entries each (1 + 1 at period 20, 6 + 6 at period 60, which
+/// doubles each vector's capacity — the 1 520 B measured), and the
+/// `notified` cache sits at a different point of its bounded cycle.
 const STEADY_SLACK: isize = 2_048;
 
 /// A deterministic 32-entry view for `period`, drawn from the population.
