@@ -100,8 +100,8 @@ pub use history::{AvailabilityStore, HistoryStore};
 pub use id::{NodeId, ParseNodeIdError};
 pub use message::{Message, MessageKind, Nonce};
 pub use node::{
-    Action, AppEvent, Destination, JoinKind, MemoPolicy, Node, PersistentState, TargetRecord,
-    Timer, Transmit,
+    Action, AppEvent, Destination, JoinKind, MemoPolicy, Node, OutputQueues, PersistentState,
+    TargetRecord, Timer, Transmit,
 };
 pub use selector::{
     verify_report, CentralSelector, DhtRingSelector, HashSelector, MonitorSelector,

@@ -11,11 +11,15 @@
 //! * [`Node::poll_timer`] — timers to arm ([`Timer`] at an absolute time),
 //! * [`Node::poll_event`] — application-visible [`AppEvent`]s.
 //!
-//! The queues are reused across inputs, so the steady-state hot path
-//! performs no allocation per input — the property the paper's §4
-//! scalability analysis (`O(cvs)` memory, `O(cvs²)` hash checks per
-//! period) depends on. The [`crate::driver`] module builds the shared
-//! harness (timer queue, drain loop, snapshots) on top of this interface.
+//! The queues ([`OutputQueues`]) are reused across inputs, so the
+//! steady-state hot path performs no allocation per input — the property
+//! the paper's §4 scalability analysis (`O(cvs)` memory, `O(cvs²)` hash
+//! checks per period) depends on. They are empty between inputs once
+//! drained, so a driver running many nodes on one thread can lend one set
+//! to whichever node takes the next input ([`Node::swap_output_queues`]);
+//! the simulator does, and its nodes hold no queue capacity between
+//! inputs. The [`crate::driver`] module builds the shared harness (timer
+//! queue, drain loop, snapshots) on top of this interface.
 //!
 //! One `Node` value implements every sub-protocol of the paper: the JOIN
 //! spanning tree (Fig. 1), coarse-view maintenance and monitor discovery
@@ -225,6 +229,29 @@ pub enum AppEvent {
     },
 }
 
+/// A node's three output queues, drained by the poll interface
+/// ([`Node::poll_transmit`], [`Node::poll_timer`], [`Node::poll_event`]).
+///
+/// Every node owns a set; a driver that runs many nodes on one thread can
+/// keep one more and lend it to whichever node takes the next input with
+/// [`Node::swap_output_queues`], so that the capacity the queues grow to
+/// is paid once, not once per node. `pop_front` never shrinks capacity,
+/// so whichever set a node is using allocates nothing per input in the
+/// steady state.
+#[derive(Debug, Default)]
+pub struct OutputQueues {
+    transmits: VecDeque<Transmit>,
+    timers: VecDeque<(Timer, TimeMs)>,
+    events: VecDeque<AppEvent>,
+}
+
+impl OutputQueues {
+    /// Whether all three queues are empty.
+    fn is_empty(&self) -> bool {
+        self.transmits.is_empty() && self.timers.is_empty() && self.events.is_empty()
+    }
+}
+
 /// Outstanding request state, keyed by nonce. `Copy`: every variant is
 /// a couple of 6-byte identities, so entries live inline in the flat
 /// pending table with no heap indirection.
@@ -382,12 +409,10 @@ pub struct Node {
     /// incremental invariant checking.
     sets_epoch: u64,
     stats: NodeStats,
-    /// Output queues drained by the poll interface. Reused across inputs:
-    /// `pop_front` never shrinks capacity, so the steady state allocates
-    /// nothing per input.
-    outbox: VecDeque<Transmit>,
-    timerbox: VecDeque<(Timer, TimeMs)>,
-    eventbox: VecDeque<AppEvent>,
+    /// Output queues drained by the poll interface: the node's own, or a
+    /// set lent by the driver for the current input
+    /// ([`Node::swap_output_queues`]).
+    queues: OutputQueues,
 }
 
 /// Shim for the frozen `benchmark/` crate, which prints this record: the
@@ -443,9 +468,7 @@ impl Node {
             pr2_last_fired: None,
             sets_epoch: 0,
             stats: NodeStats::default(),
-            outbox: VecDeque::new(),
-            timerbox: VecDeque::new(),
-            eventbox: VecDeque::new(),
+            queues: OutputQueues::default(),
         }
     }
 
@@ -588,27 +611,39 @@ impl Node {
     /// The next outgoing datagram, in FIFO order; `None` when drained.
     #[must_use = "the driver must execute drained transmits"]
     pub fn poll_transmit(&mut self) -> Option<Transmit> {
-        self.outbox.pop_front()
+        self.queues.transmits.pop_front()
     }
 
     /// The next timer to arm `(timer, fire_at)`, in FIFO order; `None`
     /// when drained.
     #[must_use = "the driver must arm drained timers"]
     pub fn poll_timer(&mut self) -> Option<(Timer, TimeMs)> {
-        self.timerbox.pop_front()
+        self.queues.timers.pop_front()
     }
 
     /// The next application event, in FIFO order; `None` when drained.
     #[must_use = "the driver should surface drained events"]
     pub fn poll_event(&mut self) -> Option<AppEvent> {
-        self.eventbox.pop_front()
+        self.queues.events.pop_front()
     }
 
     /// Whether any output (transmit, timer, or event) is waiting to be
     /// drained.
     #[must_use]
     pub fn has_pending_output(&self) -> bool {
-        !self.outbox.is_empty() || !self.timerbox.is_empty() || !self.eventbox.is_empty()
+        !self.queues.is_empty()
+    }
+
+    /// Exchanges the node's output queues with `spare`: a driver lends the
+    /// node its spare set before an input and takes it back (the same
+    /// call) once the input's output is drained, so the node holds no
+    /// queue capacity between inputs. Both sides must be drained.
+    pub fn swap_output_queues(&mut self, spare: &mut OutputQueues) {
+        debug_assert!(
+            self.queues.is_empty() && spare.is_empty(),
+            "output queues swapped with undrained output"
+        );
+        std::mem::swap(&mut self.queues, spare);
     }
 
     // ------------------------------------------------------------- inputs
@@ -674,7 +709,7 @@ impl Node {
                 self.stats.messages_sent += self.config.system_size as u64;
                 self.stats.bytes_sent +=
                     codec::encoded_len(&msg) as u64 * self.config.system_size as u64;
-                self.outbox.push_back(Transmit {
+                self.queues.transmits.push_back(Transmit {
                     to: Destination::AllNodes,
                     msg,
                 });
@@ -987,7 +1022,7 @@ impl Node {
         debug_assert_ne!(to, self.id, "nodes never message themselves");
         self.stats.messages_sent += 1;
         self.stats.bytes_sent += codec::encoded_len(&msg) as u64;
-        self.outbox.push_back(Transmit {
+        self.queues.transmits.push_back(Transmit {
             to: Destination::Node(to),
             msg,
         });
@@ -995,7 +1030,7 @@ impl Node {
 
     /// Queues a timer request.
     fn arm_timer(&mut self, timer: Timer, at: TimeMs) {
-        self.timerbox.push_back((timer, at));
+        self.queues.timers.push_back((timer, at));
     }
 
     /// Registers an outstanding request: draws a fresh nonce, stamps the
@@ -1030,7 +1065,7 @@ impl Node {
 
     /// Queues an application event.
     fn emit(&mut self, event: AppEvent) {
-        self.eventbox.push_back(event);
+        self.queues.events.push_back(event);
     }
 
     fn fresh_nonce(&mut self) -> Nonce {

@@ -1713,3 +1713,179 @@ fn batched_audit_matches_the_per_entry_loop() {
         assert!(purged > 0, "{selector:?}: no corruption was purged");
     }
 }
+
+// ------------------------------------------------- what a node keeps idle
+
+/// A monitoring period whose pings are all answered empties the pending
+/// table, which then holds no slots; every armed expiry is dead.
+#[test]
+fn answered_monitoring_period_leaves_pending_unallocated() {
+    let targets = [5, 6, 7];
+    let pairs: Vec<(NodeId, NodeId)> = targets.iter().map(|&t| (id(1), id(t))).collect();
+    let cfg = Config::builder(100).forgetful(None).build().unwrap();
+    let mut n = Node::new(id(1), cfg, TestSelector::with_pairs(&pairs), 2);
+    for &t in &targets {
+        n.handle_message(
+            0,
+            id(9),
+            Message::Notify {
+                monitor: id(1),
+                target: id(t),
+            },
+        );
+    }
+    let _ = drain(&mut n);
+    assert_eq!(n.pending.allocated_slots(), 0, "nothing in flight yet");
+
+    n.handle_timer(MINUTE, Timer::Monitoring);
+    let actions = drain(&mut n);
+    let pings: Vec<(NodeId, Nonce)> = sends(&actions)
+        .into_iter()
+        .filter_map(|(to, m)| match m {
+            Message::MonitorPing { nonce } => Some((to, nonce)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(pings.len(), targets.len(), "every target is pinged");
+    assert_eq!(n.pending.len(), targets.len());
+    assert!(n.pending.allocated_slots() > 0);
+
+    for &(to, nonce) in &pings {
+        n.handle_message(MINUTE + 10, to, Message::MonitorPong { nonce });
+    }
+    let _ = drain(&mut n);
+    assert!(n.pending.is_empty());
+    assert_eq!(
+        n.pending.allocated_slots(),
+        0,
+        "an emptied pending table frees its slots"
+    );
+    let expiries: Vec<(Timer, TimeMs)> = timers(&actions)
+        .into_iter()
+        .filter(|(t, _)| matches!(t, Timer::Expire(_)))
+        .collect();
+    assert_eq!(expiries.len(), pings.len());
+    for (timer, at) in expiries {
+        assert!(!n.timer_live(timer, at), "{timer:?} outlived its pong");
+    }
+    for &t in &targets {
+        assert_eq!(n.target_record(id(t)).unwrap().pongs_received, 1);
+    }
+}
+
+/// A single-node driver that records every output, running each input on
+/// the node's own queues or, given a spare set, on that set lent for the
+/// input the way the simulator lends it.
+#[derive(Default)]
+struct Recorder {
+    spare: Option<OutputQueues>,
+    actions: Actions,
+}
+
+impl Recorder {
+    /// Runs one input on `n`, drains it, and returns what it produced.
+    fn input(&mut self, n: &mut Node, f: impl FnOnce(&mut Node)) -> Actions {
+        if let Some(spare) = self.spare.as_mut() {
+            n.swap_output_queues(spare);
+        }
+        f(n);
+        let actions = drain(n);
+        if let Some(spare) = self.spare.as_mut() {
+            n.swap_output_queues(spare);
+        }
+        self.actions.extend(actions.iter().cloned());
+        actions
+    }
+}
+
+/// One scripted life touching every output stream: join, view adoption,
+/// NOTIFYs both ways, a protocol period whose fetch finds a pair, an
+/// answered monitoring period, a served ping, a report that times out,
+/// and app payloads out and to itself.
+fn scripted_life(recorder: &mut Recorder) -> Node {
+    let selector = TestSelector::with_pairs(&[(id(1), id(5)), (id(6), id(1)), (id(3), id(4))]);
+    let cfg = Config::builder(100).forgetful(None).build().unwrap();
+    let mut n = Node::new(id(1), cfg, selector, 11);
+    let joined = recorder.input(&mut n, |n| n.start(0, JoinKind::Fresh, Some(id(2))));
+    for (to, msg) in sends(&joined) {
+        if let Message::InitViewRequest { nonce } = msg {
+            let view = vec![id(3), id(5), id(6), id(7)];
+            recorder.input(&mut n, |n| {
+                n.handle_message(5, to, Message::InitViewReply { nonce, view });
+            });
+        }
+    }
+    for (monitor, target) in [(id(1), id(5)), (id(6), id(1))] {
+        recorder.input(&mut n, |n| {
+            n.handle_message(6, id(9), Message::Notify { monitor, target });
+        });
+    }
+    let probes = recorder.input(&mut n, |n| n.handle_timer(MINUTE, Timer::Protocol));
+    for (to, msg) in sends(&probes) {
+        let reply = match msg {
+            Message::ViewPing { nonce } => Message::ViewPong { nonce },
+            Message::ViewFetch { nonce } => Message::ViewFetchReply {
+                nonce,
+                view: vec![id(4), id(8)],
+            },
+            _ => continue,
+        };
+        recorder.input(&mut n, |n| n.handle_message(MINUTE + 5, to, reply));
+    }
+    let pings = recorder.input(&mut n, |n| n.handle_timer(MINUTE, Timer::Monitoring));
+    for (to, msg) in sends(&pings) {
+        if let Message::MonitorPing { nonce } = msg {
+            recorder.input(&mut n, |n| {
+                n.handle_message(MINUTE + 10, to, Message::MonitorPong { nonce });
+            });
+        }
+    }
+    recorder.input(&mut n, |n| {
+        n.handle_message(MINUTE + 20, id(6), Message::MonitorPing { nonce: Nonce(3) });
+    });
+    let armed = recorder.input(&mut n, |n| n.request_report(MINUTE + 30, id(5), 2));
+    for (timer, at) in timers(&armed) {
+        recorder.input(&mut n, |n| n.handle_timer(at, timer));
+    }
+    recorder.input(&mut n, |n| {
+        n.send_app(id(3), vec![1, 2]);
+        n.send_app(id(1), vec![3]);
+    });
+    n
+}
+
+/// Lending the node a spare set of queues for each input changes nothing
+/// it outputs or counts, and leaves the node holding no queue capacity.
+#[test]
+fn lent_output_queues_change_nothing_the_node_outputs() {
+    let mut own = Recorder::default();
+    let on_own = scripted_life(&mut own);
+    let mut lent = Recorder {
+        spare: Some(OutputQueues::default()),
+        ..Recorder::default()
+    };
+    let on_lent = scripted_life(&mut lent);
+
+    // One stream per run: transmits, then timers, then events, per input.
+    assert_eq!(own.actions, lent.actions);
+    assert_eq!(on_own.stats(), on_lent.stats());
+    // The script reached every stream, including the timed-out report and
+    // the Fig. 2 match it planted.
+    let emitted = events(&own.actions);
+    assert!(emitted.contains(&AppEvent::RequestTimedOut { peer: id(5) }));
+    assert!(emitted.contains(&AppEvent::TargetDiscovered { target: id(5) }));
+    let planted = Message::Notify {
+        monitor: id(3),
+        target: id(4),
+    };
+    assert!(sends(&own.actions).iter().any(|(_, m)| *m == planted));
+    assert!(!timers(&own.actions).is_empty());
+
+    // Whose capacity is where: the lent run's node never grew queues of
+    // its own; the spare holds what the inputs needed.
+    let capacity =
+        |q: &OutputQueues| q.transmits.capacity() + q.timers.capacity() + q.events.capacity();
+    assert_eq!(capacity(&on_lent.queues), 0);
+    assert!(capacity(lent.spare.as_ref().unwrap()) > 0);
+    assert!(capacity(&on_own.queues) > 0);
+}

@@ -15,8 +15,10 @@
 //! over one contiguous slot array, keyed by a caller-supplied 64-bit
 //! mix ([`TableKey`], built on `fast64::mix64`). The wins are exactly
 //! the honest ones: no SipHash per probe, one cache line per cluster,
-//! one allocation per table, and a deliberately *absent* iteration API
-//! so no future caller can make protocol behavior depend on slot order.
+//! one allocation per table — freed again when removals empty it, so a
+//! node with no request in flight holds no pending slots — and a
+//! deliberately *absent* iteration API so no future caller can make
+//! protocol behavior depend on slot order (or on when slots are freed).
 //!
 //! `PS(x)` and `TS(x)` are the opposite case: walked in identity order
 //! every period and reported, but only about `K` entries each. They sit
@@ -73,6 +75,18 @@ enum Slot<K, V> {
     Full(K, V),
 }
 
+impl<K: Eq, V> Slot<K, V> {
+    /// Whether a probe for `key` stops here: at `key` itself, or at an
+    /// `Empty` slot, past which `key` cannot be.
+    fn ends_chain(&self, key: &K) -> bool {
+        match self {
+            Slot::Empty => true,
+            Slot::Tomb => false,
+            Slot::Full(k, _) => k == key,
+        }
+    }
+}
+
 /// A linear-probe open-addressed map with `Copy` keys and values and no
 /// iteration API. See the module docs for why iteration is deliberately
 /// unsupported.
@@ -117,49 +131,69 @@ impl<K: TableKey, V: Copy> FlatMap<K, V> {
         self.len == 0
     }
 
-    /// Drops every entry but keeps the allocation (the per-node tables
-    /// are cleared on restart and immediately refilled to similar size).
+    /// Slots allocated: 0 until the first insert and again once emptied.
+    #[cfg(test)]
+    pub(crate) fn allocated_slots(&self) -> usize {
+        self.slots.capacity()
+    }
+
+    /// Drops every entry but keeps the allocation: the node's `notified`
+    /// cache is cleared wholesale when full and refills to the same size.
+    /// (Emptying the map entry by entry frees it instead; see
+    /// [`FlatMap::remove_if`].)
     pub fn clear(&mut self) {
         self.slots.fill(Slot::Empty);
         self.len = 0;
         self.used = 0;
     }
 
-    /// Index of the slot holding `key`, if present.
-    fn find(&self, key: &K) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (key.mix() as usize) & mask;
-        loop {
-            match &self.slots[i] {
-                Slot::Empty => return None,
-                Slot::Full(k, _) if k == key => return Some(i),
-                _ => i = (i + 1) & mask,
-            }
-        }
+    /// The slot that ends `key`'s probe chain: the one holding `key`, or
+    /// the `Empty` slot that proves it absent. The chain runs from the
+    /// key's home slot to the end and wraps round to the start, so it
+    /// visits every slot at most once. `None` only when no slot ends it:
+    /// in an unallocated table, never in a ≤ 7/8-full one.
+    fn chain_end(&self, key: &K) -> Option<&Slot<K, V>> {
+        let (wrapped, from_home) = self.slots.split_at(self.home(key));
+        from_home
+            .iter()
+            .chain(wrapped)
+            .find(|slot| slot.ends_chain(key))
+    }
+
+    /// [`FlatMap::chain_end`], for writing.
+    fn chain_end_mut(&mut self, key: &K) -> Option<&mut Slot<K, V>> {
+        let home = self.home(key);
+        let (wrapped, from_home) = self.slots.split_at_mut(home);
+        from_home
+            .iter_mut()
+            .chain(wrapped)
+            .find(|slot| slot.ends_chain(key))
+    }
+
+    /// Where `key`'s probe chain starts (0 in an unallocated table).
+    fn home(&self, key: &K) -> usize {
+        (key.mix() as usize) & self.slots.len().saturating_sub(1)
     }
 
     #[must_use]
     pub fn contains_key(&self, key: &K) -> bool {
-        self.find(key).is_some()
+        self.get(key).is_some()
     }
 
     #[must_use]
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.find(key).map(|i| match &self.slots[i] {
-            Slot::Full(_, v) => v,
-            _ => unreachable!("find returned a non-full slot"),
-        })
+        match self.chain_end(key)? {
+            Slot::Full(_, v) => Some(v),
+            _ => None,
+        }
     }
 
     #[must_use]
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.find(key).map(|i| match &mut self.slots[i] {
-            Slot::Full(_, v) => v,
-            _ => unreachable!("find returned a non-full slot"),
-        })
+        match self.chain_end_mut(key)? {
+            Slot::Full(_, v) => Some(v),
+            _ => None,
+        }
     }
 
     /// Inserts `key → value`, returning the previous value if any.
@@ -200,28 +234,30 @@ impl<K: TableKey, V: Copy> FlatMap<K, V> {
 
     /// Removes `key`, returning its value if it was present.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let i = self.find(key)?;
-        match std::mem::replace(&mut self.slots[i], Slot::Tomb) {
-            Slot::Full(_, v) => {
-                self.len -= 1;
-                Some(v)
-            }
-            _ => unreachable!("find returned a non-full slot"),
-        }
+        self.remove_if(key, |_| true)
     }
 
     /// Removes `key` if `pred` holds for its value, returning that value:
     /// a [`FlatMap::get`] test and a [`FlatMap::remove`] on one probe.
+    ///
+    /// The removal that empties the map frees its slots. A node's pending
+    /// table is empty whenever no request is in flight — most of the
+    /// time — and then holds no memory; the next insert allocates the
+    /// initial table again.
     pub fn remove_if(&mut self, key: &K, pred: impl FnOnce(&V) -> bool) -> Option<V> {
-        let i = self.find(key)?;
-        match self.slots[i] {
-            Slot::Full(_, v) if pred(&v) => {
-                self.slots[i] = Slot::Tomb;
-                self.len -= 1;
-                Some(v)
-            }
-            _ => None,
+        let slot = self.chain_end_mut(key)?;
+        let Slot::Full(_, value) = *slot else {
+            return None;
+        };
+        if !pred(&value) {
+            return None;
         }
+        *slot = Slot::Tomb;
+        self.len -= 1;
+        if self.len == 0 {
+            *self = FlatMap::new();
+        }
+        Some(value)
     }
 
     /// Doubles capacity (or allocates the initial table) and re-places
@@ -569,6 +605,49 @@ mod tests {
         }
     }
 
+    /// The removal that empties the map frees its slots, by `remove` or by
+    /// `remove_if`; the map then works as new. `clear` keeps them.
+    #[test]
+    fn drained_map_frees_its_slots_and_keeps_working() {
+        let mut t: FlatMap<u64, u64> = FlatMap::new();
+        assert_eq!(t.allocated_slots(), 0);
+        for i in 0..40 {
+            t.insert(i, i);
+        }
+        assert_eq!(t.allocated_slots(), 64);
+        for i in 0..39 {
+            assert_eq!(t.remove(&i), Some(i));
+        }
+        assert_eq!(t.allocated_slots(), 64, "one live entry keeps the table");
+        assert_eq!(t.remove_if(&39, |&v| v != 39), None);
+        assert_eq!(t.allocated_slots(), 64, "a refused remove_if keeps it");
+        assert_eq!(t.remove_if(&39, |&v| v == 39), Some(39));
+        assert_eq!(t.allocated_slots(), 0, "the emptying removal frees it");
+        assert!(t.is_empty() && t.get(&39).is_none() && t.remove(&39).is_none());
+
+        // Reinsert into the freed table: a fresh initial allocation.
+        assert_eq!(t.insert(7, 70), None);
+        assert_eq!(t.insert(7, 71), Some(70));
+        *t.get_mut(&7).unwrap() += 1;
+        assert_eq!(t.get(&7), Some(&72));
+        assert_eq!((t.len(), t.allocated_slots()), (1, INITIAL_CAPACITY));
+        assert_eq!(t.remove(&7), Some(72));
+        assert_eq!(t.allocated_slots(), 0);
+
+        // `clear` is not a removal: it keeps the allocation to refill.
+        for i in 0..40 {
+            t.insert(i, i);
+        }
+        t.clear();
+        assert!(t.is_empty());
+        assert_eq!(t.allocated_slots(), 64);
+
+        // A set empties the same way.
+        let mut s: FlatSet<u64> = FlatSet::new();
+        assert!(s.insert(3) && s.remove(&3));
+        assert_eq!(s.map.allocated_slots(), 0);
+    }
+
     /// Heavy remove/insert cycling at constant size must not degrade the
     /// table into an all-tombstone state where probes never terminate.
     #[test]
@@ -592,12 +671,13 @@ mod tests {
         );
     }
 
-    /// Property differential: any sequence of inserts, removes, lookups
-    /// and re-inserts — proptest drives the key universe small so probe
-    /// chains collide and tombstones pile up — leaves `FlatMap`/`FlatSet`
-    /// observationally equal to the std collections, with capacity
-    /// bounded by the *peak live population*, never by total traffic
-    /// (the rebuild-compaction guarantee).
+    /// Property differential: any sequence of inserts, removes, lookups,
+    /// re-inserts and drains to empty — proptest drives the key universe
+    /// small so probe chains collide and tombstones pile up — leaves
+    /// `FlatMap`/`FlatSet` observationally equal to the std collections,
+    /// with capacity bounded by the *peak live population*, never by total
+    /// traffic (the rebuild-compaction guarantee), and no slots at all
+    /// once drained.
     mod differential {
         use super::super::*;
         use proptest::prelude::*;
@@ -608,16 +688,23 @@ mod tests {
             Insert(u64, u64),
             Remove(u64),
             Lookup(u64),
+            /// Remove every key in the universe, one by one.
+            Drain,
         }
 
         fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             // Keys from a 64-wide universe: at a few thousand ops every
             // key cycles through insert → remove → reinsert many times,
-            // the adversarial pattern for tombstone handling.
-            let op = (0..64u64, any::<u64>(), 0..4u8).prop_map(|(key, value, kind)| match kind {
-                0 | 1 => Op::Insert(key, value),
-                2 => Op::Remove(key),
-                _ => Op::Lookup(key),
+            // the adversarial pattern for tombstone handling. About one op
+            // in 65 drains the map, so a long run empties and refills it
+            // dozens of times.
+            let op = (0..64u64, any::<u64>(), 0..=64u8).prop_map(|(key, value, kind)| match kind {
+                64 => Op::Drain,
+                _ => match kind % 4 {
+                    0 | 1 => Op::Insert(key, value),
+                    2 => Op::Remove(key),
+                    _ => Op::Lookup(key),
+                },
             });
             proptest::collection::vec(op, 1..3_000)
         }
@@ -641,6 +728,12 @@ mod tests {
                         Op::Lookup(k) => {
                             prop_assert_eq!(flat.get(&k), std_map.get(&k));
                             prop_assert_eq!(flat.contains_key(&k), std_map.contains_key(&k));
+                        }
+                        Op::Drain => {
+                            for k in 0..64 {
+                                prop_assert_eq!(flat.remove(&k), std_map.remove(&k));
+                            }
+                            prop_assert_eq!(flat.allocated_slots(), 0);
                         }
                     }
                     prop_assert_eq!(flat.len(), std_map.len());
@@ -678,6 +771,12 @@ mod tests {
                         }
                         Op::Lookup(k) => {
                             prop_assert_eq!(flat.contains(&k), std_set.contains(&k));
+                        }
+                        Op::Drain => {
+                            for k in 0..64 {
+                                prop_assert_eq!(flat.remove(&k), std_set.remove(&k));
+                            }
+                            prop_assert_eq!(flat.map.allocated_slots(), 0);
                         }
                     }
                     prop_assert_eq!(flat.len(), std_set.len());

@@ -10,12 +10,14 @@
 //! The engine is a consumer of the shared poll-based driver interface:
 //! after every input it drains the node's output queues directly into its
 //! event calendar ([`Simulation::apply_outputs`]) — no per-input `Vec` of
-//! actions is ever allocated.
+//! actions is ever allocated. Those queues are the engine's one spare set,
+//! lent to the node for the input and taken back after the drain, so no
+//! node holds queue capacity between inputs.
 
 use avmon::driver::{apply_command, drain, Command, DriverEnv};
 use avmon::{
     AppEvent, Behavior, Config, Destination, DurMs, FlatMap, HashSelector, HasherKind,
-    HistoryStore, JoinKind, Message, Node, NodeId, NodeStats, Nonce, PersistentState,
+    HistoryStore, JoinKind, Message, Node, NodeId, NodeStats, Nonce, OutputQueues, PersistentState,
     SharedSelector, TargetRecord, TimeMs, Timer, Transmit,
 };
 use avmon_churn::{ChurnEventKind, Trace};
@@ -192,6 +194,16 @@ pub(crate) struct SimNode {
 }
 
 impl SimNode {
+    /// This row's node, if up, ready for one input: it holds the engine's
+    /// `spare` output queues, which [`Simulation::apply_outputs`] takes
+    /// back once the input's output is drained. Every input reaches its
+    /// node through here, so a node's own queues stay unallocated.
+    fn lend(&mut self, spare: &mut OutputQueues) -> Option<&mut Node> {
+        let proto = self.proto.as_mut()?;
+        proto.swap_output_queues(spare);
+        Some(proto)
+    }
+
     fn series_mut(&mut self) -> &mut NodeSeries {
         self.series_touched = true;
         &mut self.series
@@ -269,6 +281,9 @@ pub struct Simulation {
     /// The Fig. 2 cross-check hashed ahead on a second core (DESIGN.md §5,
     /// "One loop, one helper"); inert on one core.
     crosscheck: CrossCheckAhead,
+    /// The one set of output queues every node's inputs run on: lent by
+    /// [`SimNode::lend`], taken back by [`Simulation::apply_outputs`].
+    spare: OutputQueues,
 }
 
 impl Simulation {
@@ -446,6 +461,7 @@ impl Simulation {
             corruption_draws: 0,
             graveyard_rng_draws: 0,
             crosscheck: CrossCheckAhead::default(),
+            spare: OutputQueues::default(),
         })
     }
 
@@ -550,7 +566,7 @@ impl Simulation {
             return;
         };
         let now = self.now;
-        if let Some(proto) = self.nodes[slot].proto.as_mut() {
+        if let Some(proto) = self.nodes[slot].lend(&mut self.spare) {
             apply_command(proto, now, command);
             self.apply_outputs(slot);
         }
@@ -679,15 +695,17 @@ impl Simulation {
         if sim_node.incarnation != incarnation {
             return; // stale timer from a previous incarnation
         }
-        let Some(proto) = sim_node.proto.as_mut() else {
+        let Some(proto) = sim_node.proto.as_ref() else {
             return;
         };
         if !proto.timer_live(timer, now) {
             self.calendar.note_expire_skip();
             return;
         }
-        proto.handle_timer(now, timer);
-        self.apply_outputs(slot);
+        if let Some(proto) = sim_node.lend(&mut self.spare) {
+            proto.handle_timer(now, timer);
+            self.apply_outputs(slot);
+        }
     }
 
     /// Applies a scenario-scheduled behavior switch to both the engine's
@@ -773,7 +791,7 @@ impl Simulation {
             }
         }
         let sim_node = &mut self.nodes[slot];
-        match sim_node.proto.as_mut() {
+        match sim_node.lend(&mut self.spare) {
             Some(proto) => {
                 proto.restore_persistent(state);
                 // Show the checker the corrupted state *now*: the node's own
@@ -847,8 +865,10 @@ impl Simulation {
                     proto.seed_view(&seeds);
                 }
                 let now = self.now;
-                proto.start(now, join_kind, contact);
                 sim_node.proto = Some(proto);
+                if let Some(proto) = sim_node.lend(&mut self.spare) {
+                    proto.start(now, join_kind, contact);
+                }
                 if sim_node.control {
                     sim_node.discovery.get_or_insert_with(|| DiscoveryLog {
                         born_at: now,
@@ -885,7 +905,7 @@ impl Simulation {
 
     fn on_deliver(&mut self, slot: usize, from: NodeId, msg: Message) {
         let now = self.now;
-        match self.nodes[slot].proto.as_mut() {
+        match self.nodes[slot].lend(&mut self.spare) {
             Some(proto) => {
                 match msg {
                     // The one input that runs the Fig. 2 cross-check: lend
@@ -940,8 +960,9 @@ impl Simulation {
     }
 
     /// Applies everything the last input of the node at `slot` made it
-    /// produce, polled straight off the live node (allocation-free). The
-    /// one place a node's outputs enter the simulation: transmits become
+    /// produce, polled straight off the live node (allocation-free), and
+    /// takes back the drained queues [`SimNode::lend`] lent it. The one
+    /// place a node's outputs enter the simulation: transmits become
     /// `Deliver` events (latency-sampled), timers become
     /// incarnation-stamped `Timer` events, and app events feed the
     /// discovery log, the QoS fold and the event buffer.
@@ -965,6 +986,7 @@ impl Simulation {
             fetch: None,
         };
         drain(proto, &mut sink);
+        proto.swap_output_queues(&mut self.spare);
         let fetch = sink.fetch;
         // Folded only now that the node borrow is released: classifying a
         // suspicion as wrongful or true needs to look up the *target*.

@@ -11,7 +11,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use avmon::{Config, HashSelector, Message, Node, NodeId, Nonce, Timer, MINUTE};
+use avmon::{
+    Config, HashSelector, Message, Node, NodeId, Nonce, OutputQueues, Timer, Transmit, MINUTE,
+};
 
 thread_local! {
     /// Bytes this thread has allocated and not yet freed.
@@ -60,12 +62,13 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// System size of `churn_faults_4k`; the default policy gives `cvs` = 32.
 const N: usize = 4_000;
 
-/// Measured at this commit: 5 846 B after period 20, 7 366 B after period
-/// 60, with `PS` and `TS` in sorted vectors (B-tree leaves made them
-/// 6 966 / 7 862 B). The bound is three times the period-60 reading; the
-/// per-node pair memo this test keeps from coming back made the same node
-/// 170 806 B by period 20.
-const NODE_HEAP_BOUND: isize = 22_098;
+/// Measured at this commit: 1 910 B after period 20, 3 430 B after period
+/// 60, with the output queues lent by the driver and the pending table
+/// freed once its requests are answered (a node owning its queues and
+/// keeping its table read 5 846 / 7 366 B). The bound is three times the
+/// period-60 reading; the per-node pair memo this test keeps from coming
+/// back made the same node 170 806 B by period 20.
+const NODE_HEAP_BOUND: isize = 10_290;
 
 /// Slack between the two readings: `PS` and `TS` are still filling towards
 /// `K` = 12 entries each (1 + 1 at period 20, 6 + 6 at period 60, which
@@ -83,29 +86,45 @@ fn fetched_view(period: u64, cvs: usize) -> Vec<NodeId> {
         .collect()
 }
 
+/// One input as the simulator runs it: on the driver's `spare` output
+/// queues, lent for the input and taken back once drained. Returns the
+/// input's transmits.
+fn input(node: &mut Node, spare: &mut OutputQueues, f: impl FnOnce(&mut Node)) -> Vec<Transmit> {
+    node.swap_output_queues(spare);
+    f(node);
+    let mut transmits = Vec::new();
+    while let Some(transmit) = node.poll_transmit() {
+        transmits.push(transmit);
+    }
+    while node.poll_timer().is_some() {}
+    while node.poll_event().is_some() {}
+    node.swap_output_queues(spare);
+    transmits
+}
+
 /// One Fig. 2 period: the protocol timer fires, the view ping is ponged
 /// and the view fetch answered with a fresh 32-entry view.
-fn run_period(node: &mut Node, period: u64) {
+fn run_period(node: &mut Node, spare: &mut OutputQueues, period: u64) {
     let now = period * MINUTE;
-    node.handle_timer(now, Timer::Protocol);
     let mut ping: Option<(NodeId, Nonce)> = None;
     let mut fetch: Option<(NodeId, Nonce)> = None;
-    while let Some(transmit) = node.poll_transmit() {
-        match (transmit.unicast_to(), &transmit.msg) {
-            (Some(to), Message::ViewPing { nonce }) => ping = Some((to, *nonce)),
-            (Some(to), Message::ViewFetch { nonce }) => fetch = Some((to, *nonce)),
+    for transmit in input(node, spare, |node| node.handle_timer(now, Timer::Protocol)) {
+        match (transmit.unicast_to(), transmit.msg) {
+            (Some(to), Message::ViewPing { nonce }) => ping = Some((to, nonce)),
+            (Some(to), Message::ViewFetch { nonce }) => fetch = Some((to, nonce)),
             _ => {}
         }
     }
     if let Some((peer, nonce)) = ping {
-        node.handle_message(now + 1, peer, Message::ViewPong { nonce });
+        input(node, spare, |node| {
+            node.handle_message(now + 1, peer, Message::ViewPong { nonce });
+        });
     }
     let (peer, nonce) = fetch.expect("a full view always fetches");
     let view = fetched_view(period, node.config().cvs);
-    node.handle_message(now + 2, peer, Message::ViewFetchReply { nonce, view });
-    while node.poll_transmit().is_some() {}
-    while node.poll_timer().is_some() {}
-    while node.poll_event().is_some() {}
+    input(node, spare, |node| {
+        node.handle_message(now + 2, peer, Message::ViewFetchReply { nonce, view });
+    });
 }
 
 #[test]
@@ -121,7 +140,11 @@ fn node_heap_is_bounded_and_steady_over_sixty_periods() {
 
     let mut after = [0isize; 2];
     for period in 1..=60 {
-        run_period(&mut node, period);
+        // The spare is the driver's, shared by every node it runs, so it
+        // is dropped before a reading: what is left is the node's own.
+        let mut spare = OutputQueues::default();
+        run_period(&mut node, &mut spare, period);
+        drop(spare);
         match period {
             20 => after[0] = live_bytes() - before,
             60 => after[1] = live_bytes() - before,
