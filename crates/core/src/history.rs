@@ -36,6 +36,12 @@ pub trait AvailabilityStore {
 /// assumes "persistent storage that can be retrieved after a failure or a
 /// rejoin" (§3).
 ///
+/// Every `TS` entry holds one, so its size is paid once per target per
+/// monitor. `Raw` — the default and the paper's §5.4 estimator — stays
+/// inline; the rare `Aged`, `Recent` and `Sessions` variants are boxed so
+/// they do not widen the enum (24 B instead of 64 B). A box reads and
+/// writes as its contents, so the serialized form is the same either way.
+///
 /// # Example
 ///
 /// ```
@@ -51,11 +57,11 @@ pub enum HistoryStore {
     /// Every observation counts equally, forever.
     Raw(RawHistory),
     /// Exponentially-aged estimate (recent observations dominate).
-    Aged(AgedHistory),
+    Aged(Box<AgedHistory>),
     /// Only observations within a sliding window count.
-    Recent(RecentHistory),
+    Recent(Box<RecentHistory>),
     /// Session-oriented: tracks up-session / down-time durations.
-    Sessions(SessionHistory),
+    Sessions(Box<SessionHistory>),
 }
 
 impl HistoryStore {
@@ -77,27 +83,27 @@ impl HistoryStore {
             alpha > 0.0 && alpha <= 1.0,
             "alpha must be in (0,1], got {alpha}"
         );
-        HistoryStore::Aged(AgedHistory {
+        HistoryStore::Aged(Box::new(AgedHistory {
             alpha,
             estimate: None,
             samples: 0,
-        })
+        }))
     }
 
     /// A sliding-window store keeping observations newer than `window`.
     #[must_use]
     pub fn recent(window: DurMs) -> Self {
-        HistoryStore::Recent(RecentHistory {
+        HistoryStore::Recent(Box::new(RecentHistory {
             window,
             samples: VecDeque::new(),
             total: 0,
-        })
+        }))
     }
 
     /// A session-duration store.
     #[must_use]
     pub fn sessions() -> Self {
-        HistoryStore::Sessions(SessionHistory::default())
+        HistoryStore::Sessions(Box::default())
     }
 }
 
@@ -398,13 +404,33 @@ mod tests {
         assert_eq!(HistoryStore::default().name(), "raw");
     }
 
+    /// Every variant round-trips, and boxing the rare ones left the
+    /// serialized form exactly as it was when they were inline.
     #[test]
     fn stores_serialize() {
-        let mut h = HistoryStore::sessions();
-        h.record(0, true);
-        h.record(60_000, false);
-        let json = serde_json::to_string(&h).unwrap();
-        let back: HistoryStore = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, h);
+        let pinned = [
+            (HistoryStore::raw(), r#"{"Raw":[{"up":1,"total":3}]}"#),
+            (
+                HistoryStore::aged(0.25),
+                r#"{"Aged":[{"alpha":0.25,"estimate":0.5625,"samples":3}]}"#,
+            ),
+            (
+                HistoryStore::recent(120_000),
+                r#"{"Recent":[{"window":120000,"samples":[[0,true],[60000,false],[120000,false]],"total":3}]}"#,
+            ),
+            (
+                HistoryStore::sessions(),
+                r#"{"Sessions":[{"segments":[[0,0,true]],"current":[60000,120000,false],"samples":3}]}"#,
+            ),
+        ];
+        for (mut h, expected) in pinned {
+            h.record(0, true);
+            h.record(60_000, false);
+            h.record(120_000, false);
+            let json = serde_json::to_string(&h).unwrap();
+            assert_eq!(json, expected);
+            let back: HistoryStore = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, h);
+        }
     }
 }

@@ -91,6 +91,15 @@ fn events(actions: &Actions) -> Vec<AppEvent> {
 
 // ------------------------------------------------------------ poll order
 
+/// A `TS` entry's size is paid once per target per monitor: a history
+/// variant added inline, or a field added to the record, shows here first.
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn ts_records_stay_104_bytes() {
+    assert_eq!(std::mem::size_of::<HistoryStore>(), 24);
+    assert_eq!(std::mem::size_of::<TargetRecord>(), 104);
+}
+
 #[test]
 fn poll_queues_drain_fifo_and_then_return_none() {
     let mut n = mk_node(1, config(100), TestSelector::none());

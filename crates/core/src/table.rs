@@ -353,8 +353,11 @@ impl<K: TableKey> FromIterator<K> for FlatSet<K> {
 ///
 /// The node's `TS(x)` holds about `K` entries, where a `BTreeMap`'s
 /// 11-slot leaves cost several times the entries themselves; here the
-/// storage is the entries plus `Vec` slack. Inserts and removes shift
-/// the tail, which at `K`-sized maps is cheaper than a tree walk.
+/// storage is the entries themselves. Inserts and removes shift the tail,
+/// which at `K`-sized maps is cheaper than a tree walk. A full vector
+/// grows by one slot, not by doubling: `TS` changes a handful of times
+/// per node lifetime, while doubling's slack would be paid on every
+/// monitor for the whole run.
 #[derive(Debug, Clone)]
 pub struct SortedMap<K, V> {
     keys: Vec<K>,
@@ -409,6 +412,12 @@ impl<K: Ord + Copy, V> SortedMap<K, V> {
         match self.keys.binary_search(&key) {
             Ok(i) => Some(std::mem::replace(&mut self.values[i], value)),
             Err(i) => {
+                if self.keys.len() == self.keys.capacity() {
+                    self.keys.reserve_exact(1);
+                }
+                if self.values.len() == self.values.capacity() {
+                    self.values.reserve_exact(1);
+                }
                 self.keys.insert(i, key);
                 self.values.insert(i, value);
                 None
@@ -435,14 +444,20 @@ impl<K: Ord + Copy, V> SortedMap<K, V> {
 }
 
 /// `BTreeMap::from_iter` semantics: entries sorted by key and, where a
-/// key repeats, the **last** value wins.
+/// key repeats, the **last** value wins. The vectors fit the distinct
+/// keys exactly.
 impl<K: Ord + Copy, V> FromIterator<(K, V)> for SortedMap<K, V> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(entries: I) -> Self {
         let mut entries: Vec<(K, V)> = entries.into_iter().collect();
         // Stable: equal keys keep their input order, so the last one is
         // the one left standing below.
         entries.sort_by_key(|&(k, _)| k);
-        let mut map = SortedMap::new();
+        let repeats = entries.windows(2).filter(|w| w[0].0 == w[1].0).count();
+        let distinct = entries.len() - repeats;
+        let mut map = SortedMap {
+            keys: Vec::with_capacity(distinct),
+            values: Vec::with_capacity(distinct),
+        };
         for (k, v) in entries {
             match map.values.last_mut() {
                 Some(last) if map.keys.last() == Some(&k) => *last = v,
@@ -457,8 +472,8 @@ impl<K: Ord + Copy, V> FromIterator<(K, V)> for SortedMap<K, V> {
 }
 
 /// An ordered set over one `Vec`: ascending, duplicate-free, lookups by
-/// binary search. The node's `PS(x)` — see [`SortedMap`] for why not a
-/// `BTreeSet`.
+/// binary search, no slack. The node's `PS(x)` — see [`SortedMap`] for
+/// why not a `BTreeSet`, and why a full vector grows by one.
 #[derive(Debug, Clone)]
 pub struct SortedSet<K> {
     keys: Vec<K>,
@@ -498,6 +513,9 @@ impl<K: Ord + Copy> SortedSet<K> {
         match self.keys.binary_search(&key) {
             Ok(_) => false,
             Err(i) => {
+                if self.keys.len() == self.keys.capacity() {
+                    self.keys.reserve_exact(1);
+                }
                 self.keys.insert(i, key);
                 true
             }
@@ -526,6 +544,7 @@ impl<K: Ord + Copy> FromIterator<K> for SortedSet<K> {
         let mut keys: Vec<K> = keys.into_iter().collect();
         keys.sort_unstable();
         keys.dedup();
+        keys.shrink_to_fit();
         SortedSet { keys }
     }
 }
@@ -783,6 +802,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// PS/TS vectors carry no slack: n distinct inserts leave exactly n
+    /// slots, whatever the insert order, and so does `from_iter` over
+    /// input with duplicates.
+    #[test]
+    fn sorted_vectors_fit_exactly() {
+        let mut map: SortedMap<u64, [u64; 4]> = SortedMap::new();
+        let mut set: SortedSet<u64> = SortedSet::new();
+        for n in 1..=100u64 {
+            let key = n.wrapping_mul(0x9e37_79b9) % 1_000;
+            assert_eq!(map.insert(key, [n; 4]), None);
+            assert!(set.insert(key));
+            assert_eq!(map.keys.capacity(), map.len());
+            assert_eq!(map.values.capacity(), map.len());
+            assert_eq!(set.keys.capacity(), set.len());
+        }
+        // A repeat insert replaces in place and allocates nothing.
+        let first = *map.keys().next().unwrap();
+        assert!(map.insert(first, [0; 4]).is_some() && !set.insert(first));
+        assert_eq!((map.keys.capacity(), set.keys.capacity()), (100, 100));
+
+        let entries = (0..300u64).map(|i| (i % 70, [i; 4]));
+        let map: SortedMap<u64, [u64; 4]> = entries.collect();
+        assert_eq!(map.len(), 70);
+        assert_eq!((map.keys.capacity(), map.values.capacity()), (70, 70));
+        assert_eq!(map.get(&3), Some(&[283; 4]), "the last value wins");
+        let set: SortedSet<u64> = (0..300u64).map(|i| i % 70).collect();
+        assert_eq!((set.len(), set.keys.capacity()), (70, 70));
+        let empty: SortedMap<u64, u64> = std::iter::empty().collect();
+        assert_eq!((empty.len(), empty.keys.capacity()), (0, 0));
     }
 
     #[test]

@@ -133,11 +133,18 @@ struct WheelSlot {
     next: u32,
 }
 
+/// The slab is rebuilt only once it holds more than this many slots; a
+/// smaller slab is kept whatever its occupancy.
+const WHEEL_SHRINK_FLOOR: usize = 4 * WHEEL_SPAN as usize;
+
 /// The wheel keeps every event in one slab, and each bucket is a FIFO
 /// list threaded through it as `(head, tail)`. A pop returns its slot to
 /// a LIFO free list and a push takes the most recently freed slot, so
-/// the slab holds the peak number of deliveries ever in flight at once
-/// (the start-up JOIN storm), not the sum of each bucket's own peak.
+/// the slab holds the peak number of deliveries in flight at once, not
+/// the sum of each bucket's own peak. Once a pop leaves at most a quarter
+/// of a slab above [`WHEEL_SHRINK_FLOOR`] live, the live events move to a
+/// fresh slab of twice their number: the start-up JOIN storm is given
+/// back instead of being held for the rest of the run.
 #[derive(Debug)]
 struct DeliveryWheel {
     slots: Vec<WheelSlot>,
@@ -148,6 +155,7 @@ struct DeliveryWheel {
     len: usize,
     /// Lower bound on the earliest occupied bucket time (pulled back on
     /// push, advanced monotonically by scans — amortizes peeks to O(1)).
+    /// A push into an empty wheel sets it, so an idle gap is not scanned.
     cursor: TimeMs,
 }
 
@@ -167,7 +175,10 @@ impl DeliveryWheel {
     }
 
     fn push(&mut self, event: Event) {
-        self.cursor = self.cursor.min(event.at);
+        self.cursor = match self.len {
+            0 => event.at,
+            _ => self.cursor.min(event.at),
+        };
         self.len += 1;
         let b = (event.at % WHEEL_SPAN) as usize;
         let tail = self.buckets[b].1;
@@ -236,7 +247,42 @@ impl DeliveryWheel {
         slot.next = self.free;
         self.free = head;
         self.len -= 1;
+        if self.slots.len() > WHEEL_SHRINK_FLOOR && self.len * 4 <= self.slots.len() {
+            self.rebuild();
+        }
         event
+    }
+
+    /// Moves the live events into a slab of capacity `2 × len`, bucket by
+    /// bucket from head to tail, and drops the free list. Bucket FIFO
+    /// order is kept, so pop order is unchanged. The slab grows only when
+    /// every slot is live, so a slab of `S > 4 × WHEEL_SPAN` slots with at
+    /// most `S / 4` live has seen at least `3S / 4` pops since it reached
+    /// `S`; they pay for this `O(WHEEL_SPAN + S / 4)` walk, O(1) amortized
+    /// per pop.
+    fn rebuild(&mut self) {
+        let mut slots = Vec::with_capacity(2 * self.len);
+        for bucket in &mut self.buckets {
+            let mut i = bucket.0;
+            if i == NIL {
+                continue;
+            }
+            bucket.0 = slots.len() as u32;
+            while let Some(slot) = self.slots.get_mut(i as usize) {
+                i = slot.next;
+                let next = slots.len() as u32 + 1;
+                slots.push(WheelSlot {
+                    event: slot.event.take(),
+                    next,
+                });
+            }
+            if let Some(last) = slots.last_mut() {
+                last.next = NIL;
+            }
+            bucket.1 = slots.len() as u32 - 1;
+        }
+        self.slots = slots;
+        self.free = NIL;
     }
 }
 
@@ -419,14 +465,15 @@ mod tests {
         (event.at, timer)
     }
 
-    /// Random interleavings of schedule / pop / thaw-style requeue pop in
-    /// exactly a plain binary heap's `(at, seq)` order, every pop is
-    /// counted once, and every container (and the lane fallback) is hit.
+    /// Random interleavings of schedule / pop / thaw-style requeue /
+    /// delivery storm / run-until pop in exactly a plain binary heap's
+    /// `(at, seq)` order, every pop is counted once, and every container
+    /// (and the lane fallback, and the wheel's slab rebuild) is hit.
     #[test]
     fn pops_match_a_reference_heap_over_random_interleavings() {
         let mut delays = vec![0, 1, WHEEL_SPAN - 1, WHEEL_SPAN, avmon::HOUR];
         delays.extend(LANES);
-        let (mut totals, mut fallbacks) = (CalendarStats::default(), 0);
+        let (mut totals, mut fallbacks, mut rebuilds) = (CalendarStats::default(), 0, 0);
         for seed in 0..32u64 {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut cal = Calendar::new(LANES.to_vec(), 0);
@@ -434,7 +481,8 @@ mod tests {
             let (mut now, mut pops) = (0, 0u64);
             for _ in 0..2_000 {
                 let delay = delays[rng.gen_range(0..delays.len())];
-                match rng.gen_range(0..10) {
+                let slab = cal.wheel.slots.len();
+                match rng.gen_range(0..12) {
                     // Same-instant reschedules come from `delay == 0`.
                     0..=4 => {
                         reference.push(Reverse((now + delay, cal.seq)));
@@ -462,11 +510,34 @@ mod tests {
                         let kind = tagged(&cal, timer);
                         cal.defer(now + delay, kind);
                     }
+                    // A JOIN-storm-like burst: five spans' worth of
+                    // deliveries scheduled at one instant.
+                    10 if rng.gen_bool(1.0 / 60.0) => {
+                        for _ in 0..5 * WHEEL_SPAN {
+                            let at = now + rng.gen_range(0..WHEEL_SPAN);
+                            reference.push(Reverse((at, cal.seq)));
+                            let kind = tagged(&cal, false);
+                            cal.schedule(now, at, kind);
+                        }
+                    }
+                    // `run_until`: everything due within `delay` pops.
+                    11 => {
+                        let until = now + delay;
+                        while reference
+                            .peek()
+                            .is_some_and(|&Reverse((at, _))| at <= until)
+                        {
+                            (now, pops) = (pop_both(&mut cal, &mut reference).0, pops + 1);
+                        }
+                    }
                     _ if !reference.is_empty() => {
                         (now, pops) = (pop_both(&mut cal, &mut reference).0, pops + 1);
                     }
                     _ => {}
                 }
+                // Only a rebuild shortens the slab; later ops push into
+                // the rebuilt one.
+                rebuilds += u32::from(cal.wheel.slots.len() < slab);
             }
             while !reference.is_empty() {
                 pop_both(&mut cal, &mut reference);
@@ -481,13 +552,15 @@ mod tests {
         }
         assert!(totals.heap_pops > 0 && totals.lane_pops > 0 && totals.wheel_pops > 0);
         assert!(fallbacks > 0, "no push ever broke a lane's monotonicity");
+        assert!(rebuilds > 0, "no storm was ever given back mid-run");
     }
 
-    /// The wheel's memory is the peak number of deliveries in flight: a
-    /// 100 000-delivery storm sizes the slab, and ten spans of steady
-    /// traffic afterwards reuse its freed slots without allocating one.
+    /// The wheel's memory follows the deliveries in flight: a
+    /// 100 000-delivery storm sizes the slab, draining it gives the storm
+    /// back down to the shrink floor, and ten spans of steady traffic
+    /// afterwards stay within the floor or twice their own in-flight peak.
     #[test]
-    fn wheel_memory_is_the_in_flight_peak() {
+    fn wheel_memory_follows_what_is_in_flight() {
         const STORM: u64 = 100_000;
         let mut rng = SmallRng::seed_from_u64(5);
         let mut cal = Calendar::new(LANES.to_vec(), 0);
@@ -498,14 +571,17 @@ mod tests {
             let kind = tagged(&cal, false);
             cal.schedule(0, at, kind);
         }
-        let peak = cal.wheel.slots.len();
-        assert_eq!(peak, STORM as usize);
+        assert_eq!(cal.wheel.slots.len(), STORM as usize);
         let mut now = 0;
         while !reference.is_empty() {
             now = pop_both(&mut cal, &mut reference).0;
-            assert_eq!(cal.wheel.slots.len(), peak);
         }
-        let (start, mut pops) = (now, STORM);
+        assert!(
+            cal.wheel.slots.len() <= WHEEL_SHRINK_FLOOR,
+            "the drained storm kept {} slots",
+            cal.wheel.slots.len()
+        );
+        let (start, mut pops, mut in_flight_peak) = (now, STORM, 0);
         while now < start + 10 * WHEEL_SPAN {
             if reference.len() < 64 && (reference.is_empty() || rng.gen_bool(0.5)) {
                 let at = now + rng.gen_range(0..WHEEL_SPAN);
@@ -515,7 +591,9 @@ mod tests {
             } else {
                 (now, pops) = (pop_both(&mut cal, &mut reference).0, pops + 1);
             }
-            assert_eq!(cal.wheel.slots.len(), peak, "steady phase grew the slab");
+            in_flight_peak = in_flight_peak.max(reference.len());
+            let bound = WHEEL_SHRINK_FLOOR.max(2 * in_flight_peak);
+            assert!(cal.wheel.slots.len() <= bound, "steady phase grew the slab");
         }
         assert_eq!(cal.stats().wheel_pops, pops);
         // Exactly the undelivered events hold a slot.
