@@ -34,7 +34,7 @@ mod tests;
 
 use std::collections::VecDeque;
 
-use crate::table::{FlatMap, FlatSet, SortedMap, SortedSet};
+use crate::table::{FlatMap, SortedMap, SortedSet};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -375,7 +375,10 @@ pub struct Node {
     /// retransmit. Bounded: cleared wholesale when it reaches capacity, so
     /// notifications are eventually retransmitted and Theorem 1 (eventual
     /// discovery) is preserved even if an endpoint was down the first time.
-    notified: FlatSet<(NodeId, NodeId)>,
+    /// A sorted vector that grows one slot per new pair, so it holds
+    /// exactly its pairs (about 27 per node between clears); a clear keeps
+    /// the allocation for the refill.
+    notified: SortedSet<(NodeId, NodeId)>,
     notified_cap: usize,
     /// When the notified cache was last aged out wholesale. Clearing on a
     /// time cadence (not only at capacity) bounds NOTIFY suppression in
@@ -457,7 +460,7 @@ impl Node {
             ps: SortedSet::new(),
             targets: SortedMap::new(),
             pending: FlatMap::new(),
-            notified: FlatSet::new(),
+            notified: SortedSet::new(),
             notified_cap: (8 * cvs * cvs).max(1024),
             notified_cleared_at: 0,
             contact: None,

@@ -559,6 +559,39 @@ fn fetch_reply_discovers_planted_pair_and_notifies_both() {
     assert!(n.stats().hash_checks > 0);
 }
 
+/// The `notified` cache holds exactly the pairs it has NOTIFY-ed: one
+/// slot per pair, no growth slack.
+#[test]
+fn notified_cache_holds_exactly_its_pairs() {
+    let planted = [
+        (id(3), id(5)),
+        (id(5), id(3)),
+        (id(4), id(6)),
+        (id(6), id(4)),
+        (id(3), id(6)),
+    ];
+    let mut n = mk_node(1, config(100), TestSelector::with_pairs(&planted));
+    n.seed_view(&[id(2), id(3), id(4)]);
+    n.handle_timer(MINUTE, Timer::Protocol);
+    let (peer, nonce) = sends(&drain(&mut n))
+        .iter()
+        .find_map(|(to, m)| match m {
+            Message::ViewFetch { nonce } => Some((*to, *nonce)),
+            _ => None,
+        })
+        .unwrap();
+    let view = vec![id(5), id(6)];
+    n.handle_message(MINUTE + 5, peer, Message::ViewFetchReply { nonce, view });
+    let notifies = sends(&drain(&mut n))
+        .iter()
+        .filter(|(_, m)| matches!(m, Message::Notify { .. }))
+        .count();
+    assert_eq!(notifies, 2 * planted.len(), "both endpoints of each pair");
+    assert_eq!(n.notified.len(), planted.len());
+    assert!(planted.iter().all(|pair| n.notified.contains(pair)));
+    assert_eq!(n.notified.allocated_slots(), planted.len());
+}
+
 #[test]
 fn fetch_reply_involving_self_updates_own_sets_directly() {
     // Plant: node 1 monitors node 9 (1 ∈ PS(9)), and node 9 monitors node 1.

@@ -1,15 +1,13 @@
-//! Per-node tables: open-addressed flat tables for the hot maps, sorted
-//! vectors for `PS` / `TS`.
+//! Per-node tables: an open-addressed flat table for the pending
+//! requests, sorted vectors for `PS` / `TS` and the `notified` cache.
 //!
-//! `Node` keeps two maps on its hottest paths: the pending-request table
-//! (`Nonce → PendingEntry`, touched by every request/response/expiry) and
-//! the re-advertisement dedup set (`(monitor, target)` pairs). Both are
-//! pure membership structures — they are **never iterated**, only probed,
-//! inserted into, removed from, and cleared — so nothing about them can
+//! `Node` keeps one map on its hottest path: the pending-request table
+//! (`Nonce → PendingEntry`, touched by every request/response/expiry). It
+//! is a pure membership structure — **never iterated**, only probed,
+//! inserted into, removed from, and cleared — so nothing about it can
 //! leak ordering into the protocol, and the general-purpose `HashMap`
 //! (SipHash, separate control metadata, per-resize reallocation churn)
-//! is pure overhead. At 100k+ simulated nodes those two maps dominate
-//! resident memory after the views themselves.
+//! is pure overhead.
 //!
 //! This module provides the minimal replacement: a linear-probe table
 //! over one contiguous slot array, keyed by a caller-supplied 64-bit
@@ -19,11 +17,23 @@
 //! node with no request in flight holds no pending slots — and a
 //! deliberately *absent* iteration API so no future caller can make
 //! protocol behavior depend on slot order (or on when slots are freed).
+//! Besides the pending table, the simulator's engine (identity → slot),
+//! network (partition sides), invariant checker and report use
+//! [`FlatMap`] / [`FlatSet`] for the same reasons.
 //!
 //! `PS(x)` and `TS(x)` are the opposite case: walked in identity order
 //! every period and reported, but only about `K` entries each. They sit
 //! in [`SortedSet`] / [`SortedMap`], sorted `Vec`s with binary-search
 //! lookups whose iteration order is `BTreeSet`'s.
+//!
+//! The re-advertisement dedup set (`notified`, the `(monitor, target)`
+//! pairs a node has already NOTIFY-ed) left [`FlatSet`] for a
+//! [`SortedSet`] as well. It holds about 27 pairs per node between its
+//! wholesale clears, where a flat table, at most 7/8 full in a
+//! power-of-two slot array that doubles, held up to several times as
+//! many slots as pairs; a sorted vector holds exactly its pairs, and an
+//! insert is a binary search plus a short memmove. It is only probed and cleared, never iterated, so its order
+//! cannot leak either.
 
 use avmon_hash::fast64::mix64;
 
@@ -137,10 +147,9 @@ impl<K: TableKey, V: Copy> FlatMap<K, V> {
         self.slots.capacity()
     }
 
-    /// Drops every entry but keeps the allocation: the node's `notified`
-    /// cache is cleared wholesale when full and refills to the same size.
-    /// (Emptying the map entry by entry frees it instead; see
-    /// [`FlatMap::remove_if`].)
+    /// Drops every entry but keeps the allocation, for a table that
+    /// refills to the same size. (Emptying the map entry by entry frees
+    /// it instead; see [`FlatMap::remove_if`].)
     pub fn clear(&mut self) {
         self.slots.fill(Slot::Empty);
         self.len = 0;
@@ -522,6 +531,19 @@ impl<K: Ord + Copy> SortedSet<K> {
         }
     }
 
+    /// Drops every member but keeps the allocation, as [`FlatMap::clear`]
+    /// does: the node's `notified` cache is cleared wholesale and refills
+    /// to about the same size.
+    pub fn clear(&mut self) {
+        self.keys.clear();
+    }
+
+    /// Slots allocated (the vector's capacity).
+    #[cfg(test)]
+    pub(crate) fn allocated_slots(&self) -> usize {
+        self.keys.capacity()
+    }
+
     /// Removes `key`; returns `true` if it was present.
     pub fn remove(&mut self, key: &K) -> bool {
         match self.keys.binary_search(key) {
@@ -833,6 +855,31 @@ mod tests {
         assert_eq!((set.len(), set.keys.capacity()), (70, 70));
         let empty: SortedMap<u64, u64> = std::iter::empty().collect();
         assert_eq!((empty.len(), empty.keys.capacity()), (0, 0));
+    }
+
+    /// `SortedSet::clear` empties the set and keeps its slots: refilling
+    /// up to the old length does not reallocate.
+    #[test]
+    fn sorted_set_clear_keeps_its_slots() {
+        let mut set: SortedSet<(NodeId, NodeId)> = SortedSet::new();
+        let pair = |i: u32| (NodeId::from_index(i % 7), NodeId::from_index(i));
+        for i in 0..27 {
+            assert!(set.insert(pair(i)));
+        }
+        assert_eq!((set.len(), set.allocated_slots()), (27, 27));
+        let ptr = set.keys.as_ptr();
+        set.clear();
+        assert!(set.is_empty() && !set.contains(&pair(3)));
+        assert_eq!(set.allocated_slots(), 27);
+        for i in (100..127).rev() {
+            assert!(set.insert(pair(i)));
+            assert_eq!(set.allocated_slots(), 27);
+            assert_eq!(set.keys.as_ptr(), ptr, "refill reallocated");
+        }
+        assert!(set.iter().is_sorted());
+        // One more pair than the old length grows by one slot.
+        assert!(set.insert(pair(200)));
+        assert_eq!((set.len(), set.allocated_slots()), (28, 28));
     }
 
     #[test]

@@ -154,6 +154,11 @@ impl CoarseView {
     /// The shuffle step of Fig. 2: replaces the view with `cvs` entries
     /// drawn uniformly at random from `CV(self) ∪ peer_view ∪ {peer}`
     /// (owner excluded, duplicates collapsed).
+    ///
+    /// The union is built in a scratch vector of up to `2·cvs + 1`
+    /// entries and copied back, so the view keeps the `cvs` slots it got
+    /// in [`CoarseView::new`]; adopting the union vector would leave every
+    /// merged view holding twice the slots it can fill.
     pub fn shuffle_merge<R: Rng>(&mut self, peer: NodeId, peer_view: &[NodeId], rng: &mut R) {
         let mut union: Vec<NodeId> = Vec::with_capacity(self.entries.len() + peer_view.len() + 1);
         union.extend_from_slice(&self.entries);
@@ -166,7 +171,8 @@ impl CoarseView {
             union.shuffle(rng);
             union.truncate(self.cap);
         }
-        self.entries = union;
+        self.entries.clear();
+        self.entries.extend_from_slice(&union);
         self.version += 1;
     }
 
@@ -303,6 +309,26 @@ mod tests {
         assert!(v.contains(id(5)), "peer w must join the union (Fig. 2)");
         assert!(v.contains(id(1)));
         assert!(v.contains(id(2)));
+    }
+
+    /// A merged view holds `cvs` slots, not the `2·cvs + 1` of the union
+    /// it was drawn from.
+    #[test]
+    fn shuffle_merge_keeps_capacity_at_cvs() {
+        let cap = 40;
+        let mut v = CoarseView::new(id(0), cap);
+        for i in 1..=cap as u32 {
+            v.insert(id(i));
+        }
+        assert_eq!(v.entries.capacity(), cap);
+        let mut r = rng();
+        for round in 0..200u32 {
+            let base = 1 + (round * 17) % 1_000;
+            let peer_view: Vec<NodeId> = (base..base + cap as u32).map(id).collect();
+            v.shuffle_merge(id(5_000 + round), &peer_view, &mut r);
+            assert_eq!(v.len(), cap);
+            assert_eq!(v.entries.capacity(), cap, "round {round}");
+        }
     }
 
     #[test]

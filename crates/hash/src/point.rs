@@ -164,6 +164,14 @@ impl fmt::Display for Threshold {
 /// never promises to *hold* a pair, only that whatever it returns equals
 /// the fresh hash.
 ///
+/// The table doubles in place, from `n` to `2n` slots, when it is half
+/// full. A pair's set gains one index bit, so each old set `s` splits into
+/// sets `s` and `s + n` and no two old sets feed the same new one: a new
+/// set receives at most the two ways of its one old set, in their way
+/// order, so a doubling drops no entry and lays out the same table as
+/// re-slotting every entry into a fresh one would. Growing the vector
+/// (one `realloc`) never holds the old and the new table at once.
+///
 /// Because the underlying hash is pure, invalidation is never required for
 /// *correctness*; it exists as a memory-hygiene lever. [`PointMemo::forget`]
 /// invalidates every cached pair involving one identity in `O(1)` by bumping
@@ -209,7 +217,7 @@ pub struct PointMemo {
 
 /// One direct-mapped cache slot: the pair, the generations of both
 /// identities at insertion time, and the cached point.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Slot {
     a: u64,
     b: u64,
@@ -276,8 +284,8 @@ impl PointMemo {
         ((pair_slot(a, b) as usize) & (self.slots.len() - 1)) & !1
     }
 
-    /// Doubles the slot table (up to the cap) when it is half full,
-    /// re-slotting the surviving entries.
+    /// Doubles the slot table (up to the cap) when it is half full, in
+    /// place: see the type docs.
     fn maybe_grow(&mut self) {
         if self.slots.is_empty() {
             self.slots = vec![Slot::default(); INITIAL_SLOTS.min(self.cap)];
@@ -286,21 +294,23 @@ impl PointMemo {
         if self.len * 2 < self.slots.len() || self.slots.len() >= self.cap {
             return;
         }
-        let grown = (self.slots.len() * 2).min(self.cap);
-        let old = std::mem::replace(&mut self.slots, vec![Slot::default(); grown]);
-        self.len = 0;
-        for slot in old {
-            if slot.occupied {
-                let base = self.set_base(slot.a, slot.b);
-                if !self.slots[base].occupied {
-                    self.slots[base] = slot;
-                    self.len += 1;
-                } else if !self.slots[base + 1].occupied {
-                    self.slots[base + 1] = slot;
-                    self.len += 1;
-                }
-                // Both ways taken: the entry is dropped (an eviction the
-                // smaller table would have performed anyway).
+        // `cap` is a power of two above `n`, so the table grows to `2n`.
+        let n = self.slots.len();
+        self.slots.resize(2 * n, Slot::default());
+        for base in (0..n).step_by(2) {
+            let ways = [self.slots[base], self.slots[base + 1]];
+            let (mut low, mut high) = (base, base + n);
+            self.slots[base] = Slot::default();
+            self.slots[base + 1] = Slot::default();
+            for slot in ways.into_iter().filter(|s| s.occupied) {
+                // The one new hash bit picks set `base` or `base + n`.
+                let to = if pair_slot(slot.a, slot.b) as usize & n == 0 {
+                    &mut low
+                } else {
+                    &mut high
+                };
+                self.slots[*to] = slot;
+                *to += 1;
             }
         }
     }
@@ -562,6 +572,104 @@ mod tests {
             assert_eq!(got, fresh(a, b), "memo served a stale/corrupt point");
         }
         assert!(memo.hits() > 0, "tiny memo should still hit sometimes");
+    }
+
+    /// The growth the memo had before it doubled in place: a fresh table
+    /// of twice the slots, every entry re-slotted in slot order, an entry
+    /// whose new set is full dropped. The reference model of
+    /// `memo_doubles_in_place_exactly_as_reslotting_would`.
+    fn reslot(memo: &mut PointMemo) {
+        let grown = (memo.slots.len() * 2).min(memo.cap);
+        let old = std::mem::replace(&mut memo.slots, vec![Slot::default(); grown]);
+        memo.len = 0;
+        for slot in old.into_iter().filter(|s| s.occupied) {
+            let base = memo.set_base(slot.a, slot.b);
+            if !memo.slots[base].occupied {
+                memo.slots[base] = slot;
+                memo.len += 1;
+            } else if !memo.slots[base + 1].occupied {
+                memo.slots[base + 1] = slot;
+                memo.len += 1;
+            }
+        }
+    }
+
+    /// `point_with` on the reference memo: when the lookup is about to miss
+    /// into a table due to grow, the table is re-slotted first, so the
+    /// memo's own in-place growth finds nothing left to do. (A miss changes
+    /// nothing before the insert, so growing before the lookup or after it
+    /// is the same.)
+    fn reference_point_with(memo: &mut PointMemo, a: u64, b: u64, point: HashPoint) -> HashPoint {
+        let (ga, gb) = (memo.gen_of(a), memo.gen_of(b));
+        let hit = !memo.slots.is_empty() && {
+            let base = memo.set_base(a, b);
+            memo.slots[base..base + 2]
+                .iter()
+                .any(|s| s.occupied && (s.a, s.b, s.gen_a, s.gen_b) == (a, b, ga, gb))
+        };
+        let due = memo.len * 2 >= memo.slots.len() && memo.slots.len() < memo.cap;
+        if !hit && !memo.slots.is_empty() && due {
+            reslot(memo);
+        }
+        memo.point_with(a, b, || point)
+    }
+
+    /// The in-place doubling builds slot for slot the table re-slotting
+    /// builds, over three doublings (1 024 → 8 192 slots) of a seeded mix
+    /// of new pairs, repeats and forgets: the same points, counters and
+    /// length after every op, and the same slots after every growth.
+    #[test]
+    fn memo_doubles_in_place_exactly_as_reslotting_would() {
+        const PAIRS: u64 = 6_000;
+        let fresh = |a: u64, b: u64| HashPoint::from_bits(mix(a ^ mix(b)));
+        let pair_of = |i: u64| (i / 97, 1_000 + i % 97);
+        let (mut memo, mut reference) = (PointMemo::new(8_192), PointMemo::new(8_192));
+        let mut seen = vec![false; PAIRS as usize];
+        let (mut next, mut growths) = (0u64, 0u32);
+        let mut x = 0x5eed_u64;
+        for _ in 0..40_000 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let i = match (x >> 60) % 8 {
+                // A new pair, in order, until the universe is used up.
+                0..=3 if next < PAIRS => {
+                    next += 1;
+                    next - 1
+                }
+                // A forget of either endpoint of a seen pair.
+                4 if next > 0 => {
+                    let (a, b) = pair_of((x >> 20) % next);
+                    let key = if x & 1 == 0 { a } else { b };
+                    memo.forget(key);
+                    reference.forget(key);
+                    continue;
+                }
+                // A repeat: one of the last 64 pairs, or any seen one.
+                5 | 6 if next > 0 => next - 1 - (x >> 20) % next.min(64),
+                _ => (x >> 20) % PAIRS,
+            };
+            seen[i as usize] = true;
+            let (a, b) = pair_of(i);
+            let slots = memo.slots.len();
+            let got = memo.point_with(a, b, || fresh(a, b));
+            let want = reference_point_with(&mut reference, a, b, fresh(a, b));
+            assert_eq!(got, want);
+            assert_eq!(got, fresh(a, b));
+            assert_eq!(
+                (memo.hits(), memo.misses(), memo.len()),
+                (reference.hits(), reference.misses(), reference.len())
+            );
+            if memo.slots.len() != slots && slots > 0 {
+                growths += 1;
+                let grown = memo.slots.len();
+                assert_eq!(memo.slots, reference.slots, "growth to {grown}");
+            }
+        }
+        assert_eq!(memo.slots, reference.slots);
+        assert_eq!((growths, memo.slots.len()), (3, 8_192));
+        assert!(seen.iter().filter(|&&s| s).count() >= 5_000);
+        assert!(memo.hits() > 0 && memo.misses() > 5_000);
     }
 
     /// The acceptance probability of a uniform point should be ≈ K/N.

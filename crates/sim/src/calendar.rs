@@ -10,6 +10,11 @@
 //! every sequence number, so which container holds an event is invisible
 //! to the pop order — the property test below holds that against a plain
 //! binary heap.
+//!
+//! A lane queues a 48-B [`LaneTimer`] — the timer's fields and its
+//! `(at, seq)` key — and turns it back into an [`Event`] when it pops: an
+//! `Event` is sized for a delivery's inline `Message`, which a timer does
+//! not carry.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -101,6 +106,31 @@ impl Ord for Event {
     }
 }
 
+/// A timer as a lane queues it: the [`EventKind::Timer`] fields and the
+/// `(at, seq)` key (see the module docs).
+#[derive(Debug)]
+struct LaneTimer {
+    at: TimeMs,
+    seq: u64,
+    node: NodeId,
+    incarnation: u64,
+    timer: Timer,
+}
+
+impl LaneTimer {
+    fn into_event(self) -> Event {
+        Event {
+            at: self.at,
+            seq: self.seq,
+            kind: EventKind::Timer {
+                node: self.node,
+                incarnation: self.incarnation,
+                timer: self.timer,
+            },
+        }
+    }
+}
+
 /// One constant-delay FIFO timer lane.
 ///
 /// Every timer armed with exactly `delay` ahead of the arming instant
@@ -112,7 +142,7 @@ impl Ord for Event {
 #[derive(Debug)]
 struct TimerLane {
     delay: DurMs,
-    queue: VecDeque<Event>,
+    queue: VecDeque<LaneTimer>,
 }
 
 /// The hashed timing wheel: one FIFO bucket per millisecond over a
@@ -343,9 +373,14 @@ impl Calendar {
 
     /// The one place sequence numbers come from: scheduling order *is*
     /// tie-break order.
-    fn event(&mut self, at: TimeMs, kind: EventKind) -> Event {
+    fn next_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
+        seq
+    }
+
+    fn event(&mut self, at: TimeMs, kind: EventKind) -> Event {
+        let seq = self.next_seq();
         Event { at, seq, kind }
     }
 
@@ -357,15 +392,29 @@ impl Calendar {
         let fits = |lane: &TimerLane| {
             now + lane.delay == at && lane.queue.back().is_none_or(|back| back.at <= at)
         };
-        let lane = match kind {
-            EventKind::Timer { .. } => self.lanes.iter().position(fits),
-            _ => None,
-        };
+        if let EventKind::Timer {
+            node,
+            incarnation,
+            timer,
+        } = kind
+        {
+            if let Some(i) = self.lanes.iter().position(fits) {
+                let seq = self.next_seq();
+                self.lanes[i].queue.push_back(LaneTimer {
+                    at,
+                    seq,
+                    node,
+                    incarnation,
+                    timer,
+                });
+                return;
+            }
+        }
         let event = self.event(at, kind);
-        match lane {
-            Some(i) => self.lanes[i].queue.push_back(event),
-            None if at >= now && at - now < WHEEL_SPAN => self.wheel.push(event),
-            None => self.heap.push(event),
+        if at >= now && at - now < WHEEL_SPAN {
+            self.wheel.push(event);
+        } else {
+            self.heap.push(event);
         }
     }
 
@@ -405,7 +454,7 @@ impl Calendar {
             }
             Source::Lane(i) => {
                 self.stats.lane_pops += 1;
-                self.lanes[i].queue.pop_front()
+                self.lanes[i].queue.pop_front().map(LaneTimer::into_event)
             }
             Source::Wheel => {
                 self.stats.wheel_pops += 1;
@@ -599,6 +648,13 @@ mod tests {
         // Exactly the undelivered events hold a slot.
         let live = cal.wheel.slots.iter().filter(|s| s.event.is_some()).count();
         assert_eq!(live, reference.len());
+    }
+
+    /// A lane entry is the timer and its key, not a whole `Event`.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn lane_entries_are_48_bytes() {
+        assert_eq!(std::mem::size_of::<LaneTimer>(), 48);
     }
 
     /// Both sides of the wheel boundary, and the lane match is exact.

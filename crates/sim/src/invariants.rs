@@ -659,6 +659,12 @@ impl InvariantChecker {
         &self.summary
     }
 
+    /// Frees the pair memo once the run is over; later checks would hash
+    /// every pair afresh.
+    pub(crate) fn release_memo(&mut self) {
+        self.memo = PointMemo::new(0);
+    }
+
     /// A node came up (birth or rejoin) at `now`.
     pub fn node_up(&mut self, node: NodeId, now: TimeMs) {
         self.up_since.insert(node, now);

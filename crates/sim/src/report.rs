@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 
 use avmon::{Behavior, FlatSet, NodeId, TargetRecord};
 
+use crate::calendar::Calendar;
 use crate::engine::Simulation;
 use crate::invariants::{InvariantSummary, RngLedger};
 use crate::metrics::{AvailabilityMeasure, DiscoveryLog, EclipseScore, SimReport};
@@ -56,6 +57,10 @@ impl Simulation {
     /// Like [`Simulation::report`], but consumes the simulation and moves
     /// the per-node discovery logs into the report instead of cloning
     /// them — preferred once the run is over.
+    ///
+    /// The checker's pair memo and the calendar are freed before assembly
+    /// allocates, so the report does not stack on the run's peak: nothing
+    /// after the summary is cloned reads either.
     #[must_use]
     pub fn into_report(mut self) -> SimReport {
         let discovery = self
@@ -64,6 +69,8 @@ impl Simulation {
             .filter_map(|n| Some((n.id, n.discovery.take()?)))
             .collect();
         let invariants = self.checker.summary().clone();
+        self.checker.release_memo();
+        self.calendar = Calendar::new(Vec::new(), 0);
         self.assemble_report(discovery, invariants)
     }
 
