@@ -78,7 +78,6 @@ fn steady_population(n: usize) -> (Vec<Node>, Config) {
                         session_start: None,
                         last_session: 0,
                         unresponsive_since: None,
-                        history: avmon::HistoryStore::default(),
                     };
                     rec.pings_sent = 10;
                     rec.pongs_received = 9;

@@ -82,7 +82,6 @@ pub mod codec;
 pub mod config;
 pub mod driver;
 pub mod error;
-pub mod history;
 pub mod id;
 pub mod message;
 pub mod node;
@@ -96,7 +95,6 @@ pub use behavior::Behavior;
 pub use config::{Config, ConfigBuilder, CvsPolicy, DiscoveryMode, ForgetfulConfig};
 pub use driver::{Command, DriverEnv, NodeSnapshot, TimerQueue};
 pub use error::{CodecError, Error};
-pub use history::{AvailabilityStore, HistoryStore};
 pub use id::{NodeId, ParseNodeIdError};
 pub use message::{Message, MessageKind, Nonce};
 pub use node::{

@@ -313,10 +313,7 @@ impl Node {
             .collect();
         for target in fakes {
             self.sets_epoch += 1;
-            self.targets.insert(
-                target,
-                super::TargetRecord::new(now, self.history_template.clone()),
-            );
+            self.targets.insert(target, super::TargetRecord::new(now));
             self.emit(AppEvent::TargetDiscovered { target });
         }
     }
@@ -362,10 +359,7 @@ impl Node {
             // Someone claims I should monitor `target`: verify, then adopt.
             if self.check(monitor, target) {
                 self.sets_epoch += 1;
-                self.targets.insert(
-                    target,
-                    super::TargetRecord::new(now, self.history_template.clone()),
-                );
+                self.targets.insert(target, super::TargetRecord::new(now));
                 self.emit(AppEvent::TargetDiscovered { target });
             }
         }
@@ -380,10 +374,7 @@ impl Node {
         // Do I monitor the joiner?
         if !self.targets.contains_key(&origin) && self.check(self.id, origin) {
             self.sets_epoch += 1;
-            self.targets.insert(
-                origin,
-                super::TargetRecord::new(now, self.history_template.clone()),
-            );
+            self.targets.insert(origin, super::TargetRecord::new(now));
             self.emit(AppEvent::TargetDiscovered { target: origin });
             self.stats.notifies_sent += 1;
             self.send(

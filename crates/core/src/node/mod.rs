@@ -43,7 +43,6 @@ use serde::{Deserialize, Serialize};
 use crate::behavior::Behavior;
 use crate::codec;
 use crate::config::{Config, DiscoveryMode};
-use crate::history::HistoryStore;
 use crate::message::{Message, Nonce};
 use crate::selector::{verify_report, ReportVerification, SharedSelector};
 use crate::stats::NodeStats;
@@ -293,14 +292,12 @@ pub struct TargetRecord {
     pub last_session: DurMs,
     /// Start of the current unresponsive streak, if any.
     pub unresponsive_since: Option<TimeMs>,
-    /// The availability history (sub-problem II storage).
-    pub history: HistoryStore,
 }
 
 impl TargetRecord {
     /// A fresh record for a target discovered at `now`: no pings yet.
     #[must_use]
-    pub fn new(now: TimeMs, history: HistoryStore) -> Self {
+    pub fn new(now: TimeMs) -> Self {
         TargetRecord {
             discovered_at: now,
             pings_sent: 0,
@@ -309,7 +306,6 @@ impl TargetRecord {
             session_start: None,
             last_session: 0,
             unresponsive_since: None,
-            history,
         }
     }
 
@@ -391,7 +387,6 @@ pub struct Node {
     /// out (possible under message loss, which the paper's reliable-network
     /// model excludes but real deployments do not).
     contact: Option<NodeId>,
-    history_template: HistoryStore,
     started_at: TimeMs,
     last_monitor_ping_rx: Option<TimeMs>,
     /// Last time a coarse-view probe (ViewPing / ViewFetch) arrived —
@@ -464,7 +459,6 @@ impl Node {
             notified_cap: (8 * cvs * cvs).max(1024),
             notified_cleared_at: 0,
             contact: None,
-            history_template: HistoryStore::default(),
             started_at: 0,
             last_monitor_ping_rx: None,
             last_view_probe_rx: None,
@@ -492,12 +486,6 @@ impl Node {
     #[must_use]
     pub fn behavior(&self) -> &Behavior {
         &self.behavior
-    }
-
-    /// Sets the history-store prototype cloned for each newly discovered
-    /// target (defaults to [`HistoryStore::raw`]).
-    pub fn set_history_template(&mut self, template: HistoryStore) {
-        self.history_template = template;
     }
 
     /// This node's identity.
@@ -853,7 +841,7 @@ impl Node {
                 }
             }
             Message::HistoryRequest { nonce, target } => {
-                self.serve_history(now, from, nonce, target);
+                self.serve_history(from, nonce, target);
             }
             Message::HistoryReply {
                 nonce,
@@ -955,7 +943,7 @@ impl Node {
     /// records, like [`Node::request_report`].
     pub fn request_history(&mut self, now: TimeMs, monitor: NodeId, target: NodeId) {
         if monitor == self.id {
-            let (availability, samples) = self.history_answer(now, target);
+            let (availability, samples) = self.history_answer(target);
             self.emit(AppEvent::HistoryOutcome {
                 monitor,
                 target,

@@ -7,7 +7,6 @@
 use rand::Rng;
 
 use super::{Node, Pending};
-use crate::history::AvailabilityStore;
 use crate::message::{Message, Nonce};
 use crate::time::TimeMs;
 use crate::NodeId;
@@ -57,7 +56,6 @@ impl Node {
         let mut resumed = false;
         if let Some(rec) = self.targets.get_mut(&target) {
             rec.pongs_received += 1;
-            rec.history.record(now, true);
             if rec.unresponsive_since.take().is_some() {
                 // The target just came back: a new observed up-session
                 // begins and the suspicion is retracted.
@@ -78,7 +76,6 @@ impl Node {
     pub(super) fn record_miss(&mut self, now: TimeMs, target: NodeId) {
         let mut suspected = false;
         if let Some(rec) = self.targets.get_mut(&target) {
-            rec.history.record(now, false);
             if rec.unresponsive_since.is_none() {
                 rec.unresponsive_since = Some(now);
                 suspected = true;
@@ -122,14 +119,8 @@ impl Node {
 
     /// Availability-history service: answers with the measured estimate, or
     /// a misreported 100% under the overreporting / collusion behaviors.
-    pub(super) fn serve_history(
-        &mut self,
-        now: TimeMs,
-        from: NodeId,
-        nonce: Nonce,
-        target: NodeId,
-    ) {
-        let (availability, samples) = self.history_answer(now, target);
+    pub(super) fn serve_history(&mut self, from: NodeId, nonce: Nonce, target: NodeId) {
+        let (availability, samples) = self.history_answer(target);
         self.send(
             from,
             Message::HistoryReply {
@@ -142,22 +133,15 @@ impl Node {
     }
 
     /// The `(availability, samples)` this node gives a history request
-    /// about `target`.
-    pub(super) fn history_answer(&self, now: TimeMs, target: NodeId) -> (Option<f64>, u64) {
+    /// about `target`: the §5.4 ping fraction over every ping sent
+    /// (DESIGN.md §2, note 3).
+    pub(super) fn history_answer(&self, target: NodeId) -> (Option<f64>, u64) {
         if self.behavior.misreports(target) {
             let samples = self.targets.get(&target).map_or(0, |r| r.pings_sent);
             (Some(1.0), samples)
         } else {
             match self.targets.get(&target) {
-                Some(rec) => {
-                    // Prefer the history store's estimator when it has data;
-                    // fall back to the raw ping-fraction estimate.
-                    let a = rec
-                        .history
-                        .availability(now)
-                        .or_else(|| rec.availability_estimate());
-                    (a, rec.pings_sent)
-                }
+                Some(rec) => (rec.availability_estimate(), rec.pings_sent),
                 None => (None, 0),
             }
         }

@@ -91,13 +91,12 @@ fn events(actions: &Actions) -> Vec<AppEvent> {
 
 // ------------------------------------------------------------ poll order
 
-/// A `TS` entry's size is paid once per target per monitor: a history
-/// variant added inline, or a field added to the record, shows here first.
+/// A `TS` entry's size is paid once per target per monitor: a field
+/// added to the record shows here first.
 #[cfg(target_pointer_width = "64")]
 #[test]
-fn ts_records_stay_104_bytes() {
-    assert_eq!(std::mem::size_of::<HistoryStore>(), 24);
-    assert_eq!(std::mem::size_of::<TargetRecord>(), 104);
+fn ts_records_stay_80_bytes() {
+    assert_eq!(std::mem::size_of::<TargetRecord>(), 80);
 }
 
 #[test]
@@ -988,18 +987,15 @@ fn selfish_advertiser_is_caught_by_verification() {
     assert_eq!(verification.rejected, vec![id(66)], "the lie is detected");
 }
 
-#[test]
-fn history_request_served_honestly_and_overreported() {
-    let mut honest = node_with_target(1, 5);
-    for round in 1..=4u64 {
-        run_monitoring_round(&mut honest, round * MINUTE, round <= 2); // 50%
-    }
-    honest.handle_message(
-        300_000,
+/// Sends `n` a history request about `target`; returns the reply's
+/// `(availability, samples)`.
+fn history_reply(n: &mut Node, now: TimeMs, target: NodeId) -> (Option<f64>, u64) {
+    n.handle_message(
+        now,
         id(7),
         Message::HistoryRequest {
-            nonce: Nonce(9),
-            target: id(5),
+            nonce: Nonce(1),
+            target,
         },
     );
     let (
@@ -1009,50 +1005,63 @@ fn history_request_served_honestly_and_overreported() {
             samples,
             ..
         },
-    ) = sends(&drain(&mut honest))[0].clone()
+    ) = sends(&drain(n))[0].clone()
     else {
         panic!("expected history reply");
     };
-    assert_eq!(availability, Some(0.5));
-    assert_eq!(samples, 4);
+    (availability, samples)
+}
+
+#[test]
+fn history_request_served_honestly_and_overreported() {
+    let mut honest = node_with_target(1, 5);
+    for round in 1..=4u64 {
+        run_monitoring_round(&mut honest, round * MINUTE, round <= 2); // 50%
+    }
+    assert_eq!(history_reply(&mut honest, 300_000, id(5)), (Some(0.5), 4));
 
     // The same node, overreporting: claims 1.0.
     honest.set_behavior(Behavior::OverreportAll);
-    honest.handle_message(
-        300_001,
-        id(7),
-        Message::HistoryRequest {
-            nonce: Nonce(10),
-            target: id(5),
-        },
+    assert_eq!(history_reply(&mut honest, 300_001, id(5)).0, Some(1.0));
+}
+
+/// A history reply is the node's own estimate, `pongs / pings`, over the
+/// pings it counts — an in-flight ping included, and still after a
+/// restore drops that ping.
+#[test]
+fn history_reply_matches_own_estimate() {
+    let cfg = Config::builder(100).forgetful(None).build().unwrap();
+    let mut n = node_with_target_config(1, 5, cfg);
+    run_monitoring_round(&mut n, MINUTE, true);
+    run_monitoring_round(&mut n, 2 * MINUTE, true);
+    // A third ping, left unanswered and not yet expired.
+    n.handle_timer(3 * MINUTE, Timer::Monitoring);
+    let _ = drain(&mut n);
+    let pings = n.target_record(id(5)).unwrap().pings_sent;
+    assert_eq!(pings, 3);
+    let estimate = n.availability_estimate(id(5));
+    assert_eq!(estimate, Some(2.0 / 3.0));
+    assert_eq!(
+        history_reply(&mut n, 3 * MINUTE + 1, id(5)),
+        (estimate, pings)
     );
-    let (
-        _,
-        Message::HistoryReply {
-            availability: over, ..
-        },
-    ) = sends(&drain(&mut honest))[0].clone()
-    else {
-        panic!("expected history reply");
-    };
-    assert_eq!(over, Some(1.0));
+
+    // Restored from a snapshot, the node has no pending ping left.
+    let mut restored = Node::new(id(1), n.config().clone(), n.selector.clone(), 2);
+    restored.restore_persistent(n.snapshot_persistent());
+    assert!(restored.pending.is_empty());
+    let estimate = restored.availability_estimate(id(5));
+    assert_eq!(estimate, Some(2.0 / 3.0));
+    assert_eq!(
+        history_reply(&mut restored, 4 * MINUTE, id(5)),
+        (estimate, pings)
+    );
 }
 
 #[test]
 fn history_for_unknown_target_is_none() {
     let mut n = mk_node(1, config(100), TestSelector::none());
-    n.handle_message(
-        0,
-        id(7),
-        Message::HistoryRequest {
-            nonce: Nonce(1),
-            target: id(5),
-        },
-    );
-    let (_, Message::HistoryReply { availability, .. }) = sends(&drain(&mut n))[0].clone() else {
-        panic!("expected history reply");
-    };
-    assert_eq!(availability, None);
+    assert_eq!(history_reply(&mut n, 0, id(5)), (None, 0));
 }
 
 #[test]
@@ -1730,10 +1739,7 @@ fn batched_audit_matches_the_per_entry_loop() {
         for (label, ps, ts) in states {
             let state = PersistentState {
                 ps,
-                targets: ts
-                    .into_iter()
-                    .map(|t| (t, TargetRecord::new(0, HistoryStore::default())))
-                    .collect(),
+                targets: ts.into_iter().map(|t| (t, TargetRecord::new(0))).collect(),
             };
             let twin = || {
                 let mut n = Node::new(me, cfg.clone(), selector.clone(), 7);

@@ -21,18 +21,6 @@ pub const MINUTE: DurMs = 60 * SECOND;
 /// One hour in protocol time.
 pub const HOUR: DurMs = 60 * MINUTE;
 
-/// Converts milliseconds to fractional minutes (for reporting).
-#[must_use]
-pub fn as_minutes(ms: DurMs) -> f64 {
-    ms as f64 / MINUTE as f64
-}
-
-/// Converts milliseconds to fractional seconds (for reporting).
-#[must_use]
-pub fn as_seconds(ms: DurMs) -> f64 {
-    ms as f64 / SECOND as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -41,7 +29,5 @@ mod tests {
     fn conversions() {
         assert_eq!(MINUTE, 60_000);
         assert_eq!(HOUR, 3_600_000);
-        assert!((as_minutes(90_000) - 1.5).abs() < 1e-12);
-        assert!((as_seconds(1_500) - 1.5).abs() < 1e-12);
     }
 }

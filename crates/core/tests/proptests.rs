@@ -474,7 +474,6 @@ fn garbage_record(discovered_at: u64, pings: u64, pongs: u64) -> TargetRecord {
         session_start: None,
         last_session: 0,
         unresponsive_since: None,
-        history: Default::default(),
     }
 }
 

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use avmon::{AppEvent, Behavior, Config, HashSelector, HasherKind, JoinKind, Node, NodeId};
+use avmon::{AppEvent, Config, HashSelector, HasherKind, JoinKind, Node, NodeId};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
 
@@ -33,7 +33,6 @@ pub struct ClusterBuilder {
     hasher: HasherKind,
     loss: f64,
     seed: u64,
-    behaviors: HashMap<NodeId, Behavior>,
 }
 
 impl ClusterBuilder {
@@ -47,7 +46,6 @@ impl ClusterBuilder {
             hasher: HasherKind::Fast64,
             loss: 0.0,
             seed: 1,
-            behaviors: HashMap::new(),
         }
     }
 
@@ -76,13 +74,6 @@ impl ClusterBuilder {
     #[must_use]
     pub fn hasher(mut self, hasher: HasherKind) -> Self {
         self.hasher = hasher;
-        self
-    }
-
-    /// Assigns a behavior to the `index`-th node (attack testing).
-    #[must_use]
-    pub fn behavior_at(mut self, index: u32, behavior: Behavior) -> Self {
-        self.behaviors.insert(NodeId::from_index(index), behavior);
         self
     }
 
@@ -125,7 +116,6 @@ impl ClusterBuilder {
             events_rx,
             events_tx,
             board,
-            behaviors: self.behaviors,
         };
         for (i, transport) in transports.into_iter().enumerate() {
             let contact = if i == 0 { None } else { Some(ids[0]) };
@@ -180,7 +170,6 @@ pub struct Cluster {
     events_rx: Receiver<(NodeId, AppEvent)>,
     events_tx: Sender<(NodeId, AppEvent)>,
     board: SnapshotBoard,
-    behaviors: HashMap<NodeId, Behavior>,
 }
 
 impl Cluster {
@@ -205,9 +194,6 @@ impl Cluster {
             self.selector.clone(),
             avmon_hash::fast64::mix64(self.seed ^ (index + 1)),
         );
-        if let Some(behavior) = self.behaviors.get(&id) {
-            node.set_behavior(behavior.clone());
-        }
         if let Some(state) = restore {
             node.restore_persistent(state);
         }

@@ -16,9 +16,9 @@
 
 use avmon::driver::{apply_command, drain, Command, DriverEnv};
 use avmon::{
-    AppEvent, Behavior, Config, Destination, DurMs, FlatMap, HashSelector, HasherKind,
-    HistoryStore, JoinKind, Message, Node, NodeId, NodeStats, Nonce, OutputQueues, PersistentState,
-    SharedSelector, TargetRecord, TimeMs, Timer, Transmit,
+    AppEvent, Behavior, Config, Destination, DurMs, FlatMap, HashSelector, HasherKind, JoinKind,
+    Message, Node, NodeId, NodeStats, Nonce, OutputQueues, PersistentState, SharedSelector,
+    TargetRecord, TimeMs, Timer, Transmit,
 };
 use avmon_churn::{ChurnEventKind, Trace};
 use avmon_hash::fast64::mix64;
@@ -55,8 +55,6 @@ pub struct SimOptions {
     pub seed: u64,
     /// Metric sampling interval (default: one protocol period).
     pub sample_interval: DurMs,
-    /// History-store prototype installed on every node, if overridden.
-    pub history_template: Option<HistoryStore>,
     /// Per-node behavior assignments (attack experiments).
     pub behaviors: Vec<(NodeId, Behavior)>,
 }
@@ -74,7 +72,6 @@ impl SimOptions {
             invariants: InvariantConfig::default(),
             seed: 1,
             sample_interval,
-            history_template: None,
             behaviors: Vec::new(),
         }
     }
@@ -758,7 +755,6 @@ impl Simulation {
             }
         }
         if ghosts {
-            let history = self.opts.history_template.clone().unwrap_or_default();
             // Identities from the 192/8 block (disjoint from the 10/8
             // space `NodeId::from_index` populates traces with), rejected
             // until the consistency condition fails in the corrupted
@@ -784,9 +780,7 @@ impl Simulation {
             for _ in 0..rng.gen_range(1..=3) {
                 let g = draw_ghost(&mut rng, false);
                 if !state.targets.iter().any(|(t, _)| *t == g) {
-                    state
-                        .targets
-                        .push((g, TargetRecord::new(self.now, history.clone())));
+                    state.targets.push((g, TargetRecord::new(self.now)));
                 }
             }
         }
@@ -832,9 +826,6 @@ impl Simulation {
                     node_seed,
                 );
                 proto.set_behavior(sim_node.behavior.clone());
-                if let Some(template) = &self.opts.history_template {
-                    proto.set_history_template(template.clone());
-                }
                 if kind == ChurnEventKind::Join {
                     proto.restore_persistent(std::mem::take(&mut sim_node.persistent));
                 }

@@ -186,12 +186,6 @@ impl LinkFaults {
         }
         Ok(())
     }
-
-    /// Whether every knob is at its reliable-network zero.
-    #[must_use]
-    pub fn is_reliable(&self) -> bool {
-        self.loss == 0.0 && self.duplicate == 0.0 && self.jitter == 0
-    }
 }
 
 /// The complete network model: delay distribution plus fault behavior.

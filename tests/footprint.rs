@@ -62,19 +62,19 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// System size of `churn_faults_4k`; the default policy gives `cvs` = 32.
 const N: usize = 4_000;
 
-/// Measured at this commit: 896 B after period 20, 1 644 B after period
+/// Measured at this commit: 872 B after period 20, 1 500 B after period
 /// 60, with the output queues lent by the driver, the pending table freed
-/// once its requests are answered, 104-B `TS` records and exact-fit
-/// `PS`/`TS` vectors, a view that keeps its `cvs` slots through every
-/// shuffle instead of adopting its `2·cvs + 1` union, and a `notified`
-/// cache in a sorted vector that holds exactly its pairs. (With the
-/// union-sized view and a flat `notified` table it read 1 402 / 2 878 B;
-/// 144-B records in doubling vectors read 1 910 / 3 430 B; a node owning
-/// its queues and keeping its table as well read 5 846 / 7 366 B.) The
-/// bound is three times the period-60 reading; the per-node pair memo
-/// this test keeps from coming back made the same node 170 806 B by
-/// period 20.
-const NODE_HEAP_BOUND: isize = 4_932;
+/// once its requests are answered, 80-B `TS` records with no history
+/// store and exact-fit `PS`/`TS` vectors, a view that keeps its `cvs`
+/// slots through every shuffle instead of adopting its `2·cvs + 1` union,
+/// and a `notified` cache in a sorted vector that holds exactly its pairs.
+/// (104-B records read 896 / 1 644 B; with the union-sized view and a
+/// flat `notified` table it read 1 402 / 2 878 B; 144-B records in
+/// doubling vectors read 1 910 / 3 430 B; a node owning its queues and
+/// keeping its table as well read 5 846 / 7 366 B.) The bound is three
+/// times the period-60 reading; the per-node pair memo this test keeps
+/// from coming back made the same node 170 806 B by period 20.
+const NODE_HEAP_BOUND: isize = 4_500;
 
 /// Slack between the two readings: `PS` and `TS` are still filling towards
 /// `K` = 12 entries each (1 + 1 at period 20, 6 + 6 at period 60, each
