@@ -107,7 +107,7 @@ pub use selector::{
 };
 pub use stats::NodeStats;
 pub use table::{FlatMap, FlatSet, TableKey};
-pub use time::{DurMs, TimeMs, HOUR, MINUTE, SECOND};
+pub use time::{DurMs, Stamp, TimeMs, HOUR, MINUTE, SECOND};
 pub use view::CoarseView;
 
 // Re-export the hashing substrate: it is part of the public API surface

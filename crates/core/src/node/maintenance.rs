@@ -5,7 +5,7 @@
 
 use super::{AppEvent, Node, Pending};
 use crate::message::Message;
-use crate::time::TimeMs;
+use crate::time::{Stamp, TimeMs};
 use crate::NodeId;
 
 impl Node {
@@ -16,7 +16,7 @@ impl Node {
         // Behavior-driven corruption: a lying monitor adopts its forged
         // targets without any consistency-condition check. Honest nodes
         // never take this branch.
-        if self.behavior.fake_targets().is_some() {
+        if self.behavior().fake_targets().is_some() {
             self.adopt_fake_targets(now);
         }
 
@@ -30,7 +30,7 @@ impl Node {
         // ordinary NOTIFY re-discovery, which is what the stabilization
         // bound is derived from. Forging behaviors skip the audit: they
         // keep their forged entries on purpose.
-        if !self.behavior.forges_state() {
+        if !self.behavior().forges_state() {
             self.audit_sets();
         }
 
@@ -38,7 +38,7 @@ impl Node {
         // every coalition member as its monitor. The victim re-verifies
         // (§3.3), so this measures eclipse *resistance* — only members the
         // hash condition genuinely selects ever enter the victim's PS.
-        if self.behavior.eclipse_flood().is_some() {
+        if self.behavior().eclipse_flood().is_some() {
             self.flood_eclipse_notifies();
         }
 
@@ -77,9 +77,9 @@ impl Node {
         //     messages, and unrecoverable by the paper's protocol alone.
         //     Re-advertise to the current view entries (as PR2 would) and
         //     back off for another detection window.
-        let visibility_basis = self.last_view_probe_rx.unwrap_or(self.started_at);
+        let visibility_basis = self.last_view_probe_rx.map_or(self.started_at, Stamp::ms);
         if now.saturating_sub(visibility_basis) >= 6 * self.config.protocol_period {
-            self.last_view_probe_rx = Some(now);
+            self.last_view_probe_rx = Some(Stamp::new(now));
             self.readvertise();
         }
 
@@ -99,14 +99,15 @@ impl Node {
         // 3. PR2 (§5.4): if no monitoring ping has arrived for two protocol
         //    periods, force all view entries to re-add this node.
         if self.config.pr2 {
-            let basis = match (self.last_monitor_ping_rx, self.pr2_last_fired) {
+            let rx = self.last_monitor_ping_rx.map(Stamp::ms);
+            let basis = match (rx, self.pr2_last_fired.map(Stamp::ms)) {
                 (Some(rx), Some(fired)) => rx.max(fired),
                 (Some(rx), None) => rx,
                 (None, Some(fired)) => fired,
                 (None, None) => self.started_at,
             };
             if now.saturating_sub(basis) >= 2 * self.config.protocol_period {
-                self.pr2_last_fired = Some(now);
+                self.pr2_last_fired = Some(Stamp::new(now));
                 self.readvertise();
             }
         }
@@ -155,7 +156,7 @@ impl Node {
     /// send every victim a forged `NOTIFY(member, victim)` for each
     /// coalition member, trying to capture the victim's monitor slots.
     fn flood_eclipse_notifies(&mut self) {
-        let pairs: Vec<(NodeId, NodeId)> = match self.behavior.eclipse_flood() {
+        let pairs: Vec<(NodeId, NodeId)> = match self.behavior().eclipse_flood() {
             Some((coalition, victims)) => victims
                 .iter()
                 .flat_map(|&v| coalition.iter().map(move |&c| (c, v)))
@@ -182,7 +183,7 @@ impl Node {
         }
         // Eclipse coalitions starve their victims: a victim's JOIN is
         // neither absorbed nor forwarded.
-        if self.behavior.suppresses_join(origin) {
+        if self.behavior().suppresses_join(origin) {
             return;
         }
         let mut c = weight;
@@ -243,11 +244,11 @@ impl Node {
         // help a victim (re)discover non-coalition monitors unevaluated.
         let diagonal = side_a.iter().filter(|u| side_b.contains(u)).count();
         let mut evaluated = 2 * (side_a.len() * side_b.len() - diagonal);
-        if self.behavior.eclipse_flood().is_some() {
+        if self.behavior().eclipse_flood().is_some() {
             for &u in &side_a {
                 for &v in side_b.iter().filter(|&&v| v != u) {
-                    evaluated -= usize::from(self.behavior.suppresses_notify(u, v))
-                        + usize::from(self.behavior.suppresses_notify(v, u));
+                    evaluated -= usize::from(self.behavior().suppresses_notify(u, v))
+                        + usize::from(self.behavior().suppresses_notify(v, u));
                 }
             }
         }
@@ -259,7 +260,7 @@ impl Node {
             } else {
                 (side_a[a], side_b[b])
             };
-            if !self.behavior.suppresses_notify(monitor, target)
+            if !self.behavior().suppresses_notify(monitor, target)
                 && self.mark_notified(monitor, target)
             {
                 self.notify_pair(now, monitor, target);
@@ -304,7 +305,7 @@ impl Node {
     /// events a real adoption would.
     fn adopt_fake_targets(&mut self, now: TimeMs) {
         let fakes: Vec<NodeId> = self
-            .behavior
+            .behavior()
             .fake_targets()
             .unwrap_or_default()
             .iter()
@@ -322,7 +323,7 @@ impl Node {
     /// it is new. The cache is cleared when full, so retransmission is
     /// merely delayed, never suppressed forever.
     pub(super) fn mark_notified(&mut self, monitor: NodeId, target: NodeId) -> bool {
-        if self.notified.len() >= self.notified_cap {
+        if self.notified.len() >= self.notified_cap() {
             self.notified.clear();
         }
         self.notified.insert((monitor, target))

@@ -33,6 +33,7 @@ mod monitoring;
 mod tests;
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::table::{FlatMap, SortedMap, SortedSet};
 
@@ -46,7 +47,7 @@ use crate::config::{Config, DiscoveryMode};
 use crate::message::{Message, Nonce};
 use crate::selector::{verify_report, ReportVerification, SharedSelector};
 use crate::stats::NodeStats;
-use crate::time::{DurMs, TimeMs};
+use crate::time::{DurMs, Stamp, TimeMs};
 use crate::view::CoarseView;
 use crate::NodeId;
 
@@ -231,14 +232,20 @@ pub enum AppEvent {
 /// A node's three output queues, drained by the poll interface
 /// ([`Node::poll_transmit`], [`Node::poll_timer`], [`Node::poll_event`]).
 ///
-/// Every node owns a set; a driver that runs many nodes on one thread can
-/// keep one more and lend it to whichever node takes the next input with
-/// [`Node::swap_output_queues`], so that the capacity the queues grow to
-/// is paid once, not once per node. `pop_front` never shrinks capacity,
-/// so whichever set a node is using allocates nothing per input in the
-/// steady state.
+/// A set is one pointer: the queues are allocated on the first output
+/// pushed into it, so a [`Default`] set costs nothing. Every node holds a
+/// set; a driver that runs many nodes on one thread can keep one more and
+/// lend it to whichever node takes the next input with
+/// [`Node::swap_output_queues`] (a pointer swap), so that the capacity the
+/// queues grow to is paid once, not once per node, and a node that is
+/// always lent a set never allocates its own. `pop_front` never shrinks
+/// capacity, so whichever set a node is using allocates nothing per input
+/// in the steady state.
 #[derive(Debug, Default)]
-pub struct OutputQueues {
+pub struct OutputQueues(Option<Box<Queues>>);
+
+#[derive(Debug, Default)]
+struct Queues {
     transmits: VecDeque<Transmit>,
     timers: VecDeque<(Timer, TimeMs)>,
     events: VecDeque<AppEvent>,
@@ -247,7 +254,14 @@ pub struct OutputQueues {
 impl OutputQueues {
     /// Whether all three queues are empty.
     fn is_empty(&self) -> bool {
-        self.transmits.is_empty() && self.timers.is_empty() && self.events.is_empty()
+        self.0
+            .as_ref()
+            .is_none_or(|q| q.transmits.is_empty() && q.timers.is_empty() && q.events.is_empty())
+    }
+
+    /// The queues to push into, allocated on the first push.
+    fn push(&mut self) -> &mut Queues {
+        self.0.get_or_insert_default()
     }
 }
 
@@ -284,14 +298,14 @@ pub struct TargetRecord {
     /// Monitoring pongs received from the target.
     pub pongs_received: u64,
     /// Time of the most recent pong.
-    pub last_pong: Option<TimeMs>,
+    pub last_pong: Option<Stamp>,
     /// Start of the currently-observed up session, if the target is up.
-    pub session_start: Option<TimeMs>,
+    pub session_start: Option<Stamp>,
     /// Duration of the last completed observed up session (`ts(u)` in the
     /// forgetful-pinging formula).
     pub last_session: DurMs,
     /// Start of the current unresponsive streak, if any.
-    pub unresponsive_since: Option<TimeMs>,
+    pub unresponsive_since: Option<Stamp>,
 }
 
 impl TargetRecord {
@@ -358,9 +372,12 @@ pub struct PersistentState {
 #[derive(Debug)]
 pub struct Node {
     id: NodeId,
-    config: Config,
+    /// The run's configuration, one allocation shared by every node of it.
+    config: Arc<Config>,
     selector: SharedSelector,
-    behavior: Behavior,
+    /// `None` for [`Behavior::Honest`], which almost every node is; an
+    /// attack's members share one allocation.
+    behavior: Option<Arc<Behavior>>,
     rng: SmallRng,
     view: CoarseView,
     ps: SortedSet<NodeId>,
@@ -368,14 +385,14 @@ pub struct Node {
     pending: FlatMap<Nonce, PendingEntry>,
     /// Pairs this node has already NOTIFY-ed, so that rediscovering the
     /// same match every period (Fig. 2 re-scans all pairs) does not
-    /// retransmit. Bounded: cleared wholesale when it reaches capacity, so
-    /// notifications are eventually retransmitted and Theorem 1 (eventual
-    /// discovery) is preserved even if an endpoint was down the first time.
+    /// retransmit. Bounded: cleared wholesale when it reaches
+    /// [`Node::notified_cap`], so notifications are eventually
+    /// retransmitted and Theorem 1 (eventual discovery) is preserved even
+    /// if an endpoint was down the first time.
     /// A sorted vector that grows one slot per new pair, so it holds
     /// exactly its pairs (about 27 per node between clears); a clear keeps
     /// the allocation for the refill.
     notified: SortedSet<(NodeId, NodeId)>,
-    notified_cap: usize,
     /// When the notified cache was last aged out wholesale. Clearing on a
     /// time cadence (not only at capacity) bounds NOTIFY suppression in
     /// *time*: if the first NOTIFY to an endpoint was lost — possible under
@@ -388,7 +405,7 @@ pub struct Node {
     /// model excludes but real deployments do not).
     contact: Option<NodeId>,
     started_at: TimeMs,
-    last_monitor_ping_rx: Option<TimeMs>,
+    last_monitor_ping_rx: Option<Stamp>,
     /// Last time a coarse-view probe (ViewPing / ViewFetch) arrived —
     /// direct evidence that somebody still holds this node in a view. On
     /// a reliable network a view member receives ~2 probes per period, so
@@ -398,8 +415,8 @@ pub struct Node {
     /// recover because only view members are ever fetched from. The
     /// visibility-recovery branch of the protocol period re-advertises in
     /// that case (documented deviation, like the empty-view rejoin).
-    last_view_probe_rx: Option<TimeMs>,
-    pr2_last_fired: Option<TimeMs>,
+    last_view_probe_rx: Option<Stamp>,
+    pr2_last_fired: Option<Stamp>,
     /// Monotone membership version of `PS` ∪ `TS`: bumped whenever either
     /// set's membership changes (never for per-target counter updates).
     /// Together with [`CoarseView::version`] this gives observers a cheap
@@ -409,7 +426,8 @@ pub struct Node {
     stats: NodeStats,
     /// Output queues drained by the poll interface: the node's own, or a
     /// set lent by the driver for the current input
-    /// ([`Node::swap_output_queues`]).
+    /// ([`Node::swap_output_queues`]). Unallocated until something is
+    /// pushed into the node's own set, which a lending driver never does.
     queues: OutputQueues,
 }
 
@@ -442,21 +460,28 @@ impl Default for MemoPolicy {
 impl Node {
     /// Creates a node with the given identity, configuration, selection
     /// scheme, and RNG seed (all protocol randomness derives from `seed`).
+    /// A driver running many nodes passes each a clone of one
+    /// `Arc<Config>`; a [`Config`] value works too.
     #[must_use]
-    pub fn new(id: NodeId, config: Config, selector: SharedSelector, seed: u64) -> Self {
+    pub fn new(
+        id: NodeId,
+        config: impl Into<Arc<Config>>,
+        selector: SharedSelector,
+        seed: u64,
+    ) -> Self {
+        let config = config.into();
         let cvs = config.cvs;
         Node {
             id,
             config,
             selector,
-            behavior: Behavior::Honest,
+            behavior: None,
             rng: SmallRng::seed_from_u64(seed),
             view: CoarseView::new(id, cvs),
             ps: SortedSet::new(),
             targets: SortedMap::new(),
             pending: FlatMap::new(),
             notified: SortedSet::new(),
-            notified_cap: (8 * cvs * cvs).max(1024),
             notified_cleared_at: 0,
             contact: None,
             started_at: 0,
@@ -477,15 +502,23 @@ impl Node {
         (0, 0)
     }
 
-    /// Sets the node's behavior (attack model); defaults to honest.
-    pub fn set_behavior(&mut self, behavior: Behavior) {
-        self.behavior = behavior;
+    /// Sets the node's behavior (attack model); defaults to honest. Takes
+    /// a [`Behavior`] or an `Arc` that many nodes share.
+    pub fn set_behavior(&mut self, behavior: impl Into<Arc<Behavior>>) {
+        let behavior = behavior.into();
+        self.behavior = (*behavior != Behavior::Honest).then_some(behavior);
     }
 
     /// The behavior in effect.
     #[must_use]
     pub fn behavior(&self) -> &Behavior {
-        &self.behavior
+        static HONEST: Behavior = Behavior::Honest;
+        self.behavior.as_deref().unwrap_or(&HONEST)
+    }
+
+    /// How many pairs the `notified` cache holds before it is cleared.
+    fn notified_cap(&self) -> usize {
+        (8 * self.config.cvs * self.config.cvs).max(1024)
     }
 
     /// This node's identity.
@@ -602,20 +635,20 @@ impl Node {
     /// The next outgoing datagram, in FIFO order; `None` when drained.
     #[must_use = "the driver must execute drained transmits"]
     pub fn poll_transmit(&mut self) -> Option<Transmit> {
-        self.queues.transmits.pop_front()
+        self.queues.0.as_mut()?.transmits.pop_front()
     }
 
     /// The next timer to arm `(timer, fire_at)`, in FIFO order; `None`
     /// when drained.
     #[must_use = "the driver must arm drained timers"]
     pub fn poll_timer(&mut self) -> Option<(Timer, TimeMs)> {
-        self.queues.timers.pop_front()
+        self.queues.0.as_mut()?.timers.pop_front()
     }
 
     /// The next application event, in FIFO order; `None` when drained.
     #[must_use = "the driver should surface drained events"]
     pub fn poll_event(&mut self) -> Option<AppEvent> {
-        self.queues.events.pop_front()
+        self.queues.0.as_mut()?.events.pop_front()
     }
 
     /// Whether any output (transmit, timer, or event) is waiting to be
@@ -640,6 +673,8 @@ impl Node {
     // ------------------------------------------------------------- inputs
 
     /// Extracts the durable state to be written to persistent storage.
+    /// [`Node::into_persistent`] gives the same state without copying it,
+    /// for a node that is leaving.
     #[must_use]
     pub fn snapshot_persistent(&self) -> PersistentState {
         PersistentState {
@@ -649,6 +684,16 @@ impl Node {
                 .iter()
                 .map(|(&id, rec)| (id, rec.clone()))
                 .collect(),
+        }
+    }
+
+    /// Ends this incarnation, moving its durable state out: field for
+    /// field what [`Node::snapshot_persistent`] gives, without the copy.
+    #[must_use]
+    pub fn into_persistent(self) -> PersistentState {
+        PersistentState {
+            ps: self.ps.into_vec(),
+            targets: self.targets.into_iter().collect(),
         }
     }
 
@@ -700,7 +745,7 @@ impl Node {
                 self.stats.messages_sent += self.config.system_size as u64;
                 self.stats.bytes_sent +=
                     codec::encoded_len(&msg) as u64 * self.config.system_size as u64;
-                self.queues.transmits.push_back(Transmit {
+                self.queues.push().transmits.push_back(Transmit {
                     to: Destination::AllNodes,
                     msg,
                 });
@@ -772,7 +817,7 @@ impl Node {
                 }
             }
             Message::ViewPing { nonce } => {
-                self.last_view_probe_rx = Some(now);
+                self.last_view_probe_rx = Some(Stamp::new(now));
                 self.send(from, Message::ViewPong { nonce });
             }
             Message::ViewPong { nonce } => {
@@ -790,7 +835,7 @@ impl Node {
                 }
             }
             Message::ViewFetch { nonce } => {
-                self.last_view_probe_rx = Some(now);
+                self.last_view_probe_rx = Some(Stamp::new(now));
                 let view = self.view.as_slice().to_vec();
                 self.send(from, Message::ViewFetchReply { nonce, view });
             }
@@ -810,7 +855,7 @@ impl Node {
                 self.handle_notify(now, monitor, target);
             }
             Message::MonitorPing { nonce } => {
-                self.last_monitor_ping_rx = Some(now);
+                self.last_monitor_ping_rx = Some(Stamp::new(now));
                 self.stats.monitor_pings_received += 1;
                 self.send(from, Message::MonitorPong { nonce });
             }
@@ -1013,7 +1058,7 @@ impl Node {
         debug_assert_ne!(to, self.id, "nodes never message themselves");
         self.stats.messages_sent += 1;
         self.stats.bytes_sent += codec::encoded_len(&msg) as u64;
-        self.queues.transmits.push_back(Transmit {
+        self.queues.push().transmits.push_back(Transmit {
             to: Destination::Node(to),
             msg,
         });
@@ -1021,7 +1066,7 @@ impl Node {
 
     /// Queues a timer request.
     fn arm_timer(&mut self, timer: Timer, at: TimeMs) {
-        self.queues.timers.push_back((timer, at));
+        self.queues.push().timers.push_back((timer, at));
     }
 
     /// Registers an outstanding request: draws a fresh nonce, stamps the
@@ -1056,7 +1101,7 @@ impl Node {
 
     /// Queues an application event.
     fn emit(&mut self, event: AppEvent) {
-        self.queues.events.push_back(event);
+        self.queues.push().events.push_back(event);
     }
 
     fn fresh_nonce(&mut self) -> Nonce {

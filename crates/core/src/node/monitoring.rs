@@ -8,7 +8,7 @@ use rand::Rng;
 
 use super::{Node, Pending};
 use crate::message::{Message, Nonce};
-use crate::time::TimeMs;
+use crate::time::{Stamp, TimeMs};
 use crate::NodeId;
 
 impl Node {
@@ -20,7 +20,8 @@ impl Node {
         let mut to_ping: Vec<NodeId> = Vec::with_capacity(self.targets.len());
         let mut suppressed = 0u64;
         for (&target, rec) in self.targets.iter() {
-            let ping = match (self.config.forgetful, rec.unresponsive_since) {
+            let since = rec.unresponsive_since.map(Stamp::ms);
+            let ping = match (self.config.forgetful, since) {
                 (Some(f), Some(since)) if now.saturating_sub(since) > f.tau => {
                     // Forgetful pinging: probability c·ts/(ts+t). `ts` is
                     // floored at one monitoring period — a target that was
@@ -59,13 +60,13 @@ impl Node {
             if rec.unresponsive_since.take().is_some() {
                 // The target just came back: a new observed up-session
                 // begins and the suspicion is retracted.
-                rec.session_start = Some(now);
+                rec.session_start = Some(Stamp::new(now));
                 resumed = true;
             } else if rec.session_start.is_none() {
                 // The very first observation also opens an up-session.
-                rec.session_start = Some(now);
+                rec.session_start = Some(Stamp::new(now));
             }
-            rec.last_pong = Some(now);
+            rec.last_pong = Some(Stamp::new(now));
         }
         if resumed {
             self.emit(super::AppEvent::TargetResponsive { target });
@@ -77,11 +78,11 @@ impl Node {
         let mut suspected = false;
         if let Some(rec) = self.targets.get_mut(&target) {
             if rec.unresponsive_since.is_none() {
-                rec.unresponsive_since = Some(now);
+                rec.unresponsive_since = Some(Stamp::new(now));
                 suspected = true;
                 // Close the observed up-session: ts(u) := its length.
                 if let (Some(start), Some(last)) = (rec.session_start.take(), rec.last_pong) {
-                    rec.last_session = last.saturating_sub(start);
+                    rec.last_session = last.ms().saturating_sub(start.ms());
                 }
             }
         }
@@ -101,7 +102,7 @@ impl Node {
     /// The monitor list this node gives a report request for `count`
     /// monitors.
     pub(super) fn report_answer(&mut self, count: u8) -> Vec<NodeId> {
-        match self.behavior.fake_report() {
+        match self.behavior().fake_report() {
             Some(fakes) => fakes.iter().copied().take(usize::from(count)).collect(),
             None => {
                 // Any `l` of PS(x) will do; sample without replacement.
@@ -136,7 +137,7 @@ impl Node {
     /// about `target`: the §5.4 ping fraction over every ping sent
     /// (DESIGN.md §2, note 3).
     pub(super) fn history_answer(&self, target: NodeId) -> (Option<f64>, u64) {
-        if self.behavior.misreports(target) {
+        if self.behavior().misreports(target) {
             let samples = self.targets.get(&target).map_or(0, |r| r.pings_sent);
             (Some(1.0), samples)
         } else {

@@ -11,7 +11,7 @@ use super::*;
 use crate::behavior::Behavior;
 use crate::config::{Config, DiscoveryMode};
 use crate::selector::MonitorSelector;
-use crate::time::MINUTE;
+use crate::time::{Stamp, MINUTE};
 
 /// A selector accepting exactly the programmed ordered pairs.
 #[derive(Debug, Default)]
@@ -92,11 +92,45 @@ fn events(actions: &Actions) -> Vec<AppEvent> {
 // ------------------------------------------------------------ poll order
 
 /// A `TS` entry's size is paid once per target per monitor: a field
-/// added to the record shows here first.
+/// added to the record shows here first. Its three optional times are
+/// [`Stamp`]s, 8 bytes each where an `Option<TimeMs>` takes 16.
 #[cfg(target_pointer_width = "64")]
 #[test]
-fn ts_records_stay_80_bytes() {
-    assert_eq!(std::mem::size_of::<TargetRecord>(), 80);
+fn ts_records_stay_56_bytes() {
+    assert_eq!(std::mem::size_of::<TargetRecord>(), 56);
+}
+
+/// A node's inline size is paid by every up identity of a simulation:
+/// what is the same on every node (`Config`, an attack's `Behavior`) is a
+/// shared pointer, and the output queues are one pointer that a lending
+/// driver never fills.
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn node_holds_at_most_432_bytes() {
+    let size = std::mem::size_of::<Node>();
+    assert!(size <= 432, "Node is {size} B");
+    assert_eq!(std::mem::size_of::<OutputQueues>(), 8);
+}
+
+/// Saved `PersistentState` reads back across the change of the record's
+/// optional times to [`Stamp`]: each is still `null` or a plain number.
+/// The text is what `Option<TimeMs>` fields wrote.
+#[test]
+fn target_record_json_keeps_null_or_number() {
+    let rec = TargetRecord {
+        discovered_at: 5,
+        pings_sent: 9,
+        pongs_received: 7,
+        last_pong: Some(Stamp::new(120_000)),
+        session_start: None,
+        last_session: 60_000,
+        unresponsive_since: Some(Stamp::new(0)),
+    };
+    let text = "{\"discovered_at\":5,\"pings_sent\":9,\"pongs_received\":7,\
+                \"last_pong\":120000,\"session_start\":null,\"last_session\":60000,\
+                \"unresponsive_since\":0}";
+    assert_eq!(serde_json::to_string(&rec).unwrap(), text);
+    assert_eq!(serde_json::from_str::<TargetRecord>(text).unwrap(), rec);
 }
 
 #[test]
@@ -821,6 +855,36 @@ fn miss_closes_session_and_records_ts() {
     assert_eq!(rec.last_session, 4 * MINUTE);
 }
 
+/// A leaving node moves out field for field what a snapshot copies, open
+/// session and streak included; the restore clears those two.
+#[test]
+fn into_persistent_moves_what_the_snapshot_copies() {
+    let selector = TestSelector::with_pairs(&[(id(1), id(5)), (id(1), id(6)), (id(2), id(1))]);
+    let mut n = Node::new(id(1), config(100), selector.clone(), 2);
+    for (monitor, target) in [(id(1), id(5)), (id(1), id(6)), (id(2), id(1))] {
+        n.handle_message(0, id(9), Message::Notify { monitor, target });
+    }
+    let _ = drain(&mut n);
+    for round in 1..=3u64 {
+        run_monitoring_round(&mut n, round * MINUTE, true);
+    }
+    run_monitoring_round(&mut n, 4 * MINUTE, false);
+    let rec = n.target_record(id(5)).unwrap();
+    assert!(rec.unresponsive_since.is_some() && rec.last_pong.is_some());
+
+    let snapshot = n.snapshot_persistent();
+    let moved = n.into_persistent();
+    assert_eq!(moved, snapshot);
+    assert_eq!(moved.ps, vec![id(2)]);
+
+    let mut reborn = Node::new(id(1), config(100), selector, 3);
+    reborn.restore_persistent(moved);
+    for (_, rec) in reborn.target_records() {
+        assert!(rec.session_start.is_none() && rec.unresponsive_since.is_none());
+        assert_eq!(rec.pings_sent, 4);
+    }
+}
+
 #[test]
 fn forgetful_pinging_suppresses_dead_targets() {
     let mut n = node_with_target(1, 5);
@@ -1496,7 +1560,7 @@ fn per_pair_fetched_view(n: &mut Node, now: TimeMs, w: NodeId, fetched: &[NodeId
                 continue;
             }
             for (monitor, target) in [(u, v), (v, u)] {
-                if n.behavior.suppresses_notify(monitor, target) {
+                if n.behavior().suppresses_notify(monitor, target) {
                     continue;
                 }
                 if n.check(monitor, target) && n.mark_notified(monitor, target) {
@@ -1931,8 +1995,11 @@ fn lent_output_queues_change_nothing_the_node_outputs() {
 
     // Whose capacity is where: the lent run's node never grew queues of
     // its own; the spare holds what the inputs needed.
-    let capacity =
-        |q: &OutputQueues| q.transmits.capacity() + q.timers.capacity() + q.events.capacity();
+    let capacity = |q: &OutputQueues| {
+        q.0.as_ref().map_or(0, |q| {
+            q.transmits.capacity() + q.timers.capacity() + q.events.capacity()
+        })
+    };
     assert_eq!(capacity(&on_lent.queues), 0);
     assert!(capacity(lent.spare.as_ref().unwrap()) > 0);
     assert!(capacity(&on_own.queues) > 0);

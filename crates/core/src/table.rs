@@ -452,6 +452,16 @@ impl<K: Ord + Copy, V> SortedMap<K, V> {
     }
 }
 
+/// Moves the entries out in ascending key order.
+impl<K, V> IntoIterator for SortedMap<K, V> {
+    type Item = (K, V);
+    type IntoIter = std::iter::Zip<std::vec::IntoIter<K>, std::vec::IntoIter<V>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.keys.into_iter().zip(self.values)
+    }
+}
+
 /// `BTreeMap::from_iter` semantics: entries sorted by key and, where a
 /// key repeats, the **last** value wins. The vectors fit the distinct
 /// keys exactly.
@@ -558,6 +568,12 @@ impl<K: Ord + Copy> SortedSet<K> {
     /// The members, ascending.
     pub fn iter(&self) -> impl Iterator<Item = &K> {
         self.keys.iter()
+    }
+
+    /// The members, ascending, in the set's own vector.
+    #[must_use]
+    pub fn into_vec(self) -> Vec<K> {
+        self.keys
     }
 }
 

@@ -679,8 +679,8 @@ proptest! {
             seed,
         );
         let record = |pings: u64| TargetRecord {
-            session_start: Some(pings),
-            unresponsive_since: Some(pings),
+            session_start: Some(avmon::Stamp::new(pings)),
+            unresponsive_since: Some(avmon::Stamp::new(pings)),
             ..garbage_record(pings, pings, 0)
         };
         let state = PersistentState {

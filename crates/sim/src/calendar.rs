@@ -18,6 +18,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 use avmon::{Behavior, DurMs, Message, NodeId, TimeMs, Timer};
 use avmon_churn::ChurnEventKind;
@@ -53,10 +54,10 @@ pub(crate) enum EventKind {
         seed: u64,
     },
     /// A scenario-scheduled behavior switch: attack campaigns flip the
-    /// coalition's behavior at the window edges.
+    /// coalition's behavior at the window edges. `None` is honest.
     SetBehavior {
         node: NodeId,
-        behavior: Behavior,
+        behavior: Option<Arc<Behavior>>,
     },
     /// An application-executor wakeup
     /// ([`Simulation::schedule_app_wake`](crate::Simulation::schedule_app_wake)):

@@ -14,10 +14,13 @@
 //! lent to the node for the input and taken back after the drain, so no
 //! node holds queue capacity between inputs.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use avmon::driver::{apply_command, drain, Command, DriverEnv};
 use avmon::{
     AppEvent, Behavior, Config, Destination, DurMs, FlatMap, HashSelector, HasherKind, JoinKind,
-    Message, Node, NodeId, NodeStats, Nonce, OutputQueues, PersistentState, SharedSelector,
+    Message, Node, NodeId, NodeStats, Nonce, OutputQueues, PersistentState, SharedSelector, Stamp,
     TargetRecord, TimeMs, Timer, Transmit,
 };
 use avmon_churn::{ChurnEventKind, Trace};
@@ -156,18 +159,22 @@ impl SimOptions {
     }
 }
 
-/// Everything the engine knows about one trace identity, in one row of
-/// [`Simulation::nodes`] (DESIGN.md §5).
+/// Everything the engine knows about one trace identity that differs
+/// between identities, in one row of [`Simulation::nodes`] (DESIGN.md §5,
+/// "What a row holds"). What every node shares (the `Config`, the
+/// selector) is one allocation, and what only a few rows would use (a
+/// non-honest behavior, freeze windows) sits in a side table on
+/// [`Simulation`].
 #[derive(Debug, Default)]
 pub(crate) struct SimNode {
     pub(crate) id: NodeId,
-    pub(crate) proto: Option<Node>,
+    /// The live node while up, only its persistent part while down.
+    pub(crate) state: NodeState,
     pub(crate) incarnation: u64,
-    pub(crate) persistent: PersistentState,
-    pub(crate) behavior: Behavior,
-    pub(crate) born_at: Option<TimeMs>,
-    left_at: Option<TimeMs>,
-    last_stats: NodeStats,
+    pub(crate) born_at: Option<Stamp>,
+    left_at: Option<Stamp>,
+    /// The sampled counters as of the last sample or the baseline.
+    last_stats: Sampled,
     /// Streaming per-node metric accumulators: updated in place at every
     /// sampling tick (and counter fold), so report assembly never walks or
     /// clones a side map of per-node state.
@@ -175,28 +182,93 @@ pub(crate) struct SimNode {
     /// Whether `series` was ever written — only touched nodes appear in
     /// [`SimReport::series`].
     pub(crate) series_touched: bool,
-    /// Position in [`Simulation::alive`] while up (patched on swap-remove).
-    alive_pos: Option<usize>,
-    /// Position in the initial cohort: bootstrap excludes the joiner in O(1).
-    cohort_pos: Option<usize>,
     /// Member of the trace's control group: its discovery times are logged.
     pub(crate) control: bool,
-    /// The discovery log, opened at a control node's first birth.
-    pub(crate) discovery: Option<DiscoveryLog>,
     /// Someone listens to this node ([`Simulation::subscribe_app`]): its
     /// application events are buffered and pause `run_until_wake`.
     pub(crate) app_subscribed: bool,
-    /// The scenario's `[from, until)` freeze windows for this node.
-    freezes: Vec<(TimeMs, TimeMs)>,
+    /// Position in [`Simulation::alive`] while up (patched on swap-remove).
+    alive_pos: Option<u32>,
+    /// Position in the initial cohort: bootstrap excludes the joiner in O(1).
+    cohort_pos: Option<u32>,
+    /// The discovery log, opened at a control node's first birth; boxed,
+    /// because only the control group keeps one.
+    pub(crate) discovery: Option<Box<DiscoveryLog>>,
+}
+
+/// An identity's protocol state. Up and down are exclusive, so the row
+/// holds one or the other inline: the node, or what §3 keeps across a
+/// failure or a leave. A down row still pays the node's size; boxing the
+/// node would add a pointer chase to every dispatch (ROADMAP item 9(b)).
+#[allow(clippy::large_enum_variant)] // inline on purpose, see above
+#[derive(Debug)]
+pub(crate) enum NodeState {
+    Up(Node),
+    Down(PersistentState),
+}
+
+impl Default for NodeState {
+    fn default() -> Self {
+        NodeState::Down(PersistentState::default())
+    }
+}
+
+impl NodeState {
+    /// Takes what a down identity kept, leaving it empty; an up one keeps
+    /// nothing apart from its node.
+    fn take_persistent(&mut self) -> PersistentState {
+        match self {
+            NodeState::Up(_) => PersistentState::default(),
+            NodeState::Down(persistent) => std::mem::take(persistent),
+        }
+    }
+}
+
+/// The three counters the sampled series accumulate, as of a sample: the
+/// point the next sample's delta is taken from.
+#[derive(Debug, Default, Clone, Copy)]
+struct Sampled {
+    hash_checks: u64,
+    bytes_sent: u64,
+    monitor_pings_sent: u64,
+}
+
+impl Sampled {
+    fn of(stats: &NodeStats) -> Self {
+        Sampled {
+            hash_checks: stats.hash_checks,
+            bytes_sent: stats.bytes_sent,
+            monitor_pings_sent: stats.monitor_pings_sent,
+        }
+    }
+
+    /// Adds what was counted between `earlier` and `self` to `series`.
+    fn fold_since(self, earlier: Sampled, series: &mut NodeSeries) {
+        series.hash_checks += self.hash_checks.saturating_sub(earlier.hash_checks);
+        series.bytes_sent += self.bytes_sent.saturating_sub(earlier.bytes_sent);
+        series.monitor_pings_sent += self
+            .monitor_pings_sent
+            .saturating_sub(earlier.monitor_pings_sent);
+    }
 }
 
 impl SimNode {
+    /// This row's node, if up.
+    pub(crate) fn proto(&self) -> Option<&Node> {
+        match &self.state {
+            NodeState::Up(proto) => Some(proto),
+            NodeState::Down(_) => None,
+        }
+    }
+
     /// This row's node, if up, ready for one input: it holds the engine's
     /// `spare` output queues, which [`Simulation::apply_outputs`] takes
     /// back once the input's output is drained. Every input reaches its
     /// node through here, so a node's own queues stay unallocated.
     fn lend(&mut self, spare: &mut OutputQueues) -> Option<&mut Node> {
-        let proto = self.proto.as_mut()?;
+        let NodeState::Up(proto) = &mut self.state else {
+            return None;
+        };
         proto.swap_output_queues(spare);
         Some(proto)
     }
@@ -204,14 +276,6 @@ impl SimNode {
     fn series_mut(&mut self) -> &mut NodeSeries {
         self.series_touched = true;
         &mut self.series
-    }
-
-    /// The thaw time if this node is inside a freeze window at `at`.
-    pub(crate) fn frozen_at(&self, at: TimeMs) -> Option<TimeMs> {
-        self.freezes
-            .iter()
-            .find(|&&(from, until)| at >= from && at < until)
-            .map(|&(_, until)| until)
     }
 }
 
@@ -236,9 +300,21 @@ impl SimNode {
 pub struct Simulation {
     pub(crate) trace: Trace,
     pub(crate) opts: SimOptions,
+    /// `opts.config`, in the one allocation every node of the run shares.
+    config: Arc<Config>,
     selector: SharedSelector,
     /// One row per trace identity, in ascending `NodeId` order.
     pub(crate) nodes: Vec<SimNode>,
+    /// The behavior of every slot that is not honest, from
+    /// [`SimOptions::behaviors`] and the attack windows in effect; a slot
+    /// absent here is honest. Read when a node is (re)born, when a
+    /// `SetBehavior` event fires, and when the report scores
+    /// misreports. An attack's members share one `Arc`.
+    pub(crate) behaviors: BTreeMap<usize, Arc<Behavior>>,
+    /// The scenario's `[from, until)` freeze windows, by slot. Empty on a
+    /// run without freezes, which is all [`Simulation::frozen_at`] checks
+    /// on every dispatch then.
+    freezes: BTreeMap<usize, Vec<(TimeMs, TimeMs)>>,
     /// The one identity lookup: `NodeId` → index into `nodes`. Identities
     /// absent from the trace (corruption ghosts, stray app-API arguments)
     /// resolve to no slot and are inert.
@@ -363,20 +439,26 @@ impl Simulation {
             .filter(|e| e.at == 0 && e.kind == ChurnEventKind::Birth)
             .map(|e| e.node)
             .collect();
-        for (pos, &id) in initial_cohort.iter().enumerate() {
+        for (pos, &id) in (0u32..).zip(&initial_cohort) {
             if let Some(s) = slot(id) {
                 nodes[s].cohort_pos = Some(pos);
             }
         }
+        let mut behaviors: BTreeMap<usize, Arc<Behavior>> = BTreeMap::new();
         for (id, behavior) in &opts.behaviors {
             if let Some(s) = slot(*id) {
-                nodes[s].behavior = behavior.clone();
+                if *behavior == Behavior::Honest {
+                    behaviors.remove(&s);
+                } else {
+                    behaviors.insert(s, Arc::new(behavior.clone()));
+                }
             }
         }
+        let mut freezes: BTreeMap<usize, Vec<(TimeMs, TimeMs)>> = BTreeMap::new();
         if let Some(scenario) = &opts.scenario {
             for (id, from, until) in scenario.freeze_windows() {
                 if let Some(s) = slot(id) {
-                    nodes[s].freezes.push((from, until));
+                    freezes.entry(s).or_default().push((from, until));
                 }
             }
             // Corruption injections are ordinary calendar events (after
@@ -399,22 +481,21 @@ impl Simulation {
             // Attack campaigns compile to paired behavior switches: every
             // coalition member turns coat at the window start and reverts
             // to its statically-assigned behavior (default honest) at the
-            // end.
+            // end. The members share the campaign's one behavior.
             for e in &scenario.attacks {
                 let Attack::Eclipse {
                     coalition,
                     victims,
                     duration,
                 } = &e.attack;
+                let campaign = Arc::new(Behavior::EclipseCoalition {
+                    coalition: coalition.clone(),
+                    victims: victims.clone(),
+                });
                 for &node in coalition {
-                    let behavior = Behavior::EclipseCoalition {
-                        coalition: coalition.clone(),
-                        victims: victims.clone(),
-                    };
+                    let behavior = Some(Arc::clone(&campaign));
                     calendar.defer(e.at, EventKind::SetBehavior { node, behavior });
-                    let behavior = slot(node)
-                        .map(|s| nodes[s].behavior.clone())
-                        .unwrap_or_default();
+                    let behavior = slot(node).and_then(|s| behaviors.get(&s).cloned());
                     calendar.defer(e.at + duration, EventKind::SetBehavior { node, behavior });
                 }
             }
@@ -438,9 +519,12 @@ impl Simulation {
         }
         Ok(Simulation {
             trace,
+            config: Arc::new(opts.config.clone()),
             opts,
             selector,
             nodes,
+            behaviors,
+            freezes,
             slot_of,
             alive: Vec::new(),
             calendar,
@@ -494,7 +578,7 @@ impl Simulation {
     /// Read access to a live node's protocol state.
     #[must_use]
     pub fn node(&self, id: NodeId) -> Option<&Node> {
-        self.nodes[self.slot(id)?].proto.as_ref()
+        self.nodes[self.slot(id)?].proto()
     }
 
     /// Drains the buffered application events of the nodes subscribed via
@@ -643,7 +727,7 @@ impl Simulation {
         let slot = kind.addressee().and_then(|node| self.slot(node));
         // A frozen node stops processing: its deliveries and timers stall
         // on the heap, in order, until the freeze thaws.
-        if let Some(thaw) = slot.and_then(|s| self.nodes[s].frozen_at(self.now)) {
+        if let Some(thaw) = slot.and_then(|s| self.frozen_at(s, self.now)) {
             self.calendar.defer(thaw, kind);
             return;
         }
@@ -663,8 +747,8 @@ impl Simulation {
             }
             EventKind::Baseline => {
                 for sim_node in &mut self.nodes {
-                    if let Some(proto) = sim_node.proto.as_ref() {
-                        sim_node.last_stats = *proto.stats();
+                    if let Some(proto) = sim_node.proto() {
+                        sim_node.last_stats = Sampled::of(proto.stats());
                     }
                 }
             }
@@ -682,6 +766,19 @@ impl Simulation {
         }
     }
 
+    /// The thaw time if the node at `slot` is inside a freeze window at
+    /// `at`.
+    pub(crate) fn frozen_at(&self, slot: usize, at: TimeMs) -> Option<TimeMs> {
+        if self.freezes.is_empty() {
+            return None;
+        }
+        self.freezes
+            .get(&slot)?
+            .iter()
+            .find(|&&(from, until)| at >= from && at < until)
+            .map(|&(_, until)| until)
+    }
+
     /// Fires `timer` on the node at `slot` if that incarnation is still up.
     /// A firing that [`Node::timer_live`] rejects would be a guaranteed
     /// no-op inside the node, so it is dropped here without the
@@ -692,7 +789,7 @@ impl Simulation {
         if sim_node.incarnation != incarnation {
             return; // stale timer from a previous incarnation
         }
-        let Some(proto) = sim_node.proto.as_ref() else {
+        let Some(proto) = sim_node.proto() else {
             return;
         };
         if !proto.timer_live(timer, now) {
@@ -705,16 +802,19 @@ impl Simulation {
         }
     }
 
-    /// Applies a scenario-scheduled behavior switch to both the engine's
-    /// record (governs future incarnations) and the live node, if any.
-    fn on_set_behavior(&mut self, node: NodeId, behavior: Behavior) {
+    /// Applies a scenario-scheduled behavior switch (`None`: honest) to
+    /// both the engine's side table (governs future incarnations) and the
+    /// live node, if any.
+    fn on_set_behavior(&mut self, node: NodeId, behavior: Option<Arc<Behavior>>) {
         let Some(slot) = self.slot(node) else {
             return;
         };
-        let sim_node = &mut self.nodes[slot];
-        sim_node.behavior = behavior.clone();
-        if let Some(proto) = sim_node.proto.as_mut() {
-            proto.set_behavior(behavior);
+        match &behavior {
+            Some(behavior) => self.behaviors.insert(slot, Arc::clone(behavior)),
+            None => self.behaviors.remove(&slot),
+        };
+        if let NodeState::Up(proto) = &mut self.nodes[slot].state {
+            proto.set_behavior(behavior.unwrap_or_default());
         }
     }
 
@@ -733,9 +833,9 @@ impl Simulation {
             return;
         };
         let sim_node = &mut self.nodes[slot];
-        let mut state = match sim_node.proto.as_ref() {
+        let mut state = match sim_node.proto() {
             Some(proto) => proto.snapshot_persistent(),
-            None => std::mem::take(&mut sim_node.persistent),
+            None => sim_node.state.take_persistent(),
         };
         let ghosts = matches!(pattern, Corruption::Ghosts | Corruption::Full);
         let drops = matches!(pattern, Corruption::Drops | Corruption::Full);
@@ -796,7 +896,7 @@ impl Simulation {
                 self.checker.on_sample(self.now, std::iter::once(&*proto));
                 self.apply_outputs(slot);
             }
-            None => sim_node.persistent = state,
+            None => sim_node.state = NodeState::Down(state),
         }
         self.corruption_draws += rng.draw_count();
     }
@@ -807,29 +907,34 @@ impl Simulation {
             ChurnEventKind::Birth | ChurnEventKind::Join => {
                 let contact = self.pick_contact(id);
                 let sim_node = &mut self.nodes[slot];
-                debug_assert!(sim_node.proto.is_none(), "churn: {id} already up");
+                debug_assert!(sim_node.proto().is_none(), "churn: {id} already up");
                 let join_kind = match kind {
                     ChurnEventKind::Birth => {
-                        sim_node.born_at = Some(self.now);
+                        sim_node.born_at = Some(Stamp::new(self.now));
                         JoinKind::Fresh
                     }
                     _ => JoinKind::Rejoin {
-                        down_duration: self.now.saturating_sub(sim_node.left_at.unwrap_or(0)),
+                        down_duration: self
+                            .now
+                            .saturating_sub(sim_node.left_at.map_or(0, Stamp::ms)),
                     },
                 };
                 let node_seed =
                     mix64(self.opts.seed ^ mix64(id.to_u64()) ^ mix64(sim_node.incarnation));
                 let mut proto = Node::new(
                     id,
-                    self.opts.config.clone(),
+                    Arc::clone(&self.config),
                     self.crosscheck.node_selector(&self.selector),
                     node_seed,
                 );
-                proto.set_behavior(sim_node.behavior.clone());
-                if kind == ChurnEventKind::Join {
-                    proto.restore_persistent(std::mem::take(&mut sim_node.persistent));
+                if let Some(behavior) = self.behaviors.get(&slot) {
+                    proto.set_behavior(Arc::clone(behavior));
                 }
-                sim_node.last_stats = NodeStats::default();
+                let persistent = sim_node.state.take_persistent();
+                if kind == ChurnEventKind::Join {
+                    proto.restore_persistent(persistent);
+                }
+                sim_node.last_stats = Sampled::default();
                 if kind == ChurnEventKind::Birth && self.now == 0 && self.initial_cohort.len() > 1 {
                     // Bootstrap the initial population with warm views: at
                     // time zero there is no overlay yet to join through.
@@ -843,7 +948,7 @@ impl Simulation {
                     let cohort = self.initial_cohort.len();
                     let pool = cohort - 1;
                     let k = self.opts.config.cvs.min(pool);
-                    let skip = sim_node.cohort_pos.unwrap_or(cohort);
+                    let skip = sim_node.cohort_pos.map_or(cohort, |pos| pos as usize);
                     let mut picks: Vec<usize> = Vec::with_capacity(k);
                     for j in (pool - k)..pool {
                         let t = self.rng.gen_range(0..j + 1);
@@ -856,14 +961,16 @@ impl Simulation {
                     proto.seed_view(&seeds);
                 }
                 let now = self.now;
-                sim_node.proto = Some(proto);
+                sim_node.state = NodeState::Up(proto);
                 if let Some(proto) = sim_node.lend(&mut self.spare) {
                     proto.start(now, join_kind, contact);
                 }
                 if sim_node.control {
-                    sim_node.discovery.get_or_insert_with(|| DiscoveryLog {
-                        born_at: now,
-                        monitor_times: vec![],
+                    sim_node.discovery.get_or_insert_with(|| {
+                        Box::new(DiscoveryLog {
+                            born_at: now,
+                            monitor_times: vec![],
+                        })
                     });
                 }
                 self.alive_insert(slot);
@@ -874,21 +981,22 @@ impl Simulation {
                 self.checker.node_down(id);
                 self.qos.close_involving(self.now, id);
                 let sim_node = &mut self.nodes[slot];
-                if let Some(proto) = sim_node.proto.take() {
-                    // Fold the unsampled tail of this incarnation's counters.
-                    let delta = proto.stats().delta(&sim_node.last_stats);
-                    if self.now >= self.trace.measure_from {
-                        let series = sim_node.series_mut();
-                        series.hash_checks += delta.hash_checks;
-                        series.bytes_sent += delta.bytes_sent;
-                        series.monitor_pings_sent += delta.monitor_pings_sent;
+                sim_node.state = match std::mem::take(&mut sim_node.state) {
+                    NodeState::Up(proto) => {
+                        // Fold the unsampled tail of this incarnation's
+                        // counters, then move its PS/TS into the row.
+                        if self.now >= self.trace.measure_from {
+                            let last = sim_node.last_stats;
+                            Sampled::of(proto.stats()).fold_since(last, sim_node.series_mut());
+                        }
+                        self.graveyard_stats.merge(proto.stats());
+                        self.graveyard_rng_draws += proto.rng_draws();
+                        NodeState::Down(proto.into_persistent())
                     }
-                    self.graveyard_stats.merge(proto.stats());
-                    self.graveyard_rng_draws += proto.rng_draws();
-                    sim_node.persistent = proto.snapshot_persistent();
-                }
+                    down => down,
+                };
                 sim_node.incarnation += 1;
-                sim_node.left_at = Some(self.now);
+                sim_node.left_at = Some(Stamp::new(self.now));
                 self.alive_remove(slot);
             }
         }
@@ -930,18 +1038,15 @@ impl Simulation {
         }
         // Per-row accumulators, so row order serves as well as `alive` order.
         for sim_node in &mut self.nodes {
-            let Some(proto) = sim_node.proto.as_ref() else {
+            let Some(proto) = sim_node.proto() else {
                 continue;
             };
-            let stats = *proto.stats();
-            let delta = stats.delta(&sim_node.last_stats);
-            sim_node.last_stats = stats;
+            let stats = Sampled::of(proto.stats());
             let mem = proto.memory_entries();
+            let last = std::mem::replace(&mut sim_node.last_stats, stats);
             let series = sim_node.series_mut();
             series.samples += 1;
-            series.hash_checks += delta.hash_checks;
-            series.bytes_sent += delta.bytes_sent;
-            series.monitor_pings_sent += delta.monitor_pings_sent;
+            stats.fold_since(last, series);
             series.memory_entries_sum += mem as u64;
             series.memory_entries_max = series.memory_entries_max.max(mem);
         }
@@ -961,7 +1066,7 @@ impl Simulation {
         let now = self.now;
         let sim_node = &mut self.nodes[slot];
         let id = sim_node.id;
-        let Some(proto) = sim_node.proto.as_mut() else {
+        let NodeState::Up(proto) = &mut sim_node.state else {
             return;
         };
         let mut sink = OutputSink {
@@ -971,7 +1076,7 @@ impl Simulation {
             net: &mut self.net,
             rng: &mut self.rng,
             alive: &self.alive,
-            discovery: sim_node.discovery.as_mut(),
+            discovery: sim_node.discovery.as_deref_mut(),
             app_events: sim_node.app_subscribed.then_some(&mut self.app_events),
             suspicions: Vec::new(),
             fetch: None,
@@ -984,7 +1089,7 @@ impl Simulation {
         let measuring = now >= self.trace.measure_from;
         for (down, target) in sink.suspicions {
             let target_node = self.slot_of.get(&target).map(|&s| &self.nodes[s as usize]);
-            let left_at = target_node.and_then(|n| n.left_at);
+            let left_at = target_node.and_then(|n| n.left_at.map(Stamp::ms));
             let alive = target_node.is_some_and(|n| n.alive_pos.is_some());
             self.qos
                 .fold_suspicion(now, measuring, (id, target), down, alive, left_at);
@@ -1002,8 +1107,8 @@ impl Simulation {
         if !self.crosscheck.has_room(self.now, timeout) {
             return;
         }
-        let fetched = self.slot(w).and_then(|s| self.nodes[s].proto.as_ref());
-        let (Some(x), Some(fetched)) = (self.nodes[slot].proto.as_ref(), fetched) else {
+        let fetched = self.slot(w).and_then(|s| self.nodes[s].proto());
+        let (Some(x), Some(fetched)) = (self.nodes[slot].proto(), fetched) else {
             return;
         };
         let sides = x.fig2_sides(w, fetched.view().as_slice());
@@ -1025,6 +1130,7 @@ impl Simulation {
                 Some(self.alive[self.rng.gen_range(0..self.alive.len())].0)
             }
             Some(jidx) => {
+                let jidx = jidx as usize;
                 if self.alive.len() < 2 {
                     return None;
                 }
@@ -1039,15 +1145,16 @@ impl Simulation {
     fn alive_insert(&mut self, slot: usize) {
         let sim_node = &mut self.nodes[slot];
         if sim_node.alive_pos.is_none() {
-            sim_node.alive_pos = Some(self.alive.len());
+            // Below 2^32: `alive` holds distinct slots.
+            sim_node.alive_pos = Some(self.alive.len() as u32);
             self.alive.push((sim_node.id, slot));
         }
     }
 
     fn alive_remove(&mut self, slot: usize) {
         if let Some(idx) = self.nodes[slot].alive_pos.take() {
-            self.alive.swap_remove(idx);
-            if let Some(&(_, moved)) = self.alive.get(idx) {
+            self.alive.swap_remove(idx as usize);
+            if let Some(&(_, moved)) = self.alive.get(idx as usize) {
                 self.nodes[moved].alive_pos = Some(idx);
             }
         }
@@ -1060,9 +1167,7 @@ fn live_protos<'a>(
     nodes: &'a [SimNode],
     alive: &'a [(NodeId, usize)],
 ) -> impl Iterator<Item = &'a Node> {
-    alive
-        .iter()
-        .filter_map(|&(_, slot)| nodes[slot].proto.as_ref())
+    alive.iter().filter_map(|&(_, slot)| nodes[slot].proto())
 }
 
 /// Where one node's outputs go (see [`Simulation::apply_outputs`]): the
@@ -1243,8 +1348,9 @@ mod tests {
                 sim.run_until(t);
                 let mut live = 0;
                 for (row, node) in sim.nodes.iter().enumerate() {
-                    assert_eq!(node.alive_pos.is_some(), node.proto.is_some(), "t={t}");
+                    assert_eq!(node.alive_pos.is_some(), node.proto().is_some(), "t={t}");
                     if let Some(pos) = node.alive_pos {
+                        let pos = pos as usize;
                         assert_eq!(sim.alive[pos], (node.id, row), "seed {seed}, t={t}");
                         live += 1;
                     }
@@ -1259,6 +1365,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// An eclipse campaign's members run on one shared behavior, live
+    /// and in the side table, and fall back to their static assignment
+    /// (honest here: no entry) when the window closes.
+    #[test]
+    fn eclipse_members_share_one_behavior() {
+        let coalition: Vec<NodeId> = (0..4).map(NodeId::from_index).collect();
+        let scenario = Scenario::builder("eclipse")
+            .eclipse(
+                avmon::MINUTE,
+                avmon::MINUTE,
+                coalition.clone(),
+                vec![NodeId::from_index(9)],
+            )
+            .build()
+            .unwrap();
+        let config = Config::builder(12).build().unwrap();
+        let mut sim = Simulation::new(
+            cohort_trace(12, 3 * avmon::MINUTE),
+            SimOptions::new(config).scenario(scenario),
+        );
+        sim.run_until(avmon::MINUTE + 1);
+        let first = sim.node(coalition[0]).unwrap().behavior();
+        assert!(matches!(first, Behavior::EclipseCoalition { .. }));
+        for &member in &coalition {
+            let slot = sim.slot(member).unwrap();
+            assert!(std::ptr::eq(sim.node(member).unwrap().behavior(), first));
+            assert!(std::ptr::eq(&*sim.behaviors[&slot], first));
+        }
+        sim.run_until(2 * avmon::MINUTE + 1);
+        assert!(sim.behaviors.is_empty());
+        for &member in &coalition {
+            assert_eq!(sim.node(member).unwrap().behavior(), &Behavior::Honest);
+        }
+    }
+
+    /// Every identity of a run pays its row, up or down: a field that
+    /// grows it past the bound fails here with each field's share.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn sim_node_row_holds_at_most_576_bytes() {
+        use std::mem::{size_of, size_of_val};
+        let row = SimNode::default();
+        let shares = [
+            ("state", size_of_val(&row.state)),
+            ("series", size_of_val(&row.series)),
+            ("last_stats", size_of_val(&row.last_stats)),
+            ("incarnation", size_of_val(&row.incarnation)),
+            ("born_at", size_of_val(&row.born_at)),
+            ("left_at", size_of_val(&row.left_at)),
+            ("discovery", size_of_val(&row.discovery)),
+            ("alive_pos", size_of_val(&row.alive_pos)),
+            ("cohort_pos", size_of_val(&row.cohort_pos)),
+            ("id", size_of_val(&row.id)),
+            ("series_touched", size_of_val(&row.series_touched)),
+            ("control", size_of_val(&row.control)),
+            ("app_subscribed", size_of_val(&row.app_subscribed)),
+        ];
+        let size = size_of::<SimNode>();
+        let fields: usize = shares.iter().map(|&(_, bytes)| bytes).sum();
+        let census: String = shares
+            .iter()
+            .map(|(field, bytes)| format!("\n  {field}: {bytes} B"))
+            .collect();
+        let node = size_of::<Node>();
+        assert!(
+            size <= 576,
+            "SimNode is {size} B (state holds a {node}-B Node):{census}\n  padding: {} B",
+            size - fields
+        );
     }
 
     /// The bootstrap under-fill regression: warm-view seeding now samples

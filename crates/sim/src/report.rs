@@ -3,10 +3,10 @@
 
 use std::collections::BTreeMap;
 
-use avmon::{Behavior, FlatSet, NodeId, TargetRecord};
+use avmon::{Behavior, FlatSet, NodeId, Stamp, TargetRecord};
 
 use crate::calendar::Calendar;
-use crate::engine::Simulation;
+use crate::engine::{NodeState, Simulation};
 use crate::invariants::{InvariantSummary, RngLedger};
 use crate::metrics::{AvailabilityMeasure, DiscoveryLog, EclipseScore, SimReport};
 use crate::scenario::Attack;
@@ -34,7 +34,8 @@ impl Simulation {
         if matches!(behavior, Behavior::Colluding { .. }) {
             return self
                 .slot(target)
-                .is_some_and(|t| self.nodes[t].behavior.colludes_with(monitor));
+                .and_then(|t| self.behaviors.get(&t))
+                .is_some_and(|friend| friend.colludes_with(monitor));
         }
         true
     }
@@ -49,7 +50,7 @@ impl Simulation {
         let discovery = self
             .nodes
             .iter()
-            .filter_map(|n| Some((n.id, n.discovery.clone()?)))
+            .filter_map(|n| Some((n.id, n.discovery.as_deref()?.clone())))
             .collect();
         self.assemble_report(discovery, self.checker.summary().clone())
     }
@@ -66,7 +67,7 @@ impl Simulation {
         let discovery = self
             .nodes
             .iter_mut()
-            .filter_map(|n| Some((n.id, n.discovery.take()?)))
+            .filter_map(|n| Some((n.id, *n.discovery.take()?)))
             .collect();
         let invariants = self.checker.summary().clone();
         self.checker.release_memo();
@@ -82,7 +83,7 @@ impl Simulation {
         let mut totals = self.graveyard_stats;
         let mut node_draws = self.graveyard_rng_draws;
         for sim_node in &self.nodes {
-            if let Some(proto) = sim_node.proto.as_ref() {
+            if let Some(proto) = sim_node.proto() {
                 totals.merge(proto.stats());
                 node_draws += proto.rng_draws();
             }
@@ -102,13 +103,16 @@ impl Simulation {
         // estimates by target slot (O(total TS entries) = O(N·K)); targets
         // the trace never named (corruption ghosts) have no bucket.
         let mut estimates_of: Vec<Vec<f64>> = vec![Vec::new(); self.nodes.len()];
-        for sim_node in &self.nodes {
+        for (row, sim_node) in self.nodes.iter().enumerate() {
             let mid = sim_node.id;
+            let behavior = self.behaviors.get(&row);
+            let misreports =
+                |target| behavior.is_some_and(|b| self.misreport_in_effect(mid, b, target));
             let mut push = |target: NodeId, rec: &TargetRecord| {
                 if target == mid || rec.pings_sent == 0 {
                     return;
                 }
-                let estimate = if self.misreport_in_effect(mid, &sim_node.behavior, target) {
+                let estimate = if misreports(target) {
                     Some(1.0)
                 } else {
                     rec.availability_estimate()
@@ -117,14 +121,14 @@ impl Simulation {
                     estimates_of[slot].push(est);
                 }
             };
-            match sim_node.proto.as_ref() {
-                Some(proto) => {
+            match &sim_node.state {
+                NodeState::Up(proto) => {
                     for (target, rec) in proto.target_records() {
                         push(target, rec);
                     }
                 }
-                None => {
-                    for (target, rec) in &sim_node.persistent.targets {
+                NodeState::Down(persistent) => {
+                    for (target, rec) in &persistent.targets {
                         push(*target, rec);
                     }
                 }
@@ -138,7 +142,7 @@ impl Simulation {
         let up_intervals = self.trace.up_intervals();
         for (sim_node, mut estimates) in self.nodes.iter().zip(estimates_of) {
             let id = sim_node.id;
-            let Some(born) = sim_node.born_at else {
+            let Some(born) = sim_node.born_at.map(Stamp::ms) else {
                 continue;
             };
             if estimates.is_empty() {
@@ -193,9 +197,9 @@ impl Simulation {
                     continue;
                 };
                 let sim_node = &self.nodes[slot];
-                let ps: Vec<NodeId> = match sim_node.proto.as_ref() {
-                    Some(proto) => proto.pinging_set().collect(),
-                    None => sim_node.persistent.ps.clone(),
+                let ps: Vec<NodeId> = match &sim_node.state {
+                    NodeState::Up(proto) => proto.pinging_set().collect(),
+                    NodeState::Down(persistent) => persistent.ps.clone(),
                 };
                 let captured = ps.iter().filter(|m| coalition_union.contains(m)).count();
                 qos.eclipse.push(EclipseScore {

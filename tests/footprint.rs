@@ -1,32 +1,50 @@
 //! The paper's memory claim as an assertion: a node holds `O(cvs + K)`
 //! state (§4, Figs. 9–10), so its heap must stop growing once the view is
 //! full and stay in the tens of kilobytes — whatever it evaluates the
-//! consistency condition on, it may not keep per pair.
+//! consistency condition on, it may not keep per pair. A simulation adds a
+//! row per identity and a record per monitoring relation on top of that,
+//! so its heap per identity is bounded too.
 //!
 //! A counting `#[global_allocator]` needs the whole process, so this is a
-//! test binary of its own; the count is per thread, so the harness's other
-//! threads cannot disturb it.
+//! test binary of its own. The node's count is per thread, so the
+//! harness's other threads cannot disturb it; a simulation hashes on a
+//! helper thread as well, so its leg reads the process-wide count and the
+//! two tests take turns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use avmon::{
     Config, HashSelector, Message, Node, NodeId, Nonce, OutputQueues, Timer, Transmit, MINUTE,
 };
+use avmon_sim::{SimOptions, Simulation};
 
 thread_local! {
     /// Bytes this thread has allocated and not yet freed.
     static LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
+/// Bytes the whole process has allocated and not yet freed.
+static LIVE_TOTAL: AtomicIsize = AtomicIsize::new(0);
+
+/// Held by each test for its whole run, so that the process-wide count
+/// sees one of them at a time (a poisoned lock is held all the same).
+static TURN: Mutex<()> = Mutex::new(());
+
 fn count(delta: isize) {
+    LIVE_TOTAL.fetch_add(delta, Ordering::Relaxed);
     // A thread being torn down has no counter left; nothing measures there.
     let _ = LIVE.try_with(|live| live.set(live.get() + delta));
 }
 
 fn live_bytes() -> isize {
     LIVE.with(Cell::get)
+}
+
+fn live_bytes_total() -> isize {
+    LIVE_TOTAL.load(Ordering::Relaxed)
 }
 
 struct CountingAllocator;
@@ -62,14 +80,16 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// System size of `churn_faults_4k`; the default policy gives `cvs` = 32.
 const N: usize = 4_000;
 
-/// Measured at this commit: 872 B after period 20, 1 500 B after period
+/// Measured at this commit: 944 B after period 20, 1 452 B after period
 /// 60, with the output queues lent by the driver, the pending table freed
-/// once its requests are answered, 80-B `TS` records with no history
+/// once its requests are answered, 56-B `TS` records with no history
 /// store and exact-fit `PS`/`TS` vectors, a view that keeps its `cvs`
 /// slots through every shuffle instead of adopting its `2·cvs + 1` union,
 /// and a `notified` cache in a sorted vector that holds exactly its pairs.
-/// (104-B records read 896 / 1 644 B; with the union-sized view and a
-/// flat `notified` table it read 1 402 / 2 878 B; 144-B records in
+/// The reading includes the node's `Arc<Config>` (96 B), which the nodes
+/// of a simulation share. (80-B records with the `Config` inline read
+/// 872 / 1 500 B; 104-B records 896 / 1 644 B; with the union-sized view
+/// and a flat `notified` table it read 1 402 / 2 878 B; 144-B records in
 /// doubling vectors read 1 910 / 3 430 B; a node owning its queues and
 /// keeping its table as well read 5 846 / 7 366 B.) The bound is three
 /// times the period-60 reading; the per-node pair memo this test keeps
@@ -135,6 +155,7 @@ fn run_period(node: &mut Node, spare: &mut OutputQueues, period: u64) {
 
 #[test]
 fn node_heap_is_bounded_and_steady_over_sixty_periods() {
+    let _turn = TURN.lock();
     let config = Config::builder(N).build().expect("valid config");
     assert_eq!(config.cvs, 32);
     let selector = Arc::new(HashSelector::from_config(&config));
@@ -171,5 +192,39 @@ fn node_heap_is_bounded_and_steady_over_sixty_periods() {
     assert!(
         at_20 > 0 && at_60 <= NODE_HEAP_BOUND,
         "node heap {at_60} B is over the {NODE_HEAP_BOUND} B bound (period 20: {at_20} B)"
+    );
+}
+
+/// System size of the per-identity leg's STAT run.
+const IDENTITIES: usize = 2_000;
+
+/// Measured at this commit: 2 427 B of heap per identity after five
+/// simulated minutes of a STAT run at N = 2 000 (seed 7, 2 100
+/// identities): rows, nodes, records, calendar and checker. 1 048-B rows
+/// and 80-B `TS` records read 3 142 B. The bound is three times the
+/// reading, as the node leg's is: a per-identity structure that stops
+/// scaling with `cvs + K` fails here, and a row or record that merely
+/// grows back fails the size tests beside `SimNode` and `TargetRecord`.
+const IDENTITY_HEAP_BOUND: isize = 3 * 2_427;
+
+#[test]
+fn simulation_heap_per_identity_is_bounded() {
+    let _turn = TURN.lock();
+    let before = live_bytes_total();
+    let trace = avmon_churn::stat(IDENTITIES, 10 * MINUTE, 0.05, 7);
+    let identities = trace.identities().len();
+    let config = Config::builder(IDENTITIES).build().expect("valid config");
+    let mut sim = Simulation::new(trace, SimOptions::new(config).seed(7));
+    sim.run_until(5 * MINUTE);
+    assert_eq!(
+        sim.alive().count(),
+        IDENTITIES,
+        "a STAT run keeps everyone up"
+    );
+    let per_identity = (live_bytes_total() - before) / identities as isize;
+    println!("simulation heap: {per_identity} B per identity over {identities}");
+    assert!(
+        per_identity <= IDENTITY_HEAP_BOUND,
+        "{per_identity} B per identity is over the {IDENTITY_HEAP_BOUND} B bound"
     );
 }
