@@ -3,7 +3,7 @@
 //! benches report this machine's numbers for EXPERIMENTS.md).
 
 use avmon::{Config, HashSelector, MonitorSelector, NodeId};
-use avmon_hash::{Fast64PairHasher, Md5PairHasher, PairHasher, Sha1PairHasher};
+use avmon_hash::{Fast64PairHasher, Md5PairHasher, PairHasher};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn pair_hashers(c: &mut Criterion) {
@@ -13,10 +13,6 @@ fn pair_hashers(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(12));
     group.bench_function("md5", |b| {
         let h = Md5PairHasher::new();
-        b.iter(|| h.point(std::hint::black_box(&input)))
-    });
-    group.bench_function("sha1", |b| {
-        let h = Sha1PairHasher::new();
         b.iter(|| h.point(std::hint::black_box(&input)))
     });
     group.bench_function("fast64", |b| {
@@ -32,9 +28,6 @@ fn digest_throughput(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(data.len() as u64));
     group.bench_function("md5_64k", |b| {
         b.iter(|| avmon_hash::md5(std::hint::black_box(&data)))
-    });
-    group.bench_function("sha1_64k", |b| {
-        b.iter(|| avmon_hash::sha1(std::hint::black_box(&data)))
     });
     group.finish();
 }

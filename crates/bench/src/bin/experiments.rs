@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```bash
-//! experiments <id>... [--seed S] [--hours H] [--out DIR] [--hasher md5|sha1|fast64] [--quick]
+//! experiments <id>... [--seed S] [--hours H] [--out DIR] [--hasher md5|fast64] [--quick]
 //! experiments all [--quick]
 //! experiments --list
 //! ```
@@ -50,7 +50,7 @@ fn main() -> ExitCode {
             },
             "--hasher" => match iter.next().and_then(|v| avmon::HasherKind::parse(&v)) {
                 Some(kind) => ctx.hasher = kind,
-                None => return usage_error("--hasher needs md5|sha1|fast64"),
+                None => return usage_error("--hasher needs md5|fast64"),
             },
             "all" => ids.extend(ALL_IDS.iter().map(|&s| s.to_owned())),
             other if other.starts_with('-') => {

@@ -369,6 +369,9 @@ fn take_view(buf: &mut &[u8]) -> Result<Vec<NodeId>, CodecError> {
             max: MAX_VIEW_ENTRIES,
         });
     }
+    // The wire must hold every declared entry before anything is
+    // allocated for them.
+    need(buf, len * NodeId::ENCODED_LEN)?;
     let mut view = Vec::with_capacity(len);
     for _ in 0..len {
         view.push(take_id(buf)?);
@@ -508,6 +511,23 @@ mod tests {
             Err(CodecError::LengthOutOfRange {
                 declared: usize::from(u16::MAX),
                 max: MAX_VIEW_ENTRIES
+            })
+        );
+    }
+
+    /// A view length prefix within range but beyond the bytes that follow
+    /// fails on the whole shortfall, before a view is allocated for it.
+    #[test]
+    fn rejects_view_length_the_wire_does_not_hold() {
+        let mut buf = BytesMut::new();
+        buf.put_u8(TAG_VIEW_FETCH_REPLY);
+        buf.put_u64(0);
+        buf.put_u16(4096);
+        assert_eq!(buf.len(), 11);
+        assert_eq!(
+            decode(&buf),
+            Err(CodecError::Truncated {
+                needed: 4096 * NodeId::ENCODED_LEN
             })
         );
     }

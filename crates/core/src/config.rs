@@ -119,7 +119,8 @@ pub struct Config {
     pub monitoring_period: DurMs,
     /// How long to wait for a ping / fetch response before declaring failure.
     pub ping_timeout: DurMs,
-    /// Hop-count cap on JOIN forwarding (see DESIGN.md clarification 1).
+    /// Hop-count cap on JOIN forwarding, `8·⌈log2 N⌉ + 16` (see DESIGN.md
+    /// clarification 1).
     pub join_hop_limit: u32,
     /// Forgetful-pinging parameters; `None` disables the optimization.
     pub forgetful: Option<ForgetfulConfig>,
@@ -181,7 +182,6 @@ pub struct ConfigBuilder {
     protocol_period: DurMs,
     monitoring_period: DurMs,
     ping_timeout: DurMs,
-    join_hop_limit: Option<u32>,
     forgetful: Option<ForgetfulConfig>,
     pr2: bool,
     discovery: DiscoveryMode,
@@ -196,7 +196,6 @@ impl ConfigBuilder {
             protocol_period: MINUTE,
             monitoring_period: MINUTE,
             ping_timeout: 5 * SECOND,
-            join_hop_limit: None,
             forgetful: Some(ForgetfulConfig::default()),
             pr2: false,
             discovery: DiscoveryMode::CoarseView,
@@ -245,13 +244,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Sets the JOIN hop limit (default `8·⌈log2 N⌉ + 16`).
-    #[must_use]
-    pub fn join_hop_limit(mut self, limit: u32) -> Self {
-        self.join_hop_limit = Some(limit);
-        self
-    }
-
     /// Configures forgetful pinging; `None` disables it.
     #[must_use]
     pub fn forgetful(mut self, forgetful: Option<ForgetfulConfig>) -> Self {
@@ -284,9 +276,7 @@ impl ConfigBuilder {
         let k = self
             .k
             .unwrap_or_else(|| ((n.max(2) as f64).log2().ceil() as u32).max(1));
-        let hop_limit = self
-            .join_hop_limit
-            .unwrap_or_else(|| 8 * ((n.max(2) as f64).log2().ceil() as u32) + 16);
+        let hop_limit = 8 * ((n.max(2) as f64).log2().ceil() as u32) + 16;
         Config {
             system_size: n,
             k,
@@ -323,6 +313,7 @@ mod tests {
             })
         );
         assert!(!c.pr2);
+        assert_eq!(c.join_hop_limit, 8 * 11 + 16);
 
         // PL setting: N=239 → K=8, cvs=16.
         let pl = Config::builder(239).build().unwrap();
@@ -375,7 +366,6 @@ mod tests {
             .protocol_period(30_000)
             .monitoring_period(15_000)
             .ping_timeout(2_000)
-            .join_hop_limit(99)
             .forgetful(None)
             .pr2(true)
             .discovery(DiscoveryMode::Broadcast)
@@ -386,7 +376,6 @@ mod tests {
         assert_eq!(c.protocol_period, 30_000);
         assert_eq!(c.monitoring_period, 15_000);
         assert_eq!(c.ping_timeout, 2_000);
-        assert_eq!(c.join_hop_limit, 99);
         assert_eq!(c.forgetful, None);
         assert!(c.pr2);
         assert_eq!(c.discovery, DiscoveryMode::Broadcast);

@@ -113,7 +113,7 @@ pub use view::CoarseView;
 // Re-export the hashing substrate: it is part of the public API surface
 // (custom deployments may pick their hasher).
 pub use avmon_hash::{
-    Fast64PairHasher, HashPoint, HasherKind, Md5PairHasher, PairHasher, Sha1PairHasher, Threshold,
+    Fast64PairHasher, HashPoint, HasherKind, Md5PairHasher, PairHasher, Threshold,
 };
 
 // Re-export the byte-buffer types the wire codec speaks, so drivers can

@@ -1582,8 +1582,8 @@ fn per_pair_fetched_view(n: &mut Node, now: TimeMs, w: NodeId, fetched: &[NodeId
 /// 16-lane block.
 #[test]
 fn batched_cross_check_matches_the_per_pair_loop() {
-    use crate::selector::HashSelector;
-    use avmon_hash::{Fast64PairHasher, Md5PairHasher, Sha1PairHasher};
+    use crate::selector::{HashSelector, PointOnly};
+    use avmon_hash::{Fast64PairHasher, Md5PairHasher};
 
     let cfg = Config::builder(1000).cvs(40).build().unwrap();
     let programmed: Vec<(NodeId, NodeId)> = (0..70)
@@ -1594,7 +1594,11 @@ fn batched_cross_check_matches_the_per_pair_loop() {
     let selectors: Vec<SharedSelector> = vec![
         Arc::new(HashSelector::new(Fast64PairHasher::new(), 300.0, 1000.0)),
         Arc::new(HashSelector::new(Md5PairHasher::new(), 300.0, 1000.0)),
-        Arc::new(HashSelector::new(Sha1PairHasher::new(), 300.0, 1000.0)),
+        Arc::new(HashSelector::new(
+            PointOnly(Md5PairHasher::new()),
+            300.0,
+            1000.0,
+        )),
         TestSelector::with_pairs(&programmed),
     ];
     let eclipse = Behavior::EclipseCoalition {
@@ -1749,8 +1753,8 @@ fn per_entry_audit(n: &mut Node) {
 /// self entries must still be purged.
 #[test]
 fn batched_audit_matches_the_per_entry_loop() {
-    use crate::selector::{HashSelector, SelfReportSelector};
-    use avmon_hash::{Fast64PairHasher, Md5PairHasher, Sha1PairHasher};
+    use crate::selector::{HashSelector, PointOnly, SelfReportSelector};
+    use avmon_hash::{Fast64PairHasher, Md5PairHasher};
 
     let cfg = Config::builder(1000).cvs(40).build().unwrap();
     let me = id(1);
@@ -1762,7 +1766,11 @@ fn batched_audit_matches_the_per_entry_loop() {
     let selectors: Vec<SharedSelector> = vec![
         Arc::new(HashSelector::new(Fast64PairHasher::new(), 300.0, 1000.0)),
         Arc::new(HashSelector::new(Md5PairHasher::new(), 300.0, 1000.0)),
-        Arc::new(HashSelector::new(Sha1PairHasher::new(), 300.0, 1000.0)),
+        Arc::new(HashSelector::new(
+            PointOnly(Md5PairHasher::new()),
+            300.0,
+            1000.0,
+        )),
         TestSelector::with_pairs(&programmed),
         Arc::new(SelfReportSelector::new()),
     ];

@@ -30,49 +30,26 @@ pub const fn mix64(mut z: u64) -> u64 {
 /// assert_eq!(h.point(b"pair"), h.point(b"pair"));
 /// assert_ne!(h.point(b"pair"), h.point(b"riap"));
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Fast64PairHasher {
-    seed: u64,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Fast64PairHasher;
 
-impl Default for Fast64PairHasher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The golden-ratio seed every state starts from. It is part of the hash
+/// function, so every node of every deployment computes the same points.
+const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 
 impl Fast64PairHasher {
-    /// Golden-ratio default seed; every AVMON deployment must share the seed
-    /// for the relationship to be consistent system-wide.
-    pub const DEFAULT_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
-
-    /// Creates the hasher with the default seed.
+    /// Creates the hasher.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_seed(Self::DEFAULT_SEED)
-    }
-
-    /// Creates the hasher with a custom seed.
-    ///
-    /// All nodes of a deployment must agree on the seed, exactly as they must
-    /// agree on `K` and `N`; it is a consistent system parameter.
-    #[must_use]
-    pub fn with_seed(seed: u64) -> Self {
-        Fast64PairHasher { seed }
-    }
-
-    /// The seed in use.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
+        Fast64PairHasher
     }
 
     /// State after the length mix and the first (and only full) 8-byte
     /// word of a 12-byte input.
     #[inline]
-    fn absorb12_head(&self, head: u64) -> u64 {
+    fn absorb12_head(head: u64) -> u64 {
         const LEN_MIX: u64 = mix64(12);
-        mix64(self.seed ^ LEN_MIX ^ head)
+        mix64(SEED ^ LEN_MIX ^ head)
     }
 
     /// Absorbs the zero-padded 4-byte tail of a 12-byte input and
@@ -85,7 +62,7 @@ impl Fast64PairHasher {
 
 impl PairHasher for Fast64PairHasher {
     fn point(&self, input: &[u8]) -> HashPoint {
-        let mut state = self.seed ^ mix64(input.len() as u64);
+        let mut state = SEED ^ mix64(input.len() as u64);
         let mut chunks = input.chunks_exact(8);
         for chunk in &mut chunks {
             let word = u64::from_le_bytes([
@@ -111,14 +88,14 @@ impl PairHasher for Fast64PairHasher {
     /// constant.
     #[inline]
     fn point12(&self, head: u64, tail: u32) -> HashPoint {
-        Self::finish12(self.absorb12_head(head), tail)
+        Self::finish12(Self::absorb12_head(head), tail)
     }
 
     /// Fast64 absorbs a 12-byte input as one 8-byte chunk plus a
     /// zero-padded 4-byte tail, so the state after the first chunk is a
     /// reusable prefix — see the trait docs.
     fn point12_prefix(&self, prefix: &[u8; 8]) -> Option<u64> {
-        Some(self.absorb12_head(u64::from_le_bytes(*prefix)))
+        Some(Self::absorb12_head(u64::from_le_bytes(*prefix)))
     }
 
     fn point12_resume(&self, state: u64, tail: &[u8; 4]) -> HashPoint {
@@ -132,12 +109,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn deterministic_and_seed_sensitive() {
-        let a = Fast64PairHasher::new();
-        let b = Fast64PairHasher::with_seed(42);
-        assert_eq!(a.point(b"x"), a.point(b"x"));
-        assert_ne!(a.point(b"x"), b.point(b"x"));
-        assert_eq!(b.seed(), 42);
+    fn deterministic_and_input_sensitive() {
+        let h = Fast64PairHasher::new();
+        assert_eq!(h.point(b"x"), h.point(b"x"));
+        assert_ne!(h.point(b"x"), h.point(b"y"));
     }
 
     #[test]
@@ -169,26 +144,25 @@ mod tests {
 
     #[test]
     fn staged_12_byte_hash_matches_oneshot() {
-        for hasher in [Fast64PairHasher::new(), Fast64PairHasher::with_seed(99)] {
-            for i in 0u64..512 {
-                let mut input = [0u8; 12];
-                input[..8].copy_from_slice(&mix64(i).to_le_bytes());
-                input[8..].copy_from_slice(&(i as u32).to_le_bytes());
-                let prefix: [u8; 8] = input[..8].try_into().unwrap();
-                let tail: [u8; 4] = input[8..].try_into().unwrap();
-                let state = hasher.point12_prefix(&prefix).expect("fast64 is staged");
-                assert_eq!(
-                    hasher.point12_resume(state, &tail),
-                    hasher.point(&input),
-                    "staged hash diverged on input {input:?}"
-                );
-                let (head, tail_word) = crate::pair12_words(&input);
-                assert_eq!(
-                    hasher.point12_resume(state, &tail),
-                    hasher.point12(head, tail_word),
-                    "staged hash diverged from point12 on input {input:?}"
-                );
-            }
+        let hasher = Fast64PairHasher::new();
+        for i in 0u64..512 {
+            let mut input = [0u8; 12];
+            input[..8].copy_from_slice(&mix64(i).to_le_bytes());
+            input[8..].copy_from_slice(&(i as u32).to_le_bytes());
+            let prefix: [u8; 8] = input[..8].try_into().unwrap();
+            let tail: [u8; 4] = input[8..].try_into().unwrap();
+            let state = hasher.point12_prefix(&prefix).expect("fast64 is staged");
+            assert_eq!(
+                hasher.point12_resume(state, &tail),
+                hasher.point(&input),
+                "staged hash diverged on input {input:?}"
+            );
+            let (head, tail_word) = crate::pair12_words(&input);
+            assert_eq!(
+                hasher.point12_resume(state, &tail),
+                hasher.point12(head, tail_word),
+                "staged hash diverged from point12 on input {input:?}"
+            );
         }
     }
 

@@ -10,12 +10,10 @@
 //! where `H` is a consistent hash function whose output is normalized to the
 //! real interval `[0, 1)`. The paper uses libSSL's MD5 and considers only the
 //! first 64 bits of the digest. This crate provides that exact construction,
-//! plus two alternatives, behind the [`PairHasher`] trait:
+//! plus one alternative, behind the [`PairHasher`] trait:
 //!
 //! * [`Md5PairHasher`] — MD5 (RFC 1321, implemented from scratch here),
 //!   first 64 digest bits interpreted big-endian. This is the paper's hash.
-//! * [`Sha1PairHasher`] — SHA-1 (FIPS 180-1), same truncation rule. The paper
-//!   notes MD-5 *or* SHA-1 could be used.
 //! * [`Fast64PairHasher`] — a SplitMix64-style mixer, uniform and much
 //!   cheaper than MD5: per pair about 30× one pair at a time and about 9×
 //!   batched (`BENCH_sim_large.json` → `hash_check_ns` has the recorded
@@ -36,7 +34,7 @@
 //! integers never writes them to memory, and every built-in hasher
 //! overrides it with the general routine specialised for the known length
 //! — one unrolled word + tail for [`Fast64PairHasher`], one compression of
-//! the single padded block for MD5 / SHA-1. It is **the same function of
+//! the single padded block for MD5. It is **the same function of
 //! the same bytes**: `point12(pair12_words(&b)) == point(&b)` for every
 //! `b`, held by `tests/proptests.rs`. [`PairHasher::point`] stays the
 //! definition; `point12` is only ever a faster way to evaluate it.
@@ -70,12 +68,10 @@
 pub mod fast64;
 pub mod md5;
 pub mod point;
-pub mod sha1;
 
 pub use fast64::Fast64PairHasher;
 pub use md5::{md5, Md5, Md5PairHasher};
 pub use point::{HashPoint, PointMemo, Threshold};
-pub use sha1::{sha1, Sha1, Sha1PairHasher};
 
 use core::fmt::Debug;
 
@@ -248,8 +244,6 @@ fn pair12_bytes(head: u64, tail: u32) -> [u8; 12] {
 pub enum HasherKind {
     /// The paper's MD5-based construction.
     Md5,
-    /// SHA-1 based construction.
-    Sha1,
     /// Fast SplitMix64-based construction (default for large simulations).
     #[default]
     Fast64,
@@ -261,16 +255,14 @@ impl HasherKind {
     pub fn build(self) -> Box<dyn PairHasher> {
         match self {
             HasherKind::Md5 => Box::new(Md5PairHasher::new()),
-            HasherKind::Sha1 => Box::new(Sha1PairHasher::new()),
             HasherKind::Fast64 => Box::new(Fast64PairHasher::new()),
         }
     }
 
-    /// Parses a CLI-style name (`md5`, `sha1`, `fast64`).
+    /// Parses a CLI-style name (`md5`, `fast64`).
     pub fn parse(name: &str) -> Option<Self> {
         match name.to_ascii_lowercase().as_str() {
             "md5" => Some(HasherKind::Md5),
-            "sha1" | "sha-1" => Some(HasherKind::Sha1),
             "fast64" | "fast" => Some(HasherKind::Fast64),
             _ => None,
         }
@@ -281,7 +273,6 @@ impl core::fmt::Display for HasherKind {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         let s = match self {
             HasherKind::Md5 => "md5",
-            HasherKind::Sha1 => "sha1",
             HasherKind::Fast64 => "fast64",
         };
         f.write_str(s)
@@ -294,36 +285,35 @@ mod tests {
 
     #[test]
     fn kind_parse_round_trips() {
-        for kind in [HasherKind::Md5, HasherKind::Sha1, HasherKind::Fast64] {
+        for kind in [HasherKind::Md5, HasherKind::Fast64] {
             assert_eq!(HasherKind::parse(&kind.to_string()), Some(kind));
         }
         assert_eq!(HasherKind::parse("nope"), None);
-        assert_eq!(HasherKind::parse("SHA-1"), Some(HasherKind::Sha1));
+        assert_eq!(HasherKind::parse("FAST"), Some(HasherKind::Fast64));
     }
 
     #[test]
     fn build_produces_named_hashers() {
         assert_eq!(HasherKind::Md5.build().name(), "md5");
-        assert_eq!(HasherKind::Sha1.build().name(), "sha1");
         assert_eq!(HasherKind::Fast64.build().name(), "fast64");
     }
 
     #[test]
     fn hashers_disagree_on_points_but_agree_with_themselves() {
         let input = b"some pair encoding";
-        for kind in [HasherKind::Md5, HasherKind::Sha1, HasherKind::Fast64] {
+        for kind in [HasherKind::Md5, HasherKind::Fast64] {
             let h = kind.build();
             assert_eq!(h.point(input), h.point(input), "{kind} must be pure");
         }
         let md5 = HasherKind::Md5.build().point(input);
-        let sha1 = HasherKind::Sha1.build().point(input);
-        assert_ne!(md5, sha1);
+        let fast64 = HasherKind::Fast64.build().point(input);
+        assert_ne!(md5, fast64);
     }
 
     /// Every built-in hasher should look roughly uniform on `[0,1)`.
     #[test]
     fn hashers_are_roughly_uniform() {
-        for kind in [HasherKind::Md5, HasherKind::Sha1, HasherKind::Fast64] {
+        for kind in [HasherKind::Md5, HasherKind::Fast64] {
             let h = kind.build();
             let n = 4000u32;
             let mut sum = 0.0f64;

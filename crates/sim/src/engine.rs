@@ -19,8 +19,8 @@ use std::sync::Arc;
 
 use avmon::driver::{apply_command, drain, Command, DriverEnv};
 use avmon::{
-    AppEvent, Behavior, Config, Destination, DurMs, FlatMap, HashSelector, HasherKind, JoinKind,
-    Message, Node, NodeId, NodeStats, Nonce, OutputQueues, PersistentState, SharedSelector, Stamp,
+    AppEvent, Behavior, Config, Destination, FlatMap, HashSelector, HasherKind, JoinKind, Message,
+    Node, NodeId, NodeStats, Nonce, OutputQueues, PersistentState, SharedSelector, Stamp,
     TargetRecord, TimeMs, Timer, Transmit,
 };
 use avmon_churn::{ChurnEventKind, Trace};
@@ -56,8 +56,6 @@ pub struct SimOptions {
     pub invariants: InvariantConfig,
     /// Master seed; every node RNG and the network RNG derive from it.
     pub seed: u64,
-    /// Metric sampling interval (default: one protocol period).
-    pub sample_interval: DurMs,
     /// Per-node behavior assignments (attack experiments).
     pub behaviors: Vec<(NodeId, Behavior)>,
 }
@@ -66,7 +64,6 @@ impl SimOptions {
     /// Defaults for a given protocol configuration.
     #[must_use]
     pub fn new(config: Config) -> Self {
-        let sample_interval = config.protocol_period;
         SimOptions {
             config,
             hasher: HasherKind::Fast64,
@@ -74,7 +71,6 @@ impl SimOptions {
             scenario: None,
             invariants: InvariantConfig::default(),
             seed: 1,
-            sample_interval,
             behaviors: Vec::new(),
         }
     }
@@ -137,18 +133,18 @@ impl SimOptions {
         self
     }
 
-    /// Checks the sampling interval, network model and scenario
-    /// parameters.
+    /// Checks the sampling interval (the protocol period), network model
+    /// and scenario parameters.
     ///
     /// # Errors
     ///
-    /// Returns [`avmon::Error::InvalidConfig`] for a zero sampling
-    /// interval, inverted latency ranges, out-of-range probabilities, or
-    /// malformed scenario faults.
+    /// Returns [`avmon::Error::InvalidConfig`] for a zero protocol period,
+    /// inverted latency ranges, out-of-range probabilities, or malformed
+    /// scenario faults.
     pub fn validate(&self) -> Result<(), avmon::Error> {
-        if self.sample_interval == 0 {
+        if self.config.protocol_period == 0 {
             return Err(avmon::Error::InvalidConfig(
-                "sample_interval must be positive".into(),
+                "protocol_period must be positive".into(),
             ));
         }
         self.network.validate()?;
@@ -419,13 +415,14 @@ impl Simulation {
                 calendar.defer(e.at, EventKind::Churn { slot, kind: e.kind });
             }
         }
-        // Sampling ticks cover the measurement window; the baseline tick
-        // zeroes the counters at its start.
+        // Sampling ticks, one per protocol period, cover the measurement
+        // window; the baseline tick zeroes the counters at its start.
         calendar.defer(trace.measure_from, EventKind::Baseline);
-        let mut t = trace.measure_from + opts.sample_interval;
+        let period = opts.config.protocol_period;
+        let mut t = trace.measure_from + period;
         while t <= trace.horizon {
             calendar.defer(t, EventKind::Sample);
-            t += opts.sample_interval;
+            t += period;
         }
         let slot = |id: NodeId| slot_of.get(&id).map(|&s| s as usize);
         for &id in &trace.control_group {

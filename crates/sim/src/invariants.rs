@@ -27,9 +27,9 @@
 //!   [`InvariantSummary`] instead of vanishing.
 //!
 //! The checker runs in [`InvariantMode::Record`] by default: violations are
-//! collected into the [`crate::SimReport`]. [`InvariantMode::Strict`]
-//! panics at the failing sample, which pins the simulated time of the first
-//! corruption.
+//! collected into the [`crate::SimReport`], each with the simulated time of
+//! the sample that found it ([`RecordedViolation::at`]), so the first entry
+//! pins the first corruption.
 //!
 //! # Incremental checking
 //!
@@ -69,8 +69,6 @@ pub enum InvariantMode {
     /// Check and record violations in the [`InvariantSummary`] (default).
     #[default]
     Record,
-    /// Check and panic on the first violation, pinning its simulated time.
-    Strict,
 }
 
 /// How the per-sample sweep decides which nodes to re-verify.
@@ -97,15 +95,6 @@ pub struct InvariantConfig {
 }
 
 impl InvariantConfig {
-    /// A strict configuration (panic on first violation).
-    #[must_use]
-    pub fn strict() -> Self {
-        InvariantConfig {
-            mode: InvariantMode::Strict,
-            ..InvariantConfig::default()
-        }
-    }
-
     /// Checking disabled.
     #[must_use]
     pub fn off() -> Self {
@@ -371,10 +360,10 @@ impl InvariantSummary {
 /// [`SharedSelector`] handle, so its hash checks never perturb node
 /// counters, and it consumes no randomness — checking cannot change the
 /// simulated run it observes.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct InvariantChecker {
     config: InvariantConfig,
-    selector: Option<SharedSelector>,
+    selector: SharedSelector,
     protocol_period: DurMs,
     k: u32,
     view_cap: usize,
@@ -517,7 +506,7 @@ impl InvariantChecker {
             .max(20.0) as u64;
         InvariantChecker {
             config,
-            selector: Some(selector),
+            selector,
             grace_periods,
             protocol_period: protocol.protocol_period,
             k: protocol.k,
@@ -634,7 +623,7 @@ impl InvariantChecker {
     /// Whether any checking happens.
     #[must_use]
     pub fn enabled(&self) -> bool {
-        self.config.mode != InvariantMode::Off && self.selector.is_some()
+        self.config.mode != InvariantMode::Off
     }
 
     /// How long both endpoints must be continuously up — *and* the network
@@ -706,9 +695,7 @@ impl InvariantChecker {
             return;
         }
         self.expire_windows(now);
-        let Some(selector) = self.selector.clone() else {
-            return;
-        };
+        let selector = self.selector.clone();
         let full = self.config.strategy == CheckStrategy::FullRescan;
         for node in nodes {
             let id = node.id();
@@ -801,9 +788,6 @@ impl InvariantChecker {
         // falling between the last sample and the run end still closes
         // (windows of still-dead nodes stay open: unproven, not failed).
         self.expire_windows(now);
-        let Some(selector) = self.selector.clone() else {
-            return;
-        };
         let Some(cutoff) = now.checked_sub(self.grace()) else {
             return; // the run was shorter than one grace window
         };
@@ -833,7 +817,7 @@ impl InvariantChecker {
             self.summary.checks += len * (len - 1);
             let ids: Vec<NodeId> = eligible.iter().map(|n| n.id()).collect();
             let mut candidates: Vec<(u32, u32)> = Vec::new();
-            selector.accepted_pairs(&ids, &ids, &mut |mi, ti| {
+            self.selector.accepted_pairs(&ids, &ids, &mut |mi, ti| {
                 candidates.push((mi as u32, ti as u32));
             });
             for (mi, ti) in candidates {
@@ -940,9 +924,6 @@ impl InvariantChecker {
     }
 
     fn record_hard(&mut self, at: TimeMs, violation: InvariantViolation) {
-        if self.config.mode == InvariantMode::Strict {
-            panic!("invariant violated at t={at}ms: {violation}");
-        }
         if let Some(key) = dedup_key(&violation) {
             if !self.reported.insert(key) {
                 return; // already on record for this incarnation
@@ -984,7 +965,7 @@ mod tests {
 
     #[test]
     fn clean_node_passes_sampling() {
-        let (mut checker, config) = checker(InvariantMode::Strict);
+        let (mut checker, config) = checker(InvariantMode::Record);
         let node = live_node(&config, 1);
         checker.node_up(node.id(), 0);
         checker.on_sample(1000, std::iter::once(&node));
@@ -1017,9 +998,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invariant violated")]
-    fn strict_mode_panics_on_ghost() {
-        let (mut checker, config) = checker(InvariantMode::Strict);
+    fn ghost_violation_is_stamped_with_its_sample_time() {
+        let (mut checker, config) = checker(InvariantMode::Record);
         let mut node = live_node(&config, 1);
         let selector = HashSelector::from_config_with_kind(&config, HasherKind::Fast64);
         let ghost = (100..)
@@ -1030,6 +1010,12 @@ mod tests {
         persistent.ps.push(ghost);
         node.restore_persistent(persistent);
         checker.on_sample(1000, std::iter::once(&node));
+        let first = &checker.summary().violations[0];
+        assert_eq!(first.at, 1000, "stamped with the sample that found it");
+        assert!(matches!(
+            first.violation,
+            InvariantViolation::GhostMonitor { claimed, .. } if claimed == ghost
+        ));
     }
 
     #[test]
@@ -1043,7 +1029,7 @@ mod tests {
 
     #[test]
     fn finalize_skips_runs_inside_grace_or_fault_window() {
-        let (mut checker, config) = checker(InvariantMode::Strict);
+        let (mut checker, config) = checker(InvariantMode::Record);
         let node = live_node(&config, 1);
         checker.node_up(node.id(), 0);
         // now < grace: nothing owed yet.
@@ -1208,12 +1194,12 @@ mod tests {
     }
 
     #[test]
-    fn windowed_violations_are_expected_not_hard_even_in_strict_mode() {
-        let (mut checker, config) = checker(InvariantMode::Strict);
+    fn windowed_violations_are_expected_not_hard() {
+        let (mut checker, config) = checker(InvariantMode::Record);
         let (node, ghost) = ghosted_node(&config);
         checker.node_up(node.id(), 0);
         checker.set_adversary_windows(&[(node.id(), 500, 500)]);
-        // Inside the window + bound: detected, scored, no panic.
+        // Inside the window + bound: detected, scored, not a violation.
         checker.on_sample(1000, std::iter::once(&node));
         assert!(checker.summary().passed());
         assert!(matches!(
@@ -1228,7 +1214,7 @@ mod tests {
 
     #[test]
     fn healed_window_is_proven_after_its_deadline() {
-        let (mut checker, config) = checker(InvariantMode::Strict);
+        let (mut checker, config) = checker(InvariantMode::Record);
         let (mut node, _) = ghosted_node(&config);
         checker.node_up(node.id(), 0);
         checker.set_adversary_windows(&[(node.id(), 500, 500)]);
@@ -1266,14 +1252,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "self-stabilization failure")]
-    fn strict_mode_panics_past_the_stabilization_deadline() {
-        let (mut checker, config) = checker(InvariantMode::Strict);
+    fn stabilization_failure_is_stamped_with_the_first_late_sample() {
+        let (mut checker, config) = checker(InvariantMode::Record);
         let (node, _) = ghosted_node(&config);
         checker.node_up(node.id(), 0);
         checker.set_adversary_windows(&[(node.id(), 500, 500)]);
         checker.on_sample(1000, std::iter::once(&node));
-        checker.on_sample(500 + checker.grace() + 1, std::iter::once(&node));
+        let deadline = 500 + checker.grace();
+        checker.on_sample(deadline + 1, std::iter::once(&node));
+        let first = &checker.summary().violations[0];
+        assert_eq!(first.at, deadline + 1, "stamped with the first late sample");
+        assert!(matches!(
+            first.violation,
+            InvariantViolation::StabilizationFailure { node: n, .. } if n == node.id()
+        ));
     }
 
     #[test]

@@ -86,11 +86,10 @@
 //! land in [`InvariantSummary::expected_violations`], and the checker
 //! then *proves re-convergence* — a node still violating the consistency
 //! condition past its derived recovery deadline is a hard
-//! [`InvariantViolation::StabilizationFailure`], even in
-//! [`InvariantMode::Strict`]. Every run additionally produces
-//! failure-detector QoS scores ([`SimReport::qos`]): detection-time
-//! distribution, mistake rate and duration, per-window stabilization
-//! verdicts, and eclipse-resistance.
+//! [`InvariantViolation::StabilizationFailure`]. Every run additionally
+//! produces failure-detector QoS scores ([`SimReport::qos`]):
+//! detection-time distribution, mistake rate and duration, per-window
+//! stabilization verdicts, and eclipse-resistance.
 //!
 //! # Module map
 //!

@@ -220,7 +220,7 @@ impl Simulation {
             n: self.trace.stable_size,
             cvs: self.opts.config.cvs,
             k: self.opts.config.k,
-            sample_interval: self.opts.sample_interval,
+            sample_interval: self.opts.config.protocol_period,
             discovery,
             series,
             availability,

@@ -1,10 +1,8 @@
 //! Reproducibility: a simulation is a pure function of `(trace, options)`.
 
-use avmon::{Behavior, Config, NodeId, MINUTE};
+use avmon::{AppEvent, Behavior, Config, NodeId, MINUTE};
 use avmon_churn::{overnet_like, stat, synthetic, SynthParams};
-use avmon_sim::{
-    Corruption, InvariantConfig, InvariantViolation, LinkFaults, Scenario, SimOptions, Simulation,
-};
+use avmon_sim::{Corruption, InvariantViolation, LinkFaults, Scenario, SimOptions, Simulation};
 
 #[test]
 fn same_seed_same_everything() {
@@ -237,16 +235,13 @@ fn same_seed_bit_identical_with_attacks_corruption_and_partition() {
     assert_ne!(a, c);
 }
 
-/// Negative control for the invariant checker: a `Behavior`-driven lying
-/// monitor that forges monitoring relationships MUST be caught as a
-/// ghost-target violation — proving the checker can actually fail.
-#[test]
-fn invariant_checker_catches_seeded_lying_monitor() {
+/// A 60-node stat trace with node 0 as a lying monitor, and up to three
+/// targets the consistency condition never assigned to it.
+fn seeded_liar() -> (avmon_churn::Trace, Config, NodeId, Vec<NodeId>) {
     let n = 60;
     let trace = stat(n, 30 * MINUTE, 0.1, 3);
     let config = Config::builder(n).build().unwrap();
     let liar = NodeId::from_index(0);
-    // Forge targets the consistency condition never assigned to the liar.
     let selector = avmon::HashSelector::from_config_with_kind(&config, avmon::HasherKind::Fast64);
     let forged: Vec<NodeId> = (1..n as u32)
         .map(NodeId::from_index)
@@ -254,7 +249,15 @@ fn invariant_checker_catches_seeded_lying_monitor() {
         .take(3)
         .collect();
     assert!(!forged.is_empty(), "no forgeable target found");
+    (trace, config, liar, forged)
+}
 
+/// Negative control for the invariant checker: a `Behavior`-driven lying
+/// monitor that forges monitoring relationships MUST be caught as a
+/// ghost-target violation — proving the checker can actually fail.
+#[test]
+fn invariant_checker_catches_seeded_lying_monitor() {
+    let (trace, config, liar, forged) = seeded_liar();
     let report = Simulation::new(
         trace,
         SimOptions::new(config)
@@ -275,27 +278,56 @@ fn invariant_checker_catches_seeded_lying_monitor() {
     );
 }
 
-/// Strict mode turns the same seeded violation into a panic that pins the
-/// simulated time of the first corruption.
+/// The same seeded violation pins the simulated time of the first
+/// corruption: the first violation on record is the liar's forged target,
+/// stamped with the first sampling tick after the liar adopted it.
 #[test]
-#[should_panic(expected = "invariant violated")]
-fn strict_mode_panics_on_seeded_violation() {
-    let n = 60;
-    let trace = stat(n, 30 * MINUTE, 0.1, 3);
-    let config = Config::builder(n).build().unwrap();
-    let liar = NodeId::from_index(0);
-    let selector = avmon::HashSelector::from_config_with_kind(&config, avmon::HasherKind::Fast64);
-    let forged: Vec<NodeId> = (1..n as u32)
-        .map(NodeId::from_index)
-        .filter(|&t| !selector.is_monitor(liar, t))
-        .take(3)
-        .collect();
-    let _ = Simulation::new(
+fn first_violation_pins_the_liars_first_forged_target() {
+    let (trace, config, liar, forged) = seeded_liar();
+    let measure_from = trace.measure_from;
+    let mut sim = Simulation::new(
         trace,
-        SimOptions::new(config)
-            .seed(3)
-            .behavior(liar, Behavior::FakeMonitor { targets: forged })
-            .invariants(InvariantConfig::strict()),
-    )
-    .run();
+        SimOptions::new(config).seed(3).behavior(
+            liar,
+            Behavior::FakeMonitor {
+                targets: forged.clone(),
+            },
+        ),
+    );
+    sim.subscribe_app(liar);
+    let report = sim.run();
+
+    // When the liar adopted its first forged target, from its own
+    // application events.
+    let adopted_at = sim
+        .take_app_events_timed()
+        .into_iter()
+        .filter_map(|(at, node, event)| match event {
+            AppEvent::TargetDiscovered { target } if node == liar && forged.contains(&target) => {
+                Some(at)
+            }
+            _ => None,
+        })
+        .min()
+        .expect("the liar never adopted a forged target");
+    let period = report.sample_interval;
+    let mut first_tick = measure_from + period;
+    while first_tick < adopted_at {
+        first_tick += period;
+    }
+    let first = report
+        .invariants
+        .violations
+        .first()
+        .expect("the lying monitor went undetected");
+    assert!(
+        matches!(first.violation, InvariantViolation::GhostTarget { node, target }
+            if node == liar && forged.contains(&target)),
+        "the first violation is not the liar's forged target: {first:?}"
+    );
+    assert_eq!(
+        first.at, first_tick,
+        "adopted at {adopted_at} ms, first flagged at {} ms",
+        first.at
+    );
 }

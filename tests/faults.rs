@@ -9,8 +9,7 @@ use avmon::{Config, NodeId, MINUTE};
 use avmon_app::{apps::watchdog_selector, SimExecutor};
 use avmon_churn::{stat, synthetic, SynthParams, Trace};
 use avmon_sim::{
-    InvariantConfig, LatencyModel, LinkFaults, NetworkModel, Scenario, SimOptions, SimReport,
-    Simulation,
+    LatencyModel, LinkFaults, NetworkModel, Scenario, SimOptions, SimReport, Simulation,
 };
 
 /// Protocol config for fault scenarios: PR2 (§5.4) on. The paper's
@@ -53,10 +52,7 @@ fn partition_heals_and_overlay_reconverges() {
     let config = fault_config(n);
     let report = Simulation::new(
         trace.clone(),
-        SimOptions::new(config.clone())
-            .seed(11)
-            .scenario(scenario)
-            .invariants(InvariantConfig::strict()),
+        SimOptions::new(config.clone()).seed(11).scenario(scenario),
     )
     .run();
     assert_clean(&report);
@@ -72,13 +68,7 @@ fn partition_heals_and_overlay_reconverges() {
 
     // Relative to the same fault-free run, the partition slowed things
     // down (more undiscovered-or-late nodes, never corrupted state).
-    let baseline = Simulation::new(
-        trace,
-        SimOptions::new(config)
-            .seed(11)
-            .invariants(InvariantConfig::strict()),
-    )
-    .run();
+    let baseline = Simulation::new(trace, SimOptions::new(config).seed(11)).run();
     assert_clean(&baseline);
     let worst = |r: &SimReport| {
         r.discovery_latencies(1).iter().copied().max().unwrap_or(0)
@@ -105,10 +95,7 @@ fn asymmetric_partition_keeps_invariants() {
         .unwrap();
     let report = Simulation::new(
         trace,
-        SimOptions::new(fault_config(n))
-            .seed(7)
-            .scenario(scenario)
-            .invariants(InvariantConfig::strict()),
+        SimOptions::new(fault_config(n)).seed(7).scenario(scenario),
     )
     .run();
     assert_clean(&report);
@@ -121,9 +108,7 @@ fn asymmetric_partition_keeps_invariants() {
 fn lossy_duplicating_reordering_network_stays_consistent() {
     let n = 80;
     let trace = stat(n, 60 * MINUTE, 0.1, 13);
-    let mut opts = SimOptions::new(fault_config(n))
-        .seed(13)
-        .invariants(InvariantConfig::strict());
+    let mut opts = SimOptions::new(fault_config(n)).seed(13);
     opts.network = NetworkModel {
         latency: LatencyModel::default(),
         faults: LinkFaults {
@@ -153,10 +138,7 @@ fn loss_burst_heals() {
         .unwrap();
     let report = Simulation::new(
         trace,
-        SimOptions::new(fault_config(n))
-            .seed(5)
-            .scenario(scenario)
-            .invariants(InvariantConfig::strict()),
+        SimOptions::new(fault_config(n)).seed(5).scenario(scenario),
     )
     .run();
     assert_clean(&report);
@@ -177,10 +159,7 @@ fn frozen_node_thaws_consistently() {
         .unwrap();
     let mut sim = Simulation::new(
         trace,
-        SimOptions::new(fault_config(n))
-            .seed(9)
-            .scenario(scenario)
-            .invariants(InvariantConfig::strict()),
+        SimOptions::new(fault_config(n)).seed(9).scenario(scenario),
     );
     let report = sim.run();
     assert_clean(&report);
@@ -209,28 +188,26 @@ fn churn_plus_faults_compose() {
         .unwrap();
     let report = Simulation::new(
         trace,
-        SimOptions::new(fault_config(n))
-            .seed(21)
-            .scenario(scenario)
-            .invariants(InvariantConfig::strict()),
+        SimOptions::new(fault_config(n)).seed(21).scenario(scenario),
     )
     .run();
     assert_clean(&report);
 }
 
 /// Invalid options are rejected at construction, not mid-run: a zero
-/// sampling interval, an empty trace, inverted latency ranges, bad
-/// probabilities, malformed scenarios.
+/// protocol period (the sampling interval), an empty trace, inverted
+/// latency ranges, bad probabilities, malformed scenarios.
 #[test]
 fn invalid_options_rejected_at_construction() {
     let trace = stat(20, 10 * MINUTE, 0.1, 1);
     let config = Config::builder(20).build().unwrap();
 
-    // Would otherwise schedule sampling ticks at one instant forever.
+    // Would otherwise schedule sampling ticks at one instant forever. The
+    // builder rejects a zero period; the public field does not.
     let mut opts = SimOptions::new(config.clone());
-    opts.sample_interval = 0;
+    opts.config.protocol_period = 0;
     let err = Simulation::try_new(trace.clone(), opts).unwrap_err();
-    assert!(err.to_string().contains("sample_interval"), "{err}");
+    assert!(err.to_string().contains("protocol_period"), "{err}");
 
     // An error from the fallible constructor, not a panic.
     let empty = Trace::new("EMPTY", 0, MINUTE, 0, vec![], vec![]);
