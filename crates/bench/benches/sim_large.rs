@@ -420,7 +420,7 @@ fn record_trajectory() {
     let (scale_50k_ms, scale_50k_checks) = (scale.wall_ms, scale.checker_checks);
 
     let json = format!(
-        "{{\n  \"bench\": \"sim_large\",\n  \"checker_per_sample\": {{\n    \"n\": {BENCH_N},\n    \"full_rescan_ns\": {full_ns:.0},\n    \"incremental_ns\": {incremental_ns:.0},\n    \"speedup\": {speedup:.1}\n  }},\n  \"hash_check_ns\": {{\n    \"cores\": {cores},\n    \"md5_lanes\": \"{md5_lanes}\",\n    \"loop\": \"Fig. 2 grid, two 42-entry sides, both orders, through SharedSelector: is_monitor per pair (fast64/md5), the same over serialized pair bytes (*_pair_bytes), one accepted_pairs call per order (*_batch)\",\n    \"fast64_min\": {fast_check_min:.1},\n    \"fast64_median\": {fast_check_med:.1},\n    \"fast64_pair_bytes_min\": {fast_bytes_min:.1},\n    \"fast64_pair_bytes_median\": {fast_bytes_med:.1},\n    \"fast64_batch_min\": {fast_batch_min:.1},\n    \"fast64_batch_median\": {fast_batch_med:.1},\n    \"md5_min\": {md5_check_min:.1},\n    \"md5_median\": {md5_check_med:.1},\n    \"md5_pair_bytes_min\": {md5_bytes_min:.1},\n    \"md5_pair_bytes_median\": {md5_bytes_med:.1},\n    \"md5_batch_min\": {md5_batch_min:.1},\n    \"md5_batch_median\": {md5_batch_med:.1}\n  }},\n  \"view_crosscheck_per_period\": {{\n    \"cores\": {cores},\n    \"cvs\": 60,\n    \"fast64_ns_min\": {fast_period_min:.0},\n    \"fast64_ns_median\": {fast_period_med:.0},\n    \"md5_ns_min\": {md5_period_min:.0},\n    \"md5_ns_median\": {md5_period_med:.0}\n  }},\n  \"calendar_10k\": {{\n    \"heap_pops\": {},\n    \"lane_pops\": {},\n    \"wheel_pops\": {},\n    \"expire_skips\": {},\n    \"heap_pop_share\": {heap_pop_share:.4},\n    \"wall_ms\": {smoke_ms:.0}\n  }},\n  \"crosscheck_ahead_10k\": {{\n    \"cores\": {cores},\n    \"submitted\": {submitted},\n    \"replayed\": {replayed},\n    \"hashed_inline\": {hashed_inline},\n    \"wall_ms\": {smoke_ms:.0}\n  }},\n  \"scale_50k\": {{\n    \"n\": 50000,\n    \"simulated_minutes\": 15,\n    \"cores\": {cores},\n    \"wall_ms\": {scale_50k_ms:.0},\n    \"checker_checks\": {scale_50k_checks}\n  }},\n  \"smoke_end_to_end\": {{\n    \"n\": 10000,\n    \"simulated_minutes\": 15,\n    \"wall_ms\": {smoke_ms:.0},\n    \"checker_checks\": {smoke_checks}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"sim_large\",\n  \"checker_per_sample\": {{\n    \"n\": {BENCH_N},\n    \"cores\": {cores},\n    \"full_rescan_ns\": {full_ns:.0},\n    \"incremental_ns\": {incremental_ns:.0},\n    \"speedup\": {speedup:.1}\n  }},\n  \"hash_check_ns\": {{\n    \"cores\": {cores},\n    \"md5_lanes\": \"{md5_lanes}\",\n    \"loop\": \"Fig. 2 grid, two 42-entry sides, both orders, through SharedSelector: is_monitor per pair (fast64/md5), the same over serialized pair bytes (*_pair_bytes), one accepted_pairs call per order (*_batch)\",\n    \"fast64_min\": {fast_check_min:.1},\n    \"fast64_median\": {fast_check_med:.1},\n    \"fast64_pair_bytes_min\": {fast_bytes_min:.1},\n    \"fast64_pair_bytes_median\": {fast_bytes_med:.1},\n    \"fast64_batch_min\": {fast_batch_min:.1},\n    \"fast64_batch_median\": {fast_batch_med:.1},\n    \"md5_min\": {md5_check_min:.1},\n    \"md5_median\": {md5_check_med:.1},\n    \"md5_pair_bytes_min\": {md5_bytes_min:.1},\n    \"md5_pair_bytes_median\": {md5_bytes_med:.1},\n    \"md5_batch_min\": {md5_batch_min:.1},\n    \"md5_batch_median\": {md5_batch_med:.1}\n  }},\n  \"view_crosscheck_per_period\": {{\n    \"cores\": {cores},\n    \"cvs\": 60,\n    \"fast64_ns_min\": {fast_period_min:.0},\n    \"fast64_ns_median\": {fast_period_med:.0},\n    \"md5_ns_min\": {md5_period_min:.0},\n    \"md5_ns_median\": {md5_period_med:.0}\n  }},\n  \"calendar_10k\": {{\n    \"heap_pops\": {},\n    \"lane_pops\": {},\n    \"wheel_pops\": {},\n    \"expire_skips\": {},\n    \"heap_pop_share\": {heap_pop_share:.4},\n    \"wall_ms\": {smoke_ms:.0}\n  }},\n  \"crosscheck_ahead_10k\": {{\n    \"cores\": {cores},\n    \"submitted\": {submitted},\n    \"replayed\": {replayed},\n    \"hashed_inline\": {hashed_inline},\n    \"wall_ms\": {smoke_ms:.0}\n  }},\n  \"scale_50k\": {{\n    \"n\": 50000,\n    \"simulated_minutes\": 15,\n    \"cores\": {cores},\n    \"wall_ms\": {scale_50k_ms:.0},\n    \"checker_checks\": {scale_50k_checks}\n  }},\n  \"smoke_end_to_end\": {{\n    \"n\": 10000,\n    \"simulated_minutes\": 15,\n    \"wall_ms\": {smoke_ms:.0},\n    \"checker_checks\": {smoke_checks}\n  }}\n}}\n",
         stats.heap_pops,
         stats.lane_pops,
         stats.wheel_pops,

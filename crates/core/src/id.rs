@@ -79,9 +79,8 @@ impl NodeId {
     }
 
     /// The identity packed into the low 48 bits of a `u64` (big-endian
-    /// byte order, so distinct identities map to distinct keys). Used as a
-    /// compact cache key, e.g. by [`avmon_hash::PointMemo`]-backed
-    /// consistency-condition caches.
+    /// byte order, so distinct identities map to distinct keys): a compact
+    /// integer key for tables keyed by identity.
     #[must_use]
     pub fn to_u64(self) -> u64 {
         let b = self.to_bytes();

@@ -5,8 +5,28 @@
 
 use super::{AppEvent, Node, Pending};
 use crate::message::Message;
+use crate::selector::MonitorSelector;
 use crate::time::{Stamp, TimeMs};
 use crate::NodeId;
+
+/// Calls `f` on every entry of `entries` whose index `matches` does not
+/// report, in order; `matches` reports indices in increasing order.
+fn for_each_skipped(
+    entries: &[NodeId],
+    matches: impl FnOnce(&mut dyn FnMut(usize)),
+    f: &mut impl FnMut(NodeId),
+) {
+    let mut next = 0;
+    matches(&mut |i| {
+        for &entry in entries.get(next..i).unwrap_or_default() {
+            f(entry);
+        }
+        next = next.max(i + 1);
+    });
+    for &entry in entries.get(next..).unwrap_or_default() {
+        f(entry);
+    }
+}
 
 impl Node {
     /// One protocol period of the coarse-membership protocol (Fig. 2):
@@ -123,33 +143,50 @@ impl Node {
     }
 
     /// Purges every PS/TS entry the consistency condition does not
-    /// actually select — the honest node's self-stabilization step. The
-    /// entries kept are the selector's batch matches of `PS × {x}` and
-    /// `{x} × TS`, whose diagonal is never reported, so a self entry is
-    /// purged too. Nothing is added to `hash_checks` (and with it report
-    /// byte-identity on clean runs is unaffected).
+    /// actually select — the honest node's self-stabilization step — with
+    /// one `sets_epoch` bump per entry purged. The entries are the ones
+    /// [`Node::for_each_unselected`] reports, the node itself included.
+    /// Nothing is added to `hash_checks` (and with it report byte-identity
+    /// on clean runs is unaffected).
     pub(super) fn audit_sets(&mut self) {
+        let mut stale = Vec::new();
+        self.for_each_unselected(&*self.selector, |in_ps, entry| stale.push((in_ps, entry)));
+        for (in_ps, entry) in stale {
+            if in_ps {
+                self.ps.remove(&entry);
+            } else {
+                self.targets.remove(&entry);
+            }
+            self.sets_epoch += 1;
+        }
+    }
+
+    /// Reports every `PS`/`TS` entry the consistency condition, evaluated
+    /// by `selector`, does not select: `f(true, m)` for each `m ∈ PS(x)`
+    /// that is not a monitor of `x`, then `f(false, t)` for each
+    /// `t ∈ TS(x)` that `x` does not monitor, each set in identity order.
+    /// The condition runs as the selector's batch matches of `PS × {x}` and
+    /// `{x} × TS`, whose diagonal is never reported, so `x` itself always
+    /// counts as unselected. Bumps no counter: both the node's own
+    /// [`audit`](Node::audit_sets) and an outside checker re-verifying the
+    /// sets call this, and neither is protocol work.
+    pub fn for_each_unselected(
+        &self,
+        selector: &dyn MonitorSelector,
+        mut f: impl FnMut(bool, NodeId),
+    ) {
         let me = [self.id];
-        let monitors: Vec<NodeId> = self.ps.iter().copied().collect();
-        let mut legit = vec![false; monitors.len()];
-        self.selector
-            .accepted_pairs(&monitors, &me, &mut |mi, _| legit[mi] = true);
-        for (m, legit) in monitors.iter().zip(legit) {
-            if !legit {
-                self.ps.remove(m);
-                self.sets_epoch += 1;
-            }
-        }
-        let targets: Vec<NodeId> = self.targets.keys().copied().collect();
-        let mut legit = vec![false; targets.len()];
-        self.selector
-            .accepted_pairs(&me, &targets, &mut |_, ti| legit[ti] = true);
-        for (t, legit) in targets.iter().zip(legit) {
-            if !legit {
-                self.targets.remove(t);
-                self.sets_epoch += 1;
-            }
-        }
+        let (ps, ts) = (self.ps.as_slice(), self.targets.key_slice());
+        for_each_skipped(
+            ps,
+            |hit| selector.accepted_pairs(ps, &me, &mut |mi, _| hit(mi)),
+            &mut |m| f(true, m),
+        );
+        for_each_skipped(
+            ts,
+            |hit| selector.accepted_pairs(&me, ts, &mut |_, ti| hit(ti)),
+            &mut |t| f(false, t),
+        );
     }
 
     /// [`crate::Behavior::EclipseCoalition`]: once per protocol period,

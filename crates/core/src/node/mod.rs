@@ -435,7 +435,7 @@ pub struct Node {
 /// per-node pair memo it described is gone (every node evaluates the
 /// condition through its selector), so the one value there is, is the
 /// [`Default`]. The `[benchmark]` PR that drops `hash.memo_hit_share`
-/// deletes this type, `InvariantSummary::memo_policy` and
+/// deletes this type, `InvariantSummary::{memo_policy, memo_hits}` and
 /// [`Node::point_memo_stats`] (ROADMAP item 1).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemoPolicy {

@@ -1727,12 +1727,16 @@ fn fig2_sides_are_the_sides_the_reply_evaluates() {
 
 /// `audit_sets` as the per-entry loop: every entry that is the node itself
 /// or fails the condition is dropped, one `sets_epoch` bump per drop.
-fn per_entry_audit(n: &mut Node) {
+/// Returns the dropped entries in drop order, each with whether it was
+/// in `PS`.
+fn per_entry_audit(n: &mut Node) -> Vec<(bool, NodeId)> {
+    let mut dropped = Vec::new();
     let monitors: Vec<NodeId> = n.ps.iter().copied().collect();
     for m in monitors {
         if m == n.id || !n.selector.is_monitor(m, n.id) {
             n.ps.remove(&m);
             n.sets_epoch += 1;
+            dropped.push((true, m));
         }
     }
     let targets: Vec<NodeId> = n.targets.keys().copied().collect();
@@ -1740,14 +1744,18 @@ fn per_entry_audit(n: &mut Node) {
         if t == n.id || !n.selector.is_monitor(n.id, t) {
             n.targets.remove(&t);
             n.sets_epoch += 1;
+            dropped.push((false, t));
         }
     }
+    dropped
 }
 
 /// The batched audit (the selector's matches of `PS × {x}` and `{x} × TS`)
 /// against the per-entry loop, on twin nodes whose sets were corrupted
 /// with ghosts, the node's own id and dropped legitimate entries: the
-/// same sets, the same `sets_epoch`, no output and no `hash_checks`.
+/// same sets, the same `sets_epoch`, no output and no `hash_checks`. The
+/// shared routine behind the audit, `for_each_unselected`, reports
+/// exactly the loop's drops, in its order, and counts nothing either.
 /// Staged, 16-lane and default-path selectors, sets that do and do not
 /// fill a 16-lane block, and a selector that accepts the diagonal, whose
 /// self entries must still be purged.
@@ -1819,9 +1827,14 @@ fn batched_audit_matches_the_per_entry_loop() {
                 n
             };
             let (mut batched, mut reference) = (twin(), twin());
+            let mut reported = Vec::new();
+            batched.for_each_unselected(&**selector, |in_ps, entry| {
+                reported.push((in_ps, entry));
+            });
             batched.audit_sets();
-            per_entry_audit(&mut reference);
+            let dropped = per_entry_audit(&mut reference);
             let label = format!("{selector:?} {label}");
+            assert_eq!(reported, dropped, "{label}");
             assert!(batched.pinging_set().eq(reference.pinging_set()), "{label}");
             assert!(batched.target_set().eq(reference.target_set()), "{label}");
             assert_eq!(batched.sets_epoch(), reference.sets_epoch(), "{label}");

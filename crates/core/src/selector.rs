@@ -36,10 +36,10 @@ pub trait MonitorSelector: Debug + Send + Sync {
     /// The raw hash point behind [`MonitorSelector::is_monitor`], when the
     /// scheme is a pure pair hash. `Some(point)` promises that
     /// `is_monitor(m, t) == selection_threshold().unwrap().accepts(point)`
-    /// forever — the property that lets checkers memoize points in an
-    /// [`avmon_hash::PointMemo`] instead of re-hashing every sample.
-    /// Membership-dependent schemes (e.g. [`DhtRingSelector`]) must return
-    /// `None`: their answers are not cacheable.
+    /// forever, whatever the membership — the property that lets a driver
+    /// evaluate the condition ahead of time, on another thread, and reuse
+    /// the answer. Membership-dependent schemes (e.g. [`DhtRingSelector`])
+    /// must return `None`: their answers cannot be reused.
     fn hash_point(&self, monitor: NodeId, target: NodeId) -> Option<HashPoint> {
         let _ = (monitor, target);
         None

@@ -446,6 +446,12 @@ impl<K: Ord + Copy, V> SortedMap<K, V> {
         self.keys.iter()
     }
 
+    /// The keys, ascending, as the map's own slice.
+    #[must_use]
+    pub fn key_slice(&self) -> &[K] {
+        &self.keys
+    }
+
     /// The entries, in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.keys.iter().zip(&self.values)
@@ -568,6 +574,12 @@ impl<K: Ord + Copy> SortedSet<K> {
     /// The members, ascending.
     pub fn iter(&self) -> impl Iterator<Item = &K> {
         self.keys.iter()
+    }
+
+    /// The members, ascending, as the set's own slice.
+    #[must_use]
+    pub fn as_slice(&self) -> &[K] {
+        &self.keys
     }
 
     /// The members, ascending, in the set's own vector.

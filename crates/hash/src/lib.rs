@@ -71,7 +71,7 @@ pub mod point;
 
 pub use fast64::Fast64PairHasher;
 pub use md5::{md5, Md5, Md5PairHasher};
-pub use point::{HashPoint, PointMemo, Threshold};
+pub use point::{HashPoint, Threshold};
 
 use core::fmt::Debug;
 

@@ -172,27 +172,4 @@ proptest! {
         let (head, tail_word) = pair12_words(&input);
         prop_assert_eq!(hasher.point12_resume(state, &tail), hasher.point12(head, tail_word));
     }
-
-    /// `PointMemo` under arbitrary interleavings of lookups and
-    /// per-identity invalidations (the incarnation-bump signal): whatever
-    /// it returns equals the fresh hash — a direct-mapped collision may
-    /// evict, never corrupt — and forgetting an identity forces its next
-    /// lookup to recompute.
-    #[test]
-    fn point_memo_always_agrees_with_fresh_hash(
-        cap in 0usize..256,
-        ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..300),
-    ) {
-        let hasher = Fast64PairHasher::new();
-        let fresh = |a: u8, b: u8| hasher.point(&[a, b, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        let mut memo = avmon_hash::PointMemo::new(cap);
-        for &(a, b, bump) in &ops {
-            if bump {
-                memo.forget(u64::from(a));
-            }
-            let got = memo.point_with(u64::from(a), u64::from(b), || fresh(a, b));
-            prop_assert_eq!(got, fresh(a, b), "memo diverged on ({}, {})", a, b);
-        }
-        prop_assert_eq!(memo.hits() + memo.misses(), ops.len() as u64);
-    }
 }

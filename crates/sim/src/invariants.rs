@@ -44,21 +44,21 @@
 //!   [`CoarseView::version`](avmon::CoarseView::version)) that are equal
 //!   between samples iff nothing changed — unchanged nodes are skipped in
 //!   `O(1)`;
-//! * the consistency condition is a *pure* pair hash, so re-verified pairs
-//!   are served from a shared [`PointMemo`] instead of re-hashing
-//!   (per-identity invalidation on incarnation bump keeps the cache honest
-//!   under identity churn).
+//! * a dirty node's `PS`/`TS` is re-verified by
+//!   [`Node::for_each_unselected`] — the selector's batch matches of
+//!   `PS(x) × {x}` and `{x} × TS(x)`, the same routine the node's own
+//!   audit runs — so the checker holds no state per pair and its memory is
+//!   bounded by what it checks.
 //!
-//! [`CheckStrategy::FullRescan`] forces every node dirty every sample and
-//! bypasses the memo — the original behavior, kept as the equivalence
-//! baseline: both strategies run the *same* verification path and flag the
-//! *same* violations at the same simulated times (`tests/incremental.rs`
-//! proves it), they only differ in how much work they skip.
+//! [`CheckStrategy::FullRescan`] forces every node dirty every sample — the
+//! original behavior, kept as the equivalence baseline: both strategies
+//! run the *same* verification path and flag the *same* violations at the
+//! same simulated times (`tests/incremental.rs` proves it), they only
+//! differ in how many nodes they skip.
 
 use std::collections::BTreeSet;
 
 use avmon::{Config, DurMs, FlatMap, FlatSet, MemoPolicy, Node, NodeId, SharedSelector, TimeMs};
-use avmon_hash::{PointMemo, Threshold};
 use serde::{Deserialize, Serialize};
 
 /// How invariant violations are handled.
@@ -75,13 +75,13 @@ pub enum InvariantMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum CheckStrategy {
     /// Re-verify only nodes whose `PS`/`TS`/view change epochs moved since
-    /// they were last verified, serving repeated pair hashes from a memo
-    /// (default). Flags exactly the same violations as a full rescan.
+    /// they were last verified (default). Flags exactly the same violations
+    /// as a full rescan.
     #[default]
     Incremental,
-    /// Re-verify every node every sample and re-hash every pair — the
-    /// pre-incremental behavior, kept as the equivalence/benchmark
-    /// baseline.
+    /// Re-verify every node every sample — the pre-incremental behavior,
+    /// kept as the equivalence/benchmark baseline. A re-verified node is
+    /// hashed by the same code under both strategies.
     FullRescan,
 }
 
@@ -318,8 +318,10 @@ pub struct InvariantSummary {
     /// which it does every shuffle — so this counts exactly the expensive
     /// work avoided.
     pub set_scans_skipped: u64,
-    /// Consistency-condition evaluations served from the pair-point memo
-    /// instead of re-hashing.
+    /// Shim for the frozen `benchmark/` crate, which prints it: always 0,
+    /// since the checker keeps no pair memo. Deleted with
+    /// [`Self::memo_policy`] (ROADMAP item 1); until then
+    /// `tests/equivalence.rs` strips both before digesting a report.
     pub memo_hits: u64,
     /// Hard violations (empty ⇔ the run upheld every checked property).
     pub violations: Vec<RecordedViolation>,
@@ -335,9 +337,8 @@ pub struct InvariantSummary {
     pub warnings: Vec<RecordedWarning>,
     /// Shim for the frozen `benchmark/` crate, which prints it: always
     /// [`MemoPolicy::default`] ("per-node memo removed"). The `[benchmark]`
-    /// PR that drops `hash.memo_hit_share` deletes the field (ROADMAP
-    /// item 1); until then `tests/equivalence.rs` strips it before
-    /// digesting a report.
+    /// PR that drops `hash.memo_hit_share` deletes the field with
+    /// [`Self::memo_hits`] (ROADMAP item 1).
     pub memo_policy: MemoPolicy,
     /// Per-stream RNG draw counts at report time (see [`RngLedger`]): the
     /// engine fills this in when the report is assembled, so a same-seed
@@ -383,13 +384,6 @@ pub struct InvariantChecker {
     /// last verified; nodes whose epochs are unchanged are skipped under
     /// [`CheckStrategy::Incremental`]. Cleared per incarnation.
     verified_at: FlatMap<NodeId, (u64, u64)>,
-    /// Pair-point memo backing the consistency-condition checks when the
-    /// selector is a pure pair hash ([`threshold`](Self::threshold) is
-    /// `Some`); per-identity invalidated on incarnation bump.
-    memo: PointMemo,
-    /// The cached acceptance threshold, `None` when the selector is not
-    /// memoizable (then every check calls `is_monitor` directly).
-    threshold: Option<Threshold>,
     /// Per-sample violations already reported, keyed by
     /// `(kind, node, other)`: persistent corruption is recorded once per
     /// incarnation, not once per sampling tick, so long runs don't bloat
@@ -496,7 +490,6 @@ impl InvariantChecker {
         lossy_base: bool,
     ) -> Self {
         let enabled = config.mode != InvariantMode::Off;
-        let threshold = selector.selection_threshold();
         // Discovery-scaled grace (see `InvariantChecker::grace`).
         let pairs = (protocol.system_size as f64) * f64::from(protocol.k);
         let discovery_periods =
@@ -516,11 +509,6 @@ impl InvariantChecker {
             up_since: FlatMap::new(),
             warned_slow: FlatSet::new(),
             verified_at: FlatMap::new(),
-            // ~4M pairs comfortably covers the live PS∪TS pairs of a
-            // 100k-node run (≈ 2·K·N); beyond that the memo clears
-            // wholesale rather than growing unboundedly.
-            memo: PointMemo::new(1 << 22),
-            threshold,
             reported: BTreeSet::new(),
             stab: Vec::new(),
             summary: InvariantSummary {
@@ -600,26 +588,6 @@ impl InvariantChecker {
         }
     }
 
-    /// Evaluates the consistency condition `monitor ∈ PS(target)?` through
-    /// the memo when the selector is a pure pair hash, counting the check.
-    /// Under [`CheckStrategy::FullRescan`] the memo is bypassed so the
-    /// baseline really re-hashes every pair, exactly like the
-    /// pre-incremental checker.
-    fn condition(&mut self, selector: &SharedSelector, monitor: NodeId, target: NodeId) -> bool {
-        self.summary.checks += 1;
-        match self.threshold {
-            Some(threshold) if self.config.strategy == CheckStrategy::Incremental => {
-                let point = self.memo.point_with(monitor.to_u64(), target.to_u64(), || {
-                    selector
-                        .hash_point(monitor, target)
-                        .expect("selection_threshold() implies hash_point()")
-                });
-                threshold.accepts(point)
-            }
-            _ => selector.is_monitor(monitor, target),
-        }
-    }
-
     /// Whether any checking happens.
     #[must_use]
     pub fn enabled(&self) -> bool {
@@ -648,12 +616,6 @@ impl InvariantChecker {
         &self.summary
     }
 
-    /// Frees the pair memo once the run is over; later checks would hash
-    /// every pair afresh.
-    pub(crate) fn release_memo(&mut self) {
-        self.memo = PointMemo::new(0);
-    }
-
     /// A node came up (birth or rejoin) at `now`.
     pub fn node_up(&mut self, node: NodeId, now: TimeMs) {
         self.up_since.insert(node, now);
@@ -671,10 +633,8 @@ impl InvariantChecker {
         // survives a leave + rejoin is flagged again.
         self.reported.retain(|&(_, n, _)| n != node);
         // …and a fresh verification slate: the first sample of the new
-        // incarnation fully re-verifies, and cached pair points involving
-        // the identity are invalidated (O(1) generation bump).
+        // incarnation fully re-verifies.
         self.verified_at.remove(&node);
-        self.memo.forget(node.to_u64());
     }
 
     /// A node went down at `now`.
@@ -710,23 +670,20 @@ impl InvariantChecker {
             let view_dirty = seen.is_none_or(|(_, v)| v != view_version);
 
             if sets_dirty {
+                // One check per entry, the node itself included.
+                self.summary.checks += (node.pinging_set_len() + node.target_set_len()) as u64;
                 let mut self_ref = false;
-                for claimed in node.pinging_set() {
-                    if claimed == id {
-                        self.summary.checks += 1;
+                node.for_each_unselected(&*selector, |in_ps, entry| {
+                    if entry == id {
                         self_ref = true;
-                    } else if !self.condition(&selector, claimed, id) {
+                    } else if in_ps {
+                        let claimed = entry;
                         self.record(now, InvariantViolation::GhostMonitor { node: id, claimed });
-                    }
-                }
-                for target in node.target_set() {
-                    if target == id {
-                        self.summary.checks += 1;
-                        self_ref = true;
-                    } else if !self.condition(&selector, id, target) {
+                    } else {
+                        let target = entry;
                         self.record(now, InvariantViolation::GhostTarget { node: id, target });
                     }
-                }
+                });
                 if self_ref {
                     self.record(now, InvariantViolation::SelfReference { node: id });
                 }
@@ -744,7 +701,7 @@ impl InvariantChecker {
             if !sets_dirty {
                 self.summary.set_scans_skipped += 1;
             }
-            if !full {
+            if !full && (sets_dirty || view_dirty) {
                 self.verified_at.insert(id, (sets_epoch, view_version));
             }
 
@@ -774,7 +731,6 @@ impl InvariantChecker {
                 }
             }
         }
-        self.summary.memo_hits = self.memo.hits();
     }
 
     /// End-of-run sweep: eventual PS/TS agreement (Theorem 1 liveness) and
@@ -809,9 +765,7 @@ impl InvariantChecker {
         // test. It runs after a grace of (ln(N·K) + 2)·N/cvs² periods, in
         // which every node's Fig. 2 cross-check has made about 2·cvs² pair
         // evaluations per period — so the sweep is at most about
-        // 1/(2(ln(N·K) + 2)) of the run's own hashing. The per-sample memo
-        // is deliberately bypassed: these pairs are mostly cold, and
-        // inserting N² entries would thrash it.
+        // 1/(2(ln(N·K) + 2)) of the run's own hashing.
         let len = eligible.len() as u64;
         if len > 1 {
             self.summary.checks += len * (len - 1);
@@ -1094,15 +1048,15 @@ mod tests {
         assert_eq!(checker.summary().set_scans_skipped, 1);
         assert_eq!(checker.summary().checks, checks_after_first);
 
-        // Epoch bump (same membership): re-verified, served from the memo.
+        // Epoch bump (same membership): every entry is re-verified, one
+        // check each, and the unchanged view is not.
         let persistent = node.snapshot_persistent();
         node.restore_persistent(persistent);
         checker.on_sample(3000, std::iter::once(&node));
-        assert!(checker.summary().checks > checks_after_first);
-        assert!(
-            checker.summary().memo_hits >= 3,
-            "repeat pairs must hit the memo"
-        );
+        let entries = (node.pinging_set_len() + node.target_set_len()) as u64;
+        assert!(entries >= 3);
+        assert_eq!(checker.summary().checks, checks_after_first + entries);
+        assert_eq!(checker.summary().set_scans_skipped, 1);
         assert!(checker.summary().passed());
     }
 
@@ -1124,15 +1078,97 @@ mod tests {
         checker.on_sample(2000, std::iter::once(&node));
         assert_eq!(checker.summary().set_scans_skipped, 0);
         assert_eq!(
-            checker.summary().memo_hits,
-            0,
-            "full rescan bypasses the memo"
-        );
-        assert_eq!(
             checker.summary().checks,
             2 * first,
             "same work every sample"
         );
+    }
+
+    /// The checker's verdicts on one node, as the per-entry loop it ran
+    /// before it shared the node's batched routine: one check per entry
+    /// and one for the (dirty) view, a ghost per entry the condition
+    /// rejects, in set order, and one self reference after both sets.
+    fn per_entry_verdicts(
+        selector: &SharedSelector,
+        node: &Node,
+        at: TimeMs,
+    ) -> (Vec<RecordedViolation>, u64) {
+        let id = node.id();
+        let (mut violations, mut checks, mut self_ref) = (Vec::new(), 1, false);
+        let mut flag = |violation| violations.push(RecordedViolation { at, violation });
+        for claimed in node.pinging_set() {
+            checks += 1;
+            if claimed == id {
+                self_ref = true;
+            } else if !selector.is_monitor(claimed, id) {
+                flag(InvariantViolation::GhostMonitor { node: id, claimed });
+            }
+        }
+        for target in node.target_set() {
+            checks += 1;
+            if target == id {
+                self_ref = true;
+            } else if !selector.is_monitor(id, target) {
+                flag(InvariantViolation::GhostTarget { node: id, target });
+            }
+        }
+        if self_ref {
+            flag(InvariantViolation::SelfReference { node: id });
+        }
+        (violations, checks)
+    }
+
+    /// The batched verification against the per-entry loop, on Fast64 and
+    /// MD5, for a node whose `PS` and `TS` each hold 19 entries — 18 pairs
+    /// to hash, so a 16-lane MD5 block fills and spills — mixing selected
+    /// entries, ghosts and the node itself: the same violations (kind,
+    /// order, `at`) and the same `checks`.
+    #[test]
+    fn batched_verdicts_equal_the_per_entry_loop() {
+        let config = Config::builder(100).build().unwrap();
+        for kind in [HasherKind::Fast64, HasherKind::Md5] {
+            let selector = HashSelector::from_config_with_kind(&config, kind);
+            let mut node = live_node(&config, 1);
+            let me = node.id();
+            let pick = |accept: &dyn Fn(NodeId) -> bool| {
+                let peers = (2..4000).map(NodeId::from_index);
+                peers.filter(|&p| accept(p)).take(9).collect::<Vec<_>>()
+            };
+            let ps = [
+                pick(&|m| selector.is_monitor(m, me)),
+                pick(&|m| !selector.is_monitor(m, me)),
+                vec![me],
+            ]
+            .concat();
+            let ts = [
+                pick(&|t| selector.is_monitor(me, t)),
+                pick(&|t| !selector.is_monitor(me, t)),
+                vec![me],
+            ]
+            .concat();
+            node.restore_persistent(avmon::PersistentState {
+                ps,
+                targets: ts
+                    .into_iter()
+                    .map(|t| (t, avmon::TargetRecord::new(0)))
+                    .collect(),
+            });
+            assert_eq!((node.pinging_set_len(), node.target_set_len()), (19, 19));
+
+            let mut checker = InvariantChecker::new(
+                InvariantConfig::default(),
+                selector.clone(),
+                &config,
+                0,
+                false,
+            );
+            checker.node_up(me, 0);
+            checker.on_sample(1000, std::iter::once(&node));
+            let (violations, checks) = per_entry_verdicts(&selector, &node, 1000);
+            assert_eq!(violations.len(), 19, "{kind:?}: 9 + 9 ghosts, 1 self");
+            assert_eq!(checker.summary().violations, violations, "{kind:?}");
+            assert_eq!(checker.summary().checks, checks, "{kind:?}");
+        }
     }
 
     #[test]
@@ -1141,7 +1177,7 @@ mod tests {
             enabled: true,
             checks: 7,
             set_scans_skipped: 2,
-            memo_hits: 3,
+            memo_hits: 0,
             memo_policy: MemoPolicy::default(),
             violations: vec![RecordedViolation {
                 at: 42,

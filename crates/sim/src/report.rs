@@ -59,9 +59,9 @@ impl Simulation {
     /// the per-node discovery logs into the report instead of cloning
     /// them — preferred once the run is over.
     ///
-    /// The checker's pair memo and the calendar are freed before assembly
-    /// allocates, so the report does not stack on the run's peak: nothing
-    /// after the summary is cloned reads either.
+    /// The calendar is freed before assembly allocates, so the report does
+    /// not stack on the run's peak: nothing after the summary is cloned
+    /// reads it.
     #[must_use]
     pub fn into_report(mut self) -> SimReport {
         let discovery = self
@@ -70,7 +70,6 @@ impl Simulation {
             .filter_map(|n| Some((n.id, *n.discovery.take()?)))
             .collect();
         let invariants = self.checker.summary().clone();
-        self.checker.release_memo();
         self.calendar = Calendar::new(Vec::new(), 0);
         self.assemble_report(discovery, invariants)
     }

@@ -129,8 +129,8 @@ fn main() {
         (
             "checker",
             format!(
-                "{} checks, {} set scans skipped, {} memo hits",
-                inv.checks, inv.set_scans_skipped, inv.memo_hits
+                "{} checks, {} set scans skipped",
+                inv.checks, inv.set_scans_skipped
             ),
         ),
         (

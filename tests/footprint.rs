@@ -198,14 +198,16 @@ fn node_heap_is_bounded_and_steady_over_sixty_periods() {
 /// System size of the per-identity leg's STAT run.
 const IDENTITIES: usize = 2_000;
 
-/// Measured at this commit: 2 427 B of heap per identity after five
+/// Measured at this commit: 2 396 B of heap per identity after five
 /// simulated minutes of a STAT run at N = 2 000 (seed 7, 2 100
-/// identities): rows, nodes, records, calendar and checker. 1 048-B rows
-/// and 80-B `TS` records read 3 142 B. The bound is three times the
-/// reading, as the node leg's is: a per-identity structure that stops
-/// scaling with `cvs + K` fails here, and a row or record that merely
-/// grows back fails the size tests beside `SimNode` and `TargetRecord`.
-const IDENTITY_HEAP_BOUND: isize = 3 * 2_427;
+/// identities): rows, nodes, records, calendar and checker. With the
+/// checker's pair memo it read 2 406 B (2 427 B when the bound was last
+/// set); with 1 048-B rows and 80-B `TS` records, 3 142 B. The bound is
+/// three times the reading, as the node leg's is: a per-identity
+/// structure that stops scaling with `cvs + K` fails here, and a row or
+/// record that merely grows back fails the size tests beside `SimNode`
+/// and `TargetRecord`.
+const IDENTITY_HEAP_BOUND: isize = 3 * 2_396;
 
 #[test]
 fn simulation_heap_per_identity_is_bounded() {

@@ -154,6 +154,4 @@ fn incremental_skips_dominate_at_steady_state() {
         "expected skips to dominate: only {} set scans skipped",
         inv.set_scans_skipped
     );
-    // The memo serves repeat verifications without re-hashing.
-    assert!(inv.memo_hits > 0, "pair-point memo never hit");
 }
