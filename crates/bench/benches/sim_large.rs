@@ -7,9 +7,10 @@
 //! core and replayed, or hashed inline), and the N = 50k scale run
 //! (checker on).
 //!
-//! Besides the criterion output, the binary records its measurements in
-//! `BENCH_sim_large.json` at the workspace root — the large-N perf
-//! trajectory CI tracks across PRs — and asserts the wins hold:
+//! The binary records its measurements in `BENCH_sim_large.json` at the
+//! workspace root — the large-N perf trajectory CI tracks across PRs —
+//! each number once, with min/median where it samples and the core count
+//! on every row, and asserts the wins hold:
 //! incremental checking ≥ 10× per sample, a fast64 consistency check
 //! ≤ 12 ns and an MD5 one no dearer than before the fixed-length pair
 //! kernel, a batched MD5 check at most a third of a single one (the
@@ -22,6 +23,7 @@
 // Bench target: outside the determinism boundary.
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,7 +36,6 @@ use avmon_sim::{
     CalendarStats, CheckStrategy, CrossCheckStats, InvariantChecker, InvariantConfig, SimOptions,
     Simulation,
 };
-use criterion::{black_box, criterion_group, Criterion, Throughput};
 
 const BENCH_N: usize = 5_000;
 
@@ -132,30 +133,6 @@ fn measure_per_sample(strategy: CheckStrategy, nodes: &[Node], config: &Config) 
     elapsed.as_nanos() as f64 / iters as f64
 }
 
-fn checker_per_sample(c: &mut Criterion) {
-    let (nodes, config) = steady_population(BENCH_N);
-    let mut group = c.benchmark_group(format!("checker_per_sample_n{BENCH_N}"));
-    group.sample_size(10);
-    for (label, strategy) in [
-        ("full_rescan", CheckStrategy::FullRescan),
-        ("incremental", CheckStrategy::Incremental),
-    ] {
-        group.bench_function(label, |b| {
-            let mut checker = checker_for(strategy, &config);
-            for node in &nodes {
-                checker.node_up(node.id(), 0);
-            }
-            checker.on_sample(MINUTE, nodes.iter());
-            let mut tick = 1u64;
-            b.iter(|| {
-                tick += 1;
-                checker.on_sample(MINUTE * tick, black_box(nodes.iter()));
-            });
-        });
-    }
-    group.finish();
-}
-
 /// Entries per side of the Fig. 2 cross-check at N = 10k: `cvs` = 40 plus
 /// the node itself and the fetched peer.
 const FIG2_SIDE: u32 = 42;
@@ -227,8 +204,7 @@ fn hash_check_selector(hasher: HasherKind, kernel: bool) -> SharedSelector {
 }
 
 /// (min, median) of `reps` samples of `sample`, after 8 discarded warm-up
-/// calls. The criterion stub reports a mean only, so the spread the record
-/// needs is taken here.
+/// calls.
 fn min_median(reps: usize, mut sample: impl FnMut() -> f64) -> (f64, f64) {
     spread((0..reps + 8).map(|_| sample()).skip(8).collect())
 }
@@ -268,19 +244,6 @@ fn hash_check_ns(hasher: HasherKind, reps: usize) -> [(f64, f64); 3] {
         }
     }
     samples.map(spread)
-}
-
-fn hash_check(c: &mut Criterion) {
-    let (a, b) = fig2_sides();
-    let mut group = c.benchmark_group("hash_check");
-    group.throughput(Throughput::Elements(FIG2_CHECKS));
-    for hasher in [HasherKind::Fast64, HasherKind::Md5] {
-        let selector = hash_check_selector(hasher, true);
-        group.bench_function(hasher.to_string(), |bench| {
-            bench.iter(|| fig2_nested_loop(black_box(&*selector), black_box(&a), black_box(&b)));
-        });
-    }
-    group.finish();
 }
 
 /// One period of the Fig. 2 view cross-check, measured end to end through
@@ -341,7 +304,7 @@ struct Smoke {
     crosscheck: CrossCheckStats,
 }
 
-/// One end-to-end run at arbitrary scale (checker in Record mode).
+/// One end-to-end run at arbitrary scale (checker on, as always).
 fn smoke_run(n: usize, warmup_min: u64, duration_min: u64) -> Smoke {
     let params = SynthParams {
         n,
@@ -420,7 +383,7 @@ fn record_trajectory() {
     let (scale_50k_ms, scale_50k_checks) = (scale.wall_ms, scale.checker_checks);
 
     let json = format!(
-        "{{\n  \"bench\": \"sim_large\",\n  \"checker_per_sample\": {{\n    \"n\": {BENCH_N},\n    \"cores\": {cores},\n    \"full_rescan_ns\": {full_ns:.0},\n    \"incremental_ns\": {incremental_ns:.0},\n    \"speedup\": {speedup:.1}\n  }},\n  \"hash_check_ns\": {{\n    \"cores\": {cores},\n    \"md5_lanes\": \"{md5_lanes}\",\n    \"loop\": \"Fig. 2 grid, two 42-entry sides, both orders, through SharedSelector: is_monitor per pair (fast64/md5), the same over serialized pair bytes (*_pair_bytes), one accepted_pairs call per order (*_batch)\",\n    \"fast64_min\": {fast_check_min:.1},\n    \"fast64_median\": {fast_check_med:.1},\n    \"fast64_pair_bytes_min\": {fast_bytes_min:.1},\n    \"fast64_pair_bytes_median\": {fast_bytes_med:.1},\n    \"fast64_batch_min\": {fast_batch_min:.1},\n    \"fast64_batch_median\": {fast_batch_med:.1},\n    \"md5_min\": {md5_check_min:.1},\n    \"md5_median\": {md5_check_med:.1},\n    \"md5_pair_bytes_min\": {md5_bytes_min:.1},\n    \"md5_pair_bytes_median\": {md5_bytes_med:.1},\n    \"md5_batch_min\": {md5_batch_min:.1},\n    \"md5_batch_median\": {md5_batch_med:.1}\n  }},\n  \"view_crosscheck_per_period\": {{\n    \"cores\": {cores},\n    \"cvs\": 60,\n    \"fast64_ns_min\": {fast_period_min:.0},\n    \"fast64_ns_median\": {fast_period_med:.0},\n    \"md5_ns_min\": {md5_period_min:.0},\n    \"md5_ns_median\": {md5_period_med:.0}\n  }},\n  \"calendar_10k\": {{\n    \"heap_pops\": {},\n    \"lane_pops\": {},\n    \"wheel_pops\": {},\n    \"expire_skips\": {},\n    \"heap_pop_share\": {heap_pop_share:.4},\n    \"wall_ms\": {smoke_ms:.0}\n  }},\n  \"crosscheck_ahead_10k\": {{\n    \"cores\": {cores},\n    \"submitted\": {submitted},\n    \"replayed\": {replayed},\n    \"hashed_inline\": {hashed_inline},\n    \"wall_ms\": {smoke_ms:.0}\n  }},\n  \"scale_50k\": {{\n    \"n\": 50000,\n    \"simulated_minutes\": 15,\n    \"cores\": {cores},\n    \"wall_ms\": {scale_50k_ms:.0},\n    \"checker_checks\": {scale_50k_checks}\n  }},\n  \"smoke_end_to_end\": {{\n    \"n\": 10000,\n    \"simulated_minutes\": 15,\n    \"wall_ms\": {smoke_ms:.0},\n    \"checker_checks\": {smoke_checks}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"sim_large\",\n  \"checker_per_sample\": {{\n    \"n\": {BENCH_N},\n    \"cores\": {cores},\n    \"full_rescan_ns\": {full_ns:.0},\n    \"incremental_ns\": {incremental_ns:.0},\n    \"speedup\": {speedup:.1}\n  }},\n  \"hash_check_ns\": {{\n    \"cores\": {cores},\n    \"md5_lanes\": \"{md5_lanes}\",\n    \"loop\": \"Fig. 2 grid, two 42-entry sides, both orders, through SharedSelector: is_monitor per pair (fast64/md5), the same over serialized pair bytes (*_pair_bytes), one accepted_pairs call per order (*_batch)\",\n    \"fast64_min\": {fast_check_min:.1},\n    \"fast64_median\": {fast_check_med:.1},\n    \"fast64_pair_bytes_min\": {fast_bytes_min:.1},\n    \"fast64_pair_bytes_median\": {fast_bytes_med:.1},\n    \"fast64_batch_min\": {fast_batch_min:.1},\n    \"fast64_batch_median\": {fast_batch_med:.1},\n    \"md5_min\": {md5_check_min:.1},\n    \"md5_median\": {md5_check_med:.1},\n    \"md5_pair_bytes_min\": {md5_bytes_min:.1},\n    \"md5_pair_bytes_median\": {md5_bytes_med:.1},\n    \"md5_batch_min\": {md5_batch_min:.1},\n    \"md5_batch_median\": {md5_batch_med:.1}\n  }},\n  \"view_crosscheck_per_period\": {{\n    \"cores\": {cores},\n    \"cvs\": 60,\n    \"fast64_ns_min\": {fast_period_min:.0},\n    \"fast64_ns_median\": {fast_period_med:.0},\n    \"md5_ns_min\": {md5_period_min:.0},\n    \"md5_ns_median\": {md5_period_med:.0}\n  }},\n  \"calendar_10k\": {{\n    \"cores\": {cores},\n    \"heap_pops\": {},\n    \"lane_pops\": {},\n    \"wheel_pops\": {},\n    \"expire_skips\": {},\n    \"heap_pop_share\": {heap_pop_share:.4}\n  }},\n  \"crosscheck_ahead_10k\": {{\n    \"cores\": {cores},\n    \"submitted\": {submitted},\n    \"replayed\": {replayed},\n    \"hashed_inline\": {hashed_inline}\n  }},\n  \"scale_50k\": {{\n    \"n\": 50000,\n    \"simulated_minutes\": 15,\n    \"cores\": {cores},\n    \"wall_ms\": {scale_50k_ms:.0},\n    \"checker_checks\": {scale_50k_checks}\n  }},\n  \"smoke_end_to_end\": {{\n    \"n\": 10000,\n    \"simulated_minutes\": 15,\n    \"cores\": {cores},\n    \"wall_ms\": {smoke_ms:.0},\n    \"checker_checks\": {smoke_checks}\n  }}\n}}\n",
         stats.heap_pops,
         stats.lane_pops,
         stats.wheel_pops,
@@ -462,13 +425,6 @@ fn record_trajectory() {
     );
 }
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default();
-    targets = checker_per_sample, hash_check
-}
-
 fn main() {
     record_trajectory();
-    benches();
 }

@@ -2,9 +2,10 @@
 //!
 //! Two things live here:
 //!
-//! 1. **Criterion micro-benchmarks** (`benches/`): hashing throughput, the
-//!    Fig. 2 pair scan, coarse-view operations, the wire codec, and
-//!    small end-to-end simulations.
+//! 1. **The large-N perf record** (`benches/sim_large.rs`): the checker
+//!    sweep, the consistency check per hasher, the Fig. 2 cross-check per
+//!    period, the calendar split and the 10k / 50k end-to-end runs,
+//!    written to `BENCH_sim_large.json` (`cargo bench -p avmon-bench`).
 //! 2. **The experiment harness** (`src/bin/experiments.rs`): regenerates
 //!    every table and figure of the paper's evaluation (§5) plus the
 //!    extension experiments of DESIGN.md §4. Each run prints the series

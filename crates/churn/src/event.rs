@@ -77,9 +77,11 @@ impl Trace {
     ///
     /// # Panics
     ///
-    /// Panics if the event sequence is inconsistent (double join, event
-    /// after death, join without birth) — traces are generated or loaded,
-    /// and inconsistency is a construction bug, not a runtime condition.
+    /// Panics if [`Trace::validate`] rejects the events (double join,
+    /// event after death, join without birth, event at or past the
+    /// horizon): callers of `new` generate their events, so inconsistency
+    /// is a construction bug. The importers in [`crate::io`] return the
+    /// error instead.
     #[must_use]
     pub fn new(
         name: impl Into<String>,
@@ -98,11 +100,19 @@ impl Trace {
             control_group,
             events,
         };
-        trace.validate();
+        if let Err(e) = trace.validate() {
+            panic!("inconsistent trace: {e}");
+        }
         trace
     }
 
-    fn validate(&self) {
+    /// Checks that every event lies before the horizon and that each
+    /// node's events follow birth → (leave → join)* → death.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first event that breaks either rule.
+    pub fn validate(&self) -> Result<(), String> {
         #[derive(PartialEq, Clone, Copy)]
         enum S {
             Unborn,
@@ -112,31 +122,31 @@ impl Trace {
         }
         let mut state: BTreeMap<NodeId, S> = BTreeMap::new();
         for e in &self.events {
-            assert!(
-                e.at < self.horizon,
-                "event at {} beyond horizon {}",
-                e.at,
-                self.horizon
-            );
+            if e.at >= self.horizon {
+                return Err(format!("event at {} beyond horizon {}", e.at, self.horizon));
+            }
             let s = state.entry(e.node).or_insert(S::Unborn);
             *s = match (*s, e.kind) {
                 (S::Unborn, ChurnEventKind::Birth) => S::Up,
                 (S::Down, ChurnEventKind::Join) => S::Up,
                 (S::Up, ChurnEventKind::Leave) => S::Down,
                 (S::Up, ChurnEventKind::Death) => S::Dead,
-                (state, kind) => panic!(
-                    "inconsistent trace: node {} got {:?} in state {}",
-                    e.node,
-                    kind,
-                    match state {
-                        S::Unborn => "unborn",
-                        S::Up => "up",
-                        S::Down => "down",
-                        S::Dead => "dead",
-                    }
-                ),
+                (state, kind) => {
+                    return Err(format!(
+                        "node {} got {:?} in state {}",
+                        e.node,
+                        kind,
+                        match state {
+                            S::Unborn => "unborn",
+                            S::Up => "up",
+                            S::Down => "down",
+                            S::Dead => "dead",
+                        }
+                    ))
+                }
             };
         }
+        Ok(())
     }
 
     /// All identities that ever appear.
@@ -209,7 +219,7 @@ impl Trace {
         up as f64 / (to - from) as f64
     }
 
-    /// Aggregate statistics (used by tests and EXPERIMENTS.md).
+    /// Aggregate statistics (printed by `trace_tool stat`).
     #[must_use]
     pub fn stats(&self) -> TraceStats {
         let mut births = 0usize;

@@ -29,6 +29,9 @@ pub enum TraceIoError {
         /// What went wrong.
         message: String,
     },
+    /// Well-formed events that break [`Trace::validate`]: a join without a
+    /// birth, a double birth, an event after death or at the horizon.
+    Inconsistent(String),
 }
 
 impl core::fmt::Display for TraceIoError {
@@ -39,6 +42,7 @@ impl core::fmt::Display for TraceIoError {
             TraceIoError::Syntax { line, message } => {
                 write!(f, "trace syntax error at line {line}: {message}")
             }
+            TraceIoError::Inconsistent(message) => write!(f, "inconsistent trace: {message}"),
         }
     }
 }
@@ -48,7 +52,7 @@ impl std::error::Error for TraceIoError {
         match self {
             TraceIoError::Io(e) => Some(e),
             TraceIoError::Json(e) => Some(e),
-            TraceIoError::Syntax { .. } => None,
+            TraceIoError::Syntax { .. } | TraceIoError::Inconsistent(_) => None,
         }
     }
 }
@@ -74,13 +78,22 @@ pub fn to_json(trace: &Trace) -> Result<String, TraceIoError> {
     Ok(serde_json::to_string_pretty(trace)?)
 }
 
-/// Parses a trace from JSON.
+/// Parses a trace from JSON, sorting its events as [`Trace::new`] does.
 ///
 /// # Errors
 ///
-/// Returns [`TraceIoError::Json`] on malformed JSON.
+/// Returns [`TraceIoError::Json`] on malformed JSON and
+/// [`TraceIoError::Inconsistent`] on events [`Trace::validate`] rejects.
 pub fn from_json(json: &str) -> Result<Trace, TraceIoError> {
-    Ok(serde_json::from_str(json)?)
+    checked(serde_json::from_str(json)?)
+}
+
+/// Sorts `trace`'s events by `(at, node)`, as [`Trace::new`] does, and
+/// validates them.
+fn checked(mut trace: Trace) -> Result<Trace, TraceIoError> {
+    trace.events.sort_by_key(|e| (e.at, e.node));
+    trace.validate().map_err(TraceIoError::Inconsistent)?;
+    Ok(trace)
 }
 
 /// Writes a trace to a JSON file.
@@ -136,7 +149,8 @@ pub fn to_text(trace: &Trace) -> String {
 /// # Errors
 ///
 /// Returns [`TraceIoError::Syntax`] with the offending line number on any
-/// malformed header, kind, time or node id.
+/// malformed header, kind, time or node id, and
+/// [`TraceIoError::Inconsistent`] on events [`Trace::validate`] rejects.
 pub fn from_text(text: &str) -> Result<Trace, TraceIoError> {
     let syntax = |line: usize, message: String| TraceIoError::Syntax { line, message };
     let mut lines = text.lines().enumerate();
@@ -201,21 +215,21 @@ pub fn from_text(text: &str) -> Result<Trace, TraceIoError> {
             .map_err(|e| syntax(line_no, format!("node id: {e}")))?;
         events.push(ChurnEvent { at, node, kind });
     }
-    Ok(Trace::new(
+    checked(Trace {
         name,
         stable_size,
         horizon,
         measure_from,
-        control,
+        control_group: control,
         events,
-    ))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synth::{stat, synthetic, SynthParams};
-    use avmon::HOUR;
+    use avmon::{TimeMs, HOUR};
 
     #[test]
     fn json_round_trip() {
@@ -270,6 +284,62 @@ mod tests {
         let t = from_text(text).unwrap();
         assert_eq!(t.events.len(), 1);
         assert_eq!(t.name, "mini");
+    }
+
+    /// A one-node trace with `horizon` 1000 and `events` as `(at, kind)`,
+    /// built without [`Trace::new`]'s check, in both import formats.
+    fn unvalidated(events: &[(TimeMs, ChurnEventKind)]) -> (String, String) {
+        let node: NodeId = "10.0.0.1:4000".parse().unwrap();
+        let trace = Trace {
+            name: "bad".into(),
+            stable_size: 1,
+            horizon: 1000,
+            measure_from: 0,
+            control_group: vec![],
+            events: events
+                .iter()
+                .map(|&(at, kind)| ChurnEvent { at, node, kind })
+                .collect(),
+        };
+        (to_text(&trace), to_json(&trace).unwrap())
+    }
+
+    fn assert_rejected(events: &[(TimeMs, ChurnEventKind)], why: &str) {
+        let (text, json) = unvalidated(events);
+        for result in [from_text(&text), from_json(&json)] {
+            match result {
+                Err(TraceIoError::Inconsistent(message)) => {
+                    assert!(message.contains(why), "{message:?} lacks {why:?}");
+                }
+                other => panic!("expected an inconsistent-trace error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn import_rejects_join_without_birth() {
+        assert_rejected(&[(0, ChurnEventKind::Join)], "got Join in state unborn");
+    }
+
+    #[test]
+    fn import_rejects_event_at_horizon() {
+        assert_rejected(&[(1000, ChurnEventKind::Birth)], "beyond horizon");
+    }
+
+    #[test]
+    fn import_rejects_double_birth() {
+        assert_rejected(
+            &[(0, ChurnEventKind::Birth), (5, ChurnEventKind::Birth)],
+            "got Birth in state up",
+        );
+    }
+
+    #[test]
+    fn json_import_sorts_events() {
+        let (_, json) = unvalidated(&[(5, ChurnEventKind::Leave), (0, ChurnEventKind::Birth)]);
+        let t = from_json(&json).unwrap();
+        let times: Vec<TimeMs> = t.events.iter().map(|e| e.at).collect();
+        assert_eq!(times, [0, 5]);
     }
 
     #[test]

@@ -107,9 +107,7 @@ pub fn drain<E: DriverEnv + ?Sized>(node: &mut Node, env: &mut E) {
 ///
 /// A diagnostic and testing utility: it allocates per call, so drivers
 /// must not use it on the hot path — implement [`DriverEnv`] and call
-/// [`drain`], or consume the poll methods directly. It also serves as the
-/// reference implementation of the pre-poll `Vec<Action>` dispatch
-/// pattern that the driver-loop benchmark measures against.
+/// [`drain`], or consume the poll methods directly.
 #[must_use]
 pub fn collect_actions(node: &mut Node) -> Vec<Action> {
     let mut actions = Vec::new();

@@ -50,9 +50,8 @@ pub struct SimOptions {
     /// Timeline of injected faults (partitions, bursts, freezes); `None`
     /// runs fault-free.
     pub scenario: Option<Scenario>,
-    /// The always-on protocol invariant checker (default:
-    /// [`InvariantMode::Record`] — violations land in
-    /// [`SimReport::invariants`]).
+    /// The always-on protocol invariant checker's sweep strategy;
+    /// violations land in [`SimReport::invariants`].
     pub invariants: InvariantConfig,
     /// Master seed; every node RNG and the network RNG derive from it.
     pub seed: u64,

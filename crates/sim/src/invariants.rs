@@ -26,10 +26,10 @@
 //!   silently ignored — under faults the bound degrades visibly in the
 //!   [`InvariantSummary`] instead of vanishing.
 //!
-//! The checker runs in [`InvariantMode::Record`] by default: violations are
-//! collected into the [`crate::SimReport`], each with the simulated time of
-//! the sample that found it ([`RecordedViolation::at`]), so the first entry
-//! pins the first corruption.
+//! The checker always runs: violations are collected into the
+//! [`crate::SimReport`], each with the simulated time of the sample that
+//! found it ([`RecordedViolation::at`]), so the first entry pins the first
+//! corruption.
 //!
 //! # Incremental checking
 //!
@@ -61,16 +61,6 @@ use std::collections::BTreeSet;
 use avmon::{Config, DurMs, FlatMap, FlatSet, MemoPolicy, Node, NodeId, SharedSelector, TimeMs};
 use serde::{Deserialize, Serialize};
 
-/// How invariant violations are handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum InvariantMode {
-    /// No checking at all (for benchmarks measuring raw engine speed).
-    Off,
-    /// Check and record violations in the [`InvariantSummary`] (default).
-    #[default]
-    Record,
-}
-
 /// How the per-sample sweep decides which nodes to re-verify.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum CheckStrategy {
@@ -88,22 +78,11 @@ pub enum CheckStrategy {
 /// Invariant-checker configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct InvariantConfig {
-    /// Violation handling.
-    pub mode: InvariantMode,
     /// Per-sample sweep strategy (default [`CheckStrategy::Incremental`]).
     pub strategy: CheckStrategy,
 }
 
 impl InvariantConfig {
-    /// Checking disabled.
-    #[must_use]
-    pub fn off() -> Self {
-        InvariantConfig {
-            mode: InvariantMode::Off,
-            ..InvariantConfig::default()
-        }
-    }
-
     /// Overrides the per-sample sweep strategy.
     #[must_use]
     pub fn strategy(mut self, strategy: CheckStrategy) -> Self {
@@ -306,7 +285,9 @@ impl RngLedger {
 /// [`crate::SimReport`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct InvariantSummary {
-    /// Whether checking was enabled for the run.
+    /// Always `true`: the checker runs on every simulation. Kept because
+    /// the frozen `benchmark/` crate reads it and every pinned report
+    /// carries it.
     pub enabled: bool,
     /// Individual property checks evaluated (hash checks, set scans, pair
     /// agreements).
@@ -489,7 +470,6 @@ impl InvariantChecker {
         quiescent_from: TimeMs,
         lossy_base: bool,
     ) -> Self {
-        let enabled = config.mode != InvariantMode::Off;
         // Discovery-scaled grace (see `InvariantChecker::grace`).
         let pairs = (protocol.system_size as f64) * f64::from(protocol.k);
         let discovery_periods =
@@ -512,7 +492,7 @@ impl InvariantChecker {
             reported: BTreeSet::new(),
             stab: Vec::new(),
             summary: InvariantSummary {
-                enabled,
+                enabled: true,
                 ..InvariantSummary::default()
             },
         }
@@ -588,12 +568,6 @@ impl InvariantChecker {
         }
     }
 
-    /// Whether any checking happens.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.config.mode != InvariantMode::Off
-    }
-
     /// How long both endpoints must be continuously up — *and* the network
     /// quiescent — before eventual-agreement is owed; also the bound a
     /// declared adversary window gets to re-converge in. Discovery-scaled:
@@ -651,9 +625,6 @@ impl InvariantChecker {
     /// both strategies run the identical verification path and produce the
     /// same violations at the same times.
     pub fn on_sample<'a>(&mut self, now: TimeMs, nodes: impl Iterator<Item = &'a Node>) {
-        if !self.enabled() {
-            return;
-        }
         self.expire_windows(now);
         let selector = self.selector.clone();
         let full = self.config.strategy == CheckStrategy::FullRescan;
@@ -737,9 +708,6 @@ impl InvariantChecker {
     /// monitor-set convergence, over nodes continuously live through the
     /// whole post-quiescence grace window.
     pub fn finalize<'a>(&mut self, now: TimeMs, nodes: impl Iterator<Item = &'a Node>) {
-        if !self.enabled() {
-            return;
-        }
         // Settle adversary windows at the horizon too, so a deadline
         // falling between the last sample and the run end still closes
         // (windows of still-dead nodes stay open: unproven, not failed).
@@ -894,17 +862,12 @@ mod tests {
     use super::*;
     use avmon::{HashSelector, HasherKind, JoinKind};
 
-    fn checker(mode: InvariantMode) -> (InvariantChecker, Config) {
+    fn checker() -> (InvariantChecker, Config) {
         let config = Config::builder(100).build().unwrap();
         let selector = HashSelector::from_config_with_kind(&config, HasherKind::Fast64);
-        let cfg = InvariantConfig {
-            mode,
-            ..InvariantConfig::default()
-        };
-        (
-            InvariantChecker::new(cfg, selector, &config, 0, false),
-            config,
-        )
+        let checker =
+            InvariantChecker::new(InvariantConfig::default(), selector, &config, 0, false);
+        (checker, config)
     }
 
     fn live_node(config: &Config, index: u32) -> Node {
@@ -919,7 +882,7 @@ mod tests {
 
     #[test]
     fn clean_node_passes_sampling() {
-        let (mut checker, config) = checker(InvariantMode::Record);
+        let (mut checker, config) = checker();
         let node = live_node(&config, 1);
         checker.node_up(node.id(), 0);
         checker.on_sample(1000, std::iter::once(&node));
@@ -929,7 +892,7 @@ mod tests {
 
     #[test]
     fn ghost_ps_entry_is_flagged() {
-        let (mut checker, config) = checker(InvariantMode::Record);
+        let (mut checker, config) = checker();
         let mut node = live_node(&config, 1);
         // Find an identity that is NOT a monitor of node 1 and smuggle it
         // into the persistent pinging set, as a corrupted store would.
@@ -953,7 +916,7 @@ mod tests {
 
     #[test]
     fn ghost_violation_is_stamped_with_its_sample_time() {
-        let (mut checker, config) = checker(InvariantMode::Record);
+        let (mut checker, config) = checker();
         let mut node = live_node(&config, 1);
         let selector = HashSelector::from_config_with_kind(&config, HasherKind::Fast64);
         let ghost = (100..)
@@ -973,17 +936,8 @@ mod tests {
     }
 
     #[test]
-    fn off_mode_checks_nothing() {
-        let (mut checker, config) = checker(InvariantMode::Off);
-        let node = live_node(&config, 1);
-        checker.on_sample(1000, std::iter::once(&node));
-        assert_eq!(checker.summary().checks, 0);
-        assert!(!checker.summary().enabled);
-    }
-
-    #[test]
     fn finalize_skips_runs_inside_grace_or_fault_window() {
-        let (mut checker, config) = checker(InvariantMode::Record);
+        let (mut checker, config) = checker();
         let node = live_node(&config, 1);
         checker.node_up(node.id(), 0);
         // now < grace: nothing owed yet.
@@ -997,7 +951,7 @@ mod tests {
 
     #[test]
     fn missed_discovery_flagged_for_undiscovered_consistent_pair() {
-        let (mut checker, config) = checker(InvariantMode::Record);
+        let (mut checker, config) = checker();
         let selector = HashSelector::from_config_with_kind(&config, HasherKind::Fast64);
         // Find a pair satisfying the consistency condition.
         let target = NodeId::from_index(1);
@@ -1024,7 +978,7 @@ mod tests {
 
     #[test]
     fn incremental_skips_unchanged_nodes_and_rechecks_dirty_ones() {
-        let (mut checker, config) = checker(InvariantMode::Record);
+        let (mut checker, config) = checker();
         let mut node = live_node(&config, 1);
         // Give the node a few real monitors so set verification costs
         // something measurable.
@@ -1231,7 +1185,7 @@ mod tests {
 
     #[test]
     fn windowed_violations_are_expected_not_hard() {
-        let (mut checker, config) = checker(InvariantMode::Record);
+        let (mut checker, config) = checker();
         let (node, ghost) = ghosted_node(&config);
         checker.node_up(node.id(), 0);
         checker.set_adversary_windows(&[(node.id(), 500, 500)]);
@@ -1250,7 +1204,7 @@ mod tests {
 
     #[test]
     fn healed_window_is_proven_after_its_deadline() {
-        let (mut checker, config) = checker(InvariantMode::Record);
+        let (mut checker, config) = checker();
         let (mut node, _) = ghosted_node(&config);
         checker.node_up(node.id(), 0);
         checker.set_adversary_windows(&[(node.id(), 500, 500)]);
@@ -1269,7 +1223,7 @@ mod tests {
 
     #[test]
     fn unhealed_window_fails_with_node_and_deadline_pinned() {
-        let (mut checker, config) = checker(InvariantMode::Record);
+        let (mut checker, config) = checker();
         let (node, _) = ghosted_node(&config);
         checker.node_up(node.id(), 0);
         checker.set_adversary_windows(&[(node.id(), 500, 500)]);
@@ -1289,7 +1243,7 @@ mod tests {
 
     #[test]
     fn stabilization_failure_is_stamped_with_the_first_late_sample() {
-        let (mut checker, config) = checker(InvariantMode::Record);
+        let (mut checker, config) = checker();
         let (node, _) = ghosted_node(&config);
         checker.node_up(node.id(), 0);
         checker.set_adversary_windows(&[(node.id(), 500, 500)]);
@@ -1306,7 +1260,7 @@ mod tests {
 
     #[test]
     fn rejoin_extends_the_recovery_deadline() {
-        let (mut checker, config) = checker(InvariantMode::Record);
+        let (mut checker, config) = checker();
         let node = live_node(&config, 1);
         checker.node_up(node.id(), 0);
         checker.set_adversary_windows(&[(node.id(), 500, 500)]);
@@ -1330,7 +1284,7 @@ mod tests {
 
     #[test]
     fn undeclared_liars_stay_hard_violations() {
-        let (mut checker, config) = checker(InvariantMode::Record);
+        let (mut checker, config) = checker();
         let (node, _) = ghosted_node(&config);
         checker.node_up(node.id(), 0);
         // A window for a DIFFERENT node excuses nothing here.

@@ -120,8 +120,8 @@ pub use calendar::CalendarStats;
 pub use crosscheck::CrossCheckStats;
 pub use engine::{SimOptions, Simulation};
 pub use invariants::{
-    AdversaryWindow, CheckStrategy, InvariantChecker, InvariantConfig, InvariantMode,
-    InvariantSummary, InvariantViolation, RngLedger, WindowOutcome,
+    AdversaryWindow, CheckStrategy, InvariantChecker, InvariantConfig, InvariantSummary,
+    InvariantViolation, RngLedger, WindowOutcome,
 };
 pub use metrics::{
     AvailabilityMeasure, DetectionDistribution, DiscoveryLog, EclipseScore, FdQos, NodeSeries,

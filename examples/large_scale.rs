@@ -4,9 +4,8 @@
 //! The paper's §5 scalability argument is precisely about large `N` —
 //! O(1) per-node memory and computation as the system grows. This example
 //! reproduces that regime end-to-end: it simulates an `N`-node STAT
-//! overlay (default 50k), keeps the always-on invariant checker in
-//! `Record` mode the whole run (incremental checking makes that
-//! affordable), and prints the paper's per-node metrics plus the checker's
+//! overlay (default 50k) under the always-on invariant checker
+//! (incremental checking makes that affordable), and prints the paper's per-node metrics plus the checker's
 //! verdict, the wall-clock cost and the process's peak resident set.
 //!
 //! ```text
@@ -66,7 +65,7 @@ fn main() {
         build_start.elapsed()
     );
 
-    // Checker stays ON (Record, the default incremental strategy). Its
+    // The checker runs, with the default incremental strategy. Its
     // end-of-run eventual-agreement sweep runs only after a grace of
     // (ln(N·K) + 2)·N/cvs² protocol periods — several simulated hours at
     // 50k, longer than the default run here — and then costs a few percent
