@@ -3,7 +3,7 @@
 //! All effects are queued on the node's internal output queues and drained
 //! by the driver through the poll interface.
 
-use super::{AppEvent, Node, Pending};
+use super::{AppEvent, Node, Pending, TargetRecord};
 use crate::message::Message;
 use crate::selector::MonitorSelector;
 use crate::time::{Stamp, TimeMs};
@@ -193,23 +193,15 @@ impl Node {
     /// send every victim a forged `NOTIFY(member, victim)` for each
     /// coalition member, trying to capture the victim's monitor slots.
     fn flood_eclipse_notifies(&mut self) {
-        let pairs: Vec<(NodeId, NodeId)> = match self.behavior().eclipse_flood() {
-            Some((coalition, victims)) => victims
-                .iter()
-                .flat_map(|&v| coalition.iter().map(move |&c| (c, v)))
-                .filter(|&(c, v)| c != v && v != self.id)
-                .collect(),
-            None => Vec::new(),
+        let Some(behavior) = self.behavior.clone() else {
+            return;
         };
-        for (member, victim) in pairs {
-            self.stats.notifies_sent += 1;
-            self.send(
-                victim,
-                Message::Notify {
-                    monitor: member,
-                    target: victim,
-                },
-            );
+        let (coalition, victims) = behavior.eclipse_flood().unwrap_or_default();
+        let me = self.id;
+        for &victim in victims.iter().filter(|&&v| v != me) {
+            for &member in coalition.iter().filter(|&&c| c != victim) {
+                self.send_notify(victim, member, victim);
+            }
         }
     }
 
@@ -339,20 +331,16 @@ impl Node {
 
     /// [`crate::Behavior::FakeMonitor`]: force the forged targets into
     /// `TS` as if a NOTIFY had verified, emitting the same discovery
-    /// events a real adoption would.
+    /// events a real adoption would — once per target, however often the
+    /// forged list names it.
     fn adopt_fake_targets(&mut self, now: TimeMs) {
-        let fakes: Vec<NodeId> = self
-            .behavior()
-            .fake_targets()
-            .unwrap_or_default()
-            .iter()
-            .copied()
-            .filter(|&t| t != self.id && !self.targets.contains_key(&t))
-            .collect();
-        for target in fakes {
-            self.sets_epoch += 1;
-            self.targets.insert(target, super::TargetRecord::new(now));
-            self.emit(AppEvent::TargetDiscovered { target });
+        let Some(behavior) = self.behavior.clone() else {
+            return;
+        };
+        for &target in behavior.fake_targets().unwrap_or_default() {
+            if target != self.id && !self.targets.contains_key(&target) {
+                self.adopt_target(now, target);
+            }
         }
     }
 
@@ -373,8 +361,7 @@ impl Node {
             if endpoint == self.id {
                 self.handle_notify(now, monitor, target);
             } else {
-                self.stats.notifies_sent += 1;
-                self.send(endpoint, Message::Notify { monitor, target });
+                self.send_notify(endpoint, monitor, target);
             }
         }
     }
@@ -388,17 +375,13 @@ impl Node {
         if target == self.id && monitor != self.id && !self.ps.contains(&monitor) {
             // Someone claims `monitor` should monitor me: verify, then admit.
             if self.check(monitor, target) {
-                self.sets_epoch += 1;
-                self.ps.insert(monitor);
-                self.emit(AppEvent::MonitorDiscovered { monitor });
+                self.admit_monitor(monitor);
             }
         }
         if monitor == self.id && target != self.id && !self.targets.contains_key(&target) {
             // Someone claims I should monitor `target`: verify, then adopt.
             if self.check(monitor, target) {
-                self.sets_epoch += 1;
-                self.targets.insert(target, super::TargetRecord::new(now));
-                self.emit(AppEvent::TargetDiscovered { target });
+                self.adopt_target(now, target);
             }
         }
     }
@@ -411,31 +394,45 @@ impl Node {
         }
         // Do I monitor the joiner?
         if !self.targets.contains_key(&origin) && self.check(self.id, origin) {
-            self.sets_epoch += 1;
-            self.targets.insert(origin, super::TargetRecord::new(now));
-            self.emit(AppEvent::TargetDiscovered { target: origin });
-            self.stats.notifies_sent += 1;
-            self.send(
-                origin,
-                Message::Notify {
-                    monitor: self.id,
-                    target: origin,
-                },
-            );
+            self.adopt_target(now, origin);
+            self.send_notify(origin, self.id, origin);
         }
         // Does the joiner monitor me?
         if !self.ps.contains(&origin) && self.check(origin, self.id) {
-            self.sets_epoch += 1;
-            self.ps.insert(origin);
-            self.emit(AppEvent::MonitorDiscovered { monitor: origin });
-            self.stats.notifies_sent += 1;
-            self.send(
-                origin,
-                Message::Notify {
-                    monitor: origin,
-                    target: self.id,
-                },
-            );
+            self.admit_monitor(origin);
+            self.send_notify(origin, origin, self.id);
         }
+    }
+
+    /// Admits `monitor` into `PS(x)`, which must not hold it yet. The one
+    /// way an entry enters `PS`, so every such membership change bumps
+    /// `sets_epoch` exactly once — the signal the simulator's incremental
+    /// invariant checking relies on to skip unchanged nodes (see
+    /// "Incremental checking" in `avmon-sim`'s `invariants.rs`) — and
+    /// surfaces as one [`AppEvent::MonitorDiscovered`].
+    fn admit_monitor(&mut self, monitor: NodeId) {
+        self.sets_epoch += 1;
+        let fresh = self.ps.insert(monitor);
+        debug_assert!(fresh, "admit_monitor on a known monitor");
+        self.emit(AppEvent::MonitorDiscovered { monitor });
+    }
+
+    /// Adopts `target` into `TS(x)`, which must not hold it yet, with a
+    /// fresh record discovered at `now`. The one way an entry enters `TS`,
+    /// under the same rule as [`Node::admit_monitor`]: exactly one
+    /// `sets_epoch` bump per membership change, and one
+    /// [`AppEvent::TargetDiscovered`].
+    fn adopt_target(&mut self, now: TimeMs, target: NodeId) {
+        self.sets_epoch += 1;
+        let previous = self.targets.insert(target, TargetRecord::new(now));
+        debug_assert!(previous.is_none(), "adopt_target on a known target");
+        self.emit(AppEvent::TargetDiscovered { target });
+    }
+
+    /// Sends `NOTIFY(monitor, target)` to `to`: the one NOTIFY send site,
+    /// so `notifies_sent` counts every one.
+    fn send_notify(&mut self, to: NodeId, monitor: NodeId, target: NodeId) {
+        self.stats.notifies_sent += 1;
+        self.send(to, Message::Notify { monitor, target });
     }
 }

@@ -800,20 +800,9 @@ impl Node {
                 self.send(from, Message::InitViewReply { nonce, view });
             }
             Message::InitViewReply { nonce, view } => {
-                if let Some(PendingEntry {
-                    state: Pending::InitView { peer },
-                    ..
-                }) = self.pending.remove(&nonce)
-                {
-                    if peer == from {
-                        let mut adopted = 0;
-                        for id in view {
-                            if self.view.insert(id) {
-                                adopted += 1;
-                            }
-                        }
-                        self.emit(AppEvent::ViewInherited { from, adopted });
-                    }
+                if self.retire(nonce, Pending::InitView { peer: from }) {
+                    let adopted = view.into_iter().filter(|&id| self.view.insert(id)).count();
+                    self.emit(AppEvent::ViewInherited { from, adopted });
                 }
             }
             Message::ViewPing { nonce } => {
@@ -821,18 +810,7 @@ impl Node {
                 self.send(from, Message::ViewPong { nonce });
             }
             Message::ViewPong { nonce } => {
-                if let Some(PendingEntry {
-                    state: Pending::ViewPing { peer },
-                    ..
-                }) = self.pending.get(&nonce)
-                {
-                    if *peer == from {
-                        // Retiring the entry cancels the armed Expire: the
-                        // firing fails the liveness check and is discarded
-                        // (or dropped by the driver before delivery).
-                        self.pending.remove(&nonce);
-                    }
-                }
+                self.retire(nonce, Pending::ViewPing { peer: from });
             }
             Message::ViewFetch { nonce } => {
                 self.last_view_probe_rx = Some(Stamp::new(now));
@@ -840,15 +818,8 @@ impl Node {
                 self.send(from, Message::ViewFetchReply { nonce, view });
             }
             Message::ViewFetchReply { nonce, view } => {
-                if let Some(PendingEntry {
-                    state: Pending::ViewFetch { peer },
-                    ..
-                }) = self.pending.get(&nonce)
-                {
-                    if *peer == from {
-                        self.pending.remove(&nonce);
-                        self.process_fetched_view(now, from, &view);
-                    }
+                if self.retire(nonce, Pending::ViewFetch { peer: from }) {
+                    self.process_fetched_view(now, from, &view);
                 }
             }
             Message::Notify { monitor, target } => {
@@ -860,29 +831,16 @@ impl Node {
                 self.send(from, Message::MonitorPong { nonce });
             }
             Message::MonitorPong { nonce } => {
-                if let Some(PendingEntry {
-                    state: Pending::MonitorPing { peer },
-                    ..
-                }) = self.pending.get(&nonce)
-                {
-                    if *peer == from {
-                        self.pending.remove(&nonce);
-                        self.record_pong(now, from);
-                    }
+                if self.retire(nonce, Pending::MonitorPing { peer: from }) {
+                    self.record_pong(now, from);
                 }
             }
             Message::ReportRequest { nonce, count } => {
                 self.serve_report(from, nonce, count);
             }
             Message::ReportReply { nonce, monitors } => {
-                if let Some(PendingEntry {
-                    state: Pending::Report { target },
-                    ..
-                }) = self.pending.remove(&nonce)
-                {
-                    if target == from {
-                        self.conclude_report(target, &monitors);
-                    }
+                if self.retire(nonce, Pending::Report { target: from }) {
+                    self.conclude_report(from, &monitors);
                 }
             }
             Message::HistoryRequest { nonce, target } => {
@@ -894,23 +852,17 @@ impl Node {
                 availability,
                 samples,
             } => {
-                if let Some(PendingEntry {
-                    state:
-                        Pending::History {
-                            monitor,
-                            target: expected,
-                        },
-                    ..
-                }) = self.pending.remove(&nonce)
-                {
-                    if monitor == from && target == expected {
-                        self.emit(AppEvent::HistoryOutcome {
-                            monitor,
-                            target,
-                            availability,
-                            samples,
-                        });
-                    }
+                let answered = Pending::History {
+                    monitor: from,
+                    target,
+                };
+                if self.retire(nonce, answered) {
+                    self.emit(AppEvent::HistoryOutcome {
+                        monitor: from,
+                        target,
+                        availability,
+                        samples,
+                    });
                 }
             }
             Message::AddMeRequest => {
@@ -1080,6 +1032,21 @@ impl Node {
         self.pending.insert(nonce, PendingEntry { state, deadline });
         self.arm_timer(Timer::Expire(nonce), deadline);
         nonce
+    }
+
+    /// Retires request `nonce` if `answered` — the request kind, the peer
+    /// the reply came from and, for history, the target it names — is
+    /// exactly what [`Node::begin_request`] stored for it; returns whether
+    /// it did. The one way a reply touches the pending table, so a reply
+    /// answers only its own request: one of the wrong kind, from the wrong
+    /// peer or about the wrong target changes nothing, and the request
+    /// stays outstanding until its [`Timer::Expire`] (DESIGN.md note 4).
+    /// Retiring cancels the armed `Expire`: that firing fails the liveness
+    /// check and is discarded (or dropped by the driver before delivery).
+    fn retire(&mut self, nonce: Nonce, answered: Pending) -> bool {
+        self.pending
+            .remove_if(&nonce, |entry| entry.state == answered)
+            .is_some()
     }
 
     /// Whether firing `timer` at `now` would do any work — the driver-side

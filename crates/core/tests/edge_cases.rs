@@ -7,8 +7,8 @@
 use std::sync::Arc;
 
 use avmon::{
-    Action, Config, HashSelector, JoinKind, Message, MonitorSelector, Node, NodeId, Nonce, Timer,
-    MINUTE,
+    Action, AppEvent, Behavior, Config, HashSelector, JoinKind, Message, MonitorSelector, Node,
+    NodeId, Nonce, Timer, MINUTE,
 };
 
 fn id(i: u32) -> NodeId {
@@ -51,7 +51,17 @@ fn forged_pong_from_wrong_peer_does_not_cancel_eviction() {
     n.handle_message(MINUTE + 1, id(66), Message::ViewPong { nonce: ping_nonce });
     let _ = drain(&mut n);
     // …so the expiry still evicts the silent peer.
-    for a in &actions {
+    let _ = fire_expiries(&mut n, &actions);
+    assert!(
+        !n.view().contains(id(2)),
+        "forged pong must not rescue the entry"
+    );
+}
+
+/// Fires every `Expire` timer `actions` arms, at its armed time, and
+/// returns the events the firings emit.
+fn fire_expiries(n: &mut Node, actions: &[Action]) -> Vec<AppEvent> {
+    for a in actions {
         if let Action::SetTimer {
             timer: t @ Timer::Expire(_),
             at,
@@ -60,11 +70,171 @@ fn forged_pong_from_wrong_peer_does_not_cancel_eviction() {
             n.handle_timer(*at, *t);
         }
     }
-    let _ = drain(&mut n);
-    assert!(
-        !n.view().contains(id(2)),
-        "forged pong must not rescue the entry"
+    events(&drain(n))
+}
+
+fn events(actions: &[Action]) -> Vec<AppEvent> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            Action::App(e) => Some(e.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The nonce of the first send in `actions` that `pick` recognises.
+fn sent_nonce(actions: &[Action], pick: impl Fn(&Message) -> Option<Nonce>) -> Nonce {
+    sends(actions).iter().find_map(|(_, m)| pick(m)).unwrap()
+}
+
+#[test]
+fn report_reply_to_a_monitor_ping_does_not_cancel_suspicion() {
+    let config = Config::builder(64).k(20).build().unwrap();
+    let selector = Arc::new(HashSelector::from_config(&config));
+    let mut n = Node::new(id(1), config, selector.clone(), 9);
+    let target = (2..64)
+        .map(id)
+        .find(|&t| selector.is_monitor(id(1), t))
+        .unwrap();
+    n.handle_message(
+        0,
+        id(60),
+        Message::Notify {
+            monitor: id(1),
+            target,
+        },
     );
+    let _ = drain(&mut n);
+    n.handle_timer(MINUTE, Timer::Monitoring);
+    let actions = drain(&mut n);
+    let nonce = sent_nonce(&actions, |m| match m {
+        Message::MonitorPing { nonce } => Some(*nonce),
+        _ => None,
+    });
+    // The target answers its ping with the wrong kind of reply: that is
+    // no pong, so it neither reports anything nor retires the ping…
+    n.handle_message(
+        MINUTE + 1,
+        target,
+        Message::ReportReply {
+            nonce,
+            monitors: vec![],
+        },
+    );
+    assert!(drain(&mut n).is_empty(), "a mismatched reply is ignored");
+    // …and the ping's expiry still opens the suspicion.
+    assert_eq!(
+        fire_expiries(&mut n, &actions),
+        [AppEvent::TargetUnresponsive { target }]
+    );
+}
+
+#[test]
+fn report_reply_from_a_third_party_does_not_cancel_the_request() {
+    let mut n = mk(1, 100);
+    n.request_report(MINUTE, id(2), 3);
+    let actions = drain(&mut n);
+    let nonce = sent_nonce(&actions, |m| match m {
+        Message::ReportRequest { nonce, .. } => Some(*nonce),
+        _ => None,
+    });
+    n.handle_message(
+        MINUTE + 1,
+        id(3),
+        Message::ReportReply {
+            nonce,
+            monitors: vec![id(4)],
+        },
+    );
+    assert!(drain(&mut n).is_empty(), "only the target can answer");
+    assert_eq!(
+        fire_expiries(&mut n, &actions),
+        [AppEvent::RequestTimedOut { peer: id(2) }]
+    );
+}
+
+#[test]
+fn history_reply_about_another_target_is_ignored() {
+    let mut n = mk(1, 100);
+    n.request_history(MINUTE, id(2), id(5));
+    let actions = drain(&mut n);
+    let nonce = sent_nonce(&actions, |m| match m {
+        Message::HistoryRequest { nonce, .. } => Some(*nonce),
+        _ => None,
+    });
+    n.handle_message(
+        MINUTE + 1,
+        id(2),
+        Message::HistoryReply {
+            nonce,
+            target: id(6),
+            availability: Some(1.0),
+            samples: 10,
+        },
+    );
+    assert!(
+        drain(&mut n).is_empty(),
+        "the answer must name the target asked about"
+    );
+    assert_eq!(
+        fire_expiries(&mut n, &actions),
+        [AppEvent::RequestTimedOut { peer: id(2) }]
+    );
+}
+
+#[test]
+fn init_view_reply_from_a_non_contact_is_ignored() {
+    let mut n = mk(1, 100);
+    n.start(0, JoinKind::Fresh, Some(id(2)));
+    let nonce = sent_nonce(&drain(&mut n), |m| match m {
+        Message::InitViewRequest { nonce } => Some(*nonce),
+        _ => None,
+    });
+    n.handle_message(
+        1,
+        id(3),
+        Message::InitViewReply {
+            nonce,
+            view: vec![id(7), id(8)],
+        },
+    );
+    assert!(drain(&mut n).is_empty(), "no ViewInherited from a stranger");
+    assert!(n.view().is_empty(), "the stranger's view is not adopted");
+    // The request is still the contact's to answer.
+    n.handle_message(
+        2,
+        id(2),
+        Message::InitViewReply {
+            nonce,
+            view: vec![id(9)],
+        },
+    );
+    assert_eq!(
+        events(&drain(&mut n)),
+        [AppEvent::ViewInherited {
+            from: id(2),
+            adopted: 1
+        }]
+    );
+    assert_eq!(n.view().iter().collect::<Vec<_>>(), [id(9)]);
+}
+
+#[test]
+fn fake_target_listed_twice_is_adopted_once() {
+    let mut n = mk(1, 100);
+    n.set_behavior(Behavior::FakeMonitor {
+        targets: vec![id(5), id(5)],
+    });
+    let epoch = n.sets_epoch();
+    n.handle_timer(MINUTE, Timer::Protocol);
+    let adopted: Vec<AppEvent> = events(&drain(&mut n))
+        .into_iter()
+        .filter(|e| matches!(e, AppEvent::TargetDiscovered { .. }))
+        .collect();
+    assert_eq!(adopted, [AppEvent::TargetDiscovered { target: id(5) }]);
+    assert_eq!(n.target_set_len(), 1);
+    assert_eq!(n.sets_epoch(), epoch + 1, "one bump per membership change");
 }
 
 #[test]
@@ -73,16 +243,7 @@ fn pong_after_expiry_is_harmless() {
     n.seed_view(&[id(2)]);
     n.handle_timer(MINUTE, Timer::Protocol);
     let actions = drain(&mut n);
-    for a in &actions {
-        if let Action::SetTimer {
-            timer: t @ Timer::Expire(_),
-            at,
-        } = a
-        {
-            n.handle_timer(*at, *t);
-        }
-    }
-    let _ = drain(&mut n);
+    let _ = fire_expiries(&mut n, &actions);
     // Late replies to expired nonces are dropped without effect.
     for (_, m) in sends(&actions) {
         if let Message::ViewPing { nonce } = m {

@@ -96,3 +96,42 @@ proptest! {
         }
     }
 }
+
+/// §4.2's closed forms exist twice: `CvsPolicy` computes them in `avmon`,
+/// and `avmon_analysis::optimal` holds them for the analysis. Neither crate
+/// can depend on the other without a new dependency edge, so this holds
+/// the two equal: every N up to 200 000, then a sampled sweep to 10⁷ that
+/// includes every N where `⌈·⌉` changes value (`N = k⁴` and `2N = k³`).
+#[test]
+fn cvs_policy_matches_the_analysis_closed_forms() {
+    use avmon::CvsPolicy;
+    use avmon_analysis::{cvs_optimal_md, cvs_optimal_mdc};
+
+    let closed = |cvs: f64| (cvs.ceil() as usize).max(2);
+    let check = |n: usize| {
+        let nf = n as f64;
+        assert_eq!(
+            CvsPolicy::OptimalMd.cvs(n),
+            closed(cvs_optimal_md(nf)),
+            "MD at N = {n}"
+        );
+        assert_eq!(
+            CvsPolicy::OptimalMdc.cvs(n),
+            closed(cvs_optimal_mdc(nf)),
+            "MDC at N = {n}"
+        );
+        assert_eq!(
+            CvsPolicy::PAPER_DEFAULT.cvs(n),
+            closed(cvs_optimal_mdc(nf) * 4.0),
+            "4·N^¼ at N = {n}"
+        );
+    };
+    (2..=200_000).for_each(check);
+    (200_000..=10_000_000).step_by(9_973).for_each(check);
+    for k in 2usize..=60 {
+        (k.pow(4) - 1..=k.pow(4) + 1).for_each(check);
+    }
+    for k in 2usize..=272 {
+        (k.pow(3) / 2 - 1..=k.pow(3) / 2 + 1).for_each(check);
+    }
+}
