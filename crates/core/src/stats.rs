@@ -38,36 +38,6 @@ pub struct NodeStats {
 }
 
 impl NodeStats {
-    /// Field-wise difference `self - earlier` (both snapshots of the same
-    /// node; counters are monotonic so saturating arithmetic suffices).
-    #[must_use]
-    pub fn delta(&self, earlier: &NodeStats) -> NodeStats {
-        NodeStats {
-            messages_sent: self.messages_sent.saturating_sub(earlier.messages_sent),
-            bytes_sent: self.bytes_sent.saturating_sub(earlier.bytes_sent),
-            messages_received: self
-                .messages_received
-                .saturating_sub(earlier.messages_received),
-            bytes_received: self.bytes_received.saturating_sub(earlier.bytes_received),
-            hash_checks: self.hash_checks.saturating_sub(earlier.hash_checks),
-            notifies_sent: self.notifies_sent.saturating_sub(earlier.notifies_sent),
-            joins_forwarded: self.joins_forwarded.saturating_sub(earlier.joins_forwarded),
-            monitor_pings_sent: self
-                .monitor_pings_sent
-                .saturating_sub(earlier.monitor_pings_sent),
-            monitor_pings_suppressed: self
-                .monitor_pings_suppressed
-                .saturating_sub(earlier.monitor_pings_suppressed),
-            monitor_pongs_received: self
-                .monitor_pongs_received
-                .saturating_sub(earlier.monitor_pongs_received),
-            monitor_pings_received: self
-                .monitor_pings_received
-                .saturating_sub(earlier.monitor_pings_received),
-            view_evictions: self.view_evictions.saturating_sub(earlier.view_evictions),
-        }
-    }
-
     /// Accumulates `other` into `self` (for system-wide aggregation).
     pub fn merge(&mut self, other: &NodeStats) {
         self.messages_sent += other.messages_sent;
@@ -88,24 +58,6 @@ impl NodeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn delta_subtracts_fieldwise() {
-        let earlier = NodeStats {
-            messages_sent: 10,
-            bytes_sent: 100,
-            ..Default::default()
-        };
-        let later = NodeStats {
-            messages_sent: 15,
-            bytes_sent: 160,
-            ..Default::default()
-        };
-        let d = later.delta(&earlier);
-        assert_eq!(d.messages_sent, 5);
-        assert_eq!(d.bytes_sent, 60);
-        assert_eq!(d.hash_checks, 0);
-    }
 
     #[test]
     fn merge_accumulates() {

@@ -67,14 +67,6 @@ impl TableKey for NodeId {
     }
 }
 
-/// Pairs mix each half separately before combining, so `(a, b)` and
-/// `(b, a)` land apart even though `to_u64` images are small integers.
-impl TableKey for (NodeId, NodeId) {
-    fn mix(&self) -> u64 {
-        mix64(self.0.to_u64() ^ mix64(self.1.to_u64()))
-    }
-}
-
 /// One slot of the table. The discriminant doubles as the control byte
 /// of a classic open-addressed scheme: `Empty` terminates probe chains,
 /// `Tomb` (tombstone) keeps them alive across removals.
@@ -912,17 +904,16 @@ mod tests {
 
     #[test]
     fn set_semantics_match_hashset() {
-        let mut s: FlatSet<(NodeId, NodeId)> = FlatSet::new();
+        let mut s: FlatSet<NodeId> = FlatSet::new();
         let a = NodeId::from_index(1);
         let b = NodeId::from_index(2);
-        assert!(s.insert((a, b)));
-        assert!(!s.insert((a, b)));
-        // Ordered pairs are directional: (a, b) ≠ (b, a).
-        assert!(s.insert((b, a)));
+        assert!(s.insert(a));
+        assert!(!s.insert(a));
+        assert!(s.insert(b));
         assert_eq!(s.len(), 2);
-        assert!(s.contains(&(a, b)));
-        assert!(s.remove(&(a, b)));
-        assert!(!s.remove(&(a, b)));
+        assert!(s.contains(&a));
+        assert!(s.remove(&a));
+        assert!(!s.remove(&a));
         assert_eq!(s.len(), 1);
         s.clear();
         assert!(s.is_empty());

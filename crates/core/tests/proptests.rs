@@ -448,7 +448,7 @@ proptest! {
 // and state corruption always self-heals without structural violations.
 
 use avmon::TargetRecord;
-use avmon_sim::{Attack, AttackEvent, Corruption, Fault, Scenario, ScenarioEvent};
+use avmon_sim::{Corruption, Fault, Scenario, ScenarioEvent};
 
 fn arb_corruption() -> impl Strategy<Value = Corruption> {
     prop_oneof![
@@ -472,11 +472,11 @@ fn arb_corrupt_event() -> impl Strategy<Value = ScenarioEvent> {
     )
 }
 
-fn arb_eclipse_event() -> impl Strategy<Value = AttackEvent> {
+fn arb_eclipse_event() -> impl Strategy<Value = ScenarioEvent> {
     (any::<u64>(), arb_view(6), arb_view(6), 1u64..=avmon::HOUR).prop_map(
-        |(at, coalition, victims, duration)| AttackEvent {
+        |(at, coalition, victims, duration)| ScenarioEvent {
             at,
-            attack: Attack::Eclipse {
+            fault: Fault::Eclipse {
                 coalition,
                 victims,
                 duration,
@@ -500,7 +500,7 @@ fn garbage_record(discovered_at: u64, pings: u64, pongs: u64) -> TargetRecord {
 }
 
 proptest! {
-    /// Arbitrary attack/corruption timelines survive the serde boundary
+    /// Arbitrary eclipse/corruption timelines survive the serde boundary
     /// byte-exactly, so a failing fuzz seed's scenario JSON is a complete,
     /// replayable bug report. Deliberately built from raw literals rather
     /// than the validating builder: replay tooling deserializes *before*
@@ -508,14 +508,13 @@ proptest! {
     /// overlapping sets) must round-trip.
     #[test]
     fn adversary_timelines_round_trip_serde(
-        events in proptest::collection::vec(arb_corrupt_event(), 0..6),
-        attacks in proptest::collection::vec(arb_eclipse_event(), 0..6),
+        corruptions in proptest::collection::vec(arb_corrupt_event(), 0..6),
+        eclipses in proptest::collection::vec(arb_eclipse_event(), 0..6),
         name_tag in any::<u32>(),
     ) {
         let scenario = Scenario {
             name: format!("fuzz-{name_tag}"),
-            events,
-            attacks,
+            events: corruptions.into_iter().chain(eclipses).collect(),
         };
         let json = serde_json::to_string(&scenario).unwrap();
         prop_assert_eq!(serde_json::from_str::<Scenario>(&json).unwrap(), scenario);

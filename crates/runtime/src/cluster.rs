@@ -81,8 +81,16 @@ impl ClusterBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an I/O error if a UDP socket cannot be bound.
+    /// Returns [`std::io::ErrorKind::InvalidInput`] if the loss probability
+    /// is outside `[0, 1)`, or an I/O error if a UDP socket cannot be
+    /// bound.
     pub fn spawn(self) -> std::io::Result<Cluster> {
+        if !(0.0..1.0).contains(&self.loss) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("loss must be in [0, 1), got {}", self.loss),
+            ));
+        }
         let selector = HashSelector::from_config_with_kind(&self.config, self.hasher);
         let board: SnapshotBoard = Arc::new(RwLock::new(HashMap::new()));
         let (events_tx, events_rx) = unbounded();

@@ -71,6 +71,18 @@ fn lossy_network_still_converges() {
 }
 
 #[test]
+fn out_of_range_loss_is_an_input_error() {
+    for loss in [-0.1, 1.0, 1.5, f64::NAN] {
+        let err = Cluster::builder(fast_config(4), 4)
+            .loss(loss)
+            .spawn()
+            .err()
+            .unwrap_or_else(|| panic!("loss {loss} accepted"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    }
+}
+
+#[test]
 fn report_commands_round_trip() {
     let n = 16;
     let cluster = Cluster::builder(fast_config(n), n)

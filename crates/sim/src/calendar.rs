@@ -53,7 +53,7 @@ pub(crate) enum EventKind {
         pattern: Corruption,
         seed: u64,
     },
-    /// A scenario-scheduled behavior switch: attack campaigns flip the
+    /// A scenario-scheduled behavior switch: eclipse campaigns flip the
     /// coalition's behavior at the window edges. `None` is honest.
     SetBehavior {
         node: NodeId,

@@ -34,7 +34,7 @@ use crate::invariants::{InvariantChecker, InvariantConfig};
 use crate::metrics::{DiscoveryLog, NodeSeries, SimReport};
 use crate::network::{LatencyModel, NetworkModel, NetworkState, Route};
 use crate::qos::QosAccumulator;
-use crate::scenario::{Attack, Corruption, Fault, Scenario};
+use crate::scenario::{Corruption, Fault, Scenario};
 
 /// Simulation options beyond the protocol [`Config`].
 #[derive(Debug, Clone)]
@@ -47,9 +47,9 @@ pub struct SimOptions {
     /// The network model: propagation delays plus always-on link faults.
     /// Defaults to the paper's reliable network.
     pub network: NetworkModel,
-    /// Timeline of injected faults (partitions, bursts, freezes); `None`
-    /// runs fault-free.
-    pub scenario: Option<Scenario>,
+    /// Timeline of injected faults (partitions, bursts, freezes,
+    /// corruptions, eclipse campaigns); the empty default runs fault-free.
+    pub scenario: Scenario,
     /// The always-on protocol invariant checker's sweep strategy;
     /// violations land in [`SimReport::invariants`].
     pub invariants: InvariantConfig,
@@ -67,7 +67,7 @@ impl SimOptions {
             config,
             hasher: HasherKind::Fast64,
             network: NetworkModel::default(),
-            scenario: None,
+            scenario: Scenario::default(),
             invariants: InvariantConfig::default(),
             seed: 1,
             behaviors: Vec::new(),
@@ -114,7 +114,7 @@ impl SimOptions {
     /// Installs a fault-injection scenario.
     #[must_use]
     pub fn scenario(mut self, scenario: Scenario) -> Self {
-        self.scenario = Some(scenario);
+        self.scenario = scenario;
         self
     }
 
@@ -147,10 +147,7 @@ impl SimOptions {
             ));
         }
         self.network.validate()?;
-        if let Some(scenario) = &self.scenario {
-            scenario.validate()?;
-        }
-        Ok(())
+        self.scenario.validate()
     }
 }
 
@@ -451,58 +448,56 @@ impl Simulation {
             }
         }
         let mut freezes: BTreeMap<usize, Vec<(TimeMs, TimeMs)>> = BTreeMap::new();
-        if let Some(scenario) = &opts.scenario {
-            for (id, from, until) in scenario.freeze_windows() {
-                if let Some(s) = slot(id) {
-                    freezes.entry(s).or_default().push((from, until));
-                }
+        for (id, from, until) in opts.scenario.freeze_windows() {
+            if let Some(s) = slot(id) {
+                freezes.entry(s).or_default().push((from, until));
             }
-            // Corruption injections are ordinary calendar events (after
-            // same-instant churn, by sequence number).
-            for e in &scenario.events {
-                if let Fault::Corrupt {
+        }
+        // Corruption injections are ordinary calendar events (after
+        // same-instant churn, by sequence number).
+        for e in &opts.scenario.events {
+            if let Fault::Corrupt {
+                node,
+                pattern,
+                seed,
+            } = e.fault
+            {
+                let kind = EventKind::Corrupt {
                     node,
                     pattern,
                     seed,
-                } = e.fault
-                {
-                    let kind = EventKind::Corrupt {
-                        node,
-                        pattern,
-                        seed,
-                    };
-                    calendar.defer(e.at, kind);
-                }
+                };
+                calendar.defer(e.at, kind);
             }
-            // Attack campaigns compile to paired behavior switches: every
-            // coalition member turns coat at the window start and reverts
-            // to its statically-assigned behavior (default honest) at the
-            // end. The members share the campaign's one behavior.
-            for e in &scenario.attacks {
-                let Attack::Eclipse {
-                    coalition,
-                    victims,
-                    duration,
-                } = &e.attack;
-                let campaign = Arc::new(Behavior::EclipseCoalition {
-                    coalition: coalition.clone(),
-                    victims: victims.clone(),
-                });
-                for &node in coalition {
-                    let behavior = Some(Arc::clone(&campaign));
-                    calendar.defer(e.at, EventKind::SetBehavior { node, behavior });
-                    let behavior = slot(node).and_then(|s| behaviors.get(&s).cloned());
-                    calendar.defer(e.at + duration, EventKind::SetBehavior { node, behavior });
-                }
+        }
+        // Eclipse campaigns compile to paired behavior switches, deferred
+        // after every corruption: every coalition member turns coat at the
+        // window start and reverts to its statically-assigned behavior
+        // (default honest) at the end. The members share the campaign's
+        // one behavior.
+        for e in &opts.scenario.events {
+            let Fault::Eclipse {
+                coalition,
+                victims,
+                duration,
+            } = &e.fault
+            else {
+                continue;
+            };
+            let campaign = Arc::new(Behavior::EclipseCoalition {
+                coalition: coalition.clone(),
+                victims: victims.clone(),
+            });
+            for &node in coalition {
+                let behavior = Some(Arc::clone(&campaign));
+                calendar.defer(e.at, EventKind::SetBehavior { node, behavior });
+                let behavior = slot(node).and_then(|s| behaviors.get(&s).cloned());
+                calendar.defer(e.at + duration, EventKind::SetBehavior { node, behavior });
             }
         }
         let rng = SmallRng::seed_from_u64(opts.seed ^ 0xdead_beef_cafe_f00d);
-        let net = NetworkState::compile(opts.network.clone(), opts.scenario.as_ref());
-        let quiescent_from = opts
-            .scenario
-            .as_ref()
-            .map(Scenario::quiescent_after)
-            .unwrap_or(0);
+        let net = NetworkState::compile(opts.network.clone(), &opts.scenario.events);
+        let quiescent_from = opts.scenario.quiescent_after();
         let mut checker = InvariantChecker::new(
             opts.invariants.clone(),
             selector.clone(),
@@ -510,9 +505,7 @@ impl Simulation {
             quiescent_from,
             opts.network.faults.loss > 0.0,
         );
-        if let Some(scenario) = &opts.scenario {
-            checker.set_adversary_windows(&scenario.adversary_windows());
-        }
+        checker.set_adversary_windows(&opts.scenario.adversary_windows());
         Ok(Simulation {
             trace,
             config: Arc::new(opts.config.clone()),

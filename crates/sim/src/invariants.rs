@@ -307,7 +307,7 @@ pub struct InvariantSummary {
     /// Hard violations (empty ⇔ the run upheld every checked property).
     pub violations: Vec<RecordedViolation>,
     /// Violations *expected* under a declared adversary window (an active
-    /// attack campaign, or corruption still inside its re-convergence
+    /// eclipse campaign, or corruption still inside its re-convergence
     /// bound). Recorded for scoring — the earliest entry per window is the
     /// checker's detection time — but never failing [`Self::passed`]:
     /// a scenario-declared adversary corrupting state is the experiment,
@@ -370,10 +370,11 @@ pub struct InvariantChecker {
     /// incarnation, not once per sampling tick, so long runs don't bloat
     /// the report while the first-corruption timestamp stays sharp.
     reported: BTreeSet<(u8, NodeId, NodeId)>,
-    /// Declared adversary windows (attacks, corruptions) under
-    /// stabilization tracking. Tiny in practice (a handful per scenario),
-    /// so linear scans beat an index.
-    stab: Vec<StabState>,
+    /// Declared adversary windows (eclipse campaigns, corruptions) under
+    /// stabilization tracking, each kept as the outcome the report
+    /// carries. Tiny in practice (a handful per scenario), so linear scans
+    /// beat an index.
+    windows: Vec<WindowOutcome>,
     summary: InvariantSummary,
 }
 
@@ -407,20 +408,6 @@ fn offender(violation: &InvariantViolation) -> Option<NodeId> {
     }
 }
 
-/// One declared adversary window handed to the checker by the engine:
-/// during `[opened_at, heals_at]` the node is an active attacker or was
-/// just corrupted, and after `heals_at` it owes re-convergence within the
-/// checker's derived bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdversaryWindow {
-    /// The attacker / corrupted node.
-    pub node: NodeId,
-    /// When the adversary condition begins.
-    pub opened_at: TimeMs,
-    /// When it ends (equals `opened_at` for instantaneous corruption).
-    pub heals_at: TimeMs,
-}
-
 /// The scored outcome of one adversary window, surfaced in the report's
 /// failure-detector QoS section.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -431,8 +418,9 @@ pub struct WindowOutcome {
     pub opened_at: TimeMs,
     /// When it ended.
     pub heals_at: TimeMs,
-    /// When re-convergence was owed (`heals_at` + derived bound, extended
-    /// over downtime).
+    /// When re-convergence is owed (`heals_at` + derived bound, extended
+    /// when the node spends part of the window down: a dead node cannot
+    /// heal).
     pub deadline: TimeMs,
     /// How long after `opened_at` the checker first flagged the node's
     /// state, if it ever did (the checker's detection time).
@@ -445,19 +433,12 @@ pub struct WindowOutcome {
     pub failed: bool,
 }
 
-/// Internal per-window tracking state.
-#[derive(Debug, Clone)]
-struct StabState {
-    window: AdversaryWindow,
-    /// Re-convergence deadline; extended when the node spends part of the
-    /// window down (a dead node cannot heal).
-    deadline: TimeMs,
-    /// First detection of the adversary's footprint, if any.
-    detected_at: Option<TimeMs>,
-    /// The deadline passed with the node live and clean: proven.
-    closed: bool,
-    /// A post-deadline violation surfaced: failed.
-    failed: bool,
+impl WindowOutcome {
+    /// Whether the deadline has passed with the node live: the window is
+    /// settled as proven, or was since broken by a late violation.
+    fn closed(&self) -> bool {
+        self.proven || self.failed
+    }
 }
 
 impl InvariantChecker {
@@ -490,7 +471,7 @@ impl InvariantChecker {
             warned_slow: FlatSet::new(),
             verified_at: FlatMap::new(),
             reported: BTreeSet::new(),
-            stab: Vec::new(),
+            windows: Vec::new(),
             summary: InvariantSummary {
                 enabled: true,
                 ..InvariantSummary::default()
@@ -498,7 +479,7 @@ impl InvariantChecker {
         }
     }
 
-    /// Declares the scenario's adversary windows (attack campaigns and
+    /// Declares the scenario's adversary windows (eclipse campaigns and
     /// corruption events). Violations by these nodes inside their windows
     /// become *expected* (scored, not failing); each window then owes
     /// re-convergence within [`Self::grace`] of healing — the same
@@ -506,17 +487,15 @@ impl InvariantChecker {
     /// entries re-heal through the very same NOTIFY discovery path.
     pub fn set_adversary_windows(&mut self, windows: &[(NodeId, TimeMs, TimeMs)]) {
         let bound = self.grace();
-        self.stab = windows
+        self.windows = windows
             .iter()
-            .map(|&(node, opened_at, heals_at)| StabState {
-                window: AdversaryWindow {
-                    node,
-                    opened_at,
-                    heals_at,
-                },
+            .map(|&(node, opened_at, heals_at)| WindowOutcome {
+                node,
+                opened_at,
+                heals_at,
                 deadline: heals_at + bound,
-                detected_at: None,
-                closed: false,
+                detected_after_ms: None,
+                proven: false,
                 failed: false,
             })
             .collect();
@@ -525,20 +504,7 @@ impl InvariantChecker {
     /// The scored outcome of every declared adversary window.
     #[must_use]
     pub fn stabilization(&self) -> Vec<WindowOutcome> {
-        self.stab
-            .iter()
-            .map(|s| WindowOutcome {
-                node: s.window.node,
-                opened_at: s.window.opened_at,
-                heals_at: s.window.heals_at,
-                deadline: s.deadline,
-                detected_after_ms: s
-                    .detected_at
-                    .map(|at| at.saturating_sub(s.window.opened_at)),
-                proven: s.closed && !s.failed,
-                failed: s.failed,
-            })
-            .collect()
+        self.windows.clone()
     }
 
     /// Closes every window whose deadline has passed with its node live:
@@ -548,14 +514,10 @@ impl InvariantChecker {
     /// cannot heal, and its deadline is re-extended on rejoin.
     fn expire_windows(&mut self, now: TimeMs) {
         let mut healed: Vec<NodeId> = Vec::new();
-        for s in &mut self.stab {
-            if !s.closed
-                && !s.failed
-                && now > s.deadline
-                && self.up_since.contains_key(&s.window.node)
-            {
-                s.closed = true;
-                healed.push(s.window.node);
+        for w in &mut self.windows {
+            if !w.closed() && now > w.deadline && self.up_since.contains_key(&w.node) {
+                w.proven = true;
+                healed.push(w.node);
             }
         }
         for node in healed {
@@ -598,9 +560,9 @@ impl InvariantChecker {
         // heal while dead: every still-open window gets a full bound of
         // live time from the rejoin before re-convergence is owed.
         let bound = self.grace();
-        for s in &mut self.stab {
-            if s.window.node == node && !s.closed && !s.failed && now >= s.window.opened_at {
-                s.deadline = s.deadline.max(now.saturating_add(bound));
+        for w in &mut self.windows {
+            if w.node == node && !w.closed() && now >= w.opened_at {
+                w.deadline = w.deadline.max(now.saturating_add(bound));
             }
         }
         // A fresh incarnation gets a fresh dedup slate: corruption that
@@ -808,14 +770,12 @@ impl InvariantChecker {
             // Inside an open declared adversary window the violation is
             // the experiment working: record it as expected (its earliest
             // instance is the window's detection time) and move on.
-            if let Some(s) = self
-                .stab
+            if let Some(w) = self
+                .windows
                 .iter_mut()
-                .find(|s| s.window.node == node && !s.closed && at >= s.window.opened_at)
+                .find(|w| w.node == node && !w.closed() && at >= w.opened_at)
             {
-                if s.detected_at.is_none() {
-                    s.detected_at = Some(at);
-                }
+                w.detected_after_ms.get_or_insert(at - w.opened_at);
                 if let Some(key) = dedup_key(&violation) {
                     if !self.reported.insert(key) {
                         return;
@@ -829,13 +789,10 @@ impl InvariantChecker {
             // A violation after the window closed breaks the re-convergence
             // obligation: surface the stabilization failure first (it pins
             // the node and the missed deadline), then the raw violation.
-            if let Some(idx) = self
-                .stab
-                .iter()
-                .position(|s| s.window.node == node && s.closed && !s.failed)
-            {
-                let deadline = self.stab[idx].deadline;
-                self.stab[idx].failed = true;
+            if let Some(w) = self.windows.iter_mut().find(|w| w.node == node && w.proven) {
+                w.proven = false;
+                w.failed = true;
+                let deadline = w.deadline;
                 self.record_hard(
                     at,
                     InvariantViolation::StabilizationFailure { node, deadline },

@@ -77,8 +77,8 @@
 //!
 //! ## Adversaries and self-stabilization
 //!
-//! Beyond link faults, a scenario can declare coordinated *attack
-//! campaigns* ([`Attack::Eclipse`] — coalition NOTIFY forgery, join and
+//! Beyond link faults, the same timeline can declare coordinated *eclipse
+//! campaigns* ([`Fault::Eclipse`] — coalition NOTIFY forgery, join and
 //! notify suppression, victim overreporting) and instantaneous *state
 //! corruption* ([`Fault::Corrupt`] — ghost PS/TS entries, dropped
 //! entries, scrambled monitoring counters). Declared adversary windows
@@ -100,7 +100,7 @@
 //! * `crosscheck` — the Fig. 2 cross-check hashed one hop ahead on a second
 //!   core, replayed only onto bit-equal sides ([`CrossCheckStats`])
 //! * [`network`] — latency model, link faults, compiled partition windows
-//! * [`scenario`] — declarative fault and attack timelines
+//! * [`scenario`] — the declarative fault timeline
 //! * [`invariants`] — the always-on protocol invariant checker
 //! * [`metrics`] — the report types the paper's figures are plotted from
 //! * `qos` — streaming failure-detector QoS accumulators
@@ -120,14 +120,12 @@ pub use calendar::CalendarStats;
 pub use crosscheck::CrossCheckStats;
 pub use engine::{SimOptions, Simulation};
 pub use invariants::{
-    AdversaryWindow, CheckStrategy, InvariantChecker, InvariantConfig, InvariantSummary,
-    InvariantViolation, RngLedger, WindowOutcome,
+    CheckStrategy, InvariantChecker, InvariantConfig, InvariantSummary, InvariantViolation,
+    RngLedger, WindowOutcome,
 };
 pub use metrics::{
     AvailabilityMeasure, DetectionDistribution, DiscoveryLog, EclipseScore, FdQos, NodeSeries,
     SimReport,
 };
 pub use network::{LatencyModel, LinkFaults, NetworkModel};
-pub use scenario::{
-    Attack, AttackEvent, Corruption, Fault, Scenario, ScenarioBuilder, ScenarioEvent,
-};
+pub use scenario::{Corruption, Fault, Scenario, ScenarioBuilder, ScenarioEvent};

@@ -21,7 +21,7 @@ use avmon::{DurMs, FlatSet, NodeId, TimeMs};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::scenario::{Fault, Scenario};
+use crate::scenario::{Fault, ScenarioEvent};
 
 /// Propagation-delay distribution applied to each message independently.
 ///
@@ -290,47 +290,45 @@ fn span(windows: impl Iterator<Item = (TimeMs, TimeMs)>) -> (TimeMs, TimeMs) {
 }
 
 impl NetworkState {
-    /// Compiles `model` and the network-affecting faults of `scenario`.
-    pub(crate) fn compile(model: NetworkModel, scenario: Option<&Scenario>) -> Self {
+    /// Compiles `model` and the network-affecting faults of `events`.
+    pub(crate) fn compile(model: NetworkModel, events: &[ScenarioEvent]) -> Self {
         let mut links = Vec::new();
         let mut bursts = Vec::new();
-        if let Some(scenario) = scenario {
-            for event in &scenario.events {
-                match &event.fault {
-                    Fault::Partition {
-                        a,
-                        b,
-                        symmetric,
-                        duration,
-                    } => links.push(LinkWindow {
-                        from: event.at,
-                        until: event.at + duration,
-                        a: a.iter().copied().collect(),
-                        b: b.iter().copied().collect(),
-                        symmetric: *symmetric,
-                        loss: 1.0,
-                    }),
-                    Fault::Degrade {
-                        a,
-                        b,
-                        symmetric,
-                        loss,
-                        duration,
-                    } => links.push(LinkWindow {
-                        from: event.at,
-                        until: event.at + duration,
-                        a: a.iter().copied().collect(),
-                        b: b.iter().copied().collect(),
-                        symmetric: *symmetric,
-                        loss: *loss,
-                    }),
-                    Fault::LossBurst { loss, duration } => bursts.push(BurstWindow {
-                        from: event.at,
-                        until: event.at + duration,
-                        loss: *loss,
-                    }),
-                    Fault::Freeze { .. } | Fault::Corrupt { .. } => {} // handled by the engine
-                }
+        for event in events {
+            match &event.fault {
+                Fault::Partition {
+                    a,
+                    b,
+                    symmetric,
+                    duration,
+                } => links.push(LinkWindow {
+                    from: event.at,
+                    until: event.at + duration,
+                    a: a.iter().copied().collect(),
+                    b: b.iter().copied().collect(),
+                    symmetric: *symmetric,
+                    loss: 1.0,
+                }),
+                Fault::Degrade {
+                    a,
+                    b,
+                    symmetric,
+                    loss,
+                    duration,
+                } => links.push(LinkWindow {
+                    from: event.at,
+                    until: event.at + duration,
+                    a: a.iter().copied().collect(),
+                    b: b.iter().copied().collect(),
+                    symmetric: *symmetric,
+                    loss: *loss,
+                }),
+                Fault::LossBurst { loss, duration } => bursts.push(BurstWindow {
+                    from: event.at,
+                    until: event.at + duration,
+                    loss: *loss,
+                }),
+                Fault::Freeze { .. } | Fault::Corrupt { .. } | Fault::Eclipse { .. } => {} // handled by the engine
             }
         }
         let links_span = span(links.iter().map(|w| (w.from, w.until)));
@@ -498,7 +496,7 @@ mod tests {
 
     #[test]
     fn reliable_default_always_delivers_once() {
-        let state = NetworkState::compile(NetworkModel::default(), None);
+        let state = NetworkState::compile(NetworkModel::default(), &[]);
         let mut rng = SmallRng::seed_from_u64(3);
         for t in 0..500u64 {
             match state.route(&mut rng, t * 100, id(1), id(2)) {
@@ -515,12 +513,12 @@ mod tests {
     fn full_loss_drops_everything_and_partial_loss_some() {
         let mut model = NetworkModel::default();
         model.faults.loss = 1.0;
-        let state = NetworkState::compile(model.clone(), None);
+        let state = NetworkState::compile(model.clone(), &[]);
         let mut rng = SmallRng::seed_from_u64(4);
         assert_eq!(state.route(&mut rng, 0, id(1), id(2)), Route::Drop);
 
         model.faults.loss = 0.5;
-        let state = NetworkState::compile(model, None);
+        let state = NetworkState::compile(model, &[]);
         let (mut dropped, mut delivered) = (0u32, 0u32);
         for t in 0..1000u64 {
             match state.route(&mut rng, t, id(1), id(2)) {
@@ -535,7 +533,7 @@ mod tests {
     fn duplication_produces_second_copies() {
         let mut model = NetworkModel::default();
         model.faults.duplicate = 1.0;
-        let state = NetworkState::compile(model, None);
+        let state = NetworkState::compile(model, &[]);
         let mut rng = SmallRng::seed_from_u64(5);
         match state.route(&mut rng, 0, id(1), id(2)) {
             Route::Deliver {
@@ -550,7 +548,7 @@ mod tests {
     fn jitter_extends_delay_bound() {
         let mut model = NetworkModel::reliable(LatencyModel::Constant(10));
         model.faults.jitter = 50;
-        let state = NetworkState::compile(model, None);
+        let state = NetworkState::compile(model, &[]);
         let mut rng = SmallRng::seed_from_u64(6);
         let mut seen_above_base = false;
         for t in 0..200u64 {
@@ -571,7 +569,7 @@ mod tests {
             .one_way_partition(MINUTE, MINUTE, vec![id(1)], vec![id(2)])
             .build()
             .unwrap();
-        let state = NetworkState::compile(NetworkModel::default(), Some(&scenario));
+        let state = NetworkState::compile(NetworkModel::default(), &scenario.events);
         let mut rng = SmallRng::seed_from_u64(7);
         // Before the window: open.
         assert!(matches!(
@@ -602,7 +600,7 @@ mod tests {
             .partition(0, MINUTE, vec![id(1)], vec![id(2)])
             .build()
             .unwrap();
-        let state = NetworkState::compile(NetworkModel::default(), Some(&scenario));
+        let state = NetworkState::compile(NetworkModel::default(), &scenario.events);
         let mut rng = SmallRng::seed_from_u64(8);
         assert_eq!(state.route(&mut rng, 10, id(1), id(2)), Route::Drop);
         assert_eq!(state.route(&mut rng, 10, id(2), id(1)), Route::Drop);
@@ -613,7 +611,7 @@ mod tests {
         // The engine's determinism across the PR boundary rests on this:
         // with no faults, route() consumes exactly the draws the old
         // `latency.sample(rng)` call did.
-        let state = NetworkState::compile(NetworkModel::default(), None);
+        let state = NetworkState::compile(NetworkModel::default(), &[]);
         let mut a = SmallRng::seed_from_u64(9);
         let mut b = SmallRng::seed_from_u64(9);
         for t in 0..100u64 {

@@ -9,7 +9,7 @@ use crate::calendar::Calendar;
 use crate::engine::{NodeState, Simulation};
 use crate::invariants::{InvariantSummary, RngLedger};
 use crate::metrics::{AvailabilityMeasure, DiscoveryLog, EclipseScore, SimReport};
-use crate::scenario::Attack;
+use crate::scenario::Fault;
 
 /// Sorts a target's estimates ascending before any float reduction, so the
 /// result is bit-reproducible regardless of which monitor pushed first (the
@@ -175,38 +175,38 @@ impl Simulation {
         // eclipse capture census.
         let window_ms = self.trace.horizon.saturating_sub(self.trace.measure_from);
         let mut qos = self.qos.score(window_ms, self.checker.stabilization());
-        if let Some(scenario) = &self.opts.scenario {
-            let mut coalition_union: FlatSet<NodeId> = FlatSet::new();
-            let mut victims: Vec<NodeId> = Vec::new();
-            for event in &scenario.attacks {
-                let Attack::Eclipse {
-                    coalition,
-                    victims: v,
-                    ..
-                } = &event.attack;
+        let mut coalition_union: FlatSet<NodeId> = FlatSet::new();
+        let mut victims: Vec<NodeId> = Vec::new();
+        for event in &self.opts.scenario.events {
+            if let Fault::Eclipse {
+                coalition,
+                victims: v,
+                ..
+            } = &event.fault
+            {
                 for &member in coalition {
                     coalition_union.insert(member);
                 }
                 victims.extend(v.iter().copied());
             }
-            victims.sort_unstable();
-            victims.dedup();
-            for victim in victims {
-                let Some(slot) = self.slot(victim) else {
-                    continue;
-                };
-                let sim_node = &self.nodes[slot];
-                let ps: Vec<NodeId> = match &sim_node.state {
-                    NodeState::Up(proto) => proto.pinging_set().collect(),
-                    NodeState::Down(persistent) => persistent.ps.clone(),
-                };
-                let captured = ps.iter().filter(|m| coalition_union.contains(m)).count();
-                qos.eclipse.push(EclipseScore {
-                    victim,
-                    captured,
-                    slots: ps.len(),
-                });
-            }
+        }
+        victims.sort_unstable();
+        victims.dedup();
+        for victim in victims {
+            let Some(slot) = self.slot(victim) else {
+                continue;
+            };
+            let sim_node = &self.nodes[slot];
+            let ps: Vec<NodeId> = match &sim_node.state {
+                NodeState::Up(proto) => proto.pinging_set().collect(),
+                NodeState::Down(persistent) => persistent.ps.clone(),
+            };
+            let captured = ps.iter().filter(|m| coalition_union.contains(m)).count();
+            qos.eclipse.push(EclipseScore {
+                victim,
+                captured,
+                slots: ps.len(),
+            });
         }
         let series = self
             .nodes

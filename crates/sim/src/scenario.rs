@@ -1,10 +1,11 @@
 //! Declarative fault-injection scenarios.
 //!
-//! A [`Scenario`] is a timeline of [`Fault`]s injected into a simulation
+//! A [`Scenario`] is one timeline of [`Fault`]s injected into a simulation
 //! run, FoundationDB-style: partitions that heal, loss bursts, degraded
-//! link sets and node freezes, all expressed as data so a failing run is
-//! fully described by `(trace, options, scenario)` and replays
-//! byte-identically from its seeds.
+//! link sets, node freezes, state corruptions and eclipse campaigns, all
+//! expressed as data so a failing run is fully described by
+//! `(trace, options, scenario)` and replays byte-identically from its
+//! seeds.
 //!
 //! Author scenarios with the builder:
 //!
@@ -95,6 +96,20 @@ pub enum Fault {
         /// garbage is deterministic yet independent of every other stream).
         seed: u64,
     },
+    /// The coalition jointly tries to capture the victims' monitor slots:
+    /// every member adopts [`avmon::Behavior::EclipseCoalition`] for the
+    /// window (forged NOTIFY floods, join/notify suppression, coalition
+    /// self-advertisement, victim overreporting), then reverts to the
+    /// behavior it had before (honest, unless `SimOptions::behavior`
+    /// assigned it something else).
+    Eclipse {
+        /// The attacker nodes.
+        coalition: Vec<NodeId>,
+        /// The nodes under attack.
+        victims: Vec<NodeId>,
+        /// How long the campaign runs before the coalition reverts.
+        duration: DurMs,
+    },
 }
 
 /// What [`Fault::Corrupt`] writes over a node's state.
@@ -165,57 +180,7 @@ impl Fault {
                 // Any node, pattern and seed are valid: corruption is
                 // arbitrary-state by definition.
             }
-        }
-        Ok(())
-    }
-
-    fn duration(&self) -> DurMs {
-        match self {
-            Fault::Partition { duration, .. }
-            | Fault::Degrade { duration, .. }
-            | Fault::LossBurst { duration, .. }
-            | Fault::Freeze { duration, .. } => *duration,
-            // Instantaneous; re-convergence time is owned by the
-            // stabilization checker's derived bound.
-            Fault::Corrupt { .. } => 0,
-        }
-    }
-}
-
-/// A timestamped fault.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScenarioEvent {
-    /// When the fault begins.
-    pub at: TimeMs,
-    /// What happens.
-    pub fault: Fault,
-}
-
-/// One coordinated adversary campaign, active from its event's `at` for
-/// `duration` ms; when the window closes the attackers revert to the
-/// behavior they had before (honest, unless `SimOptions::behavior`
-/// assigned them something else).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Attack {
-    /// The coalition jointly tries to capture the victims' monitor slots:
-    /// every member adopts [`avmon::Behavior::EclipseCoalition`] for the
-    /// window (forged NOTIFY floods, join/notify suppression, coalition
-    /// self-advertisement, victim overreporting).
-    Eclipse {
-        /// The attacker nodes.
-        coalition: Vec<NodeId>,
-        /// The nodes under attack.
-        victims: Vec<NodeId>,
-        /// How long the campaign runs before the coalition reverts.
-        duration: DurMs,
-    },
-}
-
-impl Attack {
-    fn validate(&self) -> Result<(), avmon::Error> {
-        let err = |msg: String| Err(avmon::Error::InvalidConfig(msg));
-        match self {
-            Attack::Eclipse {
+            Fault::Eclipse {
                 coalition,
                 victims,
                 duration,
@@ -236,29 +201,35 @@ impl Attack {
 
     fn duration(&self) -> DurMs {
         match self {
-            Attack::Eclipse { duration, .. } => *duration,
+            Fault::Partition { duration, .. }
+            | Fault::Degrade { duration, .. }
+            | Fault::LossBurst { duration, .. }
+            | Fault::Freeze { duration, .. }
+            | Fault::Eclipse { duration, .. } => *duration,
+            // Instantaneous; re-convergence time is owned by the
+            // stabilization checker's derived bound.
+            Fault::Corrupt { .. } => 0,
         }
     }
 }
 
-/// A timestamped attack campaign.
+/// A timestamped fault.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AttackEvent {
-    /// When the campaign begins.
+pub struct ScenarioEvent {
+    /// When the fault begins.
     pub at: TimeMs,
-    /// The campaign.
-    pub attack: Attack,
+    /// What happens.
+    pub fault: Fault,
 }
 
-/// A named, validated timeline of faults and attack campaigns.
+/// A named, validated fault timeline. The empty default is the
+/// fault-free run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct Scenario {
     /// Human-readable scenario name (embeds the seed for generated ones).
     pub name: String,
     /// The fault timeline, sorted by start time.
     pub events: Vec<ScenarioEvent>,
-    /// The attack timeline, sorted by start time.
-    pub attacks: Vec<AttackEvent>,
 }
 
 impl Scenario {
@@ -268,27 +239,48 @@ impl Scenario {
         ScenarioBuilder {
             name: name.into(),
             events: Vec::new(),
-            attacks: Vec::new(),
         }
     }
 
-    /// Checks every fault and attack in the timeline.
+    /// Checks every fault in the timeline, and that no node serves in two
+    /// eclipse campaigns at once (each campaign's end reverts its members).
     ///
     /// # Errors
     ///
     /// Returns [`avmon::Error::InvalidConfig`] describing the first
-    /// invalid fault or attack.
+    /// invalid fault or overlapping pair of campaigns.
     pub fn validate(&self) -> Result<(), avmon::Error> {
         for event in &self.events {
             event.fault.validate()?;
         }
-        for event in &self.attacks {
-            event.attack.validate()?;
+        let campaigns: Vec<(TimeMs, TimeMs, &[NodeId])> = self
+            .events
+            .iter()
+            .filter_map(|e| match &e.fault {
+                Fault::Eclipse {
+                    coalition,
+                    duration,
+                    ..
+                } => Some((e.at, e.at.saturating_add(*duration), coalition.as_slice())),
+                _ => None,
+            })
+            .collect();
+        for (i, &(from, until, members)) in campaigns.iter().enumerate() {
+            for &(other_from, other_until, others) in &campaigns[i + 1..] {
+                if from < other_until
+                    && other_from < until
+                    && members.iter().any(|m| others.contains(m))
+                {
+                    return Err(avmon::Error::InvalidConfig(format!(
+                        "eclipse campaigns at {from} and {other_from} ms overlap and share a member"
+                    )));
+                }
+            }
         }
         Ok(())
     }
 
-    /// The first instant after which no fault or attack is active any more
+    /// The first instant after which no fault is active any more
     /// (0 for an empty scenario). Invariant grace windows are measured
     /// from here: guarantees are only owed once the network has healed.
     #[must_use]
@@ -296,7 +288,6 @@ impl Scenario {
         self.events
             .iter()
             .map(|e| e.at + e.fault.duration())
-            .chain(self.attacks.iter().map(|e| e.at + e.attack.duration()))
             .max()
             .unwrap_or(0)
     }
@@ -305,19 +296,20 @@ impl Scenario {
     /// stabilization checker: during `[opened_at, heals_at]` the node's
     /// state is *expected* to violate the consistency condition (it is an
     /// active attacker, or was just corrupted), and after `heals_at` it
-    /// owes re-convergence within the checker's derived bound.
+    /// owes re-convergence within the checker's derived bound. Campaign
+    /// members come first, then corruptions: the order of the report's
+    /// `qos.windows`.
     pub(crate) fn adversary_windows(&self) -> Vec<(NodeId, TimeMs, TimeMs)> {
         let mut windows = Vec::new();
-        for event in &self.attacks {
-            match &event.attack {
-                Attack::Eclipse {
-                    coalition,
-                    duration,
-                    ..
-                } => {
-                    for &member in coalition {
-                        windows.push((member, event.at, event.at + duration));
-                    }
+        for event in &self.events {
+            if let Fault::Eclipse {
+                coalition,
+                duration,
+                ..
+            } = &event.fault
+            {
+                for &member in coalition {
+                    windows.push((member, event.at, event.at + duration));
                 }
             }
         }
@@ -412,7 +404,6 @@ impl Scenario {
         // Adversary riders, drawn strictly after every fault draw so the
         // fault timeline a given seed produced before the adversary pack
         // is unchanged. Half the scenarios get an eclipse campaign …
-        let mut attacks = Vec::new();
         if identities.len() >= 4 && rng.gen_range(0..2u8) == 0 {
             let coalition_size = rng.gen_range(2..=3usize.min(identities.len() - 1));
             let victim_count = rng.gen_range(1..=2usize.min(identities.len() - coalition_size));
@@ -423,9 +414,9 @@ impl Scenario {
             }
             let coalition = pool[..coalition_size].to_vec();
             let victims = pool[coalition_size..coalition_size + victim_count].to_vec();
-            attacks.push(AttackEvent {
+            events.push(ScenarioEvent {
                 at: window_from + rng.gen_range(0..span.max(1)),
-                attack: Attack::Eclipse {
+                fault: Fault::Eclipse {
                     coalition,
                     victims,
                     duration: (span / 50 + rng.gen_range(0..=span / 4)).max(1),
@@ -451,11 +442,9 @@ impl Scenario {
             });
         }
         events.sort_by_key(|e| e.at);
-        attacks.sort_by_key(|e| e.at);
         let scenario = Scenario {
             name: format!("random-{seed}"),
             events,
-            attacks,
         };
         debug_assert!(scenario.validate().is_ok());
         scenario
@@ -482,7 +471,6 @@ fn random_split<R: Rng>(rng: &mut R, identities: &[NodeId]) -> (Vec<NodeId>, Vec
 pub struct ScenarioBuilder {
     name: String,
     events: Vec<ScenarioEvent>,
-    attacks: Vec<AttackEvent>,
 }
 
 impl ScenarioBuilder {
@@ -580,27 +568,14 @@ impl ScenarioBuilder {
         coalition: Vec<NodeId>,
         victims: Vec<NodeId>,
     ) -> Self {
-        self.attack(
+        self.push(
             at,
-            Attack::Eclipse {
+            Fault::Eclipse {
                 coalition,
                 victims,
                 duration,
             },
         )
-    }
-
-    /// Appends an arbitrary attack campaign.
-    #[must_use]
-    pub fn attack(mut self, at: TimeMs, attack: Attack) -> Self {
-        self.attacks.push(AttackEvent { at, attack });
-        self
-    }
-
-    /// Appends an arbitrary fault.
-    #[must_use]
-    pub fn fault(self, at: TimeMs, fault: Fault) -> Self {
-        self.push(at, fault)
     }
 
     fn push(mut self, at: TimeMs, fault: Fault) -> Self {
@@ -613,14 +588,13 @@ impl ScenarioBuilder {
     /// # Errors
     ///
     /// Returns [`avmon::Error::InvalidConfig`] for empty or overlapping
-    /// groups, out-of-range probabilities, or zero durations.
+    /// groups, out-of-range probabilities, zero durations, or a node in
+    /// two overlapping eclipse campaigns.
     pub fn build(mut self) -> Result<Scenario, avmon::Error> {
         self.events.sort_by_key(|e| e.at);
-        self.attacks.sort_by_key(|e| e.at);
         let scenario = Scenario {
             name: self.name,
             events: self.events,
-            attacks: self.attacks,
         };
         scenario.validate()?;
         Ok(scenario)
@@ -714,21 +688,6 @@ mod tests {
     }
 
     #[test]
-    fn attack_free_scenarios_round_trip_with_empty_attacks() {
-        // Attack-free scenarios carry an explicit empty `attacks` list (the
-        // vendored serde derive has no default-field support) and still
-        // round-trip exactly.
-        let s = Scenario::builder("old")
-            .loss_burst(MINUTE, MINUTE, 0.1)
-            .build()
-            .unwrap();
-        let json = serde_json::to_string(&s).unwrap();
-        assert!(json.contains("\"attacks\":[]"), "{json}");
-        let back: Scenario = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
-    }
-
-    #[test]
     fn invalid_attacks_rejected() {
         // Overlapping coalition/victims.
         assert!(Scenario::builder("bad")
@@ -748,16 +707,35 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_campaigns_sharing_a_member_rejected() {
+        let two_campaigns = |second_at, second: Vec<NodeId>| {
+            Scenario::builder("overlap")
+                .eclipse(10 * MINUTE, 20 * MINUTE, ids(0..2), ids(5..6))
+                .eclipse(second_at, 30 * MINUTE, second, ids(6..7))
+                .build()
+        };
+        let shared = || vec![NodeId::from_index(0), NodeId::from_index(2)];
+        // The first campaign's end would revert node 0 mid-way through the
+        // second.
+        let err = two_campaigns(20 * MINUTE, shared()).unwrap_err();
+        assert!(matches!(err, avmon::Error::InvalidConfig(_)), "{err}");
+        // Back to back is fine: the revert lands before the next start.
+        assert!(two_campaigns(30 * MINUTE, shared()).is_ok());
+        // So are overlapping windows with disjoint coalitions.
+        assert!(two_campaigns(20 * MINUTE, ids(2..4)).is_ok());
+    }
+
+    #[test]
     fn adversary_windows_cover_attacks_and_corruptions() {
         let s = Scenario::builder("w")
             .eclipse(2 * MINUTE, 3 * MINUTE, ids(0..2), ids(2..3))
             .corrupt(MINUTE, NodeId::from_index(7), Corruption::Drops, 1)
             .build()
             .unwrap();
-        let mut windows = s.adversary_windows();
-        windows.sort();
+        // Campaign members first, then the corruption although it comes
+        // first in time: the order the report's `qos.windows` serializes.
         assert_eq!(
-            windows,
+            s.adversary_windows(),
             vec![
                 (NodeId::from_index(0), 2 * MINUTE, 5 * MINUTE),
                 (NodeId::from_index(1), 2 * MINUTE, 5 * MINUTE),
@@ -776,11 +754,11 @@ mod tests {
         for seed in 0..40u64 {
             let s = Scenario::random(seed, &pop, 10 * MINUTE, 60 * MINUTE);
             s.validate().unwrap();
-            if !s.attacks.is_empty() {
+            if s.events
+                .iter()
+                .any(|e| matches!(e.fault, Fault::Eclipse { .. }))
+            {
                 with_attack += 1;
-                for e in &s.attacks {
-                    assert!(e.at >= 10 * MINUTE && e.at < 60 * MINUTE);
-                }
             }
             if s.events
                 .iter()

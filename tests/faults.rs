@@ -223,7 +223,7 @@ fn invalid_options_rejected_at_construction() {
     assert!(Simulation::try_new(trace.clone(), opts).is_err());
 
     let mut opts = SimOptions::new(config);
-    opts.scenario = Some(Scenario {
+    opts.scenario = Scenario {
         name: "raw-unvalidated".into(),
         events: vec![avmon_sim::ScenarioEvent {
             at: 0,
@@ -232,24 +232,22 @@ fn invalid_options_rejected_at_construction() {
                 duration: MINUTE,
             },
         }],
-        attacks: Vec::new(),
-    });
+    };
     assert!(Simulation::try_new(trace.clone(), opts).is_err());
 
-    // Malformed attacks are rejected the same way: coalition ∩ victims ≠ ∅.
+    // Malformed campaigns are rejected the same way: coalition ∩ victims ≠ ∅.
     let mut opts = SimOptions::new(Config::builder(20).build().unwrap());
-    opts.scenario = Some(Scenario {
-        name: "raw-bad-attack".into(),
-        events: Vec::new(),
-        attacks: vec![avmon_sim::AttackEvent {
+    opts.scenario = Scenario {
+        name: "raw-bad-eclipse".into(),
+        events: vec![avmon_sim::ScenarioEvent {
             at: 0,
-            attack: avmon_sim::Attack::Eclipse {
+            fault: avmon_sim::Fault::Eclipse {
                 coalition: vec![NodeId::from_index(1)],
                 victims: vec![NodeId::from_index(1)],
                 duration: MINUTE,
             },
         }],
-    });
+    };
     assert!(Simulation::try_new(trace, opts).is_err());
 }
 
