@@ -194,12 +194,7 @@ impl SimExecutor {
                     }
                 }
                 let paused = sim.run_until_wake(deadline);
-                (
-                    paused,
-                    sim.now(),
-                    sim.take_app_events_timed(),
-                    sim.take_wakes(),
-                )
+                (paused, sim.now(), sim.take_app_events(), sim.take_wakes())
             };
             self.core.advance(now, events);
             for wake in wakes {

@@ -45,13 +45,10 @@ fn run(node: NodeId, stay: bool) -> (usize, String) {
     let (mut sim, _) = exec.into_parts();
     let mut pauses = 0;
     while sim.run_until_wake(END) {
-        assert!(sim
-            .take_app_events_timed()
-            .iter()
-            .all(|&(_, id, _)| id == node));
+        assert!(sim.take_app_events().iter().all(|&(_, id, _)| id == node));
         pauses += 1;
     }
-    assert!(sim.take_app_events_timed().is_empty());
+    assert!(sim.take_app_events().is_empty());
     (pauses, serde_json::to_string(&sim.run()).unwrap())
 }
 

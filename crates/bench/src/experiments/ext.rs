@@ -150,7 +150,7 @@ pub fn ext_join(ctx: &ExpContext) -> Vec<ResultTable> {
         let control: std::collections::HashSet<NodeId> =
             trace.control_group.iter().copied().collect();
         let mut absorbed: std::collections::HashMap<NodeId, u32> = std::collections::HashMap::new();
-        for (_, event) in sim.take_app_events() {
+        for (_, _, event) in sim.take_app_events() {
             if let avmon::AppEvent::JoinAbsorbed { origin } = event {
                 if control.contains(&origin) {
                     *absorbed.entry(origin).or_default() += 1;

@@ -19,15 +19,15 @@ fn main() -> ExitCode {
         Some("stat") => cmd_stat(&args[1..]),
         Some("convert") => cmd_convert(&args[1..]),
         _ => {
-            eprintln!(
-                "usage:\n  trace-tool gen <stat|synth|synth-bd|synth-bd2|planetlab|overnet> \
-                 [--n N] [--hours H] [--seed S] --out FILE\n  trace-tool stat FILE\n  \
-                 trace-tool convert IN OUT"
-            );
+            eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
     }
 }
+
+const USAGE: &str = "usage:\n  trace-tool gen <stat|synth|synth-bd|synth-bd2|planetlab|overnet> \
+                     [--n N] [--hours H] [--seed S] --out FILE\n  trace-tool stat FILE\n  \
+                     trace-tool convert IN OUT";
 
 fn parse_flag(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -35,20 +35,48 @@ fn parse_flag(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// The number after `flag`: `default` when the flag is absent, an error
+/// naming the raw text when it is present but missing, not a `T`, or not
+/// `valid`.
+fn number_flag<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    default: T,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    let Some(at) = args.iter().position(|a| a == flag) else {
+        return Ok(default);
+    };
+    let raw = args.get(at + 1).map_or("", String::as_str);
+    raw.parse()
+        .ok()
+        .filter(valid)
+        .ok_or_else(|| format!("gen: invalid {flag} {raw:?}"))
+}
+
 fn cmd_gen(args: &[String]) -> ExitCode {
     let Some(model) = args.first() else {
         eprintln!("gen: missing model");
         return ExitCode::FAILURE;
     };
-    let n: usize = parse_flag(args, "--n")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500);
-    let hours: f64 = parse_flag(args, "--hours")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4.0);
-    let seed: u64 = parse_flag(args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    // `--hours` must give at least 1 ms: a generator needs a non-empty
+    // horizon after its warm-up.
+    let numbers = || -> Result<(usize, f64, u64), String> {
+        Ok((
+            number_flag(args, "--n", 500, |&n| n >= 1)?,
+            number_flag(args, "--hours", 4.0, |&h: &f64| {
+                h.is_finite() && h * HOUR as f64 >= 1.0
+            })?,
+            number_flag(args, "--seed", 1, |_| true)?,
+        ))
+    };
+    let (n, hours, seed) = match numbers() {
+        Ok(numbers) => numbers,
+        Err(message) => {
+            eprintln!("{message}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
     let Some(out) = parse_flag(args, "--out") else {
         eprintln!("gen: missing --out FILE");
         return ExitCode::FAILURE;

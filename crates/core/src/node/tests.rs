@@ -1575,14 +1575,14 @@ fn per_pair_fetched_view(n: &mut Node, now: TimeMs, w: NodeId, fetched: &[NodeId
 /// The batched cross-check (two `accepted_pairs` calls, matches merged
 /// back into loop order) against the per-pair loop, round after round on
 /// twin nodes: the same outputs in the same order, the same `hash_checks`,
-/// the same sets and view. Staged, 16-lane and default-path selectors;
-/// an honest node and an eclipse-coalition member whose suppression
-/// drops pairs from both the walk and the count; fetched views that
-/// contain `x`, `w` and duplicates, with sides that do and do not fill a
-/// 16-lane block.
+/// the same sets and view. Staged and 16-lane hash selectors and a
+/// programmed one; an honest node and an eclipse-coalition member whose
+/// suppression drops pairs from both the walk and the count; fetched
+/// views that contain `x`, `w` and duplicates, with sides that do and do
+/// not fill a 16-lane block.
 #[test]
 fn batched_cross_check_matches_the_per_pair_loop() {
-    use crate::selector::{HashSelector, PointOnly};
+    use crate::selector::HashSelector;
     use avmon_hash::{Fast64PairHasher, Md5PairHasher};
 
     let cfg = Config::builder(1000).cvs(40).build().unwrap();
@@ -1594,11 +1594,6 @@ fn batched_cross_check_matches_the_per_pair_loop() {
     let selectors: Vec<SharedSelector> = vec![
         Arc::new(HashSelector::new(Fast64PairHasher::new(), 300.0, 1000.0)),
         Arc::new(HashSelector::new(Md5PairHasher::new(), 300.0, 1000.0)),
-        Arc::new(HashSelector::new(
-            PointOnly(Md5PairHasher::new()),
-            300.0,
-            1000.0,
-        )),
         TestSelector::with_pairs(&programmed),
     ];
     let eclipse = Behavior::EclipseCoalition {
@@ -1756,12 +1751,12 @@ fn per_entry_audit(n: &mut Node) -> Vec<(bool, NodeId)> {
 /// same sets, the same `sets_epoch`, no output and no `hash_checks`. The
 /// shared routine behind the audit, `for_each_unselected`, reports
 /// exactly the loop's drops, in its order, and counts nothing either.
-/// Staged, 16-lane and default-path selectors, sets that do and do not
-/// fill a 16-lane block, and a selector that accepts the diagonal, whose
-/// self entries must still be purged.
+/// Staged and 16-lane hash selectors and a programmed one, sets that do
+/// and do not fill a 16-lane block, and a selector that accepts the
+/// diagonal, whose self entries must still be purged.
 #[test]
 fn batched_audit_matches_the_per_entry_loop() {
-    use crate::selector::{HashSelector, PointOnly, SelfReportSelector};
+    use crate::selector::{HashSelector, SelfReportSelector};
     use avmon_hash::{Fast64PairHasher, Md5PairHasher};
 
     let cfg = Config::builder(1000).cvs(40).build().unwrap();
@@ -1774,11 +1769,6 @@ fn batched_audit_matches_the_per_entry_loop() {
     let selectors: Vec<SharedSelector> = vec![
         Arc::new(HashSelector::new(Fast64PairHasher::new(), 300.0, 1000.0)),
         Arc::new(HashSelector::new(Md5PairHasher::new(), 300.0, 1000.0)),
-        Arc::new(HashSelector::new(
-            PointOnly(Md5PairHasher::new()),
-            300.0,
-            1000.0,
-        )),
         TestSelector::with_pairs(&programmed),
         Arc::new(SelfReportSelector::new()),
     ];

@@ -33,38 +33,18 @@ pub trait MonitorSelector: Debug + Send + Sync {
     /// A short stable identifier for logs and experiment output.
     fn name(&self) -> &'static str;
 
-    /// The raw hash point behind [`MonitorSelector::is_monitor`], when the
-    /// scheme is a pure pair hash. `Some(point)` promises that
-    /// `is_monitor(m, t) == selection_threshold().unwrap().accepts(point)`
-    /// forever, whatever the membership — the property that lets a driver
-    /// evaluate the condition ahead of time, on another thread, and reuse
-    /// the answer. Membership-dependent schemes (e.g. [`DhtRingSelector`])
-    /// must return `None`: their answers cannot be reused.
-    fn hash_point(&self, monitor: NodeId, target: NodeId) -> Option<HashPoint> {
-        let _ = (monitor, target);
-        None
-    }
-
-    /// The acceptance threshold paired with [`MonitorSelector::hash_point`];
-    /// `None` whenever `hash_point` is `None`.
-    fn selection_threshold(&self) -> Option<Threshold> {
-        None
-    }
-
     /// Batch enumeration of the condition over `monitors × targets`:
     /// calls `out(mi, ti)` for every ordered pair with
     /// `monitors[mi] != targets[ti]` and `is_monitor(monitors[mi],
     /// targets[ti])`, in lexicographic `(mi, ti)` order.
     ///
     /// Semantically identical to the obvious double loop (which is the
-    /// default implementation); [`HashSelector`] overrides it with a
-    /// staged enumeration that shares the hash prefix across every pair
-    /// whose target identities agree on their leading bytes, or with
-    /// [`PAIR_LANES`]-pair batches for a hasher without one. It is how a
-    /// node evaluates the Fig. 2 cross-check and how the invariant checker
+    /// default implementation); [`HashSelector`] overrides it with its
+    /// hasher's batch form (see [`BatchHasher`]). It is how a node
+    /// evaluates the Fig. 2 cross-check and how the invariant checker
     /// builds its exact agreement-sweep candidate index. Sorting `targets`
-    /// by identity maximizes prefix sharing but is not required for
-    /// correctness.
+    /// by identity maximizes Fast64's prefix sharing but is not required
+    /// for correctness.
     fn accepted_pairs(
         &self,
         monitors: &[NodeId],
@@ -135,7 +115,7 @@ impl HashSelector<Fast64PairHasher> {
     }
 }
 
-impl<H: PairHasher> HashSelector<H> {
+impl<H: BatchHasher> HashSelector<H> {
     /// Builds the selector with threshold `k/n` over `hasher`.
     #[must_use]
     pub fn new(hasher: H, k: f64, n: f64) -> Self {
@@ -144,107 +124,102 @@ impl<H: PairHasher> HashSelector<H> {
             threshold: Threshold::from_ratio(k, n),
         }
     }
-
-    /// The consistency-condition threshold in use.
-    #[must_use]
-    pub fn threshold(&self) -> Threshold {
-        self.threshold
-    }
-
-    /// The underlying hasher.
-    #[must_use]
-    pub fn hasher(&self) -> &H {
-        &self.hasher
-    }
-
-    /// `H(monitor ‖ target)`: the hasher's fixed-length pair kernel over
-    /// the pair assembled in registers — bit-identical to
-    /// `hasher.point(&NodeId::pair_bytes(monitor, target))`.
-    #[inline]
-    fn point(&self, monitor: NodeId, target: NodeId) -> HashPoint {
-        let (head, tail) = NodeId::pair_words(monitor, target);
-        self.hasher.point12(head, tail)
-    }
 }
 
-impl<H: PairHasher> MonitorSelector for HashSelector<H> {
+impl<H: BatchHasher> MonitorSelector for HashSelector<H> {
+    /// `H(monitor ‖ target)` by the hasher's fixed-length pair kernel over
+    /// the pair assembled in registers — bit-identical to
+    /// `hasher.point(&NodeId::pair_bytes(monitor, target))`.
     fn is_monitor(&self, monitor: NodeId, target: NodeId) -> bool {
-        self.threshold.accepts(self.point(monitor, target))
+        let (head, tail) = NodeId::pair_words(monitor, target);
+        self.threshold.accepts(self.hasher.point12(head, tail))
     }
 
     fn name(&self) -> &'static str {
         "hash"
     }
 
-    fn hash_point(&self, monitor: NodeId, target: NodeId) -> Option<HashPoint> {
-        Some(self.point(monitor, target))
-    }
-
-    fn selection_threshold(&self) -> Option<Threshold> {
-        Some(self.threshold)
-    }
-
-    /// Two batch forms, picked once per call by whether the hasher stages
-    /// a 12-byte input (its `point12_prefix`):
-    ///
-    /// * **Staged** (Fast64). The pair's first 8 bytes — its `head` word:
-    ///   the monitor plus the target's leading 2 bytes — are absorbed once
-    ///   per run of targets sharing them (identity-sorted targets make runs
-    ///   maximal), and each pair pays only the 4-byte tail resumption.
-    /// * **Lanes** (MD5, any hasher without a staged form). The
-    ///   off-diagonal pairs, in order, are packed [`PAIR_LANES`] at a time
-    ///   into one `point12_lanes` call, so a hasher with a lane kernel runs
-    ///   the pairs side by side. The last block's unused lanes repeat
-    ///   earlier pairs and are ignored.
-    ///
-    /// Both hash every pair with `pair_words`' bytes, so both report
-    /// exactly `is_monitor`'s pairs, in the default's order.
     fn accepted_pairs(
         &self,
         monitors: &[NodeId],
         targets: &[NodeId],
         out: &mut dyn FnMut(usize, usize),
     ) {
-        match self.hasher.point12_prefix(&[0; 8]) {
-            Some(_) => self.staged_pairs(monitors, targets, out),
-            None => self.lane_pairs(monitors, targets, out),
-        }
+        self.hasher
+            .accepted_pairs(self.threshold, monitors, targets, out);
     }
 }
 
-impl<H: PairHasher> HashSelector<H> {
-    /// The staged form of [`MonitorSelector::accepted_pairs`]. A run whose
-    /// prefix the hasher does not stage is hashed whole by `point12`.
-    fn staged_pairs(
+/// A hasher a [`HashSelector`] runs on: one of the built-in two, each with
+/// the batch form of [`MonitorSelector::accepted_pairs`] its type has,
+/// picked at compile time.
+///
+/// * **Staged** ([`Fast64PairHasher`]). The pair's first 8 bytes — its
+///   `head` word: the monitor plus the target's leading 2 bytes — are
+///   absorbed once per run of targets sharing them (identity-sorted
+///   targets make runs maximal), and each pair pays only
+///   [`Fast64PairHasher::finish12`].
+/// * **Lanes** ([`Md5PairHasher`]). The off-diagonal pairs, in order, are
+///   packed [`PAIR_LANES`] at a time into one
+///   [`Md5PairHasher::point12_lanes`] call, so their compressions run side
+///   by side. The last block's unused lanes repeat earlier pairs and are
+///   ignored.
+///
+/// Both hash every pair with `pair_words`' bytes, so both report exactly
+/// `is_monitor`'s pairs, in the trait default's order. The trait is
+/// sealed: a hasher joins by giving its batch form here.
+pub trait BatchHasher: PairHasher + sealed::Sealed {
+    /// Calls `out(mi, ti)` for every pair with `monitors[mi] !=
+    /// targets[ti]` whose point `threshold` accepts, in `(mi, ti)` order.
+    fn accepted_pairs(
         &self,
+        threshold: Threshold,
+        monitors: &[NodeId],
+        targets: &[NodeId],
+        out: &mut dyn FnMut(usize, usize),
+    );
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for avmon_hash::Fast64PairHasher {}
+    impl Sealed for avmon_hash::Md5PairHasher {}
+}
+
+impl BatchHasher for Fast64PairHasher {
+    fn accepted_pairs(
+        &self,
+        threshold: Threshold,
         monitors: &[NodeId],
         targets: &[NodeId],
         out: &mut dyn FnMut(usize, usize),
     ) {
+        let Some(&first) = targets.first() else {
+            return;
+        };
         for (mi, &m) in monitors.iter().enumerate() {
-            // The head word of the current run, and the hasher's state
-            // after absorbing it.
-            let (mut run_head, mut state) = (None, None);
+            // The head word of the current run, and the state after
+            // absorbing it.
+            let mut run_head = NodeId::pair_words(m, first).0;
+            let mut state = Fast64PairHasher::absorb12_head(run_head);
             for (ti, &t) in targets.iter().enumerate() {
                 let (head, tail) = NodeId::pair_words(m, t);
-                if run_head != Some(head) {
-                    run_head = Some(head);
-                    state = self.hasher.point12_prefix(&head.to_le_bytes());
+                if head != run_head {
+                    run_head = head;
+                    state = Fast64PairHasher::absorb12_head(head);
                 }
-                let point = match state {
-                    Some(state) => self.hasher.point12_resume(state, &tail.to_le_bytes()),
-                    None => self.hasher.point12(head, tail),
-                };
-                if m != t && self.threshold.accepts(point) {
+                if m != t && threshold.accepts(Fast64PairHasher::finish12(state, tail)) {
                     out(mi, ti);
                 }
             }
         }
     }
+}
 
-    /// The lane form of [`MonitorSelector::accepted_pairs`].
-    fn lane_pairs(
+impl BatchHasher for Md5PairHasher {
+    fn accepted_pairs(
         &self,
+        threshold: Threshold,
         monitors: &[NodeId],
         targets: &[NodeId],
         out: &mut dyn FnMut(usize, usize),
@@ -265,38 +240,44 @@ impl<H: PairHasher> HashSelector<H> {
                 block.at[lane] = (mi, ti);
                 block.len += 1;
                 if block.len == PAIR_LANES {
-                    self.emit_lanes(&mut block, out);
+                    block.emit(self, threshold, out);
                 }
             }
         }
-        self.emit_lanes(&mut block, out);
-    }
-
-    /// Hashes the first `block.len` lanes, reports the accepted ones in
-    /// lane order and empties the block.
-    fn emit_lanes(&self, block: &mut LaneBlock, out: &mut dyn FnMut(usize, usize)) {
-        if block.len == 0 {
-            return;
-        }
-        let mut points = [0u64; PAIR_LANES];
-        self.hasher
-            .point12_lanes(&block.heads, &block.tails, &mut points);
-        for (&point, &(mi, ti)) in points.iter().zip(&block.at).take(block.len) {
-            if self.threshold.accepts(HashPoint::from_bits(point)) {
-                out(mi, ti);
-            }
-        }
-        block.len = 0;
+        block.emit(self, threshold, out);
     }
 }
 
-/// Pairs gathered for one [`PairHasher::point12_lanes`] call: their words,
-/// their `(monitor, target)` indices, and how many lanes are filled.
+/// Pairs gathered for one [`Md5PairHasher::point12_lanes`] call: their
+/// words, their `(monitor, target)` indices, and how many lanes are filled.
 struct LaneBlock {
     heads: [u64; PAIR_LANES],
     tails: [u32; PAIR_LANES],
     at: [(usize, usize); PAIR_LANES],
     len: usize,
+}
+
+impl LaneBlock {
+    /// Hashes the first `len` lanes, reports the accepted ones in lane
+    /// order and empties the block.
+    fn emit(
+        &mut self,
+        hasher: &Md5PairHasher,
+        threshold: Threshold,
+        out: &mut dyn FnMut(usize, usize),
+    ) {
+        if self.len == 0 {
+            return;
+        }
+        let mut points = [0u64; PAIR_LANES];
+        hasher.point12_lanes(&self.heads, &self.tails, &mut points);
+        for (&point, &(mi, ti)) in points.iter().zip(&self.at).take(self.len) {
+            if threshold.accepts(HashPoint::from_bits(point)) {
+                out(mi, ti);
+            }
+        }
+        self.len = 0;
+    }
 }
 
 /// Strawman 1 (§1): self-reporting — `PS(x) = {x}`.
@@ -508,24 +489,6 @@ impl ReportVerification {
     #[must_use]
     pub fn all_verified(&self) -> bool {
         self.rejected.is_empty()
-    }
-}
-
-/// MD5 behind only the required [`PairHasher`] methods, so its `point12`
-/// and `point12_lanes` are the trait's defaults: the batch equivalence
-/// tests' hasher with neither a staged form nor a lane kernel.
-#[cfg(test)]
-#[derive(Debug)]
-pub(crate) struct PointOnly(pub(crate) Md5PairHasher);
-
-#[cfg(test)]
-impl PairHasher for PointOnly {
-    fn point(&self, input: &[u8]) -> HashPoint {
-        self.0.point(input)
-    }
-
-    fn name(&self) -> &'static str {
-        "point-only"
     }
 }
 
@@ -783,8 +746,8 @@ mod tests {
 
     /// The batch enumeration must agree pair-for-pair, in order, with the
     /// naive double loop over `is_monitor` — for the staged fast64 hasher,
-    /// MD5's 16-lane kernel, MD5 on the default lane loop, and a
-    /// membership-based selector using the trait default — on side lengths
+    /// MD5's 16-lane kernel, and a membership-based selector using the
+    /// trait default — on side lengths
     /// that leave a 16-lane block empty, partial, exactly full and full
     /// plus one, on both sides, with overlapping sides so the skipped
     /// diagonal shifts the lanes.
@@ -802,11 +765,6 @@ mod tests {
         let selectors: Vec<Box<dyn MonitorSelector>> = vec![
             Box::new(HashSelector::new(Fast64PairHasher::new(), 9.0, 120.0)),
             Box::new(HashSelector::new(Md5PairHasher::new(), 9.0, 120.0)),
-            Box::new(HashSelector::new(
-                PointOnly(Md5PairHasher::new()),
-                9.0,
-                120.0,
-            )),
             Box::new({
                 let mut ring = DhtRingSelector::new(5);
                 for &id in &nodes[..40] {

@@ -6,27 +6,12 @@
 use avmon::bytes::{self, BufMut};
 use avmon::codec::{decode, decode_from, encode, encode_into, encoded_len};
 use avmon::{
-    CoarseView, Config, CvsPolicy, HashPoint, HashSelector, HasherKind, Md5PairHasher, Message,
-    MonitorSelector, NodeId, Nonce, PairHasher, SharedSelector, Threshold,
+    CoarseView, Config, CvsPolicy, HashSelector, HasherKind, Message, MonitorSelector, NodeId,
+    Nonce, PairHasher, Threshold,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-
-/// MD5 behind only the required [`PairHasher`] methods, so its `point12`
-/// and `point12_lanes` are the trait's defaults.
-#[derive(Debug)]
-struct PointOnly(Md5PairHasher);
-
-impl PairHasher for PointOnly {
-    fn point(&self, input: &[u8]) -> HashPoint {
-        self.0.point(input)
-    }
-
-    fn name(&self) -> &'static str {
-        "point-only"
-    }
-}
 
 fn arb_node_id() -> impl Strategy<Value = NodeId> {
     (any::<[u8; 4]>(), any::<u16>()).prop_map(|(ip, port)| NodeId::new(ip, port))
@@ -203,14 +188,12 @@ proptest! {
     }
 
     /// The selector every caller gets (`from_config_with_kind`: monomorphic
-    /// hasher, pair assembled in registers, fixed-length kernel) against the
-    /// reference route it replaced — `HasherKind::build()` hashing the
-    /// serialized `NodeId::pair_bytes` — on `is_monitor`, `hash_point` and
-    /// `accepted_pairs`, for each built-in kind and for MD5 on the trait's
-    /// default `point12` / `point12_lanes`, for arbitrary identities (any
-    /// port, and `monitor == target` on the diagonal) at a dense and a
-    /// sparse threshold. `hash_point` is compared bit for bit, so one byte in the
-    /// wrong lane fails here even where the sparse threshold rejects both.
+    /// hasher, pair assembled in registers, fixed-length kernel, batch form
+    /// picked by type) against the definition — `HasherKind::build()`'s
+    /// `point` over the serialized `NodeId::pair_bytes` — on `is_monitor`
+    /// and `accepted_pairs`, for each built-in kind, for arbitrary
+    /// identities (any port, and `monitor == target` on the diagonal) at a
+    /// dense and a sparse threshold.
     #[test]
     fn kernel_selector_matches_the_pair_bytes_reference(
         ids in proptest::collection::vec(arb_node_id(), 2..10),
@@ -223,34 +206,22 @@ proptest! {
         };
         let (k, n) = config.threshold_ratio();
         let threshold = Threshold::from_ratio(k, n);
-        let default_path: SharedSelector =
-            std::sync::Arc::new(HashSelector::new(PointOnly(Md5PairHasher::new()), k, n));
-        let legs = [
-            (HashSelector::from_config_with_kind(&config, HasherKind::Fast64), HasherKind::Fast64),
-            (HashSelector::from_config_with_kind(&config, HasherKind::Md5), HasherKind::Md5),
-            (default_path, HasherKind::Md5),
-        ];
-        for (kernel, kind) in legs {
+        for kind in [HasherKind::Fast64, HasherKind::Md5] {
+            let kernel = HashSelector::from_config_with_kind(&config, kind);
             let hasher = kind.build();
-            let reference = HashSelector::new(kind.build(), k, n);
             let mut expected_pairs = Vec::new();
             for (mi, &m) in ids.iter().enumerate() {
                 for (ti, &t) in ids.iter().enumerate() {
-                    let point = hasher.point(&NodeId::pair_bytes(m, t));
-                    prop_assert_eq!(kernel.hash_point(m, t), Some(point), "{} {} {}", kind, m, t);
-                    prop_assert_eq!(reference.hash_point(m, t), Some(point));
-                    prop_assert_eq!(kernel.is_monitor(m, t), threshold.accepts(point));
-                    prop_assert_eq!(reference.is_monitor(m, t), threshold.accepts(point));
-                    if m != t && threshold.accepts(point) {
+                    let accepted = threshold.accepts(hasher.point(&NodeId::pair_bytes(m, t)));
+                    prop_assert_eq!(kernel.is_monitor(m, t), accepted, "{} {} {}", kind, m, t);
+                    if m != t && accepted {
                         expected_pairs.push((mi, ti));
                     }
                 }
             }
-            for selector in [&*kernel, &reference as &dyn MonitorSelector] {
-                let mut got = Vec::new();
-                selector.accepted_pairs(&ids, &ids, &mut |mi, ti| got.push((mi, ti)));
-                prop_assert_eq!(&got, &expected_pairs, "{} accepted_pairs", kind);
-            }
+            let mut got = Vec::new();
+            kernel.accepted_pairs(&ids, &ids, &mut |mi, ti| got.push((mi, ti)));
+            prop_assert_eq!(&got, &expected_pairs, "{} accepted_pairs", kind);
         }
     }
 

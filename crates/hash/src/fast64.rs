@@ -44,18 +44,23 @@ impl Fast64PairHasher {
         Fast64PairHasher
     }
 
-    /// State after the length mix and the first (and only full) 8-byte
-    /// word of a 12-byte input.
+    /// The first half of [`PairHasher::point12`]: the state after the
+    /// length mix and the first (and only full) 8-byte word of a 12-byte
+    /// input. Pairs sharing that word share this state, so a batch over
+    /// them pays it once and [`Fast64PairHasher::finish12`] per pair.
     #[inline]
-    fn absorb12_head(head: u64) -> u64 {
+    #[must_use]
+    pub fn absorb12_head(head: u64) -> u64 {
         const LEN_MIX: u64 = mix64(12);
         mix64(SEED ^ LEN_MIX ^ head)
     }
 
-    /// Absorbs the zero-padded 4-byte tail of a 12-byte input and
-    /// finalizes.
+    /// The second half of [`PairHasher::point12`]: absorbs the
+    /// zero-padded 4-byte tail of a 12-byte input into an
+    /// [`Fast64PairHasher::absorb12_head`] state and finalizes.
     #[inline]
-    fn finish12(state: u64, tail: u32) -> HashPoint {
+    #[must_use]
+    pub fn finish12(state: u64, tail: u32) -> HashPoint {
         HashPoint::from_bits(mix64(mix64(state ^ u64::from(tail))))
     }
 }
@@ -89,17 +94,6 @@ impl PairHasher for Fast64PairHasher {
     #[inline]
     fn point12(&self, head: u64, tail: u32) -> HashPoint {
         Self::finish12(Self::absorb12_head(head), tail)
-    }
-
-    /// Fast64 absorbs a 12-byte input as one 8-byte chunk plus a
-    /// zero-padded 4-byte tail, so the state after the first chunk is a
-    /// reusable prefix — see the trait docs.
-    fn point12_prefix(&self, prefix: &[u8; 8]) -> Option<u64> {
-        Some(Self::absorb12_head(u64::from_le_bytes(*prefix)))
-    }
-
-    fn point12_resume(&self, state: u64, tail: &[u8; 4]) -> HashPoint {
-        Self::finish12(state, u32::from_le_bytes(*tail))
     }
 }
 
@@ -149,18 +143,16 @@ mod tests {
             let mut input = [0u8; 12];
             input[..8].copy_from_slice(&mix64(i).to_le_bytes());
             input[8..].copy_from_slice(&(i as u32).to_le_bytes());
-            let prefix: [u8; 8] = input[..8].try_into().unwrap();
-            let tail: [u8; 4] = input[8..].try_into().unwrap();
-            let state = hasher.point12_prefix(&prefix).expect("fast64 is staged");
+            let (head, tail) = crate::pair12_words(&input);
+            let staged = Fast64PairHasher::finish12(Fast64PairHasher::absorb12_head(head), tail);
             assert_eq!(
-                hasher.point12_resume(state, &tail),
+                staged,
                 hasher.point(&input),
                 "staged hash diverged on input {input:?}"
             );
-            let (head, tail_word) = crate::pair12_words(&input);
             assert_eq!(
-                hasher.point12_resume(state, &tail),
-                hasher.point12(head, tail_word),
+                staged,
+                hasher.point12(head, tail),
                 "staged hash diverged from point12 on input {input:?}"
             );
         }

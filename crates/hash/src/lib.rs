@@ -31,23 +31,29 @@
 //! per period. [`PairHasher::point12`] is the fixed-length entry point for
 //! exactly that shape. It takes the 12 bytes as two little-endian words
 //! (see [`pair12_words`]) so a caller that already holds the identities as
-//! integers never writes them to memory, and every built-in hasher
-//! overrides it with the general routine specialised for the known length
-//! — one unrolled word + tail for [`Fast64PairHasher`], one compression of
-//! the single padded block for MD5. It is **the same function of
-//! the same bytes**: `point12(pair12_words(&b)) == point(&b)` for every
-//! `b`, held by `tests/proptests.rs`. [`PairHasher::point`] stays the
-//! definition; `point12` is only ever a faster way to evaluate it.
+//! integers never writes them to memory, and each hasher implements it as
+//! its general routine specialised for the known length — one unrolled
+//! word + tail for [`Fast64PairHasher`], one compression of the single
+//! padded block for MD5. It is **the same function of the same bytes**:
+//! `point12(pair12_words(&b)) == point(&b)` for every `b`, held by
+//! `tests/proptests.rs`. [`PairHasher::point`] stays the definition;
+//! `point12` is only ever a faster way to evaluate it.
 //!
-//! [`PairHasher::point12_lanes`] evaluates [`PAIR_LANES`] such pairs in one
-//! call. Its default is the per-lane `point12` loop; MD5 overrides it with
-//! one single-block compression over the sixteen lanes, so the
-//! compressions run side by side instead of one after another. On a CPU
-//! with AVX-512F that is an intrinsics kernel holding all sixteen lanes in
-//! one 512-bit vector per state word, picked at run time; anywhere else it
-//! is plain Rust over lane arrays that the compiler vectorizes on the
-//! baseline target ([`Md5PairHasher::lane_kernel`] names the one in use).
-//! Both return the same bits: the host picks the path, never the points.
+//! Each built-in hasher also has one batch form of `point12`, inherent to
+//! its type because only a caller that knows the type can use it:
+//!
+//! * [`Fast64PairHasher::absorb12_head`] and [`Fast64PairHasher::finish12`]
+//!   are `point12`'s two halves, so pairs sharing their first 8 bytes
+//!   share the first half.
+//! * [`Md5PairHasher::point12_lanes`] evaluates [`PAIR_LANES`] pairs in
+//!   one single-block compression over the sixteen lanes, so the
+//!   compressions run side by side instead of one after another. On a CPU
+//!   with AVX-512F that is an intrinsics kernel holding all sixteen lanes
+//!   in one 512-bit vector per state word, picked at run time; anywhere
+//!   else it is plain Rust over lane arrays that the compiler vectorizes
+//!   on the baseline target ([`Md5PairHasher::lane_kernel`] names the one
+//!   in use). Both return the same bits: the host picks the path, never
+//!   the points.
 //!
 //! # Example
 //!
@@ -88,99 +94,18 @@ pub trait PairHasher: Debug + Send + Sync {
     /// Maps `input` to a point in the unit interval.
     fn point(&self, input: &[u8]) -> HashPoint;
 
-    /// A short stable identifier (used in experiment output and logs).
-    fn name(&self) -> &'static str;
-
     /// Hashes a 12-byte pair encoding given as two little-endian words:
     /// `head` is bytes `0..8`, `tail` bytes `8..12` (see [`pair12_words`]).
     ///
-    /// Must equal [`PairHasher::point`] over those 12 bytes, bit for bit —
-    /// the default *is* that call. Implementations override it only to
-    /// drop work the fixed length makes redundant (chunk loop, length mix,
-    /// padding, buffering); callers use it to keep a pair they assembled
-    /// from integers in registers instead of serializing it first.
-    fn point12(&self, head: u64, tail: u32) -> HashPoint {
-        self.point(&pair12_bytes(head, tail))
-    }
+    /// Must equal [`PairHasher::point`] over those 12 bytes, bit for bit.
+    /// It drops only the work the fixed length makes redundant (chunk
+    /// loop, length mix, padding, buffering); callers use it to keep a
+    /// pair they assembled from integers in registers instead of
+    /// serializing it first.
+    fn point12(&self, head: u64, tail: u32) -> HashPoint;
 
-    /// [`PairHasher::point12`] over [`PAIR_LANES`] independent pairs:
-    /// `out[i] = point12(heads[i], tails[i]).to_bits()` for every lane.
-    ///
-    /// The default is exactly that loop. A block hasher overrides it to
-    /// run the lanes' compressions side by side in vector code instead of
-    /// one dependent chain per pair (MD5 does). Callers fill unused lanes
-    /// with any pair and ignore their outputs.
-    fn point12_lanes(
-        &self,
-        heads: &[u64; PAIR_LANES],
-        tails: &[u32; PAIR_LANES],
-        out: &mut [u64; PAIR_LANES],
-    ) {
-        for ((point, &head), &tail) in out.iter_mut().zip(heads).zip(tails) {
-            *point = self.point12(head, tail).to_bits();
-        }
-    }
-
-    /// Optional two-stage hashing of a 12-byte pair encoding, split as an
-    /// 8-byte prefix plus a 4-byte tail.
-    ///
-    /// When this returns `Some(state)`, the hasher promises that
-    /// [`PairHasher::point12_resume`]`(state, tail)` equals
-    /// [`PairHasher::point`] of the concatenated 12 bytes, for every tail.
-    /// Batch enumerators (e.g. the agreement-sweep candidate index) exploit
-    /// this to share the prefix absorption across every pair `(monitor, *)`
-    /// whose targets agree on their leading 2 identity bytes, cutting the
-    /// per-pair cost to the tail absorption alone.
-    ///
-    /// The default returns `None`: block hashers like MD5 pad a 12-byte
-    /// input into a single block and have no reusable prefix state.
-    fn point12_prefix(&self, prefix: &[u8; 8]) -> Option<u64> {
-        let _ = prefix;
-        None
-    }
-
-    /// Completes a two-stage 12-byte hash from a
-    /// [`PairHasher::point12_prefix`] state and the 4 tail bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the hasher does not support two-stage hashing (i.e.
-    /// `point12_prefix` returns `None`) — callers must gate on the prefix.
-    fn point12_resume(&self, state: u64, tail: &[u8; 4]) -> HashPoint {
-        let _ = (state, tail);
-        panic!("point12_resume called on a hasher without point12_prefix support")
-    }
-}
-
-impl<T: PairHasher + ?Sized> PairHasher for &T {
-    fn point(&self, input: &[u8]) -> HashPoint {
-        (**self).point(input)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn point12(&self, head: u64, tail: u32) -> HashPoint {
-        (**self).point12(head, tail)
-    }
-
-    fn point12_lanes(
-        &self,
-        heads: &[u64; PAIR_LANES],
-        tails: &[u32; PAIR_LANES],
-        out: &mut [u64; PAIR_LANES],
-    ) {
-        (**self).point12_lanes(heads, tails, out);
-    }
-
-    fn point12_prefix(&self, prefix: &[u8; 8]) -> Option<u64> {
-        (**self).point12_prefix(prefix)
-    }
-
-    fn point12_resume(&self, state: u64, tail: &[u8; 4]) -> HashPoint {
-        (**self).point12_resume(state, tail)
-    }
+    /// A short stable identifier (used in experiment output and logs).
+    fn name(&self) -> &'static str;
 }
 
 impl<T: PairHasher + ?Sized> PairHasher for Box<T> {
@@ -188,37 +113,20 @@ impl<T: PairHasher + ?Sized> PairHasher for Box<T> {
         (**self).point(input)
     }
 
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
     fn point12(&self, head: u64, tail: u32) -> HashPoint {
         (**self).point12(head, tail)
     }
 
-    fn point12_lanes(
-        &self,
-        heads: &[u64; PAIR_LANES],
-        tails: &[u32; PAIR_LANES],
-        out: &mut [u64; PAIR_LANES],
-    ) {
-        (**self).point12_lanes(heads, tails, out);
-    }
-
-    fn point12_prefix(&self, prefix: &[u8; 8]) -> Option<u64> {
-        (**self).point12_prefix(prefix)
-    }
-
-    fn point12_resume(&self, state: u64, tail: &[u8; 4]) -> HashPoint {
-        (**self).point12_resume(state, tail)
+    fn name(&self) -> &'static str {
+        (**self).name()
     }
 }
 
-/// Pairs per [`PairHasher::point12_lanes`] call: one 512-bit vector per MD5
-/// state word on AVX-512F, about a twentieth of the scalar cost per pair;
-/// four 128-bit vectors on baseline x86-64, enough independent chains per
-/// step for the portable kernel to run steadily at about a fifth (DESIGN.md
-/// §7 has the kernels and widths measured).
+/// Pairs per [`Md5PairHasher::point12_lanes`] call: one 512-bit vector per
+/// MD5 state word on AVX-512F, about a twentieth of the scalar cost per
+/// pair; four 128-bit vectors on baseline x86-64, enough independent
+/// chains per step for the portable kernel to run steadily at about a
+/// fifth (DESIGN.md §7 has the kernels and widths measured).
 pub const PAIR_LANES: usize = 16;
 
 /// Splits a 12-byte pair encoding into the two little-endian words
@@ -230,13 +138,6 @@ pub fn pair12_words(bytes: &[u8; 12]) -> (u64, u32) {
         u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]),
         u32::from_le_bytes([b8, b9, b10, b11]),
     )
-}
-
-/// Inverse of [`pair12_words`]: the 12 bytes the two words stand for.
-fn pair12_bytes(head: u64, tail: u32) -> [u8; 12] {
-    let [b0, b1, b2, b3, b4, b5, b6, b7] = head.to_le_bytes();
-    let [b8, b9, b10, b11] = tail.to_le_bytes();
-    [b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11]
 }
 
 /// Enumeration of the built-in hashers, for configuration files and CLIs.
@@ -333,15 +234,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn reference_to_hasher_is_a_hasher() {
-        fn takes_hasher<H: PairHasher>(h: H) -> HashPoint {
-            h.point(b"x")
-        }
-        let md5 = Md5PairHasher::new();
-        let expected = md5.point(b"x");
-        assert_eq!(takes_hasher(md5), expected);
     }
 }

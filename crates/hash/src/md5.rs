@@ -181,7 +181,7 @@ const fn message_index(i: usize) -> usize {
     }
 }
 
-/// One `u32` per lane of a [`PairHasher::point12_lanes`] call.
+/// One `u32` per lane of a [`Md5PairHasher::point12_lanes`] call.
 type Lanes = [u32; PAIR_LANES];
 
 const ZERO: Lanes = [0; PAIR_LANES];
@@ -246,7 +246,7 @@ macro_rules! portable_step {
     };
 }
 
-/// [`PairHasher::point12_lanes`] for MD5 in plain Rust, the kernel of
+/// [`Md5PairHasher::point12_lanes`] in plain Rust, the kernel of
 /// every host without AVX-512F and the reference for the one with it:
 /// [`Md5PairHasher::point12`]'s single-block compression with each state
 /// word a lane array and each step one vectorized pass over it (see
@@ -399,7 +399,7 @@ impl Md5PairHasher {
         Md5PairHasher
     }
 
-    /// The kernel [`PairHasher::point12_lanes`] runs on this host:
+    /// The kernel [`Md5PairHasher::point12_lanes`] runs on this host:
     /// `"avx512f"` where the CPU has AVX-512F, `"portable"` otherwise.
     /// Both give the same points; only the speed differs.
     #[must_use]
@@ -409,6 +409,25 @@ impl Md5PairHasher {
             return "avx512f";
         }
         "portable"
+    }
+
+    /// [`PairHasher::point12`]'s single-block compression on sixteen
+    /// pairs at once, by the kernel [`Md5PairHasher::lane_kernel`] names:
+    /// the AVX-512F one where the CPU has it, the portable one anywhere
+    /// else. The host picks the path, never the bits.
+    pub fn point12_lanes(
+        &self,
+        heads: &[u64; PAIR_LANES],
+        tails: &[u32; PAIR_LANES],
+        out: &mut [u64; PAIR_LANES],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the CPU has AVX-512F, the one feature the kernel
+            // enables.
+            return unsafe { avx512::point12_lanes(heads, tails, out) };
+        }
+        portable_lanes(heads, tails, out);
     }
 }
 
@@ -437,25 +456,6 @@ impl PairHasher for Md5PairHasher {
         let mut state = INIT;
         compress_words(&mut state, &m);
         HashPoint::from_bits(first64(state[0], state[1]))
-    }
-
-    /// [`Md5PairHasher::point12`]'s single-block compression on sixteen
-    /// pairs at once, by the kernel [`Md5PairHasher::lane_kernel`] names:
-    /// the AVX-512F one where the CPU has it, [`portable_lanes`] anywhere
-    /// else. The host picks the path, never the bits.
-    fn point12_lanes(
-        &self,
-        heads: &[u64; PAIR_LANES],
-        tails: &[u32; PAIR_LANES],
-        out: &mut [u64; PAIR_LANES],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: the CPU has AVX-512F, the one feature the kernel
-            // enables.
-            return unsafe { avx512::point12_lanes(heads, tails, out) };
-        }
-        portable_lanes(heads, tails, out);
     }
 }
 
@@ -594,7 +594,10 @@ mod tests {
             for l in 0..PAIR_LANES {
                 let (head, tail) = (heads[l], tails[l]);
                 let point12 = h.point12(head, tail).to_bits();
-                let point = h.point(&crate::pair12_bytes(head, tail)).to_bits();
+                let mut bytes = [0u8; 12];
+                bytes[..8].copy_from_slice(&head.to_le_bytes());
+                bytes[8..].copy_from_slice(&tail.to_le_bytes());
+                let point = h.point(&bytes).to_bits();
                 assert_eq!(point12, point, "point12 vs point, pair {head:#x} {tail:#x}");
                 assert_eq!(
                     portable[l], point12,

@@ -6,21 +6,6 @@ use avmon_hash::{
 };
 use proptest::prelude::*;
 
-/// A hasher that implements only the required methods, so its `point12`
-/// and `point12_lanes` are the trait's defaults.
-#[derive(Debug)]
-struct PointOnly(Md5PairHasher);
-
-impl PairHasher for PointOnly {
-    fn point(&self, input: &[u8]) -> HashPoint {
-        self.0.point(input)
-    }
-
-    fn name(&self) -> &'static str {
-        "point-only"
-    }
-}
-
 /// Fixed 12-byte vectors through the pair kernel: the MD5 answers are the
 /// first 64 digest bits an independent implementation (Python's
 /// `hashlib`) gives, and must also be what the streaming `md5()` here
@@ -102,74 +87,46 @@ proptest! {
 
     /// The fixed-length pair kernel is the same function of the same bytes:
     /// `point12` over the two words equals `point` over the 12 bytes they
-    /// stand for, on every built-in hasher — concretely typed, through the
-    /// `Box<dyn>` / `&` forwarders `HasherKind::build()` hands out, and for
-    /// a hasher that leaves `point12` to the trait's default.
+    /// stand for, on every built-in hasher — concretely typed and through
+    /// the `Box<dyn>` forwarder `HasherKind::build()` hands out.
     #[test]
     fn point12_equals_point_over_the_same_bytes(bytes in any::<[u8; 12]>()) {
         let (head, tail) = pair12_words(&bytes);
-        let plain = PointOnly(Md5PairHasher::new());
-        prop_assert_eq!(plain.point12(head, tail), plain.point(&bytes));
         prop_assert_eq!(Fast64PairHasher::new().point12(head, tail), Fast64PairHasher::new().point(&bytes));
         prop_assert_eq!(Md5PairHasher::new().point12(head, tail), Md5PairHasher::new().point(&bytes));
-        // `H = &Box<dyn PairHasher>`: the `&T` forwarder over the `Box<T>` one.
-        fn by_value<H: PairHasher>(hasher: H, head: u64, tail: u32) -> HashPoint {
-            hasher.point12(head, tail)
-        }
         for kind in [HasherKind::Fast64, HasherKind::Md5] {
             let boxed = kind.build();
             prop_assert_eq!(boxed.point12(head, tail), boxed.point(&bytes), "boxed {}", kind);
-            prop_assert_eq!(by_value(&boxed, head, tail), boxed.point(&bytes), "&boxed {}", kind);
         }
     }
 
-    /// The lane entry is `point12` on every lane: for MD5's lane kernel,
-    /// for Fast64 and a `point`-only hasher on the trait default, and
-    /// through the `Box<dyn>` / `&Box<dyn>` forwarders `HasherKind::build()`
-    /// hands out.
+    /// MD5's lane entry is `point12` on every lane.
     #[test]
     fn point12_lanes_equals_per_lane_point12(
         heads in any::<[u64; PAIR_LANES]>(),
         tails in any::<[u32; PAIR_LANES]>(),
     ) {
-        fn check<H: PairHasher>(hasher: H, heads: &[u64; PAIR_LANES], tails: &[u32; PAIR_LANES]) -> Result<(), TestCaseError> {
-            let mut lanes = [0u64; PAIR_LANES];
-            hasher.point12_lanes(heads, tails, &mut lanes);
-            for lane in 0..PAIR_LANES {
-                prop_assert_eq!(
-                    lanes[lane],
-                    hasher.point12(heads[lane], tails[lane]).to_bits(),
-                    "{} lane {}", hasher.name(), lane
-                );
-            }
-            Ok(())
-        }
-        check(Md5PairHasher::new(), &heads, &tails)?;
-        check(Fast64PairHasher::new(), &heads, &tails)?;
-        check(PointOnly(Md5PairHasher::new()), &heads, &tails)?;
-        for kind in [HasherKind::Fast64, HasherKind::Md5] {
-            let boxed = kind.build();
-            check(&boxed, &heads, &tails)?;
-            check(boxed, &heads, &tails)?;
+        let hasher = Md5PairHasher::new();
+        let mut lanes = [0u64; PAIR_LANES];
+        hasher.point12_lanes(&heads, &tails, &mut lanes);
+        for lane in 0..PAIR_LANES {
+            prop_assert_eq!(
+                lanes[lane],
+                hasher.point12(heads[lane], tails[lane]).to_bits(),
+                "lane {}", lane
+            );
         }
     }
 
-    /// The staged 12-byte decomposition (`point12_prefix` +
-    /// `point12_resume`) is exactly the one-shot hash for any split input
-    /// — the contract the agreement-sweep candidate index rests on.
+    /// Fast64's two halves (`absorb12_head` + `finish12`) are exactly the
+    /// one-shot hash for any split input — the contract the staged batch
+    /// form of `HashSelector::accepted_pairs` rests on.
     #[test]
-    fn staged_pair_hash_equals_oneshot(
-        prefix in any::<[u8; 8]>(),
-        tail in any::<[u8; 4]>(),
-    ) {
+    fn staged_pair_hash_equals_oneshot(bytes in any::<[u8; 12]>()) {
+        let (head, tail) = pair12_words(&bytes);
+        let staged = Fast64PairHasher::finish12(Fast64PairHasher::absorb12_head(head), tail);
         let hasher = Fast64PairHasher::new();
-        let state = hasher.point12_prefix(&prefix).expect("fast64 is staged");
-        let mut input = [0u8; 12];
-        input[..8].copy_from_slice(&prefix);
-        input[8..].copy_from_slice(&tail);
-        prop_assert_eq!(hasher.point12_resume(state, &tail), hasher.point(&input));
-        // ... and the one-call kernel, which shares its two halves.
-        let (head, tail_word) = pair12_words(&input);
-        prop_assert_eq!(hasher.point12_resume(state, &tail), hasher.point12(head, tail_word));
+        prop_assert_eq!(staged, hasher.point(&bytes));
+        prop_assert_eq!(staged, hasher.point12(head, tail));
     }
 }

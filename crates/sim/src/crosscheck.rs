@@ -16,15 +16,14 @@
 //! "One loop, one helper").
 //!
 //! The engine loop never waits for the helper. It engages only where the
-//! process may run two threads at once and the selector is a pure pair hash.
+//! process may run two threads at once.
 
 use std::num::NonZeroUsize;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
-use avmon::{DurMs, MonitorSelector, NodeId, Nonce, SharedSelector, Threshold, TimeMs};
-use avmon_hash::HashPoint;
+use avmon::{DurMs, MonitorSelector, NodeId, Nonce, SharedSelector, TimeMs};
 
 /// Jobs handed to the helper and not yet collected. With this many out,
 /// the helper is behind and the engine stops submitting: those nodes hash
@@ -139,14 +138,6 @@ impl MonitorSelector for ReplaySelector {
 
     fn name(&self) -> &'static str {
         self.inner.name()
-    }
-
-    fn hash_point(&self, monitor: NodeId, target: NodeId) -> Option<HashPoint> {
-        self.inner.hash_point(monitor, target)
-    }
-
-    fn selection_threshold(&self) -> Option<Threshold> {
-        self.inner.selection_threshold()
     }
 
     /// Replays the lent result for exactly its sides, in either order;
@@ -282,12 +273,14 @@ pub(crate) struct CrossCheckAhead {
 
 impl CrossCheckAhead {
     /// The selector a new node gets. The first call reads the gate: two
-    /// or more cores and a pure pair hash give every node the replay
-    /// wrapper; otherwise nodes get `inner` and nothing here runs.
+    /// or more cores give every node the replay wrapper; otherwise nodes
+    /// get `inner` and nothing here runs. Replaying is sound for every
+    /// selector the engine holds: it only builds `HashSelector`s, whose
+    /// matches are a pure function of the two sides.
     pub(crate) fn node_selector(&mut self, inner: &SharedSelector) -> SharedSelector {
         if !self.gated {
             self.gated = true;
-            if inner.selection_threshold().is_some() && cores() >= 2 {
+            if cores() >= 2 {
                 self.replay = Some(Arc::new(ReplaySelector::new(inner.clone())));
             }
         }

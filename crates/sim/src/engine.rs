@@ -571,17 +571,9 @@ impl Simulation {
     }
 
     /// Drains the buffered application events of the nodes subscribed via
-    /// [`Simulation::subscribe_app`].
-    pub fn take_app_events(&mut self) -> Vec<(NodeId, AppEvent)> {
-        std::mem::take(&mut self.app_events)
-            .into_iter()
-            .map(|(_, id, event)| (id, event))
-            .collect()
-    }
-
-    /// Drains buffered application events with the simulated time each was
-    /// emitted at (the async executor's event feed).
-    pub fn take_app_events_timed(&mut self) -> Vec<(TimeMs, NodeId, AppEvent)> {
+    /// [`Simulation::subscribe_app`], each with the simulated time it was
+    /// emitted at.
+    pub fn take_app_events(&mut self) -> Vec<(TimeMs, NodeId, AppEvent)> {
         std::mem::take(&mut self.app_events)
     }
 
@@ -658,7 +650,7 @@ impl Simulation {
     /// wake fires or a subscribed node emits an application event.
     ///
     /// Returns `true` when paused before the deadline (events/wakes are
-    /// waiting in [`Simulation::take_app_events_timed`] /
+    /// waiting in [`Simulation::take_app_events`] /
     /// [`Simulation::take_wakes`]), `false` when the deadline was reached.
     pub fn run_until_wake(&mut self, deadline: TimeMs) -> bool {
         self.run_until_inner(deadline, true)
@@ -701,8 +693,8 @@ impl Simulation {
 
     /// How the Fig. 2 cross-checks of this run so far were evaluated:
     /// handed to the helper core, replayed from it, or hashed inline. On
-    /// one core, or with a selector that is not a pure pair hash, nothing
-    /// is submitted and every cross-check is hashed inline. Like
+    /// one core nothing is submitted and every cross-check is hashed
+    /// inline. Like
     /// [`Simulation::calendar_stats`], not part of the report, which is the
     /// same either way.
     #[must_use]

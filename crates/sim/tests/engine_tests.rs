@@ -160,7 +160,7 @@ fn report_and_history_requests_flow_through_sim() {
     sim.command(asker, Command::RequestReport { target, count: 3 });
     sim.run_until(21 * MINUTE);
     let events = sim.take_app_events();
-    let outcome = events.iter().find_map(|(node, e)| match e {
+    let outcome = events.iter().find_map(|(_, node, e)| match e {
         avmon::AppEvent::ReportOutcome {
             target: t,
             verification,
@@ -179,7 +179,7 @@ fn report_and_history_requests_flow_through_sim() {
     sim.command(asker, Command::RequestHistory { monitor, target });
     sim.run_until(22 * MINUTE);
     let events = sim.take_app_events();
-    assert!(events.iter().any(|(node, e)| {
+    assert!(events.iter().any(|(_, node, e)| {
         *node == asker
             && matches!(e, avmon::AppEvent::HistoryOutcome { monitor: m, target: t, .. }
                 if *m == monitor && *t == target)
@@ -216,12 +216,12 @@ fn app_events_buffered_when_on_dropped_when_off() {
 
     // One listener: only that node's events are kept, and none once its
     // subscription ends.
-    let heard = first_half[0].0;
+    let heard = first_half[0].1;
     let mut sim = Simulation::new(trace(), opts());
     sim.subscribe_app(heard);
     sim.run_until(30 * MINUTE);
     let events = sim.take_app_events();
-    assert!(!events.is_empty() && events.iter().all(|(id, _)| *id == heard));
+    assert!(!events.is_empty() && events.iter().all(|(_, id, _)| *id == heard));
     sim.unsubscribe_app(heard);
     let _ = sim.run();
     assert!(
@@ -423,7 +423,7 @@ fn subscribed_node_pauses_the_run_and_frozen_node_requeues() {
     let mut checkpoints = Vec::new();
     for deadline in [from, until - 1, 10 * MINUTE] {
         while sim.run_until_wake(deadline) {
-            pauses.push((sim.now(), sim.take_app_events_timed()));
+            pauses.push((sim.now(), sim.take_app_events()));
         }
         checkpoints.push(received(&sim));
     }

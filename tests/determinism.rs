@@ -300,7 +300,7 @@ fn first_violation_pins_the_liars_first_forged_target() {
     // When the liar adopted its first forged target, from its own
     // application events.
     let adopted_at = sim
-        .take_app_events_timed()
+        .take_app_events()
         .into_iter()
         .filter_map(|(at, node, event)| match event {
             AppEvent::TargetDiscovered { target } if node == liar && forged.contains(&target) => {

@@ -163,7 +163,7 @@ fn join_spread_reaches_cvs_nodes() {
     }
     sim.run_until(trace.measure_from + MINUTE);
     let mut absorbed = std::collections::HashMap::new();
-    for (_, event) in sim.take_app_events() {
+    for (_, _, event) in sim.take_app_events() {
         if let avmon::AppEvent::JoinAbsorbed { origin } = event {
             *absorbed.entry(origin).or_insert(0u32) += 1;
         }
