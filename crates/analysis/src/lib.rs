@@ -19,6 +19,18 @@
 //! assert!((d - 1000.0).abs() < 50.0);
 //! ```
 
+// Library code returns errors; a panic site needs its own reasoned `#[expect]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::missing_panics_doc
+    )
+)]
+
 pub mod formulas;
 pub mod k_selection;
 pub mod optimal;

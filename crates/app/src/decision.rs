@@ -41,7 +41,12 @@ pub struct DecisionLog {
 impl DecisionLog {
     /// Serializes the log (the byte string the determinism suite
     /// compares across same-seed runs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if serialization fails, which a log of plain data cannot do.
     #[must_use]
+    #[expect(clippy::expect_used, reason = "a log of plain data always serializes")]
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("decision logs serialize")
     }

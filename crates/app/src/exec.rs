@@ -123,6 +123,7 @@ impl<W: World + 'static> Core<W> {
 }
 
 /// Unwraps a cell every task-held clone of which is gone.
+#[expect(clippy::panic, reason = "a leaked handle is an executor bug")]
 fn sole_owner<T>(cell: Rc<RefCell<T>>) -> T {
     Rc::try_unwrap(cell)
         .unwrap_or_else(|_| panic!("a task leaked its handle past executor teardown"))

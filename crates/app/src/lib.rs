@@ -27,6 +27,18 @@
 //! touch wall clocks, OS randomness, or iteration-order-unstable
 //! collections in decision paths.
 
+// Library code returns errors; a panic site needs its own reasoned `#[expect]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::missing_panics_doc
+    )
+)]
+
 pub mod apps;
 mod decision;
 mod exec;

@@ -8,9 +8,6 @@
 //! is deliberately wall-clock land — the portability claim is that the
 //! *task source* is unchanged, not that live runs are replayable.
 
-// Wall clocks are this module's whole job (see detlint allows below).
-#![allow(clippy::disallowed_methods)]
-
 use std::future::Future;
 use std::time::{Duration, Instant};
 
@@ -39,7 +36,8 @@ impl LiveExecutor {
     pub fn new(cluster: Cluster, master_seed: u64) -> Self {
         LiveExecutor {
             core: Core::new(cluster, 0, master_seed),
-            epoch: Instant::now(), // detlint::allow(banned-clock): the live executor's epoch is wall-clock by design
+            #[expect(clippy::disallowed_methods, reason = "the live epoch is wall-clock")]
+            epoch: Instant::now(),
         }
     }
 
@@ -66,7 +64,7 @@ impl LiveExecutor {
 
     /// Drives the tasks for `duration` of wall time.
     pub fn run_for(&mut self, duration: Duration) {
-        // detlint::allow(banned-clock): wall-clock deadline on a live cluster
+        #[expect(clippy::disallowed_methods, reason = "wall-clock run deadline")]
         let end = Instant::now() + duration;
         loop {
             let now_ms = self.epoch.elapsed().as_millis() as TimeMs;
@@ -76,7 +74,7 @@ impl LiveExecutor {
                 events.into_iter().map(|(id, event)| (now_ms, id, event)),
             );
             self.core.poll();
-            // detlint::allow(banned-clock): wall-clock loop condition on a live cluster
+            #[expect(clippy::disallowed_methods, reason = "wall-clock loop condition")]
             if Instant::now() >= end {
                 break;
             }

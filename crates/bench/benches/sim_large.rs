@@ -20,8 +20,7 @@
 //! that, on two cores or more, the helper's results were replayed for at
 //! least 90% of the cross-checks it was handed.
 
-// Bench target: outside the determinism boundary.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+#![expect(clippy::disallowed_methods, reason = "a bench measures wall time")]
 
 use std::hint::black_box;
 use std::sync::Arc;

@@ -9,9 +9,6 @@
 //! experiments --list
 //! ```
 
-// Bench harness binary: outside the determinism boundary.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
-
 use std::process::ExitCode;
 
 use avmon_bench::{run, ExpContext, ALL_IDS};
@@ -72,7 +69,8 @@ fn main() -> ExitCode {
     );
     let mut failures = 0;
     for id in &ids {
-        let started = std::time::Instant::now(); // detlint::allow(banned-clock): measuring real experiment runtime
+        #[expect(clippy::disallowed_methods, reason = "real experiment runtime")]
+        let started = std::time::Instant::now();
         match run(id, &ctx) {
             Ok(tables) => {
                 for table in &tables {

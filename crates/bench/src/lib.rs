@@ -17,9 +17,7 @@
 //! cargo run -p avmon-bench --release --bin experiments -- fig17 --hours 24
 //! ```
 
-// Bench harness: measures real time and builds throwaway indices;
-// outside the determinism boundary.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+#![allow(clippy::disallowed_types, reason = "bench harness indices")]
 
 pub mod experiments;
 pub mod output;

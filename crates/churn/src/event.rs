@@ -100,6 +100,7 @@ impl Trace {
             control_group,
             events,
         };
+        #[expect(clippy::panic, reason = "an inconsistent trace is a caller bug")]
         if let Err(e) = trace.validate() {
             panic!("inconsistent trace: {e}");
         }
@@ -200,6 +201,10 @@ impl Trace {
     /// One walk over the events that builds no map, under the same interval
     /// rules as [`Trace::up_intervals`]; a sweep over many nodes should read
     /// `up_intervals()` once instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is empty (`to <= from`).
     #[must_use]
     pub fn availability_of(&self, node: NodeId, from: TimeMs, to: TimeMs) -> f64 {
         assert!(to > from, "empty window");

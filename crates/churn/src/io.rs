@@ -4,7 +4,7 @@
 //! The text format is one event per line —
 //! `<time_ms> <birth|join|leave|death> <ip:port>` — preceded by a header
 //! line `#avmon-trace <name> <stable_size> <horizon_ms> <measure_from_ms>`
-//! and an optional `#control <ip:port>...` line. Real measured traces (e.g.
+//! (the name may hold spaces or be empty) and an optional `#control <ip:port>...` line. Real measured traces (e.g.
 //! re-obtained PlanetLab pings) can be converted to this format and fed to
 //! every experiment unchanged.
 
@@ -146,11 +146,16 @@ pub fn to_text(trace: &Trace) -> String {
 
 /// Parses the line-oriented text format.
 ///
+/// The trace name is everything between `#avmon-trace ` and the header's
+/// last three fields, so every name [`to_text`] writes reads back — except
+/// one holding a line break, which splits the header.
+///
 /// # Errors
 ///
 /// Returns [`TraceIoError::Syntax`] with the offending line number on any
-/// malformed header, kind, time or node id, and
-/// [`TraceIoError::Inconsistent`] on events [`Trace::validate`] rejects.
+/// malformed header, kind, time or node id or an event line with trailing
+/// fields, and [`TraceIoError::Inconsistent`] on events
+/// [`Trace::validate`] rejects.
 pub fn from_text(text: &str) -> Result<Trace, TraceIoError> {
     let syntax = |line: usize, message: String| TraceIoError::Syntax { line, message };
     let mut lines = text.lines().enumerate();
@@ -158,18 +163,21 @@ pub fn from_text(text: &str) -> Result<Trace, TraceIoError> {
     let (_, header) = lines
         .next()
         .ok_or_else(|| syntax(1, "empty trace file".into()))?;
-    let parts: Vec<&str> = header.split_whitespace().collect();
-    if parts.len() != 5 || parts[0] != "#avmon-trace" {
-        return Err(syntax(1, format!("bad header: {header:?}")));
-    }
-    let name = parts[1].to_string();
-    let stable_size: usize = parts[2]
+    let bad_header = || syntax(1, format!("bad header: {header:?}"));
+    let rest = header
+        .trim_end()
+        .strip_prefix("#avmon-trace ")
+        .ok_or_else(bad_header)?;
+    let (rest, measure_from) = rest.rsplit_once(' ').ok_or_else(bad_header)?;
+    let (rest, horizon) = rest.rsplit_once(' ').ok_or_else(bad_header)?;
+    let (name, stable_size) = rest.rsplit_once(' ').ok_or_else(bad_header)?;
+    let stable_size: usize = stable_size
         .parse()
         .map_err(|e| syntax(1, format!("stable size: {e}")))?;
-    let horizon = parts[3]
+    let horizon = horizon
         .parse()
         .map_err(|e| syntax(1, format!("horizon: {e}")))?;
-    let measure_from = parts[4]
+    let measure_from = measure_from
         .parse()
         .map_err(|e| syntax(1, format!("measure_from: {e}")))?;
 
@@ -194,7 +202,9 @@ pub fn from_text(text: &str) -> Result<Trace, TraceIoError> {
             continue; // comment
         }
         let mut tok = line.split_whitespace();
-        let (Some(t), Some(kind), Some(node)) = (tok.next(), tok.next(), tok.next()) else {
+        let (Some(t), Some(kind), Some(node), None) =
+            (tok.next(), tok.next(), tok.next(), tok.next())
+        else {
             return Err(syntax(
                 line_no,
                 format!("expected '<time> <kind> <node>': {line:?}"),
@@ -216,7 +226,7 @@ pub fn from_text(text: &str) -> Result<Trace, TraceIoError> {
         events.push(ChurnEvent { at, node, kind });
     }
     checked(Trace {
-        name,
+        name: name.to_string(),
         stable_size,
         horizon,
         measure_from,
@@ -238,12 +248,14 @@ mod tests {
         assert_eq!(from_json(&json).unwrap(), t);
     }
 
+    /// Names with spaces and the empty name read back too.
     #[test]
     fn text_round_trip() {
-        let t = synthetic(SynthParams::synth_bd(80).duration(2 * HOUR));
-        let text = to_text(&t);
-        let back = from_text(&text).unwrap();
-        assert_eq!(back, t);
+        let mut t = synthetic(SynthParams::synth_bd(80).duration(2 * HOUR));
+        for name in [t.name.clone(), "my trace".into(), String::new()] {
+            t.name = name;
+            assert_eq!(from_text(&to_text(&t)).unwrap(), t, "name {:?}", t.name);
+        }
     }
 
     #[test]
@@ -274,6 +286,11 @@ mod tests {
         let bad_id = "#avmon-trace t 1 1000 0\n10 birth nonsense\n";
         assert!(matches!(
             from_text(bad_id),
+            Err(TraceIoError::Syntax { line: 2, .. })
+        ));
+        let trailing = "#avmon-trace t 1 1000 0\n10 birth 10.0.0.1:4000 extra\n";
+        assert!(matches!(
+            from_text(trailing),
             Err(TraceIoError::Syntax { line: 2, .. })
         ));
     }

@@ -21,6 +21,18 @@
 //! assert!(stats.births > 500); // births occurred beyond the initial 500
 //! ```
 
+// Library code returns errors; a panic site needs its own reasoned `#[expect]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::missing_panics_doc
+    )
+)]
+
 pub mod event;
 pub mod io;
 pub mod synth;

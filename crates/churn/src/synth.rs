@@ -111,6 +111,10 @@ pub fn stat(n: usize, duration: DurMs, control_fraction: f64, seed: u64) -> Trac
 /// uniformly random down node; births introduce fresh identities and deaths
 /// remove uniformly random alive identities for good, both at
 /// `birth_death_per_day·N` per day.
+///
+/// # Panics
+///
+/// Panics if `params.n` is 0.
 #[must_use]
 pub fn synthetic(params: SynthParams) -> Trace {
     let SynthParams {

@@ -184,7 +184,7 @@ impl std::str::FromStr for NodeId {
     }
 }
 
-#[allow(clippy::disallowed_types, clippy::disallowed_methods)] // tests are exempt from the determinism lints
+#[expect(clippy::disallowed_types, reason = "tests are exempt")]
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -77,6 +77,18 @@
 //! (simulated overlays, replica selection, multicast, a real UDP cluster,
 //! and a from-scratch sans-io driver).
 
+// Library code returns errors; a panic site needs its own reasoned `#[expect]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::missing_panics_doc
+    )
+)]
+
 pub mod behavior;
 pub mod codec;
 pub mod config;

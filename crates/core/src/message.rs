@@ -173,7 +173,6 @@ impl Message {
 
 /// Message discriminants, for accounting tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)]
 pub enum MessageKind {
     Join,
     InitViewRequest,
@@ -200,7 +199,7 @@ impl core::fmt::Display for MessageKind {
     }
 }
 
-#[allow(clippy::disallowed_types, clippy::disallowed_methods)] // tests are exempt from the determinism lints
+#[expect(clippy::disallowed_types, reason = "tests are exempt")]
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,8 +1,7 @@
 //! Unit tests driving a single [`Node`] with hand-crafted inputs through
 //! the poll interface.
 
-// Test module: tests are exempt from the determinism lints.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+#![expect(clippy::disallowed_types, reason = "tests are exempt")]
 
 use std::collections::HashSet;
 use std::sync::Arc;

@@ -492,7 +492,7 @@ impl ReportVerification {
     }
 }
 
-#[allow(clippy::disallowed_types, clippy::disallowed_methods)] // tests are exempt from the determinism lints
+#[expect(clippy::disallowed_types, reason = "tests are exempt")]
 #[cfg(test)]
 mod tests {
     use super::*;

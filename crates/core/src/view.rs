@@ -204,7 +204,7 @@ impl CoarseView {
     }
 }
 
-#[allow(clippy::disallowed_types, clippy::disallowed_methods)] // tests are exempt from the determinism lints
+#[expect(clippy::disallowed_types, reason = "tests are exempt")]
 #[cfg(test)]
 mod tests {
     use super::*;

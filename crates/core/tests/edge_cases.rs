@@ -1,8 +1,7 @@
 //! Edge-case and adversarial-input tests for the node state machine,
 //! exercised through the public poll-based API only.
 
-// Test target: tests are exempt from the determinism lints.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+#![expect(clippy::disallowed_types, reason = "tests are exempt")]
 
 use std::sync::Arc;
 

@@ -1,7 +1,6 @@
 //! Property-based tests for the core protocol data structures.
 
-// Test target: tests are exempt from the determinism lints.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+#![expect(clippy::disallowed_types, reason = "tests are exempt")]
 
 use avmon::bytes::{self, BufMut};
 use avmon::codec::{decode, decode_from, encode, encode_into, encoded_len};

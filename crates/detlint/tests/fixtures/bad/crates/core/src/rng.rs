@@ -1,7 +1,5 @@
-//! Bad fixture: OS-seeded randomness and an unregistered draw.
+//! Bad fixture: a draw in a file no owners entry covers.
 
-pub fn os_seeded() -> u64 {
-    let mut rng = rand::thread_rng();
-    let coin: u64 = rand::random();
-    rng.gen_range(0..10) + coin
+pub fn unregistered(rng: &mut SmallRng) -> u64 {
+    rng.gen_range(0..10)
 }

@@ -1,21 +1,10 @@
 //! Clean fixture: everything detlint permits, all in one tree.
-//! The import below is legal (use declarations are exempt); the single
-//! use site carries an audited allow.
-
-use std::collections::BTreeMap;
-use std::collections::HashMap;
-
-pub struct Index {
-    pub ordered: BTreeMap<u64, u64>,
-    // detlint::allow(banned-collection): per-key probes only; never iterated
-    pub probes: HashMap<u64, u64>,
-}
 
 pub fn lifetimes_and_strings<'a>(s: &'a str) -> char {
-    // Banned names inside literals and comments must not fire:
-    // HashMap, Instant::now, thread_rng (prose mention).
-    let _raw = r#"SystemTime::now() rand::random thread_rng"#;
-    let _plain = "Instant::now() \
+    // Draws inside literals and comments must not fire:
+    // rng.gen_range(0..9), rng.shuffle(&mut v) (prose mention).
+    let _raw = r#"rng.gen() rng.choose(&v)"#;
+    let _plain = "rng.next_u64() \
                   spans two lines";
     let _ = s;
     'x'
@@ -23,13 +12,10 @@ pub fn lifetimes_and_strings<'a>(s: &'a str) -> char {
 
 #[cfg(test)]
 mod tests {
-    // Tests are exempt from every rule.
-    use std::collections::HashSet;
-    use std::time::Instant;
-
+    // Tests are exempt: they may draw from any stream.
     #[test]
-    fn wall_clock_is_fine_here() {
-        let _ = Instant::now();
-        let _set: HashSet<u8> = HashSet::new();
+    fn draws_are_fine_here() {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let _ = rng.gen_range(0..9);
     }
 }

@@ -97,7 +97,7 @@ impl PairHasher for Fast64PairHasher {
     }
 }
 
-#[allow(clippy::disallowed_types, clippy::disallowed_methods)] // tests are exempt from the determinism lints
+#[expect(clippy::disallowed_types, reason = "tests are exempt")]
 #[cfg(test)]
 mod tests {
     use super::*;

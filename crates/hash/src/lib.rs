@@ -69,6 +69,17 @@
 //! assert_eq!(monitors, threshold.accepts(hasher.point(b"example-pair-encoding")));
 //! ```
 
+// Library code returns errors; a panic site needs its own reasoned `#[expect]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::missing_panics_doc
+    )
+)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod fast64;

@@ -269,7 +269,8 @@ impl Cluster {
         if let Some(node) = self.running.remove(&id) {
             let _ = node.commands.send(Command::Stop);
             let _ = node.handle.join();
-            self.down_since.insert(id, Instant::now()); // detlint::allow(banned-clock): real downtime bookkeeping on a live cluster
+            #[expect(clippy::disallowed_methods, reason = "live downtime bookkeeping")]
+            self.down_since.insert(id, Instant::now());
         }
     }
 
@@ -320,7 +321,8 @@ impl Cluster {
     /// Blocks until every *running* node knows at least `min_monitors` of
     /// its monitors, or `timeout` elapses. Returns whether the goal was met.
     pub fn wait_for_discovery(&self, min_monitors: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout; // detlint::allow(banned-clock): wall-clock test timeout on a live cluster
+        #[expect(clippy::disallowed_methods, reason = "live-cluster wall-clock timeout")]
+        let deadline = Instant::now() + timeout;
         loop {
             let board = self.board.read();
             let done = self
@@ -331,7 +333,7 @@ impl Cluster {
             if done {
                 return true;
             }
-            // detlint::allow(banned-clock): wall-clock test timeout
+            #[expect(clippy::disallowed_methods, reason = "wall-clock test timeout")]
             if Instant::now() >= deadline {
                 return false;
             }

@@ -96,7 +96,8 @@ impl<T: Transport> NodeDriver<T> {
                 directory,
                 encode_buf: BytesMut::with_capacity(2048),
             },
-            epoch: Instant::now(), // detlint::allow(banned-clock): live UDP node; wall time IS its TimeMs epoch
+            #[expect(clippy::disallowed_methods, reason = "wall time is this node's epoch")]
+            epoch: Instant::now(),
             commands,
             board,
         }
@@ -113,7 +114,7 @@ impl<T: Transport> NodeDriver<T> {
         drain(&mut self.node, &mut self.env);
         self.publish();
 
-        // detlint::allow(banned-clock): live-cluster publish cadence, outside the sim boundary
+        #[expect(clippy::disallowed_methods, reason = "live publish cadence")]
         let mut last_publish = Instant::now();
         loop {
             match self.commands.try_recv() {
@@ -167,9 +168,10 @@ impl<T: Transport> NodeDriver<T> {
                 }
             }
 
+            #[expect(clippy::disallowed_methods, reason = "live-cluster cadence")]
             if last_publish.elapsed() >= Duration::from_millis(100) {
                 self.publish();
-                last_publish = Instant::now(); // detlint::allow(banned-clock): live-cluster cadence
+                last_publish = Instant::now();
             }
         }
         self.publish();

@@ -81,10 +81,20 @@
 //! and call `drain` after every input — see that module's "Driver
 //! authoring" section and the workspace's `sans_io_driver` example.
 
-// Live-cluster crate: wall clocks and std maps are its job; the
-// simulated determinism boundary (detlint + this lint pair) stops at
-// the sim/core/churn/hash crates. Per-site detlint allows still apply.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+// Library code returns errors; a panic site needs its own reasoned `#[expect]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::missing_panics_doc
+    )
+)]
+// Live-cluster crate: std maps are its job; each wall-clock read still
+// carries its own `#[expect(clippy::disallowed_methods, reason = …)]`.
+#![allow(clippy::disallowed_types, reason = "live-cluster crate")]
 
 pub mod cluster;
 pub mod driver;

@@ -1,8 +1,7 @@
 //! Real-time cluster tests: the protocol running on actual threads and
 //! sockets, with wall-clock periods shrunk so tests finish in seconds.
 
-// Test target: tests are exempt from the determinism lints.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+#![expect(clippy::disallowed_methods, reason = "tests are exempt")]
 
 use std::time::Duration;
 

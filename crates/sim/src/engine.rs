@@ -192,7 +192,7 @@ pub(crate) struct SimNode {
 /// holds one or the other inline: the node, or what §3 keeps across a
 /// failure or a leave. A down row still pays the node's size; boxing the
 /// node would add a pointer chase to every dispatch (ROADMAP item 9(b)).
-#[allow(clippy::large_enum_variant)] // inline on purpose, see above
+#[expect(clippy::large_enum_variant, reason = "inline on purpose, see above")]
 #[derive(Debug)]
 pub(crate) enum NodeState {
     Up(Node),
@@ -359,6 +359,7 @@ impl Simulation {
     /// Panics if the trace is empty or the options are invalid
     /// (see [`Simulation::try_new`] for the fallible path).
     #[must_use]
+    #[expect(clippy::panic, reason = "the documented panicking twin of `try_new`")]
     pub fn new(trace: Trace, opts: SimOptions) -> Self {
         Simulation::try_new(trace, opts).unwrap_or_else(|e| panic!("invalid simulation: {e}"))
     }

@@ -106,6 +106,18 @@
 //! * `qos` — streaming failure-detector QoS accumulators
 //! * `report` — [`SimReport`] assembly, in slot order
 
+// Library code returns errors; a panic site needs its own reasoned `#[expect]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::missing_panics_doc
+    )
+)]
+
 mod calendar;
 mod crosscheck;
 pub mod engine;

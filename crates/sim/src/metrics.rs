@@ -46,6 +46,10 @@ pub struct DiscoveryLog {
 
 impl DiscoveryLog {
     /// Latency from birth to the `l`-th monitor (1-based), if reached.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l` is 0.
     #[must_use]
     pub fn latency(&self, l: usize) -> Option<DurMs> {
         assert!(l >= 1, "monitors are counted from 1");
@@ -339,7 +343,6 @@ pub fn mean_drop_max(values: &[f64]) -> f64 {
     mean(&kept)
 }
 
-#[allow(clippy::disallowed_types, clippy::disallowed_methods)] // tests are exempt from the determinism lints
 #[cfg(test)]
 mod tests {
     use super::*;

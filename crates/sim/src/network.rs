@@ -413,7 +413,6 @@ impl NetworkState {
     }
 }
 
-#[allow(clippy::disallowed_types, clippy::disallowed_methods)] // tests are exempt from the determinism lints
 #[cfg(test)]
 mod tests {
     use super::*;

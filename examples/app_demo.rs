@@ -13,9 +13,6 @@
 //! serialized decision logs are byte-identical — the determinism contract
 //! of `SimExecutor`.
 
-// Example: the live half is wall-clock land by design.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
-
 use std::time::Duration;
 
 use avmon::{Config, MINUTE};

@@ -16,9 +16,6 @@
 //!                                                                       # 5 min measured
 //! ```
 
-// Example: measures real elapsed time; outside the determinism boundary.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
-
 use std::time::Instant;
 
 use avmon::{Config, MINUTE};
@@ -57,7 +54,8 @@ fn main() {
         config.cvs, config.k
     );
 
-    let build_start = Instant::now(); // detlint::allow(banned-clock): measuring real build time of the demo
+    #[expect(clippy::disallowed_methods, reason = "real build time of the demo")]
+    let build_start = Instant::now();
     let trace = synthetic(params);
     println!(
         "trace: {} churn events, built in {:.1?}",
@@ -72,14 +70,16 @@ fn main() {
     // of the hashing the run has already done.
     let opts = SimOptions::new(config).seed(7);
 
-    let sim_start = Instant::now(); // detlint::allow(banned-clock): measuring real sim throughput
+    #[expect(clippy::disallowed_methods, reason = "measuring real sim throughput")]
+    let sim_start = Instant::now();
     let mut sim = Simulation::new(trace, opts);
     let horizon = sim.trace().horizon;
     // Advance in 5-minute slices so long runs show a heartbeat.
     let mut t = 0;
     while t < horizon {
         t = (t + 5 * MINUTE).min(horizon);
-        let slice = Instant::now(); // detlint::allow(banned-clock): heartbeat timing of the demo
+        #[expect(clippy::disallowed_methods, reason = "heartbeat timing of the demo")]
+        let slice = Instant::now();
         sim.run_until(t);
         println!(
             "  t = {:>3} min  (+{:>6.1?})  alive = {}",

@@ -14,8 +14,7 @@
 //! cargo run -p avmon-examples --release --bin sans_io_driver
 //! ```
 
-// Example: outside the determinism boundary.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+#![allow(clippy::disallowed_types, reason = "examples are exempt")]
 
 use std::collections::{HashMap, VecDeque};
 

@@ -4,8 +4,7 @@
 //! **portable** to a live UDP cluster (the same task source
 //! produces matching observable decisions on the same membership trace).
 
-// Test target: the live half is wall-clock land by design.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+#![expect(clippy::disallowed_methods, reason = "live runs read the wall clock")]
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;

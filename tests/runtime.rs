@@ -1,8 +1,7 @@
 //! The same protocol over real threads and sockets: simulator and runtime
 //! must agree on behaviour.
 
-// Test target: tests are exempt from the determinism lints.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+#![expect(clippy::disallowed_methods, reason = "tests are exempt")]
 
 use std::time::Duration;
 

@@ -5,8 +5,7 @@
 //! * **Theorem 2** (§4.1): a dead node is eventually deleted from every
 //!   coarse view that contained it (w.h.p. within `cvs·ln N` periods).
 
-// Test target: tests are exempt from the determinism lints.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+#![expect(clippy::disallowed_types, reason = "tests are exempt")]
 
 use avmon::{Config, HashSelector, MonitorSelector, NodeId, HOUR, MINUTE};
 use avmon_churn::{stat, ChurnEvent, ChurnEventKind, Trace};
