@@ -26,6 +26,13 @@ pub fn set() -> usize {
     set.len()
 }
 
+/// Hashes under an OS-seeded key.
+#[must_use]
+pub fn os_seeded(x: u64) -> u64 {
+    let state = std::collections::hash_map::RandomState::new(); // must fail: disallowed_types
+    std::hash::BuildHasher::hash_one(&state, x)
+}
+
 /// Reads the wall clock twice.
 #[must_use]
 pub fn wall_clock() -> bool {

@@ -20,25 +20,27 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use avmon::{Behavior, DurMs, Message, NodeId, TimeMs, Timer};
+use avmon::{Behavior, DurMs, Message, TimeMs, Timer};
 use avmon_churn::ChurnEventKind;
 
 use crate::scenario::Corruption;
 
+/// What an event does. A variant that acts on a node carries the node's
+/// row in `Simulation::nodes` (its slot), never its identity.
 #[derive(Debug)]
 pub(crate) enum EventKind {
-    /// A trace lifecycle event, addressed by the slot `try_new` resolved.
+    /// A trace lifecycle event.
     Churn {
         slot: u32,
         kind: ChurnEventKind,
     },
     Deliver {
-        from: NodeId,
-        to: NodeId,
+        from: u32,
+        to: u32,
         msg: Message,
     },
     Timer {
-        node: NodeId,
+        slot: u32,
         incarnation: u64,
         timer: Timer,
     },
@@ -49,14 +51,14 @@ pub(crate) enum EventKind {
     /// A [`Fault::Corrupt`](crate::Fault::Corrupt) injection: overwrite the
     /// node's PS/TS with seed-deterministic garbage.
     Corrupt {
-        node: NodeId,
+        slot: u32,
         pattern: Corruption,
         seed: u64,
     },
     /// A scenario-scheduled behavior switch: eclipse campaigns flip the
     /// coalition's behavior at the window edges. `None` is honest.
     SetBehavior {
-        node: NodeId,
+        slot: u32,
         behavior: Option<Arc<Behavior>>,
     },
     /// An application-executor wakeup
@@ -70,12 +72,12 @@ pub(crate) enum EventKind {
 }
 
 impl EventKind {
-    /// The node a delivery or timer is addressed to; `None` for events
+    /// The row a delivery or timer is addressed to; `None` for events
     /// that touch shared state.
-    pub(crate) fn addressee(&self) -> Option<NodeId> {
+    pub(crate) fn addressee(&self) -> Option<usize> {
         match *self {
-            EventKind::Deliver { to, .. } => Some(to),
-            EventKind::Timer { node, .. } => Some(node),
+            EventKind::Deliver { to, .. } => Some(to as usize),
+            EventKind::Timer { slot, .. } => Some(slot as usize),
             _ => None,
         }
     }
@@ -113,7 +115,7 @@ impl Ord for Event {
 struct LaneTimer {
     at: TimeMs,
     seq: u64,
-    node: NodeId,
+    slot: u32,
     incarnation: u64,
     timer: Timer,
 }
@@ -124,7 +126,7 @@ impl LaneTimer {
             at: self.at,
             seq: self.seq,
             kind: EventKind::Timer {
-                node: self.node,
+                slot: self.slot,
                 incarnation: self.incarnation,
                 timer: self.timer,
             },
@@ -394,7 +396,7 @@ impl Calendar {
             now + lane.delay == at && lane.queue.back().is_none_or(|back| back.at <= at)
         };
         if let EventKind::Timer {
-            node,
+            slot,
             incarnation,
             timer,
         } = kind
@@ -404,7 +406,7 @@ impl Calendar {
                 self.lanes[i].queue.push_back(LaneTimer {
                     at,
                     seq,
-                    node,
+                    slot,
                     incarnation,
                     timer,
                 });
@@ -485,12 +487,11 @@ mod tests {
 
     /// An event tagged with the sequence number it is about to get.
     fn tagged(cal: &Calendar, timer: bool) -> EventKind {
-        let (node, timer_kind) = (NodeId::from_index(1), Timer::Protocol);
         if timer {
             EventKind::Timer {
-                node,
+                slot: 1,
                 incarnation: cal.seq,
-                timer: timer_kind,
+                timer: Timer::Protocol,
             }
         } else {
             EventKind::AppWake { token: cal.seq }
@@ -656,6 +657,15 @@ mod tests {
     #[test]
     fn lane_entries_are_48_bytes() {
         assert_eq!(std::mem::size_of::<LaneTimer>(), 48);
+    }
+
+    /// Events carry rows, not identities: an `Event` is 64 B and a wheel
+    /// slot (an event and its link) 72 B.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn events_are_64_bytes_and_wheel_slots_72() {
+        assert_eq!(std::mem::size_of::<Event>(), 64);
+        assert_eq!(std::mem::size_of::<WheelSlot>(), 72);
     }
 
     /// Both sides of the wheel boundary, and the lane match is exact.

@@ -32,7 +32,7 @@ use crate::calendar::{Calendar, CalendarStats, EventKind};
 use crate::crosscheck::{CrossCheckAhead, CrossCheckStats};
 use crate::invariants::{InvariantChecker, InvariantConfig};
 use crate::metrics::{DiscoveryLog, NodeSeries, SimReport};
-use crate::network::{LatencyModel, NetworkModel, NetworkState, Route};
+use crate::network::{NetworkModel, NetworkState, Route};
 use crate::qos::QosAccumulator;
 use crate::scenario::{Corruption, Fault, Scenario};
 
@@ -97,31 +97,10 @@ impl SimOptions {
         self
     }
 
-    /// Overrides the latency model (keeping the network's fault knobs).
-    #[must_use]
-    pub fn latency(mut self, latency: LatencyModel) -> Self {
-        self.network.latency = latency;
-        self
-    }
-
-    /// Overrides the whole network model.
-    #[must_use]
-    pub fn network(mut self, network: NetworkModel) -> Self {
-        self.network = network;
-        self
-    }
-
     /// Installs a fault-injection scenario.
     #[must_use]
     pub fn scenario(mut self, scenario: Scenario) -> Self {
         self.scenario = scenario;
-        self
-    }
-
-    /// Overrides the invariant-checker configuration.
-    #[must_use]
-    pub fn invariants(mut self, invariants: InvariantConfig) -> Self {
-        self.invariants = invariants;
         self
     }
 
@@ -307,9 +286,10 @@ pub struct Simulation {
     /// run without freezes, which is all [`Simulation::frozen_at`] checks
     /// on every dispatch then.
     freezes: BTreeMap<usize, Vec<(TimeMs, TimeMs)>>,
-    /// The one identity lookup: `NodeId` → index into `nodes`. Identities
-    /// absent from the trace (corruption ghosts, stray app-API arguments)
-    /// resolve to no slot and are inert.
+    /// The one identity lookup: `NodeId` → index into `nodes`, read only
+    /// where an identity enters the engine (DESIGN.md §5, "One lookup").
+    /// Identities absent from the trace (corruption ghosts, stray app-API
+    /// arguments) resolve to no slot and are inert.
     slot_of: FlatMap<NodeId, u32>,
     /// The live nodes as `(identity, row)`, in join order patched by
     /// swap-removes.
@@ -370,8 +350,9 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns [`avmon::Error::InvalidConfig`] for an empty trace, one
-    /// naming 2^32 identities or more, or invalid sampling, network or
-    /// scenario parameters.
+    /// naming 2^32 identities or more, invalid sampling, network or
+    /// scenario parameters, or a message delay that, sent at the horizon,
+    /// would arrive past the last instant [`TimeMs`] can hold.
     pub fn try_new(trace: Trace, opts: SimOptions) -> Result<Self, avmon::Error> {
         if trace.events.is_empty() {
             return Err(avmon::Error::InvalidConfig(
@@ -379,6 +360,11 @@ impl Simulation {
             ));
         }
         opts.validate()?;
+        if opts.network.last_arrival(trace.horizon).is_none() {
+            return Err(avmon::Error::InvalidConfig(
+                "a message sent at the horizon must arrive at a representable instant".into(),
+            ));
+        }
         let selector = HashSelector::from_config_with_kind(&opts.config, opts.hasher);
         // The three constant delays handlers arm timers with: each gets a
         // calendar lane.
@@ -455,7 +441,8 @@ impl Simulation {
             }
         }
         // Corruption injections are ordinary calendar events (after
-        // same-instant churn, by sequence number).
+        // same-instant churn, by sequence number). One naming an identity
+        // the trace never named has no row to corrupt.
         for e in &opts.scenario.events {
             if let Fault::Corrupt {
                 node,
@@ -463,12 +450,14 @@ impl Simulation {
                 seed,
             } = e.fault
             {
-                let kind = EventKind::Corrupt {
-                    node,
-                    pattern,
-                    seed,
-                };
-                calendar.defer(e.at, kind);
+                if let Some(&slot) = slot_of.get(&node) {
+                    let kind = EventKind::Corrupt {
+                        slot,
+                        pattern,
+                        seed,
+                    };
+                    calendar.defer(e.at, kind);
+                }
             }
         }
         // Eclipse campaigns compile to paired behavior switches, deferred
@@ -489,11 +478,11 @@ impl Simulation {
                 coalition: coalition.clone(),
                 victims: victims.clone(),
             });
-            for &node in coalition {
+            for &slot in coalition.iter().filter_map(|node| slot_of.get(node)) {
                 let behavior = Some(Arc::clone(&campaign));
-                calendar.defer(e.at, EventKind::SetBehavior { node, behavior });
-                let behavior = slot(node).and_then(|s| behaviors.get(&s).cloned());
-                calendar.defer(e.at + duration, EventKind::SetBehavior { node, behavior });
+                calendar.defer(e.at, EventKind::SetBehavior { slot, behavior });
+                let behavior = behaviors.get(&(slot as usize)).cloned();
+                calendar.defer(e.at + duration, EventKind::SetBehavior { slot, behavior });
             }
         }
         let rng = SmallRng::seed_from_u64(opts.seed ^ 0xdead_beef_cafe_f00d);
@@ -539,13 +528,6 @@ impl Simulation {
     /// The row of `id`, if the trace knows the identity.
     pub(crate) fn slot(&self, id: NodeId) -> Option<usize> {
         self.slot_of.get(&id).map(|&s| s as usize)
-    }
-
-    /// The invariant-checker observations so far (complete once the run
-    /// reached the horizon; also available via [`SimReport::invariants`]).
-    #[must_use]
-    pub fn invariants(&self) -> &crate::invariants::InvariantSummary {
-        self.checker.summary()
     }
 
     /// Current simulated time.
@@ -704,29 +686,22 @@ impl Simulation {
     }
 
     fn dispatch(&mut self, kind: EventKind) {
-        // The one identity probe a delivery or timer pays. An addressee the
-        // trace never named has no row: the event evaporates below.
-        let slot = kind.addressee().and_then(|node| self.slot(node));
         // A frozen node stops processing: its deliveries and timers stall
         // on the heap, in order, until the freeze thaws.
-        if let Some(thaw) = slot.and_then(|s| self.frozen_at(s, self.now)) {
+        if let Some(thaw) = kind.addressee().and_then(|s| self.frozen_at(s, self.now)) {
             self.calendar.defer(thaw, kind);
             return;
         }
         match kind {
             EventKind::Churn { slot, kind } => self.on_churn(slot as usize, kind),
-            EventKind::Deliver { from, msg, .. } => {
-                if let Some(slot) = slot {
-                    self.on_deliver(slot, from, msg);
-                }
+            EventKind::Deliver { from, to, msg } => {
+                self.on_deliver(to as usize, from as usize, msg)
             }
             EventKind::Timer {
-                incarnation, timer, ..
-            } => {
-                if let Some(slot) = slot {
-                    self.on_timer(slot, incarnation, timer);
-                }
-            }
+                slot,
+                incarnation,
+                timer,
+            } => self.on_timer(slot as usize, incarnation, timer),
             EventKind::Baseline => {
                 for sim_node in &mut self.nodes {
                     if let Some(proto) = sim_node.proto() {
@@ -739,11 +714,13 @@ impl Simulation {
             // node rather than make it process anything, and the checker's
             // adversary windows are anchored to the scheduled instants.
             EventKind::Corrupt {
-                node,
+                slot,
                 pattern,
                 seed,
-            } => self.on_corrupt(node, pattern, seed),
-            EventKind::SetBehavior { node, behavior } => self.on_set_behavior(node, behavior),
+            } => self.on_corrupt(slot as usize, pattern, seed),
+            EventKind::SetBehavior { slot, behavior } => {
+                self.on_set_behavior(slot as usize, behavior)
+            }
             EventKind::AppWake { token } => self.pending_wakes.push(token),
         }
     }
@@ -786,11 +763,8 @@ impl Simulation {
 
     /// Applies a scenario-scheduled behavior switch (`None`: honest) to
     /// both the engine's side table (governs future incarnations) and the
-    /// live node, if any.
-    fn on_set_behavior(&mut self, node: NodeId, behavior: Option<Arc<Behavior>>) {
-        let Some(slot) = self.slot(node) else {
-            return;
-        };
+    /// live node at `slot`, if any.
+    fn on_set_behavior(&mut self, slot: usize, behavior: Option<Arc<Behavior>>) {
         match &behavior {
             Some(behavior) => self.behaviors.insert(slot, Arc::clone(behavior)),
             None => self.behaviors.remove(&slot),
@@ -800,21 +774,19 @@ impl Simulation {
         }
     }
 
-    /// Injects seed-deterministic garbage into `node`'s persistent PS/TS
-    /// (the [`Fault::Corrupt`] semantics): ghost entries the hash condition
-    /// never selected, dropped entries, and/or scrambled monitoring
-    /// counters. A live node's state is corrupted in place via
+    /// Injects seed-deterministic garbage into the persistent PS/TS of the
+    /// node at `slot` (the [`Fault::Corrupt`] semantics): ghost entries the
+    /// hash condition never selected, dropped entries, and/or scrambled
+    /// monitoring counters. A live node's state is corrupted in place via
     /// snapshot/restore; a dead node's persistent snapshot is corrupted so
     /// the damage surfaces on rejoin. The corruption RNG is its own stream
     /// (mixed from the master seed and the per-event seed), so runs without
     /// `Corrupt` events draw exactly the RNG they always did.
-    fn on_corrupt(&mut self, node: NodeId, pattern: Corruption, seed: u64) {
+    fn on_corrupt(&mut self, slot: usize, pattern: Corruption, seed: u64) {
         let mut rng =
             SmallRng::seed_from_u64(mix64(self.opts.seed ^ mix64(seed) ^ 0xc0de_dead_5eed_0bad));
-        let Some(slot) = self.slot(node) else {
-            return;
-        };
         let sim_node = &mut self.nodes[slot];
+        let node = sim_node.id;
         let mut state = match sim_node.proto() {
             Some(proto) => proto.snapshot_persistent(),
             None => sim_node.state.take_persistent(),
@@ -887,7 +859,7 @@ impl Simulation {
         let id = self.nodes[slot].id;
         match kind {
             ChurnEventKind::Birth | ChurnEventKind::Join => {
-                let contact = self.pick_contact(id);
+                let contact = self.pick_contact(slot);
                 let sim_node = &mut self.nodes[slot];
                 debug_assert!(sim_node.proto().is_none(), "churn: {id} already up");
                 let join_kind = match kind {
@@ -984,8 +956,10 @@ impl Simulation {
         }
     }
 
-    fn on_deliver(&mut self, slot: usize, from: NodeId, msg: Message) {
+    /// Hands `msg` from the node at row `sender` to the node at `slot`.
+    fn on_deliver(&mut self, slot: usize, sender: usize, msg: Message) {
         let now = self.now;
+        let from = self.nodes[sender].id;
         match self.nodes[slot].lend(&mut self.spare) {
             Some(proto) => {
                 match msg {
@@ -1006,9 +980,7 @@ impl Simulation {
                 // Destination has departed: the message is lost. Monitoring
                 // pings to absent nodes are the "useless pings" of Fig. 18.
                 if msg.is_monitoring_ping() && now >= self.trace.measure_from {
-                    if let Some(sender) = self.slot(from) {
-                        self.nodes[sender].series_mut().useless_pings += 1;
-                    }
+                    self.nodes[sender].series_mut().useless_pings += 1;
                 }
             }
         }
@@ -1052,11 +1024,13 @@ impl Simulation {
             return;
         };
         let mut sink = OutputSink {
+            slot: slot as u32,
             incarnation: sim_node.incarnation,
             now,
             calendar: &mut self.calendar,
             net: &mut self.net,
             rng: &mut self.rng,
+            slot_of: &self.slot_of,
             alive: &self.alive,
             discovery: sim_node.discovery.as_deref_mut(),
             app_events: sim_node.app_subscribed.then_some(&mut self.app_events),
@@ -1077,34 +1051,35 @@ impl Simulation {
                 .fold_suspicion(now, measuring, (id, target), down, alive, left_at);
         }
         if let Some((w, nonce)) = fetch {
-            self.prepare_crosscheck(slot, w, nonce);
+            self.prepare_crosscheck(slot, w as usize, nonce);
         }
     }
 
-    /// Hands the cross-check that `w`'s reply to the node at `slot` will
-    /// run to the helper, over the sides it would have if no view changed
-    /// in flight: the node's own view and `w`'s as it stands now.
-    fn prepare_crosscheck(&mut self, slot: usize, w: NodeId, nonce: Nonce) {
+    /// Hands the cross-check that the reply of the node at row `w` to the
+    /// node at `slot` will run to the helper, over the sides it would have
+    /// if no view changed in flight: the node's own view and `w`'s as it
+    /// stands now.
+    fn prepare_crosscheck(&mut self, slot: usize, w: usize, nonce: Nonce) {
         let timeout = self.opts.config.ping_timeout;
         if !self.crosscheck.has_room(self.now, timeout) {
             return;
         }
-        let fetched = self.slot(w).and_then(|s| self.nodes[s].proto());
-        let (Some(x), Some(fetched)) = (self.nodes[slot].proto(), fetched) else {
+        let (Some(x), Some(fetched)) = (self.nodes[slot].proto(), self.nodes[w].proto()) else {
             return;
         };
-        let sides = x.fig2_sides(w, fetched.view().as_slice());
+        let sides = x.fig2_sides(fetched.id(), fetched.view().as_slice());
         self.crosscheck.submit(slot, nonce, self.now, sides);
     }
 
-    /// Picks a uniformly random live contact for `joiner`, in O(1) and
-    /// with exactly one RNG draw whenever a valid contact exists.
+    /// Picks a uniformly random live contact for the joiner at row
+    /// `joiner`, in O(1) and with exactly one RNG draw whenever a valid
+    /// contact exists.
     ///
     /// Returns `None` only when no other node is alive. The joiner is
     /// normally not yet in `alive` when this runs; the index exclusion
     /// below keeps the guarantee even if it is.
-    fn pick_contact(&mut self, joiner: NodeId) -> Option<NodeId> {
-        match self.slot(joiner).and_then(|s| self.nodes[s].alive_pos) {
+    fn pick_contact(&mut self, joiner: usize) -> Option<NodeId> {
+        match self.nodes[joiner].alive_pos {
             None => {
                 if self.alive.is_empty() {
                     return None;
@@ -1156,11 +1131,15 @@ fn live_protos<'a>(
 /// engine state a drain needs, split-borrowed so the node itself can stay
 /// mutably borrowed while it is polled.
 struct OutputSink<'a> {
+    /// The draining node's row.
+    slot: u32,
     incarnation: u64,
     now: TimeMs,
     calendar: &'a mut Calendar,
     net: &'a mut NetworkState,
     rng: &'a mut SmallRng,
+    /// The identity lookup, for unicast destinations.
+    slot_of: &'a FlatMap<NodeId, u32>,
     alive: &'a [(NodeId, usize)],
     /// The node's discovery log, if it keeps one.
     discovery: Option<&'a mut DiscoveryLog>,
@@ -1168,17 +1147,18 @@ struct OutputSink<'a> {
     app_events: Option<&'a mut Vec<(TimeMs, NodeId, AppEvent)>>,
     /// Suspicion transitions `(down, target)`, for the QoS fold.
     suspicions: Vec<(bool, NodeId)>,
-    /// The `(peer, nonce)` of a `ViewFetch` the network did not drop — at
-    /// most one per input (Fig. 2 fetches once per period) — for the
+    /// The `(peer row, nonce)` of a `ViewFetch` the network did not drop
+    /// — at most one per input (Fig. 2 fetches once per period) — for the
     /// cross-check helper.
-    fetch: Option<(NodeId, Nonce)>,
+    fetch: Option<(u32, Nonce)>,
 }
 
 impl OutputSink<'_> {
     /// Routes one unicast through the network model: lost, delivered, or
     /// delivered twice (duplication), each copy independently delayed.
     /// Takes the message by value so the fault-free unicast path stays
-    /// clone-free.
+    /// clone-free. The destination's row is resolved once, after the
+    /// network drew; an identity the trace never named gets nothing.
     fn route(&mut self, from: NodeId, to: NodeId, msg: Message) {
         match self.net.route(self.rng, self.now, from, to) {
             Route::Drop => {}
@@ -1186,6 +1166,10 @@ impl OutputSink<'_> {
                 delay,
                 duplicate_delay,
             } => {
+                let Some(&to) = self.slot_of.get(&to) else {
+                    return;
+                };
+                let from = self.slot;
                 if let Message::ViewFetch { nonce } = msg {
                     self.fetch = Some((to, nonce));
                 }
@@ -1214,9 +1198,9 @@ impl DriverEnv for OutputSink<'_> {
         }
     }
 
-    fn arm_timer(&mut self, node: NodeId, timer: Timer, at: TimeMs) {
+    fn arm_timer(&mut self, _: NodeId, timer: Timer, at: TimeMs) {
         let kind = EventKind::Timer {
-            node,
+            slot: self.slot,
             incarnation: self.incarnation,
             timer,
         };
@@ -1275,8 +1259,8 @@ mod tests {
             let (a, b) = (NodeId::from_index(0), NodeId::from_index(1));
             for _ in 0..200 {
                 // Joiner alive: the other node is the only valid contact.
-                assert_eq!(sim.pick_contact(a), Some(b), "seed {seed}");
-                assert_eq!(sim.pick_contact(b), Some(a), "seed {seed}");
+                assert_eq!(sim.pick_contact(0), Some(b), "seed {seed}");
+                assert_eq!(sim.pick_contact(1), Some(a), "seed {seed}");
             }
         }
     }
@@ -1286,27 +1270,34 @@ mod tests {
     #[test]
     fn pick_contact_excludes_joiner_and_handles_singletons() {
         let config = Config::builder(8).build().unwrap();
-        let mut sim = Simulation::new(
-            cohort_trace(5, avmon::MINUTE),
-            SimOptions::new(config.clone()).seed(3),
-        );
+        // Five births at t = 0, and a sixth identity born only later.
+        let mut trace = cohort_trace(6, avmon::MINUTE);
+        trace.events[5].at = avmon::MINUTE / 2;
+        let mut sim = Simulation::new(trace, SimOptions::new(config.clone()).seed(3));
         sim.run_until(1);
+        assert_eq!(sim.alive.len(), 5);
         let joiner = NodeId::from_index(2);
+        assert_eq!(sim.nodes[2].id, joiner);
         for _ in 0..500 {
-            let pick = sim.pick_contact(joiner).expect("4 valid contacts exist");
+            let pick = sim.pick_contact(2).expect("4 valid contacts exist");
             assert_ne!(pick, joiner);
         }
-        // A non-member joiner draws uniformly over all alive nodes.
+        // A joiner that is down draws over all alive nodes.
+        let mut seen = Vec::new();
         for _ in 0..100 {
-            assert!(sim.pick_contact(NodeId::from_index(99)).is_some());
+            let pick = sim.pick_contact(5).expect("5 valid contacts exist");
+            if !seen.contains(&pick) {
+                seen.push(pick);
+            }
         }
+        assert_eq!(seen.len(), 5, "a down joiner never drew some live node");
         // Singleton system: the sole node has no contact.
         let mut lonely = Simulation::new(
             cohort_trace(1, avmon::MINUTE),
             SimOptions::new(config).seed(3),
         );
         lonely.run_until(1);
-        assert_eq!(lonely.pick_contact(NodeId::from_index(0)), None);
+        assert_eq!(lonely.pick_contact(0), None);
     }
 
     /// Under seeded random churn `alive` and the rows' `alive_pos` stay
@@ -1340,7 +1331,7 @@ mod tests {
                 // Every live row owns its own position: no duplicates.
                 assert_eq!(live, sim.alive.len(), "seed {seed}, t={t}");
                 if live >= 2 {
-                    let joiner = sim.nodes[t as usize % sim.nodes.len()].id;
+                    let joiner = t as usize % sim.nodes.len();
                     let before = sim.rng.draw_count();
                     assert!(sim.pick_contact(joiner).is_some());
                     assert_eq!(sim.rng.draw_count(), before + 1);

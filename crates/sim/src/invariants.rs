@@ -493,7 +493,7 @@ impl InvariantChecker {
                 node,
                 opened_at,
                 heals_at,
-                deadline: heals_at + bound,
+                deadline: heals_at.saturating_add(bound),
                 detected_after_ms: None,
                 proven: false,
                 failed: false,

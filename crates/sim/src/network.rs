@@ -219,6 +219,13 @@ impl NetworkModel {
         self.latency.validate()?;
         self.faults.validate()
     }
+
+    /// The latest a message sent at `sent` can arrive (the latency bound
+    /// plus the jitter later); `None` if that is past [`TimeMs::MAX`].
+    pub(crate) fn last_arrival(&self, sent: TimeMs) -> Option<TimeMs> {
+        let (LatencyModel::Constant(max) | LatencyModel::Uniform { max, .. }) = self.latency;
+        max.checked_add(self.faults.jitter)?.checked_add(sent)
+    }
 }
 
 /// One time-windowed loss rule between two node groups, compiled from a

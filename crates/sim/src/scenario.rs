@@ -129,7 +129,9 @@ pub enum Corruption {
 }
 
 impl Fault {
-    fn validate(&self) -> Result<(), avmon::Error> {
+    /// Checks the fault's parameters, and that it ends, starting at `at`,
+    /// at an instant [`TimeMs`] can hold.
+    fn validate(&self, at: TimeMs) -> Result<(), avmon::Error> {
         let err = |msg: String| Err(avmon::Error::InvalidConfig(msg));
         match self {
             Fault::Partition { a, b, duration, .. } => {
@@ -196,6 +198,9 @@ impl Fault {
                 }
             }
         }
+        if at.checked_add(self.duration()).is_none() {
+            return err(format!("a fault at {at} ms ends past the last instant"));
+        }
         Ok(())
     }
 
@@ -251,7 +256,7 @@ impl Scenario {
     /// invalid fault or overlapping pair of campaigns.
     pub fn validate(&self) -> Result<(), avmon::Error> {
         for event in &self.events {
-            event.fault.validate()?;
+            event.fault.validate(event.at)?;
         }
         let campaigns: Vec<(TimeMs, TimeMs, &[NodeId])> = self
             .events
@@ -261,7 +266,7 @@ impl Scenario {
                     coalition,
                     duration,
                     ..
-                } => Some((e.at, e.at.saturating_add(*duration), coalition.as_slice())),
+                } => Some((e.at, e.at + duration, coalition.as_slice())),
                 _ => None,
             })
             .collect();
@@ -723,6 +728,26 @@ mod tests {
         assert!(two_campaigns(30 * MINUTE, shared()).is_ok());
         // So are overlapping windows with disjoint coalitions.
         assert!(two_campaigns(20 * MINUTE, ids(2..4)).is_ok());
+    }
+
+    /// A window whose end does not fit in `TimeMs` is a configuration
+    /// error, not an overflow in the engine's time arithmetic.
+    #[test]
+    fn fault_windows_ending_past_the_last_instant_rejected() {
+        let last = TimeMs::MAX;
+        let burst = Scenario::builder("late")
+            .loss_burst(last - 1, 10, 0.5)
+            .build();
+        assert!(matches!(burst, Err(avmon::Error::InvalidConfig(_))));
+        let freeze = Scenario::builder("late")
+            .freeze(last - 1, 10, NodeId::from_index(0))
+            .build();
+        assert!(matches!(freeze, Err(avmon::Error::InvalidConfig(_))));
+        // Ending exactly at the last instant fits.
+        let s = Scenario::builder("edge")
+            .loss_burst(last - 10, 10, 0.5)
+            .build();
+        assert_eq!(s.unwrap().quiescent_after(), last);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! the way. The expensive random-scenario sweep is opt-in via the
 //! `AVMON_FUZZ_SWEEP` environment variable (see CI).
 
-use avmon::{Config, NodeId, MINUTE};
+use avmon::{Command, Config, NodeId, MINUTE};
 use avmon_app::{apps::watchdog_selector, SimExecutor};
-use avmon_churn::{stat, synthetic, SynthParams, Trace};
+use avmon_churn::{stat, synthetic, ChurnEvent, ChurnEventKind, SynthParams, Trace};
 use avmon_sim::{
     LatencyModel, LinkFaults, NetworkModel, Scenario, SimOptions, SimReport, Simulation,
 };
@@ -222,6 +222,19 @@ fn invalid_options_rejected_at_construction() {
     opts.network.faults.loss = 2.0;
     assert!(Simulation::try_new(trace.clone(), opts).is_err());
 
+    // A delay that would carry a message sent at the horizon past the
+    // last instant `TimeMs` holds: an error here, not an overflow at the
+    // first send. The jitter counts towards the delay.
+    let mut opts = SimOptions::new(config.clone());
+    opts.network.latency = LatencyModel::Constant(u64::MAX);
+    let mut jittery = SimOptions::new(config.clone());
+    jittery.network.faults.jitter = u64::MAX - trace.horizon;
+    for opts in [opts, jittery] {
+        let err = Simulation::try_new(trace.clone(), opts).err();
+        let err = err.expect("an overflowing delay is rejected");
+        assert!(err.to_string().contains("representable"), "{err}");
+    }
+
     let mut opts = SimOptions::new(config);
     opts.scenario = Scenario {
         name: "raw-unvalidated".into(),
@@ -249,6 +262,50 @@ fn invalid_options_rejected_at_construction() {
         }],
     };
     assert!(Simulation::try_new(trace, opts).is_err());
+}
+
+/// An identity the trace never named has no row, so what is addressed to
+/// it is never scheduled: a corruption of it, or a message sent to it,
+/// leaves the calendar's traffic exactly as in a twin run without it.
+#[test]
+fn identities_outside_the_trace_schedule_nothing() {
+    let ghost = NodeId::from_index(999);
+    let config = Config::builder(20).build().unwrap();
+    let trace = stat(20, 10 * MINUTE, 0.1, 1);
+    assert!(!trace.identities().contains(&ghost));
+    let run = |scenario: Scenario| {
+        let mut opts = SimOptions::new(config.clone()).scenario(scenario);
+        opts.seed = 5;
+        let mut sim = Simulation::new(trace.clone(), opts);
+        sim.run_until(trace.horizon);
+        sim.calendar_stats()
+    };
+    let corrupted = Scenario::builder("ghost")
+        .corrupt(5 * MINUTE, ghost, avmon_sim::Corruption::Full, 3)
+        .build()
+        .unwrap();
+    assert_eq!(run(corrupted), run(Scenario::default()));
+
+    // On a one-node trace the engine RNG draws nothing after the send, so
+    // the twins stay identical but for the message itself.
+    let alone = NodeId::from_index(0);
+    let birth = ChurnEvent {
+        at: 0,
+        node: alone,
+        kind: ChurnEventKind::Birth,
+    };
+    let trace = Trace::new("ONE", 1, 10 * MINUTE, 0, vec![], vec![birth]);
+    let run = |send: bool| {
+        let mut sim = Simulation::new(trace.clone(), SimOptions::new(config.clone()));
+        sim.run_until(MINUTE);
+        if send {
+            let payload = vec![1, 2, 3];
+            sim.command(alone, Command::SendApp { to: ghost, payload });
+        }
+        sim.run_until(trace.horizon);
+        sim.calendar_stats()
+    };
+    assert_eq!(run(true), run(false));
 }
 
 /// `Simulation::new` keeps its documented panic for what `try_new`
@@ -410,4 +467,25 @@ fn random_scenario_fuzz_sweep() {
         scorecards.len(),
         artifact.display()
     );
+}
+
+/// A validated fault may end exactly at the last instant `TimeMs` holds;
+/// the checker's recovery deadline after it saturates instead of
+/// overflowing, and the window, never reached, stays open.
+#[test]
+fn faults_ending_at_the_last_instant_run() {
+    let trace = stat(20, 10 * MINUTE, 0.1, 1);
+    let config = Config::builder(20).build().unwrap();
+    let last = u64::MAX;
+    let scenario = Scenario::builder("last-instant")
+        .corrupt(last, NodeId::from_index(0), avmon_sim::Corruption::Full, 3)
+        .freeze(last - MINUTE, MINUTE, NodeId::from_index(1))
+        .build()
+        .unwrap();
+    let mut sim = Simulation::new(trace, SimOptions::new(config).scenario(scenario));
+    let report = sim.run();
+    let window = &report.qos.windows[0];
+    assert_eq!((window.heals_at, window.deadline), (last, last));
+    assert!(!window.proven && !window.failed);
+    assert_clean(&report);
 }
