@@ -39,10 +39,12 @@ pub struct Table1Row {
 #[must_use]
 pub fn table1(n: usize) -> Vec<Table1Row> {
     let nf = n as f64;
-    let log_n = nf.log2().ceil().max(2.0) as usize;
-    let md = cvs_optimal_md(nf).round().max(2.0) as usize;
-    let mdc = cvs_optimal_mdc(nf).round().max(2.0) as usize;
-    let generic = 4 * mdc; // the paper's experimental default for context
+    // Round up with a floor of two, as `avmon::CvsPolicy` picks a run's cvs.
+    let pick = |cvs: f64| (cvs.ceil() as usize).max(2);
+    let log_n = pick(nf.log2());
+    let md = pick(cvs_optimal_md(nf));
+    let mdc = pick(cvs_optimal_mdc(nf));
+    let generic = pick(4.0 * cvs_optimal_mdc(nf)); // the paper's experimental default
 
     let row = |approach, cvs: usize| Table1Row {
         approach,

@@ -147,7 +147,7 @@ fn own_measurement(h: &AvmonHandle, target: NodeId) -> Option<(NodeId, f64, u64)
 ///
 /// The task starts with a jittered phase drawn from the `app` RNG
 /// stream, so any run that attaches it has a nonzero `app_draws` ledger
-/// entry — the detlint/ledger suites rely on that.
+/// entry — the ledger suites rely on that.
 pub async fn watchdog_selector(h: AvmonHandle, period: DurMs, k: usize) {
     let phase = h.rng_u64() % period.max(1);
     h.sleep(phase).await;

@@ -25,10 +25,9 @@ use std::collections::BTreeSet;
 use std::future::Future;
 use std::rc::Rc;
 
+use avmon::rng::Stream;
 use avmon::{AppEvent, NodeId, TimeMs};
 use avmon_sim::{SimReport, Simulation};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use crate::app_stream_seed;
 use crate::decision::DecisionLog;
@@ -48,7 +47,7 @@ impl<W: World + 'static> Core<W> {
     /// task's draw *sequence* depends only on the seed and its draw order.
     pub(crate) fn new(world: W, now: TimeMs, master_seed: u64) -> Self {
         let world = Rc::new(RefCell::new(world));
-        let rng = SmallRng::seed_from_u64(app_stream_seed(master_seed));
+        let rng = Stream::seeded(app_stream_seed(master_seed));
         let shared = Shared::new(Rc::clone(&world) as Rc<RefCell<dyn World>>, now, rng);
         Core {
             world,
@@ -217,7 +216,7 @@ impl SimExecutor {
 
     /// Pushes the app stream's draw count into the simulation's ledger.
     fn sync_app_draws(&mut self) {
-        let draws = self.core.shared.borrow().rng.draw_count();
+        let draws = self.core.shared.borrow().rng.draws();
         self.core.world.borrow_mut().set_app_draws(draws);
     }
 

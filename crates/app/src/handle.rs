@@ -21,11 +21,10 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use avmon::driver::{Command, NodeSnapshot};
+use avmon::rng::Stream;
 use avmon::{AppEvent, DurMs, NodeId, TimeMs};
 use avmon_runtime::Cluster;
 use avmon_sim::Simulation;
-use rand::rngs::SmallRng;
-use rand::Rng;
 
 use crate::decision::{Decision, DecisionLog};
 
@@ -77,7 +76,7 @@ pub(crate) struct Shared {
     pub(crate) now: TimeMs,
     /// The `app` RNG stream (seeded [`crate::app_stream_seed`]); its
     /// draw count feeds `RngLedger::app_draws` under the sim executor.
-    pub(crate) rng: SmallRng,
+    pub(crate) rng: Stream,
     /// Registered sleep deadlines, keyed by registration id.
     pub(crate) sleeps: BTreeMap<u64, TimeMs>,
     pub(crate) next_sleep_id: u64,
@@ -92,7 +91,7 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub(crate) fn new(world: Rc<RefCell<dyn World>>, now: TimeMs, rng: SmallRng) -> Self {
+    pub(crate) fn new(world: Rc<RefCell<dyn World>>, now: TimeMs, rng: Stream) -> Self {
         Shared {
             world,
             now,

@@ -1,12 +1,11 @@
 //! Extension / ablation experiments: claims the paper states analytically
 //! (or in prose) that its own evaluation never plots. See DESIGN.md §4.
 
+use avmon::rng::Stream;
 use avmon::{Config, DiscoveryMode, HashSelector, MonitorSelector, NodeId};
 use avmon_churn::{synthetic, ChurnEventKind, SynthParams};
 use avmon_sim::metrics::{mean, stddev};
 use avmon_sim::{SimOptions, Simulation};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 use crate::experiments::common::{run_model, ExpContext, Model};
 use crate::output::{f3, ResultTable};
@@ -193,7 +192,7 @@ pub fn ext_collusion(ctx: &ExpContext) -> Vec<ResultTable> {
     let config = Config::builder(n).build().expect("config");
     let selector = HashSelector::from_config(&config);
     let k = config.k;
-    let mut rng = SmallRng::seed_from_u64(ctx.seed);
+    let mut rng = Stream::seeded(ctx.seed);
     let ids: Vec<NodeId> = (0..n as u32).map(NodeId::from_index).collect();
     for c in [1u32, 5, 10, 20, 50] {
         let trials = if ctx.quick { 400 } else { 2000 };

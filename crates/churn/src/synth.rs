@@ -6,9 +6,8 @@
 //! * **SYNTH-BD** — SYNTH plus births and deaths at 20% per day;
 //! * **SYNTH-BD2** — births and deaths at twice that rate (§5.3).
 
+use avmon::rng::Stream;
 use avmon::{DurMs, NodeId, TimeMs, HOUR};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 use crate::event::{ChurnEvent, ChurnEventKind, Trace};
 
@@ -127,7 +126,7 @@ pub fn synthetic(params: SynthParams) -> Trace {
     } = params;
     assert!(n > 0, "system size must be positive");
     let horizon = warmup + duration;
-    let mut rng = SmallRng::seed_from_u64(params.seed ^ 0xa5a5_5a5a);
+    let mut rng = Stream::seeded(params.seed ^ 0xa5a5_5a5a);
 
     let mut events: Vec<ChurnEvent> = Vec::new();
     let mut next_index: u32 = 0;

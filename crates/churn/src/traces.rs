@@ -10,9 +10,8 @@
 //! volume, and availability level. See DESIGN.md §3 for the substitution
 //! rationale.
 
+use avmon::rng::Stream;
 use avmon::{DurMs, NodeId, TimeMs, HOUR, MINUTE, SECOND};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 use crate::event::{ChurnEvent, ChurnEventKind, Trace};
 
@@ -40,7 +39,7 @@ pub const OVERNET_SLOT: DurMs = 20 * MINUTE;
 /// ```
 #[must_use]
 pub fn planetlab_like(duration: DurMs, seed: u64) -> Trace {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9);
+    let mut rng = Stream::seeded(seed ^ 0x9e37_79b9);
     let mut events = Vec::new();
     let mut control = Vec::new();
 
@@ -103,7 +102,7 @@ pub fn planetlab_like(duration: DurMs, seed: u64) -> Trace {
 /// ```
 #[must_use]
 pub fn overnet_like(duration: DurMs, seed: u64) -> Trace {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x517c_c1b7);
+    let mut rng = Stream::seeded(seed ^ 0x517c_c1b7);
     let n = OVERNET_N;
     let slots = (duration / OVERNET_SLOT) as usize;
 

@@ -97,6 +97,7 @@ pub mod error;
 pub mod id;
 pub mod message;
 pub mod node;
+pub mod rng;
 pub mod selector;
 pub mod stats;
 pub mod table;

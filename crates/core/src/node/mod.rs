@@ -37,14 +37,13 @@ use std::sync::Arc;
 
 use crate::table::{FlatMap, SortedMap, SortedSet};
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::behavior::Behavior;
 use crate::codec;
 use crate::config::{Config, DiscoveryMode};
 use crate::message::{Message, Nonce};
+use crate::rng::Stream;
 use crate::selector::{verify_report, ReportVerification, SharedSelector};
 use crate::stats::NodeStats;
 use crate::time::{DurMs, Stamp, TimeMs};
@@ -378,7 +377,7 @@ pub struct Node {
     /// `None` for [`Behavior::Honest`], which almost every node is; an
     /// attack's members share one allocation.
     behavior: Option<Arc<Behavior>>,
-    rng: SmallRng,
+    rng: Stream,
     view: CoarseView,
     ps: SortedSet<NodeId>,
     targets: SortedMap<NodeId, TargetRecord>,
@@ -476,7 +475,7 @@ impl Node {
             config,
             selector,
             behavior: None,
-            rng: SmallRng::seed_from_u64(seed),
+            rng: Stream::seeded(seed),
             view: CoarseView::new(id, cvs),
             ps: SortedSet::new(),
             targets: SortedMap::new(),
@@ -619,7 +618,7 @@ impl Node {
     /// the node's exact position in it.
     #[must_use]
     pub fn rng_draws(&self) -> u64 {
-        self.rng.draw_count()
+        self.rng.draws()
     }
 
     /// When this incarnation entered the system (the `now` passed to

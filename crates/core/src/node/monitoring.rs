@@ -4,8 +4,6 @@
 //! All effects are queued on the node's internal output queues and drained
 //! by the driver through the poll interface.
 
-use rand::Rng;
-
 use super::{Node, Pending};
 use crate::message::{Message, Nonce};
 use crate::time::{Stamp, TimeMs};

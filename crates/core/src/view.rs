@@ -6,9 +6,7 @@
 //! another, cross-checks the consistency condition over the union, and then
 //! re-randomizes its own view from the union (the shuffle).
 
-use rand::seq::SliceRandom;
-use rand::Rng;
-
+use crate::rng::Stream;
 use crate::NodeId;
 
 /// A bounded, duplicate-free, self-excluding random set of node identities.
@@ -105,7 +103,7 @@ impl CoarseView {
     /// entry keeps views random while letting newborn nodes into full views
     /// (without it, a saturated steady-state system would never absorb
     /// joiners).
-    pub fn insert_or_replace<R: Rng>(&mut self, id: NodeId, rng: &mut R) -> bool {
+    pub fn insert_or_replace(&mut self, id: NodeId, rng: &mut Stream) -> bool {
         if id == self.owner || self.contains(id) {
             return false;
         }
@@ -132,13 +130,13 @@ impl CoarseView {
 
     /// Picks one entry uniformly at random.
     #[must_use]
-    pub fn pick_random<R: Rng>(&self, rng: &mut R) -> Option<NodeId> {
-        self.entries.choose(rng).copied()
+    pub fn pick_random(&self, rng: &mut Stream) -> Option<NodeId> {
+        rng.choose(&self.entries).copied()
     }
 
     /// Picks one entry uniformly at random, excluding `exclude`.
     #[must_use]
-    pub fn pick_random_excluding<R: Rng>(&self, rng: &mut R, exclude: NodeId) -> Option<NodeId> {
+    pub fn pick_random_excluding(&self, rng: &mut Stream, exclude: NodeId) -> Option<NodeId> {
         let eligible = self.entries.iter().filter(|&&e| e != exclude).count();
         if eligible == 0 {
             return None;
@@ -159,7 +157,7 @@ impl CoarseView {
     /// entries and copied back, so the view keeps the `cvs` slots it got
     /// in [`CoarseView::new`]; adopting the union vector would leave every
     /// merged view holding twice the slots it can fill.
-    pub fn shuffle_merge<R: Rng>(&mut self, peer: NodeId, peer_view: &[NodeId], rng: &mut R) {
+    pub fn shuffle_merge(&mut self, peer: NodeId, peer_view: &[NodeId], rng: &mut Stream) {
         let mut union: Vec<NodeId> = Vec::with_capacity(self.entries.len() + peer_view.len() + 1);
         union.extend_from_slice(&self.entries);
         for &id in peer_view.iter().chain(core::iter::once(&peer)) {
@@ -168,7 +166,7 @@ impl CoarseView {
             }
         }
         if union.len() > self.cap {
-            union.shuffle(rng);
+            rng.shuffle(&mut union);
             union.truncate(self.cap);
         }
         self.entries.clear();
@@ -208,15 +206,13 @@ impl CoarseView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn id(i: u32) -> NodeId {
         NodeId::from_index(i)
     }
 
-    fn rng() -> SmallRng {
-        SmallRng::seed_from_u64(7)
+    fn rng() -> Stream {
+        Stream::seeded(7)
     }
 
     #[test]

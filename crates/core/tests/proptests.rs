@@ -4,13 +4,12 @@
 
 use avmon::bytes::{self, BufMut};
 use avmon::codec::{decode, decode_from, encode, encode_into, encoded_len};
+use avmon::rng::Stream;
 use avmon::{
     CoarseView, Config, CvsPolicy, HashSelector, HasherKind, Message, MonitorSelector, NodeId,
     Nonce, PairHasher, Threshold,
 };
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn arb_node_id() -> impl Strategy<Value = NodeId> {
     (any::<[u8; 4]>(), any::<u16>()).prop_map(|(ip, port)| NodeId::new(ip, port))
@@ -82,9 +81,8 @@ fn arb_message() -> impl Strategy<Value = Message> {
 /// variant is added to `Message` without extending the strategy.
 #[test]
 fn arb_message_covers_every_variant() {
-    use proptest::rand::SeedableRng;
     let strategy = arb_message();
-    let mut rng = proptest::TestRng::seed_from_u64(42);
+    let mut rng = proptest::test_rng(42);
     let mut kinds = std::collections::BTreeSet::new();
     for _ in 0..4000 {
         kinds.insert(strategy.generate(&mut rng).kind());
@@ -148,7 +146,7 @@ proptest! {
     ) {
         let owner = NodeId::from_index(999);
         let mut view = CoarseView::new(owner, cap);
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = Stream::seeded(seed);
         for (op, arg) in ops {
             let id = NodeId::from_index(arg);
             match op {

@@ -15,11 +15,10 @@ use std::net::{SocketAddrV4, UdpSocket};
 use std::sync::Arc;
 use std::time::Duration;
 
+use avmon::rng::Stream;
 use avmon::NodeId;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// A datagram endpoint bound to one node identity.
 pub trait Transport: Send {
@@ -42,7 +41,7 @@ type Port = Sender<(NodeId, Vec<u8>)>;
 pub struct MemoryHub {
     ports: RwLock<HashMap<NodeId, Port>>,
     loss: f64,
-    rng: Mutex<SmallRng>,
+    rng: Mutex<Stream>,
 }
 
 impl MemoryHub {
@@ -67,7 +66,7 @@ impl MemoryHub {
         Arc::new(MemoryHub {
             ports: RwLock::new(HashMap::new()),
             loss,
-            rng: Mutex::new(SmallRng::seed_from_u64(seed)),
+            rng: Mutex::new(Stream::seeded(seed)),
         })
     }
 

@@ -479,8 +479,7 @@ impl Calendar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use avmon::rng::Stream;
     use std::cmp::Reverse;
 
     const LANES: [DurMs; 3] = [500, 5_000, 60_000];
@@ -526,7 +525,7 @@ mod tests {
         delays.extend(LANES);
         let (mut totals, mut fallbacks, mut rebuilds) = (CalendarStats::default(), 0, 0);
         for seed in 0..32u64 {
-            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut rng = Stream::seeded(seed);
             let mut cal = Calendar::new(LANES.to_vec(), 0);
             let mut reference = BinaryHeap::new();
             let (mut now, mut pops) = (0, 0u64);
@@ -613,7 +612,7 @@ mod tests {
     #[test]
     fn wheel_memory_follows_what_is_in_flight() {
         const STORM: u64 = 100_000;
-        let mut rng = SmallRng::seed_from_u64(5);
+        let mut rng = Stream::seeded(5);
         let mut cal = Calendar::new(LANES.to_vec(), 0);
         let mut reference = BinaryHeap::new();
         for _ in 0..STORM {

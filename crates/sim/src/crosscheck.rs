@@ -431,9 +431,8 @@ impl CrossCheckAhead {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use avmon::rng::Stream;
     use avmon::{Config, HashSelector, HasherKind};
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Counts the batch calls that reach the real selector.
@@ -470,7 +469,7 @@ mod tests {
     }
 
     /// Distinct random identities (a dense threshold, so sides match often).
-    fn side(rng: &mut SmallRng, len: usize) -> Vec<NodeId> {
+    fn side(rng: &mut Stream, len: usize) -> Vec<NodeId> {
         let mut ids: Vec<NodeId> = Vec::with_capacity(len);
         while ids.len() < len {
             let id = NodeId::from_index(rng.gen_range(0..400));
@@ -509,7 +508,7 @@ mod tests {
                 assert_eq!(pairs(&replay, m, t), expected, "{label}");
                 counting.batches.load(Ordering::Relaxed) == before
             };
-            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut rng = Stream::seeded(seed);
             let (x, w) = (NodeId::from_index(1000), NodeId::from_index(1001));
             let mut matched = 0;
             for round in 0..200 {

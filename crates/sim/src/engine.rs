@@ -18,6 +18,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use avmon::driver::{apply_command, drain, Command, DriverEnv};
+use avmon::rng::Stream;
 use avmon::{
     AppEvent, Behavior, Config, Destination, FlatMap, HashSelector, HasherKind, JoinKind, Message,
     Node, NodeId, NodeStats, Nonce, OutputQueues, PersistentState, SharedSelector, Stamp,
@@ -25,8 +26,6 @@ use avmon::{
 };
 use avmon_churn::{ChurnEventKind, Trace};
 use avmon_hash::fast64::mix64;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 use crate::calendar::{Calendar, CalendarStats, EventKind};
 use crate::crosscheck::{CrossCheckAhead, CrossCheckStats};
@@ -297,7 +296,7 @@ pub struct Simulation {
     /// Every pending event, in `(time, seq)` order.
     pub(crate) calendar: Calendar,
     pub(crate) now: TimeMs,
-    pub(crate) rng: SmallRng,
+    pub(crate) rng: Stream,
     pub(crate) graveyard_stats: NodeStats,
     initial_cohort: Vec<NodeId>,
     app_events: Vec<(TimeMs, NodeId, AppEvent)>,
@@ -485,7 +484,7 @@ impl Simulation {
                 calendar.defer(e.at + duration, EventKind::SetBehavior { slot, behavior });
             }
         }
-        let rng = SmallRng::seed_from_u64(opts.seed ^ 0xdead_beef_cafe_f00d);
+        let rng = Stream::seeded(opts.seed ^ 0xdead_beef_cafe_f00d);
         let net = NetworkState::compile(opts.network.clone(), &opts.scenario.events);
         let quiescent_from = opts.scenario.quiescent_after();
         let mut checker = InvariantChecker::new(
@@ -783,8 +782,7 @@ impl Simulation {
     /// (mixed from the master seed and the per-event seed), so runs without
     /// `Corrupt` events draw exactly the RNG they always did.
     fn on_corrupt(&mut self, slot: usize, pattern: Corruption, seed: u64) {
-        let mut rng =
-            SmallRng::seed_from_u64(mix64(self.opts.seed ^ mix64(seed) ^ 0xc0de_dead_5eed_0bad));
+        let mut rng = Stream::seeded(mix64(self.opts.seed ^ mix64(seed) ^ 0xc0de_dead_5eed_0bad));
         let sim_node = &mut self.nodes[slot];
         let node = sim_node.id;
         let mut state = match sim_node.proto() {
@@ -814,7 +812,7 @@ impl Simulation {
             // until the consistency condition fails in the corrupted
             // direction — each ghost is a guaranteed GhostMonitor /
             // GhostTarget violation at the next sample.
-            let draw_ghost = |rng: &mut SmallRng, as_monitor: bool| loop {
+            let draw_ghost = |rng: &mut Stream, as_monitor: bool| loop {
                 let g = NodeId::new([192, rng.gen(), rng.gen(), rng.gen()], 4000);
                 let selected = if as_monitor {
                     self.selector.is_monitor(g, node)
@@ -852,7 +850,7 @@ impl Simulation {
             }
             None => sim_node.state = NodeState::Down(state),
         }
-        self.corruption_draws += rng.draw_count();
+        self.corruption_draws += rng.draws();
     }
 
     fn on_churn(&mut self, slot: usize, kind: ChurnEventKind) {
@@ -1137,7 +1135,7 @@ struct OutputSink<'a> {
     now: TimeMs,
     calendar: &'a mut Calendar,
     net: &'a mut NetworkState,
-    rng: &'a mut SmallRng,
+    rng: &'a mut Stream,
     /// The identity lookup, for unicast destinations.
     slot_of: &'a FlatMap<NodeId, u32>,
     alive: &'a [(NodeId, usize)],
@@ -1332,9 +1330,9 @@ mod tests {
                 assert_eq!(live, sim.alive.len(), "seed {seed}, t={t}");
                 if live >= 2 {
                     let joiner = t as usize % sim.nodes.len();
-                    let before = sim.rng.draw_count();
+                    let before = sim.rng.draws();
                     assert!(sim.pick_contact(joiner).is_some());
-                    assert_eq!(sim.rng.draw_count(), before + 1);
+                    assert_eq!(sim.rng.draws(), before + 1);
                 }
             }
         }

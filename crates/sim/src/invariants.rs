@@ -245,9 +245,11 @@ pub struct RecordedWarning {
     pub warning: InvariantWarning,
 }
 
-/// Per-stream RNG draw counts at report time — the dynamic half of the
-/// workspace's determinism discipline (the static half is the `detlint`
-/// auditor). Every stream is seeded independently from the master seed, so
+/// Per-stream RNG draw counts at report time, each read off its
+/// `avmon::rng::Stream` — the dynamic half of the workspace's determinism
+/// discipline (the static half is clippy's ban on raw `rand`, which
+/// leaves `Stream` the only way to seed or draw). Every stream is seeded
+/// independently from the master seed, so
 /// a legitimate protocol change that perturbs randomness (the PR 3
 /// situation: re-pinned fixtures) shows up here as "*this* stream moved by
 /// *this many* draws" instead of an opaque byte mismatch between reports.

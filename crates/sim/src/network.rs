@@ -17,6 +17,7 @@
 //! knobs at zero, the RNG stream is *identical* to the fault-free engine:
 //! exactly one latency sample is drawn per unicast message.
 
+use avmon::rng::Stream;
 use avmon::{DurMs, FlatSet, NodeId, TimeMs};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -80,6 +81,14 @@ impl LatencyModel {
     /// simulator validates at construction, so this is unreachable there.
     /// Valid models (including `min == max`) always draw exactly one
     /// value, keeping RNG streams seed-stable.
+    ///
+    /// Generic over the generator so a caller outside the workspace can
+    /// time it on a bare one; the engine passes its [`Stream`], which
+    /// counts the word.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "generic; a Stream counts the word"
+    )]
     pub fn sample<R: Rng>(&self, rng: &mut R) -> DurMs {
         match *self {
             LatencyModel::Constant(d) => d,
@@ -355,13 +364,7 @@ impl NetworkState {
     /// to the pre-fault engine, and faulty runs reproducible): exactly one
     /// latency sample is always drawn first; loss, jitter and duplication
     /// draws happen only when their probabilities are non-zero.
-    pub(crate) fn route<R: Rng>(
-        &self,
-        rng: &mut R,
-        now: TimeMs,
-        src: NodeId,
-        dst: NodeId,
-    ) -> Route {
+    pub(crate) fn route(&self, rng: &mut Stream, now: TimeMs, src: NodeId, dst: NodeId) -> Route {
         let base_delay = self.model.latency.sample(rng);
 
         // Hard link rules first: a full partition drops without consuming
@@ -425,8 +428,6 @@ mod tests {
     use super::*;
     use crate::scenario::Scenario;
     use avmon::MINUTE;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn id(i: u32) -> NodeId {
         NodeId::from_index(i)
@@ -434,7 +435,7 @@ mod tests {
 
     #[test]
     fn constant_is_constant() {
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = Stream::seeded(1);
         let m = LatencyModel::Constant(42);
         for _ in 0..10 {
             assert_eq!(m.sample(&mut rng), 42);
@@ -443,7 +444,7 @@ mod tests {
 
     #[test]
     fn uniform_stays_in_range_and_varies() {
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = Stream::seeded(1);
         let m = LatencyModel::uniform(10, 50).unwrap();
         let samples: Vec<DurMs> = (0..200).map(|_| m.sample(&mut rng)).collect();
         assert!(samples.iter().all(|&d| (10..=50).contains(&d)));
@@ -458,7 +459,7 @@ mod tests {
         // invalid literal never panics.
         let literal = LatencyModel::Uniform { min: 9, max: 3 };
         assert!(literal.validate().is_err());
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = Stream::seeded(1);
         assert_eq!(literal.sample(&mut rng), 9);
     }
 
@@ -503,7 +504,7 @@ mod tests {
     #[test]
     fn reliable_default_always_delivers_once() {
         let state = NetworkState::compile(NetworkModel::default(), &[]);
-        let mut rng = SmallRng::seed_from_u64(3);
+        let mut rng = Stream::seeded(3);
         for t in 0..500u64 {
             match state.route(&mut rng, t * 100, id(1), id(2)) {
                 Route::Deliver {
@@ -520,7 +521,7 @@ mod tests {
         let mut model = NetworkModel::default();
         model.faults.loss = 1.0;
         let state = NetworkState::compile(model.clone(), &[]);
-        let mut rng = SmallRng::seed_from_u64(4);
+        let mut rng = Stream::seeded(4);
         assert_eq!(state.route(&mut rng, 0, id(1), id(2)), Route::Drop);
 
         model.faults.loss = 0.5;
@@ -540,7 +541,7 @@ mod tests {
         let mut model = NetworkModel::default();
         model.faults.duplicate = 1.0;
         let state = NetworkState::compile(model, &[]);
-        let mut rng = SmallRng::seed_from_u64(5);
+        let mut rng = Stream::seeded(5);
         match state.route(&mut rng, 0, id(1), id(2)) {
             Route::Deliver {
                 duplicate_delay: Some(d),
@@ -555,7 +556,7 @@ mod tests {
         let mut model = NetworkModel::reliable(LatencyModel::Constant(10));
         model.faults.jitter = 50;
         let state = NetworkState::compile(model, &[]);
-        let mut rng = SmallRng::seed_from_u64(6);
+        let mut rng = Stream::seeded(6);
         let mut seen_above_base = false;
         for t in 0..200u64 {
             match state.route(&mut rng, t, id(1), id(2)) {
@@ -576,7 +577,7 @@ mod tests {
             .build()
             .unwrap();
         let state = NetworkState::compile(NetworkModel::default(), &scenario.events);
-        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rng = Stream::seeded(7);
         // Before the window: open.
         assert!(matches!(
             state.route(&mut rng, 0, id(1), id(2)),
@@ -607,7 +608,7 @@ mod tests {
             .build()
             .unwrap();
         let state = NetworkState::compile(NetworkModel::default(), &scenario.events);
-        let mut rng = SmallRng::seed_from_u64(8);
+        let mut rng = Stream::seeded(8);
         assert_eq!(state.route(&mut rng, 10, id(1), id(2)), Route::Drop);
         assert_eq!(state.route(&mut rng, 10, id(2), id(1)), Route::Drop);
     }
@@ -618,8 +619,8 @@ mod tests {
         // with no faults, route() consumes exactly the draws the old
         // `latency.sample(rng)` call did.
         let state = NetworkState::compile(NetworkModel::default(), &[]);
-        let mut a = SmallRng::seed_from_u64(9);
-        let mut b = SmallRng::seed_from_u64(9);
+        let mut a = Stream::seeded(9);
+        let mut b = Stream::seeded(9);
         for t in 0..100u64 {
             let Route::Deliver { delay, .. } = state.route(&mut a, t, id(1), id(2)) else {
                 panic!("reliable network dropped");

@@ -93,7 +93,7 @@ impl Simulation {
         // so a seed-equal run that diverges pinpoints *which* stream
         // drifted.
         invariants.rng_ledger = RngLedger {
-            engine_draws: self.rng.draw_count(),
+            engine_draws: self.rng.draws(),
             node_draws,
             corruption_draws: self.corruption_draws,
             app_draws: self.app_draws,

@@ -29,9 +29,8 @@
 //! [`Scenario::random`]; the seed in the scenario name makes failures
 //! replayable.
 
+use avmon::rng::Stream;
 use avmon::{DurMs, NodeId, TimeMs};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// One fault, active from its event's `at` for `duration` ms.
@@ -359,7 +358,7 @@ impl Scenario {
     ) -> Self {
         assert!(identities.len() >= 2, "need at least two identities");
         assert!(window_from < window_to, "empty fault window");
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x05ce_0a21_cbad_cafe);
+        let mut rng = Stream::seeded(seed ^ 0x05ce_0a21_cbad_cafe);
         let span = window_to - window_from;
         let mut events = Vec::new();
         let count = rng.gen_range(1..=4usize);
@@ -458,7 +457,7 @@ impl Scenario {
 
 /// Splits the population into a random minority island (1..=N/3 nodes) and
 /// the rest.
-fn random_split<R: Rng>(rng: &mut R, identities: &[NodeId]) -> (Vec<NodeId>, Vec<NodeId>) {
+fn random_split(rng: &mut Stream, identities: &[NodeId]) -> (Vec<NodeId>, Vec<NodeId>) {
     let island_size = rng.gen_range(1..=(identities.len() / 3).max(1));
     let mut pool: Vec<NodeId> = identities.to_vec();
     // Partial Fisher-Yates: the first `island_size` entries become the island.

@@ -33,7 +33,8 @@ fn run_sim(seed: u64) -> (String, u64) {
     }
     exec.run();
     let (report, log) = exec.into_report();
-    (log.to_json(), report.invariants.rng_ledger.app_draws)
+    let json = log.to_json().expect("decision logs serialize");
+    (json, report.invariants.rng_ledger.app_draws)
 }
 
 fn run_live(seed: u64) -> String {
@@ -62,7 +63,7 @@ fn run_live(seed: u64) -> String {
     exec.run_for(Duration::from_secs(4));
     let (cluster, log) = exec.into_parts();
     cluster.shutdown();
-    log.to_json()
+    log.to_json().expect("decision logs serialize")
 }
 
 fn main() {

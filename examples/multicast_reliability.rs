@@ -10,13 +10,11 @@
 //! cargo run -p avmon-examples --release --bin multicast_reliability
 //! ```
 
+use avmon::rng::Stream;
 use avmon::{Config, NodeId, HOUR, MINUTE};
 use avmon_app::SimExecutor;
 use avmon_churn::{planetlab_like, PLANETLAB_N};
 use avmon_sim::{SimOptions, Simulation};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Heterogeneous persistent availability (PL-like hosts) is what makes
@@ -28,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = Config::builder(n).k(8).cvs(16).forgetful(None).build()?;
     let trace = planetlab_like(24 * HOUR, 23);
     let horizon = trace.horizon;
-    let mut rng = SmallRng::seed_from_u64(5);
+    let mut rng = Stream::seeded(5);
 
     println!("availability-aware multicast parents (N={n}, PL-like trace)");
     let sim = Simulation::new(trace.clone(), SimOptions::new(config).seed(23));
@@ -49,10 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .take(fanout)
         .map(|&(id, _)| id)
         .collect();
-    let random_parents: Vec<NodeId> = alive[1..]
-        .choose_multiple(&mut rng, fanout)
-        .copied()
-        .collect();
+    let random_parents: Vec<NodeId> = rng.choose_multiple(&alive[1..], fanout).copied().collect();
 
     // Children attach uniformly to a parent in each scheme; a child
     // receives a packet iff its parent is up at send time (source assumed

@@ -11,13 +11,11 @@
 //! cargo run -p avmon-examples --release --bin replica_selection
 //! ```
 
+use avmon::rng::Stream;
 use avmon::{Config, NodeId, HOUR, MINUTE};
 use avmon_app::SimExecutor;
 use avmon_churn::{planetlab_like, PLANETLAB_N};
 use avmon_sim::{SimOptions, Simulation};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 const REPLICAS: usize = 3;
 const OBJECTS: usize = 50;
@@ -33,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = Config::builder(n).k(8).cvs(16).forgetful(None).build()?;
     let trace = planetlab_like(24 * HOUR, 11);
     let horizon = trace.horizon;
-    let mut rng = SmallRng::seed_from_u64(99);
+    let mut rng = Stream::seeded(99);
 
     println!("replica selection over AVMON histories (N={n}, PL-like trace)");
     let sim = Simulation::new(trace.clone(), SimOptions::new(config).seed(11));
@@ -64,14 +62,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut random_sets = Vec::with_capacity(OBJECTS);
     for _ in 0..OBJECTS {
         smart_sets.push(
-            smart_pool
-                .choose_multiple(&mut rng, REPLICAS)
+            rng.choose_multiple(&smart_pool, REPLICAS)
                 .copied()
                 .collect::<Vec<_>>(),
         );
         random_sets.push(
-            candidates
-                .choose_multiple(&mut rng, REPLICAS)
+            rng.choose_multiple(&candidates, REPLICAS)
                 .copied()
                 .collect::<Vec<_>>(),
         );

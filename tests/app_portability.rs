@@ -43,8 +43,9 @@ fn sim_app_run(seed: u64) -> (String, String, RngLedger) {
     exec.run();
     let (report, log) = exec.into_report();
     let ledger = report.invariants.rng_ledger;
+    let log = log.to_json().expect("decision logs serialize");
     (
-        format!("{}\n{:?}", log.to_json(), outcome.take()),
+        format!("{log}\n{:?}", outcome.take()),
         serde_json::to_string(&report).expect("reports serialize"),
         ledger,
     )

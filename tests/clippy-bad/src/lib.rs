@@ -41,6 +41,13 @@ pub fn wall_clock() -> bool {
     a.elapsed() < b.elapsed().unwrap_or_default()
 }
 
+/// Seeds and draws raw `rand`, which no stream ledger counts.
+#[must_use]
+pub fn raw_rand() -> u64 {
+    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(7); // must fail: disallowed_methods
+    rand::Rng::gen_range(&mut rng, 0..10) // must fail: disallowed_methods
+}
+
 /// Every panic site the deny line rejects.
 ///
 /// # Panics

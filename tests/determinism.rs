@@ -172,7 +172,7 @@ fn same_seed_bit_identical_with_optimizations_under_lossy_partition() {
 ///
 /// RNG-stream note (the PR 3 / PR 5 precedent): the adversary pack adds
 /// exactly one new stream — corruption garbage comes from a dedicated
-/// `SmallRng` mixed from (master seed, per-event seed) — so adversary-free
+/// `Stream` mixed from (master seed, per-event seed) — so adversary-free
 /// runs consume the node, network, and scenario streams in exactly the
 /// old order and no fixture re-pin was needed. Eclipse NOTIFY floods
 /// deliberately ride the shared network RNG: they are traffic, and must

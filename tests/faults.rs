@@ -407,8 +407,8 @@ fn random_scenario_fuzz_sweep() {
             let (log, ledger) = app_run();
             let (log2, ledger2) = app_run();
             assert_eq!(
-                log.to_json(),
-                log2.to_json(),
+                log.to_json().expect("decision logs serialize"),
+                log2.to_json().expect("decision logs serialize"),
                 "seed {seed}: app decision log not reproducible under fuzz scenario"
             );
             assert_eq!(ledger, ledger2, "seed {seed}: app-run ledger diverged");

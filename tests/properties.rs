@@ -102,10 +102,11 @@ proptest! {
 /// can depend on the other without a new dependency edge, so this holds
 /// the two equal: every N up to 200 000, then a sampled sweep to 10⁷ that
 /// includes every N where `⌈·⌉` changes value (`N = k⁴` and `2N = k³`).
+/// `table1`'s rows print the cvs each policy runs.
 #[test]
 fn cvs_policy_matches_the_analysis_closed_forms() {
     use avmon::CvsPolicy;
-    use avmon_analysis::{cvs_optimal_md, cvs_optimal_mdc};
+    use avmon_analysis::{cvs_optimal_md, cvs_optimal_mdc, table1};
 
     let closed = |cvs: f64| (cvs.ceil() as usize).max(2);
     let check = |n: usize| {
@@ -125,6 +126,17 @@ fn cvs_policy_matches_the_analysis_closed_forms() {
             closed(cvs_optimal_mdc(nf) * 4.0),
             "4·N^¼ at N = {n}"
         );
+        let table: Vec<Option<usize>> = table1(n).iter().map(|row| row.cvs).collect();
+        let policies = [
+            CvsPolicy::PAPER_DEFAULT,
+            CvsPolicy::LogN,
+            CvsPolicy::OptimalMd,
+            CvsPolicy::OptimalMdc,
+        ];
+        let want: Vec<Option<usize>> = std::iter::once(None)
+            .chain(policies.map(|p| Some(p.cvs(n))))
+            .collect();
+        assert_eq!(table, want, "table1's cvs column at N = {n}");
     };
     (2..=200_000).for_each(check);
     (200_000..=10_000_000).step_by(9_973).for_each(check);
