@@ -17,7 +17,7 @@
 //!   **byte-identical** decision logs, and the app stream's draw count
 //!   lands in the report's `RngLedger` (`app_draws`).
 //! * [`LiveExecutor`] — drives the same tasks against a real
-//!   [`avmon_runtime::Cluster`] (threads + UDP or in-memory transport),
+//!   [`avmon_runtime::Cluster`] (a thread per node over UDP),
 //!   resolving sleeps on the wall clock and pumping cluster events into
 //!   the same inboxes.
 //!

@@ -1,5 +1,5 @@
 //! The live executor: the same async app tasks over a real
-//! [`Cluster`] of node threads (in-memory channels or UDP sockets).
+//! [`Cluster`] of node threads on UDP sockets.
 //!
 //! Sleeps resolve on the wall clock (epoch-relative milliseconds, so app
 //! code sees the same `TimeMs` arithmetic as in sim), cluster events are

@@ -1,6 +1,6 @@
 //! The shared driver harness: everything a driver needs to run [`Node`]s
-//! over *any* backend — a discrete-event simulator, OS threads over UDP or
-//! in-memory channels, or a custom transport.
+//! over *any* backend — a discrete-event simulator, OS threads over UDP, a
+//! virtual-time hub, or a custom transport.
 //!
 //! The protocol state machine is poll-based sans-io: inputs queue effects,
 //! and drivers drain them via [`Node::poll_transmit`], [`Node::poll_timer`]

@@ -42,8 +42,8 @@
 //!
 //! * `avmon-sim` — the trace-driven discrete-event simulator used to
 //!   reproduce the paper's evaluation,
-//! * `avmon-runtime` — thread-per-node clusters over in-memory channels or
-//!   real UDP sockets,
+//! * `avmon-runtime` — thread-per-node clusters over real UDP sockets, and
+//!   a virtual-time hub that runs the same driver code in tests,
 //! * anything else: see the "Driver authoring" section of [`driver`].
 //!
 //! ## Quickstart

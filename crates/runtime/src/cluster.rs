@@ -1,27 +1,49 @@
-//! Whole-cluster orchestration: spawn N AVMON nodes on threads, over the
-//! in-memory hub or real UDP sockets, observe them while they run, and
-//! inject churn (kill / restart) as a real deployment would experience.
+//! Whole-cluster orchestration: spawn N AVMON nodes on threads over real
+//! UDP sockets, observe them while they run, and inject churn (kill /
+//! restart) as a real deployment would experience.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use avmon::{AppEvent, Config, HashSelector, HasherKind, JoinKind, Node, NodeId};
+use avmon::{
+    AppEvent, Config, HashSelector, HasherKind, JoinKind, Node, NodeId, PersistentState,
+    SharedSelector,
+};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::RwLock;
 
 use crate::driver::{Command, NodeDriver, NodeSnapshot, SnapshotBoard};
-use crate::transport::{MemoryHub, MemoryTransport, Transport, UdpTransport};
+use crate::transport::{Transport, UdpTransport};
 
-/// Which transport a cluster runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClusterTransport {
-    /// Crossbeam-channel hub (fast, supports loss injection).
-    #[default]
-    Memory,
-    /// Real UDP sockets on 127.0.0.1 with kernel-assigned ports.
-    Udp,
+/// What every node of one cluster shares, and the one place a cluster's
+/// node is built: [`Cluster`] and [`crate::VirtualHub`] both build node `i`
+/// here, with RNG seed `mix64(seed ^ (i + 1))` in every incarnation.
+#[derive(Debug)]
+pub(crate) struct Blueprint {
+    config: Config,
+    selector: SharedSelector,
+    seed: u64,
+}
+
+impl Blueprint {
+    pub(crate) fn new(config: Config, hasher: HasherKind, seed: u64) -> Self {
+        let selector = HashSelector::from_config_with_kind(&config, hasher);
+        Blueprint {
+            config,
+            selector,
+            seed,
+        }
+    }
+
+    pub(crate) fn node(&self, id: NodeId, i: usize, restore: Option<PersistentState>) -> Node {
+        let seed = avmon_hash::fast64::mix64(self.seed ^ (i as u64 + 1));
+        let mut node = Node::new(id, self.config.clone(), self.selector.clone(), seed);
+        if let Some(state) = restore {
+            node.restore_persistent(state);
+        }
+        node
+    }
 }
 
 /// Builder for a [`Cluster`].
@@ -29,9 +51,7 @@ pub enum ClusterTransport {
 pub struct ClusterBuilder {
     config: Config,
     size: usize,
-    transport: ClusterTransport,
     hasher: HasherKind,
-    loss: f64,
     seed: u64,
 }
 
@@ -42,25 +62,9 @@ impl ClusterBuilder {
         ClusterBuilder {
             config,
             size,
-            transport: ClusterTransport::Memory,
             hasher: HasherKind::Fast64,
-            loss: 0.0,
             seed: 1,
         }
-    }
-
-    /// Selects the transport (default: in-memory).
-    #[must_use]
-    pub fn transport(mut self, transport: ClusterTransport) -> Self {
-        self.transport = transport;
-        self
-    }
-
-    /// Injects probabilistic message loss (memory transport only).
-    #[must_use]
-    pub fn loss(mut self, loss: f64) -> Self {
-        self.loss = loss;
-        self
     }
 
     /// Master seed for node RNGs.
@@ -77,86 +81,34 @@ impl ClusterBuilder {
         self
     }
 
-    /// Spawns the cluster.
+    /// Binds one UDP socket per node on 127.0.0.1 (kernel-assigned ports)
+    /// and spawns the node threads: node 0 bootstraps, the rest join
+    /// through it.
     ///
     /// # Errors
     ///
-    /// Returns [`std::io::ErrorKind::InvalidInput`] if the loss probability
-    /// is outside `[0, 1)`, or an I/O error if a UDP socket cannot be
-    /// bound.
+    /// Returns the I/O error if a UDP socket cannot be bound.
     pub fn spawn(self) -> std::io::Result<Cluster> {
-        if !(0.0..1.0).contains(&self.loss) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("loss must be in [0, 1), got {}", self.loss),
-            ));
-        }
-        let selector = HashSelector::from_config_with_kind(&self.config, self.hasher);
-        let board: SnapshotBoard = Arc::new(RwLock::new(HashMap::new()));
-        let (events_tx, events_rx) = unbounded();
-
-        // Build transports first so every node's identity is known up front
-        // (UDP ports are kernel-assigned).
-        let hub = MemoryHub::with_loss(self.loss, self.seed);
-        let mut transports = Vec::with_capacity(self.size);
-        for i in 0..self.size {
-            let t = match self.transport {
-                ClusterTransport::Memory => {
-                    AnyTransport::Memory(hub.bind(NodeId::from_index(i as u32)))
-                }
-                ClusterTransport::Udp => {
-                    AnyTransport::Udp(UdpTransport::bind_ephemeral([127, 0, 0, 1])?)
-                }
-            };
-            transports.push(t);
-        }
+        // Bind first so every node's identity is known up front.
+        let transports = (0..self.size)
+            .map(|_| UdpTransport::bind_ephemeral([127, 0, 0, 1]))
+            .collect::<std::io::Result<Vec<_>>>()?;
         let ids: Vec<NodeId> = transports.iter().map(Transport::local_id).collect();
-
+        let (events_tx, events_rx) = unbounded();
         let mut cluster = Cluster {
-            config: self.config,
-            transport_kind: self.transport,
-            selector,
-            hub,
-            seed: self.seed,
+            blueprint: Blueprint::new(self.config, self.hasher, self.seed),
             ids: ids.clone(),
             running: HashMap::new(),
             down_since: HashMap::new(),
             events_rx,
             events_tx,
-            board,
+            board: SnapshotBoard::default(),
         };
         for (i, transport) in transports.into_iter().enumerate() {
-            let contact = if i == 0 { None } else { Some(ids[0]) };
-            cluster.spawn_driver(ids[i], i as u64, transport, JoinKind::Fresh, contact, None);
+            let contact = (i > 0).then(|| ids[0]);
+            cluster.spawn_driver(i, transport, JoinKind::Fresh, contact, None);
         }
         Ok(cluster)
-    }
-}
-
-/// Transport-erased endpoint (memory or UDP).
-enum AnyTransport {
-    Memory(MemoryTransport),
-    Udp(UdpTransport),
-}
-
-impl Transport for AnyTransport {
-    fn local_id(&self) -> NodeId {
-        match self {
-            AnyTransport::Memory(t) => t.local_id(),
-            AnyTransport::Udp(t) => t.local_id(),
-        }
-    }
-    fn send(&mut self, to: NodeId, bytes: &[u8]) {
-        match self {
-            AnyTransport::Memory(t) => t.send(to, bytes),
-            AnyTransport::Udp(t) => t.send(to, bytes),
-        }
-    }
-    fn recv_timeout(&mut self, timeout: Duration) -> Option<(NodeId, Vec<u8>)> {
-        match self {
-            AnyTransport::Memory(t) => t.recv_timeout(timeout),
-            AnyTransport::Udp(t) => t.recv_timeout(timeout),
-        }
     }
 }
 
@@ -165,13 +117,9 @@ struct RunningNode {
     commands: Sender<Command>,
 }
 
-/// A running cluster of AVMON node threads.
+/// A running cluster of AVMON node threads on UDP.
 pub struct Cluster {
-    config: Config,
-    transport_kind: ClusterTransport,
-    selector: avmon::SharedSelector,
-    hub: Arc<MemoryHub>,
-    seed: u64,
+    blueprint: Blueprint,
     ids: Vec<NodeId>,
     running: HashMap<NodeId, RunningNode>,
     down_since: HashMap<NodeId, Instant>,
@@ -189,25 +137,16 @@ impl Cluster {
 
     fn spawn_driver(
         &mut self,
-        id: NodeId,
-        index: u64,
-        transport: AnyTransport,
+        index: usize,
+        transport: UdpTransport,
         kind: JoinKind,
         contact: Option<NodeId>,
-        restore: Option<avmon::PersistentState>,
+        restore: Option<PersistentState>,
     ) {
-        let mut node = Node::new(
-            id,
-            self.config.clone(),
-            self.selector.clone(),
-            avmon_hash::fast64::mix64(self.seed ^ (index + 1)),
-        );
-        if let Some(state) = restore {
-            node.restore_persistent(state);
-        }
+        let id = self.ids[index];
         let (cmd_tx, cmd_rx): (Sender<Command>, Receiver<Command>) = unbounded();
         let driver = NodeDriver::new(
-            node,
+            self.blueprint.node(id, index, restore),
             transport,
             cmd_rx,
             self.events_tx.clone(),
@@ -280,7 +219,7 @@ impl Cluster {
     /// # Errors
     ///
     /// Returns an error if the node is already running, was never part of
-    /// the cluster, or (UDP) its socket cannot be rebound.
+    /// the cluster, or its socket cannot be rebound.
     pub fn restart(&mut self, id: NodeId) -> std::io::Result<()> {
         if self.running.contains_key(&id) {
             return Err(std::io::Error::other(format!("{id} is already running")));
@@ -290,10 +229,7 @@ impl Cluster {
                 "{id} is not a cluster member"
             )));
         };
-        let transport = match self.transport_kind {
-            ClusterTransport::Memory => AnyTransport::Memory(self.hub.bind(id)),
-            ClusterTransport::Udp => AnyTransport::Udp(UdpTransport::bind(id)?),
-        };
+        let transport = UdpTransport::bind(id)?;
         let down = self
             .down_since
             .remove(&id)
@@ -306,8 +242,7 @@ impl Cluster {
             .copied()
             .or_else(|| self.ids.iter().copied().find(|&other| other != id));
         self.spawn_driver(
-            id,
-            index as u64,
+            index,
             transport,
             JoinKind::Rejoin {
                 down_duration: down.as_millis() as u64,

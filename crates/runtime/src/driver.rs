@@ -1,5 +1,7 @@
-//! The per-node event loop: maps the poll-based sans-io state machine onto
-//! wall-clock time and a [`Transport`].
+//! The per-node event loop, in two layers: [`DriverCore`] maps the
+//! poll-based sans-io state machine onto a [`Transport`] at caller-given
+//! times, and [`NodeDriver`] is the wall-clock shell that runs one core on
+//! its own thread.
 //!
 //! Built entirely on the shared harness in [`avmon::driver`]: the
 //! [`TimerQueue`] orders pending timers deterministically, [`drain`]
@@ -7,7 +9,8 @@
 //! [`apply_command`] handles control-plane requests, and
 //! [`NodeSnapshot::capture`] publishes observability state. The only code
 //! that lives here is what is genuinely specific to this backend: encoding
-//! outgoing messages onto the transport and blocking on its receive path.
+//! outgoing messages onto the transport and, in the shell, blocking on its
+//! receive path.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -25,18 +28,28 @@ pub use avmon::driver::{Command, NodeSnapshot};
 pub type SnapshotBoard = Arc<RwLock<std::collections::HashMap<NodeId, NodeSnapshot>>>;
 
 /// Runs one node's event loop until [`Command::Stop`] (or channel
-/// disconnect). Designed to run on its own thread.
+/// disconnect). Designed to run on its own thread: the wall-clock shell
+/// around a [`DriverCore`].
 pub struct NodeDriver<T: Transport> {
-    node: Node,
-    env: TransportEnv<T>,
+    core: DriverCore<T>,
     epoch: Instant,
     commands: Receiver<Command>,
     board: SnapshotBoard,
 }
 
+/// One node with its transport, timer queue, broadcast directory and event
+/// channel, driven by explicit inputs at explicit times: no clock, no
+/// blocking, no thread. Every input drains the node's outputs before it
+/// returns. [`NodeDriver`] feeds it from a socket and the wall clock;
+/// [`crate::VirtualHub`] feeds many from one virtual clock.
+pub struct DriverCore<T: Transport> {
+    node: Node,
+    env: TransportEnv<T>,
+}
+
 /// The runtime's [`DriverEnv`]: transmits encode onto the transport
 /// (broadcasts fan out over the directory), timers land in the shared
-/// [`TimerQueue`], events go to the cluster's channel.
+/// [`TimerQueue`], events go to the owner's channel.
 struct TransportEnv<T: Transport> {
     transport: T,
     timers: TimerQueue,
@@ -73,12 +86,91 @@ impl<T: Transport> DriverEnv for TransportEnv<T> {
     }
 }
 
+impl<T: Transport> DriverCore<T> {
+    /// Wraps `node` and its transport. `directory` is the full member list,
+    /// used only to fan out broadcast transmits (the Broadcast baseline);
+    /// coarse-view deployments can pass an empty `Vec`.
+    pub fn new(
+        node: Node,
+        transport: T,
+        events: Sender<(NodeId, AppEvent)>,
+        directory: Vec<NodeId>,
+    ) -> Self {
+        DriverCore {
+            node,
+            env: TransportEnv {
+                transport,
+                timers: TimerQueue::new(),
+                events,
+                directory,
+                encode_buf: BytesMut::with_capacity(2048),
+            },
+        }
+    }
+
+    /// Joins the overlay through `contact` (`None` bootstraps).
+    pub fn start(&mut self, now: TimeMs, kind: JoinKind, contact: Option<NodeId>) {
+        self.node.start(now, kind, contact);
+        drain(&mut self.node, &mut self.env);
+    }
+
+    /// Decodes one datagram from `from` and hands it to the node; a
+    /// datagram that does not decode is ignored.
+    pub fn deliver(&mut self, now: TimeMs, from: NodeId, bytes: &[u8]) {
+        if let Ok(msg) = codec::decode(bytes) {
+            self.node.handle_message(now, from, msg);
+            drain(&mut self.node, &mut self.env);
+        }
+    }
+
+    /// Applies a control command. Returns `false` if it asks the driver to
+    /// stop.
+    pub fn command(&mut self, now: TimeMs, command: Command) -> bool {
+        let go_on = apply_command(&mut self.node, now, command);
+        drain(&mut self.node, &mut self.env);
+        go_on
+    }
+
+    /// Fires every timer due at `now`. The liveness filter applies the
+    /// lazy-expiry contract on `Timer::Expire`: expiries of already-answered
+    /// pings die in the queue without a node round-trip.
+    pub fn fire_due(&mut self, now: TimeMs) {
+        while let Some(timer) = self
+            .env
+            .timers
+            .pop_due_where(now, |t| self.node.timer_live(*t, now))
+        {
+            self.node.handle_timer(now, timer);
+            drain(&mut self.node, &mut self.env);
+        }
+    }
+
+    /// The deadline of the earliest pending timer (live or not).
+    #[must_use]
+    pub fn next_deadline(&self) -> Option<TimeMs> {
+        self.env.timers.next_deadline()
+    }
+
+    /// The node's state now.
+    #[must_use]
+    pub fn snapshot(&self) -> NodeSnapshot {
+        NodeSnapshot::capture(&self.node)
+    }
+
+    /// The transport, for the caller that receives on it or empties it.
+    pub fn transport_mut(&mut self) -> &mut T {
+        &mut self.env.transport
+    }
+
+    /// Ends the driver, handing back its node.
+    #[must_use]
+    pub fn into_node(self) -> Node {
+        self.node
+    }
+}
+
 impl<T: Transport> NodeDriver<T> {
-    /// Creates a driver.
-    ///
-    /// `directory` is the full member list used only to implement
-    /// broadcast transmits (the Broadcast baseline); coarse-view
-    /// deployments can pass an empty slice.
+    /// Creates a driver. `directory` is as for [`DriverCore::new`].
     pub fn new(
         node: Node,
         transport: T,
@@ -88,14 +180,7 @@ impl<T: Transport> NodeDriver<T> {
         directory: Vec<NodeId>,
     ) -> Self {
         NodeDriver {
-            node,
-            env: TransportEnv {
-                transport,
-                timers: TimerQueue::new(),
-                events,
-                directory,
-                encode_buf: BytesMut::with_capacity(2048),
-            },
+            core: DriverCore::new(node, transport, events, directory),
             #[expect(clippy::disallowed_methods, reason = "wall time is this node's epoch")]
             epoch: Instant::now(),
             commands,
@@ -109,9 +194,7 @@ impl<T: Transport> NodeDriver<T> {
 
     /// Joins the overlay through `contact` and runs until stopped.
     pub fn run(mut self, kind: JoinKind, contact: Option<NodeId>) {
-        let now = self.now();
-        self.node.start(now, kind, contact);
-        drain(&mut self.node, &mut self.env);
+        self.core.start(self.now(), kind, contact);
         self.publish();
 
         #[expect(clippy::disallowed_methods, reason = "live publish cadence")]
@@ -120,52 +203,27 @@ impl<T: Transport> NodeDriver<T> {
             match self.commands.try_recv() {
                 Ok(Command::Stop) | Err(TryRecvError::Disconnected) => break,
                 Ok(command) => {
-                    let now = self.now();
-                    if !apply_command(&mut self.node, now, command) {
+                    if !self.core.command(self.now(), command) {
                         break;
                     }
-                    drain(&mut self.node, &mut self.env);
                 }
                 Err(TryRecvError::Empty) => {}
             }
 
-            // Fire due timers. The liveness filter applies the lazy-expiry
-            // contract on `Timer::Expire`: expiries of already-answered
-            // pings die in the queue without a node round-trip.
-            let now = self.now();
-            loop {
-                let node = &self.node;
-                let Some(timer) = self
-                    .env
-                    .timers
-                    .pop_due_where(now, |t| node.timer_live(*t, now))
-                else {
-                    break;
-                };
-                self.node.handle_timer(self.now(), timer);
-                drain(&mut self.node, &mut self.env);
-            }
+            self.core.fire_due(self.now());
 
             // Wait for traffic until the next timer (capped so commands and
             // snapshot publishing stay responsive).
             let wait = self
-                .env
-                .timers
+                .core
                 .next_deadline()
                 .map_or(50, |at| at.saturating_sub(self.now()).min(50));
             if let Some((from, bytes)) = self
-                .env
-                .transport
+                .core
+                .transport_mut()
                 .recv_timeout(Duration::from_millis(wait.max(1)))
             {
-                match codec::decode(&bytes) {
-                    Ok(msg) => {
-                        let now = self.now();
-                        self.node.handle_message(now, from, msg);
-                        drain(&mut self.node, &mut self.env);
-                    }
-                    Err(_) => { /* garbage datagram: ignore */ }
-                }
+                self.core.deliver(self.now(), from, &bytes);
             }
 
             #[expect(clippy::disallowed_methods, reason = "live-cluster cadence")]
@@ -178,7 +236,8 @@ impl<T: Transport> NodeDriver<T> {
     }
 
     fn publish(&self) {
-        let snapshot = NodeSnapshot::capture(&self.node);
-        self.board.write().insert(self.node.id(), snapshot);
+        self.board
+            .write()
+            .insert(self.core.node.id(), self.core.snapshot());
     }
 }

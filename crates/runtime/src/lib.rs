@@ -1,29 +1,27 @@
-//! # avmon-runtime — real-time drivers for AVMON nodes
+//! # avmon-runtime — live drivers for AVMON nodes
 //!
-//! The same poll-based sans-io [`avmon::Node`] state machine that powers
-//! the paper's discrete-event evaluation, mapped onto wall-clock time and
-//! real transports:
+//! The same poll-based sans-io [`avmon::Node`] that powers the paper's
+//! discrete-event evaluation, run by the runtime's own driver code:
 //!
-//! * thread-per-node clusters over an in-memory crossbeam hub (with
-//!   optional loss injection for failure testing), and
-//! * real UDP sockets on localhost, where a [`avmon::NodeId`] *is* the
-//!   socket address — the paper's `<IP, port>` identity model, literally.
+//! * [`Cluster`]: a thread per node over UDP on localhost, where a
+//!   [`avmon::NodeId`] *is* the socket address (the paper's `<IP, port>`);
+//! * [`VirtualHub`]: N nodes on one thread in virtual time, for
+//!   deterministic tests, where every instant is a consistent cut.
 //!
 //! ## The driver loop
 //!
-//! Each node thread runs [`NodeDriver`], which is a thin instantiation of
-//! the shared harness in [`avmon::driver`]: inputs (received datagrams,
-//! due timers, control [`Command`]s) are fed into the node, and the node's
-//! queued outputs are drained through the poll interface —
-//! [`avmon::Node::poll_transmit`] encodes onto the [`Transport`],
-//! [`avmon::Node::poll_timer`] arms the deterministic
-//! [`avmon::driver::TimerQueue`], and [`avmon::Node::poll_event`] forwards
-//! to the cluster's event channel. Snapshots ([`NodeSnapshot`]) publish
-//! continuously to a shared board for observers.
+//! [`DriverCore`] is one node over one [`Transport`], built on the shared
+//! harness in [`avmon::driver`]: it feeds each input (a datagram, the due
+//! timers, a [`Command`]) to the node at a time its caller gives, and
+//! drains the node's outputs — transmits encoded onto the transport, timers
+//! into an [`avmon::driver::TimerQueue`], events to a channel. It reads no
+//! clock. [`NodeDriver`] is the wall-clock shell a [`Cluster`] thread runs
+//! around one core: it polls commands, blocks on the socket until the next
+//! deadline, and publishes [`NodeSnapshot`]s to a shared board.
 //!
 //! ```no_run
 //! use avmon::Config;
-//! use avmon_runtime::{Cluster, ClusterTransport};
+//! use avmon_runtime::Cluster;
 //! use std::time::Duration;
 //!
 //! let config = Config::builder(16)
@@ -31,12 +29,22 @@
 //!     .monitoring_period(250)
 //!     .ping_timeout(100)
 //!     .build()?;
-//! let cluster = Cluster::builder(config, 16)
-//!     .transport(ClusterTransport::Udp)
-//!     .spawn()?;
+//! let cluster = Cluster::builder(config, 16).spawn()?;
 //! cluster.wait_for_discovery(1, Duration::from_secs(20));
 //! cluster.shutdown();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
+//!
+//! The same overlay in virtual time, twenty minutes in a few milliseconds:
+//!
+//! ```
+//! use avmon::{Config, MINUTE};
+//! use avmon_runtime::VirtualHub;
+//!
+//! let mut hub = VirtualHub::new(Config::builder(16).k(10).build()?, 16, 7, 0.0)?;
+//! hub.run_until(20 * MINUTE);
+//! assert!(hub.snapshots().values().all(|s| !s.ps.is_empty()));
+//! # Ok::<(), avmon::Error>(())
 //! ```
 //!
 //! ## Driver authoring: hooking a custom transport into the harness
@@ -75,11 +83,12 @@
 //! # Ok::<(), avmon::Error>(())
 //! ```
 //!
-//! If your backend is not thread-shaped at all (an async reactor, a
-//! select-loop over many nodes, a simulator), skip `NodeDriver` and build
-//! directly on [`avmon::driver`]: implement `DriverEnv` for your executor
-//! and call `drain` after every input — see that module's "Driver
-//! authoring" section and the workspace's `sans_io_driver` example.
+//! If your backend is not thread-shaped (an async reactor, a select-loop
+//! over many nodes), drive [`DriverCore`]s yourself, as [`VirtualHub`]
+//! does. If it does not even speak bytes (a simulator), build directly on
+//! [`avmon::driver`]: implement `DriverEnv` for your executor and call
+//! `drain` after every input — see that module's "Driver authoring"
+//! section.
 
 // Library code returns errors; a panic site needs its own reasoned `#[expect]`.
 #![cfg_attr(
@@ -98,8 +107,10 @@
 
 pub mod cluster;
 pub mod driver;
+pub mod hub;
 pub mod transport;
 
-pub use cluster::{Cluster, ClusterBuilder, ClusterTransport};
-pub use driver::{Command, NodeDriver, NodeSnapshot, SnapshotBoard};
-pub use transport::{MemoryHub, MemoryTransport, Transport, UdpTransport};
+pub use cluster::{Cluster, ClusterBuilder};
+pub use driver::{Command, DriverCore, NodeDriver, NodeSnapshot, SnapshotBoard};
+pub use hub::VirtualHub;
+pub use transport::{Transport, UdpTransport};

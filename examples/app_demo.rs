@@ -18,7 +18,7 @@ use std::time::Duration;
 use avmon::{Config, MINUTE};
 use avmon_app::{apps::watchdog_selector, LiveExecutor, SimExecutor};
 use avmon_churn::stat;
-use avmon_runtime::{Cluster, ClusterTransport};
+use avmon_runtime::Cluster;
 use avmon_sim::{SimOptions, Simulation};
 
 fn run_sim(seed: u64) -> (String, u64) {
@@ -47,7 +47,6 @@ fn run_live(seed: u64) -> String {
         .build()
         .unwrap();
     let cluster = Cluster::builder(config, n)
-        .transport(ClusterTransport::Udp)
         .seed(seed)
         .spawn()
         .expect("cluster spawns");

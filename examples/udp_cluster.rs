@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use avmon::Config;
-use avmon_runtime::{Cluster, ClusterTransport};
+use avmon_runtime::Cluster;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 20;
@@ -24,10 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "spawning {n} AVMON nodes on UDP loopback (K={}, cvs={})…",
         config.k, config.cvs
     );
-    let cluster = Cluster::builder(config, n)
-        .transport(ClusterTransport::Udp)
-        .seed(17)
-        .spawn()?;
+    let cluster = Cluster::builder(config, n).seed(17).spawn()?;
 
     let converged = cluster.wait_for_discovery(1, Duration::from_secs(30));
     println!(

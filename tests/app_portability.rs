@@ -4,8 +4,6 @@
 //! **portable** to a live UDP cluster (the same task source
 //! produces matching observable decisions on the same membership trace).
 
-#![expect(clippy::disallowed_methods, reason = "live runs read the wall clock")]
-
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -17,7 +15,7 @@ use avmon_app::{
     AvmonHandle, Decision, DecisionLog, LiveExecutor, SimExecutor,
 };
 use avmon_churn::{stat, ChurnEvent, ChurnEventKind, Trace};
-use avmon_runtime::{Cluster, ClusterTransport};
+use avmon_runtime::Cluster;
 use avmon_sim::{LatencyModel, RngLedger, SimOptions, Simulation};
 
 /// One sim run with the example app attached to the first four nodes and
@@ -176,7 +174,6 @@ fn covered_udp_cluster(config: &Config, n: usize, seed: u64) -> Cluster {
     let cluster = (0..50)
         .find_map(|_| {
             let cluster = Cluster::builder(config.clone(), n)
-                .transport(ClusterTransport::Udp)
                 .seed(seed)
                 .spawn()
                 .expect("cluster spawns");
@@ -278,6 +275,7 @@ fn live_udp_cluster_matches_sim_on_the_same_trace() {
     let survivors: Vec<NodeId> = ids[..n - 1].to_vec();
     // Started before the executor's epoch, so a wall instant reads no
     // earlier on this clock than on the executor's.
+    #[expect(clippy::disallowed_methods, reason = "the live leg's wall clock")]
     let clock = Instant::now();
     let mut exec = LiveExecutor::new(cluster, seed);
     for &id in &ids {

@@ -121,50 +121,6 @@ fn same_seed_bit_identical_report_with_faults() {
     assert_ne!(a, c);
 }
 
-/// The FIFO timer lanes with lazy `Expire` discard, under the
-/// lossy-partition scenario with duplicating links: two same-seed runs
-/// must still serialize byte-identically.
-///
-/// The lanes only swap the *container* holding timer events while
-/// preserving the global `(time, seq)` pop order, so message routing
-/// consumes the network RNG in exactly the legacy order. The equivalence
-/// harness (`tests/equivalence.rs`) proves optimized ≡ legacy byte-for-byte;
-/// this test pins that the configuration is itself reproducible.
-#[test]
-fn same_seed_bit_identical_with_optimizations_under_lossy_partition() {
-    let n = 80;
-    let trace = stat(n, 40 * MINUTE, 0.1, 23);
-    let ids: Vec<NodeId> = trace.identities().into_iter().collect();
-    let scenario = Scenario::builder("det-opt-faults")
-        .partition(
-            63 * MINUTE,
-            10 * MINUTE,
-            ids[..n / 4].to_vec(),
-            ids[n / 4..].to_vec(),
-        )
-        .loss_burst(80 * MINUTE, 5 * MINUTE, 0.4)
-        .build()
-        .unwrap();
-    let run = || {
-        let mut opts = SimOptions::new(Config::builder(n).build().unwrap())
-            .seed(17)
-            .scenario(scenario.clone());
-        opts.network.faults = LinkFaults {
-            loss: 0.10,
-            duplicate: 0.05,
-            jitter: 300,
-        };
-        let report = Simulation::new(trace.clone(), opts).run();
-        serde_json::to_string(&report).expect("reports serialize")
-    };
-    let (a, b) = (run(), run());
-    assert_eq!(
-        a, b,
-        "optimized same-seed runs must serialize byte-identically"
-    );
-    assert!(a.len() > 100, "the report actually carries data");
-}
-
 /// The full adversary alphabet — an eclipse campaign, a state corruption,
 /// and a healed partition on a lossy network — stays bit-reproducible:
 /// two same-seed runs serialize byte-identically, QoS scoring and window
