@@ -1,6 +1,6 @@
 //! Applications written once against [`AvmonHandle`]: the §3.3
 //! availability client every consumer of the overlay goes through, and
-//! the workloads the portability suite runs on both executors from the
+//! the workloads the portability suite runs on every world from the
 //! same source.
 
 use avmon::{AppEvent, DurMs, NodeId};
@@ -143,7 +143,7 @@ fn own_measurement(h: &AvmonHandle, target: NodeId) -> Option<(NodeId, f64, u64)
 /// least-available targets (ties broken by id; targets with no estimate
 /// yet count as fully available). Consecutive identical selections are
 /// deduplicated, so the decision sequence captures *changes* — the
-/// timing-robust signal the sim≡live differential compares.
+/// timing-robust signal the hub≡sim differential compares.
 ///
 /// The task starts with a jittered phase drawn from the `app` RNG
 /// stream, so any run that attaches it has a nonzero `app_draws` ledger
@@ -192,7 +192,7 @@ pub async fn watchdog_selector(h: AvmonHandle, period: DurMs, k: usize) {
 /// Minimal app-messaging pair: `ping_sender` sends `payload` to `to`
 /// every `period` ms; [`echo_listener`] records nothing but re-sends each
 /// received payload back to its sender. Used by the suite to prove
-/// `AppData` travels the overlay under both executors.
+/// `AppData` travels the overlay.
 pub async fn ping_sender(h: AvmonHandle, to: NodeId, payload: Vec<u8>, period: DurMs) {
     loop {
         h.sleep(period).await;

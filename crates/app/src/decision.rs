@@ -1,5 +1,5 @@
 //! The serialized record of what an application *decided* — the unit of
-//! comparison for the sim≡sim (byte-identical) and sim≡live (sequence-
+//! comparison for the same-seed (byte-identical) and hub≡sim (sequence-
 //! matching) differential suites.
 
 use avmon::{NodeId, TimeMs};
@@ -11,8 +11,8 @@ pub enum Decision {
     /// A periodic least-available-k selection changed (consecutive
     /// identical selections are deduplicated by the app).
     Select {
-        /// When the selection was made (sim time, or epoch-relative ms
-        /// under the live executor).
+        /// When the selection was made, on the world's clock (sim or hub
+        /// time, or a cluster's wall ms since its spawn).
         at: TimeMs,
         /// The deciding node.
         node: NodeId,
@@ -50,8 +50,8 @@ impl DecisionLog {
     }
 
     /// The last `Select` decision `node` recorded, if any — the
-    /// "eventual selection" the sim≡live differential compares, robust
-    /// to the two executors reaching it through different timings.
+    /// "eventual selection" the hub≡sim differential compares, robust
+    /// to the two worlds reaching it through different timings.
     #[must_use]
     pub fn final_selection(&self, node: NodeId) -> Option<&[NodeId]> {
         self.decisions.iter().rev().find_map(|d| match d {

@@ -1,67 +1,189 @@
-//! The executors: async app tasks over a world of AVMON nodes.
+//! The executor: async app tasks over a world of AVMON nodes.
 //!
-//! [`Core`] is everything the two executors share — the task list, the
-//! state behind the handles, and the round that polls every task and
-//! then hands the commands they queued to the world. [`SimExecutor`]
-//! wraps it around a [`Simulation`]; `live.rs` wraps it around a cluster.
+//! [`Executor`] runs the same tasks over any [`World`] — a
+//! [`Simulation`], a [`VirtualHub`] or a [`Cluster`] — with one loop,
+//! [`Executor::run_until`]:
 //!
-//! The sim executor's interleaving protocol with [`Simulation`]:
+//! 1. poll every task (spawn order); apply the commands they queued to
+//!    the world, in record order;
+//! 2. take `target = min(earliest registered sleep deadline, deadline)`;
+//! 3. [`World::advance`]`(target)` — the world runs until `target`, or
+//!    stops early at the first instant where a node emitted an
+//!    application event;
+//! 4. file the timestamped events in the per-node inboxes, move executor
+//!    time to the world's clock, and repeat until it reaches `deadline`.
 //!
-//! 1. poll every task (spawn order); apply the queued commands to the sim;
-//! 2. schedule the earliest registered sleep deadline as an `AppWake`
-//!    calendar event (deduplicated — one wake per distinct instant);
-//! 3. [`Simulation::run_until_wake`] — the engine runs until the wake
-//!    fires or a subscribed node emits an application event, pausing with
-//!    the clock at that exact `(time, seq)` calendar position;
-//! 4. ingest the timestamped events into the per-node inboxes, advance
-//!    executor time to the pause instant, and repeat.
-//!
-//! Every step is a function of the seed, so the whole cycle — task poll
-//! order, RNG draws, commands entering the calendar — repeats byte for
-//! byte.
+//! In the simulator and on the hub every step is a function of the seed,
+//! so the whole cycle — task poll order, RNG draws, commands entering the
+//! world — repeats byte for byte.
 
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::future::Future;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
+use std::time::Duration;
 
+use avmon::driver::{Command, NodeSnapshot};
 use avmon::rng::Stream;
 use avmon::{AppEvent, NodeId, TimeMs};
+use avmon_runtime::{Cluster, VirtualHub};
 use avmon_sim::{SimReport, Simulation};
 
 use crate::app_stream_seed;
 use crate::decision::DecisionLog;
-use crate::handle::{poll_tasks, AvmonHandle, Shared, Task, World};
+use crate::handle::{poll_tasks, AvmonHandle, Shared, Task};
 
-/// The executor body both worlds share: tasks, the state behind their
-/// handles, and the statically typed end of the world cell.
-pub(crate) struct Core<W> {
-    pub(crate) world: Rc<RefCell<W>>,
-    pub(crate) shared: Rc<RefCell<Shared>>,
+/// The seam between the app layer and the world its nodes live in: a
+/// clock, a way to move it, the one way in (a control [`Command`]) and
+/// the one synchronous way out (a [`NodeSnapshot`]).
+pub trait World {
+    /// The world's clock, in ms.
+    fn now(&self) -> TimeMs;
+    /// Runs the world up to `until`, or returns early at the first instant
+    /// where a node emitted application events; never past `until`.
+    /// Returns those events, each as `(emitted at, node, event)`.
+    fn advance(&mut self, until: TimeMs) -> Vec<(TimeMs, NodeId, AppEvent)>;
+    /// Applies `command` to node `id`; a down or unknown node ignores it.
+    fn command(&mut self, id: NodeId, command: Command);
+    /// `id`'s protocol state, `None` while the node is down.
+    fn snapshot(&self, id: NodeId) -> Option<NodeSnapshot>;
+    /// Whether `id` has a task to hear its events. A world that reports
+    /// every node's events anyway ignores this.
+    fn listen(&mut self, _id: NodeId, _on: bool) {}
+    /// The `app` RNG stream's draw count so far, for a world that keeps a
+    /// ledger of its streams.
+    fn record_app_draws(&mut self, _draws: u64) {}
+}
+
+/// The simulator reports and pauses only for the nodes that have a task.
+impl World for Simulation {
+    fn now(&self) -> TimeMs {
+        Simulation::now(self)
+    }
+
+    fn advance(&mut self, until: TimeMs) -> Vec<(TimeMs, NodeId, AppEvent)> {
+        self.run_until_event(until);
+        self.take_app_events()
+    }
+
+    fn command(&mut self, id: NodeId, command: Command) {
+        Simulation::command(self, id, command);
+    }
+
+    fn snapshot(&self, id: NodeId) -> Option<NodeSnapshot> {
+        self.node(id).map(NodeSnapshot::capture)
+    }
+
+    fn listen(&mut self, id: NodeId, on: bool) {
+        if on {
+            self.subscribe_app(id);
+        } else {
+            self.unsubscribe_app(id);
+        }
+    }
+
+    fn record_app_draws(&mut self, draws: u64) {
+        self.set_app_draws(draws);
+    }
+}
+
+/// The hub's events all carry the instant it stopped at.
+impl World for VirtualHub {
+    fn now(&self) -> TimeMs {
+        VirtualHub::now(self)
+    }
+
+    fn advance(&mut self, until: TimeMs) -> Vec<(TimeMs, NodeId, AppEvent)> {
+        self.run_until_event(until);
+        let at = self.now();
+        let events = self.drain_events().into_iter();
+        events.map(|(id, event)| (at, id, event)).collect()
+    }
+
+    fn command(&mut self, id: NodeId, command: Command) {
+        VirtualHub::command(self, id, command);
+    }
+
+    fn snapshot(&self, id: NodeId) -> Option<NodeSnapshot> {
+        VirtualHub::snapshot(self, id)
+    }
+}
+
+/// How long a cluster's [`World::advance`] waits at most before it drains
+/// the event channel and hands back to the tasks.
+const TICK: TimeMs = 10;
+
+/// A live cluster's clock is wall time since its spawn: `advance` sleeps
+/// one tick (never past `until`), then stamps what arrived with the
+/// instant it woke at.
+impl World for Cluster {
+    fn now(&self) -> TimeMs {
+        Cluster::now(self)
+    }
+
+    fn advance(&mut self, until: TimeMs) -> Vec<(TimeMs, NodeId, AppEvent)> {
+        let wait = until.saturating_sub(self.now()).min(TICK);
+        std::thread::sleep(Duration::from_millis(wait));
+        let at = self.now();
+        let events = self.drain_events().into_iter();
+        events.map(|(id, event)| (at, id, event)).collect()
+    }
+
+    fn command(&mut self, id: NodeId, command: Command) {
+        Cluster::command(self, id, command);
+    }
+
+    /// The latest published board entry — of a *running* node only:
+    /// `Cluster::kill` leaves the entry behind, and a down node has no
+    /// state to show (as in sim).
+    fn snapshot(&self, id: NodeId) -> Option<NodeSnapshot> {
+        if self.running_ids().any(|running| running == id) {
+            Cluster::snapshot(self, id)
+        } else {
+            None
+        }
+    }
+}
+
+/// Runs async application tasks over a [`World`]: sleeps resolve on the
+/// world's clock, and events reach the tasks stamped with the instant
+/// they were emitted at (in the simulator) or collected at (on the hub
+/// and the cluster).
+pub struct Executor<W> {
+    /// The world's one strong owner: handles reach it through a `Weak`.
+    world: Rc<RefCell<W>>,
+    shared: Rc<RefCell<Shared>>,
     tasks: Vec<Task>,
 }
 
-impl<W: World + 'static> Core<W> {
-    /// Wraps `world` at executor time `now`; the `app` RNG stream is
-    /// seeded [`app_stream_seed`]`(master_seed)` in either world, so a
-    /// task's draw *sequence* depends only on the seed and its draw order.
-    pub(crate) fn new(world: W, now: TimeMs, master_seed: u64) -> Self {
+impl<W: World + 'static> Executor<W> {
+    /// Wraps `world` at its current time. The `app` RNG stream is seeded
+    /// [`app_stream_seed`]`(master_seed)` in every world — pass the master
+    /// seed the world itself uses, so the stream is derived, not
+    /// independent, and a task's draw *sequence* depends only on the seed
+    /// and its draw order.
+    #[must_use]
+    pub fn new(world: W, master_seed: u64) -> Self {
+        let now = world.now();
         let world = Rc::new(RefCell::new(world));
         let rng = Stream::seeded(app_stream_seed(master_seed));
-        let shared = Shared::new(Rc::clone(&world) as Rc<RefCell<dyn World>>, now, rng);
-        Core {
+        let weak: Weak<RefCell<W>> = Rc::downgrade(&world);
+        let shared = Shared::new(weak, now, rng);
+        Executor {
             world,
             shared: Rc::new(RefCell::new(shared)),
             tasks: Vec::new(),
         }
     }
 
-    /// Spawns a task bound to `node` and opens the node's inbox.
-    pub(crate) fn spawn<F, Fut>(&mut self, node: NodeId, f: F)
+    /// Spawns an app task bound to `node`, which hears its node's events
+    /// until its last task completes. Spawn order is poll order — part of
+    /// the deterministic contract, so spawn in a fixed order.
+    pub fn spawn<F, Fut>(&mut self, node: NodeId, f: F)
     where
         F: FnOnce(AvmonHandle) -> Fut,
         Fut: Future<Output = ()> + 'static,
     {
+        self.world.borrow_mut().listen(node, true);
         self.shared.borrow_mut().inboxes.entry(node).or_default();
         let handle = AvmonHandle::new(node, Rc::clone(&self.shared));
         self.tasks.push(Task {
@@ -71,167 +193,97 @@ impl<W: World + 'static> Core<W> {
         });
     }
 
+    /// Read access to the world (clock, membership, node state — anything
+    /// it exposes immutably).
+    pub fn world<R>(&self, f: impl FnOnce(&W) -> R) -> R {
+        f(&self.world.borrow())
+    }
+
+    /// Mutable access to the world, between two runs (kill a node).
+    pub fn world_mut<R>(&mut self, f: impl FnOnce(&mut W) -> R) -> R {
+        f(&mut self.world.borrow_mut())
+    }
+
+    /// Advances the world, and every task, to `deadline`.
+    pub fn run_until(&mut self, deadline: TimeMs) {
+        loop {
+            let now = self.world.borrow().now();
+            self.shared.borrow_mut().now = now;
+            self.poll();
+            if now >= deadline {
+                break;
+            }
+            // A sleep at or before `now` is one the poll just resolved.
+            let next = self.shared.borrow().next_deadline().filter(|&at| at > now);
+            let target = next.map_or(deadline, |at| at.min(deadline));
+            let mut world = self.world.borrow_mut();
+            let events = world.advance(target);
+            // A world that neither moved nor spoke has ended before
+            // `deadline` (a simulation at its horizon).
+            let ended = events.is_empty() && world.now() == now;
+            drop(world);
+            let mut shared = self.shared.borrow_mut();
+            for (at, id, event) in events {
+                if let Some(inbox) = shared.inboxes.get_mut(&id) {
+                    inbox.push_back((at, event));
+                }
+            }
+            if ended {
+                break;
+            }
+        }
+    }
+
     /// One scheduling round: polls every task, then applies the commands
-    /// they queued to the world, in the order the tasks recorded them.
-    /// Returns the nodes whose last task completed this round; their
-    /// inboxes are dropped, so nothing buffers events nobody will read.
-    pub(crate) fn poll(&mut self) -> Vec<NodeId> {
+    /// they queued to the world, in the order the tasks recorded them. A
+    /// node whose last task completed loses its inbox and its listener,
+    /// so nothing buffers events nobody will read.
+    fn poll(&mut self) {
         let mut idle = poll_tasks(&mut self.tasks);
-        let outbox = {
+        let (outbox, draws) = {
             let mut shared = self.shared.borrow_mut();
             idle.retain(|&node| {
                 self.tasks.iter().all(|t| t.done || t.node != node)
                     && shared.inboxes.remove(&node).is_some()
             });
-            std::mem::take(&mut shared.outbox)
+            (std::mem::take(&mut shared.outbox), shared.rng.draws())
         };
         let mut world = self.world.borrow_mut();
         for (from, command) in outbox {
             world.command(from, command);
         }
-        idle
-    }
-
-    /// Moves executor time to `now` and files `events` in the inboxes of
-    /// the nodes that have tasks.
-    pub(crate) fn advance(
-        &self,
-        now: TimeMs,
-        events: impl IntoIterator<Item = (TimeMs, NodeId, AppEvent)>,
-    ) {
-        let mut shared = self.shared.borrow_mut();
-        shared.now = now;
-        for (at, id, event) in events {
-            if let Some(inbox) = shared.inboxes.get_mut(&id) {
-                inbox.push_back((at, event));
-            }
-        }
-    }
-
-    /// A copy of the decision log recorded so far.
-    pub(crate) fn log(&self) -> DecisionLog {
-        self.shared.borrow().log.clone()
-    }
-
-    /// Drops the tasks and returns the world plus the decision log.
-    pub(crate) fn into_parts(self) -> (W, DecisionLog) {
-        drop(self.tasks);
-        let log = sole_owner(self.shared).log;
-        (sole_owner(self.world), log)
-    }
-}
-
-/// Unwraps a cell every task-held clone of which is gone.
-#[expect(clippy::panic, reason = "a leaked handle is an executor bug")]
-fn sole_owner<T>(cell: Rc<RefCell<T>>) -> T {
-    Rc::try_unwrap(cell)
-        .unwrap_or_else(|_| panic!("a task leaked its handle past executor teardown"))
-        .into_inner()
-}
-
-/// Runs async application tasks deterministically inside a
-/// [`Simulation`]: sleeps resolve through sim time, events arrive at
-/// their exact emission instants, and the `app` RNG stream is recorded
-/// in the report's `RngLedger`.
-pub struct SimExecutor {
-    core: Core<Simulation>,
-    /// Wake instants already sitting in the calendar (token == instant),
-    /// so repeated pauses before a far deadline don't re-schedule it.
-    scheduled: BTreeSet<u64>,
-}
-
-impl SimExecutor {
-    /// Wraps `sim`; the `app` RNG stream is seeded
-    /// [`app_stream_seed`]`(master_seed)` — pass the same master seed the
-    /// simulation uses so the stream is derived, not independent.
-    #[must_use]
-    pub fn new(sim: Simulation, master_seed: u64) -> Self {
-        let now = sim.now();
-        SimExecutor {
-            core: Core::new(sim, now, master_seed),
-            scheduled: BTreeSet::new(),
-        }
-    }
-
-    /// Spawns an app task bound to `node` and subscribes the node's
-    /// events until its last task completes. Spawn order is poll order —
-    /// part of the deterministic contract, so spawn in a fixed order.
-    pub fn spawn<F, Fut>(&mut self, node: NodeId, f: F)
-    where
-        F: FnOnce(AvmonHandle) -> Fut,
-        Fut: Future<Output = ()> + 'static,
-    {
-        self.core.world.borrow_mut().subscribe_app(node);
-        self.core.spawn(node, f);
-    }
-
-    /// Read access to the wrapped simulation (clock, trace, alive set,
-    /// node state — anything [`Simulation`] exposes immutably).
-    pub fn sim<R>(&self, f: impl FnOnce(&Simulation) -> R) -> R {
-        f(&self.core.world.borrow())
-    }
-
-    /// One [`Core::poll`] round; a node whose last task completed stops
-    /// pausing the engine and filling its event buffer.
-    fn poll(&mut self) {
-        let idle = self.core.poll();
-        let mut sim = self.core.world.borrow_mut();
         for node in idle {
-            sim.unsubscribe_app(node);
+            world.listen(node, false);
         }
-    }
-
-    /// Advances the simulation (and every task) to `deadline`.
-    pub fn run_until(&mut self, deadline: TimeMs) {
-        loop {
-            self.poll();
-            let next = self.core.shared.borrow().next_deadline();
-            let (paused, now, events, wakes) = {
-                let mut sim = self.core.world.borrow_mut();
-                if let Some(at) = next {
-                    if at <= deadline && self.scheduled.insert(at) {
-                        sim.schedule_app_wake(at, at);
-                    }
-                }
-                let paused = sim.run_until_wake(deadline);
-                (paused, sim.now(), sim.take_app_events(), sim.take_wakes())
-            };
-            self.core.advance(now, events);
-            for wake in wakes {
-                self.scheduled.remove(&wake);
-            }
-            if !paused {
-                self.poll();
-                break;
-            }
-        }
-        self.sync_app_draws();
-    }
-
-    /// Runs to the trace horizon.
-    pub fn run(&mut self) {
-        let horizon = self.sim(|sim| sim.trace().horizon);
-        self.run_until(horizon);
-    }
-
-    /// Pushes the app stream's draw count into the simulation's ledger.
-    fn sync_app_draws(&mut self) {
-        let draws = self.core.shared.borrow().rng.draws();
-        self.core.world.borrow_mut().set_app_draws(draws);
+        world.record_app_draws(draws);
     }
 
     /// A copy of the decision log recorded so far.
     #[must_use]
     pub fn log(&self) -> DecisionLog {
-        self.core.log()
+        self.shared.borrow().log.clone()
     }
 
-    /// Tears the executor down (as `LiveExecutor::into_parts` does): the
-    /// simulation, wherever it stands, plus the decision log.
+    /// Tears the executor down: the world, wherever it stands (a cluster
+    /// still runs — shut it down), plus the decision log. A handle a task
+    /// kept past this point sees no world: its snapshots are `None`.
     #[must_use]
-    pub fn into_parts(mut self) -> (Simulation, DecisionLog) {
-        self.sync_app_draws();
-        self.core.into_parts()
+    pub fn into_parts(self) -> (W, DecisionLog) {
+        let log = std::mem::take(&mut self.shared.borrow_mut().log);
+        // This `Rc` is the world's only strong owner, so the unwrap holds.
+        #[expect(clippy::unreachable, reason = "handles hold only a `Weak`")]
+        let Ok(world) = Rc::try_unwrap(self.world) else {
+            unreachable!("a strong reference to the world outlived its executor")
+        };
+        (world.into_inner(), log)
+    }
+}
+
+impl Executor<Simulation> {
+    /// Runs to the trace horizon.
+    pub fn run(&mut self) {
+        let horizon = self.world(|sim| sim.trace().horizon);
+        self.run_until(horizon);
     }
 
     /// Finishes the run: the simulation's report plus the decision log.
@@ -239,5 +291,42 @@ impl SimExecutor {
     pub fn into_report(self) -> (SimReport, DecisionLog) {
         let (sim, log) = self.into_parts();
         (sim.into_report(), log)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use avmon::Config;
+
+    /// A task may keep a clone of its handle anywhere; tearing the
+    /// executor down still hands back the world and the log, and the
+    /// leaked handle sees no world after that.
+    #[test]
+    fn a_leaked_handle_outlives_teardown_without_the_world() {
+        let config = Config::builder(2).build().unwrap();
+        let hub = VirtualHub::new(config, 2, 3, 0.0).unwrap();
+        let id = hub.ids()[0];
+        let mut exec = Executor::new(hub, 3);
+        let leaked = Rc::new(RefCell::new(None));
+        let slot = Rc::clone(&leaked);
+        exec.spawn(id, move |h| async move {
+            h.sleep(1_000).await;
+            h.record(crate::Decision::Alarm {
+                at: h.now(),
+                node: id,
+                target: id,
+            });
+            *slot.borrow_mut() = Some(h.clone());
+        });
+        exec.run_until(2_000);
+        let handle: AvmonHandle = leaked.borrow().clone().unwrap();
+        assert!(handle.snapshot().is_some(), "the node runs before teardown");
+        let (hub, log) = exec.into_parts();
+        assert_eq!((hub.now(), log.decisions.len()), (2_000, 1));
+        assert!(
+            handle.snapshot().is_none(),
+            "a torn-down executor has no world"
+        );
     }
 }

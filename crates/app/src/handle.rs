@@ -1,9 +1,9 @@
 //! The application-facing handle and the executor-shared state behind it.
 //!
 //! Every async task holds an [`AvmonHandle`] bound to one node. All state
-//! a handle touches lives in one `Rc<RefCell<Shared>>` owned by the
+//! a handle touches lives in one `Rc<RefCell<Shared>>` shared with the
 //! executor, so handle calls are synchronous borrows — no channels, no
-//! wakers with payloads, and (under the sim executor) no source of
+//! wakers with payloads, and (over a simulation or a hub) no source of
 //! nondeterminism: the single RNG here is the registered `app` stream.
 //!
 //! **One inbox per node.** Events are queued per *node*, not per task:
@@ -17,65 +17,27 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, Waker};
 
 use avmon::driver::{Command, NodeSnapshot};
 use avmon::rng::Stream;
 use avmon::{AppEvent, DurMs, NodeId, TimeMs};
-use avmon_runtime::Cluster;
-use avmon_sim::Simulation;
 
 use crate::decision::{Decision, DecisionLog};
-
-/// The seam between the app layer and the world its nodes live in: the
-/// one way in (a control [`Command`]) and the one synchronous way out (a
-/// [`NodeSnapshot`]). Events, the other way out, are pushed by the
-/// executor, which knows its world statically.
-pub(crate) trait World {
-    /// Applies `command` to node `id`; a down or unknown node ignores it.
-    fn command(&mut self, id: NodeId, command: Command);
-    /// `id`'s protocol state, `None` while the node is down.
-    fn snapshot(&self, id: NodeId) -> Option<NodeSnapshot>;
-}
-
-impl World for Simulation {
-    fn command(&mut self, id: NodeId, command: Command) {
-        Simulation::command(self, id, command);
-    }
-
-    fn snapshot(&self, id: NodeId) -> Option<NodeSnapshot> {
-        self.node(id).map(NodeSnapshot::capture)
-    }
-}
-
-impl World for Cluster {
-    fn command(&mut self, id: NodeId, command: Command) {
-        Cluster::command(self, id, command);
-    }
-
-    /// The latest published board entry — of a *running* node only:
-    /// `Cluster::kill` leaves the entry behind for `restart` to restore
-    /// from, and a down node has no state to show (as in sim).
-    fn snapshot(&self, id: NodeId) -> Option<NodeSnapshot> {
-        if self.running_ids().any(|running| running == id) {
-            Cluster::snapshot(self, id)
-        } else {
-            None
-        }
-    }
-}
+use crate::exec::World;
 
 /// Executor state shared with every handle.
 pub(crate) struct Shared {
-    /// The executor's world, for [`AvmonHandle::snapshot`] (the executor
-    /// keeps the statically typed end of the same cell).
-    world: Rc<RefCell<dyn World>>,
-    /// The executor's current time: sim time, or epoch-relative wall
-    /// milliseconds under the live executor.
+    /// The executor's world, for [`AvmonHandle::snapshot`]. The executor
+    /// keeps the statically typed strong end of the same cell, so a handle
+    /// that outlives its executor finds no world.
+    world: Weak<RefCell<dyn World>>,
+    /// The executor's current time: the world's clock as of the last
+    /// poll round.
     pub(crate) now: TimeMs,
-    /// The `app` RNG stream (seeded [`crate::app_stream_seed`]); its
-    /// draw count feeds `RngLedger::app_draws` under the sim executor.
+    /// The `app` RNG stream (seeded [`crate::app_stream_seed`]); a
+    /// simulation records its draw count in `RngLedger::app_draws`.
     pub(crate) rng: Stream,
     /// Registered sleep deadlines, keyed by registration id.
     pub(crate) sleeps: BTreeMap<u64, TimeMs>,
@@ -91,7 +53,7 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub(crate) fn new(world: Rc<RefCell<dyn World>>, now: TimeMs, rng: Stream) -> Self {
+    pub(crate) fn new(world: Weak<RefCell<dyn World>>, now: TimeMs, rng: Stream) -> Self {
         Shared {
             world,
             now,
@@ -131,13 +93,15 @@ impl AvmonHandle {
         self.node
     }
 
-    /// Current executor time: simulated ms, or epoch-relative wall ms.
+    /// Current executor time: the world's clock as of the last poll round
+    /// (simulated or hub ms, or a cluster's wall ms since its spawn).
     #[must_use]
     pub fn now(&self) -> TimeMs {
         self.shared.borrow().now
     }
 
-    /// Sleeps for `dur` (virtual time in sim, real time live).
+    /// Sleeps for `dur` on the world's clock (virtual time in a simulation
+    /// or on a hub, wall time on a cluster).
     #[must_use]
     pub fn sleep(&self, dur: DurMs) -> Sleep {
         let deadline = self.shared.borrow().now.saturating_add(dur);
@@ -170,10 +134,13 @@ impl AvmonHandle {
     /// A snapshot of the node's protocol state (PS, TS, coarse view,
     /// availability estimates) — [`NodeSnapshot::capture`] in sim, the
     /// latest published board entry live. `None` while the node is down
-    /// (or, live, before its first publish).
+    /// (or, live, before its first publish), and once the executor is
+    /// torn down.
     #[must_use]
     pub fn snapshot(&self) -> Option<NodeSnapshot> {
-        self.shared.borrow().world.borrow().snapshot(self.node)
+        let world = self.shared.borrow().world.upgrade()?;
+        let snapshot = world.borrow().snapshot(self.node);
+        snapshot
     }
 
     /// Queues `command` for this node; the executor applies it once the
@@ -282,15 +249,15 @@ pub(crate) struct Task {
     pub(crate) done: bool,
 }
 
-/// Polls every live task once, in spawn order — the executors' shared
+/// Polls every live task once, in spawn order — the executor's
 /// scheduling rule — and returns the nodes of the tasks that completed.
 /// Futures here only return `Pending` when genuinely blocked on a future
 /// deadline or an empty inbox, and nothing a task does synchronously
 /// unblocks *another* task (app messages travel through the backend), so
 /// one round per cycle is complete.
 pub(crate) fn poll_tasks(tasks: &mut [Task]) -> Vec<NodeId> {
-    // Scheduling is the executor's outer loop, driven by the calendar (sim)
-    // or the wall clock (live), so the waker does nothing.
+    // Scheduling is the executor's outer loop, driven by the world's
+    // clock, so the waker does nothing.
     let mut cx = Context::from_waker(Waker::noop());
     let mut finished = Vec::new();
     for task in tasks.iter_mut().filter(|t| !t.done) {

@@ -4,28 +4,27 @@
 //! choice — is written **once** as async tasks against an [`AvmonHandle`]
 //! (query PS/TS snapshots, await availability events, sleep, request
 //! monitor reports and histories, send and receive opaque app messages,
-//! draw from a registered `app` RNG stream), then executed by either of
-//! two executors without changing a line. This crate is the only way
-//! applications reach the overlay: the paper's §3.3 client is
+//! draw from a registered `app` stream), then run by one [`Executor`]
+//! over any of three [`World`]s without changing a line. This crate is the
+//! only way applications reach the overlay: the paper's §3.3 client is
 //! [`apps::query_availability`], and every example that acts on an
 //! availability figure obtains it there.
 //!
-//! * [`SimExecutor`] — single-threaded, driven by the discrete-event
-//!   calendar of [`avmon_sim::Simulation`]. Task sleeps become
-//!   `AppWake` calendar events and every pause point lands at an exact
-//!   `(time, seq)` calendar position — so same-seed runs produce
-//!   **byte-identical** decision logs, and the app stream's draw count
-//!   lands in the report's `RngLedger` (`app_draws`).
-//! * [`LiveExecutor`] — drives the same tasks against a real
-//!   [`avmon_runtime::Cluster`] (a thread per node over UDP),
-//!   resolving sleeps on the wall clock and pumping cluster events into
-//!   the same inboxes.
+//! * [`avmon_sim::Simulation`] — the discrete-event engine. A run pauses
+//!   right after each event of a node that has a task, so same-seed runs
+//!   produce **byte-identical** decision logs, and the app stream's draw
+//!   count lands in the report's `RngLedger` (`app_draws`).
+//! * [`avmon_runtime::VirtualHub`] — the runtime's own driver code, N
+//!   nodes on one thread in virtual time: as replayable as the simulator,
+//!   over the codec and the timer queue a deployment runs.
+//! * [`avmon_runtime::Cluster`] — a thread per node over UDP, on the wall
+//!   clock: sleeps resolve in real time and events are collected every
+//!   10 ms tick.
 //!
-//! Determinism rules for app tasks under the sim executor: draw
-//! randomness only via [`AvmonHandle::rng_u64`] (the registered `app`
-//! stream), take time only from [`AvmonHandle::now`] / sleeps, and never
-//! touch wall clocks, OS randomness, or iteration-order-unstable
-//! collections in decision paths.
+//! Determinism rules for app tasks: draw randomness only via
+//! [`AvmonHandle::rng_u64`] (the registered `app` stream), take time only
+//! from [`AvmonHandle::now`] / sleeps, and never touch wall clocks, OS
+//! randomness, or iteration-order-unstable collections in decision paths.
 
 // Library code returns errors; a panic site needs its own reasoned `#[expect]`.
 #![cfg_attr(
@@ -43,12 +42,10 @@ pub mod apps;
 mod decision;
 mod exec;
 mod handle;
-mod live;
 
 pub use decision::{Decision, DecisionLog};
-pub use exec::SimExecutor;
+pub use exec::{Executor, World};
 pub use handle::{AvmonHandle, EventWait, Sleep};
-pub use live::LiveExecutor;
 
 /// Salt folded into the master seed for the executor-owned `app` RNG
 /// stream: `mix64(master ^ APP_STREAM_SALT)` (see

@@ -1,4 +1,4 @@
-//! The §3.3 client, `query_availability`, end to end on the sim executor:
+//! The §3.3 client, `query_availability`, end to end over a simulation:
 //! every behaviour the deleted `avmon::query::AvailabilityQuery` state
 //! machine's unit tests held, now checked against real nodes exchanging
 //! real messages.
@@ -8,7 +8,7 @@ use std::rc::Rc;
 
 use avmon::{AppEvent, Behavior, Config, HashSelector, MonitorSelector, NodeId, TimeMs, MINUTE};
 use avmon_app::apps::{query_availability, QueryOutcome};
-use avmon_app::{AvmonHandle, SimExecutor};
+use avmon_app::{AvmonHandle, Executor};
 use avmon_churn::{ChurnEvent, ChurnEventKind, Trace};
 use avmon_sim::{SimOptions, Simulation};
 
@@ -54,7 +54,7 @@ fn run_client<T: 'static, Fut>(
 where
     Fut: std::future::Future<Output = T> + 'static,
 {
-    let mut exec = SimExecutor::new(Simulation::new(trace, opts.seed(SEED)), SEED);
+    let mut exec = Executor::new(Simulation::new(trace, opts.seed(SEED)), SEED);
     let out = Rc::new(RefCell::new(None));
     let slot = Rc::clone(&out);
     exec.spawn(id(0), move |h| async move {

@@ -2,7 +2,7 @@
 //! unfinished task, and no longer (ROADMAP 6(c)).
 
 use avmon::{Config, NodeId, TimeMs, MINUTE};
-use avmon_app::SimExecutor;
+use avmon_app::Executor;
 use avmon_churn::{ChurnEvent, ChurnEventKind, Trace};
 use avmon_sim::{SimOptions, Simulation};
 
@@ -34,7 +34,7 @@ fn trace() -> Trace {
 fn run(node: NodeId, stay: bool) -> (usize, String) {
     let opts = SimOptions::new(Config::builder(N as usize).k(16).build().unwrap()).seed(SEED);
     let trace = trace();
-    let mut exec = SimExecutor::new(Simulation::new(trace, opts), SEED);
+    let mut exec = Executor::new(Simulation::new(trace, opts), SEED);
     exec.spawn(node, move |h| async move {
         h.sleep(2 * MINUTE).await;
         if stay {
@@ -44,7 +44,7 @@ fn run(node: NodeId, stay: bool) -> (usize, String) {
     exec.run_until(2 * MINUTE);
     let (mut sim, _) = exec.into_parts();
     let mut pauses = 0;
-    while sim.run_until_wake(END) {
+    while sim.run_until_event(END) {
         assert!(sim.take_app_events().iter().all(|&(_, id, _)| id == node));
         pauses += 1;
     }

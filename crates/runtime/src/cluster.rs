@@ -1,6 +1,6 @@
 //! Whole-cluster orchestration: spawn N AVMON nodes on threads over real
-//! UDP sockets, observe them while they run, and inject churn (kill /
-//! restart) as a real deployment would experience.
+//! UDP sockets, observe them while they run, and crash-stop them as a real
+//! deployment would experience.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -8,8 +8,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use avmon::{
-    AppEvent, Config, HashSelector, HasherKind, JoinKind, Node, NodeId, PersistentState,
-    SharedSelector,
+    AppEvent, Config, HashSelector, JoinKind, Node, NodeId, PersistentState, SharedSelector, TimeMs,
 };
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
@@ -27,8 +26,8 @@ pub(crate) struct Blueprint {
 }
 
 impl Blueprint {
-    pub(crate) fn new(config: Config, hasher: HasherKind, seed: u64) -> Self {
-        let selector = HashSelector::from_config_with_kind(&config, hasher);
+    pub(crate) fn new(config: Config, seed: u64) -> Self {
+        let selector = Arc::new(HashSelector::from_config(&config));
         Blueprint {
             config,
             selector,
@@ -51,7 +50,6 @@ impl Blueprint {
 pub struct ClusterBuilder {
     config: Config,
     size: usize,
-    hasher: HasherKind,
     seed: u64,
 }
 
@@ -62,7 +60,6 @@ impl ClusterBuilder {
         ClusterBuilder {
             config,
             size,
-            hasher: HasherKind::Fast64,
             seed: 1,
         }
     }
@@ -74,16 +71,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Selects the consistency-condition hasher.
-    #[must_use]
-    pub fn hasher(mut self, hasher: HasherKind) -> Self {
-        self.hasher = hasher;
-        self
-    }
-
     /// Binds one UDP socket per node on 127.0.0.1 (kernel-assigned ports)
     /// and spawns the node threads: node 0 bootstraps, the rest join
-    /// through it.
+    /// through it. The cluster's clock ([`Cluster::now`]) starts here.
     ///
     /// # Errors
     ///
@@ -94,21 +84,35 @@ impl ClusterBuilder {
             .map(|_| UdpTransport::bind_ephemeral([127, 0, 0, 1]))
             .collect::<std::io::Result<Vec<_>>>()?;
         let ids: Vec<NodeId> = transports.iter().map(Transport::local_id).collect();
+        let blueprint = Blueprint::new(self.config, self.seed);
         let (events_tx, events_rx) = unbounded();
-        let mut cluster = Cluster {
-            blueprint: Blueprint::new(self.config, self.hasher, self.seed),
-            ids: ids.clone(),
-            running: HashMap::new(),
-            down_since: HashMap::new(),
-            events_rx,
-            events_tx,
-            board: SnapshotBoard::default(),
-        };
+        let board = SnapshotBoard::default();
+        #[expect(clippy::disallowed_methods, reason = "the cluster's wall clock")]
+        let epoch = Instant::now();
+        let mut running = HashMap::new();
         for (i, transport) in transports.into_iter().enumerate() {
+            let (commands, cmd_rx) = unbounded();
+            let node = blueprint.node(ids[i], i, None);
+            let events = events_tx.clone();
+            let driver = NodeDriver::new(
+                node,
+                transport,
+                cmd_rx,
+                events,
+                Arc::clone(&board),
+                ids.clone(),
+            );
             let contact = (i > 0).then(|| ids[0]);
-            cluster.spawn_driver(i, transport, JoinKind::Fresh, contact, None);
+            let handle = std::thread::spawn(move || driver.run(JoinKind::Fresh, contact));
+            running.insert(ids[i], RunningNode { handle, commands });
         }
-        Ok(cluster)
+        Ok(Cluster {
+            ids,
+            running,
+            epoch,
+            events_rx,
+            board,
+        })
     }
 }
 
@@ -119,12 +123,10 @@ struct RunningNode {
 
 /// A running cluster of AVMON node threads on UDP.
 pub struct Cluster {
-    blueprint: Blueprint,
     ids: Vec<NodeId>,
     running: HashMap<NodeId, RunningNode>,
-    down_since: HashMap<NodeId, Instant>,
+    epoch: Instant,
     events_rx: Receiver<(NodeId, AppEvent)>,
-    events_tx: Sender<(NodeId, AppEvent)>,
     board: SnapshotBoard,
 }
 
@@ -135,32 +137,10 @@ impl Cluster {
         ClusterBuilder::new(config, size)
     }
 
-    fn spawn_driver(
-        &mut self,
-        index: usize,
-        transport: UdpTransport,
-        kind: JoinKind,
-        contact: Option<NodeId>,
-        restore: Option<PersistentState>,
-    ) {
-        let id = self.ids[index];
-        let (cmd_tx, cmd_rx): (Sender<Command>, Receiver<Command>) = unbounded();
-        let driver = NodeDriver::new(
-            self.blueprint.node(id, index, restore),
-            transport,
-            cmd_rx,
-            self.events_tx.clone(),
-            Arc::clone(&self.board),
-            self.ids.clone(),
-        );
-        let handle = std::thread::spawn(move || driver.run(kind, contact));
-        self.running.insert(
-            id,
-            RunningNode {
-                handle,
-                commands: cmd_tx,
-            },
-        );
+    /// Wall milliseconds since the cluster was spawned.
+    #[must_use]
+    pub fn now(&self) -> TimeMs {
+        self.epoch.elapsed().as_millis() as TimeMs
     }
 
     /// Node identities, in spawn order.
@@ -208,49 +188,7 @@ impl Cluster {
         if let Some(node) = self.running.remove(&id) {
             let _ = node.commands.send(Command::Stop);
             let _ = node.handle.join();
-            #[expect(clippy::disallowed_methods, reason = "live downtime bookkeeping")]
-            self.down_since.insert(id, Instant::now());
         }
-    }
-
-    /// Restarts a previously killed node with its persistent state restored
-    /// (a rejoin: the JOIN weight follows the `min(cvs, t_down)` rule).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the node is already running, was never part of
-    /// the cluster, or its socket cannot be rebound.
-    pub fn restart(&mut self, id: NodeId) -> std::io::Result<()> {
-        if self.running.contains_key(&id) {
-            return Err(std::io::Error::other(format!("{id} is already running")));
-        }
-        let Some(index) = self.ids.iter().position(|&x| x == id) else {
-            return Err(std::io::Error::other(format!(
-                "{id} is not a cluster member"
-            )));
-        };
-        let transport = UdpTransport::bind(id)?;
-        let down = self
-            .down_since
-            .remove(&id)
-            .map_or(Duration::ZERO, |t| t.elapsed());
-        let restore = self.board.read().get(&id).map(|s| s.persistent.clone());
-        let contact = self
-            .running
-            .keys()
-            .next()
-            .copied()
-            .or_else(|| self.ids.iter().copied().find(|&other| other != id));
-        self.spawn_driver(
-            index,
-            transport,
-            JoinKind::Rejoin {
-                down_duration: down.as_millis() as u64,
-            },
-            contact,
-            restore,
-        );
-        Ok(())
     }
 
     /// Blocks until every *running* node knows at least `min_monitors` of

@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 use std::io;
 
 use avmon::rng::Stream;
-use avmon::{AppEvent, Config, Error, HasherKind, JoinKind, NodeId, PersistentState, TimeMs};
+use avmon::{AppEvent, Config, Error, JoinKind, NodeId, PersistentState, TimeMs};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::cluster::Blueprint;
@@ -39,6 +39,9 @@ pub struct VirtualHub {
     rng: Stream,
     events_tx: Sender<(NodeId, AppEvent)>,
     events_rx: Receiver<(NodeId, AppEvent)>,
+    /// What the nodes emitted since the last [`VirtualHub::drain_events`],
+    /// moved off the channel after every input.
+    events: Vec<(NodeId, AppEvent)>,
 }
 
 impl VirtualHub {
@@ -56,7 +59,7 @@ impl VirtualHub {
         }
         let (events_tx, events_rx) = unbounded();
         let mut hub = VirtualHub {
-            blueprint: Blueprint::new(config, HasherKind::Fast64, seed),
+            blueprint: Blueprint::new(config, seed),
             ids: (0..size as u32).map(NodeId::from_index).collect(),
             cores: Vec::with_capacity(size),
             down: BTreeMap::new(),
@@ -67,6 +70,7 @@ impl VirtualHub {
             rng: Stream::seeded(seed),
             events_tx,
             events_rx,
+            events: Vec::new(),
         };
         for i in 0..size {
             hub.cores.push(Some(hub.core(i, None)));
@@ -97,19 +101,40 @@ impl VirtualHub {
     /// Runs every arrival and timer due up to `t`, then moves the clock to
     /// `t` if that is later.
     pub fn run_until(&mut self, t: TimeMs) {
-        while let Some(at) = self.next_instant().filter(|&at| at <= t) {
-            self.now = at;
-            while self.wire.peek().is_some_and(|d| d.0 .0 <= at) {
-                let Some(Reverse((_, _, to, from, bytes))) = self.wire.pop() else {
-                    break;
-                };
-                self.input(to, |core, now| core.deliver(now, from, &bytes));
-            }
-            for i in 0..self.cores.len() {
-                self.input(i, DriverCore::fire_due);
+        while self.step(t) {}
+        self.now = self.now.max(t);
+    }
+
+    /// Runs as [`Self::run_until`] does, but stops with the clock at the
+    /// first instant whose inputs emitted application events — at once if
+    /// undrained events are waiting. Returns whether it stopped early.
+    pub fn run_until_event(&mut self, t: TimeMs) -> bool {
+        while self.events.is_empty() {
+            if !self.step(t) {
+                self.now = self.now.max(t);
+                return false;
             }
         }
-        self.now = self.now.max(t);
+        true
+    }
+
+    /// Runs the next instant due by `t`, if any: its arrivals in send
+    /// order, then every node's due timers in index order.
+    fn step(&mut self, t: TimeMs) -> bool {
+        let Some(at) = self.next_instant().filter(|&at| at <= t) else {
+            return false;
+        };
+        self.now = at;
+        while self.wire.peek().is_some_and(|d| d.0 .0 <= at) {
+            let Some(Reverse((_, _, to, from, bytes))) = self.wire.pop() else {
+                break;
+            };
+            self.input(to, |core, now| core.deliver(now, from, &bytes));
+        }
+        for i in 0..self.cores.len() {
+            self.input(i, DriverCore::fire_due);
+        }
+        true
     }
 
     fn next_instant(&self) -> Option<TimeMs> {
@@ -128,6 +153,8 @@ impl VirtualHub {
     ) -> Option<R> {
         let core = self.cores[i].as_mut()?;
         let out = f(core, self.now);
+        self.events
+            .extend(std::iter::from_fn(|| self.events_rx.try_recv().ok()));
         for (to, bytes) in core.transport_mut().outbox.drain(..) {
             if self.loss > 0.0 && self.rng.gen_bool(self.loss) {
                 continue;
@@ -171,8 +198,8 @@ impl VirtualHub {
     }
 
     /// Drains the application events emitted so far.
-    pub fn drain_events(&self) -> Vec<(NodeId, AppEvent)> {
-        std::iter::from_fn(|| self.events_rx.try_recv().ok()).collect()
+    pub fn drain_events(&mut self) -> Vec<(NodeId, AppEvent)> {
+        std::mem::take(&mut self.events)
     }
 
     /// Crash-stops `id`, keeping its persistent state for [`Self::restart`].
@@ -191,7 +218,7 @@ impl VirtualHub {
     ///
     /// # Errors
     ///
-    /// As [`crate::Cluster::restart`]: if `id` is running or not a member.
+    /// If `id` is running or not a member.
     pub fn restart(&mut self, id: NodeId) -> io::Result<()> {
         let not_down = || io::Error::other(format!("{id} is running or not a member"));
         let i = self.index(id).ok_or_else(not_down)?;

@@ -4,9 +4,17 @@
 //! discrete-event evaluation, run by the runtime's own driver code:
 //!
 //! * [`Cluster`]: a thread per node over UDP on localhost, where a
-//!   [`avmon::NodeId`] *is* the socket address (the paper's `<IP, port>`);
+//!   [`avmon::NodeId`] *is* the socket address (the paper's `<IP, port>`),
+//!   on a wall clock that starts at the spawn ([`Cluster::now`]);
 //! * [`VirtualHub`]: N nodes on one thread in virtual time, for
 //!   deterministic tests, where every instant is a consistent cut.
+//!
+//! Both expose the same small surface — a clock, `command`, `snapshot`,
+//! `drain_events`, `kill` — and both are worlds of the app layer's one
+//! executor (`avmon_app::Executor`): on the hub,
+//! [`VirtualHub::run_until_event`] stops at the first instant whose inputs
+//! emitted application events, so async app tasks interleave with the
+//! nodes deterministically.
 //!
 //! ## The driver loop
 //!

@@ -138,4 +138,24 @@ mod tests {
         assert_eq!(from, a.local_id());
         assert_eq!(bytes, b"datagram");
     }
+
+    /// A node at a fixed address binds the identity it was given, and
+    /// datagrams to that identity reach it.
+    #[test]
+    fn udp_bind_at_a_fixed_identity_round_trips() {
+        // A port the kernel just handed out, freed again for the bind.
+        let id = UdpTransport::bind_ephemeral([127, 0, 0, 1])
+            .unwrap()
+            .local_id();
+        let mut b = UdpTransport::bind(id).unwrap();
+        assert_eq!(b.local_id(), id);
+        let mut a = UdpTransport::bind_ephemeral([127, 0, 0, 1]).unwrap();
+        a.send(id, b"to a fixed address");
+        let (from, bytes) = b.recv_timeout(Duration::from_millis(500)).unwrap();
+        assert_eq!(from, a.local_id());
+        assert_eq!(bytes, b"to a fixed address");
+        b.send(from, b"and back");
+        let (from, bytes) = a.recv_timeout(Duration::from_millis(500)).unwrap();
+        assert_eq!((from, &bytes[..]), (id, &b"and back"[..]));
+    }
 }

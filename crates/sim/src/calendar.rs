@@ -61,14 +61,6 @@ pub(crate) enum EventKind {
         slot: u32,
         behavior: Option<Arc<Behavior>>,
     },
-    /// An application-executor wakeup
-    /// ([`Simulation::schedule_app_wake`](crate::Simulation::schedule_app_wake)):
-    /// pauses `run_until_wake` at exactly this `(time, seq)` position so
-    /// async app tasks interleave deterministically with the protocol
-    /// calendar.
-    AppWake {
-        token: u64,
-    },
 }
 
 impl EventKind {
@@ -421,9 +413,9 @@ impl Calendar {
         }
     }
 
-    /// Parks `kind` on the heap: the construction-time schedule, app
-    /// wakes, and events stalled until a frozen node thaws (a thaw time
-    /// fits no lane).
+    /// Parks `kind` on the heap: the construction-time schedule and
+    /// events stalled until a frozen node thaws (a thaw time fits no
+    /// lane).
     pub(crate) fn defer(&mut self, at: TimeMs, kind: EventKind) {
         let event = self.event(at, kind);
         self.heap.push(event);
@@ -493,7 +485,11 @@ mod tests {
                 timer: Timer::Protocol,
             }
         } else {
-            EventKind::AppWake { token: cal.seq }
+            EventKind::Corrupt {
+                slot: 1,
+                pattern: Corruption::Full,
+                seed: cal.seq,
+            }
         }
     }
 
@@ -508,7 +504,7 @@ mod tests {
         let event = cal.pop_due(at).expect("due");
         let (tag, timer) = match event.kind {
             EventKind::Timer { incarnation, .. } => (incarnation, true),
-            EventKind::AppWake { token } => (token, false),
+            EventKind::Corrupt { seed, .. } => (seed, false),
             ref other => unreachable!("{other:?}"),
         };
         assert_eq!((event.at, tag), (at, seq));

@@ -155,7 +155,7 @@ pub(crate) struct SimNode {
     /// Member of the trace's control group: its discovery times are logged.
     pub(crate) control: bool,
     /// Someone listens to this node ([`Simulation::subscribe_app`]): its
-    /// application events are buffered and pause `run_until_wake`.
+    /// application events are buffered and pause `run_until_event`.
     pub(crate) app_subscribed: bool,
     /// Position in [`Simulation::alive`] while up (patched on swap-remove).
     alive_pos: Option<u32>,
@@ -300,8 +300,6 @@ pub struct Simulation {
     pub(crate) graveyard_stats: NodeStats,
     initial_cohort: Vec<NodeId>,
     app_events: Vec<(TimeMs, NodeId, AppEvent)>,
-    /// Wake tokens fired since the last [`Simulation::take_wakes`] drain.
-    pending_wakes: Vec<u64>,
     /// Words drawn by the application executor's registered `app` RNG
     /// stream, pushed in via [`Simulation::set_app_draws`] so the
     /// [`RngLedger`](crate::RngLedger) covers app tasks too.
@@ -511,7 +509,6 @@ impl Simulation {
             graveyard_stats: NodeStats::default(),
             initial_cohort,
             app_events: Vec::new(),
-            pending_wakes: Vec::new(),
             app_draws: 0,
             net,
             checker,
@@ -561,7 +558,7 @@ impl Simulation {
 
     /// Subscribes a listener to `id`'s application events: they are
     /// buffered (timestamped) and any of them pauses
-    /// [`Simulation::run_until_wake`]. Nobody listens by default — a long
+    /// [`Simulation::run_until_event`]. Nobody listens by default — a long
     /// run would accumulate an unbounded buffer. An identity the trace
     /// never named is ignored.
     pub fn subscribe_app(&mut self, id: NodeId) {
@@ -577,19 +574,6 @@ impl Simulation {
         if let Some(slot) = self.slot(id) {
             self.nodes[slot].app_subscribed = false;
         }
-    }
-
-    /// Schedules an application wakeup at `at` (clamped to now). The token
-    /// comes back from [`Simulation::take_wakes`] once
-    /// [`Simulation::run_until_wake`] pauses at the wake instant.
-    pub fn schedule_app_wake(&mut self, at: TimeMs, token: u64) {
-        let at = at.max(self.now);
-        self.calendar.defer(at, EventKind::AppWake { token });
-    }
-
-    /// Drains the wake tokens fired since the last call.
-    pub fn take_wakes(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.pending_wakes)
     }
 
     /// Records the application executor's RNG draw count — the `app`
@@ -628,26 +612,26 @@ impl Simulation {
     }
 
     /// Advances simulated time until `deadline` — or pauses early, with
-    /// the clock at the triggering event's instant, as soon as an app
-    /// wake fires or a subscribed node emits an application event.
+    /// the clock at the triggering event's instant, as soon as a
+    /// subscribed node emits an application event.
     ///
-    /// Returns `true` when paused before the deadline (events/wakes are
-    /// waiting in [`Simulation::take_app_events`] /
-    /// [`Simulation::take_wakes`]), `false` when the deadline was reached.
-    pub fn run_until_wake(&mut self, deadline: TimeMs) -> bool {
+    /// Returns `true` when paused before the deadline (the events are
+    /// waiting in [`Simulation::take_app_events`]), `false` when the
+    /// deadline was reached.
+    pub fn run_until_event(&mut self, deadline: TimeMs) -> bool {
         self.run_until_inner(deadline, true)
     }
 
     /// The engine loop: pops and dispatches every event due by `deadline`,
     /// in `(time, seq)` order.
-    fn run_until_inner(&mut self, deadline: TimeMs, stop_on_wake: bool) -> bool {
+    fn run_until_inner(&mut self, deadline: TimeMs, stop_on_event: bool) -> bool {
         let deadline = deadline.min(self.trace.horizon);
         while let Some(event) = self.calendar.pop_due(deadline) {
             self.now = event.at;
             self.dispatch(event.kind);
-            // A paused executor has something to process: a fired wake or
-            // an undrained application event.
-            if stop_on_wake && !(self.pending_wakes.is_empty() && self.app_events.is_empty()) {
+            // A paused executor has something to process: an undrained
+            // application event.
+            if stop_on_event && !self.app_events.is_empty() {
                 return true;
             }
         }
@@ -720,7 +704,6 @@ impl Simulation {
             EventKind::SetBehavior { slot, behavior } => {
                 self.on_set_behavior(slot as usize, behavior)
             }
-            EventKind::AppWake { token } => self.pending_wakes.push(token),
         }
     }
 

@@ -270,7 +270,7 @@ pub struct RngLedger {
     /// exactly 0 in adversary-free runs.
     pub corruption_draws: u64,
     /// Draws on the application executor's `app` stream (async app tasks
-    /// over the sim executor, seeded `mix64(master ^ APP salt)`); exactly 0
+    /// over the simulation, seeded `mix64(master ^ APP salt)`); exactly 0
     /// in runs with no attached application.
     pub app_draws: u64,
 }

@@ -398,7 +398,7 @@ fn unknown_identities_are_inert() {
     );
 }
 
-/// A subscribed node's events pause `run_until_wake` at the instant they
+/// A subscribed node's events pause `run_until_event` at the instant they
 /// are emitted, and a frozen node's deliveries and timers requeue until
 /// the thaw instead of being processed or lost. The run covers the
 /// bootstrap minutes, when every node is busy discovering.
@@ -422,7 +422,7 @@ fn subscribed_node_pauses_the_run_and_frozen_node_requeues() {
     // closes, and five minutes after the thaw.
     let mut checkpoints = Vec::new();
     for deadline in [from, until - 1, 10 * MINUTE] {
-        while sim.run_until_wake(deadline) {
+        while sim.run_until_event(deadline) {
             pauses.push((sim.now(), sim.take_app_events()));
         }
         checkpoints.push(received(&sim));

@@ -1,7 +1,8 @@
-//! One application source, two worlds: the `watchdog_selector` app from
-//! `avmon-app` (periodic least-available-k selection plus a churn
-//! watchdog) runs **byte-deterministically** inside the discrete-event
-//! simulator, and the *same async function* drives a live UDP cluster.
+//! One application source, one executor, two of its worlds: the
+//! `watchdog_selector` app from `avmon-app` (periodic least-available-k
+//! selection plus a churn watchdog) runs **byte-deterministically** on an
+//! `Executor<Simulation>`, and the *same async function* drives a live UDP
+//! cluster on an `Executor<Cluster>`.
 //!
 //! ```text
 //! cargo run --release -p avmon-examples --bin app_demo            # sim, seed 7
@@ -10,13 +11,13 @@
 //! ```
 //!
 //! In sim mode the demo runs the identical scenario twice and asserts the
-//! serialized decision logs are byte-identical — the determinism contract
-//! of `SimExecutor`.
+//! serialized decision logs are byte-identical — the executor's
+//! determinism contract over a simulation.
 
 use std::time::Duration;
 
 use avmon::{Config, MINUTE};
-use avmon_app::{apps::watchdog_selector, LiveExecutor, SimExecutor};
+use avmon_app::{apps::watchdog_selector, Executor};
 use avmon_churn::stat;
 use avmon_runtime::Cluster;
 use avmon_sim::{SimOptions, Simulation};
@@ -27,7 +28,7 @@ fn run_sim(seed: u64) -> (String, u64) {
     let ids: Vec<_> = trace.identities().into_iter().collect();
     let opts = SimOptions::new(Config::builder(n).build().unwrap()).seed(seed);
     let sim = Simulation::new(trace, opts);
-    let mut exec = SimExecutor::new(sim, seed);
+    let mut exec = Executor::new(sim, seed);
     for &id in &ids[..4] {
         exec.spawn(id, |h| watchdog_selector(h, 2 * MINUTE, 3));
     }
@@ -55,11 +56,12 @@ fn run_live(seed: u64) -> String {
         "discovery stalled"
     );
     let ids = cluster.ids().to_vec();
-    let mut exec = LiveExecutor::new(cluster, seed);
+    let mut exec = Executor::new(cluster, seed);
     for &id in &ids {
         exec.spawn(id, |h| watchdog_selector(h, 500, 2));
     }
-    exec.run_for(Duration::from_secs(4));
+    let end = exec.world(Cluster::now) + 4_000;
+    exec.run_until(end);
     let (cluster, log) = exec.into_parts();
     cluster.shutdown();
     log.to_json().expect("decision logs serialize")

@@ -9,7 +9,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use avmon::{DurMs, NodeId};
-use avmon_app::{apps::query_availability, SimExecutor};
+use avmon_app::{apps::query_availability, Executor};
 use avmon_sim::Simulation;
 
 /// Pretty-prints a `(label, value)` listing with aligned labels.
@@ -98,7 +98,7 @@ pub fn parse_large_scale_args(
 /// produced an answer by then, best first (ties: more monitoring pings
 /// behind the figure first, then identity).
 pub fn score_by_query(
-    exec: &mut SimExecutor,
+    exec: &mut Executor<Simulation>,
     clients: &[NodeId],
     candidates: &[NodeId],
     l: u8,
@@ -123,7 +123,7 @@ pub fn score_by_query(
             }
         });
     }
-    let deadline = exec.sim(Simulation::now) + budget;
+    let deadline = exec.world(Simulation::now) + budget;
     exec.run_until(deadline);
     let mut scores = scores.take();
     scores.sort_by(|a, b| b.1.total_cmp(&a.1).then(b.2.cmp(&a.2)).then(a.0.cmp(&b.0)));

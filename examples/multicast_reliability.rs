@@ -12,7 +12,7 @@
 
 use avmon::rng::Stream;
 use avmon::{Config, NodeId, HOUR, MINUTE};
-use avmon_app::SimExecutor;
+use avmon_app::Executor;
 use avmon_churn::{planetlab_like, PLANETLAB_N};
 use avmon_sim::{SimOptions, Simulation};
 
@@ -30,11 +30,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("availability-aware multicast parents (N={n}, PL-like trace)");
     let sim = Simulation::new(trace.clone(), SimOptions::new(config).seed(23));
-    let mut exec = SimExecutor::new(sim, 23);
+    let mut exec = Executor::new(sim, 23);
     exec.run_until(16 * HOUR);
 
     // The multicast source plus candidate interior nodes.
-    let alive: Vec<NodeId> = exec.sim(|sim| sim.alive().collect());
+    let alive: Vec<NodeId> = exec.world(|sim| sim.alive().collect());
     let source = alive[0];
 
     // Eight prospective children score the candidate parents by verified
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .copied()
         .filter(|id| !smart_parents.contains(id) && !random_parents.contains(id))
         .collect();
-    let audit_from = exec.sim(Simulation::now);
+    let audit_from = exec.world(Simulation::now);
     exec.run();
 
     let reliability = |parents: &[NodeId]| {

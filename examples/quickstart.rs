@@ -9,7 +9,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use avmon::{Config, HOUR, MINUTE};
-use avmon_app::{apps::query_availability, SimExecutor};
+use avmon_app::{apps::query_availability, Executor};
 use avmon_churn::stat;
 use avmon_sim::{metrics, SimOptions, Simulation};
 
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let asker = trace.identities().into_iter().next().expect("a node");
     let ask_at = trace.horizon - 5 * MINUTE;
     let sim = Simulation::new(trace, SimOptions::new(config.clone()).seed(7));
-    let mut exec = SimExecutor::new(sim, 7);
+    let mut exec = Executor::new(sim, 7);
     let answer = Rc::new(RefCell::new(None));
     let slot = Rc::clone(&answer);
     exec.spawn(asker, move |h| async move {
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     exec.run();
 
     // 4. Discovery: how quickly did the joiners find their monitors?
-    let report = exec.sim(Simulation::report);
+    let report = exec.world(Simulation::report);
     let latencies: Vec<f64> = report
         .discovery_latencies(1)
         .iter()
@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Vec<_>>()
             .join(", ")
     };
-    exec.sim(|sim| {
+    exec.world(|sim| {
         let node = sim.node(id).expect("alive");
         avmon_examples::print_kv(&[
             ("pinging set PS(x)", show(node.pinging_set().collect())),

@@ -13,7 +13,7 @@
 
 use avmon::rng::Stream;
 use avmon::{Config, NodeId, HOUR, MINUTE};
-use avmon_app::SimExecutor;
+use avmon_app::Executor;
 use avmon_churn::{planetlab_like, PLANETLAB_N};
 use avmon_sim::{SimOptions, Simulation};
 
@@ -35,14 +35,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("replica selection over AVMON histories (N={n}, PL-like trace)");
     let sim = Simulation::new(trace.clone(), SimOptions::new(config).seed(11));
-    let mut exec = SimExecutor::new(sim, 11);
+    let mut exec = Executor::new(sim, 11);
 
     // Let the overlay monitor for 16 hours of simulated time.
     exec.run_until(16 * HOUR);
 
     // Score every alive node through AVMON's l-out-of-K verified queries,
     // issued by eight placement clients over the next five minutes.
-    let candidates: Vec<NodeId> = exec.sim(|sim| sim.alive().collect());
+    let candidates: Vec<NodeId> = exec.world(|sim| sim.alive().collect());
     let scored = avmon_examples::score_by_query(
         &mut exec,
         &candidates[..8],
@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Run the remaining simulated time, then audit replica availability
     // against the ground-truth trace over that future window.
-    let audit_from = exec.sim(Simulation::now);
+    let audit_from = exec.world(Simulation::now);
     exec.run();
     let audit = |sets: &[Vec<NodeId>]| {
         let mut object_availability = 0.0;

@@ -1,21 +1,22 @@
 //! The application portability contract: async app code written against
-//! [`avmon_app::AvmonHandle`] is **byte-deterministic** under the sim
-//! executor (same seed → identical serialized decision logs) and
-//! **portable** to a live UDP cluster (the same task source
-//! produces matching observable decisions on the same membership trace).
+//! [`avmon_app::AvmonHandle`] is **byte-deterministic** on an executor
+//! over a simulation or a virtual-time hub (same seed → identical
+//! serialized decision logs), and **portable** across worlds: the same
+//! task source makes the same observable decisions on the runtime's
+//! driver code as in the simulator, and queries real UDP nodes.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use avmon::{AppEvent, Config, HashSelector, MonitorSelector, NodeId, TimeMs, MINUTE};
 use avmon_app::{
     apps::{echo_listener, query_availability, watchdog_selector},
-    AvmonHandle, Decision, DecisionLog, LiveExecutor, SimExecutor,
+    AvmonHandle, Decision, DecisionLog, Executor,
 };
 use avmon_churn::{stat, ChurnEvent, ChurnEventKind, Trace};
-use avmon_runtime::Cluster;
+use avmon_runtime::{Cluster, VirtualHub};
 use avmon_sim::{LatencyModel, RngLedger, SimOptions, Simulation};
 
 /// One sim run with the example app attached to the first four nodes and
@@ -27,7 +28,7 @@ fn sim_app_run(seed: u64) -> (String, String, RngLedger) {
     let trace = stat(n, 20 * MINUTE, 0.2, seed);
     let ids: Vec<NodeId> = trace.identities().into_iter().collect();
     let opts = SimOptions::new(Config::builder(n).build().unwrap()).seed(seed);
-    let mut exec = SimExecutor::new(Simulation::new(trace, opts), seed);
+    let mut exec = Executor::new(Simulation::new(trace, opts), seed);
     for &id in &ids[..4] {
         exec.spawn(id, |h| watchdog_selector(h, 2 * MINUTE, 3));
     }
@@ -94,7 +95,7 @@ fn app_data_round_trips_through_the_sim_overlay() {
     let ids: Vec<NodeId> = trace.identities().into_iter().collect();
     let (a, b) = (ids[0], ids[1]);
     let opts = SimOptions::new(Config::builder(n).build().unwrap()).seed(seed);
-    let mut exec = SimExecutor::new(Simulation::new(trace, opts), seed);
+    let mut exec = Executor::new(Simulation::new(trace, opts), seed);
     exec.spawn(a, move |h| async move {
         h.sleep(MINUTE).await; // let the overlay settle
         h.send_app(b, vec![0xde, 0xad, 0xbe, 0xef]);
@@ -144,7 +145,7 @@ fn quickstart_scenario_yields_a_verified_availability() {
     let asker = trace.identities().into_iter().next().unwrap();
     let (ask_at, horizon) = (trace.horizon - 5 * MINUTE, trace.horizon);
     let opts = SimOptions::new(Config::builder(n).build().unwrap()).seed(7);
-    let mut exec = SimExecutor::new(Simulation::new(trace, opts), 7);
+    let mut exec = Executor::new(Simulation::new(trace, opts), 7);
     exec.run_until(ask_at);
     let outcome = avmon_tests::query_once(&mut exec, asker, target, 3, horizon)
         .expect("the query finishes inside the run");
@@ -167,7 +168,7 @@ fn fast_config(n: usize) -> Config {
 /// The monitor relation is a pure function of the identities, and an
 /// `n`-node cluster draws `n` ephemeral ports — at `n` = 3 a triple where
 /// some node has no monitor or no target (so discovery can never complete
-/// and a differential would be vacuous) comes up with probability ≈ 1/3.
+/// and a query could come back empty) comes up with probability ≈ 1/3.
 /// Respawn until the drawn ports give everyone both.
 fn covered_udp_cluster(config: &Config, n: usize, seed: u64) -> Cluster {
     let selector = HashSelector::from_config(config);
@@ -231,9 +232,8 @@ async fn snapshot_probe(h: AvmonHandle, samples: Probe) {
     }
 }
 
-/// Once the victim is down its handle shows no snapshot — live, the board
-/// still holds the entry `restart` restores from — so its watchdog, which
-/// selects from the snapshot, goes quiet.
+/// Once the victim is down its handle shows no snapshot, so its
+/// watchdog, which selects from the snapshot, goes quiet.
 fn assert_victim_silent_after(
     killed_at: TimeMs,
     victim: NodeId,
@@ -253,46 +253,52 @@ fn assert_victim_silent_after(
     );
 }
 
-/// The live half of the headline claim: the *same* `watchdog_selector`
-/// source drives a real 3-node UDP cluster; a node is killed mid-run,
-/// and the observable decisions (final selection membership per
-/// survivor, victim-least-available ordering, victim alarms) match a sim
-/// run replaying the same membership trace over the same identities. In
-/// both worlds the victim's own handle goes dark at the kill.
+/// The app's decision period, in both worlds of the differential.
+const PERIOD: TimeMs = 300;
+/// The watchdog's selection size, in both worlds of the differential.
+const K: usize = 2;
+
+/// One run of the watchdog app on a hub of `n` nodes, from virtual time
+/// 0: with `victim`, that node is killed at `kill_at`. Returns the
+/// decision log and the victim's snapshot probe.
+fn hub_app_run(n: usize, seed: u64, victim: Option<(NodeId, TimeMs)>) -> (DecisionLog, Probe) {
+    let hub = VirtualHub::new(fast_config(n), n, seed, 0.0).expect("a valid hub");
+    let ids = hub.ids().to_vec();
+    let mut exec = Executor::new(hub, seed);
+    for &id in &ids {
+        exec.spawn(id, |h| watchdog_selector(h, PERIOD, K));
+    }
+    let probe = Probe::default();
+    if let Some((victim, kill_at)) = victim {
+        exec.spawn(victim, |h| snapshot_probe(h, Rc::clone(&probe)));
+        exec.run_until(kill_at);
+        exec.world_mut(|hub| hub.kill(victim));
+    }
+    exec.run_until(5_000);
+    (exec.into_parts().1, probe)
+}
+
+/// The differential: the *same* `watchdog_selector` source drives the
+/// runtime's driver code — codec, timer queue, 3 nodes on a
+/// [`VirtualHub`] — and a simulation replaying the same membership trace
+/// over the same identities. A node is killed at 2 s, and the observable
+/// decisions (final selection membership per survivor,
+/// victim-least-available ordering, victim alarms) match. In both worlds
+/// the victim's own handle goes dark at the kill.
 #[test]
-fn live_udp_cluster_matches_sim_on_the_same_trace() {
+fn virtual_hub_matches_sim_on_the_same_trace() {
     let n = 3;
     let seed = 5;
-    let config = fast_config(n);
-    let period = 300; // app decision period, both worlds
-    let k = 2;
-
-    // Live run: spawn, discover, attach the app, kill a node mid-run.
-    let cluster = covered_udp_cluster(&config, n, seed);
-    let mut ids = cluster.ids().to_vec();
-    ids.sort();
+    let killed_at = 2_000;
+    let ids: Vec<NodeId> = (0..n as u32).map(NodeId::from_index).collect();
     let victim = ids[n - 1];
     let survivors: Vec<NodeId> = ids[..n - 1].to_vec();
-    // Started before the executor's epoch, so a wall instant reads no
-    // earlier on this clock than on the executor's.
-    #[expect(clippy::disallowed_methods, reason = "the live leg's wall clock")]
-    let clock = Instant::now();
-    let mut exec = LiveExecutor::new(cluster, seed);
-    for &id in &ids {
-        exec.spawn(id, |h| watchdog_selector(h, period, k));
-    }
-    let live_probe = Probe::default();
-    exec.spawn(victim, |h| snapshot_probe(h, Rc::clone(&live_probe)));
-    exec.run_for(Duration::from_secs(2));
-    exec.cluster_mut(|c| c.kill(victim));
-    let killed_at = clock.elapsed().as_millis() as TimeMs;
-    exec.run_for(Duration::from_secs(3));
-    let (cluster, live_log) = exec.into_parts();
-    cluster.shutdown();
-    assert_victim_silent_after(killed_at, victim, &live_log, &live_probe, "live");
+
+    let (hub_log, hub_probe) = hub_app_run(n, seed, Some((victim, killed_at)));
+    assert_victim_silent_after(killed_at, victim, &hub_log, &hub_probe, "hub");
 
     // Sim run: replay the same membership trace — the same identities,
-    // everyone up from t=0, the victim leaving at the same offset — with
+    // everyone up from t=0, the victim leaving at the same instant — with
     // the same config, app source, and app parameters.
     let events: Vec<ChurnEvent> = ids
         .iter()
@@ -302,34 +308,34 @@ fn live_udp_cluster_matches_sim_on_the_same_trace() {
             kind: ChurnEventKind::Birth,
         })
         .chain(std::iter::once(ChurnEvent {
-            at: 2_000,
+            at: killed_at,
             node: victim,
             kind: ChurnEventKind::Leave,
         }))
         .collect();
-    let trace = Trace::new("live-replay", n, 5_000, 0, Vec::new(), events);
-    // The live run rode the loopback interface (sub-millisecond RTT);
-    // replay it over a link model to match, not the default WAN latency
-    // (whose 40-200 ms RTTs would starve a 60 ms ping timeout).
-    let mut opts = SimOptions::new(config).seed(seed);
+    let trace = Trace::new("hub-replay", n, 5_000, 0, Vec::new(), events);
+    // The hub delivers every datagram 1 ms after it was sent; replay it
+    // over a link model to match, not the default WAN latency (whose
+    // 40-200 ms RTTs would starve a 60 ms ping timeout).
+    let mut opts = SimOptions::new(fast_config(n)).seed(seed);
     opts.network.latency = LatencyModel::Constant(1);
     let sim = Simulation::new(trace, opts);
-    let mut exec = SimExecutor::new(sim, seed);
+    let mut exec = Executor::new(sim, seed);
     for &id in &ids {
-        exec.spawn(id, |h| watchdog_selector(h, period, k));
+        exec.spawn(id, |h| watchdog_selector(h, PERIOD, K));
     }
     let sim_probe = Probe::default();
     exec.spawn(victim, |h| snapshot_probe(h, Rc::clone(&sim_probe)));
     exec.run();
     let (_, sim_log) = exec.into_report();
-    assert_victim_silent_after(2_000, victim, &sim_log, &sim_probe, "sim");
+    assert_victim_silent_after(killed_at, victim, &sim_log, &sim_probe, "sim");
 
-    let live = observables(&live_log, &survivors, victim);
+    let hub = observables(&hub_log, &survivors, victim);
     let sim = observables(&sim_log, &survivors, victim);
     assert_eq!(
-        live, sim,
-        "live and sim runs of the same app source disagree on the \
-         observable decisions\nlive log: {live_log:?}\nsim log: {sim_log:?}"
+        hub, sim,
+        "hub and sim runs of the same app source disagree on the \
+         observable decisions\nhub log: {hub_log:?}\nsim log: {sim_log:?}"
     );
     // And the differential is not vacuously empty: every survivor decided.
     for (s, chosen, _, _) in &sim {
@@ -338,6 +344,24 @@ fn live_udp_cluster_matches_sim_on_the_same_trace() {
             "survivor {s} never selected anything: {sim_log:?}"
         );
     }
+}
+
+/// On the hub an app run is a function of its seed: the same seed gives
+/// byte-identical decision logs, and another seed a different one.
+#[test]
+fn hub_app_runs_are_byte_identical_per_seed() {
+    let run = |seed| {
+        let (log, _) = hub_app_run(6, seed, None);
+        log.to_json().expect("decision logs serialize")
+    };
+    let (a, b) = (run(5), run(5));
+    assert!(a.contains("Select"), "the app never decided anything: {a}");
+    assert_eq!(a, b, "same-seed hub runs diverged");
+    assert_ne!(
+        a,
+        run(6),
+        "different seeds produced identical decision logs"
+    );
 }
 
 /// The §3.3 client on real sockets: the same `query_availability` source
@@ -350,14 +374,15 @@ fn live_udp_query_verifies_monitors_by_the_hash_condition() {
     let selector = HashSelector::from_config(&config);
     let cluster = covered_udp_cluster(&config, n, 5);
     let (asker, target) = (cluster.ids()[0], cluster.ids()[1]);
-    let mut exec = LiveExecutor::new(cluster, 5);
+    let mut exec = Executor::new(cluster, 5);
     let outcome = Rc::new(RefCell::new(None));
     let slot = Rc::clone(&outcome);
     exec.spawn(asker, move |h| async move {
         h.sleep(1_000).await; // a few monitoring periods of history first
         *slot.borrow_mut() = Some(query_availability(&h, target, u8::MAX).await);
     });
-    exec.run_for(Duration::from_secs(3));
+    let end = exec.world(Cluster::now) + 3_000;
+    exec.run_until(end);
     let (cluster, _) = exec.into_parts();
     cluster.shutdown();
 

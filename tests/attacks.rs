@@ -6,7 +6,7 @@
 use std::collections::BTreeSet;
 
 use avmon::{verify_report, Behavior, Config, HashSelector, MonitorSelector, NodeId, MINUTE};
-use avmon_app::SimExecutor;
+use avmon_app::Executor;
 use avmon_churn::{stat, synthetic, ChurnEvent, ChurnEventKind, SynthParams, Trace};
 use avmon_sim::{Corruption, InvariantViolation, Scenario, SimOptions, Simulation};
 
@@ -51,11 +51,11 @@ fn selfish_advertiser_cannot_fake_monitors_end_to_end() {
             fake_monitors: fakes.clone(),
         },
     );
-    let mut exec = SimExecutor::new(Simulation::new(trace, opts), 3);
+    let mut exec = Executor::new(Simulation::new(trace, opts), 3);
     exec.run_until(20 * MINUTE);
 
     let asker = exec
-        .sim(|sim| sim.alive().find(|&id| id != liar))
+        .world(|sim| sim.alive().find(|&id| id != liar))
         .expect("someone else is up");
     let outcome = avmon_tests::query_once(&mut exec, asker, liar, 3, 21 * MINUTE)
         .expect("the query completes");

@@ -6,7 +6,7 @@
 //! `AVMON_FUZZ_SWEEP` environment variable (see CI).
 
 use avmon::{Command, Config, NodeId, MINUTE};
-use avmon_app::{apps::watchdog_selector, SimExecutor};
+use avmon_app::{apps::watchdog_selector, Executor};
 use avmon_churn::{stat, synthetic, ChurnEvent, ChurnEventKind, SynthParams, Trace};
 use avmon_sim::{
     LatencyModel, LinkFaults, NetworkModel, Scenario, SimOptions, SimReport, Simulation,
@@ -396,7 +396,7 @@ fn random_scenario_fuzz_sweep() {
         let app = (seed % 4 == 0).then(|| {
             let app_run = || {
                 let trace = stat(n, 60 * MINUTE, 0.1, seed);
-                let mut exec = SimExecutor::new(Simulation::new(trace, opts()), seed);
+                let mut exec = Executor::new(Simulation::new(trace, opts()), seed);
                 for &id in &ids[..4] {
                     exec.spawn(id, |h| watchdog_selector(h, 5 * MINUTE, 3));
                 }

@@ -6,12 +6,12 @@ use std::rc::Rc;
 
 use avmon::{NodeId, TimeMs};
 use avmon_app::apps::{query_availability, QueryOutcome};
-use avmon_app::SimExecutor;
+use avmon_app::{Executor, World};
 
 /// Runs one §3.3 availability query from a task on `asker`, advancing
 /// `exec` to `until`; `None` if the query has not finished by then.
-pub fn query_once(
-    exec: &mut SimExecutor,
+pub fn query_once<W: World + 'static>(
+    exec: &mut Executor<W>,
     asker: NodeId,
     target: NodeId,
     l: u8,
