@@ -2,7 +2,7 @@
 //!
 //! | Approach | M (memory/bw per round) | D (expected discovery) | C (comps per round) |
 //! |---|---|---|---|
-//! | Broadcast [11]     | O(N)      | O(log N)      | one-time only |
+//! | Broadcast \[11\]   | O(N)      | O(log N)      | one-time only |
 //! | AVMON generic      | O(cvs)    | 1/(1−e^{−cvs²/N}) | O(cvs²) |
 //! | AVMON cvs=log N    | O(log N)  | N/(log N)²    | O((log N)²) |
 //! | Optimal-MD         | O((2N)^⅓) | (2N)^⅓        | O((2N)^⅔) |

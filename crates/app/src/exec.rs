@@ -1,8 +1,8 @@
 //! The executor: async app tasks over a world of AVMON nodes.
 //!
 //! [`Executor`] runs the same tasks over any [`World`] — a
-//! [`Simulation`], a [`VirtualHub`] or a [`Cluster`] — with one loop,
-//! [`Executor::run_until`]:
+//! [`Simulation`], or a [`Hub`] on either wire (`VirtualHub`, `Cluster`) —
+//! with one loop, [`Executor::run_until`]:
 //!
 //! 1. poll every task (spawn order); apply the commands they queued to
 //!    the world, in record order;
@@ -13,19 +13,18 @@
 //! 4. file the timestamped events in the per-node inboxes, move executor
 //!    time to the world's clock, and repeat until it reaches `deadline`.
 //!
-//! In the simulator and on the hub every step is a function of the seed,
-//! so the whole cycle — task poll order, RNG draws, commands entering the
-//! world — repeats byte for byte.
+//! In the simulator and on a `VirtualHub` every step is a function of the
+//! seed, so the whole cycle — task poll order, RNG draws, commands
+//! entering the world — repeats byte for byte.
 
 use std::cell::RefCell;
 use std::future::Future;
 use std::rc::{Rc, Weak};
-use std::time::Duration;
 
 use avmon::driver::{Command, NodeSnapshot};
 use avmon::rng::Stream;
 use avmon::{AppEvent, NodeId, TimeMs};
-use avmon_runtime::{Cluster, VirtualHub};
+use avmon_runtime::{Hub, Wire};
 use avmon_sim::{SimReport, Simulation};
 
 use crate::app_stream_seed;
@@ -86,10 +85,11 @@ impl World for Simulation {
     }
 }
 
-/// The hub's events all carry the instant it stopped at.
-impl World for VirtualHub {
+/// A hub's events all carry the instant it stopped at — a virtual one, or
+/// wall time since a UDP cluster was built.
+impl<W: Wire> World for Hub<W> {
     fn now(&self) -> TimeMs {
-        VirtualHub::now(self)
+        Hub::now(self)
     }
 
     fn advance(&mut self, until: TimeMs) -> Vec<(TimeMs, NodeId, AppEvent)> {
@@ -100,54 +100,17 @@ impl World for VirtualHub {
     }
 
     fn command(&mut self, id: NodeId, command: Command) {
-        VirtualHub::command(self, id, command);
+        Hub::command(self, id, command);
     }
 
     fn snapshot(&self, id: NodeId) -> Option<NodeSnapshot> {
-        VirtualHub::snapshot(self, id)
-    }
-}
-
-/// How long a cluster's [`World::advance`] waits at most before it drains
-/// the event channel and hands back to the tasks.
-const TICK: TimeMs = 10;
-
-/// A live cluster's clock is wall time since its spawn: `advance` sleeps
-/// one tick (never past `until`), then stamps what arrived with the
-/// instant it woke at.
-impl World for Cluster {
-    fn now(&self) -> TimeMs {
-        Cluster::now(self)
-    }
-
-    fn advance(&mut self, until: TimeMs) -> Vec<(TimeMs, NodeId, AppEvent)> {
-        let wait = until.saturating_sub(self.now()).min(TICK);
-        std::thread::sleep(Duration::from_millis(wait));
-        let at = self.now();
-        let events = self.drain_events().into_iter();
-        events.map(|(id, event)| (at, id, event)).collect()
-    }
-
-    fn command(&mut self, id: NodeId, command: Command) {
-        Cluster::command(self, id, command);
-    }
-
-    /// The latest published board entry — of a *running* node only:
-    /// `Cluster::kill` leaves the entry behind, and a down node has no
-    /// state to show (as in sim).
-    fn snapshot(&self, id: NodeId) -> Option<NodeSnapshot> {
-        if self.running_ids().any(|running| running == id) {
-            Cluster::snapshot(self, id)
-        } else {
-            None
-        }
+        Hub::snapshot(self, id)
     }
 }
 
 /// Runs async application tasks over a [`World`]: sleeps resolve on the
 /// world's clock, and events reach the tasks stamped with the instant
-/// they were emitted at (in the simulator) or collected at (on the hub
-/// and the cluster).
+/// they were emitted at.
 pub struct Executor<W> {
     /// The world's one strong owner: handles reach it through a `Weak`.
     world: Rc<RefCell<W>>,
@@ -264,9 +227,9 @@ impl<W: World + 'static> Executor<W> {
         self.shared.borrow().log.clone()
     }
 
-    /// Tears the executor down: the world, wherever it stands (a cluster
-    /// still runs — shut it down), plus the decision log. A handle a task
-    /// kept past this point sees no world: its snapshots are `None`.
+    /// Tears the executor down: the world, wherever it stands, plus the
+    /// decision log. A handle a task kept past this point sees no world:
+    /// its snapshots are `None`.
     #[must_use]
     pub fn into_parts(self) -> (W, DecisionLog) {
         let log = std::mem::take(&mut self.shared.borrow_mut().log);
@@ -298,6 +261,7 @@ impl Executor<Simulation> {
 mod tests {
     use super::*;
     use avmon::Config;
+    use avmon_runtime::VirtualHub;
 
     /// A task may keep a clone of its handle anywhere; tearing the
     /// executor down still hands back the world and the log, and the

@@ -5,7 +5,7 @@
 //! (query PS/TS snapshots, await availability events, sleep, request
 //! monitor reports and histories, send and receive opaque app messages,
 //! draw from a registered `app` stream), then run by one [`Executor`]
-//! over any of three [`World`]s without changing a line. This crate is the
+//! over any [`World`] without changing a line. This crate is the
 //! only way applications reach the overlay: the paper's §3.3 client is
 //! [`apps::query_availability`], and every example that acts on an
 //! availability figure obtains it there.
@@ -14,12 +14,12 @@
 //!   right after each event of a node that has a task, so same-seed runs
 //!   produce **byte-identical** decision logs, and the app stream's draw
 //!   count lands in the report's `RngLedger` (`app_draws`).
-//! * [`avmon_runtime::VirtualHub`] — the runtime's own driver code, N
-//!   nodes on one thread in virtual time: as replayable as the simulator,
-//!   over the codec and the timer queue a deployment runs.
-//! * [`avmon_runtime::Cluster`] — a thread per node over UDP, on the wall
-//!   clock: sleeps resolve in real time and events are collected every
-//!   10 ms tick.
+//! * [`avmon_runtime::Hub`] — the runtime's own driver code, N nodes run
+//!   by one loop on the caller's thread, over the codec and the timer
+//!   queue a deployment runs, on one of two wires:
+//!   [`avmon_runtime::VirtualHub`] in virtual time, as replayable as the
+//!   simulator, or [`avmon_runtime::Cluster`] over UDP on the wall clock,
+//!   where sleeps resolve in real time.
 //!
 //! Determinism rules for app tasks: draw randomness only via
 //! [`AvmonHandle::rng_u64`] (the registered `app` stream), take time only

@@ -1,9 +1,9 @@
 //! Synthetic substitutes for the paper's measured traces.
 //!
 //! The paper injects two real-world trace sets: PlanetLab all-pairs-ping
-//! host availability (`PL`, N = 239, per-second resolution, from [7]) and
+//! host availability (`PL`, N = 239, per-second resolution, from \[7\]) and
 //! Overnet p2p churn (`OV`, stable size 550, measured every 20 minutes,
-//! ~20%/hour churn, 1319 identities born over two days, from [2]). Neither
+//! ~20%/hour churn, 1319 identities born over two days, from \[2\]). Neither
 //! artifact is redistributable here, so these generators synthesize traces
 //! matched to the published aggregate statistics that the experiments
 //! depend on — stable size, churn rate, measurement granularity, birth

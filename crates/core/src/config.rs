@@ -83,7 +83,7 @@ pub enum DiscoveryMode {
     /// AVMON's coarse-view gossip discovery (§3.2).
     #[default]
     CoarseView,
-    /// The Broadcast baseline of [11] (Table 1): every joining node floods
+    /// The Broadcast baseline of \[11\] (Table 1): every joining node floods
     /// its presence to all nodes. Fast but O(N) bandwidth per join.
     Broadcast,
 }

@@ -124,7 +124,7 @@ pub enum Message {
     },
     /// §5.4 PR2: "force all coarse-view nodes to add me".
     AddMeRequest,
-    /// Broadcast-baseline presence announcement (Table 1, from [11]).
+    /// Broadcast-baseline presence announcement (Table 1, from \[11\]).
     Presence {
         /// The joining node.
         origin: NodeId,

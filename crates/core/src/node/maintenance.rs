@@ -168,7 +168,7 @@ impl Node {
     /// The condition runs as the selector's batch matches of `PS × {x}` and
     /// `{x} × TS`, whose diagonal is never reported, so `x` itself always
     /// counts as unselected. Bumps no counter: both the node's own
-    /// [`audit`](Node::audit_sets) and an outside checker re-verifying the
+    /// `audit_sets` and an outside checker re-verifying the
     /// sets call this, and neither is protocol work.
     pub fn for_each_unselected(
         &self,

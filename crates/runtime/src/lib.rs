@@ -1,20 +1,23 @@
 //! # avmon-runtime — live drivers for AVMON nodes
 //!
 //! The same poll-based sans-io [`avmon::Node`] that powers the paper's
-//! discrete-event evaluation, run by the runtime's own driver code:
+//! discrete-event evaluation, run by the runtime's own driver code. One
+//! loop, [`Hub`], runs N nodes on the caller's thread over one of two
+//! [`Wire`]s:
 //!
-//! * [`Cluster`]: a thread per node over UDP on localhost, where a
+//! * [`VirtualHub`] (`Hub<VirtualWire>`): in-memory datagrams in virtual
+//!   time, for deterministic tests — each run is a function of its seed;
+//! * [`Cluster`] (`Hub<UdpWire>`): real UDP sockets on localhost, where a
 //!   [`avmon::NodeId`] *is* the socket address (the paper's `<IP, port>`),
-//!   on a wall clock that starts at the spawn ([`Cluster::now`]);
-//! * [`VirtualHub`]: N nodes on one thread in virtual time, for
-//!   deterministic tests, where every instant is a consistent cut.
+//!   on a wall clock that starts when the cluster is built.
 //!
-//! Both expose the same small surface — a clock, `command`, `snapshot`,
-//! `drain_events`, `kill` — and both are worlds of the app layer's one
-//! executor (`avmon_app::Executor`): on the hub,
-//! [`VirtualHub::run_until_event`] stops at the first instant whose inputs
-//! emitted application events, so async app tasks interleave with the
-//! nodes deterministically.
+//! Both have the same surface — a clock, `run_until`, `run_until_event`,
+//! `run_until_discovery`, `command`, `snapshot(s)`, `drain_events`,
+//! `kill`, `restart` — and the nodes move only inside a `run_until*` call,
+//! so every return is a consistent cut. Both are one world of the app
+//! layer's executor (`avmon_app::Executor`): [`Hub::run_until_event`]
+//! stops at the first instant whose inputs emitted application events, so
+//! async app tasks interleave with the nodes.
 //!
 //! ## The driver loop
 //!
@@ -23,23 +26,22 @@
 //! timers, a [`Command`]) to the node at a time its caller gives, and
 //! drains the node's outputs — transmits encoded onto the transport, timers
 //! into an [`avmon::driver::TimerQueue`], events to a channel. It reads no
-//! clock. [`NodeDriver`] is the wall-clock shell a [`Cluster`] thread runs
-//! around one core: it polls commands, blocks on the socket until the next
-//! deadline, and publishes [`NodeSnapshot`]s to a shared board.
+//! clock. [`NodeDriver`] is the wall-clock shell that runs one core on its
+//! own thread, one node per process: it polls commands, blocks on the
+//! socket until the next deadline, and publishes [`NodeSnapshot`]s to a
+//! shared board.
 //!
 //! ```no_run
 //! use avmon::Config;
 //! use avmon_runtime::Cluster;
-//! use std::time::Duration;
 //!
 //! let config = Config::builder(16)
 //!     .protocol_period(250)
 //!     .monitoring_period(250)
 //!     .ping_timeout(100)
 //!     .build()?;
-//! let cluster = Cluster::builder(config, 16).spawn()?;
-//! cluster.wait_for_discovery(1, Duration::from_secs(20));
-//! cluster.shutdown();
+//! let mut cluster = Cluster::new(config, 16, 1)?;
+//! let discovered = cluster.run_until_discovery(1, cluster.now() + 20_000);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
@@ -82,18 +84,21 @@
 //! let config = Config::builder(64).build()?;
 //! let selector = Arc::new(HashSelector::from_config(&config));
 //! let node = Node::new(NodeId::from_index(1), config, selector, 7);
-//! let (_cmd_tx, cmd_rx) = crossbeam::channel::unbounded();
+//! let (cmd_tx, cmd_rx) = crossbeam::channel::unbounded();
 //! let (event_tx, _event_rx) = crossbeam::channel::unbounded();
 //! let board = SnapshotBoard::default();
 //! let driver = NodeDriver::new(
 //!     node, MyTransport {}, cmd_rx, event_tx, board, Vec::new());
-//! std::thread::spawn(move || driver.run(JoinKind::Fresh, None));
+//! // Blocks the calling thread until `cmd_tx` sends `Command::Stop` or
+//! // is dropped: give the driver a thread (or a process) of its own.
+//! driver.run(JoinKind::Fresh, None);
+//! # drop(cmd_tx);
 //! # Ok::<(), avmon::Error>(())
 //! ```
 //!
 //! If your backend is not thread-shaped (an async reactor, a select-loop
-//! over many nodes), drive [`DriverCore`]s yourself, as [`VirtualHub`]
-//! does. If it does not even speak bytes (a simulator), build directly on
+//! over many nodes), drive [`DriverCore`]s yourself, as [`Hub`] does. If
+//! it does not even speak bytes (a simulator), build directly on
 //! [`avmon::driver`]: implement `DriverEnv` for your executor and call
 //! `drain` after every input — see that module's "Driver authoring"
 //! section.
@@ -118,7 +123,7 @@ pub mod driver;
 pub mod hub;
 pub mod transport;
 
-pub use cluster::{Cluster, ClusterBuilder};
+pub use cluster::{Cluster, UdpWire};
 pub use driver::{Command, DriverCore, NodeDriver, NodeSnapshot, SnapshotBoard};
-pub use hub::VirtualHub;
+pub use hub::{Hub, VirtualHub, VirtualWire, Wire};
 pub use transport::{Transport, UdpTransport};

@@ -4,8 +4,8 @@
 //! [`Transport`] trait and the one wall-clock transport, [`UdpTransport`]:
 //! real UDP sockets, where a [`NodeId`] *is* a socket address, so the wire
 //! identity and the protocol identity coincide exactly as in the paper's
-//! `<IP, port>` model. `Port` is the in-memory endpoint of a
-//! [`crate::VirtualHub`], which lives in virtual time.
+//! `<IP, port>` model. `Port` is the endpoint of a [`crate::Hub`]'s node,
+//! whose wire carries what it sends.
 
 use std::io;
 use std::net::{SocketAddrV4, UdpSocket};
@@ -26,9 +26,9 @@ pub trait Transport: Send {
     fn recv_timeout(&mut self, timeout: Duration) -> Option<(NodeId, Vec<u8>)>;
 }
 
-/// A [`crate::VirtualHub`] endpoint: sends wait in an outbox that the hub
-/// empties after each input. The hub delivers, so nothing is ever received
-/// here.
+/// A [`crate::Hub`] endpoint: sends wait in an outbox that the hub hands
+/// to its wire after each input. The hub delivers, so nothing is ever
+/// received here.
 #[derive(Debug)]
 pub(crate) struct Port {
     id: NodeId,

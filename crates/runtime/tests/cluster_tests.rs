@@ -23,20 +23,17 @@ fn step(hub: &mut VirtualHub) {
     hub.run_until(hub.now() + PERIOD);
 }
 
-/// Steps period by period until every running node knows a monitor; false
-/// if `periods` pass first.
-fn discover(hub: &mut VirtualHub, periods: u32) -> bool {
-    (0..periods).any(|_| {
-        step(hub);
-        hub.snapshots().values().all(|s| !s.ps.is_empty())
-    })
-}
+/// How long a fresh hub may take until every node knows a monitor.
+const DISCOVERY: TimeMs = 30 * PERIOD;
 
 #[test]
 fn memory_cluster_discovers_monitors() {
     let n = 24;
     let mut hub = hub(n, 42, 0.0);
-    assert!(discover(&mut hub, 30), "every node discovers ≥1 monitor");
+    assert!(
+        hub.run_until_discovery(1, DISCOVERY),
+        "every node discovers ≥1 monitor"
+    );
     let snapshots = hub.snapshots();
     assert_eq!(snapshots.len(), n);
     let with_targets = snapshots.values().filter(|s| !s.ts.is_empty()).count();
@@ -46,7 +43,10 @@ fn memory_cluster_discovers_monitors() {
 #[test]
 fn lossy_network_still_converges() {
     let mut hub = hub(16, 44, 0.10);
-    assert!(discover(&mut hub, 30), "10% loss must not stop discovery");
+    assert!(
+        hub.run_until_discovery(1, DISCOVERY),
+        "10% loss must not stop discovery"
+    );
 }
 
 #[test]
@@ -63,7 +63,7 @@ fn out_of_range_loss_is_an_input_error() {
 #[test]
 fn report_commands_round_trip() {
     let mut hub = hub(16, 45, 0.0);
-    assert!(discover(&mut hub, 30));
+    assert!(hub.run_until_discovery(1, DISCOVERY));
     let ids = hub.ids().to_vec();
     let _ = hub.drain_events();
     // Ask node 0 to fetch a verified monitor report for node 1.
@@ -90,7 +90,7 @@ fn report_commands_round_trip() {
 #[test]
 fn monitoring_estimates_appear_over_time() {
     let mut hub = hub(16, 46, 0.0);
-    assert!(discover(&mut hub, 30));
+    assert!(hub.run_until_discovery(1, DISCOVERY));
     hub.run_until(hub.now() + 5 * PERIOD);
     let snapshots = hub.snapshots();
     let with_estimates = snapshots.values().filter(|s| !s.estimates.is_empty());
@@ -128,7 +128,7 @@ fn kill_and_restart_preserves_monitoring_state() {
     // means its monitors are unchanged and its persistent state survives.
     let n = 14;
     let mut hub = hub(n, 9, 0.0);
-    assert!(discover(&mut hub, 30));
+    assert!(hub.run_until_discovery(1, DISCOVERY));
     let victim = hub.ids()[3];
     step(&mut hub); // accumulate some pings
     let before = hub.snapshot(victim).expect("the victim runs");
@@ -160,7 +160,7 @@ fn kill_and_restart_preserves_monitoring_state() {
 fn dead_node_leaves_every_view_within_the_theorem_2_bound() {
     let n = 24;
     let mut hub = hub(n, 12, 0.0);
-    assert!(discover(&mut hub, 30));
+    assert!(hub.run_until_discovery(1, DISCOVERY));
     let victim = hub.ids()[5];
     let referenced = |hub: &VirtualHub| {
         let views = hub.snapshots().into_values();

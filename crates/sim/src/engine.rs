@@ -9,7 +9,7 @@
 //!
 //! The engine is a consumer of the shared poll-based driver interface:
 //! after every input it drains the node's output queues directly into its
-//! event calendar ([`Simulation::apply_outputs`]) — no per-input `Vec` of
+//! event calendar (`Simulation::apply_outputs`) — no per-input `Vec` of
 //! actions is ever allocated. Those queues are the engine's one spare set,
 //! lent to the node for the input and taken back after the drain, so no
 //! node holds queue capacity between inputs.
@@ -606,7 +606,8 @@ impl Simulation {
         self.report()
     }
 
-    /// Advances simulated time to `deadline` (capped at the horizon).
+    /// Advances simulated time to `deadline` (capped at the horizon); a
+    /// deadline before [`Simulation::now`] runs nothing and keeps the clock.
     pub fn run_until(&mut self, deadline: TimeMs) {
         self.run_until_inner(deadline, false);
     }
@@ -635,7 +636,8 @@ impl Simulation {
                 return true;
             }
         }
-        self.now = deadline;
+        // A deadline already behind the clock runs nothing and keeps it.
+        self.now = self.now.max(deadline);
         self.finish_if_horizon(deadline);
         false
     }

@@ -440,3 +440,32 @@ fn subscribed_node_pauses_the_run_and_frozen_node_requeues() {
         "the stalled deliveries never came back after the thaw"
     );
 }
+
+/// The clock never runs backwards: a deadline behind `now` runs nothing,
+/// and the next forward run still pops in `(time, seq)` order.
+#[test]
+fn a_past_deadline_keeps_the_clock() {
+    let n = 80;
+    let trace = stat(n, 60 * MINUTE, 0.1, 17);
+    let mut sim = Simulation::new(trace, SimOptions::new(small_config(n)).seed(17));
+    subscribe_all(&mut sim);
+    sim.run_until(2 * MINUTE);
+    let _ = sim.take_app_events();
+    sim.run_until(MINUTE);
+    assert_eq!(sim.now(), 2 * MINUTE);
+    assert!(!sim.run_until_event(MINUTE));
+    assert_eq!(sim.now(), 2 * MINUTE);
+    let horizon = sim.trace().horizon;
+    let mut pauses = Vec::new();
+    while sim.run_until_event(horizon) {
+        let events = sim.take_app_events();
+        assert!(events.iter().all(|(at, _, _)| *at == sim.now()));
+        pauses.push(sim.now());
+    }
+    assert!(!pauses.is_empty(), "the forward run emitted no events");
+    assert!(
+        pauses.windows(2).all(|w| w[0] <= w[1]) && pauses[0] >= 2 * MINUTE,
+        "events out of (time, seq) order: {pauses:?}"
+    );
+    assert_eq!(sim.now(), horizon);
+}

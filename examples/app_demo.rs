@@ -14,8 +14,6 @@
 //! serialized decision logs are byte-identical — the executor's
 //! determinism contract over a simulation.
 
-use std::time::Duration;
-
 use avmon::{Config, MINUTE};
 use avmon_app::{apps::watchdog_selector, Executor};
 use avmon_churn::stat;
@@ -47,12 +45,9 @@ fn run_live(seed: u64) -> String {
         .ping_timeout(60)
         .build()
         .unwrap();
-    let cluster = Cluster::builder(config, n)
-        .seed(seed)
-        .spawn()
-        .expect("cluster spawns");
+    let mut cluster = Cluster::new(config, n, seed).expect("cluster binds");
     assert!(
-        cluster.wait_for_discovery(1, Duration::from_secs(30)),
+        cluster.run_until_discovery(1, cluster.now() + 30_000),
         "discovery stalled"
     );
     let ids = cluster.ids().to_vec();
@@ -62,9 +57,7 @@ fn run_live(seed: u64) -> String {
     }
     let end = exec.world(Cluster::now) + 4_000;
     exec.run_until(end);
-    let (cluster, log) = exec.into_parts();
-    cluster.shutdown();
-    log.to_json().expect("decision logs serialize")
+    exec.log().to_json().expect("decision logs serialize")
 }
 
 fn main() {

@@ -1,8 +1,8 @@
 //! A small AVMON overlay on one thread in virtual time: the runtime's own
 //! driver code (codec, timer queue, commands) with no simulator, sockets or
 //! wall clock. `avmon_runtime::VirtualHub` owns the clock and runs one
-//! `DriverCore` per node — the core a `Cluster` thread runs behind its
-//! wall-clock shell — through the `avmon::driver` recipe: feed an input,
+//! `DriverCore` per node — the loop a `Cluster` runs over UDP sockets on
+//! the wall clock — through the `avmon::driver` recipe: feed an input,
 //! drain the node's outputs, carry each datagram to its receiver 1 ms
 //! later, repeat at the next arrival or deadline.
 //!

@@ -1,13 +1,11 @@
-//! A real AVMON deployment: 20 nodes on localhost UDP sockets, each an
-//! OS thread running the same state machine the simulator evaluates, with
-//! wall-clock protocol periods shrunk to 300 ms so the demo finishes in
-//! seconds.
+//! A real AVMON deployment: 20 nodes on localhost UDP sockets, run by one
+//! loop on the main thread over the same state machine the simulator
+//! evaluates, with wall-clock protocol periods shrunk to 300 ms so the demo
+//! finishes in seconds.
 //!
 //! ```bash
 //! cargo run -p avmon-examples --release --bin udp_cluster
 //! ```
-
-use std::time::Duration;
 
 use avmon::Config;
 use avmon_runtime::Cluster;
@@ -21,12 +19,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .ping_timeout(120)
         .build()?;
     println!(
-        "spawning {n} AVMON nodes on UDP loopback (K={}, cvs={})…",
+        "starting {n} AVMON nodes on UDP loopback (K={}, cvs={})…",
         config.k, config.cvs
     );
-    let cluster = Cluster::builder(config, n).seed(17).spawn()?;
+    let mut cluster = Cluster::new(config, n, 17)?;
 
-    let converged = cluster.wait_for_discovery(1, Duration::from_secs(30));
+    let converged = cluster.run_until_discovery(1, cluster.now() + 30_000);
     println!(
         "discovery {} after startup",
         if converged {
@@ -37,17 +35,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Let monitoring pings accumulate a little history.
-    std::thread::sleep(Duration::from_secs(2));
+    cluster.run_until(cluster.now() + 2_000);
 
     let snapshots = cluster.snapshots();
     println!(
         "\n{:<22} {:>5} {:>5} {:>5} {:>8} {:>10}",
         "node (ip:port)", "|CV|", "|PS|", "|TS|", "pings", "est.avail"
     );
-    let mut ids: Vec<_> = snapshots.keys().copied().collect();
-    ids.sort();
-    for id in ids {
-        let s = &snapshots[&id];
+    for (id, s) in &snapshots {
         let avg_est = if s.estimates.is_empty() {
             f64::NAN
         } else {
@@ -63,8 +58,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             avg_est,
         );
     }
-
-    cluster.shutdown();
-    println!("\ncluster shut down cleanly");
     Ok(())
 }

@@ -8,7 +8,6 @@
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
-use std::time::Duration;
 
 use avmon::{AppEvent, Config, HashSelector, MonitorSelector, NodeId, TimeMs, MINUTE};
 use avmon_app::{
@@ -169,30 +168,22 @@ fn fast_config(n: usize) -> Config {
 /// `n`-node cluster draws `n` ephemeral ports — at `n` = 3 a triple where
 /// some node has no monitor or no target (so discovery can never complete
 /// and a query could come back empty) comes up with probability ≈ 1/3.
-/// Respawn until the drawn ports give everyone both.
+/// Rebind until the drawn ports give everyone both.
 fn covered_udp_cluster(config: &Config, n: usize, seed: u64) -> Cluster {
     let selector = HashSelector::from_config(config);
-    let cluster = (0..50)
+    let mut cluster = (0..50)
         .find_map(|_| {
-            let cluster = Cluster::builder(config.clone(), n)
-                .seed(seed)
-                .spawn()
-                .expect("cluster spawns");
-            let ids = cluster.ids().to_vec();
+            let cluster = Cluster::new(config.clone(), n, seed).expect("cluster binds");
+            let ids = cluster.ids();
             let covered = ids.iter().all(|&s| {
                 ids.iter().any(|&m| m != s && selector.is_monitor(m, s))
                     && ids.iter().any(|&t| t != s && selector.is_monitor(s, t))
             });
-            if covered {
-                Some(cluster)
-            } else {
-                cluster.shutdown();
-                None
-            }
+            covered.then_some(cluster)
         })
         .expect("covered ports within 50 draws");
     assert!(
-        cluster.wait_for_discovery(1, Duration::from_secs(45)),
+        cluster.run_until_discovery(1, cluster.now() + 45_000),
         "discovery stalled"
     );
     cluster
@@ -383,8 +374,6 @@ fn live_udp_query_verifies_monitors_by_the_hash_condition() {
     });
     let end = exec.world(Cluster::now) + 3_000;
     exec.run_until(end);
-    let (cluster, _) = exec.into_parts();
-    cluster.shutdown();
 
     let outcome = outcome.take().expect("the query finishes in time");
     assert!(!outcome.target_lied(), "{outcome:?}");

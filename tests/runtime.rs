@@ -1,8 +1,6 @@
-//! The same protocol over real threads and UDP sockets on the wall clock,
-//! with periods shrunk so the tests finish in seconds. (The runtime's
+//! The same protocol over real UDP sockets on the wall clock, with periods
+//! shrunk so the tests finish in seconds. (The runtime's
 //! virtual-time tests are in `crates/runtime/tests/cluster_tests.rs`.)
-
-use std::time::Duration;
 
 use avmon::Config;
 use avmon_runtime::Cluster;
@@ -20,12 +18,11 @@ fn fast_config(n: usize) -> Config {
 #[test]
 fn udp_cluster_estimates_availability_of_live_nodes() {
     let n = 10;
-    let cluster = Cluster::builder(fast_config(n), n).seed(8).spawn().unwrap();
-    assert!(cluster.wait_for_discovery(1, Duration::from_secs(45)));
-    std::thread::sleep(Duration::from_millis(1500));
+    let mut cluster = Cluster::new(fast_config(n), n, 8).unwrap();
+    assert!(cluster.run_until_discovery(1, cluster.now() + 45_000));
+    cluster.run_until(cluster.now() + 1_500);
     let snapshots = cluster.snapshots();
-    cluster.shutdown();
-    assert_eq!(snapshots.len(), n, "every node publishes");
+    assert_eq!(snapshots.len(), n, "every node runs");
     // Everyone is up the whole time: estimates must be high. (The bound is
     // generous because wall-clock ping timeouts can fire spuriously when
     // the test box is saturated.)
