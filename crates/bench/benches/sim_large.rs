@@ -302,7 +302,7 @@ struct Smoke {
 }
 
 /// One end-to-end run at arbitrary scale (checker on, as always).
-fn smoke_run(n: usize, warmup_min: u64, duration_min: u64) -> Smoke {
+fn smoke_run(n: usize, warmup_min: u64, duration_min: u64, hasher: HasherKind) -> Smoke {
     let params = SynthParams {
         n,
         churn_per_hour: 0.0,
@@ -314,7 +314,7 @@ fn smoke_run(n: usize, warmup_min: u64, duration_min: u64) -> Smoke {
     };
     let trace = synthetic(params);
     let config = Config::builder(n).build().expect("valid config");
-    let opts = SimOptions::new(config).seed(7);
+    let opts = SimOptions::new(config).seed(7).hasher(hasher);
     let start = wall_clock();
     let mut sim = Simulation::new(trace, opts);
     let horizon = sim.trace().horizon;
@@ -363,28 +363,40 @@ fn record_trajectory() {
     // the delivery wheel must carry at least 99% of the pops (the heap
     // retains only the construction-time schedule and odd-delay arms).
     // The CI-sized large-N run: short measurement window.
-    let smoke = smoke_run(10_000, 10, 5);
+    let smoke = smoke_run(10_000, 10, 5, HasherKind::Fast64);
     let (smoke_ms, smoke_checks, stats) = (smoke.wall_ms, smoke.checker_checks, smoke.calendar);
     let all_pops = stats.heap_pops + stats.lane_pops + stats.wheel_pops;
     let heap_pop_share = stats.heap_pops as f64 / all_pops as f64;
     // The same run's cross-checks: with a second core, the helper hashes
-    // them one hop ahead and the nodes replay the results.
+    // them one hop ahead and the nodes replay the results; a job the
+    // helper has not started at its reply is stolen back, one it holds is
+    // waited for.
     let CrossCheckStats {
         submitted,
         replayed,
         hashed_inline,
+        stolen,
+        waited,
     } = smoke.crosscheck;
+    // The same hand-off under the paper's MD5 hasher, at `md5_2k`'s scale:
+    // each job costs several times a fast64 one.
+    let md5 = smoke_run(2_000, 8, 5, HasherKind::Md5).crosscheck;
 
     // The scale trajectory: N = 50k end-to-end with the checker on.
-    let scale = smoke_run(50_000, 10, 5);
+    let scale = smoke_run(50_000, 10, 5, HasherKind::Fast64);
     let (scale_50k_ms, scale_50k_checks) = (scale.wall_ms, scale.checker_checks);
 
     let json = format!(
-        "{{\n  \"bench\": \"sim_large\",\n  \"checker_per_sample\": {{\n    \"n\": {BENCH_N},\n    \"cores\": {cores},\n    \"full_rescan_ns\": {full_ns:.0},\n    \"incremental_ns\": {incremental_ns:.0},\n    \"speedup\": {speedup:.1}\n  }},\n  \"hash_check_ns\": {{\n    \"cores\": {cores},\n    \"md5_lanes\": \"{md5_lanes}\",\n    \"loop\": \"Fig. 2 grid, two 42-entry sides, both orders, through SharedSelector: is_monitor per pair (fast64/md5), the same over serialized pair bytes (*_pair_bytes), one accepted_pairs call per order (*_batch)\",\n    \"fast64_min\": {fast_check_min:.1},\n    \"fast64_median\": {fast_check_med:.1},\n    \"fast64_pair_bytes_min\": {fast_bytes_min:.1},\n    \"fast64_pair_bytes_median\": {fast_bytes_med:.1},\n    \"fast64_batch_min\": {fast_batch_min:.1},\n    \"fast64_batch_median\": {fast_batch_med:.1},\n    \"md5_min\": {md5_check_min:.1},\n    \"md5_median\": {md5_check_med:.1},\n    \"md5_pair_bytes_min\": {md5_bytes_min:.1},\n    \"md5_pair_bytes_median\": {md5_bytes_med:.1},\n    \"md5_batch_min\": {md5_batch_min:.1},\n    \"md5_batch_median\": {md5_batch_med:.1}\n  }},\n  \"view_crosscheck_per_period\": {{\n    \"cores\": {cores},\n    \"cvs\": 60,\n    \"fast64_ns_min\": {fast_period_min:.0},\n    \"fast64_ns_median\": {fast_period_med:.0},\n    \"md5_ns_min\": {md5_period_min:.0},\n    \"md5_ns_median\": {md5_period_med:.0}\n  }},\n  \"calendar_10k\": {{\n    \"cores\": {cores},\n    \"heap_pops\": {},\n    \"lane_pops\": {},\n    \"wheel_pops\": {},\n    \"expire_skips\": {},\n    \"heap_pop_share\": {heap_pop_share:.4}\n  }},\n  \"crosscheck_ahead_10k\": {{\n    \"cores\": {cores},\n    \"submitted\": {submitted},\n    \"replayed\": {replayed},\n    \"hashed_inline\": {hashed_inline}\n  }},\n  \"scale_50k\": {{\n    \"n\": 50000,\n    \"simulated_minutes\": 15,\n    \"cores\": {cores},\n    \"wall_ms\": {scale_50k_ms:.0},\n    \"checker_checks\": {scale_50k_checks}\n  }},\n  \"smoke_end_to_end\": {{\n    \"n\": 10000,\n    \"simulated_minutes\": 15,\n    \"cores\": {cores},\n    \"wall_ms\": {smoke_ms:.0},\n    \"checker_checks\": {smoke_checks}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"sim_large\",\n  \"checker_per_sample\": {{\n    \"n\": {BENCH_N},\n    \"cores\": {cores},\n    \"full_rescan_ns\": {full_ns:.0},\n    \"incremental_ns\": {incremental_ns:.0},\n    \"speedup\": {speedup:.1}\n  }},\n  \"hash_check_ns\": {{\n    \"cores\": {cores},\n    \"md5_lanes\": \"{md5_lanes}\",\n    \"loop\": \"Fig. 2 grid, two 42-entry sides, both orders, through SharedSelector: is_monitor per pair (fast64/md5), the same over serialized pair bytes (*_pair_bytes), one accepted_pairs call per order (*_batch)\",\n    \"fast64_min\": {fast_check_min:.1},\n    \"fast64_median\": {fast_check_med:.1},\n    \"fast64_pair_bytes_min\": {fast_bytes_min:.1},\n    \"fast64_pair_bytes_median\": {fast_bytes_med:.1},\n    \"fast64_batch_min\": {fast_batch_min:.1},\n    \"fast64_batch_median\": {fast_batch_med:.1},\n    \"md5_min\": {md5_check_min:.1},\n    \"md5_median\": {md5_check_med:.1},\n    \"md5_pair_bytes_min\": {md5_bytes_min:.1},\n    \"md5_pair_bytes_median\": {md5_bytes_med:.1},\n    \"md5_batch_min\": {md5_batch_min:.1},\n    \"md5_batch_median\": {md5_batch_med:.1}\n  }},\n  \"view_crosscheck_per_period\": {{\n    \"cores\": {cores},\n    \"cvs\": 60,\n    \"fast64_ns_min\": {fast_period_min:.0},\n    \"fast64_ns_median\": {fast_period_med:.0},\n    \"md5_ns_min\": {md5_period_min:.0},\n    \"md5_ns_median\": {md5_period_med:.0}\n  }},\n  \"calendar_10k\": {{\n    \"cores\": {cores},\n    \"heap_pops\": {},\n    \"lane_pops\": {},\n    \"wheel_pops\": {},\n    \"expire_skips\": {},\n    \"heap_pop_share\": {heap_pop_share:.4}\n  }},\n  \"crosscheck_ahead_10k\": {{\n    \"cores\": {cores},\n    \"submitted\": {submitted},\n    \"replayed\": {replayed},\n    \"hashed_inline\": {hashed_inline},\n    \"stolen\": {stolen},\n    \"waited\": {waited}\n  }},\n  \"crosscheck_ahead_md5_2k\": {{\n    \"n\": 2000,\n    \"hasher\": \"md5\",\n    \"cores\": {cores},\n    \"submitted\": {},\n    \"replayed\": {},\n    \"hashed_inline\": {},\n    \"stolen\": {},\n    \"waited\": {}\n  }},\n  \"scale_50k\": {{\n    \"n\": 50000,\n    \"simulated_minutes\": 15,\n    \"cores\": {cores},\n    \"wall_ms\": {scale_50k_ms:.0},\n    \"checker_checks\": {scale_50k_checks}\n  }},\n  \"smoke_end_to_end\": {{\n    \"n\": 10000,\n    \"simulated_minutes\": 15,\n    \"cores\": {cores},\n    \"wall_ms\": {smoke_ms:.0},\n    \"checker_checks\": {smoke_checks}\n  }}\n}}\n",
         stats.heap_pops,
         stats.lane_pops,
         stats.wheel_pops,
-        stats.expire_skips
+        stats.expire_skips,
+        md5.submitted,
+        md5.replayed,
+        md5.hashed_inline,
+        md5.stolen,
+        md5.waited
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sim_large.json");
     std::fs::write(&path, &json).expect("write BENCH_sim_large.json");

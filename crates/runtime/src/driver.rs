@@ -41,7 +41,7 @@ pub struct NodeDriver<T: Transport> {
 /// channel, driven by explicit inputs at explicit times: no clock, no
 /// blocking, no thread. Every input drains the node's outputs before it
 /// returns. [`NodeDriver`] feeds it from a socket and the wall clock;
-/// [`crate::VirtualHub`] feeds many from one virtual clock.
+/// [`crate::Hub`] feeds many: `VirtualHub` in virtual time, `Cluster` over UDP.
 pub struct DriverCore<T: Transport> {
     node: Node,
     env: TransportEnv<T>,
@@ -226,7 +226,7 @@ impl<T: Transport> NodeDriver<T> {
                 self.core.deliver(self.now(), from, &bytes);
             }
 
-            #[expect(clippy::disallowed_methods, reason = "live-cluster cadence")]
+            #[expect(clippy::disallowed_methods, reason = "one-node shell's cadence")]
             if last_publish.elapsed() >= Duration::from_millis(100) {
                 self.publish();
                 last_publish = Instant::now();

@@ -9,18 +9,23 @@
 //! its selector through a [`ReplaySelector`] that has been lent the
 //! finished result: it replays the recorded matches only for sides equal
 //! element for element to the prepared ones, and asks the inner selector
-//! otherwise — a view changed in flight, the helper was late, the fetch was
-//! lost. The matches are a pure function of the sides, so a replay is the
-//! very sequence of `out(mi, ti)` calls the inner selector would have made.
+//! otherwise — a view changed in flight, the job was taken back, the fetch
+//! was lost. The matches are a pure function of the sides, so a replay is
+//! the very sequence of `out(mi, ti)` calls the inner selector would have
+//! made.
 //! Nothing else the helper computes reaches the simulation (DESIGN.md §5,
 //! "One loop, one helper").
 //!
-//! The engine loop never waits for the helper. It engages only where the
-//! process may run two threads at once.
+//! Every handed-over cross-check is hashed by exactly one thread. At the
+//! reply, a job the helper has not started is taken back and the node
+//! hashes inline; a job the helper holds is waited for, yielding the core
+//! meanwhile. It engages only where the process may run two threads at
+//! once.
 
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 use avmon::{DurMs, MonitorSelector, NodeId, Nonce, SharedSelector, TimeMs};
@@ -30,21 +35,8 @@ use avmon::{DurMs, MonitorSelector, NodeId, Nonce, SharedSelector, TimeMs};
 /// inline.
 const MAX_IN_FLIGHT: usize = 8;
 
-/// A new thread starts on its creator's core, and a kernel that does not
-/// balance load (a cpuset with `sched_load_balance` off) leaves it there.
-/// Sharing the engine's core, the helper runs only when the engine is
-/// preempted, so its results come late and hashing them is wasted. A
-/// window of `WINDOW` replies most of which found their job still in
-/// flight pauses submitting, for `FIRST_PAUSE` fetches and twice as long
-/// each time it recurs, up to `MAX_PAUSE`; the submissions after a pause
-/// find out whether the helper has a core by then, and a window on time
-/// resets the pause.
-const WINDOW: u32 = 8;
-const FIRST_PAUSE: u32 = 256;
-const MAX_PAUSE: u32 = 8192;
-
 /// Empty polls an idle helper makes, yielding after each, before it parks
-/// on the channel. A parked helper costs the engine a wake-up per job;
+/// on the queue. A parked helper costs the engine a wake-up per job;
 /// this bounds how long it polls instead. On a core of its own a yield
 /// returns at once, so this is about a millisecond. On the engine's core
 /// each yield hands the engine the rest of its time slice, so the helper
@@ -63,6 +55,11 @@ pub struct CrossCheckStats {
     pub replayed: u64,
     /// Received views whose cross-check the node hashed itself.
     pub hashed_inline: u64,
+    /// Handed-over cross-checks taken back unstarted at their reply and
+    /// hashed by the node.
+    pub stolen: u64,
+    /// Replies that waited for the helper to finish their cross-check.
+    pub waited: u64,
 }
 
 /// One cross-check prepared ahead: the fetch it belongs to, the sides the
@@ -180,34 +177,87 @@ fn cores() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
-/// The helper thread and both ends of its channels.
+/// The jobs handed over and not started yet, shared with the helper.
+#[derive(Debug, Default)]
+struct Queue {
+    jobs: VecDeque<Prepared>,
+    /// Whether the helper is parked on [`Shared::wake`].
+    parked: bool,
+    /// Set when the engine hangs up: the helper exits.
+    closed: bool,
+}
+
+#[derive(Debug, Default)]
+struct Shared {
+    queue: Mutex<Queue>,
+    wake: Condvar,
+}
+
+impl Shared {
+    /// The queue. A poisoned lock still holds plain values: take it.
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The helper thread, its job queue and the channel of finished results.
 #[derive(Debug)]
 struct Helper {
-    /// `None` only while dropping: closing it tells the helper to exit.
-    jobs: Option<SyncSender<Prepared>>,
+    shared: Arc<Shared>,
     done: Receiver<Prepared>,
     thread: Option<JoinHandle<()>>,
 }
 
 impl Helper {
     fn spawn(selector: SharedSelector) -> Option<Helper> {
-        let (jobs, inbox) = sync_channel::<Prepared>(MAX_IN_FLIGHT);
+        let shared = Arc::new(Shared::default());
         let (outbox, done) = sync_channel::<Prepared>(MAX_IN_FLIGHT);
+        let queue = shared.clone();
         let thread = std::thread::Builder::new()
             .name("avmon-crosscheck".into())
-            .spawn(move || serve(&*selector, &inbox, &outbox))
+            .spawn(move || serve(&*selector, &queue, &outbox))
             .ok()?;
         Some(Helper {
-            jobs: Some(jobs),
+            shared,
             done,
             thread: Some(thread),
         })
+    }
+
+    /// Queues `job` and wakes the helper if it is parked.
+    fn push(&self, job: Prepared) {
+        let mut queue = self.shared.queue();
+        queue.jobs.push_back(job);
+        if queue.parked {
+            self.shared.wake.notify_one();
+        }
+    }
+
+    /// Takes back the queued job of `slot`'s fetch `nonce`, if the helper
+    /// has not started it.
+    fn steal(&self, slot: usize, nonce: Nonce) -> Option<Prepared> {
+        let mut queue = self.shared.queue();
+        let i = queue
+            .jobs
+            .iter()
+            .position(|p| p.slot == slot && p.nonce == nonce)?;
+        queue.jobs.remove(i)
+    }
+
+    /// Takes back every queued job whose reply is void at `now`, into
+    /// `void`.
+    fn steal_void(&self, now: TimeMs, timeout: DurMs, void: &mut Vec<Prepared>) {
+        let mut queue = self.shared.queue();
+        while let Some(i) = queue.jobs.iter().position(|p| p.at + timeout < now) {
+            void.extend(queue.jobs.remove(i));
+        }
     }
 }
 
 impl Drop for Helper {
     fn drop(&mut self) {
-        self.jobs = None;
+        self.shared.queue().closed = true;
+        self.shared.wake.notify_one();
         if let Some(thread) = self.thread.take() {
             // A helper that panicked has nothing left to hand back.
             let _ = thread.join();
@@ -217,12 +267,8 @@ impl Drop for Helper {
 
 /// The helper's loop: hash each job and hand it back, until the engine
 /// hangs up.
-fn serve(
-    selector: &dyn MonitorSelector,
-    inbox: &Receiver<Prepared>,
-    outbox: &SyncSender<Prepared>,
-) {
-    while let Some(mut job) = next_job(inbox) {
+fn serve(selector: &dyn MonitorSelector, shared: &Shared, outbox: &SyncSender<Prepared>) {
+    while let Some(mut job) = next_job(shared) {
         job.hash(selector);
         if outbox.send(job).is_err() {
             return;
@@ -230,17 +276,33 @@ fn serve(
     }
 }
 
-/// The next job: polled up to `IDLE_POLLS` times, yielding in between,
-/// then waited for. `None` once the engine hung up.
-fn next_job(inbox: &Receiver<Prepared>) -> Option<Prepared> {
-    for _ in 0..IDLE_POLLS {
-        match inbox.try_recv() {
-            Ok(job) => return Some(job),
-            Err(TryRecvError::Disconnected) => return None,
-            Err(TryRecvError::Empty) => std::thread::yield_now(),
+/// The next job, taken off the queue: polled up to `IDLE_POLLS` times,
+/// yielding in between, then waited for. `None` once the engine hung up,
+/// even with jobs left: nobody will collect them.
+fn next_job(shared: &Shared) -> Option<Prepared> {
+    let mut polls = 0;
+    let mut queue = shared.queue();
+    loop {
+        if queue.closed {
+            return None;
+        }
+        if let Some(job) = queue.jobs.pop_front() {
+            return Some(job);
+        }
+        if polls < IDLE_POLLS {
+            polls += 1;
+            drop(queue);
+            std::thread::yield_now();
+            queue = shared.queue();
+        } else {
+            queue.parked = true;
+            queue = shared
+                .wake
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+            queue.parked = false;
         }
     }
-    inbox.recv().ok()
 }
 
 /// The engine's side of the helper: the gate, the selector nodes get, the
@@ -253,17 +315,11 @@ pub(crate) struct CrossCheckAhead {
     replay: Option<Arc<ReplaySelector>>,
     /// Whether the helper was spawned (at the first submission).
     spawned: bool,
-    /// The helper; `None` until spawned, and again if it ever hung up.
+    /// The helper; `None` until spawned, and again once it hung up.
     helper: Option<Helper>,
-    /// `(slot, nonce)` of the jobs submitted and not yet collected.
+    /// `(slot, nonce)` of the jobs submitted and not yet collected: queued,
+    /// held by the helper, or finished and still in its channel.
     in_flight: Vec<(usize, Nonce)>,
-    /// Replies to submitted cross-checks judged in this window, and how
-    /// many of them found their job still in flight.
-    judged: u32,
-    late: u32,
-    /// Fetches left to let pass without submitting, and the next pause.
-    pause: u32,
-    next_pause: u32,
     /// Finished results waiting for their `ViewFetchReply`.
     ready: Vec<Prepared>,
     /// Spent results whose buffers the next submission reuses.
@@ -297,7 +353,7 @@ impl CrossCheckAhead {
     /// Whether a submission now would be taken: the gate passed, the
     /// helper (spawned here on first use) is up, and it is not behind.
     /// Collects finished results and drops those whose reply is void at
-    /// `now`.
+    /// `now`; with no room left, also the queued jobs whose reply is void.
     pub(crate) fn has_room(&mut self, now: TimeMs, timeout: DurMs) -> bool {
         let Some(replay) = &self.replay else {
             return false;
@@ -315,11 +371,17 @@ impl CrossCheckAhead {
                 i += 1;
             }
         }
-        if self.pause > 0 {
-            self.pause -= 1;
+        let Some(helper) = &self.helper else {
             return false;
+        };
+        if self.in_flight.len() >= MAX_IN_FLIGHT {
+            let spent = self.spare.len();
+            helper.steal_void(now, timeout, &mut self.spare);
+            for job in &self.spare[spent..] {
+                self.in_flight.retain(|&k| k != (job.slot, job.nonce));
+            }
         }
-        self.helper.is_some() && self.in_flight.len() < MAX_IN_FLIGHT
+        self.in_flight.len() < MAX_IN_FLIGHT
     }
 
     /// Hands the cross-check of `slot`'s fetch `nonce`, sent at `at`, over
@@ -331,82 +393,81 @@ impl CrossCheckAhead {
         at: TimeMs,
         sides: (Vec<NodeId>, Vec<NodeId>),
     ) {
-        let Some(jobs) = self.helper.as_ref().and_then(|h| h.jobs.as_ref()) else {
+        let Some(helper) = &self.helper else {
             return;
         };
         let mut job = self.spare.pop().unwrap_or_default();
         (job.slot, job.nonce, job.at) = (slot, nonce, at);
         (job.a, job.b) = sides;
         job.replays = 0;
-        match jobs.try_send(job) {
-            Ok(()) => {
-                self.in_flight.push((slot, nonce));
-                self.stats.submitted += 1;
+        helper.push(job);
+        self.in_flight.push((slot, nonce));
+        self.stats.submitted += 1;
+    }
+
+    /// Takes one finished result off the helper's channel into `ready`:
+    /// `Some(key)` of the job it belongs to, `None` if there is none yet.
+    /// A disconnected channel means the helper is gone, and every later
+    /// cross-check is hashed inline.
+    fn receive(&mut self) -> Option<(usize, Nonce)> {
+        let received = self.helper.as_ref()?.done.try_recv();
+        match received {
+            Ok(job) => {
+                let key = (job.slot, job.nonce);
+                if let Some(i) = self.in_flight.iter().position(|&k| k == key) {
+                    self.in_flight.swap_remove(i);
+                }
+                self.ready.push(job);
+                Some(key)
             }
-            // Full cannot happen below `MAX_IN_FLIGHT`; disconnected means
-            // the helper is gone, and every later cross-check runs inline.
-            Err(_) => self.helper = None,
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => {
+                self.helper = None;
+                None
+            }
         }
     }
 
     /// Moves every result the helper finished into `ready`.
     fn collect(&mut self) {
-        let Some(helper) = &self.helper else {
-            return;
-        };
-        loop {
-            match helper.done.try_recv() {
-                Ok(job) => {
-                    let key = (job.slot, job.nonce);
-                    if let Some(i) = self.in_flight.iter().position(|&k| k == key) {
-                        self.in_flight.swap_remove(i);
-                    }
-                    self.ready.push(job);
-                }
-                Err(TryRecvError::Empty) => return,
-                Err(TryRecvError::Disconnected) => {
-                    self.helper = None;
-                    return;
+        while self.receive().is_some() {}
+    }
+
+    /// Before `slot` handles the `ViewFetchReply` for `nonce`: settles the
+    /// hand-off of that fetch's cross-check, so that exactly one thread
+    /// hashes it. A job the helper has not started is taken back, and the
+    /// node hashes inline; a job the helper holds is waited for, yielding
+    /// the core meanwhile so that a helper sharing it can finish. A
+    /// finished result is lent to the replay selector.
+    pub(crate) fn lend(&mut self, slot: usize, nonce: Nonce) {
+        let key = (slot, nonce);
+        self.collect();
+        if let Some(i) = self.in_flight.iter().position(|&k| k == key) {
+            let Some(helper) = &self.helper else {
+                return;
+            };
+            if let Some(job) = helper.steal(slot, nonce) {
+                self.in_flight.swap_remove(i);
+                self.spare.push(job);
+                self.stats.stolen += 1;
+                return;
+            }
+            self.stats.waited += 1;
+            while self.helper.is_some() {
+                match self.receive() {
+                    Some(got) if got == key => break,
+                    Some(_) => {}
+                    None => std::thread::yield_now(),
                 }
             }
         }
-    }
-
-    /// Before `slot` handles the `ViewFetchReply` for `nonce`: lends the
-    /// finished result for that fetch, if there is one, to the replay
-    /// selector.
-    pub(crate) fn lend(&mut self, slot: usize, nonce: Nonce) {
-        if self.helper.is_none() {
-            return;
-        }
-        self.collect();
         let found = self
             .ready
             .iter()
             .position(|p| p.slot == slot && p.nonce == nonce);
         if let (Some(i), Some(replay)) = (found, &self.replay) {
             replay.lend(self.ready.swap_remove(i));
-            self.judge(false);
-        } else if self.in_flight.contains(&(slot, nonce)) {
-            self.judge(true);
         }
-    }
-
-    /// Counts one reply to a submitted cross-check, `late` if its job was
-    /// still in flight, and pauses submitting after a mostly late window.
-    fn judge(&mut self, late: bool) {
-        self.judged += 1;
-        self.late += u32::from(late);
-        if self.judged < WINDOW {
-            return;
-        }
-        if 2 * self.late > WINDOW {
-            self.pause = self.next_pause.max(FIRST_PAUSE);
-            self.next_pause = (2 * self.pause).min(MAX_PAUSE);
-        } else {
-            self.next_pause = FIRST_PAUSE;
-        }
-        (self.judged, self.late) = (0, 0);
     }
 
     /// After that `handle_message`: takes the result back and counts the
@@ -433,13 +494,50 @@ mod tests {
     use super::*;
     use avmon::rng::Stream;
     use avmon::{Config, HashSelector, HasherKind};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::time::Duration;
 
-    /// Counts the batch calls that reach the real selector.
+    /// Counts the batch calls that reach the real selector. On the helper
+    /// thread a call first counts itself in `entered`, then fails if
+    /// `helper_fails`, and waits while `open` is false: a test can hold a
+    /// job queued behind the one the helper is in, or mid-hash.
     #[derive(Debug)]
     struct Counting {
         inner: SharedSelector,
         batches: AtomicU64,
+        entered: AtomicU64,
+        open: AtomicBool,
+        helper_fails: bool,
+    }
+
+    impl Counting {
+        fn new(inner: SharedSelector, open: bool, helper_fails: bool) -> Arc<Counting> {
+            Arc::new(Counting {
+                inner,
+                batches: AtomicU64::new(0),
+                entered: AtomicU64::new(0),
+                open: AtomicBool::new(open),
+                helper_fails,
+            })
+        }
+
+        /// Returns once the helper is inside a batch call.
+        fn await_helper(&self) {
+            while self.entered.load(Ordering::SeqCst) == 0 {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+        }
+    }
+
+    /// Opens the gate when dropped. Dropping the hand-off joins the
+    /// helper, so a test that fails with the gate shut must open it on the
+    /// way out, or it hangs instead of failing.
+    struct OpenOnDrop(Arc<Counting>);
+
+    impl Drop for OpenOnDrop {
+        fn drop(&mut self) {
+            self.0.open.store(true, Ordering::SeqCst);
+        }
     }
 
     impl MonitorSelector for Counting {
@@ -457,6 +555,13 @@ mod tests {
             targets: &[NodeId],
             out: &mut dyn FnMut(usize, usize),
         ) {
+            if std::thread::current().name() == Some("avmon-crosscheck") {
+                self.entered.fetch_add(1, Ordering::SeqCst);
+                assert!(!self.helper_fails, "the helper's selector fails");
+                while !self.open.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            }
             self.batches.fetch_add(1, Ordering::Relaxed);
             self.inner.accepted_pairs(monitors, targets, out);
         }
@@ -494,10 +599,11 @@ mod tests {
     fn replay_is_the_inner_selector_or_falls_through() {
         let config = Config::builder(40).build().unwrap();
         for (seed, kind) in [(1, HasherKind::Fast64), (2, HasherKind::Md5)] {
-            let counting = Arc::new(Counting {
-                inner: HashSelector::from_config_with_kind(&config, kind),
-                batches: AtomicU64::new(0),
-            });
+            let counting = Counting::new(
+                HashSelector::from_config_with_kind(&config, kind),
+                true,
+                false,
+            );
             let inner: SharedSelector = counting.clone();
             let replay = ReplaySelector::new(inner.clone());
             // The replay's answer, checked against the inner selector's;
@@ -561,5 +667,204 @@ mod tests {
                 "{kind}: too few matches to replay ({matched})"
             );
         }
+    }
+
+    /// An engaged hand-off over `inner`, as the gate builds it on two
+    /// cores, whatever this host has.
+    fn engaged(inner: SharedSelector) -> (CrossCheckAhead, Arc<ReplaySelector>) {
+        let replay = Arc::new(ReplaySelector::new(inner));
+        let ahead = CrossCheckAhead {
+            gated: true,
+            replay: Some(replay.clone()),
+            ..CrossCheckAhead::default()
+        };
+        (ahead, replay)
+    }
+
+    /// A generous reply timeout: no job in these tests goes void.
+    const TIMEOUT: DurMs = 60_000;
+
+    /// Runs the reply to `slot`'s fetch `nonce` the way the engine does:
+    /// lend, the node's two calls through its selector, settle. Returns
+    /// the node's matches in each order.
+    fn reply(
+        ahead: &mut CrossCheckAhead,
+        node: &ReplaySelector,
+        (slot, nonce): (usize, u64),
+        [a, b]: &[Vec<NodeId>; 2],
+    ) -> [Vec<(usize, usize)>; 2] {
+        ahead.lend(slot, Nonce(nonce));
+        let got = [pairs(node, a, b), pairs(node, b, a)];
+        ahead.settle(true);
+        got
+    }
+
+    /// Hands over `sides` as `slot`'s fetch `nonce`; `false` if there was
+    /// no room.
+    fn hand_over(
+        ahead: &mut CrossCheckAhead,
+        (slot, nonce): (usize, u64),
+        [a, b]: &[Vec<NodeId>; 2],
+    ) -> bool {
+        if !ahead.has_room(0, TIMEOUT) {
+            return false;
+        }
+        ahead.submit(slot, Nonce(nonce), 0, (a.clone(), b.clone()));
+        true
+    }
+
+    /// Random Fig. 2 sides of fetcher `slot`.
+    fn random_sides(rng: &mut Stream, slot: u32) -> [Vec<NodeId>; 2] {
+        let (x, w) = (NodeId::from_index(1000 + slot), NodeId::from_index(999));
+        let (len_x, len_w) = (rng.gen_range(0..30), rng.gen_range(1..30));
+        fig2(x, w, &side(rng, len_x), &side(rng, len_w))
+    }
+
+    /// Every handed-over cross-check reaches the real selector exactly
+    /// twice — once per order — summed over the helper and the node,
+    /// whether its job was stolen, waited for or found finished, and the
+    /// node's matches are the real selector's.
+    #[test]
+    fn every_handed_over_check_is_hashed_once() {
+        let config = Config::builder(40).build().unwrap();
+        let reference = HashSelector::from_config_with_kind(&config, HasherKind::Md5);
+        let counting = Counting::new(reference.clone(), true, false);
+        let (mut ahead, node) = engaged(counting.clone());
+        let mut rng = Stream::seeded(5);
+        let mut handed = 0;
+        for round in 0..300u64 {
+            let batch: Vec<_> = (0..rng.gen_range(1..=MAX_IN_FLIGHT))
+                .map(|slot| ((slot, round), random_sides(&mut rng, slot as u32)))
+                .collect();
+            for (key, sides) in &batch {
+                assert!(hand_over(&mut ahead, *key, sides), "round {round}: no room");
+                handed += 1;
+            }
+            // Vary how far the helper gets before the replies.
+            match round % 3 {
+                0 => {}
+                1 => std::thread::yield_now(),
+                _ => std::thread::sleep(Duration::from_micros(rng.gen_range(0..200))),
+            }
+            for (key, [a, b]) in &batch {
+                let got = reply(&mut ahead, &node, *key, &[a.clone(), b.clone()]);
+                let expected = [pairs(&*reference, a, b), pairs(&*reference, b, a)];
+                assert_eq!(got, expected, "round {round} {key:?}");
+            }
+        }
+        let stats = ahead.stats();
+        assert_eq!(
+            counting.batches.load(Ordering::SeqCst),
+            2 * handed,
+            "{stats:?}"
+        );
+        assert_eq!(stats.submitted, handed, "{stats:?}");
+        assert_eq!(stats.replayed + stats.hashed_inline, handed, "{stats:?}");
+        // A stolen job is the one way a handed-over check is hashed inline.
+        assert_eq!(stats.stolen, stats.hashed_inline, "{stats:?}");
+    }
+
+    /// A job queued behind the one the helper is in is taken back at its
+    /// reply: the node hashes it, the helper never sees it.
+    #[test]
+    fn a_queued_job_is_stolen() {
+        let config = Config::builder(40).build().unwrap();
+        let reference = HashSelector::from_config_with_kind(&config, HasherKind::Md5);
+        let counting = Counting::new(reference.clone(), false, false);
+        let (mut ahead, node) = engaged(counting.clone());
+        let _open = OpenOnDrop(counting.clone());
+        let mut rng = Stream::seeded(6);
+        let (first, second) = (random_sides(&mut rng, 0), random_sides(&mut rng, 1));
+        assert!(hand_over(&mut ahead, (0, 1), &first));
+        counting.await_helper();
+        assert!(hand_over(&mut ahead, (1, 2), &second));
+
+        let [a, b] = &second;
+        let got = reply(&mut ahead, &node, (1, 2), &second);
+        assert_eq!(got, [pairs(&*reference, a, b), pairs(&*reference, b, a)]);
+        let stats = ahead.stats();
+        assert_eq!((stats.stolen, stats.waited), (1, 0), "{stats:?}");
+        assert_eq!((stats.replayed, stats.hashed_inline), (0, 1), "{stats:?}");
+        assert_eq!(counting.batches.load(Ordering::SeqCst), 2);
+
+        counting.open.store(true, Ordering::SeqCst);
+        reply(&mut ahead, &node, (0, 1), &first);
+        let stats = ahead.stats();
+        assert_eq!((stats.replayed, stats.hashed_inline), (1, 1), "{stats:?}");
+        assert_eq!(counting.batches.load(Ordering::SeqCst), 4);
+    }
+
+    /// A job the helper holds mid-hash is waited for at its reply, then
+    /// replayed: the node does not ask the real selector. The helper is
+    /// let go 20 ms after the reply starts; the reply cannot signal that
+    /// it is waiting, so only a reply stalled that long before it looks
+    /// would find the job finished and read `waited` 0.
+    #[test]
+    fn a_held_job_is_waited_for_and_replayed() {
+        let config = Config::builder(40).build().unwrap();
+        let reference = HashSelector::from_config_with_kind(&config, HasherKind::Md5);
+        let counting = Counting::new(reference.clone(), false, false);
+        let (mut ahead, node) = engaged(counting.clone());
+        let _open = OpenOnDrop(counting.clone());
+        let sides = random_sides(&mut Stream::seeded(7), 0);
+        assert!(hand_over(&mut ahead, (0, 1), &sides));
+        counting.await_helper();
+        let replying = Arc::new(AtomicBool::new(false));
+        let opener = {
+            let (counting, replying) = (counting.clone(), replying.clone());
+            std::thread::spawn(move || {
+                while !replying.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+                std::thread::sleep(Duration::from_millis(20));
+                counting.open.store(true, Ordering::SeqCst);
+            })
+        };
+
+        let [a, b] = &sides;
+        replying.store(true, Ordering::SeqCst);
+        let got = reply(&mut ahead, &node, (0, 1), &sides);
+        opener.join().unwrap();
+        assert_eq!(got, [pairs(&*reference, a, b), pairs(&*reference, b, a)]);
+        let stats = ahead.stats();
+        assert_eq!((stats.stolen, stats.waited), (0, 1), "{stats:?}");
+        assert_eq!((stats.replayed, stats.hashed_inline), (1, 0), "{stats:?}");
+        assert_eq!(counting.batches.load(Ordering::SeqCst), 2);
+    }
+
+    /// A helper whose selector panics mid-hash leaves its reply hashed
+    /// inline without a hang, whether the reply finds the helper still
+    /// unwinding (and waits) or gone, and every later cross-check is
+    /// hashed inline: nothing more is handed over.
+    #[test]
+    fn a_failed_helper_leaves_the_engine_hashing_inline() {
+        let config = Config::builder(40).build().unwrap();
+        let reference = HashSelector::from_config_with_kind(&config, HasherKind::Fast64);
+        let counting = Counting::new(reference.clone(), true, true);
+        let (mut ahead, node) = engaged(counting.clone());
+        let mut rng = Stream::seeded(8);
+        let sides = random_sides(&mut rng, 0);
+        assert!(hand_over(&mut ahead, (0, 1), &sides));
+        counting.await_helper();
+
+        let [a, b] = &sides;
+        let got = reply(&mut ahead, &node, (0, 1), &sides);
+        assert_eq!(got, [pairs(&*reference, a, b), pairs(&*reference, b, a)]);
+        let stats = ahead.stats();
+        assert_eq!((stats.replayed, stats.hashed_inline), (0, 1), "{stats:?}");
+
+        for nonce in 2..10 {
+            let sides = random_sides(&mut rng, 0);
+            assert!(
+                !hand_over(&mut ahead, (0, nonce), &sides),
+                "handed to a gone helper"
+            );
+            let [a, b] = &sides;
+            let got = reply(&mut ahead, &node, (0, nonce), &sides);
+            assert_eq!(got, [pairs(&*reference, a, b), pairs(&*reference, b, a)]);
+        }
+        let stats = ahead.stats();
+        assert_eq!((stats.submitted, stats.replayed), (1, 0), "{stats:?}");
+        assert_eq!(stats.hashed_inline, 9, "{stats:?}");
     }
 }

@@ -660,11 +660,11 @@ impl Simulation {
     }
 
     /// How the Fig. 2 cross-checks of this run so far were evaluated:
-    /// handed to the helper core, replayed from it, or hashed inline. On
-    /// one core nothing is submitted and every cross-check is hashed
-    /// inline. Like
-    /// [`Simulation::calendar_stats`], not part of the report, which is the
-    /// same either way.
+    /// handed to the helper core, replayed from it, or hashed inline, and
+    /// how many handed-over ones were taken back unstarted or waited for.
+    /// On one core nothing is submitted and every cross-check is hashed
+    /// inline. Like [`Simulation::calendar_stats`], not part of the
+    /// report, which is the same either way.
     #[must_use]
     pub fn crosscheck_stats(&self) -> CrossCheckStats {
         self.crosscheck.stats()
@@ -946,9 +946,11 @@ impl Simulation {
         match self.nodes[slot].lend(&mut self.spare) {
             Some(proto) => {
                 match msg {
-                    // The one input that runs the Fig. 2 cross-check: lend
-                    // the node its prepared result, if the helper finished
-                    // one, and count how the check was evaluated.
+                    // The one input that runs the Fig. 2 cross-check:
+                    // settle its hand-off (take back a job the helper has
+                    // not started, wait for one it holds), lend the node
+                    // the finished result, and count how the check was
+                    // evaluated.
                     Message::ViewFetchReply { nonce, .. } => {
                         self.crosscheck.lend(slot, nonce);
                         let checks = proto.stats().hash_checks;
